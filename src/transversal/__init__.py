@@ -17,6 +17,7 @@ from .core import (
     from_three_graph,
     separability_certificate,
     to_three_graph,
+    verify_expansion,
     verify_transversal_embedding,
 )
 from .embed import (
@@ -24,6 +25,7 @@ from .embed import (
     EmbedOutcome,
     Failure,
     SplitPlan,
+    UnverifiedOutput,
     approx_embed,
     blowup_embed,
     build_absorber,

@@ -31,6 +31,7 @@ from .core import (
     pattern_to_json,
     threegraph_from_json,
     threegraph_to_json,
+    verify_expansion,
     verify_transversal_embedding,
 )
 from .embed import SplitPlan, expand_embed_3graph, quasi_embed
@@ -43,7 +44,10 @@ def _digest(obj: dict) -> str:
 
 def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _dump(obj: dict, path: str | None):
@@ -58,7 +62,16 @@ def _dump(obj: dict, path: str | None):
 
 
 def _plan_from(params: dict | None) -> SplitPlan:
-    return SplitPlan(**params) if params else SplitPlan()
+    try:
+        return SplitPlan(**params) if params else SplitPlan()
+    except TypeError as exc:  # an unknown or mistyped field
+        raise ValueError(f"bad SplitPlan parameters: {exc}") from exc
+
+
+def _failure_outcome(failure) -> dict:
+    # diagnostics as JSON values (tuples become lists); any other value as its str
+    return {"status": "failure", "stage": failure.stage, "reason": failure.reason,
+            "diagnostics": json.loads(json.dumps(failure.diagnostics, default=str))}
 
 
 def _load_instance(path: str):
@@ -179,9 +192,7 @@ def cmd_embed(args) -> int:
         outcome = (
             {"status": "success", "embedding": embedding_to_json(out.embedding)}
             if out.ok
-            else {"status": "failure", "stage": out.failure.stage,
-                  "reason": out.failure.reason,
-                  "diagnostics": {k: str(v) for k, v in out.failure.diagnostics.items()}}
+            else _failure_outcome(out.failure)
         )
         stats = out.stats
     elif args.pipeline == "expand":
@@ -189,7 +200,8 @@ def cmd_embed(args) -> int:
             print("expand needs a 3-graph instance", file=sys.stderr)
             return 2
         out = expand_embed_3graph(inst, pattern, plan, seed=args.seed)
-        verified = out.ok  # structurally asserted inside
+        verified = bool(out.ok and verify_expansion(
+            inst, pattern, out.vertex_images, out.edge_images).ok)
         outcome = (
             {
                 "status": "success",
@@ -197,8 +209,7 @@ def cmd_embed(args) -> int:
                 "edge_images": {f"{u},{v}": c for (u, v), c in out.edge_images.items()},
             }
             if out.ok
-            else {"status": "failure", "stage": out.failure.stage,
-                  "reason": out.failure.reason}
+            else _failure_outcome(out.failure)
         )
         stats = out.stats
     else:
@@ -251,8 +262,8 @@ def cmd_verify(args) -> int:
     inst, doc = _load_instance(args.instance)
     pattern = pattern_from_json(_load(args.pattern))
     emb_doc = _load(args.embedding)
-    if "outcome" in emb_doc:  # a full embed report
-        emb_doc = emb_doc["outcome"]["embedding"]
+    if isinstance(emb_doc.get("outcome"), dict):  # a full embed report
+        emb_doc = emb_doc["outcome"].get("embedding")
     emb = embedding_from_json(emb_doc)
     rep = verify_transversal_embedding(inst, pattern, emb)
     report = {

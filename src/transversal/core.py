@@ -16,6 +16,7 @@ across concurrent readers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -229,6 +230,31 @@ class GraphCollection:
             self.bipartition = bp
         else:
             self.bipartition = None
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Sequence[Sequence[int]]) -> GraphCollection:
+        """Collection whose colour c has the adjacency bitmasks ``rows[c]``
+        (one per vertex), which must be symmetric and loop-free."""
+        gc = cls(n, 0)
+        gc.n_colours = len(rows)
+        gc._adj = tuple(tuple(r) for r in rows)
+        gc._ecount = tuple(sum(m.bit_count() for m in r) // 2 for r in rows)
+        return gc
+
+    def add_slice_to(self, rows: Sequence[list[int]], A, B, colours) -> int:
+        """OR the edges between A and B of the given colours into the
+        per-colour adjacency ``rows``; returns how many (u, v, c) were read."""
+        ma, mb = mask_of(A), mask_of(B)
+        count = 0
+        for c in colours:
+            row, adj = rows[c], self._adj[c]
+            for u in A:
+                m = adj[u] & mb
+                row[u] |= m
+                count += m.bit_count()
+            for v in B:
+                row[v] |= adj[v] & ma
+        return count
 
     @property
     def colours(self) -> range:
@@ -486,6 +512,28 @@ def verify_transversal_embedding(
     return VerificationReport(ok=not bad, violations=tuple(bad))
 
 
+def verify_expansion(
+    g: ThreeGraph,
+    H: SimpleGraph,
+    vertex_images: Mapping[int, int],
+    edge_images: Mapping[tuple[int, int], int],
+) -> VerificationReport:
+    """Accept iff the images cover V(H) and E(H) exactly, lie in V(g), are
+    pairwise distinct, and every edge uv of H with image c spans the host
+    triple {vertex_images[u], vertex_images[v], c}."""
+    bad: list[str] = []
+    if set(vertex_images) != set(range(H.n)) or set(edge_images) != set(H.edges()):
+        bad.append("the images do not cover the pattern")
+    images = [*vertex_images.values(), *edge_images.values()]
+    if len(set(images)) != len(images) or not all(0 <= w < g.n for w in images):
+        bad.append("the expansion map is not injective into V(g)")
+    for (u, v), c in edge_images.items():
+        tr = tuple(sorted((vertex_images.get(u, -1), vertex_images.get(v, -1), c)))
+        if tr not in g.edges:
+            bad.append(f"expansion triple of edge ({u},{v}) is missing from the host")
+    return VerificationReport(ok=not bad, violations=tuple(bad))
+
+
 # ---------------------------------------------------------------------------
 # Separability
 
@@ -639,6 +687,21 @@ def separability_certificate(
 # JSON instance formats
 
 
+def json_loader(load):
+    """Make a ``*_from_json`` loader raise ValueError on a document of the
+    wrong shape (a list where an object belongs, a string where a number
+    belongs, ...), as it does on wrong values; a missing key stays KeyError."""
+
+    @functools.wraps(load)
+    def checked(d):
+        try:
+            return load(d)
+        except (TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"{load.__name__}: malformed document: {exc}") from exc
+
+    return checked
+
+
 def collection_to_json(gc: GraphCollection) -> dict:
     d: dict = {
         "n": gc.n,
@@ -653,6 +716,7 @@ def collection_to_json(gc: GraphCollection) -> dict:
     return d
 
 
+@json_loader
 def collection_from_json(d: Mapping) -> GraphCollection:
     colours = d["colours"]
     names = [str(c) for c in colours]
@@ -674,6 +738,7 @@ def pattern_to_json(H: PatternGraph) -> dict:
     return d
 
 
+@json_loader
 def pattern_from_json(d: Mapping) -> PatternGraph:
     return PatternGraph(
         int(d["n"]),
@@ -690,6 +755,7 @@ def embedding_to_json(emb: TransversalEmbedding) -> dict:
     }
 
 
+@json_loader
 def embedding_from_json(d: Mapping) -> TransversalEmbedding:
     tau = {int(v): int(w) for v, w in d["tau"].items()}
     sigma = {}
@@ -706,6 +772,7 @@ def threegraph_to_json(g: ThreeGraph) -> dict:
     return d
 
 
+@json_loader
 def threegraph_from_json(d: Mapping) -> ThreeGraph:
     return ThreeGraph(
         int(d["n"]), [tuple(t) for t in d.get("edges", [])], parts=d.get("parts")

@@ -32,6 +32,7 @@ from .core import (
     bits_of,
     mask_of,
     separability_certificate,
+    verify_expansion,
     verify_transversal_embedding,
 )
 from .matching import max_bipartite_matching, perfect_matching
@@ -108,6 +109,12 @@ class SplitPlan:
             raise ValueError("the delta ladder must be strictly increasing")
 
 
+class UnverifiedOutput(AssertionError):
+    """An entry point's own check rejected the output it built: a defect in
+    the library, never a property of the input.  Raised by explicit checks,
+    so it also fires under ``python -O``."""
+
+
 class Failure:
     """Typed pipeline failure: stage, reason tag, seed, free-form diagnostics."""
 
@@ -146,8 +153,8 @@ class EmbedOutcome:
         emb = TransversalEmbedding(tau=dict(tau), sigma=dict(sigma))
         rep = verify_transversal_embedding(gc, H, emb)
         if not rep.ok:
-            raise AssertionError(
-                f"internal error: constructed embedding failed verification: {rep.violations}"
+            raise UnverifiedOutput(
+                f"constructed embedding failed verification: {rep.violations}"
             )
         return cls(embedding=emb, failure=None, verification=rep, stats=stats or {})
 
@@ -637,9 +644,9 @@ def embed_prescribed_colours(
         emb = TransversalEmbedding(tau=tau, sigma=sigma)
         rep = verify_transversal_embedding(gcv, Hview.pattern, _relabel(Hview, emb))
         if not rep.ok:
-            raise AssertionError(f"prescribed embedding failed verification: {rep.violations}")
+            raise UnverifiedOutput(f"prescribed embedding failed verification: {rep.violations}")
         if not all_prescribed <= set(sigma.values()):
-            raise AssertionError("a prescribed colour was not used")
+            raise UnverifiedOutput("a prescribed colour was not used")
         return EmbedOutcome(
             embedding=emb, failure=None, verification=rep,
             stats={"attempts": attempt + 1, "prescribed_used": sorted(all_prescribed)},
@@ -975,12 +982,13 @@ def blowup_embed(
             )
             continue
         # structural verification
-        assert len(set(tau.values())) == len(tau)
+        if len(set(tau.values())) != len(tau):
+            raise UnverifiedOutput("blow-up map is not injective")
         for (u, v) in H.edges():
-            if u in active and v in active:
-                assert host.has_edge(tau[u], tau[v]), "blow-up produced a non-edge"
-        for v, T in targets.items():
-            assert tau[v] in T
+            if u in active and v in active and not host.has_edge(tau[u], tau[v]):
+                raise UnverifiedOutput("blow-up produced a non-edge")
+        if any(tau[v] not in T for v, T in targets.items()):
+            raise UnverifiedOutput("blow-up left a target set")
         return BlowupResult(tau=tau, failure=None, restarts=restart, verified=True)
     return BlowupResult(None, last_fail, restarts=plan.blowup_restarts)
 
@@ -1201,7 +1209,7 @@ def approx_embed(
         emb = TransversalEmbedding(tau=tau, sigma=sigma)
         rep = verify_transversal_embedding(t.gc, view.pattern, _relabel(view, emb))
         if not rep.ok:
-            raise AssertionError(f"approx embedding failed verification: {rep.violations}")
+            raise UnverifiedOutput(f"approx embedding failed verification: {rep.violations}")
         stats["attempts"] = attempt + 1
         return EmbedOutcome(embedding=emb, failure=None, verification=rep, stats=stats)
     return EmbedOutcome(
@@ -1524,11 +1532,11 @@ def transversal_blowup(
         emb = TransversalEmbedding(tau=tau, sigma=sigma)
         rep = verify_transversal_embedding(t.gc, view.pattern, _relabel(view, emb))
         if not rep.ok:
-            raise AssertionError(f"pipeline embedding failed verification: {rep.violations}")
+            raise UnverifiedOutput(f"pipeline embedding failed verification: {rep.violations}")
         used = sorted(sigma.values())
         all_cols = t.all_colours()
         if used != all_cols:
-            raise AssertionError("colour conservation violated: sigma is not onto the colour set")
+            raise UnverifiedOutput("colour conservation violated: sigma is not onto the colour set")
         run_stats["attempts"] = attempt + 1
         return EmbedOutcome(embedding=emb, failure=None, verification=rep, stats=run_stats)
     # small instances can lack the components to fill all five stages; a
@@ -1551,11 +1559,11 @@ def transversal_blowup(
             emb = TransversalEmbedding(tau=part.tau, sigma=part.sigma)
             rep = verify_transversal_embedding(t.gc, view.pattern, _relabel(view, emb))
             if not rep.ok:
-                raise AssertionError(
+                raise UnverifiedOutput(
                     f"one-shot embedding failed verification: {rep.violations}"
                 )
             if sorted(part.sigma.values()) != t.all_colours():
-                raise AssertionError("one-shot fallback lost colour conservation")
+                raise UnverifiedOutput("one-shot fallback lost colour conservation")
             return EmbedOutcome(
                 embedding=emb, failure=None, verification=rep,
                 stats={"path": "one-shot", "attempts": attempt + 1},
@@ -2043,35 +2051,21 @@ def quasi_embed(
             pos += len(A[i])
         # per-pair sparsification of the (V_i, V_j, C) slice
         colours = list(range(K))
-        j_edges: dict[int, list[tuple[int, int]]] = {c: [] for c in colours}
+        rows = [[0] * n for _ in colours]
         dens_pairs = []
         for i in range(r):
             for j in range(i + 1, r):
-                base = n
-                tokens = {c: base + c for c in colours}
-                mj = mask_of(V[j])
-                triples = []
-                for c in colours:
-                    for u in V[i]:
-                        for v in bits_of(gc.adj(c, u) & mj):
-                            triples.append((u, v, tokens[c]))
-                tg = ThreeGraph(base + K, triples)
                 try:
                     out = sparsify_to_superregular(
-                        tg, (V[i], V[j], sorted(tokens.values())),
+                        gc, (V[i], V[j], colours),
                         eps=plan.eps, eps_prime=plan.eps, d=None,
                         seed=_mix(sub_seed, i, j),
                     )
                 except PromiseViolated:
-                    out = tg  # keep the raw slice; downstream checks decide
-                cnt = 0
-                for tr in out.edges:
-                    cv = max(tr)
-                    u, v = (x for x in tr if x != cv)
-                    j_edges[cv - base].append((u, v))
-                    cnt += 1
+                    out = gc  # keep the raw slice; downstream checks decide
+                cnt = out.add_slice_to(rows, V[i], V[j], colours)
                 dens_pairs.append(cnt / max(1, len(V[i]) * len(V[j]) * K))
-        jgc = GraphCollection(n, K, j_edges)
+        jgc = GraphCollection.from_rows(n, rows)
         d_eff = max(0.05, 0.5 * min(dens_pairs)) if dens_pairs else 0.05
         ledger = make_ledger(
             min(len(v) for v in V), plan.eps,
@@ -2307,12 +2301,9 @@ def expand_embed_3graph(
         free = [w for w in range(n) if w not in used]
         for v in leftover_iso:
             vertex_images[v] = free.pop()
-        # final verification of the expansion triples
-        imgs = list(vertex_images.values()) + list(edge_images.values())
-        assert len(set(imgs)) == len(imgs), "expansion map is not injective"
-        for (u, v) in H.edges():
-            tr = tuple(sorted((vertex_images[u], vertex_images[v], edge_images[(u, v)])))
-            assert tr in g.edges, "expansion triple missing from the host"
+        rep = verify_expansion(g, H, vertex_images, edge_images)
+        if not rep.ok:
+            raise UnverifiedOutput(f"expansion failed verification: {rep.violations}")
         return ExpansionOutcome(
             vertex_images=vertex_images,
             edge_images=edge_images,

@@ -16,8 +16,10 @@ replays to the same values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -633,59 +635,105 @@ def _part_chunks(part: list[int], chunks: int, rng: random.Random) -> list[list[
     return [c for c in out if c]
 
 
+def _target_density(densities: list[float]) -> float:
+    """The d=None target from the populated cells' densities (listed in
+    sorted cell order): equalise down to the sparsest populated cell, but not
+    below 0.6 of the mean (an empty cell would otherwise wipe the graph)."""
+    return max(min(densities), 0.6 * (sum(densities) / len(densities)))
+
+
+def _meets_degree_floor(part_degrees: Sequence[Sequence[int]], d: float) -> bool:
+    """The (eps', d^2/2)-superregular floor: each element of part i has degree
+    at least d^2/2 * prod_j |V_j| / |V_i| (``part_degrees[i]`` lists them)."""
+    floor_target = d * d / 2
+    vol_all = math.prod(len(p) for p in part_degrees)
+    return all(
+        x >= floor_target * vol_all / len(degs) for degs in part_degrees for x in degs
+    )
+
+
 def _sparsify_tuples(
-    edges: Iterable[tuple],
+    edges: list[tuple],
     parts: Sequence[Sequence[int]],
     d: float | None,
     rng: random.Random,
     chunks: int,
 ):
-    parts = [list(p) for p in parts]
     chunk_lists = [_part_chunks(p, chunks, rng) for p in parts]
-    chunk_of = []
-    for plist in chunk_lists:
-        d_map = {}
-        for ci, ch in enumerate(plist):
-            for v in ch:
-                d_map[v] = ci
-        chunk_of.append(d_map)
-    part_of = {}
-    for pi, p in enumerate(parts):
-        for v in p:
-            part_of[v] = pi
+    where = {
+        v: (pi, ci)
+        for pi, plist in enumerate(chunk_lists)
+        for ci, ch in enumerate(plist)
+        for v in ch
+    }
     cells: dict[tuple, list] = {}
     for e in edges:
-        key_items = sorted((part_of[v], chunk_of[part_of[v]][v]) for v in e)
-        key = tuple(key_items)
-        cells.setdefault(key, []).append(e)
-    densities = []
-    for key, cell_edges in cells.items():
-        vol = 1
-        for (pi, ci) in key:
-            vol *= len(chunk_lists[pi][ci])
-        densities.append(len(cell_edges) / vol)
+        cells.setdefault(tuple(sorted(where[v] for v in e)), []).append(e)
+    dens = {
+        key: len(cell_edges) / math.prod(len(chunk_lists[pi][ci]) for pi, ci in key)
+        for key, cell_edges in sorted(cells.items())
+    }
     if d is None:
-        # auto target: equalise down to the sparsest populated cell, but not
-        # below 0.6 of the mean (an empty cell would otherwise wipe the graph)
-        if not densities or not any(densities):
-            return list(edges), 0.0
-        mean = sum(densities) / len(densities)
-        nonzero = [x for x in densities if x > 0]
-        d = max(min(nonzero), 0.6 * mean)
+        d = _target_density(list(dens.values())) if dens else 0.0
     kept = []
-    for key, cell_edges in sorted(cells.items()):
-        vol = 1
-        for (pi, ci) in key:
-            vol *= len(chunk_lists[pi][ci])
-        dens = len(cell_edges) / vol
-        if dens <= d or dens == 0:
-            kept.extend(cell_edges)
+    for key, dk in dens.items():
+        if dk <= d:
+            kept.extend(cells[key])
+            continue
+        p_keep = d / dk
+        kept.extend(e for e in sorted(cells[key]) if rng.random() < p_keep)
+    deg = Counter(v for e in kept for v in e)
+    return kept, d, [[deg[v] for v in p] for p in parts]
+
+
+def _sparsify_slice(
+    gc: GraphCollection,
+    parts: Sequence[Sequence[int]],
+    d: float | None,
+    rng: random.Random,
+    chunks: int,
+):
+    """``_sparsify_tuples`` on the 3-graph view of the slice (V_i, V_j,
+    colours), read from the bitmasks: the colour at list position k plays
+    the 3-graph vertex n + k, so chunks, cells, target and coins are exactly
+    those of that 3-graph, and no triple is built.  The kept edges come back
+    as per-colour adjacency rows."""
+    Vi, Vj, colours = parts
+    ch_i = _part_chunks(Vi, chunks, rng)
+    ch_j = _part_chunks(Vj, chunks, rng)
+    ch_c = [sorted(ch) for ch in _part_chunks(list(range(len(colours))), chunks, rng)]
+    masks_i = [mask_of(ch) for ch in ch_i]
+    masks_j = [mask_of(ch) for ch in ch_j]
+    adj = gc.adj
+    cells = []  # (chunk of V_i, chunk of V_j, positions, density) in sorted cell order
+    for a, b, pos in itertools.product(range(len(ch_i)), range(len(ch_j)), ch_c):
+        count = sum((adj(colours[k], u) & masks_j[b]).bit_count() for k in pos for u in ch_i[a])
+        if count:
+            cells.append((a, b, pos, count / (len(ch_i[a]) * len(ch_j[b]) * len(pos))))
+    if d is None:
+        d = _target_density([dens for *_, dens in cells]) if cells else 0.0
+    rows = [[0] * gc.n for _ in range(gc.n_colours)]
+    for a, b, pos, dens in cells:
+        if dens <= d:
+            gc.add_slice_to(rows, ch_i[a], ch_j[b], [colours[k] for k in pos])
             continue
         p_keep = d / dens
-        for e in sorted(cell_edges):
-            if rng.random() < p_keep:
-                kept.append(e)
-    return kept, d
+        # coins in sorted-triple order: x = min(u, v), then y, then position
+        for x in sorted(ch_i[a] + ch_j[b]):
+            other = masks_j[b] if masks_i[a] >> x & 1 else masks_i[a]
+            above = other >> (x + 1) << (x + 1)
+            nbrs = [(colours[k], adj(colours[k], x) & above) for k in pos]
+            union = 0
+            for _, m in nbrs:
+                union |= m
+            for y in bits_of(union):
+                for c, m in nbrs:
+                    if m >> y & 1 and rng.random() < p_keep:
+                        rows[c][x] |= 1 << y
+                        rows[c][y] |= 1 << x
+    degrees = [[sum(rows[c][v].bit_count() for c in colours) for v in p] for p in (Vi, Vj)]
+    degrees.append([sum(rows[c][u].bit_count() for u in Vi) for c in colours])
+    return rows, d, degrees
 
 
 def sparsify_to_superregular(
@@ -703,46 +751,51 @@ def sparsify_to_superregular(
     Refines each part into chunks, then in each refined cell of density d'
     > d deletes edges independently with probability 1 - d/d'.  With d=None
     the target is derived from the cells themselves (the sparsest populated
-    cell, floored at 0.6 of the mean).  The output is re-checked by degree
-    counting against the (eps', d^2/2)-superregular floor; the construction
-    is retried with derived seeds and raises :class:`PromiseViolated` when
-    every retry fails.  Never adds edges.
+    cell, floored at 0.6 of the mean over the populated cells, summed in
+    sorted cell order).  The output is re-checked by degree counting against
+    the (eps', d^2/2)-superregular floor; the construction is retried with
+    derived seeds and raises :class:`PromiseViolated` when every retry
+    fails.  Never adds edges.
+
+    ``g`` is a ThreeGraph (three parts), a bipartite SimpleGraph (two parts)
+    or a GraphCollection with the slice ``(V_i, V_j, colours)``: the 3-graph
+    of triples {u, v, c} with u in V_i, v in V_j and uv in G_c.  The slice
+    form returns a GraphCollection of the kept slice edges.  It works on the
+    bitmask rows and draws exactly the coins of the ThreeGraph form in which
+    the colour at list position k is the vertex n + k: the parts are
+    shuffled into chunks in the order V_i, V_j, colours (in list order);
+    cells are visited in sorted (chunk of V_i, chunk of V_j, chunk of
+    colours) order; within a cell the coins go to x = min(u, v) ascending,
+    then y = max(u, v) ascending, then colour by list position.
     """
-    if isinstance(g, ThreeGraph):
-        edges = [tuple(sorted(t)) for t in g.edges]
-        k = 3
-    elif isinstance(g, SimpleGraph):
-        edges = list(g.edges())
-        k = 2
-    else:
-        raise TypeError("sparsify expects a ThreeGraph or a bipartite SimpleGraph")
     parts = [list(p) for p in parts]
-    if len(parts) != k:
-        raise ValueError(f"expected {k} parts")
-    vol_all = math.prod(len(p) for p in parts)
+    if isinstance(g, GraphCollection):
+        if len(parts) != 3 or mask_of(parts[0]) & mask_of(parts[1]) or (
+            len(set(parts[2])) != len(parts[2])
+        ):
+            raise ValueError("a slice needs disjoint parts (V1, V2) and distinct colours")
+        source, once = g, _sparsify_slice
+    elif isinstance(g, (ThreeGraph, SimpleGraph)):
+        k = 3 if isinstance(g, ThreeGraph) else 2
+        if len(parts) != k:
+            raise ValueError(f"expected {k} parts")
+        source = [tuple(sorted(t)) for t in g.edges] if k == 3 else list(g.edges())
+        once = _sparsify_tuples
+    else:
+        raise TypeError(
+            "sparsify expects a ThreeGraph, a bipartite SimpleGraph or a GraphCollection slice"
+        )
     last = None
     for attempt in range(max(1, retries)):
         rng = random.Random((seed * 1_000_003 + attempt) & 0x7FFFFFFF)
-        kept, d_used = _sparsify_tuples(edges, parts, d, rng, chunks)
-        floor_target = d_used * d_used / 2
-        deg: dict[int, int] = {}
-        for e in kept:
-            for v in e:
-                deg[v] = deg.get(v, 0) + 1
-        ok = True
-        for pi, p in enumerate(parts):
-            need = floor_target * vol_all / len(p)
-            for v in p:
-                if deg.get(v, 0) < need:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            if k == 3:
+        kept, d_used, degrees = once(source, parts, d, rng, chunks)
+        if _meets_degree_floor(degrees, d_used):
+            if isinstance(g, GraphCollection):
+                return GraphCollection.from_rows(g.n, kept)
+            if isinstance(g, ThreeGraph):
                 return ThreeGraph(g.n, kept, parts=g.parts)
             return SimpleGraph(g.n, kept)
-        last = f"degree floor {floor_target:.4f} violated on attempt {attempt}"
+        last = f"degree floor {d_used * d_used / 2:.4f} violated on attempt {attempt}"
     raise PromiseViolated(
         f"sparsification never met the superregular degree floor after {retries} retries: {last}"
     )

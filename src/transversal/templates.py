@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import GraphCollection, SimpleGraph, bits_of, mask_of
+from .core import GraphCollection, SimpleGraph, json_loader, mask_of
 from .regularity import (
     ClassificationReport,
     DensitySpec,
@@ -170,31 +170,15 @@ class SliceSelection:
     colour_sizes: Mapping[tuple[int, int], int] | None = None
 
 
-def _restrict_collection(gc: GraphCollection, keep_pairs) -> GraphCollection:
-    """Collection with only edges inside permitted (vertex-set, vertex-set)
-    masks per colour."""
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for c in range(gc.n_colours):
-        pairs = keep_pairs.get(c)
-        if not pairs:
-            continue
-        kept = []
-        for (u, v) in gc.edges(c):
-            for ma, mb in pairs:
-                if (ma >> u & 1 and mb >> v & 1) or (mb >> u & 1 and ma >> v & 1):
-                    kept.append((u, v))
-                    break
-        edges[c] = kept
-    return GraphCollection(gc.n, gc.n_colours, edges)
-
-
-def _rebuild(t: Template, clusters, colour_clusters, ledger, klass, stamp_note) -> Template:
-    keep_pairs: dict[int, list[tuple[int, int]]] = {}
+def _rebuild(t: Template, clusters, colour_clusters, ledger, klass, stamp_note,
+             sources=None) -> Template:
+    """Template on the (clusters[i], clusters[j], colour cluster) slices,
+    each read from ``sources[(i, j)]`` when given, else from t.gc."""
+    rows = [[0] * t.gc.n for _ in range(t.gc.n_colours)]
     for (i, j), cs in colour_clusters.items():
-        ma, mb = mask_of(clusters[i]), mask_of(clusters[j])
-        for c in cs:
-            keep_pairs.setdefault(c, []).append((ma, mb))
-    gc2 = _restrict_collection(t.gc, keep_pairs)
+        src = sources[(i, j)] if sources else t.gc
+        src.add_slice_to(rows, clusters[i], clusters[j], cs)
+    gc2 = GraphCollection.from_rows(t.gc.n, rows)
     stamps = dict(t.stamps)
     stamps["last_slice"] = stamp_note
     return make_template(
@@ -288,39 +272,16 @@ def slice_template(
     # rule == "iv": sparsify each R-edge slice
     if t.klass != "half-super":
         raise RuleInapplicable("case iv sparsifies a half-super template")
-    edges_by_colour: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), cs in sorted(t.colour_clusters.items()):
-        Vi, Vj = list(t.clusters[i]), list(t.clusters[j])
-        # tripartite 3-graph on Vi + Vj + colour tokens, sparsified as one slice
-        base = t.gc.n
-        tokens = {c: base + idx for idx, c in enumerate(cs)}
-        triples = []
-        mj = mask_of(Vj)
-        for c in cs:
-            for u in Vi:
-                for v in bits_of(t.gc.adj(c, u) & mj):
-                    triples.append(tuple(sorted((u, v, tokens[c]))))
-        from .core import ThreeGraph
-
-        tg = ThreeGraph(base + len(cs), triples)
-        out = sparsify_to_superregular(
-            tg, (Vi, Vj, sorted(tokens.values())),
+    sparse = {
+        (i, j): sparsify_to_superregular(
+            t.gc, (list(t.clusters[i]), list(t.clusters[j]), list(cs)),
             eps=float(t.ledger.eps), eps_prime=float(eps_prime or t.ledger.eps),
             d=float(t.ledger.d), seed=seed + 7919 * (i * t.r + j),
         )
-        back = {tok: c for c, tok in tokens.items()}
-        vset = set(Vi) | set(Vj)
-        for tr in out.edges:
-            cv = [x for x in tr if x >= base]
-            u, v = (x for x in tr if x < base)
-            edges_by_colour.setdefault(back[cv[0]], []).append((u, v))
-    gc2 = GraphCollection(t.gc.n, t.gc.n_colours, edges_by_colour)
-    stamps = dict(t.stamps)
-    stamps["last_slice"] = "case iv (sparsified)"
-    return make_template(
-        t.R, t.clusters, t.colour_clusters, gc2, ledger,
-        rainbow=t.rainbow, klass="super", stamps=stamps,
-    )
+        for (i, j), cs in sorted(t.colour_clusters.items())
+    }
+    return _rebuild(t, t.clusters, t.colour_clusters, ledger, "super",
+                    "case iv (sparsified)", sparse)
 
 
 def ledger_to_json(ledger: ParameterLedger) -> dict:
@@ -345,6 +306,7 @@ def ledger_to_json(ledger: ParameterLedger) -> dict:
     }
 
 
+@json_loader
 def ledger_from_json(d: dict) -> ParameterLedger:
     from .regularity import LineageEntry
 
@@ -381,6 +343,7 @@ def template_to_json(t: Template) -> dict:
     }
 
 
+@json_loader
 def template_from_json(d: dict) -> Template:
     from .core import collection_from_json
 

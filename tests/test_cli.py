@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -140,3 +141,75 @@ def test_usage_error_exit_2(workdir):
     assert "invalid choice" in proc.stderr, proc.stderr
     # missing file is also a usage-level error
     assert main(["check", "--instance", "missing.json"]) == 2
+
+
+def test_verify_malformed_embedding_is_a_usage_error(workdir):
+    # exit 1 would read as "verified infeasible"; a malformed file is exit 2
+    assert main([
+        "generate", "--construction", "random", "--n", "6", "--colours", "3",
+        "--density", "1.0", "--seed", "1", "--out", "inst.json",
+    ]) == 0
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
+    write_json(workdir / "e.json", {"sigma": [[0, 1, 0]], "tau": []})
+    proc = subprocess.run(
+        [sys.executable, "-m", "transversal.cli", "verify", "--instance", "inst.json",
+         "--pattern", "h.json", "--embedding", "e.json"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "usage error" in proc.stderr, proc.stderr
+    write_json(workdir / "e.json", [1, 2])
+    assert main(["verify", "--instance", "inst.json", "--pattern", "h.json",
+                 "--embedding", "e.json"]) == 2
+    write_json(workdir / "p.json", {"no_such_field": 1})
+    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                 "--pattern", "h.json", "--params", "p.json"]) == 2
+
+
+def test_failure_diagnostics_are_json_native(workdir):
+    assert main([
+        "generate", "--construction", "random", "--n", "12", "--colours", "6",
+        "--density", "0.05", "--seed", "1", "--out", "sparse.json",
+    ]) == 0
+    H = PatternGraph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    write_json(workdir / "h.json", pattern_to_json(H))
+    assert main([
+        "embed", "--pipeline", "quasi", "--instance", "sparse.json",
+        "--pattern", "h.json", "--out", "rep.json",
+    ]) == 1
+    outcome = json.loads((workdir / "rep.json").read_text())["outcome"]
+    assert outcome["reason"] == "PreconditionViolated"
+    assert isinstance(outcome["diagnostics"]["weak_vertices"], list)
+    assert all(isinstance(v, int) for v in outcome["diagnostics"]["weak_vertices"])
+    # an expand failure keeps its diagnostics too
+    write_json(workdir / "g.json", {"n": 6, "edges": [list(t) for t in combinations(range(6), 3)]})
+    write_json(workdir / "c5.json", {"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]})
+    assert main([
+        "embed", "--pipeline", "expand", "--instance", "g.json",
+        "--pattern", "c5.json", "--out", "rep2.json",
+    ]) == 1
+    rep = json.loads((workdir / "rep2.json").read_text())
+    assert rep["outcome"]["diagnostics"]["detail"] == "v(H)+e(H) > v(G)"
+    assert rep["verified"] is False
+
+
+def test_expand_report_rechecks_the_triples(workdir, monkeypatch):
+    from transversal import cli
+
+    write_json(workdir / "g.json", {"n": 8, "edges": [list(t) for t in combinations(range(8), 3)]})
+    write_json(workdir / "e.json", {"n": 2, "edges": [[0, 1]]})
+    argv = ["embed", "--pipeline", "expand", "--instance", "g.json",
+            "--pattern", "e.json", "--out", "rep.json"]
+    assert main(argv) == 0
+    assert json.loads((workdir / "rep.json").read_text())["verified"] is True
+    real = cli.expand_embed_3graph
+
+    def wrong_edge_image(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.edge_images[(0, 1)] = out.vertex_images[0]  # not injective any more
+        return out
+
+    monkeypatch.setattr(cli, "expand_embed_3graph", wrong_edge_image)
+    main(argv)
+    assert json.loads((workdir / "rep.json").read_text())["verified"] is False
+

@@ -21,6 +21,7 @@ from transversal.core import (
     pattern_from_json,
     pattern_to_json,
     separability_certificate,
+    threegraph_from_json,
     to_three_graph,
     verify_transversal_embedding,
 )
@@ -247,3 +248,32 @@ def test_bipartition_invariant_enforced():
         )
     gc = GraphCollection(4, 1, {0: [(0, 2)]}, bipartition={0: ([0, 1], [2, 3])})
     assert gc.bipartition is not None
+
+
+# ---------------------------------------------------------------------------
+# JSON loaders on malformed documents
+
+_KEYS = st.sampled_from(["n", "colours", "edges", "bipartition", "parts", "phi",
+                         "targets", "tau", "sigma", "0", "1", "0,1", "1,2", "x"])
+# numbers stay small: the loaders take any n, and a large one allocates n x |C|
+# adjacency cells before anything else is checked
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(-3, 12),
+                    st.sampled_from([float("nan"), float("inf"), "", "1", "0,1", "a"]))
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_DOCS, st.dictionaries(_KEYS, _DOCS, max_size=5)))
+def test_json_loaders_return_or_raise_value_or_key_error(doc):
+    for load in (collection_from_json, pattern_from_json, embedding_from_json,
+                 threegraph_from_json):
+        try:
+            load(doc)
+        except (ValueError, KeyError):
+            pass
+

@@ -278,6 +278,19 @@ def test_blowup_isolated_host_vertex_fails_spanning():
     assert res.failure.reason == "EmbeddingFailed"
 
 
+def test_blowup_corrupted_output_raises_without_asserts(monkeypatch):
+    # an explicit check, so it also fires under python -O
+    from transversal import embed
+
+    monkeypatch.setattr(embed, "max_bipartite_matching", lambda adj: {b: 0 for b in adj})
+    n = 12
+    host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
+    H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])
+    with pytest.raises(embed.UnverifiedOutput):
+        blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H,
+                     [0] * n + [1] * n, None, PLAN, seed=0)
+
+
 def test_blowup_deterministic():
     rng = random.Random(8)
     host = SimpleGraph(24, [(u, v) for u in range(12) for v in range(12, 24) if rng.random() < 0.7])
@@ -558,6 +571,53 @@ def test_expand_triples_verified_against_host():
     for (u, v) in H.edges():
         tr = tuple(sorted((out.rho(u), out.rho(v), out.rho((u, v)))))
         assert tr in g.edges
+
+
+def _swap_two_images(monkeypatch):
+    """Make quasi_embed hand back an embedding with two vertex images equal."""
+    from transversal import embed
+
+    real = embed.quasi_embed
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        tau = dict(out.embedding.tau)
+        tau[1] = tau[0]
+        return embed.EmbedOutcome(
+            embedding=embed.TransversalEmbedding(tau=tau, sigma=out.embedding.sigma),
+            failure=None, verification=out.verification, stats=out.stats,
+        )
+
+    monkeypatch.setattr(embed, "quasi_embed", corrupted)
+
+
+def test_expand_corrupted_output_raises_without_asserts(monkeypatch):
+    from transversal.embed import UnverifiedOutput
+
+    _swap_two_images(monkeypatch)
+    g = ThreeGraph(8, list(combinations(range(8), 3)))
+    with pytest.raises(UnverifiedOutput):
+        expand_embed_3graph(g, PatternGraph(2, [(0, 1)]), PLAN, seed=0)
+
+
+def test_corrupted_output_checks_survive_python_O():
+    """The two tests above, rerun by an interpreter that strips asserts."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import transversal
+
+    pkg_parent = str(pathlib.Path(transversal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [pkg_parent, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "corrupted_output_raises"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_expand_too_large_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -286,6 +287,110 @@ def test_sparsify_promise_violation_raises():
         sparsify_to_superregular(
             tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), 0.1, 0.2, d=0.5, seed=0, retries=3
         )
+
+
+def _slice_and_threegraph(seed, n=24, k=10):
+    """A collection whose vertices are sparse (weight 0.2) or dense (1.0), so
+    cell densities differ and the 0.6-of-the-mean floor of the d=None target
+    binds; a slice (V1, V2, colours) of it with unsorted parts; and the
+    slice's ThreeGraph view with colour position p at vertex n + p."""
+    rng = random.Random(seed)
+    weight = [rng.choice([0.2, 1.0]) for _ in range(n)]
+    gc = GraphCollection(n, k, {
+        c: [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < weight[u] * weight[v]]
+        for c in range(k)
+    })
+    verts = rng.sample(range(n), n)
+    V1, V2 = verts[: n // 2 - 1], verts[n // 2 - 1 :]
+    colours = rng.sample(range(k), k - 2)  # not sorted: the case-iv token order
+    tg = ThreeGraph(n + len(colours), [
+        (u, v, n + p) for p, c in enumerate(colours) for u in V1 for v in V2 if gc.has_edge(c, u, v)
+    ])
+    return gc, (V1, V2, colours), tg
+
+
+# sha256 prefixes of the sorted kept (u, v, c) triples as the ThreeGraph form
+# gave them before the slice form existed, so seeded replay stays bit for bit
+REPLAY = {
+    (0, None, 2): "955f5b668891d855",
+    (0, 0.3, 2): "d41c54472b9e856d",
+    (0, None, 3): "3990f2cd94d65460",
+    (0, 0.3, 3): "ebca2068d7c5031f",
+    (1, None, 2): "0ed7488262fb4d49",
+    (1, 0.3, 2): "ae00548f627e2cdb",
+    (1, None, 3): "53ec4d0697dbe105",
+    (1, 0.3, 3): "3c20fa919133cecc",
+    (2, None, 2): "ce02f3b00a5432b8",
+    (2, 0.3, 2): "bede042d517eb04d",
+    (2, None, 3): "eb8ede59622dc846",
+    (2, 0.3, 3): "0d21fed26260cb59",
+    (3, None, 2): "80fc91b1ebd98e1f",
+    (3, 0.3, 2): "72067e61dbb596f7",
+    (3, None, 3): "511fd738286fa9f6",
+    (3, 0.3, 3): "2e61431f84cfaead",
+    (4, None, 2): "69659f2dd5024660",
+    (4, 0.3, 2): "8fa22fbe4a29ec06",
+    (4, None, 3): "0ed420af19d4c3bc",
+    (4, 0.3, 3): "8da2f4d75949759f",
+}
+
+
+@pytest.mark.parametrize("chunks", [2, 3])
+@pytest.mark.parametrize("d", [None, 0.3])
+@pytest.mark.parametrize("seed", range(5))
+def test_sparsify_slice_keeps_the_threegraph_forms_edges(seed, d, chunks):
+    gc, (V1, V2, colours), tg = _slice_and_threegraph(seed)
+    n = gc.n
+    kw = dict(eps=0.1, eps_prime=0.1, d=d, seed=seed, chunks=chunks, retries=40)
+    from_slice = sparsify_to_superregular(gc, (V1, V2, colours), **kw)
+    from_tg = sparsify_to_superregular(tg, (V1, V2, [n + p for p in range(len(colours))]), **kw)
+    kept = {(min(u, v), max(u, v), c) for c in range(gc.n_colours) for u, v in from_slice.edges(c)}
+    assert kept == {(t[0], t[1], colours[t[2] - n]) for t in from_tg.edges}
+    assert 0 < len(kept) < tg.e  # the coins really ran
+    assert hashlib.sha256(repr(sorted(kept)).encode()).hexdigest()[:16] == REPLAY[(seed, d, chunks)]
+
+
+def test_sparsify_slice_raises_after_its_retries(monkeypatch):
+    from transversal import regularity
+
+    gc, (V1, V2, colours), tg = _slice_and_threegraph(1)
+    # an isolated vertex of V1 can never meet the degree floor
+    rows = [[gc.adj(c, v) & ~(1 << V1[0]) for v in range(gc.n)] for c in range(gc.n_colours)]
+    for c in range(gc.n_colours):
+        rows[c][V1[0]] = 0
+    gc = GraphCollection.from_rows(gc.n, rows)
+    calls = []
+    real = regularity._sparsify_slice
+    monkeypatch.setattr(regularity, "_sparsify_slice", lambda *a: calls.append(1) or real(*a))
+    with pytest.raises(PromiseViolated):
+        sparsify_to_superregular(gc, (V1, V2, colours), 0.1, 0.1, d=None, seed=0, retries=3)
+    assert len(calls) == 3
+
+
+def test_sparsify_slice_rejects_overlapping_parts():
+    gc, (V1, V2, colours), _ = _slice_and_threegraph(0)
+    with pytest.raises(ValueError):
+        sparsify_to_superregular(gc, (V1, V2 + V1[:1], colours), 0.1, 0.1, d=None)
+    with pytest.raises(ValueError):
+        sparsify_to_superregular(gc, (V1, V2, colours + colours[:1]), 0.1, 0.1, d=None)
+
+
+def test_quasi_embed_builds_no_threegraph(monkeypatch):
+    from transversal.core import PatternGraph
+    from transversal.embed import SplitPlan, quasi_embed
+
+    built = []
+    real_init = ThreeGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreeGraph, "__init__", counting_init)
+    gc = random_collection(GenSpec(n=24, n_colours=12, density=0.8, seed=3))
+    H = PatternGraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    assert quasi_embed(gc, H, SplitPlan(), seed=3).ok
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,24 @@ def test_slice_case_iv_sparsifies_half_super():
         assert set(t4.gc.edges(c)) <= set(t.gc.edges(c))
 
 
+def test_slice_case_iv_builds_no_threegraph(monkeypatch):
+    from transversal.core import ThreeGraph
+
+    built = []
+    real_init = ThreeGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreeGraph, "__init__", counting_init)
+    t = one_edge_template(n_side=8, density=0.9, seed=2, d="0.5", eps="0.45",
+                          klass="half-super", mode="half-super")
+    t4 = slice_template(t, "iv", eps_prime=0.45, seed=3)
+    assert t4.klass == "super" and t4.gc.total_edge_count() < t.gc.total_edge_count()
+    assert built == []
+
+
 def test_thick_graph_identity_and_empty():
     t = one_edge_template()
     tk = thick_graph(t, 0.99)
