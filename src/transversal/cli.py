@@ -233,6 +233,9 @@ def cmd_embed(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst, doc = _load_instance(args.instance)
+    if not isinstance(inst, GraphCollection):
+        print("oracle needs a collection instance", file=sys.stderr)
+        return 2
     pattern = pattern_from_json(_load(args.pattern))
     budget = oracle.SearchBudget(node_limit=args.node_limit)
     t0 = time.monotonic()
@@ -260,6 +263,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     inst, doc = _load_instance(args.instance)
+    if not isinstance(inst, GraphCollection):
+        print("verify needs a collection instance", file=sys.stderr)
+        return 2
     pattern = pattern_from_json(_load(args.pattern))
     emb_doc = _load(args.embedding)
     if isinstance(emb_doc.get("outcome"), dict):  # a full embed report

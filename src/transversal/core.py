@@ -273,6 +273,18 @@ class GraphCollection:
     def has_edge(self, c: int, u: int, v: int) -> bool:
         return bool(self._adj[c][u] >> v & 1)
 
+    def degree_into(self, v: int, mask: int, colours: Iterable[int]) -> int:
+        """Sum over ``colours`` of v's neighbours inside the vertex ``mask``:
+        v's degree into mask in the 3-graph view restricted to those colours."""
+        adj = self._adj
+        return sum((adj[c][v] & mask).bit_count() for c in colours)
+
+    def edges_into(self, c: int, vertices: Iterable[int], mask: int) -> int:
+        """Edges of colour c from ``vertices`` into the vertex ``mask`` (an
+        edge with both ends in both sets counts twice)."""
+        rows = self._adj[c]
+        return sum((rows[u] & mask).bit_count() for u in vertices)
+
     def edges(self, c: int) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             m = self._adj[c][u] >> (u + 1) << (u + 1)
@@ -499,12 +511,10 @@ def verify_transversal_embedding(
     for (u, v) in H.edges():
         if u not in tau or v not in tau or (u, v) not in sigma:
             continue
-        c = sigma[(u, v)]
-        if not (0 <= c < gc.n_colours) or not gc.has_edge(c, tau[u], tau[v]):
-            bad.append(
-                f"pattern edge ({u},{v}) maps to ({tau[u]},{tau[v]}) "
-                f"absent from colour {c}"
-            )
+        c, a, b = sigma[(u, v)], tau[u], tau[v]
+        in_range = 0 <= c < gc.n_colours and 0 <= a < gc.n and 0 <= b < gc.n
+        if not in_range or not gc.has_edge(c, a, b):
+            bad.append(f"pattern edge ({u},{v}) maps to ({a},{b}) absent from colour {c}")
     if H.targets:
         for x, T in H.targets.items():
             if x in tau and tau[x] not in T:
@@ -702,6 +712,15 @@ def json_loader(load):
     return checked
 
 
+def _vertex_count(d: Mapping) -> int:
+    """The document's ``n``, which must be a JSON integer: a float, bool or
+    string is rejected before anything is sized by it."""
+    n = d["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be a JSON integer, not {n!r}")
+    return n
+
+
 def collection_to_json(gc: GraphCollection) -> dict:
     d: dict = {
         "n": gc.n,
@@ -718,15 +737,14 @@ def collection_to_json(gc: GraphCollection) -> dict:
 
 @json_loader
 def collection_from_json(d: Mapping) -> GraphCollection:
+    n = _vertex_count(d)
     colours = d["colours"]
     names = [str(c) for c in colours]
     edges = {int(c): [tuple(e) for e in es] for c, es in d.get("edges", {}).items()}
     bip = None
     if "bipartition" in d and d["bipartition"]:
         bip = {int(c): (a, b) for c, (a, b) in d["bipartition"].items()}
-    return GraphCollection(
-        int(d["n"]), len(colours), edges, bipartition=bip, colour_names=names
-    )
+    return GraphCollection(n, len(colours), edges, bipartition=bip, colour_names=names)
 
 
 def pattern_to_json(H: PatternGraph) -> dict:
@@ -741,7 +759,7 @@ def pattern_to_json(H: PatternGraph) -> dict:
 @json_loader
 def pattern_from_json(d: Mapping) -> PatternGraph:
     return PatternGraph(
-        int(d["n"]),
+        _vertex_count(d),
         [tuple(e) for e in d.get("edges", [])],
         phi=d.get("phi"),
         targets={int(v): t for v, t in d["targets"].items()} if d.get("targets") else None,
@@ -775,5 +793,5 @@ def threegraph_to_json(g: ThreeGraph) -> dict:
 @json_loader
 def threegraph_from_json(d: Mapping) -> ThreeGraph:
     return ThreeGraph(
-        int(d["n"]), [tuple(t) for t in d.get("edges", [])], parts=d.get("parts")
+        _vertex_count(d), [tuple(t) for t in d.get("edges", [])], parts=d.get("parts")
     )

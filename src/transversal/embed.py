@@ -37,7 +37,7 @@ from .core import (
 )
 from .matching import max_bipartite_matching, perfect_matching
 from .regularity import frac, make_ledger
-from .templates import Template, make_template
+from .templates import Template, make_template, thick_host_graph
 from .vizing import extract_matching
 
 # failure reason tags
@@ -149,9 +149,14 @@ class EmbedOutcome:
         return self.embedding is not None
 
     @classmethod
-    def success(cls, gc: GraphCollection, H: PatternGraph, tau, sigma, stats=None):
+    def success(cls, gc: GraphCollection, H: PatternGraph, tau, sigma, stats=None, view=None):
+        """The embedding (tau, sigma) of H with its verification report;
+        raises UnverifiedOutput if the verifier rejects it.  With a
+        ``_PatternView`` of H, the check runs on the view's relabelled
+        pattern instead."""
         emb = TransversalEmbedding(tau=dict(tau), sigma=dict(sigma))
-        rep = verify_transversal_embedding(gc, H, emb)
+        pattern, checked = (H, emb) if view is None else (view.pattern, _relabel(view, emb))
+        rep = verify_transversal_embedding(gc, pattern, checked)
         if not rep.ok:
             raise UnverifiedOutput(
                 f"constructed embedding failed verification: {rep.violations}"
@@ -337,6 +342,26 @@ def _sub_template(t: Template, clusters, colour_clusters, klass=None, ledger=Non
     )
 
 
+def _filling_entry(stage: str, t: Template, H: SimpleGraph, phi, targets, seed: int, active):
+    """Shared entry checks of the rainbow stages: the normalised ``(active,
+    targets)``, or the typed failure when the template is not rainbow or the
+    active part of H does not fill every cluster exactly."""
+    active = set(active) if active is not None else set(range(H.n))
+    targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
+    if not t.rainbow:
+        return EmbedOutcome.fail(stage, PRECONDITION, seed, detail="template must be rainbow")
+    filled = dict.fromkeys(range(t.r), 0)
+    for v in active:
+        filled[phi[v]] += 1
+    for i in range(t.r):
+        if filled[i] != len(t.clusters[i]):
+            return EmbedOutcome.fail(
+                stage, PRECONDITION, seed, cluster=i,
+                detail="pattern must fill every cluster exactly",
+            )
+    return active, targets
+
+
 # ---------------------------------------------------------------------------
 # Partial embedding with candidate sets (vertex-by-vertex loop)
 
@@ -431,11 +456,7 @@ def partial_embed(
                 )
             cy_mask = mask_of(Cy)
             thr = (d - eps) * len(Cxy) * len(Cy)
-            bad = [
-                v
-                for v in cand_v[x]
-                if sum((t.gc.adj(c, v) & cy_mask).bit_count() for c in Cxy) < thr
-            ]
+            bad = [v for v in cand_v[x] if t.gc.degree_into(v, cy_mask, Cxy) < thr]
             cand_v[x] -= set(bad)
         if not cand_v[x]:
             return Failure(
@@ -606,7 +627,7 @@ def embed_prescribed_colours(
         mj = mask_of(vj)
         need = floor_d * len(vi) * len(vj)
         for c in cs:
-            cnt = sum((t.gc.adj(c, u) & mj).bit_count() for u in vi)
+            cnt = t.gc.edges_into(c, vi, mj)
             if cnt < need:
                 return EmbedOutcome.fail(
                     "prescribed", PRECONDITION, seed,
@@ -639,18 +660,14 @@ def embed_prescribed_colours(
             last = out
             continue
         tau, sigma = out
-        Hview = _pattern_view(H, phi, active, targets)
-        gcv = t.gc
-        emb = TransversalEmbedding(tau=tau, sigma=sigma)
-        rep = verify_transversal_embedding(gcv, Hview.pattern, _relabel(Hview, emb))
-        if not rep.ok:
-            raise UnverifiedOutput(f"prescribed embedding failed verification: {rep.violations}")
+        done = EmbedOutcome.success(
+            t.gc, H, tau, sigma,
+            stats={"attempts": attempt + 1, "prescribed_used": sorted(all_prescribed)},
+            view=_pattern_view(H, phi, active, targets),
+        )
         if not all_prescribed <= set(sigma.values()):
             raise UnverifiedOutput("a prescribed colour was not used")
-        return EmbedOutcome(
-            embedding=emb, failure=None, verification=rep,
-            stats={"attempts": attempt + 1, "prescribed_used": sorted(all_prescribed)},
-        )
+        return done
     return EmbedOutcome(
         embedding=None,
         failure=last or Failure("prescribed", EMBEDDING_FAILED, seed),
@@ -727,12 +744,46 @@ def _embed_matched_then_rest(
         rng.shuffle(pool)
         need_edges = d / 3 * len(zset) * len(va)
         for c in pool:
-            cnt = sum((t.gc.adj(c, z) & va_mask).bit_count() for z in zset)
+            cnt = t.gc.edges_into(c, zset, va_mask)
             if cnt < need_edges:
                 continue
             z2 = [z for z in zset if (t.gc.adj(c, z) & va_mask).bit_count() >= d / 6 * len(va)]
             if z2:
                 return c, z2
+        return None
+
+    def place(v, z, edge, tag):
+        """Give each unmatched neighbour of the matched vertex v a fresh
+        colour dense from z (narrowing z each time), embed v in what is left
+        of z and narrow those neighbours' targets; a Failure when stuck."""
+        if not z:
+            return Failure(
+                "prescribed", CANDIDATE_EXHAUSTED, seed,
+                element=("matched-edge", edge), step=f"Z({tag})",
+            )
+        chosen: list[tuple[int, int]] = []  # (neighbour, colour)
+        for y in H.neighbours(v):
+            if y not in active or y in mvertices:
+                continue
+            got = fresh_colour_towards(z, phi[y], _class_key(phi, v, y))
+            if got is None:
+                return Failure(
+                    "prescribed", COLOUR_EXHAUSTED, seed,
+                    element=("matched-vertex", v), step=f"N({tag}) colours",
+                )
+            cy, z = got
+            used_colours.add(cy)
+            chosen.append((y, cy))
+        tau[v] = rng.choice(sorted(z))
+        used_hosts.add(tau[v])
+        for (y, cy) in chosen:
+            sigma[(v, y) if v < y else (y, v)] = cy
+            nb = {
+                w
+                for w in bits_of(t.gc.adj(cy, tau[v]))
+                if w not in used_hosts and w in set(t.clusters[phi[y]])
+            }
+            pend_targets[y] = pend_targets[y] & nb if y in pend_targets else nb
         return None
 
     for key in sorted(matching):
@@ -742,87 +793,24 @@ def _embed_matched_then_rest(
             j, jp = phi[x], phi[xp]
             if (j, jp) != key and (jp, j) != key:
                 j, jp = jp, j
-            Uj = cluster_free(j)
             Ujp_mask = mask_of(cluster_free(jp))
             z_x = [
                 v
-                for v in Uj
+                for v in cluster_free(j)
                 if (t.gc.adj(cstar, v) & Ujp_mask).bit_count()
                 >= d / 4 * Ujp_mask.bit_count()
             ]
-            if not z_x:
-                return Failure(
-                    "prescribed", CANDIDATE_EXHAUSTED, seed,
-                    element=("matched-edge", (x, xp)), step="Z(x)",
-                )
-            nx = [y for y in H.neighbours(x) if y in active and y not in mvertices]
-            zcur = z_x
-            chosen: list[tuple[int, int]] = []  # (neighbour, colour)
-            ok = True
-            for y in nx:
-                got = fresh_colour_towards(zcur, phi[y], _class_key(phi, x, y))
-                if got is None:
-                    ok = False
-                    break
-                cy, zcur = got
-                used_colours.add(cy)
-                chosen.append((y, cy))
-            if not ok:
-                return Failure(
-                    "prescribed", COLOUR_EXHAUSTED, seed,
-                    element=("matched-vertex", x), step="N(x) colours",
-                )
-            tau[x] = rng.choice(sorted(zcur))
-            used_hosts.add(tau[x])
-            for (y, cy) in chosen:
-                e = (x, y) if x < y else (y, x)
-                sigma[e] = cy
-                nb = {
-                    v
-                    for v in bits_of(t.gc.adj(cy, tau[x]))
-                    if v not in used_hosts and v in set(t.clusters[phi[y]])
-                }
-                pend_targets[y] = pend_targets[y] & nb if y in pend_targets else nb
-            # partner vertex x'
+            stuck = place(x, z_x, (x, xp), "x")
+            if stuck:
+                return stuck
+            sigma[(x, xp) if x < xp else (xp, x)] = cstar
+            used_colours.add(cstar)
             z_xp = [
                 v for v in bits_of(t.gc.adj(cstar, tau[x]) & Ujp_mask) if v not in used_hosts
             ]
-            if not z_xp:
-                return Failure(
-                    "prescribed", CANDIDATE_EXHAUSTED, seed,
-                    element=("matched-edge", (x, xp)), step="Z(x')",
-                )
-            nxp = [y for y in H.neighbours(xp) if y in active and y not in mvertices]
-            zcur = z_xp
-            chosen_p: list[tuple[int, int]] = []
-            ok = True
-            for w in nxp:
-                got = fresh_colour_towards(zcur, phi[w], _class_key(phi, xp, w))
-                if got is None:
-                    ok = False
-                    break
-                cw, zcur = got
-                used_colours.add(cw)
-                chosen_p.append((w, cw))
-            if not ok:
-                return Failure(
-                    "prescribed", COLOUR_EXHAUSTED, seed,
-                    element=("matched-vertex", xp), step="N(x') colours",
-                )
-            tau[xp] = rng.choice(sorted(zcur))
-            used_hosts.add(tau[xp])
-            used_colours.add(cstar)
-            e = (x, xp) if x < xp else (xp, x)
-            sigma[e] = cstar
-            for (w, cw) in chosen_p:
-                e2 = (xp, w) if xp < w else (w, xp)
-                sigma[e2] = cw
-                nb = {
-                    v
-                    for v in bits_of(t.gc.adj(cw, tau[xp]))
-                    if v not in used_hosts and v in set(t.clusters[phi[w]])
-                }
-                pend_targets[w] = pend_targets[w] & nb if w in pend_targets else nb
+            stuck = place(xp, z_xp, (x, xp), "x'")
+            if stuck:
+                return stuck
 
     # remainder: everything outside the matching, via the candidate-set loop
     rest = sorted(active - mvertices)
@@ -906,6 +894,18 @@ def blowup_embed(
                 Failure("blowup", PRECONDITION, seed, cluster=i,
                         detail=f"{len(vs)} pattern vertices > {len(clusters[i])} hosts"),
             )
+
+    def candidates(v):
+        """Free hosts of v's cluster inside its target set that are adjacent
+        to the images of all of v's embedded neighbours."""
+        cand = cluster_masks[phi[v]] & ~used
+        if v in targets:
+            cand &= mask_of(targets[v])
+        for w in H.neighbours(v):
+            if w in tau:
+                cand &= host.adj(tau[w])
+        return cand
+
     last_fail = Failure("blowup", EMBEDDING_FAILED, seed)
     for restart in range(plan.blowup_restarts):
         rng = random.Random(_mix(seed, 53, restart))
@@ -936,12 +936,7 @@ def blowup_embed(
         used = 0
         ok = True
         for v in order:
-            cand = cluster_masks[phi[v]] & ~used
-            if v in targets:
-                cand &= mask_of(targets[v])
-            for w in H.neighbours(v):
-                if w in tau:
-                    cand &= host.adj(tau[w])
+            cand = candidates(v)
             if not cand:
                 ok = False
                 break
@@ -961,13 +956,7 @@ def blowup_embed(
                 continue
             adj = {}
             for b in bvs:
-                cand = cluster_masks[i] & ~used
-                if b in targets:
-                    cand &= mask_of(targets[b])
-                for w in H.neighbours(b):
-                    if w in tau:
-                        cand &= host.adj(tau[w])
-                adj[b] = list(bits_of(cand))
+                adj[b] = list(bits_of(candidates(b)))
                 rng.shuffle(adj[b])
             m = max_bipartite_matching(adj)
             if len(m) < len(bvs):
@@ -1057,23 +1046,14 @@ def approx_embed(
     than the round needs); the final chunk lands in the leftover vertices
     using a reserved colour buffer.  Chunk-size statistics are recorded.
     """
-    active = set(active) if active is not None else set(range(H.n))
-    targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
+    entry = _filling_entry("approx", t, H, phi, targets, seed, active)
+    if isinstance(entry, EmbedOutcome):
+        return entry
+    active, targets = entry
     r = t.r
     m = float(t.ledger.m)
     eps = float(t.ledger.eps)
     d = float(t.ledger.d)
-    if not t.rainbow:
-        return EmbedOutcome.fail("approx", PRECONDITION, seed, detail="template must be rainbow")
-    by_cluster: dict[int, list[int]] = {i: [] for i in range(r)}
-    for v in sorted(active):
-        by_cluster[phi[v]].append(v)
-    for i in range(r):
-        if len(by_cluster[i]) != len(t.clusters[i]):
-            return EmbedOutcome.fail(
-                "approx", PRECONDITION, seed, cluster=i,
-                detail="the homomorphism must fill every cluster exactly",
-            )
     class_e = _class_edges(H, phi, active)
     surplus_floor = max(0, math.ceil((beta if beta is not None else 0.0) * m))
     for key, cs in t.colour_clusters.items():
@@ -1205,13 +1185,10 @@ def approx_embed(
             continue
         tau.update(res[0])
         sigma.update(res[1])
-        view = _pattern_view(H, phi, active, targets)
-        emb = TransversalEmbedding(tau=tau, sigma=sigma)
-        rep = verify_transversal_embedding(t.gc, view.pattern, _relabel(view, emb))
-        if not rep.ok:
-            raise UnverifiedOutput(f"approx embedding failed verification: {rep.violations}")
         stats["attempts"] = attempt + 1
-        return EmbedOutcome(embedding=emb, failure=None, verification=rep, stats=stats)
+        return EmbedOutcome.success(
+            t.gc, H, tau, sigma, stats=stats, view=_pattern_view(H, phi, active, targets)
+        )
     return EmbedOutcome(
         embedding=None,
         failure=last or Failure("approx", EMBEDDING_FAILED, seed),
@@ -1247,10 +1224,7 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
                 if not pool:
                     continue
                 thr = 2 * d / 3 * len(v_parts[jp]) * len(pool)
-                for v in vs:
-                    tot = sum((t.gc.adj(c, v) & other).bit_count() for c in pool)
-                    if tot < thr:
-                        bad.add(v)
+                bad.update(v for v in vs if t.gc.degree_into(v, other, pool) < thr)
         good = [v for v in vs if v not in bad]
         needj = trim_to[j] if trim_to is not None else len([x for x in B if phi[x] == j])
         if len(good) < needj:
@@ -1264,19 +1238,10 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
             spill = [v for v in vs if v not in set(keep)]
             leftovers[j].extend(spill)
         slices.append(keep)
-    # thick graph over the pool
-    thick_edges = []
-    for key, pool in pools.items():
-        i, j = key
-        if not pool:
-            continue
-        cmask = mask_of(pool)
-        need = plan.lambda_thick * len(pool)
-        for u in slices[i]:
-            for v in slices[j]:
-                if (t.gc.colour_mask(u, v) & cmask).bit_count() >= need:
-                    thick_edges.append((u, v))
-    thick = SimpleGraph(t.gc.n, thick_edges)
+    # thick graph over the pool; an empty pool gives no edges
+    thick = thick_host_graph(
+        t.gc, slices, {key: pool for key, pool in pools.items() if pool}, plan.lambda_thick
+    )
     res = blowup_embed(
         thick, slices, t.R, H, phi,
         {v: ts for v, ts in targets.items() if v in Bset},
@@ -1478,20 +1443,10 @@ def transversal_blowup(
     absorber edges to A plus the leftover B-subset, whose size must equal the
     flexibility count exactly (asserted at runtime).
     """
-    active = set(active) if active is not None else set(range(H.n))
-    targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
-    r = t.r
-    if not t.rainbow:
-        return EmbedOutcome.fail("pipeline", PRECONDITION, seed, detail="template must be rainbow")
-    by_cluster: dict[int, list[int]] = {i: [] for i in range(r)}
-    for v in sorted(active):
-        by_cluster[phi[v]].append(v)
-    for i in range(r):
-        if len(by_cluster[i]) != len(t.clusters[i]):
-            return EmbedOutcome.fail(
-                "pipeline", PRECONDITION, seed, cluster=i,
-                detail="pattern must fill every cluster exactly",
-            )
+    entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
+    if isinstance(entry, EmbedOutcome):
+        return entry
+    active, targets = entry
     class_e = _class_edges(H, phi, active)
     for key, cs in t.colour_clusters.items():
         if len(class_e.get(key, ())) != len(cs):
@@ -1523,22 +1478,17 @@ def transversal_blowup(
     for attempt in range(plan.retries):
         sub_seed = _mix(seed, 83, attempt)
         out = _pipeline_once(
-            t, H, phi, targets, plan, sub_seed, active, X, class_e, by_cluster
+            t, H, phi, targets, plan, sub_seed, active, X, class_e
         )
         if isinstance(out, Failure):
             last = out
             continue
         tau, sigma, run_stats = out
-        emb = TransversalEmbedding(tau=tau, sigma=sigma)
-        rep = verify_transversal_embedding(t.gc, view.pattern, _relabel(view, emb))
-        if not rep.ok:
-            raise UnverifiedOutput(f"pipeline embedding failed verification: {rep.violations}")
-        used = sorted(sigma.values())
-        all_cols = t.all_colours()
-        if used != all_cols:
-            raise UnverifiedOutput("colour conservation violated: sigma is not onto the colour set")
         run_stats["attempts"] = attempt + 1
-        return EmbedOutcome(embedding=emb, failure=None, verification=rep, stats=run_stats)
+        done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
+        if sorted(sigma.values()) != t.all_colours():
+            raise UnverifiedOutput("colour conservation violated: sigma is not onto the colour set")
+        return done
     # small instances can lack the components to fill all five stages; a
     # one-shot candidate-set pass still yields sigma onto the colour set
     # (class sizes equal class edge counts), so try that before giving up
@@ -1556,18 +1506,13 @@ def transversal_blowup(
             if isinstance(part, Failure):
                 last = part.with_stage("one-shot")
                 continue
-            emb = TransversalEmbedding(tau=part.tau, sigma=part.sigma)
-            rep = verify_transversal_embedding(t.gc, view.pattern, _relabel(view, emb))
-            if not rep.ok:
-                raise UnverifiedOutput(
-                    f"one-shot embedding failed verification: {rep.violations}"
-                )
+            done = EmbedOutcome.success(
+                t.gc, H, part.tau, part.sigma,
+                stats={"path": "one-shot", "attempts": attempt + 1}, view=view,
+            )
             if sorted(part.sigma.values()) != t.all_colours():
                 raise UnverifiedOutput("one-shot fallback lost colour conservation")
-            return EmbedOutcome(
-                embedding=emb, failure=None, verification=rep,
-                stats={"path": "one-shot", "attempts": attempt + 1},
-            )
+            return done
     return EmbedOutcome(
         embedding=None,
         failure=last or Failure("pipeline", EMBEDDING_FAILED, seed),
@@ -1639,7 +1584,7 @@ def _split_components(comps, class_of_comp, plan, rng, keys):
     return assign
 
 
-def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e, by_cluster):
+def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
     rng = random.Random(seed)
     r = t.r
     keys = sorted(t.colour_clusters)
@@ -1730,17 +1675,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e, by_cluste
             return Failure("step1", PRECONDITION, seed, cluster=i)
         rng.shuffle(pool)
         v_abs.append(sorted(pool[: n_stage["abs"][i]]))
-    thick_edges = []
-    for key in keys:
-        i, j = key
-        pool = Cp[key]
-        cmask = mask_of(pool)
-        need = plan.lambda3 * len(pool)
-        for u in v_abs[i]:
-            for v in v_abs[j]:
-                if (gc.colour_mask(u, v) & cmask).bit_count() >= need:
-                    thick_edges.append((u, v))
-    thick = SimpleGraph(gc.n, thick_edges)
+    thick = thick_host_graph(gc, v_abs, Cp, plan.lambda3)
     abs_targets = {
         v: (T1[v] & set(v_abs[phi[v]]))
         for v in stage_sets["abs"]
@@ -1828,7 +1763,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e, by_cluste
                 if ent is None or i == j:
                     continue
                 other = mask_of(Vpp[j])
-                s += sum((gc.adj(c, v) & other).bit_count() for c in ent.B)
+                s += gc.degree_into(v, other, ent.B)
             scores.append((s, rng.random(), v))
         scores.sort(reverse=True)
         ranked = [v for (_, _, v) in scores]

@@ -1,9 +1,11 @@
 """Maximum bipartite matching via augmenting paths (Kuhn's algorithm).
 
 Left vertices are arbitrary hashables; right vertices are arbitrary
-hashables.  Deterministic: neighbours are tried in the order given.
-Instance sizes in this package are small (tens of vertices), so the
-O(V*E) bound is never a concern.
+hashables.  Deterministic: left vertices are processed in the order given
+and their neighbours are tried in the order given.  Each augmenting-path
+search is a depth-first search on an explicit stack, so path length is not
+limited by Python's recursion limit.  The O(V*E) running time is fine at the
+sizes used in this package (at most a few hundred vertices per side).
 """
 
 from __future__ import annotations
@@ -19,20 +21,34 @@ def max_bipartite_matching(
     pair_right: dict = {}
     neigh = {u: list(vs) for u, vs in adj.items()}
 
-    def try_augment(u, seen: set) -> bool:
-        for v in neigh[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in pair_right or try_augment(pair_right[v], seen):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        return False
+    def augment(root) -> None:
+        # stack[k] is the k-th left vertex of the current alternating path
+        # with its untried neighbours; path[k] is the right vertex it chose
+        seen: set = set()
+        stack = [(root, iter(neigh[root]))]
+        path: list = []
+        while stack:
+            u, untried = stack[-1]
+            for v in untried:
+                if v in seen:
+                    continue
+                seen.add(v)
+                path.append(v)
+                if v not in pair_right:
+                    for (w, _), x in zip(reversed(stack), reversed(path)):
+                        pair_left[w] = x
+                        pair_right[x] = w
+                    return
+                stack.append((pair_right[v], iter(neigh[pair_right[v]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
 
     for u in neigh:
         if u not in pair_left:
-            try_augment(u, set())
+            augment(u)
     return pair_left
 
 

@@ -386,7 +386,7 @@ def _degree_floors(gc: GraphCollection, V1, V2, d: float, colours=None):
         other = masks[1 - i]
         need = d * len(sides[1 - i]) * len(colours)
         for v in side:
-            tot = sum((gc.adj(c, v) & other).bit_count() for c in colours)
+            tot = gc.degree_into(v, other, colours)
             if tot < need:
                 vfail.append((i + 1, v, tot, need))
     return tuple(vfail)
@@ -394,11 +394,11 @@ def _degree_floors(gc: GraphCollection, V1, V2, d: float, colours=None):
 
 def _colour_floors(gc: GraphCollection, V1, V2, d: float, colours=None):
     colours = list(colours) if colours is not None else list(range(gc.n_colours))
-    m1, m2 = mask_of(V1), mask_of(V2)
+    m2 = mask_of(V2)
     need = d * len(list(V1)) * len(list(V2))
     cfail = []
     for c in colours:
-        cnt = sum((gc.adj(c, v) & m2).bit_count() for v in V1)
+        cnt = gc.edges_into(c, V1, m2)
         if cnt < need:
             cfail.append((c, cnt, need))
     return tuple(cfail)
@@ -471,33 +471,19 @@ def typical_elements(
     V1, V2 = list(V1), list(V2)
     colours = list(range(gc.n_colours))
     d_eps = spec.d - spec.epsilon
-    out_v = []
-    thr = (d_eps * len(V2) * len(colours), d_eps * len(V1) * len(colours))
-    for i, (side, other) in enumerate(((V1, V2), (V2, V1))):
-        om = mask_of(other)
-        bad = tuple(
-            v
-            for v in side
-            if sum((gc.adj(c, v) & om).bit_count() for c in colours) < thr[i]
-        )
-        out_v.append(bad)
-    m2 = mask_of(V2)
-    cthr = d_eps * len(V1) * len(V2)
-    bad_c = tuple(
-        c
-        for c in colours
-        if sum((gc.adj(c, v) & m2).bit_count() for v in V1) < cthr
-    )
+    vfail = _degree_floors(gc, V1, V2, d_eps, colours)
+    out_v = tuple(tuple(v for side, v, *_ in vfail if side == i) for i in (1, 2))
+    bad_c = tuple(c for c, *_ in _colour_floors(gc, V1, V2, d_eps, colours))
     spot = None
     if spot_check:
         res = irregularity_witness(gc, (V1, V2, colours), replace(spec, mode="regular"),
                                    budget=40, seed=0)
         spot = res.witness is None
     return TypicalElements(
-        atypical_vertices=(out_v[0], out_v[1]),
+        atypical_vertices=out_v,
         atypical_colours=bad_c,
-        vertex_threshold=thr,
-        colour_threshold=cthr,
+        vertex_threshold=(d_eps * len(V2) * len(colours), d_eps * len(V1) * len(colours)),
+        colour_threshold=d_eps * len(V1) * len(V2),
         regularity_spot_check=spot,
     )
 
@@ -843,10 +829,7 @@ def _energy(gc: GraphCollection, v_clusters, c_clusters) -> float:
             if size_prod == 0:
                 continue
             for Cj in c_clusters:
-                cnt = 0
-                for c in Cj:
-                    for x in Vh:
-                        cnt += (gc.adj(c, x) & mi).bit_count()
+                cnt = sum(gc.edges_into(c, Vh, mi) for c in Cj)
                 if cnt:
                     dens = cnt / (size_prod * len(Cj))
                     total += size_prod * len(Cj) * dens * dens

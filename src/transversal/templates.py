@@ -374,34 +374,43 @@ class ThickGraph:
     min_degree_violations: tuple[tuple[int, int, int, float], ...]
 
 
+def thick_host_graph(
+    gc: GraphCollection,
+    parts: Sequence[Sequence[int]],
+    pools: Mapping[tuple[int, int], Sequence[int]],
+    lam: float,
+) -> SimpleGraph:
+    """The lam-thick graph: for each (i, j) in ``pools``, the pairs u in
+    parts[i], v in parts[j] whose colour multiset meets at least
+    lam*|pools[(i, j)]| colours of that pool."""
+    edges = []
+    for (i, j), pool in pools.items():
+        need = lam * len(pool)
+        cmask = mask_of(pool)
+        for u in parts[i]:
+            for v in parts[j]:
+                if (gc.colour_mask(u, v) & cmask).bit_count() >= need:
+                    edges.append((u, v))
+    return SimpleGraph(gc.n, edges)
+
+
 def thick_graph(t: Template, lam: float) -> ThickGraph:
     """Exact threshold graph; when the template is semi-super and lam << d the
     per-slice min degree should be >= (d/2)|V_j| (checked, reported if violated)."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0,1)")
-    edges = []
+    g = thick_host_graph(t.gc, t.clusters, t.colour_clusters, lam)
     d = float(t.ledger.d)
     viol = []
-    deg: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, j), cs in sorted(t.colour_clusters.items()):
-        need = lam * len(cs)
-        cmask = mask_of(cs)
-        di: dict[int, int] = {}
-        for u in t.clusters[i]:
-            for v in t.clusters[j]:
-                if (t.gc.colour_mask(u, v) & cmask).bit_count() >= need:
-                    edges.append((u, v))
-                    di[u] = di.get(u, 0) + 1
-                    di[v] = di.get(v, 0) + 1
-        deg[(i, j)] = di
-    g = SimpleGraph(t.gc.n, edges)
     if t.klass in ("semi-super", "super"):
-        for (i, j), di in deg.items():
+        for i, j in sorted(t.colour_clusters):
             for side, other in ((i, j), (j, i)):
                 floor = d / 2 * len(t.clusters[other])
+                other_mask = mask_of(t.clusters[other])
                 for u in t.clusters[side]:
-                    if di.get(u, 0) < floor:
-                        viol.append((side, u, di.get(u, 0), floor))
+                    deg = (g.adj(u) & other_mask).bit_count()
+                    if deg < floor:
+                        viol.append((side, u, deg, floor))
     return ThickGraph(
         lam=lam, graph=g, min_degree_ok=not viol, min_degree_violations=tuple(viol)
     )

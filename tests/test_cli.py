@@ -7,10 +7,12 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import transversal
 from transversal.cli import main
-from transversal.core import PatternGraph, pattern_to_json
+from transversal.core import GraphCollection, PatternGraph, collection_to_json, pattern_to_json
 
 
 def write_json(path, obj):
@@ -213,3 +215,83 @@ def test_expand_report_rechecks_the_triples(workdir, monkeypatch):
     main(argv)
     assert json.loads((workdir / "rep.json").read_text())["verified"] is False
 
+
+
+def test_non_integer_n_is_a_usage_error(workdir):
+    write_json(workdir / "inst.json", {"n": 4, "colours": [0], "edges": {"0": [[0, 1]]}})
+    write_json(workdir / "h.json", {"n": 2, "edges": [[0, 1]]})
+    write_json(workdir / "e.json", {"tau": {"0": 0, "1": 1}, "sigma": {"0,1": 0}})
+    verify = ["verify", "--instance", "inst.json", "--pattern", "h.json", "--embedding", "e.json"]
+    assert main(verify) == 0
+    write_json(workdir / "h.json", {"n": 2.5, "edges": [[0, 1]]})
+    assert main(verify) == 2
+    write_json(workdir / "h.json", {"n": 2, "edges": [[0, 1]]})
+    write_json(workdir / "inst.json", {"n": 4.0, "colours": [0], "edges": {"0": [[0, 1]]}})
+    assert main(verify) == 2
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: a malformed input file is a usage error (exit 2), never a verdict
+# (exit 1) and never an escaping exception
+
+_NOT_OBJECT = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats(-5, 5),
+                        st.text(max_size=4), st.lists(st.integers(0, 5), max_size=3))
+_BAD_N = st.one_of(st.floats(-2, 12), st.booleans(), st.text(max_size=3), st.none(),
+                   st.lists(st.integers(0, 5), max_size=2))
+_BAD_EDGE = st.sampled_from([[0, 4], [1, 1], [-1, 2], [0], [0, 1, 2], "ab", 3, None])
+_BAD_DOCS = {
+    "instance": st.one_of(
+        _NOT_OBJECT,
+        st.builds(lambda n: {"n": n, "colours": [0, 1], "edges": {}}, _BAD_N),
+        st.builds(lambda cs: {"n": 4, "colours": cs, "edges": {}},
+                  st.one_of(st.none(), st.booleans(), st.integers(-2, 5))),
+        st.builds(lambda e: {"n": 4, "colours": [0, 1], "edges": {"0": [e]}}, _BAD_EDGE),
+        st.sampled_from([
+            {"colours": [0]},
+            {"n": 4, "colours": [0], "edges": {"x": []}},
+            {"n": 4, "colours": [0], "edges": {"5": [[0, 1]]}},
+            {"n": 4, "edges": [[0, 1, 2]]},  # a 3-graph where a collection is needed
+        ]),
+    ),
+    "pattern": st.one_of(
+        _NOT_OBJECT,
+        st.builds(lambda n: {"n": n, "edges": []}, _BAD_N),
+        st.builds(lambda e: {"n": 4, "edges": [e]}, _BAD_EDGE),
+        st.sampled_from([{"edges": []}, {"n": 4, "phi": [0]},
+                         {"n": 4, "targets": {"x": [1]}}]),
+    ),
+    "embedding": st.one_of(
+        _NOT_OBJECT,
+        st.builds(lambda tau: {"tau": tau, "sigma": {}},
+                  st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                            st.lists(st.integers(0, 3), max_size=3))),
+        st.builds(lambda key: {"tau": {}, "sigma": {key: 0}},
+                  st.sampled_from(["x", "0", "0,1,2", "a,b", ""])),
+        st.sampled_from([{"tau": {}}, {"sigma": {}}, {"tau": {"0": "a"}, "sigma": {}},
+                         {"tau": {"a": 0}, "sigma": {}}, {"outcome": {"status": "failure"}}]),
+    ),
+}
+_VALID_DOCS = {
+    "instance": collection_to_json(GraphCollection(4, 2, {0: [(0, 1)], 1: [(1, 2)]})),
+    "pattern": pattern_to_json(PatternGraph(3, [(0, 1), (1, 2)])),
+    "embedding": {"tau": {"0": 0, "1": 1, "2": 2}, "sigma": {"0,1": 0, "1,2": 1}},
+}
+_FILES = ["--instance", "instance.json", "--pattern", "pattern.json"]
+_COMMANDS = {
+    "verify": ["verify", *_FILES, "--embedding", "embedding.json"],
+    "embed": ["embed", "--pipeline", "quasi", *_FILES],
+    "oracle": ["oracle", *_FILES],
+}
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_2_on_malformed_files(workdir, data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    roles = ["instance", "pattern"] + (["embedding"] if command == "verify" else [])
+    role = data.draw(st.sampled_from(roles))
+    bad = data.draw(_BAD_DOCS[role])
+    for name, doc in _VALID_DOCS.items():
+        write_json(workdir / f"{name}.json", bad if name == role else doc)
+    assert main(_COMMANDS[command]) == 2

@@ -131,6 +131,18 @@ def test_verify_rejects_wrong_colour():
     assert not verify_transversal_embedding(gc, H, emb).ok
 
 
+def test_verify_reports_host_images_out_of_range():
+    # an image outside the host is a violation, not an IndexError
+    gc, H, _ = rainbow_triangle_fixture()
+    for bad in (gc.n, gc.n + 5, -1):
+        emb = TransversalEmbedding(
+            tau={0: bad, 1: 1, 2: 2}, sigma={(0, 1): 0, (1, 2): 1, (0, 2): 2}
+        )
+        rep = verify_transversal_embedding(gc, H, emb)
+        assert not rep.ok
+        assert f"tau image {bad} outside host vertex range" in rep.violations
+
+
 def test_verify_checks_target_sets():
     gc, H, emb = rainbow_triangle_fixture()
     H2 = PatternGraph(3, H.edges(), targets={0: [2]})
@@ -255,8 +267,8 @@ def test_bipartition_invariant_enforced():
 
 _KEYS = st.sampled_from(["n", "colours", "edges", "bipartition", "parts", "phi",
                          "targets", "tau", "sigma", "0", "1", "0,1", "1,2", "x"])
-# numbers stay small: the loaders take any n, and a large one allocates n x |C|
-# adjacency cells before anything else is checked
+# numbers stay small: a large integer n is a valid request, and it allocates
+# n x |C| adjacency cells before anything else is checked
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(-3, 12),
                     st.sampled_from([float("nan"), float("inf"), "", "1", "0,1", "a"]))
 _DOCS = st.recursive(
@@ -277,3 +289,17 @@ def test_json_loaders_return_or_raise_value_or_key_error(doc):
         except (ValueError, KeyError):
             pass
 
+
+@pytest.mark.parametrize("n", [3.7, 3.0, True, "3", None, [3]])
+def test_json_loaders_take_n_only_as_a_json_integer(n):
+    # {"n": 3.7} used to become n=3; a float such as 1e9 used to size the
+    # adjacency before any other check
+    docs = {
+        collection_from_json: {"n": n, "colours": [0], "edges": {}},
+        pattern_from_json: {"n": n, "edges": []},
+        threegraph_from_json: {"n": n, "edges": []},
+    }
+    for load, doc in docs.items():
+        with pytest.raises(ValueError, match="JSON integer"):
+            load(doc)
+        assert load({**doc, "n": 3}).n == 3

@@ -1,0 +1,59 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transversal.matching import max_bipartite_matching, perfect_matching
+
+
+def recursive_matching(adj):
+    """Kuhn's algorithm with a recursive augmenting-path search: the
+    reference the iterative implementation must reproduce exactly."""
+    pair_left, pair_right = {}, {}
+    neigh = {u: list(vs) for u, vs in adj.items()}
+
+    def try_augment(u, seen):
+        for v in neigh[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in pair_right or try_augment(pair_right[v], seen):
+                pair_left[u] = v
+                pair_right[v] = u
+                return True
+        return False
+
+    for u in neigh:
+        if u not in pair_left:
+            try_augment(u, set())
+    return pair_left
+
+
+def test_long_chain_needs_no_recursion():
+    # left i -> [i+1, i]: the last left vertex displaces every earlier one,
+    # an augmenting path of length n that overflows a recursive search
+    n = 1200
+    adj = {i: [j for j in (i + 1, i) if j < n] for i in range(n)}
+    m = max_bipartite_matching(adj)
+    assert m == {i: i for i in range(n)}
+    assert perfect_matching(adj) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_matches_recursive_reference(n_left, n_right, p, seed):
+    rng = random.Random(seed)
+    adj = {}
+    for u in rng.sample(range(100), n_left):
+        nbrs = [v for v in range(n_right) if rng.random() < p]
+        rng.shuffle(nbrs)
+        adj[u] = nbrs
+    got = max_bipartite_matching(adj)
+    want = recursive_matching(adj)
+    assert got == want
+    assert list(got.items()) == list(want.items())

@@ -10,6 +10,7 @@ from transversal.templates import (
     make_template,
     slice_template,
     thick_graph,
+    thick_host_graph,
     validate_template,
 )
 
@@ -186,6 +187,55 @@ def test_thick_graph_multiplicity_recount():
         v = rng.randrange(6, 12)
         mult = sum(1 for c in cs if t.gc.has_edge(c, u, v))
         assert tk.graph.has_edge(u, v) == (mult >= need)
+
+
+def test_thick_host_graph_on_subset_pools_is_the_threshold_graph():
+    # the embedders build thick graphs over slices of the clusters and over
+    # the colours still unused, so parts and pools are strict subsets
+    for seed in range(20):
+        rng = random.Random(seed)
+        n, k = 18, 9
+        gc = GraphCollection(n, k, {
+            c: [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            for c in range(k)
+        })
+        clusters = [range(0, 6), range(6, 12), range(12, 18)]
+        parts = [sorted(rng.sample(cl, rng.randrange(1, 6))) for cl in clusters]
+        pools = {key: sorted(rng.sample(range(k), rng.randrange(0, k)))
+                 for key in [(0, 1), (0, 2), (1, 2)] if rng.random() < 0.8}
+        lam = rng.choice([0.1, 0.3, 0.5, 0.9])
+        want = set()
+        for (i, j), pool in pools.items():
+            for u in parts[i]:
+                for v in parts[j]:
+                    if sum(gc.has_edge(c, u, v) for c in pool) >= lam * len(pool):
+                        want.add((min(u, v), max(u, v)))
+        got = thick_host_graph(gc, parts, pools, lam)
+        assert got.n == n and set(got.edges()) == want
+
+
+def test_thick_graph_degree_report_matches_recount():
+    rng = random.Random(5)
+    gc = GraphCollection(18, 7, {
+        c: [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.5]
+        for c in range(7)
+    })
+    R = SimpleGraph(3, [(0, 1), (0, 2), (1, 2)])
+    clusters = [range(0, 6), range(6, 12), range(12, 18)]
+    cc = {(0, 1): range(3), (1, 2): range(2, 7), (0, 2): (5,)}
+    t = make_template(R, clusters, cc, gc, make_ledger(6, "0.05", "0.5", "0.5"),
+                      klass="semi-super")
+    for lam in (0.1, 0.4, 0.7):
+        tk = thick_graph(t, lam)
+        want = []
+        for (i, j) in sorted(cc):
+            for side, other in ((i, j), (j, i)):
+                for u in clusters[side]:
+                    deg = sum(tk.graph.has_edge(u, v) for v in clusters[other])
+                    if deg < 0.25 * 6:
+                        want.append((side, u, deg, 0.25 * 6))
+        assert list(tk.min_degree_violations) == want
+        assert tk.min_degree_ok == (not want)
 
 
 def test_thick_graph_semi_super_min_degree():
