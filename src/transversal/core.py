@@ -334,56 +334,130 @@ class GraphCollection:
 
 
 class ThreeGraph:
-    """3-uniform hypergraph on dense vertices, optionally k-partitioned."""
+    """3-uniform hypergraph on dense vertices, optionally k-partitioned.
 
-    __slots__ = ("n", "edges", "parts")
+    Stored as a pair-mask table: for each pair u < v that lies in an edge,
+    ``_pairs[u * n + v]`` is the bitmask of the third vertices w with uvw an
+    edge.  The footprint is O(e), and the link graph of a vertex on a vertex
+    set is one mask per vertex (:meth:`link_collection`).  ``edges``, the
+    frozenset of sorted triples, is built from the table on first use.
+    """
+
+    __slots__ = ("n", "e", "parts", "_pairs", "_edges")
 
     def __init__(
         self,
         n: int,
-        edges: Iterable[tuple[int, int, int]],
+        edges: Iterable[Sequence[int]],
         parts: Sequence[Iterable[int]] | None = None,
     ):
-        eset = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(set(t)) != 3:
-                raise ValueError(f"3-edge {e} has repeated vertices")
-            if not all(0 <= x < n for x in t):
-                raise ValueError(f"3-edge {e} out of range for n={n}")
-            eset.add(t)
+        pairs: dict[int, int] = {}
+        get = pairs.get
+        count = 0
+        for t in edges:
+            try:
+                a, b, c = t
+            except ValueError:
+                raise ValueError(f"3-edge {tuple(t)} has repeated vertices") from None
+            # three compare-exchanges sort the triple
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            # one check for type, repeats and range (a bool is not an int here)
+            if not (int is type(a) is type(b) is type(c) and 0 <= a < b < c < n):
+                raise ValueError(_triple_error(tuple(t), n))
+            ab = a * n + b
+            m = get(ab, 0)
+            if m >> c & 1:
+                continue  # a repeated 3-edge
+            pairs[ab] = m | 1 << c
+            ac = a * n + c
+            pairs[ac] = get(ac, 0) | 1 << b
+            bc = b * n + c
+            pairs[bc] = get(bc, 0) | 1 << a
+            count += 1
         self.n = n
-        self.edges = frozenset(eset)
+        self.e = count
+        self._pairs = pairs
+        self._edges = None
         if parts is not None:
             pt = tuple(tuple(sorted(p)) for p in parts)
-            covered = set()
-            for p in pt:
-                covered.update(p)
-            if covered != set(range(n)):
+            labels = [x for p in pt for x in p]
+            if len(set(labels)) != len(labels):
+                raise ValueError("parts must be pairwise disjoint")
+            if set(labels) != set(range(n)):
                 raise ValueError("partition labels must cover all vertices exactly")
             self.parts = pt
         else:
             self.parts = None
 
     @property
-    def e(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int, int]]:
+        """The 3-edges as sorted triples."""
+        if self._edges is None:
+            triples = []
+            for key, m in self._pairs.items():
+                a, b = divmod(key, self.n)
+                # the third vertices above b, so each triple comes once
+                triples.extend((a, b, c) for c in bits_of(m >> b << b))
+            self._edges = frozenset(triples)
+        return self._edges
 
     def degree(self, v: int) -> int:
-        return sum(1 for t in self.edges if v in t)
+        if not 0 <= v < self.n:
+            return 0
+        n, get = self.n, self._pairs.get
+        # each edge uvw is seen twice, in the masks of uv and of vw
+        return sum(get(u * n + v if u < v else v * n + u, 0).bit_count() for u in range(n)) // 2
 
     def has(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self.edges
+        """True when abc is a 3-edge; False for repeated or out-of-range vertices."""
+        a, b, c = sorted((a, b, c))
+        return 0 <= a and c < self.n and bool(self._pairs.get(a * self.n + b, 0) >> c & 1)
+
+    def link_collection(self, v_side: Sequence[int], c_side: Sequence[int]) -> GraphCollection:
+        """Collection whose colour j is the link graph of vertex ``c_side[j]``
+        restricted to ``v_side``, reindexed: ij is an edge of colour j iff
+        ``{v_side[i], v_side[j'], c_side[j]}`` is a 3-edge.  The sides are
+        disjoint lists of distinct vertices of this 3-graph."""
+        n, get = self.n, self._pairs.get
+        local = {1 << w: 1 << i for i, w in enumerate(v_side)}  # host bit -> local bit
+        vmask = mask_of(v_side)
+        rows = []
+        for c in c_side:
+            row = []
+            for u in v_side:
+                m = get(u * n + c if u < c else c * n + u, 0) & vmask
+                r = 0
+                while m:
+                    low = m & -m
+                    r |= local[low]
+                    m ^= low
+                row.append(r)
+            rows.append(row)
+        return GraphCollection.from_rows(len(v_side), rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, ThreeGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self._pairs == other._pairs
         )
 
     def __repr__(self):
         return f"ThreeGraph(n={self.n}, e={self.e})"
+
+
+def _triple_error(t: tuple, n: int) -> str:
+    """Why the 3-edge ``t`` failed the load check of :class:`ThreeGraph`."""
+    if any(type(x) is not int for x in t):
+        return f"3-edge {t} has a vertex that is not an integer"
+    if len(set(t)) != 3:
+        return f"3-edge {t} has repeated vertices"
+    return f"3-edge {t} out of range for n={n}"
 
 
 @dataclass(frozen=True)
@@ -465,19 +539,15 @@ def from_three_graph(
         raise ValueError("v_side and c_side overlap")
     if set(vs) | set(cs) != set(range(g.n)):
         raise ValueError("v_side and c_side must partition the vertex set")
-    vidx = {v: i for i, v in enumerate(vs)}
-    cidx = {c: j for j, c in enumerate(cs)}
-    edges: dict[int, list[tuple[int, int]]] = {j: [] for j in range(len(cs))}
-    for t in g.edges:
-        on_c = [x for x in t if x in cidx]
-        if len(on_c) != 1:
-            raise EdgeStraddlesSides(
-                f"3-edge {t} has {len(on_c)} vertices on the colour side"
-            )
-        c = on_c[0]
-        u, v = (x for x in t if x != c)
-        edges[cidx[c]].append((vidx[u], vidx[v]))
-    return GraphCollection(len(vs), len(cs), edges)
+    gc = g.link_collection(vs, cs)
+    if gc.total_edge_count() != g.e:
+        # a 3-edge with 0, 2 or 3 vertices on the colour side is in no link graph
+        cset = set(cs)
+        for t in sorted(g.edges):
+            k = sum(x in cset for x in t)
+            if k != 1:
+                raise EdgeStraddlesSides(f"3-edge {t} has {k} vertices on the colour side")
+    return gc
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +608,7 @@ def verify_expansion(
     if len(set(images)) != len(images) or not all(0 <= w < g.n for w in images):
         bad.append("the expansion map is not injective into V(g)")
     for (u, v), c in edge_images.items():
-        tr = tuple(sorted((vertex_images.get(u, -1), vertex_images.get(v, -1), c)))
-        if tr not in g.edges:
+        if not g.has(vertex_images.get(u, -1), vertex_images.get(v, -1), c):
             bad.append(f"expansion triple of edge ({u},{v}) is missing from the host")
     return VerificationReport(ok=not bad, violations=tuple(bad))
 
@@ -792,6 +861,4 @@ def threegraph_to_json(g: ThreeGraph) -> dict:
 
 @json_loader
 def threegraph_from_json(d: Mapping) -> ThreeGraph:
-    return ThreeGraph(
-        _vertex_count(d), [tuple(t) for t in d.get("edges", [])], parts=d.get("parts")
-    )
+    return ThreeGraph(_vertex_count(d), d.get("edges", []), parts=d.get("parts"))

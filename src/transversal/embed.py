@@ -2206,17 +2206,7 @@ def expand_embed_3graph(
         rng = random.Random(sub_seed)
         draw = rng.sample(range(n), Hp.n + Hp.e)
         v_side, c_side = sorted(draw[: Hp.n]), sorted(draw[Hp.n :])
-        vidx = {w: i for i, w in enumerate(v_side)}
-        cidx = {w: j for j, w in enumerate(c_side)}
-        col_edges: dict[int, list[tuple[int, int]]] = {j: [] for j in range(len(c_side))}
-        cset = set(c_side)
-        vset = set(v_side)
-        for tr in g.edges:
-            on_c = [x for x in tr if x in cset]
-            on_v = [x for x in tr if x in vset]
-            if len(on_c) == 1 and len(on_v) == 2:
-                col_edges[cidx[on_c[0]]].append((vidx[on_v[0]], vidx[on_v[1]]))
-        coll = GraphCollection(Hp.n, Hp.e, col_edges)
+        coll = g.link_collection(v_side, c_side)
         out = quasi_embed(coll, Hp, plan, seed=_mix(sub_seed, 5))
         if not out.ok:
             last = out.failure

@@ -230,6 +230,29 @@ def test_non_integer_n_is_a_usage_error(workdir):
     assert main(verify) == 2
 
 
+@pytest.mark.parametrize("triple", [[0.0, 1, 2], [True, 0, 2], [0, 1, "2"]])
+def test_non_integer_triple_vertex_is_a_usage_error(workdir, triple):
+    edges = [list(t) for t in combinations(range(8), 3)]
+    write_json(workdir / "g.json", {"n": 8, "edges": edges})
+    write_json(workdir / "e.json", {"n": 2, "edges": [[0, 1]]})
+    expand = ["embed", "--pipeline", "expand", "--instance", "g.json",
+              "--pattern", "e.json", "--out", "rep.json"]
+    check = ["check", "--instance", "g.json", "--three-density", "--out", "c.json"]
+    assert main(expand) == 0 and main(check) == 0
+    write_json(workdir / "g.json", {"n": 8, "edges": [*edges, triple]})
+    assert main(expand) == 2
+    assert main(check) == 2
+
+
+def test_overlapping_parts_are_a_usage_error(workdir):
+    check = ["check", "--instance", "g.json", "--three-density", "--out", "c.json"]
+    write_json(workdir / "g.json", {"n": 3, "edges": [[0, 1, 2]], "parts": [[0], [1], [2]]})
+    assert main(check) == 0
+    assert json.loads((workdir / "c.json").read_text())["density"] == 1.0
+    write_json(workdir / "g.json", {"n": 3, "edges": [[0, 1, 2]], "parts": [[0, 1], [1], [2]]})
+    assert main(check) == 2
+
+
 # ---------------------------------------------------------------------------
 # CLI fuzz: a malformed input file is a usage error (exit 2), never a verdict
 # (exit 1) and never an escaping exception

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,141 @@ def test_from_three_graph_straddle_rejected():
         from_three_graph(tg, [0, 1, 2], [3])
     with pytest.raises(EdgeStraddlesSides):
         from_three_graph(tg, [0], [1, 2, 3])
+
+
+def test_from_three_graph_straddle_names_the_triple():
+    tg = ThreeGraph(5, [(0, 1, 4), (0, 3, 4)])
+    with pytest.raises(EdgeStraddlesSides, match=r"\(0, 3, 4\) has 2 vertices"):
+        from_three_graph(tg, [0, 1, 2], [3, 4])
+
+
+# ---------------------------------------------------------------------------
+# ThreeGraph's pair-mask table against the frozenset of sorted triples it
+# replaced
+
+
+def _frozenset_reference(n, triples):
+    """The frozenset of sorted triples ThreeGraph used to store, with its checks."""
+    eset = set()
+    for e in triples:
+        t = tuple(sorted(e))
+        if len(set(t)) != 3:
+            raise ValueError(f"3-edge {e} has repeated vertices")
+        if not all(0 <= x < n for x in t):
+            raise ValueError(f"3-edge {e} out of range for n={n}")
+        eset.add(t)
+    return frozenset(eset)
+
+
+def _random_triples(rng, n, m):
+    """m triples of distinct vertices in random vertex order; about one in
+    five is repeated in another order."""
+    out = []
+    for _ in range(m):
+        t = tuple(rng.sample(range(n), 3))
+        out.append(t)
+        if rng.random() < 0.2:
+            out.append(tuple(rng.sample(t, 3)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_pair_table_views_match_the_frozenset(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    triples = _random_triples(rng, n, rng.randint(0, 3 * n))
+    ref = _frozenset_reference(n, triples)
+    g = ThreeGraph(n, triples)
+    assert g.edges == ref and g.e == len(ref)
+    for v in range(-2, n + 2):
+        assert g.degree(v) == sum(1 for t in ref if v in t)
+    # repeated and out-of-range arguments included
+    for t in itertools.product(range(-1, n + 1), repeat=3):
+        assert g.has(*t) == (tuple(sorted(t)) in ref)
+    assert g == ThreeGraph(n, [p for t in ref for p in itertools.permutations(t)])
+    assert g == ThreeGraph(n, [list(t) for t in reversed(triples)])
+    assert g != ThreeGraph(n + 1, triples)
+    for t in ref:
+        assert g != ThreeGraph(n, ref - {t})
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 1), (2, 1, 2), (0, 1), (0, 1, 2, 3), (1, 2, 9),
+                                 (-1, 0, 1), (3, 3, 9)])
+def test_pair_table_error_messages_are_the_frozensets(bad):
+    rng = random.Random(str(bad))
+    triples = _random_triples(rng, 9, 12)
+    triples.insert(rng.randrange(len(triples) + 1), bad)
+    with pytest.raises(ValueError) as ref:
+        _frozenset_reference(9, triples)
+    with pytest.raises(ValueError) as new:
+        ThreeGraph(9, triples)
+    assert str(new.value) == str(ref.value)
+    # the loader takes the JSON lists as they are and reports the same triple
+    with pytest.raises(ValueError) as loaded:
+        threegraph_from_json({"n": 9, "edges": [list(t) for t in triples]})
+    assert str(loaded.value) == str(ref.value)
+
+
+def _scan_link_collection(g, v_side, c_side):
+    """The scan over every host triple that expand_embed_3graph made once per
+    attempt before ThreeGraph.link_collection."""
+    vidx = {w: i for i, w in enumerate(v_side)}
+    cidx = {w: j for j, w in enumerate(c_side)}
+    col_edges = {j: [] for j in range(len(c_side))}
+    for tr in g.edges:
+        on_c = [x for x in tr if x in cidx]
+        on_v = [x for x in tr if x in vidx]
+        if len(on_c) == 1 and len(on_v) == 2:
+            col_edges[cidx[on_c[0]]].append((vidx[on_v[0]], vidx[on_v[1]]))
+    return GraphCollection(len(v_side), len(c_side), col_edges)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_link_collection_matches_the_triple_scan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 40)
+    density = rng.random()
+    g = ThreeGraph(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density])
+    draw = rng.sample(range(n), rng.randint(2, n))
+    k = rng.randint(1, len(draw) - 1)
+    v_side, c_side = draw[:k], draw[k:]
+    if seed % 2:
+        v_side, c_side = sorted(v_side), sorted(c_side)
+    gc = g.link_collection(v_side, c_side)
+    ref = _scan_link_collection(g, v_side, c_side)
+    assert gc == ref
+    assert [gc.edge_count(c) for c in gc.colours] == [ref.edge_count(c) for c in ref.colours]
+
+
+def test_threegraph_footprint_is_linear_in_edges():
+    # a dense n x n pair table would take about 72 MB at this n
+    tracemalloc.start()
+    try:
+        g = ThreeGraph(3000, [(0, 1, 2)])
+        assert g.has(2, 0, 1) and g.degree(2999) == 0 and g.edges == {(0, 1, 2)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_threegraph_rejects_overlapping_parts():
+    # overlapping parts used to pass, and `check --three-density` then
+    # divided by the wrong product of part sizes
+    with pytest.raises(ValueError, match="disjoint"):
+        ThreeGraph(3, [(0, 1, 2)], parts=[[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="cover"):
+        ThreeGraph(3, [(0, 1, 2)], parts=[[0], [1]])
+    assert ThreeGraph(3, [(0, 1, 2)], parts=[[2], [1, 0]]).parts == ((2,), (0, 1))
+
+
+@pytest.mark.parametrize("triple", [[0.0, 1, 2], [True, 0, 2], [0, 1, 2.5],
+                                    ["0", "1", "2"], [[0], [1], [2]]])
+def test_threegraph_vertices_must_be_json_integers(triple):
+    # [0.0, 1, 2] used to load and be written back as 0.0; [True, 0, 2] loaded
+    # as vertex 1
+    with pytest.raises(ValueError, match="not an integer"):
+        threegraph_from_json({"n": 3, "edges": [[0, 1, 2], triple]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -633,6 +635,65 @@ def test_expand_isolated_vertices_padded_and_mapped():
     out = expand_embed_3graph(g, H, PLAN, seed=3)
     assert out.ok
     assert len(set(out.vertex_images.values())) == 6
+
+
+
+def _expand_instance(seed):
+    """A seeded random host (n = 24-60; density 0.2 for every fifth seed, so
+    some attempts fail, else 0.5-0.7) and a cycle, a path, a matching with
+    isolated vertices or a 3-vertex path (padded with fresh vertices)."""
+    rng = random.Random(seed)
+    n = 24 + 6 * (seed % 7)
+    p = rng.uniform(0.5, 0.7) if seed % 5 else 0.2
+    g = ThreeGraph(n, [t for t in combinations(range(n), 3) if rng.random() < p])
+    k = n // 3
+    H = [
+        PatternGraph(k, [(i, (i + 1) % k) for i in range(k)]),
+        PatternGraph(k, [(i, i + 1) for i in range(k - 1)]),
+        PatternGraph(k, [(2 * i, 2 * i + 1) for i in range(k // 4)]),
+        PatternGraph(4, [(0, 1), (1, 2)]),
+    ][seed % 4]
+    return g, H
+
+
+# sha256 prefixes of the expansion maps (or "stage:reason" of the failure)
+# that the scan over every host triple gave before ThreeGraph.link_collection,
+# so seeded replay stays bit for bit
+EXPAND_REPLAY = {
+    0: "99847fde6143c98b",
+    1: "4f397289adb05237",
+    2: "378a8b5b936bc698",
+    3: "51a006e49337b0eb",
+    4: "cb1d39c6200f4607",
+    5: "5ca76cbd6c3b252f",
+    6: "273aec7a209da847",
+    7: "c49e93e459ca9a49",
+    8: "0828adccbbd8b043",
+    9: "f4eb9b6f017a3988",
+    10: "9c3e722bf60315c8",
+    11: "f4df615b5f36e83f",
+    12: "6105a2009f86a391",
+    13: "8c8145d107de1174",
+    14: "65763ca7c558427c",
+    15: "759853e7ea21c07e",
+    16: "4eae61c0344c94c7",
+    17: "e182b4c678c3b8a1",
+    18: "70a8132caa4d841d",
+    19: "9f3d274288556716",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXPAND_REPLAY))
+def test_expand_replays_the_triple_scans_outputs(seed):
+    g, H = _expand_instance(seed)
+    out = expand_embed_3graph(g, H, PLAN, seed=seed)
+    if out.ok:
+        record = {"v": sorted(out.vertex_images.items()),
+                  "e": sorted([u, v, c] for (u, v), c in out.edge_images.items())}
+    else:
+        record = {"failure": f"{out.failure.stage}:{out.failure.reason}"}
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
+    assert digest == EXPAND_REPLAY[seed]
 
 
 # ---------------------------------------------------------------------------
