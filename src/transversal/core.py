@@ -176,7 +176,6 @@ class GraphCollection:
         "_adj",
         "_ecount",
         "bipartition",
-        "vertex_names",
         "colour_names",
         "_pair_cache",
     )
@@ -187,7 +186,6 @@ class GraphCollection:
         n_colours: int,
         edges: Mapping[int, Iterable[tuple[int, int]]] | None = None,
         bipartition: Mapping[int, tuple[Iterable[int], Iterable[int]]] | None = None,
-        vertex_names: Sequence[str] | None = None,
         colour_names: Sequence[str] | None = None,
     ):
         if n < 0 or n_colours < 0:
@@ -211,7 +209,6 @@ class GraphCollection:
         self.n_colours = n_colours
         self._adj = tuple(tuple(rows) for rows in adj)
         self._ecount = tuple(ecount)
-        self.vertex_names = tuple(vertex_names) if vertex_names else None
         self.colour_names = tuple(colour_names) if colour_names else None
         self._pair_cache: dict[tuple[int, int], int] = {}
         if bipartition:

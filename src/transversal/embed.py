@@ -2085,7 +2085,6 @@ def quasi_embed(
         class_rest = _class_edges(H, phi, active)
         split: dict[tuple[int, int], tuple[int, ...]] = {}
         pos = 0
-        ok_split = True
         for key in sorted(dense_pairs):
             need = len(class_rest.get(key, ()))
             split[key] = tuple(sorted(rest_cols[pos : pos + need]))

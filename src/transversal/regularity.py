@@ -638,6 +638,24 @@ def _meets_degree_floor(part_degrees: Sequence[Sequence[int]], d: float) -> bool
     )
 
 
+def _coins(rng: random.Random, k: int) -> np.ndarray:
+    """The next k values of ``rng.random()``, drawn in one call, with ``rng``
+    left where k calls would leave it.  Both generators are MT19937 and
+    RandomState's ``random_sample`` builds the same 53-bit doubles as
+    ``random.random``; NEP 19 freezes that stream, so the values do not
+    depend on the numpy version.  The RandomState is made per call, so no
+    generator is shared between callers."""
+    if not k:
+        return np.empty(0)
+    version, internal, gauss = rng.getstate()
+    mt = np.random.RandomState()
+    mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    out = mt.random_sample(k)
+    _, key, pos, *_ = mt.get_state()
+    rng.setstate((version, (*key.tolist(), pos), gauss))
+    return out
+
+
 def _sparsify_tuples(
     edges: list[tuple],
     parts: Sequence[Sequence[int]],
@@ -661,15 +679,39 @@ def _sparsify_tuples(
     }
     if d is None:
         d = _target_density(list(dens.values())) if dens else 0.0
+    coins = iter(_coins(rng, sum(len(cells[k]) for k, dk in dens.items() if dk > d)).tolist())
     kept = []
     for key, dk in dens.items():
         if dk <= d:
             kept.extend(cells[key])
             continue
         p_keep = d / dk
-        kept.extend(e for e in sorted(cells[key]) if rng.random() < p_keep)
+        kept.extend(e for e in sorted(cells[key]) if next(coins) < p_keep)
     deg = Counter(v for e in kept for v in e)
     return kept, d, [[deg[v] for v in p] for p in parts]
+
+
+def _chunk_index(chunk_list: list[list[int]]) -> np.ndarray:
+    """Each element's chunk number, with the chunks laid end to end."""
+    return np.repeat(np.arange(len(chunk_list)), [len(ch) for ch in chunk_list])
+
+
+def _runs(lengths: list[int]) -> list[slice]:
+    """Consecutive slices of the given lengths, from 0."""
+    ends = list(itertools.accumulate(lengths))
+    return [slice(end - k, end) for k, end in zip(lengths, ends)]
+
+
+def _thin(by_pair: np.ndarray, cells: list[tuple], d: float, rng: random.Random) -> None:
+    """Keep each triple of each cell (pair run, colour run, count, density)
+    with probability d / density, in place: the coins go to the cells in list
+    order and, within a cell, to its block's set entries row by row."""
+    coins = _coins(rng, sum(count for _, _, count, _ in cells))
+    used = 0
+    for pair_run, colour_run, count, dens in cells:
+        block = by_pair[pair_run, colour_run]
+        block[block == 1] = coins[used : used + count] < d / dens
+        used += count
 
 
 def _sparsify_slice(
@@ -683,43 +725,54 @@ def _sparsify_slice(
     colours), read from the bitmasks: the colour at list position k plays
     the 3-graph vertex n + k, so chunks, cells, target and coins are exactly
     those of that 3-graph, and no triple is built.  The kept edges come back
-    as per-colour adjacency rows."""
+    as per-colour adjacency rows.  The slice is read once into a 0/1 array,
+    and one :func:`_coins` call draws the coins of every cell above the
+    target."""
     Vi, Vj, colours = parts
     ch_i = _part_chunks(Vi, chunks, rng)
     ch_j = _part_chunks(Vj, chunks, rng)
     ch_c = [sorted(ch) for ch in _part_chunks(list(range(len(colours))), chunks, rng)]
-    masks_i = [mask_of(ch) for ch in ch_i]
-    masks_j = [mask_of(ch) for ch in ch_j]
+    I = np.array([x for ch in ch_i for x in ch], dtype=np.intp)
+    J = np.array([y for ch in ch_j for y in ch], dtype=np.intp)
+    cols = [colours[k] for ch in ch_c for k in ch]
+    n, nb = gc.n, (gc.n + 7) // 8
+    # the pairs (u, v) of V_i x V_j, grouped by (chunk of u, chunk of v) in
+    # sorted order and, within a group, in coin order: min(u, v), then max(u, v)
+    u, v = np.repeat(I, len(J)), np.tile(J, len(I))
+    group = np.add.outer(_chunk_index(ch_i) * len(ch_j), _chunk_index(ch_j)).ravel()
+    order = np.lexsort((np.maximum(u, v), np.minimum(u, v), group))
+    pi, pj = np.divmod(order, len(J))  # each pair's index in I and in J
+    u, v = I[pi], J[pj]
     adj = gc.adj
-    cells = []  # (chunk of V_i, chunk of V_j, positions, density) in sorted cell order
-    for a, b, pos in itertools.product(range(len(ch_i)), range(len(ch_j)), ch_c):
-        count = sum((adj(colours[k], u) & masks_j[b]).bit_count() for k in pos for u in ch_i[a])
-        if count:
-            cells.append((a, b, pos, count / (len(ch_i[a]) * len(ch_j[b]) * len(pos))))
+    raw = b"".join(adj(c, x).to_bytes(nb, "little") for c in cols for x in I.tolist())
+    bits = np.frombuffer(raw, np.uint8).reshape(len(cols), len(I), nb)
+    # the slice as 0/1 by (colour in chunk order, pair in the order above):
+    # a cell is the block of one run of pairs and one run of colours
+    slab = np.unpackbits(bits, axis=2, bitorder="little")[:, pi, v]
+    colour_runs = _runs([len(ch) for ch in ch_c])
+    cells = []  # (pair run, colour run, count, density) in sorted cell order
+    for pr in _runs([len(a) * len(b) for a in ch_i for b in ch_j]):
+        for cr in colour_runs:
+            count = int(np.count_nonzero(slab[cr, pr]))
+            if count:
+                cells.append((pr, cr, count, count / ((pr.stop - pr.start) * (cr.stop - cr.start))))
     if d is None:
         d = _target_density([dens for *_, dens in cells]) if cells else 0.0
-    rows = [[0] * gc.n for _ in range(gc.n_colours)]
-    for a, b, pos, dens in cells:
-        if dens <= d:
-            gc.add_slice_to(rows, ch_i[a], ch_j[b], [colours[k] for k in pos])
-            continue
-        p_keep = d / dens
-        # coins in sorted-triple order: x = min(u, v), then y, then position
-        for x in sorted(ch_i[a] + ch_j[b]):
-            other = masks_j[b] if masks_i[a] >> x & 1 else masks_i[a]
-            above = other >> (x + 1) << (x + 1)
-            nbrs = [(colours[k], adj(colours[k], x) & above) for k in pos]
-            union = 0
-            for _, m in nbrs:
-                union |= m
-            for y in bits_of(union):
-                for c, m in nbrs:
-                    if m >> y & 1 and rng.random() < p_keep:
-                        rows[c][x] |= 1 << y
-                        rows[c][y] |= 1 << x
-    degrees = [[sum(rows[c][v].bit_count() for c in colours) for v in p] for p in (Vi, Vj)]
-    degrees.append([sum(rows[c][u].bit_count() for u in Vi) for c in colours])
-    return rows, d, degrees
+    _thin(slab.T, [cell for cell in cells if cell[3] > d], d, rng)
+    # the kept rows of the slice's vertices, V_i then V_j in chunk order
+    kept = np.zeros((len(cols), len(I) + len(J), 8 * nb), np.uint8)
+    kept[:, pi, v] = slab
+    kept[:, len(I) + pj, u] = slab
+    packed = np.packbits(kept, axis=2, bitorder="little")
+    rows = [[0] * n for _ in range(gc.n_colours)]
+    verts = I.tolist() + J.tolist()
+    for c, blob in zip(cols, map(bytes, packed)):
+        row = rows[c]
+        for x, s in zip(verts, range(0, len(blob), nb)):
+            row[x] = int.from_bytes(blob[s : s + nb], "little")
+    deg = dict(zip(verts, kept.sum(axis=(0, 2)).tolist()))
+    deg_c = dict(zip(cols, slab.sum(axis=1).tolist()))
+    return rows, d, [[deg[x] for x in Vi], [deg[y] for y in Vj], [deg_c[c] for c in colours]]
 
 
 def sparsify_to_superregular(
