@@ -38,8 +38,16 @@ from .embed import SplitPlan, expand_embed_3graph, quasi_embed
 from .regularity import DensitySpec, partition_collection
 
 
-def _digest(obj: dict) -> str:
+def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
+    """Digest of the validated instance, not of its file: equal instances get
+    equal digests whatever the order, repeats and vertex order of the rows."""
+    if isinstance(inst, ThreeGraph):
+        return _digest([inst.n, inst.parts, inst.pair_masks()])
+    return _digest(collection_to_json(inst))
 
 
 def _load(path: str) -> dict:
@@ -74,11 +82,11 @@ def _failure_outcome(failure) -> dict:
             "diagnostics": json.loads(json.dumps(failure.diagnostics, default=str))}
 
 
-def _load_instance(path: str):
+def _load_instance(path: str) -> GraphCollection | ThreeGraph:
     d = _load(path)
     if "colours" in d:
-        return collection_from_json(d), d
-    return threegraph_from_json(d), d
+        return collection_from_json(d)
+    return threegraph_from_json(d)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +120,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst, doc = _load_instance(args.instance)
-    report: dict = {"command": "check", "instance_digest": _digest(doc)}
+    inst = _load_instance(args.instance)
+    report: dict = {"command": "check", "instance_digest": instance_digest(inst)}
     if args.mono_triangles:
         if not isinstance(inst, GraphCollection):
             print("mono-triangle check needs a collection instance", file=sys.stderr)
@@ -140,7 +148,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    inst, doc = _load_instance(args.instance)
+    inst = _load_instance(args.instance)
     if not isinstance(inst, GraphCollection):
         print("partition needs a collection instance", file=sys.stderr)
         return 2
@@ -149,7 +157,7 @@ def cmd_partition(args) -> int:
     part = partition_collection(inst, spec, L0=args.l0, seed=args.seed)
     report = {
         "command": "partition",
-        "instance_digest": _digest(doc),
+        "instance_digest": instance_digest(inst),
         "seed": args.seed,
         "params": {"epsilon": args.epsilon, "d": args.d, "L0": args.l0},
         "timings": {"wall_ms": round((time.monotonic() - t0) * 1000, 1)},
@@ -181,7 +189,7 @@ def cmd_embed(args) -> int:
     params = _load(args.params) if args.params else None
     plan = _plan_from(params)
     pattern = pattern_from_json(_load(args.pattern))
-    inst, doc = _load_instance(args.instance)
+    inst = _load_instance(args.instance)
     t0 = time.monotonic()
     if args.pipeline == "quasi":
         if not isinstance(inst, GraphCollection):
@@ -218,7 +226,7 @@ def cmd_embed(args) -> int:
     report = {
         "command": "embed",
         "pipeline": args.pipeline,
-        "instance_digest": _digest(doc),
+        "instance_digest": instance_digest(inst),
         "pattern_digest": _digest(pattern_to_json(pattern)),
         "seed": args.seed,
         "params": params or {},
@@ -232,7 +240,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst, doc = _load_instance(args.instance)
+    inst = _load_instance(args.instance)
     if not isinstance(inst, GraphCollection):
         print("oracle needs a collection instance", file=sys.stderr)
         return 2
@@ -252,7 +260,7 @@ def cmd_oracle(args) -> int:
         code = 0 if res.feasible else 1
     report = {
         "command": "oracle",
-        "instance_digest": _digest(doc),
+        "instance_digest": instance_digest(inst),
         "pattern_digest": _digest(pattern_to_json(pattern)),
         "timings": {"wall_ms": round((time.monotonic() - t0) * 1000, 1)},
         "outcome": outcome,
@@ -262,7 +270,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, doc = _load_instance(args.instance)
+    inst = _load_instance(args.instance)
     if not isinstance(inst, GraphCollection):
         print("verify needs a collection instance", file=sys.stderr)
         return 2
@@ -274,7 +282,7 @@ def cmd_verify(args) -> int:
     rep = verify_transversal_embedding(inst, pattern, emb)
     report = {
         "command": "verify",
-        "instance_digest": _digest(doc),
+        "instance_digest": instance_digest(inst),
         "ok": rep.ok,
         "violations": list(rep.violations),
     }

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 class EdgeStraddlesSides(ValueError):
@@ -338,6 +341,10 @@ class ThreeGraph:
     edge.  The footprint is O(e), and the link graph of a vertex on a vertex
     set is one mask per vertex (:meth:`link_collection`).  ``edges``, the
     frozenset of sorted triples, is built from the table on first use.
+
+    The rows are checked, sorted and grouped into mask words with numpy, in
+    chunks of ``_CHUNK_ROWS``; a bad row raises ``ValueError`` naming the
+    first bad row in input order.
     """
 
     __slots__ = ("n", "e", "parts", "_pairs", "_edges")
@@ -350,34 +357,24 @@ class ThreeGraph:
     ):
         pairs: dict[int, int] = {}
         get = pairs.get
-        count = 0
-        for t in edges:
-            try:
-                a, b, c = t
-            except ValueError:
-                raise ValueError(f"3-edge {tuple(t)} has repeated vertices") from None
-            # three compare-exchanges sort the triple
-            if a > b:
-                a, b = b, a
-            if b > c:
-                b, c = c, b
-                if a > b:
-                    a, b = b, a
-            # one check for type, repeats and range (a bool is not an int here)
-            if not (int is type(a) is type(b) is type(c) and 0 <= a < b < c < n):
-                raise ValueError(_triple_error(tuple(t), n))
-            ab = a * n + b
-            m = get(ab, 0)
-            if m >> c & 1:
-                continue  # a repeated 3-edge
-            pairs[ab] = m | 1 << c
-            ac = a * n + c
-            pairs[ac] = get(ac, 0) | 1 << b
-            bc = b * n + c
-            pairs[bc] = get(bc, 0) | 1 << a
-            count += 1
+        rows = iter(edges)
+        # bounded chunks keep the numpy temporaries small; rebuilding a mask
+        # bit is idempotent, so chunks need no dedup between them
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            t = _int_rows(chunk)
+            if t is None:
+                raise _first_bad_row(chunk, n)
+            # sort each triple by a min/max network; a < b < c also rules out repeats
+            x, y, z = t.T
+            lo, hi = np.minimum(x, y), np.maximum(x, y)
+            a, b, c = np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
+            if not ((0 <= a) & (a < b) & (b < c) & (c < n)).all():
+                raise _first_bad_row(chunk, n)
+            for key, word, bits in zip(*_pair_words(a, b, c, n)):
+                pairs[key] = get(key, 0) | bits << (word << 6)
         self.n = n
-        self.e = count
+        # each edge abc is counted once, in the mask of ab, as the bit c above b
+        self.e = sum((m >> key % n >> 1).bit_count() for key, m in pairs.items())
         self._pairs = pairs
         self._edges = None
         if parts is not None:
@@ -402,6 +399,11 @@ class ThreeGraph:
                 triples.extend((a, b, c) for c in bits_of(m >> b << b))
             self._edges = frozenset(triples)
         return self._edges
+
+    def pair_masks(self) -> list[tuple[int, int]]:
+        """The table's ``(u * n + v, mask)`` items in key order, a canonical
+        form of the edge set."""
+        return sorted(self._pairs.items())
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -448,13 +450,78 @@ class ThreeGraph:
         return f"ThreeGraph(n={self.n}, e={self.e})"
 
 
-def _triple_error(t: tuple, n: int) -> str:
-    """Why the 3-edge ``t`` failed the load check of :class:`ThreeGraph`."""
+_CHUNK_ROWS = 1 << 14  # rows per chunk of the ThreeGraph build
+
+
+def _int_rows(chunk: list) -> np.ndarray | None:
+    """The rows as a k x 3 int64 array, or None unless every row is a sized
+    sequence of three ints (a bool is not an int here) that fit in int64."""
+    try:
+        if set(map(len, chunk)) == {3}:
+            flat = list(chain.from_iterable(chunk))
+            if set(map(type, flat)) == {int}:
+                return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 3)
+    except (TypeError, OverflowError):  # an unsized row or a huge vertex
+        pass
+    return None
+
+
+def _first_bad_row(rows: list, n: int) -> ValueError:
+    """The error for the first row, in input order, that is not a 3-edge."""
+    for t in map(tuple, rows):
+        if why := _triple_error(t, n):
+            return ValueError(why)
+    return ValueError("3-edges must be sized sequences of vertices below 2**63")
+
+
+def _triple_error(t: tuple, n: int) -> str | None:
+    """Why the row ``t`` is not a 3-edge of a :class:`ThreeGraph` on ``n``
+    vertices, or None when it is one."""
+    if len(t) != 3:
+        return f"3-edge {t} has repeated vertices"
     if any(type(x) is not int for x in t):
         return f"3-edge {t} has a vertex that is not an integer"
     if len(set(t)) != 3:
         return f"3-edge {t} has repeated vertices"
-    return f"3-edge {t} out of range for n={n}"
+    if not all(0 <= x < n for x in t):
+        return f"3-edge {t} out of range for n={n}"
+    return None
+
+
+def _pair_words(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
+    """The pair-mask bits of the sorted triples ``a < b < c``, grouped by
+    (pair, 64-bit word of the third vertex): the lists of pair keys
+    ``u * n + v``, word indices and ORed words, one entry per group.
+
+    Each triple gives its three (pair uv, third w) incidences the sort key
+    ``(u * base + v) * width + w``, with ``width`` a multiple of 64 so that
+    ``key >> 6`` names the group.  Where that overflows int64 (n above about
+    2**21), u and v stand for their ranks among the chunk's vertices and the
+    word of w for its rank among the chunk's words."""
+    width = (n + 63) & ~63
+    if n * n * width < 1 << 63:
+        ends = words = None
+        base, ra, rb, rc, ta, tb, tc = n, a, b, c, a, b, c
+    else:
+        ends = np.unique(np.concatenate((a, b, c)))
+        words = np.unique(ends >> 6)
+        base, width = len(ends), 64 * len(words)
+        ra, rb, rc = (np.searchsorted(ends, v) for v in (a, b, c))
+        ta, tb, tc = (np.searchsorted(words, v >> 6) << 6 | v & 63 for v in (a, b, c))
+    key = np.concatenate(((ra * base + rb) * width + tc,
+                          (ra * base + rc) * width + tb,
+                          (rb * base + rc) * width + ta))
+    key.sort()
+    group = key >> 6
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    bits = np.left_shift(np.uint64(1), (key & 63).astype(np.uint64))
+    pair, word = np.divmod(group[starts], width >> 6)
+    ored = np.bitwise_or.reduceat(bits, starts).tolist()
+    if ends is None:
+        return pair.tolist(), word.tolist(), ored
+    u, v = np.divmod(pair, base)
+    keys = [x * n + y for x, y in zip(ends[u].tolist(), ends[v].tolist())]
+    return keys, words[word].tolist(), ored
 
 
 @dataclass(frozen=True)

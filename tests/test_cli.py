@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -68,7 +69,9 @@ def test_embed_feasible_and_verify_round_trip(workdir):
         "verify", "--instance", "inst.json", "--pattern", "h.json",
         "--embedding", "rep.json", "--out", "v.json",
     ]) == 0
-    assert json.loads((workdir / "v.json").read_text())["ok"] is True
+    v = json.loads((workdir / "v.json").read_text())
+    assert v["ok"] is True
+    assert v["instance_digest"] == rep["instance_digest"]
 
 
 def test_oracle_infeasible_exit_code(workdir):
@@ -215,6 +218,63 @@ def test_expand_report_rechecks_the_triples(workdir, monkeypatch):
     main(argv)
     assert json.loads((workdir / "rep.json").read_text())["verified"] is False
 
+
+
+def _digest_of(argv, out):
+    assert main([*argv, "--out", out]) in (0, 1)
+    return json.loads(pathlib.Path(out).read_text())["instance_digest"]
+
+
+def test_instance_digest_hashes_the_instance_not_the_file(workdir):
+    rng = random.Random(3)
+    triples = [list(t) for t in combinations(range(9), 3) if rng.random() < 0.7]
+    # the same 3-graph with shuffled rows, permuted vertices and repeated rows
+    variant = [rng.sample(t, 3) for t in triples] + rng.sample(triples, 6)
+    rng.shuffle(variant)
+    write_json(workdir / "e.json", {"n": 2, "edges": [[0, 1]]})
+    digests = set()
+    for edges in (triples, variant):
+        write_json(workdir / "g.json", {"n": 9, "edges": edges})
+        digests.add(_digest_of(["check", "--instance", "g.json"], "c.json"))
+        digests.add(_digest_of(["embed", "--pipeline", "expand", "--instance", "g.json",
+                                "--pattern", "e.json"], "r.json"))
+    assert len(digests) == 1
+    # a different instance has a different digest
+    for doc in ({"n": 9, "edges": triples[1:]}, {"n": 10, "edges": triples},
+                {"n": 9, "edges": triples, "parts": [list(range(9))]}):
+        write_json(workdir / "g.json", doc)
+        digests.add(_digest_of(["check", "--instance", "g.json"], "c.json"))
+    assert len(digests) == 4
+
+
+def test_collection_digest_hashes_the_collection_not_the_file(workdir):
+    rng = random.Random(4)
+    edges = {str(c): [[u, v] for u, v in combinations(range(7), 2) if rng.random() < 0.5]
+             for c in range(3)}
+    variant = {c: [e[::-1] for e in es] + es[:2] for c, es in edges.items()}
+    digests = set()
+    for es in (edges, variant):
+        write_json(workdir / "inst.json", {"n": 7, "colours": [0, 1, 2], "edges": es})
+        digests.add(_digest_of(["check", "--instance", "inst.json"], "c.json"))
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1, 2], [0, 1, 99], [0.5, 1, 2]], "3-edge (0, 1, 99) out of range for n=8"),
+    ([[0, 1, 2], [0.5, 1, 2], [0, 1, 99]], "3-edge (0.5, 1, 2) has a vertex that is not an integer"),
+    ([[0, 1, 2], [7, 8, 1]], "3-edge (7, 8, 1) out of range for n=8"),
+    ([[0, 1, 2], [3, 1, 3]], "3-edge (3, 1, 3) has repeated vertices"),
+])
+def test_malformed_threegraph_exits_2_under_python_O(workdir, edges, message):
+    # the bulk row check must not rest on assert statements
+    write_json(workdir / "g.json", {"n": 8, "edges": edges})
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "transversal.cli", "check", "--instance", "g.json"],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"usage error: {message}\n"
 
 
 def test_non_integer_n_is_a_usage_error(workdir):

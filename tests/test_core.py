@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transversal import core
 from transversal.core import (
     EdgeStraddlesSides,
     GraphCollection,
@@ -211,6 +212,138 @@ def test_threegraph_footprint_is_linear_in_edges():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# ThreeGraph's bulk numpy build against the per-triple loop it replaced
+
+
+def _per_triple_build(n, edges):
+    """The pair table and edge count of the per-triple loop ThreeGraph used to
+    build with, checks and error messages included."""
+    pairs = {}
+    get = pairs.get
+    count = 0
+    for t in edges:
+        try:
+            a, b, c = t
+        except ValueError:
+            raise ValueError(f"3-edge {tuple(t)} has repeated vertices") from None
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if not (int is type(a) is type(b) is type(c) and 0 <= a < b < c < n):
+            t = tuple(t)
+            if any(type(x) is not int for x in t):
+                raise ValueError(f"3-edge {t} has a vertex that is not an integer")
+            if len(set(t)) != 3:
+                raise ValueError(f"3-edge {t} has repeated vertices")
+            raise ValueError(f"3-edge {t} out of range for n={n}")
+        ab = a * n + b
+        m = get(ab, 0)
+        if m >> c & 1:
+            continue
+        pairs[ab] = m | 1 << c
+        ac = a * n + c
+        pairs[ac] = get(ac, 0) | 1 << b
+        bc = b * n + c
+        pairs[bc] = get(bc, 0) | 1 << a
+        count += 1
+    return pairs, count
+
+
+def _mixed_rows(rng, triples):
+    """The triples as a random mix of list and tuple rows."""
+    return [list(t) if rng.random() < 0.5 else tuple(t) for t in triples]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])  # None: the module's chunk size
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 128, 129, 200])
+def test_bulk_build_matches_the_per_triple_loop(n, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(core, "_CHUNK_ROWS", chunk)
+    rng = random.Random(f"{n}/{chunk}")
+    for m in (0, 1, 2, rng.randint(3, 4 * n)):
+        # random vertex order within rows, about one row in five repeated
+        rows = _mixed_rows(rng, _random_triples(rng, n, m))
+        g = ThreeGraph(n, rows)
+        assert (g._pairs, g.e) == _per_triple_build(n, rows)
+        assert g == ThreeGraph(n, iter(rows[::-1]))
+
+
+def test_bulk_build_over_several_chunks():
+    rng = random.Random(1)
+    rows = _mixed_rows(rng, _random_triples(rng, 200, (5 * core._CHUNK_ROWS) // 2))
+    g = ThreeGraph(200, rows)
+    assert len(rows) > 2 * core._CHUNK_ROWS
+    assert (g._pairs, g.e) == _per_triple_build(200, rows)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("n, low", [(3_000_000, 2_999_970), (3_000_000, 0), (10**12, 0)])
+def test_bulk_build_past_the_int64_sort_key(n, low, chunk, monkeypatch):
+    # (pair * n + third) overflows int64 from n = 2**21; these vertices lie in
+    # [low, low + 30) plus a few rows that span 0 .. n - 1 where the masks fit
+    if chunk:
+        monkeypatch.setattr(core, "_CHUNK_ROWS", chunk)
+    rng = random.Random(f"{n}/{low}")
+    top = min(n - 1, 3_000_000 - 1)
+    rows = [tuple(low + x for x in t) for t in _random_triples(rng, 30, 12)]
+    rows += [(0, 1, top), (top, 5, 0), (top - 64, top, 1)]
+    rows = _mixed_rows(rng, rows)
+    g = ThreeGraph(n, rows)
+    assert (g._pairs, g.e) == _per_triple_build(n, rows)
+    assert g.has(1, top, 0) and not g.has(1, top, 2)
+
+
+_BAD_ROWS = [(0, 1, 99), (0.5, 1, 2), (3, 3, 4), (0, 1), (True, 1, 2), (1, 2, 2**70),
+             (-1, 0, 1), (0, 1, 2, 3)]
+
+
+# (rows from the first bad row to the second, chunk size): with chunks of 4
+# the two bad rows share a chunk at gap 1 and not at gap 9
+@pytest.mark.parametrize("gap, chunk", [(1, None), (1, 4), (9, 4)])
+@pytest.mark.parametrize("first, second", list(itertools.permutations(_BAD_ROWS, 2)))
+def test_first_bad_row_in_input_order_decides_the_message(first, second, gap, chunk,
+                                                          monkeypatch):
+    if chunk:
+        monkeypatch.setattr(core, "_CHUNK_ROWS", chunk)
+    rng = random.Random(f"{first}/{second}")
+    rows = _mixed_rows(rng, _random_triples(rng, 9, 14))[:14]
+    rows[2], rows[2 + gap] = first, second
+    with pytest.raises(ValueError) as ref:
+        _per_triple_build(9, rows)
+    with pytest.raises(ValueError) as new:
+        ThreeGraph(9, rows)
+    assert str(new.value) == str(ref.value) and str(tuple(first)) in str(new.value)
+    with pytest.raises(ValueError) as loaded:
+        threegraph_from_json({"n": 9, "edges": [list(t) for t in rows]})
+    assert str(loaded.value) == str(ref.value)
+
+
+def test_rows_the_int64_build_cannot_take_are_value_errors():
+    with pytest.raises(ValueError, match="below 2"):
+        ThreeGraph(2**70, [(0, 1, 2**65)])
+    with pytest.raises(ValueError, match="sized sequences"):
+        ThreeGraph(5, [iter((0, 1, 2))])
+
+
+def test_dense_build_peak_is_bounded_by_the_chunk():
+    # a dense n = 90 host like the expand-cli benchmark's; built in one chunk,
+    # the numpy temporaries of its ~70k rows peak at about 12 MB
+    rng = random.Random(0)
+    rows = [list(t) for t in itertools.combinations(range(90), 3) if rng.random() < 0.6]
+    tracemalloc.start()
+    try:
+        g = ThreeGraph(90, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.e == len(rows) > 70_000
+    assert peak < 5 << 20, peak
 
 
 def test_threegraph_rejects_overlapping_parts():
