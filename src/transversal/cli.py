@@ -44,9 +44,13 @@ def _digest(obj) -> str:
 
 def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
     """Digest of the validated instance, not of its file: equal instances get
-    equal digests whatever the order, repeats and vertex order of the rows."""
+    equal digests whatever the order, repeats and vertex order of the rows.
+    A 3-graph's masks are hashed in hex: it takes linear time, and unlike a
+    decimal string it has no digit limit on hosts with tens of thousands of
+    vertices."""
     if isinstance(inst, ThreeGraph):
-        return _digest([inst.n, inst.parts, inst.pair_masks()])
+        items = inst.pair_masks()
+        return _digest([inst.n, inst.parts, [k for k, _ in items], [hex(m) for _, m in items]])
     return _digest(collection_to_json(inst))
 
 

@@ -247,6 +247,23 @@ def test_instance_digest_hashes_the_instance_not_the_file(workdir):
     assert len(digests) == 4
 
 
+def test_digest_of_a_large_sparse_host(workdir):
+    # a pair mask with bit 19999 set has more decimal digits than Python
+    # converts to a string; the digest must not depend on that conversion
+    rows = [[0, 1, 19999], [19998, 2, 5], [3, 19997, 4]]
+    variant = [rows[2][::-1], rows[0], rows[1][::-1], rows[0]]
+    # an edgeless pattern keeps the run short: with an edge, the pipeline
+    # builds a collection whose size is quadratic in n before it fails
+    write_json(workdir / "e.json", {"n": 2, "edges": []})
+    digests = set()
+    for edges in (rows, variant):
+        write_json(workdir / "g.json", {"n": 20000, "edges": edges})
+        digests.add(_digest_of(["check", "--instance", "g.json"], "c.json"))
+        digests.add(_digest_of(["embed", "--pipeline", "expand", "--instance", "g.json",
+                                "--pattern", "e.json"], "r.json"))
+    assert len(digests) == 1
+
+
 def test_collection_digest_hashes_the_collection_not_the_file(workdir):
     rng = random.Random(4)
     edges = {str(c): [[u, v] for u, v in combinations(range(7), 2) if rng.random() < 0.5]
