@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GraphCollection, SimpleGraph, ThreeGraph, bits_of, mask_of
+from .core import GraphCollection, SimpleGraph, ThreeGraph, mask_of
 
 
 class EmptyPart(ValueError):
@@ -70,93 +69,85 @@ class DensitySpec:
 # Layered views: every density object becomes (layer matrices over A x B)
 
 
-def _collection_layers(gc: GraphCollection, A, B, CC):
-    A, B, CC = list(A), list(B), list(CC)
-    mats = np.zeros((len(CC), len(A), len(B)), dtype=np.int64)
-    bmask = mask_of(B)
-    bpos = {v: j for j, v in enumerate(B)}
-    for l, c in enumerate(CC):
-        for i, u in enumerate(A):
-            m = gc.adj(c, u) & bmask
-            for v in bits_of(m):
-                mats[l, i, bpos[v]] = 1
-    return mats
+def _check_indices(parts, bound: int, what: str) -> None:
+    """Raise ValueError unless the parts' entries are distinct, within and
+    across parts, and lie in range(bound)."""
+    flat = [x for p in parts for x in p]
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"a {what} appears twice in the parts")
+    bad = [x for x in flat if not 0 <= x < bound]
+    if bad:
+        raise ValueError(f"{what} {bad[0]} out of range 0..{bound - 1}")
 
 
-def _threegraph_layers(g: ThreeGraph, A, B, C):
-    A, B, C = list(A), list(B), list(C)
-    ai = {v: i for i, v in enumerate(A)}
-    bi = {v: i for i, v in enumerate(B)}
-    ci = {v: i for i, v in enumerate(C)}
-    mats = np.zeros((len(C), len(A), len(B)), dtype=np.int64)
-    for t in g.edges:
-        for x, y, z in ((t[0], t[1], t[2]), (t[0], t[2], t[1]), (t[1], t[2], t[0])):
-            for (u, v) in ((x, y), (y, x)):
-                if u in ai and v in bi and z in ci:
-                    mats[ci[z], ai[u], bi[v]] = 1
-    return mats
+def _check_slice(gc: GraphCollection, parts) -> None:
+    """Raise ValueError unless ``parts`` is a slice (V_1, V_2, colours) of
+    ``gc``: disjoint vertex parts with no repeats, distinct colours, every
+    index in range (a negative index would wrap, a repeat count twice)."""
+    if len(parts) != 3:
+        raise ValueError("a slice needs parts (V1, V2, colours)")
+    _check_indices(parts[:2], gc.n, "vertex")
+    _check_indices(parts[2:], gc.n_colours, "colour")
 
 
-def _pair_layers(g: SimpleGraph, A, B):
-    # bipartite 2-graph: the B side plays the scored role, one column each
-    A, B = list(A), list(B)
-    mats = np.zeros((len(B), len(A), 1), dtype=np.int64)
-    for j, v in enumerate(B):
-        for i, u in enumerate(A):
-            if g.has_edge(u, v):
-                mats[j, i, 0] = 1
-    return mats
+def _slice_rows(gc: GraphCollection, I, colours) -> np.ndarray:
+    """The adjacency rows of the vertices I in the given colours as a 0/1
+    uint8 array indexed (colour, position in I, host vertex), read with one
+    bytes join and one unpack; the host axis is padded to a multiple of 8."""
+    nb = (gc.n + 7) // 8
+    adj = gc.adj
+    raw = b"".join(adj(c, x).to_bytes(nb, "little") for c in colours for x in I)
+    bits = np.frombuffer(raw, np.uint8).reshape(len(colours), len(I), nb)
+    return np.unpackbits(bits, axis=2, bitorder="little")
+
+
+def _collection_layers(gc: GraphCollection, A, B, CC) -> np.ndarray:
+    return _slice_rows(gc, A, CC)[:, :, B].astype(np.int64)
 
 
 def _layer_view(obj, parts):
-    """Normalise (obj, parts) to (mats, part_sizes, kind).
-
-    mats has shape (L, a, b): L scored layers over an a x b grid.  part_sizes
-    is the tuple of input part sizes in input order, and ``axes`` names which
-    input part landed on which engine axis ('a', 'b', 'layers').
-    """
+    """Normalise (obj, parts) to (mats, axes), always through a collection
+    slice.  mats has shape (L, a, b): L scored layers over an a x b grid;
+    ``axes`` names which input part landed on which engine axis ('a', 'b',
+    'layers').  A ThreeGraph is read through its link collection, coloured
+    by the largest part; a bipartite SimpleGraph as a one-colour collection
+    whose V2 side plays the layers."""
     parts = [list(p) for p in parts]
     if any(len(p) == 0 for p in parts):
         raise EmptyPart("all parts must be nonempty")
     if isinstance(obj, GraphCollection):
-        # colours live in their own index space; only vertex parts share one
-        if len(parts) != 3:
-            raise ValueError("a collection view needs parts (V1, V2, colours)")
-        if set(parts[0]) & set(parts[1]):
-            raise ValueError("vertex parts must be disjoint")
+        _check_slice(obj, parts)
         return _collection_layers(obj, *parts), ("a", "b", "layers")
-    flat = [x for p in parts for x in p]
-    if len(set(flat)) != len(flat):
-        raise ValueError("parts must be pairwise disjoint")
     if isinstance(obj, ThreeGraph):
         if len(parts) != 3:
             raise ValueError("a 3-graph view needs three parts")
+        _check_indices(parts, obj.n, "vertex")
         # score the largest part; enumerate the two smallest
-        order = sorted(range(3), key=lambda i: len(parts[i]))
-        ia, ib, il = order[0], order[1], order[2]
-        mats = _threegraph_layers(obj, parts[ia], parts[ib], parts[il])
-        axes = [None, None, None]
+        ia, ib, il = sorted(range(3), key=lambda i: len(parts[i]))
+        a, b = len(parts[ia]), len(parts[ib])
+        link = obj.link_collection(parts[ia] + parts[ib], parts[il])
+        mats = _collection_layers(link, range(a), range(a, a + b), range(link.n_colours))
+        axes = [None] * 3
         axes[ia], axes[ib], axes[il] = "a", "b", "layers"
         return mats, tuple(axes)
     if isinstance(obj, SimpleGraph):
         if len(parts) != 2:
             raise ValueError("a 2-graph view needs parts (V1, V2)")
-        return _pair_layers(obj, *parts), ("a", "layers")
+        _check_indices(parts, obj.n, "vertex")
+        one = GraphCollection.from_rows(obj.n, [[obj.adj(v) for v in range(obj.n)]])
+        return _collection_layers(one, *parts, [0]).transpose(2, 1, 0), ("a", "layers")
     raise TypeError(f"unsupported object {type(obj).__name__}")
 
 
 def density(obj, parts: Sequence[Iterable[int]]) -> Fraction:
     """Exact density e(U_1,...,U_k) / prod |U_i| of the induced tuple.
 
-    Parts must be nonempty and pairwise disjoint, with count matching the
-    uniformity of ``obj`` (2 for a plain graph, 3 for collections/3-graphs).
+    Parts must be nonempty, with distinct entries in range (disjoint vertex
+    parts, distinct colours), and their count must match the uniformity of
+    ``obj`` (2 for a plain graph, 3 for collections/3-graphs).
     """
     mats, _ = _layer_view(obj, parts)
-    total = int(mats.sum())
-    vol = 1
-    for p in parts:
-        vol *= len(list(p))
-    return Fraction(total, vol)
+    return Fraction(int(mats.sum()), mats.size)  # mats.size = prod |U_i|
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +461,7 @@ def typical_elements(
     fewer than (d-eps)|V1||V2| edges, by exact counting."""
     V1, V2 = list(V1), list(V2)
     colours = list(range(gc.n_colours))
+    _check_slice(gc, (V1, V2, colours))
     d_eps = spec.d - spec.epsilon
     vfail = _degree_floors(gc, V1, V2, d_eps, colours)
     out_v = tuple(tuple(v for side, v, *_ in vfail if side == i) for i in (1, 2))
@@ -656,41 +648,6 @@ def _coins(rng: random.Random, k: int) -> np.ndarray:
     return out
 
 
-def _sparsify_tuples(
-    edges: list[tuple],
-    parts: Sequence[Sequence[int]],
-    d: float | None,
-    rng: random.Random,
-    chunks: int,
-):
-    chunk_lists = [_part_chunks(p, chunks, rng) for p in parts]
-    where = {
-        v: (pi, ci)
-        for pi, plist in enumerate(chunk_lists)
-        for ci, ch in enumerate(plist)
-        for v in ch
-    }
-    cells: dict[tuple, list] = {}
-    for e in edges:
-        cells.setdefault(tuple(sorted(where[v] for v in e)), []).append(e)
-    dens = {
-        key: len(cell_edges) / math.prod(len(chunk_lists[pi][ci]) for pi, ci in key)
-        for key, cell_edges in sorted(cells.items())
-    }
-    if d is None:
-        d = _target_density(list(dens.values())) if dens else 0.0
-    coins = iter(_coins(rng, sum(len(cells[k]) for k, dk in dens.items() if dk > d)).tolist())
-    kept = []
-    for key, dk in dens.items():
-        if dk <= d:
-            kept.extend(cells[key])
-            continue
-        p_keep = d / dk
-        kept.extend(e for e in sorted(cells[key]) if next(coins) < p_keep)
-    deg = Counter(v for e in kept for v in e)
-    return kept, d, [[deg[v] for v in p] for p in parts]
-
-
 def _chunk_index(chunk_list: list[list[int]]) -> np.ndarray:
     """Each element's chunk number, with the chunks laid end to end."""
     return np.repeat(np.arange(len(chunk_list)), [len(ch) for ch in chunk_list])
@@ -721,13 +678,11 @@ def _sparsify_slice(
     rng: random.Random,
     chunks: int,
 ):
-    """``_sparsify_tuples`` on the 3-graph view of the slice (V_i, V_j,
-    colours), read from the bitmasks: the colour at list position k plays
-    the 3-graph vertex n + k, so chunks, cells, target and coins are exactly
-    those of that 3-graph, and no triple is built.  The kept edges come back
-    as per-colour adjacency rows.  The slice is read once into a 0/1 array,
-    and one :func:`_coins` call draws the coins of every cell above the
-    target."""
+    """One attempt of :func:`sparsify_to_superregular`, in its chunk, cell
+    and coin order, read from the slice's bitmasks without building a
+    triple.  Returns the kept edges as per-colour adjacency rows, the target
+    density, and the kept degrees of V_i, V_j and the colours (list order).
+    One :func:`_coins` call draws the coins of every cell above the target."""
     Vi, Vj, colours = parts
     ch_i = _part_chunks(Vi, chunks, rng)
     ch_j = _part_chunks(Vj, chunks, rng)
@@ -743,12 +698,9 @@ def _sparsify_slice(
     order = np.lexsort((np.maximum(u, v), np.minimum(u, v), group))
     pi, pj = np.divmod(order, len(J))  # each pair's index in I and in J
     u, v = I[pi], J[pj]
-    adj = gc.adj
-    raw = b"".join(adj(c, x).to_bytes(nb, "little") for c in cols for x in I.tolist())
-    bits = np.frombuffer(raw, np.uint8).reshape(len(cols), len(I), nb)
     # the slice as 0/1 by (colour in chunk order, pair in the order above):
     # a cell is the block of one run of pairs and one run of colours
-    slab = np.unpackbits(bits, axis=2, bitorder="little")[:, pi, v]
+    slab = _slice_rows(gc, I.tolist(), cols)[:, pi, v]
     colour_runs = _runs([len(ch) for ch in ch_c])
     cells = []  # (pair run, colour run, count, density) in sorted cell order
     for pr in _runs([len(a) * len(b) for a in ch_i for b in ch_j]):
@@ -785,55 +737,38 @@ def sparsify_to_superregular(
     chunks: int = 2,
     retries: int = 20,
 ):
-    """Spanning subhypergraph equalising cell densities down to d.
+    """Spanning sub-slice of the GraphCollection slice ``parts = (V_i, V_j,
+    colours)`` equalising cell densities down to d.
 
-    Refines each part into chunks, then in each refined cell of density d'
-    > d deletes edges independently with probability 1 - d/d'.  With d=None
-    the target is derived from the cells themselves (the sparsest populated
-    cell, floored at 0.6 of the mean over the populated cells, summed in
-    sorted cell order).  The output is re-checked by degree counting against
-    the (eps', d^2/2)-superregular floor; the construction is retried with
-    derived seeds and raises :class:`PromiseViolated` when every retry
-    fails.  Never adds edges.
+    The slice is the 3-graph of triples (u, v, c) with u in V_i, v in V_j
+    and uv in G_c; the result is a GraphCollection holding the kept slice
+    edges.  Refines each part into chunks, then in each refined cell of
+    density d' > d deletes triples independently with probability 1 - d/d'.
+    With d=None the target is derived from the cells themselves (the
+    sparsest populated cell, floored at 0.6 of the mean over the populated
+    cells, summed in sorted cell order).  The parts are shuffled into chunks
+    in the order V_i, V_j, colours (in list order); cells are visited in
+    sorted (chunk of V_i, chunk of V_j, chunk of colours) order; within a
+    cell the coins go to x = min(u, v) ascending, then y = max(u, v)
+    ascending, then colour by list position.  The output is re-checked by
+    degree counting against the (eps', d^2/2)-superregular floor; the
+    construction is retried with derived seeds and raises
+    :class:`PromiseViolated` when every retry fails.  Never adds edges.
 
-    ``g`` is a ThreeGraph (three parts), a bipartite SimpleGraph (two parts)
-    or a GraphCollection with the slice ``(V_i, V_j, colours)``: the 3-graph
-    of triples {u, v, c} with u in V_i, v in V_j and uv in G_c.  The slice
-    form returns a GraphCollection of the kept slice edges.  It works on the
-    bitmask rows and draws exactly the coins of the ThreeGraph form in which
-    the colour at list position k is the vertex n + k: the parts are
-    shuffled into chunks in the order V_i, V_j, colours (in list order);
-    cells are visited in sorted (chunk of V_i, chunk of V_j, chunk of
-    colours) order; within a cell the coins go to x = min(u, v) ascending,
-    then y = max(u, v) ascending, then colour by list position.
+    A 3-graph is sparsified through its link collection: slice it with
+    ``ThreeGraph.link_collection(V_i + V_j, C)`` first.  Any other type of
+    ``g`` raises TypeError; a malformed slice raises ValueError.
     """
+    if not isinstance(g, GraphCollection):
+        raise TypeError("sparsify expects a GraphCollection slice (V_i, V_j, colours)")
     parts = [list(p) for p in parts]
-    if isinstance(g, GraphCollection):
-        if len(parts) != 3 or mask_of(parts[0]) & mask_of(parts[1]) or (
-            len(set(parts[2])) != len(parts[2])
-        ):
-            raise ValueError("a slice needs disjoint parts (V1, V2) and distinct colours")
-        source, once = g, _sparsify_slice
-    elif isinstance(g, (ThreeGraph, SimpleGraph)):
-        k = 3 if isinstance(g, ThreeGraph) else 2
-        if len(parts) != k:
-            raise ValueError(f"expected {k} parts")
-        source = [tuple(sorted(t)) for t in g.edges] if k == 3 else list(g.edges())
-        once = _sparsify_tuples
-    else:
-        raise TypeError(
-            "sparsify expects a ThreeGraph, a bipartite SimpleGraph or a GraphCollection slice"
-        )
+    _check_slice(g, parts)
     last = None
     for attempt in range(max(1, retries)):
         rng = random.Random((seed * 1_000_003 + attempt) & 0x7FFFFFFF)
-        kept, d_used, degrees = once(source, parts, d, rng, chunks)
+        rows, d_used, degrees = _sparsify_slice(g, parts, d, rng, chunks)
         if _meets_degree_floor(degrees, d_used):
-            if isinstance(g, GraphCollection):
-                return GraphCollection.from_rows(g.n, kept)
-            if isinstance(g, ThreeGraph):
-                return ThreeGraph(g.n, kept, parts=g.parts)
-            return SimpleGraph(g.n, kept)
+            return GraphCollection.from_rows(g.n, rows)
         last = f"degree floor {d_used * d_used / 2:.4f} violated on attempt {attempt}"
     raise PromiseViolated(
         f"sparsification never met the superregular degree floor after {retries} retries: {last}"

@@ -3,11 +3,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transversal.core import GraphCollection, SimpleGraph, ThreeGraph
+from transversal.core import GraphCollection, SimpleGraph, ThreeGraph, bits_of, mask_of
 from transversal.generators import GenSpec, random_collection
 from transversal.regularity import (
     DensitySpec,
@@ -40,6 +41,7 @@ def complete_bipartite(a, b):
 def test_density_complete_bipartite():
     g = complete_bipartite(2, 3)
     assert density(g, ([0, 1], [2, 3, 4])) == 1
+    assert density(g, (iter([0, 1]), iter([2, 3, 4]))) == 1  # parts read once
 
 
 def test_density_empty_tripartite():
@@ -55,6 +57,113 @@ def test_density_single_three_edge():
 def test_density_empty_part_rejected():
     with pytest.raises(EmptyPart):
         density(complete_bipartite(2, 2), ([], [2, 3]))
+
+
+# On a 4-vertex collection with the one edge 0-3, a negative index used to
+# wrap (vertex -1 read as 3), a repeat to count on one side only, and an index
+# past the end to raise IndexError.
+EDGE_03 = GraphCollection(4, 1, {0: [(0, 3)]})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: density(EDGE_03, ([-1], [0], [0])),
+    lambda: density(EDGE_03, ([0], [-1], [0])),
+    lambda: density(EDGE_03, ([0], [1, 1], [0])),
+    lambda: density(EDGE_03, ([0, 0], [1], [0])),
+    lambda: density(EDGE_03, ([0], [3], [0, 0])),
+    lambda: density(EDGE_03, ([4], [0], [0])),
+    lambda: density(EDGE_03, ([0], [3], [1])),
+    lambda: irregularity_witness(EDGE_03, ([-1], [0], [0]), SPEC),
+    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 3], [-1]), 0.1, 0.1, None),
+    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 2], [0]), 0.1, 0.1, None),
+    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 4], [0]), 0.1, 0.1, None),
+    lambda: density(ThreeGraph(4, [(0, 1, 3)]), ([-1], [0], [1])),
+    lambda: density(ThreeGraph(4, [(0, 1, 3)]), ([0], [1], [4])),
+    lambda: density(SimpleGraph(4, [(0, 3)]), ([-1], [0])),
+    lambda: density(SimpleGraph(4, [(0, 3)]), ([0], [5])),
+    lambda: typical_elements(EDGE_03, [0, 0], [3], SPEC, spot_check=False),
+    lambda: typical_elements(EDGE_03, [7], [0], SPEC, spot_check=False),
+], ids=["neg-v1", "neg-v2", "repeat-v2", "repeat-v1", "repeat-colour", "big-vertex",
+        "big-colour", "witness-neg-v1", "sparsify-neg-colour", "sparsify-repeat-v2",
+        "sparsify-big-vertex", "3graph-neg", "3graph-big", "pair-neg", "pair-big",
+        "typical-repeat-v1", "typical-big-vertex"])
+def test_slice_indices_are_checked(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# The layer builders as they were before every view went through one slice
+# reader, kept as the reference the views must match.
+def _ref_collection_layers(gc, A, B, CC):
+    mats = np.zeros((len(CC), len(A), len(B)), dtype=np.int64)
+    bpos = {v: j for j, v in enumerate(B)}
+    for l, c in enumerate(CC):
+        for i, u in enumerate(A):
+            for v in bits_of(gc.adj(c, u) & mask_of(B)):
+                mats[l, i, bpos[v]] = 1
+    return mats
+
+
+def _ref_threegraph_layers(g, A, B, C):
+    ai = {v: i for i, v in enumerate(A)}
+    bi = {v: i for i, v in enumerate(B)}
+    ci = {v: i for i, v in enumerate(C)}
+    mats = np.zeros((len(C), len(A), len(B)), dtype=np.int64)
+    for t in g.edges:
+        for x, y, z in ((t[0], t[1], t[2]), (t[0], t[2], t[1]), (t[1], t[2], t[0])):
+            for (u, v) in ((x, y), (y, x)):
+                if u in ai and v in bi and z in ci:
+                    mats[ci[z], ai[u], bi[v]] = 1
+    return mats
+
+
+def _ref_pair_layers(g, A, B):
+    mats = np.zeros((len(B), len(A), 1), dtype=np.int64)
+    for j, v in enumerate(B):
+        for i, u in enumerate(A):
+            if g.has_edge(u, v):
+                mats[j, i, 0] = 1
+    return mats
+
+
+def _random_view(form, seed):
+    """A random object of the given form on 3..40 vertices, unsorted disjoint
+    parts of a random vertex subset, and the reference layers and axes.  Edge
+    probabilities start at 0, so some layers are empty."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 40)
+    p = rng.choice([0.0, 0.05, rng.random()])
+    k = 3 if form == "threegraph" else 2
+    verts = rng.sample(range(n), rng.randint(k, n))
+    cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
+    parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
+    if form == "collection":
+        K = rng.randint(1, 8)
+        gc = GraphCollection(n, K, {
+            c: [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p * (c % 3 > 0)]
+            for c in range(K)
+        })
+        parts.append(rng.sample(range(K), rng.randint(1, K)))
+        return gc, parts, _ref_collection_layers(gc, *parts), ("a", "b", "layers")
+    if form == "pair":
+        g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        return g, parts, _ref_pair_layers(g, *parts), ("a", "layers")
+    g = ThreeGraph(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < p])
+    ia, ib, il = sorted(range(3), key=lambda i: len(parts[i]))
+    axes = [None] * 3
+    axes[ia], axes[ib], axes[il] = "a", "b", "layers"
+    return g, parts, _ref_threegraph_layers(g, parts[ia], parts[ib], parts[il]), tuple(axes)
+
+
+@pytest.mark.parametrize("form", ["collection", "threegraph", "pair"])
+def test_layer_view_matches_the_per_type_builders(form):
+    from transversal.regularity import _layer_view
+
+    for seed in range(120):
+        obj, parts, ref, ref_axes = _random_view(form, seed)
+        mats, axes = _layer_view(obj, parts)
+        assert mats.dtype == np.int64 and mats.shape == ref.shape, seed
+        assert np.array_equal(mats, ref) and axes == ref_axes, seed
 
 
 # ---------------------------------------------------------------------------
@@ -237,64 +346,72 @@ def test_ledger_replay_matches(steps):
 
 
 def complete_tripartite():
-    return ThreeGraph(
-        9, [(a, b, c) for a in range(3) for b in range(3, 6) for c in range(6, 9)]
-    )
+    """The complete 3-partite 3-graph on {0,1,2}, {3,4,5}, {6,7,8} as the
+    slice TRIPARTITE of its link collection: colour c is the link of 6 + c."""
+    tg = ThreeGraph(9, [(a, b, c) for a in range(3) for b in range(3, 6) for c in range(6, 9)])
+    return tg.link_collection(list(range(6)), [6, 7, 8])
+
+
+TRIPARTITE = ([0, 1, 2], [3, 4, 5], [0, 1, 2])
+
+
+def tripartite_degrees(gc):
+    """The 3-graph degrees of the slice's vertices 0..5, then of its colours."""
+    return [gc.total_degree(v) for v in range(6)] + [gc.edge_count(c) for c in range(3)]
 
 
 def test_sparsify_never_adds_and_degrees_monotone():
-    tg = complete_tripartite()
-    out = sparsify_to_superregular(
-        tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), eps=0.1, eps_prime=0.2, d=0.5, seed=3
-    )
-    assert out.edges <= tg.edges
-    for v in range(9):
-        assert out.degree(v) <= tg.degree(v)
+    gc = complete_tripartite()
+    out = sparsify_to_superregular(gc, TRIPARTITE, eps=0.1, eps_prime=0.2, d=0.5, seed=3)
+    for c in range(3):
+        assert set(out.edges(c)) <= set(gc.edges(c))
+    for x, y in zip(tripartite_degrees(out), tripartite_degrees(gc)):
+        assert x <= y
 
 
 def test_sparsify_density_and_degree_floor():
-    tg = complete_tripartite()
-    out = sparsify_to_superregular(
-        tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), eps=0.1, eps_prime=0.2, d=0.5, seed=1
-    )
-    dens = out.e / 27
+    gc = complete_tripartite()
+    out = sparsify_to_superregular(gc, TRIPARTITE, eps=0.1, eps_prime=0.2, d=0.5, seed=1)
+    dens = out.total_edge_count() / 27
     assert 0.4 <= dens <= 0.75  # target 0.5 at desk scale, wide tolerance
     floor = 0.5 * 0.5 / 2 * 27 / 3
-    for v in range(9):
-        assert out.degree(v) >= floor
+    assert all(x >= floor for x in tripartite_degrees(out))
 
 
 def test_sparsify_identity_when_target_is_density():
-    tg = complete_tripartite()
-    out = sparsify_to_superregular(
-        tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), eps=0.1, eps_prime=0.2, d=1.0, seed=5
-    )
-    assert out == tg
+    gc = complete_tripartite()
+    out = sparsify_to_superregular(gc, TRIPARTITE, eps=0.1, eps_prime=0.2, d=1.0, seed=5)
+    assert out == gc
 
 
 def test_sparsify_deterministic():
-    tg = complete_tripartite()
-    a = sparsify_to_superregular(tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), 0.1, 0.2, 0.5, seed=9)
-    b = sparsify_to_superregular(tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), 0.1, 0.2, 0.5, seed=9)
+    gc = complete_tripartite()
+    a = sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, 0.5, seed=9)
+    b = sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, 0.5, seed=9)
     assert a == b
-    c = sparsify_to_superregular(tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), 0.1, 0.2, 0.5, seed=10)
+    c = sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, 0.5, seed=10)
     assert a != c
 
 
 def test_sparsify_promise_violation_raises():
     # a graph with an isolated vertex can never meet the degree floor
-    tg = ThreeGraph(9, [(0, 3, 6)])
+    gc = ThreeGraph(9, [(0, 3, 6)]).link_collection(list(range(6)), [6, 7, 8])
     with pytest.raises(PromiseViolated):
-        sparsify_to_superregular(
-            tg, ([0, 1, 2], [3, 4, 5], [6, 7, 8]), 0.1, 0.2, d=0.5, seed=0, retries=3
-        )
+        sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, d=0.5, seed=0, retries=3)
 
 
-def _slice_and_threegraph(seed, n=24, k=10):
+def test_sparsify_takes_only_a_collection_slice():
+    with pytest.raises(TypeError):
+        sparsify_to_superregular(ThreeGraph(9, [(0, 3, 6)]), ([0, 1, 2], [3, 4, 5], [6, 7, 8]),
+                                 0.1, 0.2, 0.5)
+    with pytest.raises(TypeError):
+        sparsify_to_superregular(complete_bipartite(3, 3), ([0, 1, 2], [3, 4, 5]), 0.1, 0.2, 0.5)
+
+
+def _weighted_slice(seed, n=24, k=10):
     """A collection whose vertices are sparse (weight 0.2) or dense (1.0), so
     cell densities differ and the 0.6-of-the-mean floor of the d=None target
-    binds; a slice (V1, V2, colours) of it with unsorted parts; and the
-    slice's ThreeGraph view with colour position p at vertex n + p."""
+    binds, and a slice (V1, V2, colours) of it with unsorted parts."""
     rng = random.Random(seed)
     weight = [rng.choice([0.2, 1.0]) for _ in range(n)]
     gc = GraphCollection(n, k, {
@@ -304,10 +421,7 @@ def _slice_and_threegraph(seed, n=24, k=10):
     verts = rng.sample(range(n), n)
     V1, V2 = verts[: n // 2 - 1], verts[n // 2 - 1 :]
     colours = rng.sample(range(k), k - 2)  # not sorted: the case-iv token order
-    tg = ThreeGraph(n + len(colours), [
-        (u, v, n + p) for p, c in enumerate(colours) for u in V1 for v in V2 if gc.has_edge(c, u, v)
-    ])
-    return gc, (V1, V2, colours), tg
+    return gc, (V1, V2, colours)
 
 
 # sha256 prefixes of the sorted kept (u, v, c) triples as the ThreeGraph form
@@ -340,21 +454,19 @@ REPLAY = {
 @pytest.mark.parametrize("d", [None, 0.3])
 @pytest.mark.parametrize("seed", range(5))
 def test_sparsify_slice_keeps_the_threegraph_forms_edges(seed, d, chunks):
-    gc, (V1, V2, colours), tg = _slice_and_threegraph(seed)
-    n = gc.n
+    gc, (V1, V2, colours) = _weighted_slice(seed)
     kw = dict(eps=0.1, eps_prime=0.1, d=d, seed=seed, chunks=chunks, retries=40)
-    from_slice = sparsify_to_superregular(gc, (V1, V2, colours), **kw)
-    from_tg = sparsify_to_superregular(tg, (V1, V2, [n + p for p in range(len(colours))]), **kw)
-    kept = {(min(u, v), max(u, v), c) for c in range(gc.n_colours) for u, v in from_slice.edges(c)}
-    assert kept == {(t[0], t[1], colours[t[2] - n]) for t in from_tg.edges}
-    assert 0 < len(kept) < tg.e  # the coins really ran
+    out = sparsify_to_superregular(gc, (V1, V2, colours), **kw)
+    kept = {(min(u, v), max(u, v), c) for c in range(gc.n_colours) for u, v in out.edges(c)}
+    triples = sum(gc.edges_into(c, V1, mask_of(V2)) for c in colours)
+    assert 0 < len(kept) < triples  # the coins really ran
     assert hashlib.sha256(repr(sorted(kept)).encode()).hexdigest()[:16] == REPLAY[(seed, d, chunks)]
 
 
 def test_sparsify_slice_raises_after_its_retries(monkeypatch):
     from transversal import regularity
 
-    gc, (V1, V2, colours), tg = _slice_and_threegraph(1)
+    gc, (V1, V2, colours) = _weighted_slice(1)
     # an isolated vertex of V1 can never meet the degree floor
     rows = [[gc.adj(c, v) & ~(1 << V1[0]) for v in range(gc.n)] for c in range(gc.n_colours)]
     for c in range(gc.n_colours):
@@ -369,7 +481,7 @@ def test_sparsify_slice_raises_after_its_retries(monkeypatch):
 
 
 def test_sparsify_slice_rejects_overlapping_parts():
-    gc, (V1, V2, colours), _ = _slice_and_threegraph(0)
+    gc, (V1, V2, colours) = _weighted_slice(0)
     with pytest.raises(ValueError):
         sparsify_to_superregular(gc, (V1, V2 + V1[:1], colours), 0.1, 0.1, d=None)
     with pytest.raises(ValueError):
