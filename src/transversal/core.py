@@ -88,23 +88,21 @@ class SimpleGraph:
     def max_degree(self) -> int:
         return max((a.bit_count() for a in self._adj), default=0)
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in bits_of(self._adj[v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
+    def edges_within(self, vertices: Iterable[int]) -> list[tuple[int, int]]:
+        """The edges uv (u < v) with both ends in ``vertices``, in the order
+        of :meth:`edges`: the edge list of the induced subgraph."""
+        inside = mask_of(vertices)
+        adj = self._adj
+        return [
+            (u, v)
+            for u in bits_of(inside)
+            for v in bits_of(adj[u] & (inside >> (u + 1) << (u + 1)))
+        ]
+
+    def components(self, vertices: Iterable[int]) -> list[list[int]]:
+        """Components of the subgraph induced on ``vertices``, each sorted,
+        in the order of their smallest vertices."""
+        return [list(bits_of(c)) for c in _components_masks(self._adj, mask_of(vertices))]
 
     def __eq__(self, other):
         return (
@@ -124,41 +122,26 @@ class PatternGraph(SimpleGraph):
     """A bounded-degree graph to be embedded.
 
     Optionally carries a homomorphism ``phi`` into a cluster graph R (one
-    cluster index per vertex), target sets (vertex -> admissible host
-    vertices) for marked vertices, and a declared maximum-degree bound.
+    cluster index per vertex) and target sets (vertex -> admissible host
+    vertices) for marked vertices.
     """
 
-    __slots__ = ("delta_bound", "phi", "targets")
+    __slots__ = ("phi", "targets")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]] = (),
-        delta_bound: int | None = None,
         phi: Sequence[int] | None = None,
         targets: Mapping[int, Iterable[int]] | None = None,
     ):
         super().__init__(n, edges)
-        if delta_bound is not None and self.max_degree > delta_bound:
-            raise ValueError(
-                f"max degree {self.max_degree} exceeds declared bound {delta_bound}"
-            )
-        self.delta_bound = delta_bound if delta_bound is not None else self.max_degree
         self.phi = tuple(phi) if phi is not None else None
         if self.phi is not None and len(self.phi) != n:
             raise ValueError("phi must assign a cluster to every vertex")
         self.targets = (
             {int(v): frozenset(ts) for v, ts in targets.items()} if targets else None
         )
-
-    def marked(self) -> tuple[int, ...]:
-        return tuple(sorted(self.targets)) if self.targets else ()
-
-    def check_homomorphism(self, R: SimpleGraph) -> bool:
-        """True when phi maps every edge of self onto an edge of R."""
-        if self.phi is None:
-            return False
-        return all(R.has_edge(self.phi[u], self.phi[v]) for u, v in self._edges)
 
     def __repr__(self):
         return f"PatternGraph(n={self.n}, e={self.e}, Delta={self.max_degree})"
@@ -308,12 +291,6 @@ class GraphCollection:
                     m |= 1 << c
             self._pair_cache[key] = m
         return m
-
-    def colour_multiplicity(self, u: int, v: int) -> int:
-        return self.colour_mask(u, v).bit_count()
-
-    def layer(self, c: int) -> SimpleGraph:
-        return SimpleGraph(self.n, self.edges(c))
 
     def __eq__(self, other):
         return (
@@ -553,9 +530,6 @@ class SeparabilityCertificate:
     separator: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
-    def bound(self, n: int) -> float:
-        return self.mu_num / self.mu_den * n
-
 
 class NotCertified:
     """The greedy search found no certificate; not a proof of non-separability."""
@@ -753,20 +727,22 @@ def _window_separator(H: SimpleGraph, limit: int, order: Sequence[int], cyclic: 
     return None
 
 
-def _bfs_ordering(H: SimpleGraph) -> list[int]:
-    order, seen = [], [False] * H.n
-    for s in range(H.n):
-        if seen[s]:
-            continue
-        queue = [s]
-        seen[s] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(bits_of(H._adj[v])):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+def _bfs_order(H: SimpleGraph, vertices: Iterable[int]) -> list[int]:
+    """Breadth-first order of the subgraph of H induced on ``vertices``: each
+    component from its smallest vertex, neighbours in increasing order."""
+    adj = H._adj
+    todo = mask_of(vertices)
+    order: list[int] = []
+    head = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        order.append(low.bit_length() - 1)
+        while head < len(order):
+            fresh = adj[order[head]] & todo
+            todo ^= fresh
+            order.extend(bits_of(fresh))
+            head += 1
     return order
 
 
@@ -813,7 +789,7 @@ def separability_certificate(
         return finish(mask_of(supplied_separator))
 
     candidates: list[int] = [_greedy_peel_separator(H, limit)]
-    orders = [list(range(n)), _bfs_ordering(H)]
+    orders = [list(range(n)), _bfs_order(H, range(n))]
     for order in orders:
         for cyclic in (False, True):
             w = _window_separator(H, limit, order, cyclic)

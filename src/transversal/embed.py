@@ -29,6 +29,7 @@ from .core import (
     ThreeGraph,
     TransversalEmbedding,
     VerificationReport,
+    _bfs_order,
     bits_of,
     mask_of,
     separability_certificate,
@@ -295,37 +296,11 @@ def _class_key(phi, u, v):
     return (a, b) if a < b else (b, a)
 
 
-def _class_edges(H: SimpleGraph, phi, active: set[int]) -> dict[tuple[int, int], list[tuple[int, int]]]:
+def _class_edges(H: SimpleGraph, phi, active) -> dict[tuple[int, int], list[tuple[int, int]]]:
     out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (u, v) in H.edges():
-        if u in active and v in active:
-            out.setdefault(_class_key(phi, u, v), []).append((u, v))
+    for (u, v) in H.edges_within(active):
+        out.setdefault(_class_key(phi, u, v), []).append((u, v))
     return out
-
-
-def _active_edge_view(H: SimpleGraph, active: set[int]) -> PatternGraph:
-    return PatternGraph(
-        H.n, [(u, v) for (u, v) in H.edges() if u in active and v in active]
-    )
-
-
-def _components_within(H: SimpleGraph, active: set[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(active):
-        if s in seen:
-            continue
-        comp, stack = [], [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in H.neighbours(v):
-                if w in active and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _sub_template(t: Template, clusters, colour_clusters, klass=None, ledger=None) -> Template:
@@ -400,9 +375,10 @@ def partial_embed(
     xy_set = set(X) | set(Y)
     if len(xy_set) != len(X) + len(Y):
         return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
-    for (u, v) in H.edges():
-        if u in Y and v in Y:
-            return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
+    inside_y = H.edges_within(Y)
+    if inside_y:
+        u, v = inside_y[0]
+        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
     targets = targets or {}
     cluster_sets = [set(cl) for cl in t.clusters]
     d = float(t.ledger.d)
@@ -422,9 +398,7 @@ def partial_embed(
                 "partial", CANDIDATE_EXHAUSTED, seed,
                 element=("vertex", w), step="init", detail="empty target within cluster",
             )
-    edges_live = [
-        (u, v) for (u, v) in H.edges() if u in xy_set and v in xy_set
-    ]
+    edges_live = H.edges_within(xy_set)
     cand_c: dict[tuple[int, int], set[int]] = {}
     for (u, v) in edges_live:
         key = _class_key(phi, u, v)
@@ -688,11 +662,7 @@ class _PatternView:
 def _pattern_view(H: SimpleGraph, phi, active: set[int], targets=None) -> _PatternView:
     ordered = sorted(active)
     to_local = {v: i for i, v in enumerate(ordered)}
-    edges = [
-        (to_local[u], to_local[v])
-        for (u, v) in H.edges()
-        if u in active and v in active
-    ]
+    edges = [(to_local[u], to_local[v]) for (u, v) in H.edges_within(ordered)]
     tg = (
         {to_local[v]: frozenset(ts) for v, ts in targets.items() if v in active}
         if targets
@@ -827,12 +797,6 @@ def _embed_matched_then_rest(
                 element=("vertex", w), step="rest-targets",
             )
         rest_targets[w] = tw
-    H_rest_edges = [
-        (u, v)
-        for (u, v) in H.edges()
-        if u in active and v in active and u not in mvertices and v not in mvertices
-    ]
-    H_rest = PatternGraph(H.n, H_rest_edges)
     sub_clusters = [tuple(v for v in cl if v not in used_hosts) for cl in t.clusters]
     sub_colours = {
         key: tuple(c for c in cs if c not in used_colours and c not in all_prescribed)
@@ -840,7 +804,7 @@ def _embed_matched_then_rest(
     }
     t_rest = _sub_template(t, sub_clusters, sub_colours)
     part = partial_embed(
-        t_rest, H_rest, phi, X=rest, Y=[], targets=rest_targets, plan=plan, seed=seed
+        t_rest, H, phi, X=rest, Y=[], targets=rest_targets, plan=plan, seed=seed
     )
     if isinstance(part, Failure):
         return part
@@ -921,7 +885,8 @@ def blowup_embed(
                     buffer.add(v)
         todo = [v for v in sorted(active) if v not in buffer]
         # reverse elimination order: repeatedly remove a minimum-degree vertex
-        deg = {v: sum(1 for w in H.neighbours(v) if w in active and w not in buffer) for v in todo}
+        todo_mask = mask_of(todo)
+        deg = {v: (H.adj(v) & todo_mask).bit_count() for v in todo}
         alive = set(todo)
         elim = []
         while alive:
@@ -973,8 +938,8 @@ def blowup_embed(
         # structural verification
         if len(set(tau.values())) != len(tau):
             raise UnverifiedOutput("blow-up map is not injective")
-        for (u, v) in H.edges():
-            if u in active and v in active and not host.has_edge(tau[u], tau[v]):
+        for (u, v) in H.edges_within(active):
+            if not host.has_edge(tau[u], tau[v]):
                 raise UnverifiedOutput("blow-up produced a non-edge")
         if any(tau[v] not in T for v, T in targets.items()):
             raise UnverifiedOutput("blow-up left a target set")
@@ -1063,7 +1028,7 @@ def approx_embed(
                 "approx", PRECONDITION, seed, edge_class=key,
                 detail=f"colour surplus below beta*m: {len(cs)}-{h_e} < {surplus_floor}",
             )
-    comps = _components_within(H, active)
+    comps = H.components(active)
     n_active = len(active)
     oversize = [len(c) for c in comps if len(c) > max(1, plan.mu * n_active)]
     stats: dict = {"component_count": len(comps), "oversize_components": oversize}
@@ -1118,9 +1083,8 @@ def approx_embed(
             continue
         # colour buffer per class, clamped so that every stage fits
         h_b0 = {key: 0 for key in t.colour_clusters}
-        for (u, v) in H.edges():
-            if u in set(B0) and v in set(B0):
-                h_b0[_class_key(phi, u, v)] += 1
+        for (u, v) in H.edges_within(B0):
+            h_b0[_class_key(phi, u, v)] += 1
         pools: dict[tuple[int, int], list[int]] = {}
         buffers: dict[tuple[int, int], list[int]] = {}
         feasible = True
@@ -1252,7 +1216,7 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
     tau = res.tau
     sigma: dict[tuple[int, int], int] = {}
     used: set[int] = set()
-    edges = [(u, v) for (u, v) in H.edges() if u in Bset and v in Bset]
+    edges = H.edges_within(B)
     rng.shuffle(edges)
     for (u, v) in edges:
         key = _class_key(phi, u, v)
@@ -1474,7 +1438,6 @@ def transversal_blowup(
             X = []  # proceed with an empty separator; chunking will cope or fail typed
 
     last: Failure | None = None
-    stats: dict = {}
     for attempt in range(plan.retries):
         sub_seed = _mix(seed, 83, attempt)
         out = _pipeline_once(
@@ -1500,8 +1463,7 @@ def transversal_blowup(
             if attempt % 2:
                 rng.shuffle(order)
             part = partial_embed(
-                t, _active_edge_view(H, active), phi, X=order, Y=[],
-                targets=targets, plan=plan, seed=sub_seed,
+                t, H, phi, X=order, Y=[], targets=targets, plan=plan, seed=sub_seed,
             )
             if isinstance(part, Failure):
                 last = part.with_stage("one-shot")
@@ -1517,7 +1479,6 @@ def transversal_blowup(
         embedding=None,
         failure=last or Failure("pipeline", EMBEDDING_FAILED, seed),
         verification=None,
-        stats=stats,
     )
 
 
@@ -1590,16 +1551,14 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
     keys = sorted(t.colour_clusters)
     gc = t.gc
     Xset = set(X)
-    comps = _components_within(H, active - Xset)
-    class_of_comp = []
-    for comp in comps:
-        cset = set(comp)
-        counts: dict[tuple[int, int], int] = {}
-        for (u, v) in H.edges():
-            if u in cset and v in cset:
-                key = _class_key(phi, u, v)
-                counts[key] = counts.get(key, 0) + 1
-        class_of_comp.append(counts)
+    outside_x = active - Xset
+    comps = H.components(outside_x)
+    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
+    class_of_comp: list[dict[tuple[int, int], int]] = [{} for _ in comps]
+    for (u, v) in H.edges_within(outside_x):
+        counts = class_of_comp[comp_of[u]]
+        key = _class_key(phi, u, v)
+        counts[key] = counts.get(key, 0) + 1
     assign = _split_components(comps, class_of_comp, plan, rng, keys)
     if assign is None:
         return Failure("split", CHERNOFF_RETRY_EXHAUSTED, seed,
@@ -1610,17 +1569,15 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
     h_counts = {
         st: {key: 0 for key in keys} for st in ("con", "abs", "app", "col", "vx")
     }
-    for (u, v) in H.edges():
-        if u not in active or v not in active:
-            continue
-        key = _class_key(phi, u, v)
-        if u in Xset or v in Xset:
-            h_counts["con"][key] += 1
-        else:
-            for st in ("abs", "app", "col", "vx"):
-                if u in stage_sets[st]:
-                    h_counts[st][key] += 1
-                    break
+    for key, es in class_e.items():
+        for (u, v) in es:
+            if u in Xset or v in Xset:
+                h_counts["con"][key] += 1
+            else:
+                for st in ("abs", "app", "col", "vx"):
+                    if u in stage_sets[st]:
+                        h_counts[st][key] += 1
+                        break
     n_stage = {
         st: [sum(1 for v in stage_sets[st] if phi[v] == i) for i in range(r)]
         for st in ("abs", "app", "col", "vx")
@@ -1633,14 +1590,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
         w: (t_targets.get(w) or set(t.clusters[phi[w]]))
         for w in list(X) + Y
     }
-    H_con = PatternGraph(
-        H.n,
-        [
-            (u, v)
-            for (u, v) in H.edges()
-            if (u in Xset or v in Xset) and u in active and v in active
-        ],
-    )
+    H_con = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
     part = partial_embed(
         t, H_con, phi, X=list(X), Y=Y, targets=con_targets, plan=plan, seed=seed
     )
@@ -1691,14 +1641,12 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
         return bres.failure.with_stage("step1")
     tau_abs = bres.tau
     z_edges = {key: [] for key in keys}
-    abs_edge_of: dict[tuple[int, int], tuple[int, int]] = {}
-    for (u, v) in H.edges():
-        if u in stage_sets["abs"] and v in stage_sets["abs"]:
-            key = _class_key(phi, u, v)
-            z = (tau_abs[u], tau_abs[v])
-            z = (min(z), max(z))
-            z_edges[key].append(z)
-            abs_edge_of[(u, v) if u < v else (v, u)] = z
+    abs_edges = {key: [] for key in keys}  # the pattern edge embedded on each z
+    for (u, v) in H.edges_within(stage_sets["abs"]):
+        key = _class_key(phi, u, v)
+        z = (tau_abs[u], tau_abs[v])
+        z_edges[key].append((min(z), max(z)))
+        abs_edges[key].append((u, v))
     # a prescribed colour needs its own induced-matching edge, and one small
     # col component can host only one such edge in total (its 2-ball swallows
     # the component), so the per-class prescriptions are capped individually
@@ -1863,9 +1811,9 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
 
     # ---- Step 5: close the absorber on the exact leftover B-subset
     leftover_stats = {}
+    used_vx = set(sigma_vx.values())
     for key in keys:
         ent = absorber.per_edge[key]
-        used_vx = set(sigma_vx.values())
         c_abs = sorted(set(ent.A) | (set(c_vx[key]) - used_vx))
         b0 = sorted(set(c_abs) & set(ent.B))
         if len(b0) != ent.l:
@@ -1876,15 +1824,9 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
         if m is None:
             return Failure("step5", ABSORBER_UNVERIFIABLE, seed, edge_class=key,
                            detail="sampled absorber missed the realised subset")
-        host_to_col = {z: c for z, c in m.items()}
         # distribute over the pattern edges embedded on those host edges
-        used_z: set[tuple[int, int]] = set()
-        for (u, v) in H.edges():
-            e = (u, v) if u < v else (v, u)
-            if e in abs_edge_of and _class_key(phi, u, v) == key:
-                z = abs_edge_of[e]
-                sigma[e] = host_to_col[z]
-                used_z.add(z)
+        for e, z in zip(abs_edges[key], z_edges[key]):
+            sigma[e] = m[z]
     sigma.update(sigma_app)
     sigma.update(sigma_col)
     sigma.update(sigma_vx)
@@ -1905,24 +1847,6 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
 
 
 LADDER_DEGENERATE = "LadderDegenerate"
-
-
-def _bfs_order(H: SimpleGraph, vertices: set[int]) -> list[int]:
-    order: list[int] = []
-    seen: set[int] = set()
-    for s in sorted(vertices):
-        if s in seen:
-            continue
-        queue = [s]
-        seen.add(s)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(H.neighbours(v)):
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
 
 
 def quasi_embed(
@@ -1972,6 +1896,11 @@ def quasi_embed(
     for i, part in enumerate(A):
         for v in part:
             phi[v] = i
+    # pair densities of H against the delta ladder
+    class_all = _class_edges(H, phi, range(H.n))
+    d_ij = {
+        (i, j): len(class_all.get((i, j), ())) / H.n for i in range(r) for j in range(i + 1, r)
+    }
 
     last: Failure | None = None
     for attempt in range(plan.retries):
@@ -2011,14 +1940,6 @@ def quasi_embed(
             R, V, {(i, j): colours for i in range(r) for j in range(i + 1, r)},
             jgc, ledger, rainbow=False, klass="super",
         )
-        # pair densities of H against the delta ladder
-        d_ij = {}
-        for i in range(r):
-            for j in range(i + 1, r):
-                cnt = sum(
-                    1 for (u, v) in H.edges() if _class_key(phi, u, v) == (i, j)
-                )
-                d_ij[(i, j)] = cnt / H.n
         n_pairs = len(d_ij)
         level = None
         for ell in range(1, n_pairs + 2):
@@ -2040,7 +1961,7 @@ def quasi_embed(
         }
         if not dense_pairs:
             # every pair sparse: the run degenerates to one candidate-set pass
-            order = _bfs_order(H, set(range(H.n)))
+            order = _bfs_order(H, range(H.n))
             part = partial_embed(
                 tmpl, H, phi, X=order, Y=[], targets=None, plan=plan, seed=sub_seed
             )
@@ -2049,25 +1970,16 @@ def quasi_embed(
                 continue
             stats["path"] = LADDER_DEGENERATE
             return EmbedOutcome.success(gc, H, part.tau, part.sigma, stats=stats)
-        X = sorted(
-            {
-                v
-                for (u_, v_) in H.edges()
-                for v in (u_, v_)
-                if _class_key(phi, u_, v_) in sparse_pairs
-            }
-        )
+        X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
         Xset = set(X)
         Y = sorted({y for x in X for y in H.neighbours(x)} - Xset)
-        H_lt = PatternGraph(
-            H.n, [(u, v) for (u, v) in H.edges() if u in Xset or v in Xset]
-        )
+        H_lt = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
         tau: dict[int, int] = {}
         sigma: dict[tuple[int, int], int] = {}
         cand: dict[int, set[int]] = {}
         if X:
             part = partial_embed(
-                tmpl, H_lt, phi, X=_bfs_order(H_lt, Xset), Y=Y,
+                tmpl, H_lt, phi, X=_bfs_order(H, X), Y=Y,
                 targets=None, plan=plan, seed=sub_seed,
             )
             if isinstance(part, Failure):
@@ -2188,7 +2100,8 @@ def expand_embed_3graph(
         pads.append((a, b))
     all_edges = edges + pads
     touched = sorted({v for e in all_edges for v in e})
-    leftover_iso = [v for v in range(H.n) if H.degree(v) == 0 and v not in set(touched)]
+    touched_set = set(touched)
+    leftover_iso = [v for v in range(H.n) if H.degree(v) == 0 and v not in touched_set]
     consumption = len(touched) + len(all_edges) + len(leftover_iso)
     if consumption > n:
         return ExpansionOutcome(None, None, Failure(
@@ -2198,6 +2111,14 @@ def expand_embed_3graph(
         ))
     relabel = {v: i for i, v in enumerate(touched)}
     Hp = PatternGraph(len(touched), [(relabel[u], relabel[v]) for (u, v) in all_edges])
+    # a draw's link collection has at most g.e edges over its Hp.e colours, so
+    # below this count quasi_embed's per-colour floor fails on every draw
+    need = plan.alpha * Hp.n**2 * Hp.e
+    if g.e < need:
+        return ExpansionOutcome(None, None, Failure(
+            "expand", PRECONDITION, seed, host_edges=g.e, need=need,
+            detail="too few host edges for the declared colour floor",
+        ))
 
     last: Failure | None = None
     for attempt in range(max(1, plan.retries // 4)):

@@ -65,12 +65,6 @@ class Template:
     def r(self) -> int:
         return self.R.n
 
-    def edge_keys(self) -> list[tuple[int, int]]:
-        return sorted(self.colour_clusters)
-
-    def cluster_of(self) -> dict[int, int]:
-        return {v: i for i, cl in enumerate(self.clusters) for v in cl}
-
     def colours_of_edge(self, i: int, j: int) -> tuple[int, ...]:
         return self.colour_clusters[(i, j) if i < j else (j, i)]
 

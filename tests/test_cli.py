@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -252,8 +253,8 @@ def test_digest_of_a_large_sparse_host(workdir):
     # converts to a string; the digest must not depend on that conversion
     rows = [[0, 1, 19999], [19998, 2, 5], [3, 19997, 4]]
     variant = [rows[2][::-1], rows[0], rows[1][::-1], rows[0]]
-    # an edgeless pattern keeps the run short: with an edge, the pipeline
-    # builds a collection whose size is quadratic in n before it fails
+    # an edgeless pattern takes the embedder's shortest path; the one-edge
+    # pattern's run on this host is timed by the test below
     write_json(workdir / "e.json", {"n": 2, "edges": []})
     digests = set()
     for edges in (rows, variant):
@@ -262,6 +263,24 @@ def test_digest_of_a_large_sparse_host(workdir):
         digests.add(_digest_of(["embed", "--pipeline", "expand", "--instance", "g.json",
                                 "--pattern", "e.json"], "r.json"))
     assert len(digests) == 1
+
+
+def test_expand_on_a_host_too_sparse_for_the_colour_floor_fails_fast(workdir):
+    # padded to n/4 edges, the pattern has 10^4 vertices and 5000 edges, so
+    # quasi_embed's colour floor needs alpha * 10^8 * 5000 host triples; the
+    # 3-edge host is rejected before any draw builds a link collection, whose
+    # size is quadratic in n (minutes at n = 20000)
+    rows = [[0, 1, 19999], [19998, 2, 5], [3, 19997, 4]]
+    write_json(workdir / "g.json", {"n": 20000, "edges": rows})
+    write_json(workdir / "p.json", {"n": 2, "edges": [[0, 1]]})
+    start = time.perf_counter()
+    code = main(["embed", "--pipeline", "expand", "--instance", "g.json",
+                 "--pattern", "p.json", "--out", "r.json"])
+    elapsed = time.perf_counter() - start
+    outcome = json.loads(pathlib.Path("r.json").read_text())["outcome"]
+    assert code == 1
+    assert (outcome["stage"], outcome["reason"]) == ("expand", "PreconditionViolated")
+    assert elapsed < 20
 
 
 def test_collection_digest_hashes_the_collection_not_the_file(workdir):

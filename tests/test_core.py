@@ -509,6 +509,107 @@ def test_supplied_separator_validated():
 
 
 # ---------------------------------------------------------------------------
+# induced subgraphs, against the per-stage copies the primitive replaced
+
+
+def _filtered_edges(H, vertices):
+    return [(u, v) for (u, v) in H.edges() if u in vertices and v in vertices]
+
+
+def _components_within(H, active):
+    seen: set[int] = set()
+    comps = []
+    for s in sorted(active):
+        if s in seen:
+            continue
+        comp, stack = [], [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in H.neighbours(v):
+                if w in active and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _bfs_order_within(H, vertices):
+    order: list[int] = []
+    seen: set[int] = set()
+    for s in sorted(vertices):
+        if s in seen:
+            continue
+        queue = [s]
+        seen.add(s)
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w in sorted(H.neighbours(v)):
+                if w in vertices and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return order
+
+
+def _bfs_ordering(H):
+    order, seen = [], [False] * H.n
+    for s in range(H.n):
+        if seen[s]:
+            continue
+        queue = [s]
+        seen[s] = True
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w in sorted(H.neighbours(v)):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return order
+
+
+def _induced_case(seed):
+    """A seeded graph on 0-40 vertices whose edges avoid a random tail of
+    isolated vertices, and vertex subsets: empty, full, random, and random
+    plus every isolated vertex."""
+    rng = random.Random(seed)
+    n = seed % 41
+    p = rng.choice([0.05, 0.15, 0.4, 0.8])
+    m = rng.randint(0, n)
+    H = SimpleGraph(n, [e for e in itertools.combinations(range(m), 2) if rng.random() < p])
+    isolated = {v for v in range(n) if H.degree(v) == 0}
+    half = {v for v in range(n) if rng.random() < 0.5}
+    return H, [set(), set(range(n)), half, half | isolated]
+
+
+@pytest.mark.parametrize("seed", range(0, 82, 3))
+def test_edges_within_is_the_filtered_edge_list(seed):
+    H, subsets = _induced_case(seed)
+    for S in subsets:
+        want = _filtered_edges(H, S)
+        assert H.edges_within(S) == want
+        assert H.edges_within(sorted(S, reverse=True)) == want
+    assert H.edges_within(range(H.n)) == list(H.edges())
+
+
+@pytest.mark.parametrize("seed", range(1, 82, 3))
+def test_components_of_a_vertex_set_match_the_component_scan(seed):
+    H, subsets = _induced_case(seed)
+    for S in subsets:
+        assert H.components(S) == _components_within(H, S)
+
+
+@pytest.mark.parametrize("seed", range(2, 82, 3))
+def test_bfs_order_matches_both_former_orders(seed):
+    H, subsets = _induced_case(seed)
+    for S in subsets:
+        assert core._bfs_order(H, S) == _bfs_order_within(H, S)
+    assert core._bfs_order(H, range(H.n)) == _bfs_ordering(H)
+
+
+# ---------------------------------------------------------------------------
 # json round trips
 
 

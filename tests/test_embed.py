@@ -696,6 +696,96 @@ def test_expand_replays_the_triple_scans_outputs(seed):
     assert digest == EXPAND_REPLAY[seed]
 
 
+MIXED_PLAN = SplitPlan(ladder_base=0.03, ladder_ratio=1.5)
+
+
+def _quasi_instance(seed):
+    """A seeded uniformly dense collection (density 0.2 for every seventh
+    seed, so some runs fail, else 0.8) and a perfect matching (every fourth
+    seed) or a random pattern of maximum degree 2 or 3 on 12-24 vertices.
+    Odd seeds use the finer ladder that splits pairs into sparse and dense."""
+    rng = random.Random(seed)
+    n = rng.choice([12, 16, 20, 24])
+    if seed % 4 == 0:
+        H = PatternGraph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    else:
+        max_deg = rng.choice([2, 3])
+        want = rng.randint(n // 4, n)
+        deg, edges = [0] * n, set()
+        for _ in range(20 * n):
+            if len(edges) == want:
+                break
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in edges and deg[u] < max_deg and deg[v] < max_deg:
+                edges.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+        H = PatternGraph(n, sorted(edges))
+    density = 0.2 if seed % 7 == 6 else 0.8
+    gc = random_collection(GenSpec(n=n, n_colours=H.e, density=density, seed=seed))
+    return gc, H, (MIXED_PLAN if seed % 2 else PLAN)
+
+
+def _quasi_path(out):
+    if not out.ok:
+        return f"{out.failure.stage}:{out.failure.reason}"
+    if out.stats.get("path") == "LadderDegenerate":
+        return "ladder-degenerate"
+    path = "one-shot" if out.stats["blowup"].get("path") == "one-shot" else "main"
+    return path + ("+sparse" if out.stats["e_sparse"] else "")
+
+
+# (path, sha256 prefix of the embedding or of the failure and its
+# diagnostics) of quasi_embed on _quasi_instance(seed), recorded before the
+# embedders shared one induced-subgraph primitive; the table runs the main
+# pipeline, the ladder-degenerate pass, the mixed sparse/dense split and the
+# one-shot fallback, so seeded replay of each path stays bit for bit
+QUASI_REPLAY = {
+    0: ("main", "5b4c5ebbcc5aa26c"),
+    1: ("one-shot", "5e74e0b942ec71c1"),
+    2: ("ladder-degenerate", "b79ce2478c059c95"),
+    3: ("one-shot", "9a07876d7a6e4519"),
+    4: ("main", "5411fe8c9ecafdc8"),
+    5: ("ladder-degenerate", "3a333930a0425118"),
+    6: ("quasi-sparse:CandidateExhausted", "9e632d30ed218239"),
+    7: ("one-shot", "4bca690acc59093f"),
+    8: ("main", "fd77b206960f6ae8"),
+    9: ("one-shot+sparse", "0e89edc0426f3868"),
+    10: ("ladder-degenerate", "bc3f5fce1fc02648"),
+    11: ("one-shot+sparse", "5c3c02f7705f472c"),
+    12: ("main", "b9e3a7fd5389e626"),
+    13: ("quasi-sparse:CandidateExhausted", "073faaec55230385"),
+    14: ("ladder-degenerate", "6c8228c03085cb75"),
+    15: ("one-shot", "34519b5be9f318c2"),
+    16: ("main", "7aefed4ba5e5ca85"),
+    17: ("one-shot", "25234f947bd62d84"),
+    18: ("one-shot", "5fa0e65fef403ed0"),
+    19: ("one-shot", "5098f38a1c339232"),
+    20: ("main", "7b62ad4f461cf166"),
+    21: ("one-shot+sparse", "979c2d812ca162dc"),
+    22: ("ladder-degenerate", "12c35f5215b8ec6d"),
+    23: ("main", "750c363870ebeec6"),
+    24: ("main", "68b4dc7aa2447ed2"),
+    25: ("main", "1269ea98405d45a1"),
+    26: ("one-shot", "ea9a0280a0d9a6d1"),
+    27: ("one-shot:CandidateExhausted", "22bbc261e03579e0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(QUASI_REPLAY))
+def test_quasi_replays_every_path(seed):
+    gc, H, plan = _quasi_instance(seed)
+    out = quasi_embed(gc, H, plan, seed=seed)
+    if out.ok:
+        record = {"tau": sorted(out.embedding.tau.items()),
+                  "sigma": sorted([u, v, c] for (u, v), c in out.embedding.sigma.items())}
+    else:
+        record = {"failure": f"{out.failure.stage}:{out.failure.reason}",
+                  "diag": out.failure.diagnostics}
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+    assert (_quasi_path(out), digest) == QUASI_REPLAY[seed]
+
+
 # ---------------------------------------------------------------------------
 # module-wide invariants
 
