@@ -16,12 +16,14 @@ import csv
 import hashlib
 import json
 import os
+import random
 import sys
 import time
 
 from . import core, generators, oracle
 from .core import (
     GraphCollection,
+    SimpleGraph,
     ThreeGraph,
     collection_from_json,
     collection_to_json,
@@ -34,7 +36,7 @@ from .core import (
     verify_expansion,
     verify_transversal_embedding,
 )
-from .embed import SplitPlan, expand_embed_3graph, quasi_embed
+from .embed import SplitPlan, blowup_embed, expand_embed_3graph, quasi_embed
 from .regularity import DensitySpec, partition_collection
 
 
@@ -73,11 +75,17 @@ def _dump(obj: dict, path: str | None):
         sys.stdout.write("\n")
 
 
-def _plan_from(params: dict | None) -> SplitPlan:
+def _call(fn, params: dict, what: str, **fixed):
+    """``fn(**fixed, **params)``, with an unknown, repeated or mistyped
+    parameter reported as a usage error."""
     try:
-        return SplitPlan(**params) if params else SplitPlan()
-    except TypeError as exc:  # an unknown or mistyped field
-        raise ValueError(f"bad SplitPlan parameters: {exc}") from exc
+        return fn(**fixed, **params)
+    except TypeError as exc:
+        raise ValueError(f"bad {what} parameters: {exc}") from exc
+
+
+def _plan_from(params: dict | None) -> SplitPlan:
+    return _call(SplitPlan, params or {}, "SplitPlan")
 
 
 def _failure_outcome(failure) -> dict:
@@ -303,46 +311,33 @@ def _bench_one(run: dict, seed: int):
     if run["pipeline"] == "quasi":
         if kind == "random":
             gc = generators.random_collection(
-                generators.GenSpec(seed=seed, **cparams)
+                _call(generators.GenSpec, cparams, kind, seed=seed)
             )
         elif kind == "cyclic-triangle":
-            gc = generators.cyclic_triangle_collection(seed=seed, **cparams)
+            gc = _call(generators.cyclic_triangle_collection, cparams, kind, seed=seed)
         elif kind == "mantel":
-            gc = generators.mantel_extremal(**cparams)
+            gc = _call(generators.mantel_extremal, cparams, kind)
         else:
             raise ValueError(f"unknown construction {kind!r}")
         out = quasi_embed(gc, pattern, plan, seed=seed)
-        ok, stage, reason = out.ok, \
-            (out.failure.stage if out.failure else ""), \
-            (out.failure.reason if out.failure else "")
-        attempts = out.stats.get("attempts", "")
+        ok, failure, attempts = out.ok, out.failure, out.stats.get("attempts", "")
     elif run["pipeline"] == "blowup":
-        from .core import SimpleGraph
-        from .embed import blowup_embed
-        import random as _r
+        def bipartite(n=30, density=0.6):
+            rng = random.Random(seed)
+            sides = [list(range(n)), list(range(n, 2 * n))]
+            return sides, SimpleGraph(
+                2 * n, [(u, v) for u in sides[0] for v in sides[1] if rng.random() < density]
+            )
 
-        n_side = cparams.get("n", 30)
-        dens = cparams.get("density", 0.6)
-        rng = _r.Random(seed)
-        host = SimpleGraph(
-            2 * n_side,
-            [
-                (u, v)
-                for u in range(n_side)
-                for v in range(n_side, 2 * n_side)
-                if rng.random() < dens
-            ],
-        )
-        R = SimpleGraph(2, [(0, 1)])
+        sides, host = _call(bipartite, cparams, "blowup")
         phi = run.get("phi") or pattern.phi
-        res = blowup_embed(
-            host, [list(range(n_side)), list(range(n_side, 2 * n_side))],
-            R, pattern, phi, None, plan, seed=seed,
-        )
-        ok, stage, reason = res.ok, \
-            ("" if res.ok else res.failure.stage), \
-            ("" if res.ok else res.failure.reason)
-        attempts = res.restarts + 1
+        if not (isinstance(phi, (list, tuple)) and len(phi) == pattern.n
+                and all(isinstance(i, int) and i in (0, 1) for i in phi)):
+            raise ValueError("a blowup run needs phi: one cluster, 0 or 1, per pattern vertex")
+        res = blowup_embed(host, sides, SimpleGraph(2, [(0, 1)]), pattern, phi, None, plan,
+                           seed=seed)
+        ok, failure = res.ok, res.failure
+        attempts = res.restarts + 1 if res.ok else res.restarts
     else:
         raise ValueError(f"unknown pipeline {run['pipeline']!r}")
     wall = round((time.monotonic() - t0) * 1000, 1)
@@ -350,8 +345,8 @@ def _bench_one(run: dict, seed: int):
         "name": run.get("name", run["pipeline"]),
         "seed": seed,
         "success": int(ok),
-        "stage": stage,
-        "reason": reason,
+        "stage": failure.stage if failure else "",
+        "reason": failure.reason if failure else "",
         "attempts": attempts,
         "wall_ms": wall,
     }

@@ -38,7 +38,7 @@ from .core import (
 )
 from .matching import max_bipartite_matching, perfect_matching
 from .regularity import frac, make_ledger
-from .templates import Template, make_template, thick_host_graph
+from .templates import Template, ledger_to_json, make_template, thick_host_graph
 from .vizing import extract_matching
 
 # failure reason tags
@@ -59,6 +59,20 @@ def _mix(seed: int, *tags: int) -> int:
     for t in tags:
         h = (h * 1_000_003 ^ (t & 0xFFFFFFFF)) & 0xFFFFFFFF
     return h
+
+
+def _retry(seed: int, tag: int, budget: int, default: Failure, attempt):
+    """The one check-and-retry loop: call ``attempt(sub_seed, k)`` with
+    ``sub_seed = _mix(seed, tag, k)`` for k = 0, 1, ... until it returns
+    something other than a ``Failure``, and return that with the number of
+    attempts made.  When the budget runs out, return the last failure
+    (``default`` if no attempt ran) and the budget."""
+    out = default
+    for k in range(budget):
+        out = attempt(_mix(seed, tag, k), k)
+        if not isinstance(out, Failure):
+            return out, k + 1
+    return out, budget
 
 
 @dataclass(frozen=True)
@@ -616,38 +630,32 @@ def embed_prescribed_colours(
                 edge_class=key, detail="too few unprescribed colours",
             )
 
-    last: Failure | None = None
-    for attempt in range(plan.retries):
-        sub_seed = _mix(seed, 41, attempt)
-        rng = random.Random(sub_seed)
-        sizes = {key: len(cs) for key, cs in dmap.items()}
+    sizes = {key: len(cs) for key, cs in dmap.items()}
+
+    def attempt(sub_seed, _):
         matching = find_induced_matching(
             H, phi, sizes, forbidden=set(targets), seed=sub_seed, active=active
         )
         if isinstance(matching, Failure):
-            last = matching
-            continue
-        out = _embed_matched_then_rest(
-            t, H, phi, targets, dmap, matching, plan, sub_seed, active, rng
+            return matching
+        return _embed_matched_then_rest(
+            t, H, phi, targets, dmap, matching, plan, sub_seed, active, random.Random(sub_seed)
         )
-        if isinstance(out, Failure):
-            last = out
-            continue
-        tau, sigma = out
-        done = EmbedOutcome.success(
-            t.gc, H, tau, sigma,
-            stats={"attempts": attempt + 1, "prescribed_used": sorted(all_prescribed)},
-            view=_pattern_view(H, phi, active, targets),
-        )
-        if not all_prescribed <= set(sigma.values()):
-            raise UnverifiedOutput("a prescribed colour was not used")
-        return done
-    return EmbedOutcome(
-        embedding=None,
-        failure=last or Failure("prescribed", EMBEDDING_FAILED, seed),
-        verification=None,
-        stats={"attempts": plan.retries},
+
+    out, attempts = _retry(
+        seed, 41, plan.retries, Failure("prescribed", EMBEDDING_FAILED, seed), attempt
     )
+    if isinstance(out, Failure):
+        return EmbedOutcome(None, out, None, stats={"attempts": attempts})
+    tau, sigma = out
+    done = EmbedOutcome.success(
+        t.gc, H, tau, sigma,
+        stats={"attempts": attempts, "prescribed_used": sorted(all_prescribed)},
+        view=_pattern_view(H, phi, active, targets),
+    )
+    if not all_prescribed <= set(sigma.values()):
+        raise UnverifiedOutput("a prescribed colour was not used")
+    return done
 
 
 @dataclass
@@ -859,7 +867,7 @@ def blowup_embed(
                         detail=f"{len(vs)} pattern vertices > {len(clusters[i])} hosts"),
             )
 
-    def candidates(v):
+    def candidates(v, tau, used):
         """Free hosts of v's cluster inside its target set that are adjacent
         to the images of all of v's embedded neighbours."""
         cand = cluster_masks[phi[v]] & ~used
@@ -870,9 +878,8 @@ def blowup_embed(
                 cand &= host.adj(tau[w])
         return cand
 
-    last_fail = Failure("blowup", EMBEDDING_FAILED, seed)
-    for restart in range(plan.blowup_restarts):
-        rng = random.Random(_mix(seed, 53, restart))
+    def attempt(sub_seed, restart):
+        rng = random.Random(sub_seed)
         # buffer: independent in H (within active), low degree preferred
         buffer: set[int] = set()
         for i, vs in by_cluster.items():
@@ -899,52 +906,44 @@ def blowup_embed(
         order = list(reversed(elim))
         tau: dict[int, int] = {}
         used = 0
-        ok = True
         for v in order:
-            cand = candidates(v)
+            cand = candidates(v, tau, used)
             if not cand:
-                ok = False
-                break
+                return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="greedy")
             pick = rng.choice(list(bits_of(cand)))
             tau[v] = pick
             used |= 1 << pick
-        if not ok:
-            last_fail = Failure(
-                "blowup", EMBEDDING_FAILED, seed, restart=restart, phase="greedy"
-            )
-            continue
         # completion: per cluster, match buffer vertices to free hosts
-        complete = True
         for i, vs in by_cluster.items():
             bvs = [v for v in vs if v in buffer]
             if not bvs:
                 continue
             adj = {}
             for b in bvs:
-                adj[b] = list(bits_of(candidates(b)))
+                adj[b] = list(bits_of(candidates(b, tau, used)))
                 rng.shuffle(adj[b])
             m = max_bipartite_matching(adj)
             if len(m) < len(bvs):
-                complete = False
-                break
+                return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="matching")
             for b, w in m.items():
                 tau[b] = w
                 used |= 1 << w
-        if not complete:
-            last_fail = Failure(
-                "blowup", EMBEDDING_FAILED, seed, restart=restart, phase="matching"
-            )
-            continue
-        # structural verification
-        if len(set(tau.values())) != len(tau):
-            raise UnverifiedOutput("blow-up map is not injective")
-        for (u, v) in H.edges_within(active):
-            if not host.has_edge(tau[u], tau[v]):
-                raise UnverifiedOutput("blow-up produced a non-edge")
-        if any(tau[v] not in T for v, T in targets.items()):
-            raise UnverifiedOutput("blow-up left a target set")
-        return BlowupResult(tau=tau, failure=None, restarts=restart, verified=True)
-    return BlowupResult(None, last_fail, restarts=plan.blowup_restarts)
+        return tau
+
+    tau, attempts = _retry(
+        seed, 53, plan.blowup_restarts, Failure("blowup", EMBEDDING_FAILED, seed), attempt
+    )
+    if isinstance(tau, Failure):
+        return BlowupResult(None, tau, restarts=attempts)
+    # structural verification
+    if len(set(tau.values())) != len(tau):
+        raise UnverifiedOutput("blow-up map is not injective")
+    for (u, v) in H.edges_within(active):
+        if not host.has_edge(tau[u], tau[v]):
+            raise UnverifiedOutput("blow-up produced a non-edge")
+    if any(tau[v] not in T for v, T in targets.items()):
+        raise UnverifiedOutput("blow-up left a target set")
+    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +988,7 @@ def _chunk_components(comps, phi, r, sizes, mu_floor, gamma_floor, q_stop):
         for j in range(r):
             used[j] += got[j]
     b0 = list(range(tstar, tcomp))
-    return b0, rounds, a
+    return b0, rounds
 
 
 def approx_embed(
@@ -1033,19 +1032,19 @@ def approx_embed(
     oversize = [len(c) for c in comps if len(c) > max(1, plan.mu * n_active)]
     stats: dict = {"component_count": len(comps), "oversize_components": oversize}
 
-    last: Failure | None = None
-    for attempt in range(plan.approx_retries):
-        sub_seed = _mix(seed, 67, attempt)
+    sizes = [len(t.clusters[i]) for i in range(r)]
+    mu_floor = max(1, round(plan.mu_prime * m))
+    gamma_floor = max(1, round(plan.gamma * m))
+    delta_h = max(1, H.max_degree)
+    q_stop = 2 * (delta_h + 1) ** (r - 1) * gamma_floor
+    stated = round(r * eps ** (1 / 3) * m)
+
+    def attempt(sub_seed, _):
         rng = random.Random(sub_seed)
         order = list(range(len(comps)))
         rng.shuffle(order)
         comps_o = [comps[i] for i in order]
-        sizes = [len(t.clusters[i]) for i in range(r)]
-        mu_floor = max(1, round(plan.mu_prime * m))
-        gamma_floor = max(1, round(plan.gamma * m))
-        delta_h = max(1, H.max_degree)
-        q_stop = 2 * (delta_h + 1) ** (r - 1) * gamma_floor
-        b0_idx, round_idx, a_counts = _chunk_components(
+        b0_idx, round_idx = _chunk_components(
             comps_o, phi, r, sizes, mu_floor, gamma_floor, q_stop
         )
         s = len(round_idx)
@@ -1056,7 +1055,6 @@ def approx_embed(
         stats["chunks"] = {"s": s, "b0": b0, "b": b, "mu_floor": mu_floor,
                            "gamma_floor": gamma_floor, "q_stop": q_stop}
         # slack: as much of the stated r*eps^(1/3)*m as the B_0 part affords
-        stated = round(r * eps ** (1 / 3) * m)
         slack = [0] * r
         if s:
             for j in range(r):
@@ -1064,7 +1062,6 @@ def approx_embed(
                 slack[j] = max(0, min(stated, afford))
         # vertex partition: V_j -> V^0_j, V^1_j..V^s_j
         part_v: list[list[list[int]]] = []
-        ok_sizes = True
         for j in range(r):
             pool = list(t.clusters[j])
             rng.shuffle(pool)
@@ -1075,19 +1072,15 @@ def approx_embed(
                 parts_j.append(pool[pos : pos + size])
                 pos += size
             parts_j.insert(0, pool[pos:])  # V^0_j, size b0[j] - s*slack[j]
-            if len(parts_j[0]) != b0[j] - s * slack[j]:
-                ok_sizes = False
+            if len(parts_j[0]) != b0[j] - s * slack[j] or (not parts_j[0] and b0[j] > 0):
+                return Failure("approx", CHUNKING_FAILED, sub_seed, detail="vertex partition sizes")
             part_v.append(parts_j)
-        if not ok_sizes or any(len(part_v[j][0]) < 1 and b0[j] > 0 for j in range(r)):
-            last = Failure("approx", CHUNKING_FAILED, sub_seed, detail="vertex partition sizes")
-            continue
         # colour buffer per class, clamped so that every stage fits
         h_b0 = {key: 0 for key in t.colour_clusters}
         for (u, v) in H.edges_within(B0):
             h_b0[_class_key(phi, u, v)] += 1
         pools: dict[tuple[int, int], list[int]] = {}
         buffers: dict[tuple[int, int], list[int]] = {}
-        feasible = True
         for key, cs in t.colour_clusters.items():
             cs = list(cs)
             h_e = len(class_e.get(key, ()))
@@ -1098,21 +1091,16 @@ def approx_embed(
             lo = h_b0[key]
             hi = len(cs) - (h_e - h_b0[key])
             if lo > hi:
-                feasible = False
-                break
+                return Failure("approx", COLOUR_EXHAUSTED, sub_seed, detail="buffer sizing")
             want = round(plan.zeta * len(cs))
             size0 = min(max(want, lo), hi)
             rng.shuffle(cs)
             buffers[key] = sorted(cs[:size0])
             pools[key] = sorted(cs[size0:])
-        if not feasible:
-            last = Failure("approx", COLOUR_EXHAUSTED, sub_seed, detail="buffer sizing")
-            continue
         tau: dict[int, int] = {}
         sigma: dict[tuple[int, int], int] = {}
         used_colours: set[int] = set()
         leftovers: list[list[int]] = [[] for _ in range(r)]
-        failed_stage = None
         for i in range(1, s + 1):
             Bi = Bs[i - 1]
             cur_pools = {
@@ -1125,14 +1113,10 @@ def approx_embed(
                 leftovers=leftovers, d=d, seed=sub_seed,
             )
             if isinstance(res, Failure):
-                failed_stage = res
-                break
+                return res
             tau.update(res[0])
             sigma.update(res[1])
             used_colours.update(res[1].values())
-        if failed_stage is not None:
-            last = failed_stage
-            continue
         # final round: B_0 into V^0 plus leftovers, buffer colours only
         z_parts = [part_v[j][0] + leftovers[j] for j in range(r)]
         final_pools = (
@@ -1145,19 +1129,19 @@ def approx_embed(
             trim_to=None, leftovers=None, d=d, seed=sub_seed,
         )
         if isinstance(res, Failure):
-            last = res
-            continue
+            return res
         tau.update(res[0])
         sigma.update(res[1])
-        stats["attempts"] = attempt + 1
-        return EmbedOutcome.success(
-            t.gc, H, tau, sigma, stats=stats, view=_pattern_view(H, phi, active, targets)
-        )
-    return EmbedOutcome(
-        embedding=None,
-        failure=last or Failure("approx", EMBEDDING_FAILED, seed),
-        verification=None,
-        stats=stats,
+        return tau, sigma
+
+    out, attempts = _retry(
+        seed, 67, plan.approx_retries, Failure("approx", EMBEDDING_FAILED, seed), attempt
+    )
+    if isinstance(out, Failure):
+        return EmbedOutcome(None, out, None, stats=stats)
+    stats["attempts"] = attempts
+    return EmbedOutcome.success(
+        t.gc, H, *out, stats=stats, view=_pattern_view(H, phi, active, targets)
     )
 
 
@@ -1405,7 +1389,10 @@ def transversal_blowup(
     embedder (on the app stage's leftover colours) and the extra-colours
     embedder again on the flexible pool; Step 5 closes by matching the
     absorber edges to A plus the leftover B-subset, whose size must equal the
-    flexibility count exactly (asserted at runtime).
+    flexibility count exactly (an explicit check: a mismatch is a typed
+    ``step5`` failure).  Set-up that draws nothing is computed once; a
+    component split that the component counts already rule out is not
+    retried.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1437,49 +1424,78 @@ def transversal_blowup(
         else:
             X = []  # proceed with an empty separator; chunking will cope or fail typed
 
-    last: Failure | None = None
-    for attempt in range(plan.retries):
-        sub_seed = _mix(seed, 83, attempt)
-        out = _pipeline_once(
-            t, H, phi, targets, plan, sub_seed, active, X, class_e
+    # set-up shared by every attempt: the components outside X with their
+    # class edge counts
+    Xset = set(X)
+    outside_x = active - Xset
+    comps = H.components(outside_x)
+    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
+    class_of_comp: list[dict[tuple[int, int], int]] = [{} for _ in comps]
+    for (u, v) in H.edges_within(outside_x):
+        counts = class_of_comp[comp_of[u]]
+        key = _class_key(phi, u, v)
+        counts[key] = counts.get(key, 0) + 1
+    if _split_decided(comps, class_of_comp, t.colour_clusters):
+        out = _no_split(seed)
+    else:
+        # Step 0's connecting graph: the edges incident to X (Y-Y edges wait)
+        Y = sorted({y for x in X for y in H.neighbours(x) if y in active} - Xset)
+        con_targets = {w: targets.get(w) or set(t.clusters[phi[w]]) for w in X + Y}
+        H_con = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
+        out, attempts = _retry(
+            seed, 83, plan.retries, Failure("pipeline", EMBEDDING_FAILED, seed),
+            lambda sub_seed, _: _pipeline_once(
+                t, H, phi, targets, plan, sub_seed, X, class_e,
+                comps, class_of_comp, Y, H_con, con_targets,
+            ),
         )
-        if isinstance(out, Failure):
-            last = out
-            continue
-        tau, sigma, run_stats = out
-        run_stats["attempts"] = attempt + 1
-        done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
-        if sorted(sigma.values()) != t.all_colours():
-            raise UnverifiedOutput("colour conservation violated: sigma is not onto the colour set")
-        return done
     # small instances can lack the components to fill all five stages; a
     # one-shot candidate-set pass still yields sigma onto the colour set
     # (class sizes equal class edge counts), so try that before giving up
-    if sum(len(es) for es in class_e.values()) <= 64:
-        for attempt in range(plan.retries):
-            sub_seed = _mix(seed, 89, attempt)
-            rng = random.Random(sub_seed)
-            order = _bfs_order(H, active)
+    if isinstance(out, Failure) and sum(len(es) for es in class_e.values()) <= 64:
+        bfs = _bfs_order(H, active)
+
+        def one_shot(sub_seed, attempt):
+            order = list(bfs)
             if attempt % 2:
-                rng.shuffle(order)
+                random.Random(sub_seed).shuffle(order)
             part = partial_embed(
                 t, H, phi, X=order, Y=[], targets=targets, plan=plan, seed=sub_seed,
             )
             if isinstance(part, Failure):
-                last = part.with_stage("one-shot")
-                continue
-            done = EmbedOutcome.success(
-                t.gc, H, part.tau, part.sigma,
-                stats={"path": "one-shot", "attempts": attempt + 1}, view=view,
-            )
-            if sorted(part.sigma.values()) != t.all_colours():
-                raise UnverifiedOutput("one-shot fallback lost colour conservation")
-            return done
-    return EmbedOutcome(
-        embedding=None,
-        failure=last or Failure("pipeline", EMBEDDING_FAILED, seed),
-        verification=None,
-    )
+                return part.with_stage("one-shot")
+            return part.tau, part.sigma, {"path": "one-shot"}
+
+        out, attempts = _retry(seed, 89, plan.retries, out, one_shot)
+    if isinstance(out, Failure):
+        return EmbedOutcome(embedding=None, failure=out, verification=None)
+    tau, sigma, run_stats = out
+    run_stats["attempts"] = attempts
+    done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
+    if sorted(sigma.values()) != t.all_colours():
+        raise UnverifiedOutput(
+            f"colour conservation violated on the {run_stats.get('path', 'main')} path"
+        )
+    return done
+
+
+def _no_split(seed: int) -> Failure:
+    return Failure("split", CHERNOFF_RETRY_EXHAUSTED, seed,
+                   detail="no component split meets the per-class minima")
+
+
+def _split_decided(comps, class_of_comp, keys) -> bool:
+    """True when ``_split_components`` fails whatever it draws.  abs and col
+    each need an edge of every class, so every class needs edges in two
+    components; abs, app and one col component per class are distinct
+    components, so there must be len(keys) + 2 of them (one, for app, when
+    there is no class)."""
+    spread = dict.fromkeys(keys, 0)
+    for counts in class_of_comp:
+        for key in counts:
+            spread[key] += 1
+    need = len(spread) + 2 if spread else 1
+    return len(comps) < need or any(c < 2 for c in spread.values())
 
 
 def _split_components(comps, class_of_comp, plan, rng, keys):
@@ -1545,24 +1561,19 @@ def _split_components(comps, class_of_comp, plan, rng, keys):
     return assign
 
 
-def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
+def _pipeline_once(t, H, phi, targets, plan, seed, X, class_e,
+                   comps, class_of_comp, Y, H_con, con_targets):
+    """One attempt of Steps 0-5 from the set-up ``transversal_blowup``
+    computes once: the components outside the separator X with their class
+    edge counts, and Step 0's neighbours Y, graph and targets."""
     rng = random.Random(seed)
     r = t.r
     keys = sorted(t.colour_clusters)
     gc = t.gc
     Xset = set(X)
-    outside_x = active - Xset
-    comps = H.components(outside_x)
-    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
-    class_of_comp: list[dict[tuple[int, int], int]] = [{} for _ in comps]
-    for (u, v) in H.edges_within(outside_x):
-        counts = class_of_comp[comp_of[u]]
-        key = _class_key(phi, u, v)
-        counts[key] = counts.get(key, 0) + 1
     assign = _split_components(comps, class_of_comp, plan, rng, keys)
     if assign is None:
-        return Failure("split", CHERNOFF_RETRY_EXHAUSTED, seed,
-                       detail="no component split meets the per-class minima")
+        return _no_split(seed)
     stage_sets = {st: set() for st in ("abs", "app", "col", "vx")}
     for h, st in assign.items():
         stage_sets[st].update(comps[h])
@@ -1583,14 +1594,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
         for st in ("abs", "app", "col", "vx")
     }
 
-    # ---- Step 0: the connecting graph (edges incident to X; Y-Y edges wait)
-    Y = sorted({y for x in X for y in H.neighbours(x) if y in active} - Xset)
-    t_targets = {v: set(targets[v]) for v in targets}
-    con_targets = {
-        w: (t_targets.get(w) or set(t.clusters[phi[w]]))
-        for w in list(X) + Y
-    }
-    H_con = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
+    # ---- Step 0: the connecting graph
     part = partial_embed(
         t, H_con, phi, X=list(X), Y=Y, targets=con_targets, plan=plan, seed=seed
     )
@@ -1601,7 +1605,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, active, X, class_e):
     T1: dict[int, set[int]] = {}
     for y in Y:
         T1[y] = set(part.candidates[y])
-    for v, ts in t_targets.items():
+    for v, ts in targets.items():
         if v not in tau and v not in T1:
             T1[v] = set(ts)
     used_hosts = set(tau.values())
@@ -1901,10 +1905,33 @@ def quasi_embed(
     d_ij = {
         (i, j): len(class_all.get((i, j), ())) / H.n for i in range(r) for j in range(i + 1, r)
     }
+    level = next(
+        (ell for ell in range(1, len(d_ij) + 2)
+         if all(x <= plan.delta_ladder(ell) or x >= plan.delta_ladder(ell + 1)
+                for x in d_ij.values())),
+        None,
+    )
+    if level is None:
+        return EmbedOutcome.fail("quasi", PRECONDITION, seed, detail="no ladder level (unexpected)")
+    sparse_pairs = {key for key, x in d_ij.items() if x <= plan.delta_ladder(level)}
+    dense_pairs = set(d_ij) - sparse_pairs
+    base_stats = {
+        "ladder_level": level,
+        "pair_densities": {str(k): v for k, v in d_ij.items()},
+        "sparse_pairs": sorted(str(k) for k in sparse_pairs),
+    }
+    colours = list(range(K))
+    R = SimpleGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
+    # the sparse side X (embedded first through candidate sets), its
+    # neighbours Y and the rest, which the transversal blow-up embeds
+    X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
+    Xset = set(X)
+    Y = sorted({y for x in X for y in H.neighbours(x)} - Xset)
+    H_lt = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
+    active = set(range(H.n)) - Xset
+    class_rest = _class_edges(H, phi, active)
 
-    last: Failure | None = None
-    for attempt in range(plan.retries):
-        sub_seed = _mix(seed, 97, attempt)
+    def attempt(sub_seed, _):
         rng = random.Random(sub_seed)
         hosts = list(range(n))
         rng.shuffle(hosts)
@@ -1914,7 +1941,6 @@ def quasi_embed(
             V.append(sorted(hosts[pos : pos + len(A[i])]))
             pos += len(A[i])
         # per-pair sparsification of the (V_i, V_j, C) slice
-        colours = list(range(K))
         rows = [[0] * n for _ in colours]
         dens_pairs = []
         for i in range(r):
@@ -1935,30 +1961,11 @@ def quasi_embed(
             min(len(v) for v in V), plan.eps,
             Fraction(str(round(d_eff, 6))), Fraction(1, 2), mode="super",
         )
-        R = SimpleGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
         tmpl = make_template(
             R, V, {(i, j): colours for i in range(r) for j in range(i + 1, r)},
             jgc, ledger, rainbow=False, klass="super",
         )
-        n_pairs = len(d_ij)
-        level = None
-        for ell in range(1, n_pairs + 2):
-            lo, hi = plan.delta_ladder(ell), plan.delta_ladder(ell + 1)
-            if all(x <= lo or x >= hi for x in d_ij.values()):
-                level = ell
-                break
-        if level is None:
-            last = Failure("quasi", PRECONDITION, sub_seed, detail="no ladder level (unexpected)")
-            continue
-        sparse_pairs = {
-            key for key, x in d_ij.items() if x <= plan.delta_ladder(level)
-        }
-        dense_pairs = set(d_ij) - sparse_pairs
-        stats = {
-            "ladder_level": level,
-            "pair_densities": {str(k): v for k, v in d_ij.items()},
-            "sparse_pairs": sorted(str(k) for k in sparse_pairs),
-        }
+        stats = dict(base_stats)
         if not dense_pairs:
             # every pair sparse: the run degenerates to one candidate-set pass
             order = _bfs_order(H, range(H.n))
@@ -1966,14 +1973,9 @@ def quasi_embed(
                 tmpl, H, phi, X=order, Y=[], targets=None, plan=plan, seed=sub_seed
             )
             if isinstance(part, Failure):
-                last = part.with_stage("quasi-sparse")
-                continue
+                return part.with_stage("quasi-sparse")
             stats["path"] = LADDER_DEGENERATE
             return EmbedOutcome.success(gc, H, part.tau, part.sigma, stats=stats)
-        X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
-        Xset = set(X)
-        Y = sorted({y for x in X for y in H.neighbours(x)} - Xset)
-        H_lt = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
         tau: dict[int, int] = {}
         sigma: dict[tuple[int, int], int] = {}
         cand: dict[int, set[int]] = {}
@@ -1983,8 +1985,7 @@ def quasi_embed(
                 targets=None, plan=plan, seed=sub_seed,
             )
             if isinstance(part, Failure):
-                last = part.with_stage("quasi-sparse")
-                continue
+                return part.with_stage("quasi-sparse")
             tau.update(part.tau)
             sigma.update(part.sigma)
             cand = {y: set(part.candidates[y]) for y in part.candidates}
@@ -1993,8 +1994,6 @@ def quasi_embed(
         rest_cols = [c for c in colours if c not in used_cols]
         rng.shuffle(rest_cols)
         Vp = [tuple(v for v in V[i] if v not in used_hosts) for i in range(r)]
-        active = set(range(H.n)) - Xset
-        class_rest = _class_edges(H, phi, active)
         split: dict[tuple[int, int], tuple[int, ...]] = {}
         pos = 0
         for key in sorted(dense_pairs):
@@ -2002,9 +2001,7 @@ def quasi_embed(
             split[key] = tuple(sorted(rest_cols[pos : pos + need]))
             pos += need
         if pos != len(rest_cols):
-            last = Failure("quasi", PRECONDITION, sub_seed,
-                           detail="colour split sizing mismatch")
-            continue
+            return Failure("quasi", PRECONDITION, sub_seed, detail="colour split sizing mismatch")
         stats["colour_split_sizes"] = {str(k): len(v) for k, v in split.items()}
         stats["e_sparse"] = len(sigma)
         stats["colours_total"] = K
@@ -2016,21 +2013,15 @@ def quasi_embed(
             active=active,
         )
         if not out.ok:
-            last = out.failure
-            continue
+            return out.failure
         tau.update(out.embedding.tau)
         sigma.update(out.embedding.sigma)
         stats["blowup"] = out.stats
-        from .templates import ledger_to_json
-
         stats["ledger"] = ledger_to_json(tmpl2.ledger)
         return EmbedOutcome.success(gc, H, tau, sigma, stats=stats)
-    return EmbedOutcome(
-        embedding=None,
-        failure=last or Failure("quasi", EMBEDDING_FAILED, seed),
-        verification=None,
-        stats={},
-    )
+
+    out, _ = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed), attempt)
+    return EmbedOutcome(None, out, None) if isinstance(out, Failure) else out
 
 
 # ---------------------------------------------------------------------------
@@ -2120,17 +2111,14 @@ def expand_embed_3graph(
             detail="too few host edges for the declared colour floor",
         ))
 
-    last: Failure | None = None
-    for attempt in range(max(1, plan.retries // 4)):
-        sub_seed = _mix(seed, 103, attempt)
+    def attempt(sub_seed, _):
         rng = random.Random(sub_seed)
         draw = rng.sample(range(n), Hp.n + Hp.e)
         v_side, c_side = sorted(draw[: Hp.n]), sorted(draw[Hp.n :])
         coll = g.link_collection(v_side, c_side)
         out = quasi_embed(coll, Hp, plan, seed=_mix(sub_seed, 5))
         if not out.ok:
-            last = out.failure
-            continue
+            return out.failure
         tau_local = out.embedding.tau
         sigma_local = out.embedding.sigma
         vertex_images: dict[int, int] = {}
@@ -2156,4 +2144,8 @@ def expand_embed_3graph(
             stats={"padded_edges": len(pads), "fresh_vertices": fresh,
                    "quasi": out.stats},
         )
-    return ExpansionOutcome(None, None, last or Failure("expand", EMBEDDING_FAILED, seed))
+
+    out, _ = _retry(
+        seed, 103, max(1, plan.retries // 4), Failure("expand", EMBEDDING_FAILED, seed), attempt
+    )
+    return ExpansionOutcome(None, None, out) if isinstance(out, Failure) else out

@@ -34,7 +34,6 @@ class GenSpec:
     n_colours: int
     density: float = 0.5
     seed: int = 0
-    construction: str = "random"
 
     def __post_init__(self):
         if not 0 <= self.density <= 1:

@@ -135,6 +135,60 @@ def test_empty_suite_gives_header_only(workdir):
     assert len(content) == 1 and content[0].startswith("name,")
 
 
+MATCHING_12 = pattern_to_json(PatternGraph(12, [(2 * i, 2 * i + 1) for i in range(6)]))
+# an 8-cycle across the two clusters of the blow-up host
+CYCLE_8 = PatternGraph(8, [(i, 4 + i) for i in range(4)] + [(4 + i, (i + 1) % 4) for i in range(4)])
+
+
+def test_bench_runs_every_construction_and_pipeline(workdir):
+    suite = {"runs": [
+        {"name": "cyclic", "construction": {"kind": "cyclic-triangle", "n": 12, "n_colours": 6},
+         "pipeline": "quasi", "pattern": MATCHING_12, "seeds": [0]},
+        {"name": "mantel", "construction": {"kind": "mantel", "n": 12, "n_colours": 6},
+         "pipeline": "quasi", "pattern": MATCHING_12, "seeds": [0, 1]},
+        {"name": "blowup", "construction": {"n": 6, "density": 0.9}, "pipeline": "blowup",
+         "pattern": pattern_to_json(PatternGraph(8, CYCLE_8.edges(), phi=[0] * 4 + [1] * 4)),
+         "seeds": [0, 1]},
+        {"name": "blowup-run-phi", "construction": {"n": 6}, "pipeline": "blowup",
+         "pattern": pattern_to_json(CYCLE_8), "phi": [0] * 4 + [1] * 4, "seeds": [3]},
+        {"name": "blowup-sparse", "construction": {"n": 6, "density": 0.1}, "pipeline": "blowup",
+         "pattern": pattern_to_json(CYCLE_8), "phi": [0] * 4 + [1] * 4, "seeds": [0],
+         "params": {"blowup_restarts": 3}},
+    ]}
+    write_json(workdir / "suite.json", suite)
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
+    rows = list(csv.DictReader(open(workdir / "b.csv")))
+    assert [(r["name"], r["seed"], r["success"]) for r in rows] == [
+        ("blowup", "0", "1"), ("blowup", "1", "1"), ("blowup-run-phi", "3", "1"),
+        ("blowup-sparse", "0", "0"),
+        ("cyclic", "0", "1"), ("mantel", "0", "1"), ("mantel", "1", "1"),
+    ]
+    # a failed blow-up run reports its whole budget of attempts, no more
+    assert [r["attempts"] for r in rows[:4]] == ["1", "1", "5", "3"]
+    assert (rows[3]["stage"], rows[3]["reason"]) == ("blowup", "EmbeddingFailed")
+
+
+@pytest.mark.parametrize("run", [
+    {"construction": {"kind": "random", "n": 12, "n_colours": 6, "dens": 1.0}},
+    {"construction": {"kind": "random", "n": 12, "n_colours": 6, "construction": "parity"}},
+    {"construction": {"kind": "random", "n": 12, "n_colours": 6, "seed": 3}},
+    {"construction": {"kind": "mantel", "colours": 2}},
+    {"construction": {"kind": "cyclic-triangle", "n": 12, "colours": 6}},
+    {"construction": {"n": 6, "dens": 0.9}, "pipeline": "blowup", "phi": [0] * 4 + [1] * 4},
+    {"construction": {"n": "6"}, "pipeline": "blowup", "phi": [0] * 4 + [1] * 4},
+    {"construction": {"n": 6}, "pipeline": "blowup"},
+    {"construction": {"n": 6}, "pipeline": "blowup", "phi": [0] * 7},
+    {"construction": {"n": 6}, "pipeline": "blowup", "phi": [0] * 4 + [2] * 4},
+    {"construction": {"n": 6}, "pipeline": "blowup", "phi": [0] * 4 + [0.5] * 4},
+    {"construction": {"n": 6}, "pipeline": "blowup", "phi": 3},
+])
+def test_bad_bench_suite_is_a_usage_error(workdir, capsys, run):
+    run = {"pipeline": "quasi", "pattern": pattern_to_json(CYCLE_8), **run}
+    write_json(workdir / "suite.json", {"runs": [run]})
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "transversal.cli", "embed", "--pipeline", "nope"],

@@ -787,6 +787,62 @@ def test_quasi_replays_every_path(seed):
 
 
 # ---------------------------------------------------------------------------
+# the shared check-and-retry loop
+
+
+def test_retry_counts_attempts_and_keeps_the_last_failure():
+    from transversal.embed import _mix, _retry
+
+    seen = []
+
+    def attempt(sub_seed, k):
+        seen.append((sub_seed, k))
+        return "done" if k == 2 else Failure("s", "Tried", sub_seed, k=k)
+
+    default = Failure("s", "Default", 7)
+    assert _retry(7, 5, 10, default, attempt) == ("done", 3)
+    assert seen == [(_mix(7, 5, k), k) for k in range(3)]
+    out, attempts = _retry(7, 5, 2, default, attempt)
+    assert attempts == 2 and out.reason == "Tried"
+    assert out.diagnostics == {"k": 1} and out.seed == _mix(7, 5, 1)
+    assert _retry(7, 5, 0, default, attempt) == (default, 0)
+
+
+def _count_pipeline_calls(monkeypatch):
+    from transversal import embed
+
+    calls = []
+    real = embed._pipeline_once
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_pipeline_once", counted)
+    return calls
+
+
+def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
+    # no separator is certified for a 70-cycle at the default mu, so the
+    # cycle stays one component and no abs/app/col split exists; its 70 class
+    # edges are above the one-shot bound, so the failure is returned at once
+    calls = _count_pipeline_calls(monkeypatch)
+    H = PatternGraph(70, [(i, (i + 1) % 70) for i in range(70)])
+    gc = random_collection(GenSpec(n=70, n_colours=70, density=0.8, seed=1))
+    out = quasi_embed(gc, H, PLAN, seed=1)
+    assert (out.failure.stage, out.failure.reason) == ("split", "ChernoffRetryExhausted")
+    assert out.failure.diagnostics == {"detail": "no component split meets the per-class minima"}
+    assert len(calls) == 0
+
+
+def test_main_path_still_runs_the_pipeline(monkeypatch):
+    calls = _count_pipeline_calls(monkeypatch)
+    gc, H, plan = _quasi_instance(0)
+    assert _quasi_path(quasi_embed(gc, H, plan, seed=0)) == "main"
+    assert len(calls) >= 1
+
+
+# ---------------------------------------------------------------------------
 # module-wide invariants
 
 
