@@ -16,7 +16,6 @@ from .core import (
     VerificationReport,
     from_three_graph,
     separability_certificate,
-    to_three_graph,
     verify_expansion,
     verify_transversal_embedding,
 )
@@ -50,14 +49,11 @@ from .regularity import (
     IrregularityWitness,
     ParameterLedger,
     RegularityPartition,
-    classify_collection,
-    degree_inheritance_report,
     density,
     irregularity_witness,
     ledger_slice,
     make_ledger,
     partition_collection,
-    replay_lineage,
     sparsify_to_superregular,
     typical_elements,
 )
@@ -65,9 +61,7 @@ from .templates import (
     Template,
     ThickGraph,
     make_template,
-    slice_template,
     thick_graph,
-    validate_template,
 )
 
 __version__ = "0.1.0"

@@ -246,9 +246,6 @@ class GraphCollection:
     def adj(self, c: int, v: int) -> int:
         return self._adj[c][v]
 
-    def degree(self, c: int, v: int) -> int:
-        return self._adj[c][v].bit_count()
-
     def total_degree(self, v: int) -> int:
         """Sum of deg_{G_c}(v) over all colours: the 3-graph degree of v."""
         return sum(rows[v].bit_count() for rows in self._adj)
@@ -546,20 +543,6 @@ class NotCertified:
 
 # ---------------------------------------------------------------------------
 # Representation conversions
-
-
-def to_three_graph(gc: GraphCollection) -> ThreeGraph:
-    """3-graph of a collection: vertices V + colours, 3-edges xyc iff xy in G_c.
-
-    Colour c becomes vertex ``gc.n + c``.  Round-trips with
-    :func:`from_three_graph` applied to the natural split.
-    """
-    edges = []
-    for c in range(gc.n_colours):
-        cv = gc.n + c
-        for u, v in gc.edges(c):
-            edges.append((u, v, cv))
-    return ThreeGraph(gc.n + gc.n_colours, edges)
 
 
 def from_three_graph(

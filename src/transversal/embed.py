@@ -327,7 +327,6 @@ def _sub_template(t: Template, clusters, colour_clusters, klass=None, ledger=Non
         ledger if ledger is not None else t.ledger,
         rainbow=t.rainbow,
         klass=klass if klass is not None else t.klass,
-        stamps=t.stamps,
     )
 
 
@@ -551,30 +550,6 @@ def find_induced_matching(
                 edge_class=key, wanted=want, got=len(selected[key]),
             )
     return selected
-
-
-def induced_matching_ok(
-    H: SimpleGraph, matching: list[tuple[int, int]], forbidden: set[int]
-) -> bool:
-    """Brute post-predicate: induced, forbidden-avoiding, and every outside
-    vertex sees at most one matching edge."""
-    mv = {v for e in matching for v in e}
-    if mv & forbidden:
-        return False
-    medges = {tuple(sorted(e)) for e in matching}
-    for u in mv:
-        for v in mv:
-            if u < v and H.has_edge(u, v) and (u, v) not in medges:
-                return False
-    for y in range(H.n):
-        if y in mv:
-            continue
-        touched = {v for v in H.neighbours(y) if v in mv}
-        if not touched:
-            continue
-        if not any(touched <= set(e) for e in medges):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

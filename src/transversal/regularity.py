@@ -10,8 +10,8 @@ results are proofs.  Beyond the enumeration limits a sampled mode draws
 subset tuples of size exactly ceil(eps*|V_i|); a sampled witness is always
 genuine, while NoneFound is only evidence.
 
-Parameter bookkeeping is exact rational arithmetic via a ledger whose lineage
-replays to the same values.
+Parameter bookkeeping is exact rational arithmetic via a ledger that records
+the lineage of rules applied.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -353,89 +353,7 @@ def irregularity_witness(
 
 
 # ---------------------------------------------------------------------------
-# Collection classification (regular / semi-super / super / half-super)
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    mode: str
-    ok: bool
-    density: Fraction
-    witness: IrregularityWitness | None
-    stamp: str  # 'exhaustive' or 'sampled'
-    vertex_failures: tuple[tuple[int, int, int, float], ...]  # (side, v, value, threshold)
-    colour_failures: tuple[tuple[int, int, float], ...]  # (c, value, threshold)
-    details: dict = field(default_factory=dict, compare=False)
-
-
-def _degree_floors(gc: GraphCollection, V1, V2, d: float, colours=None):
-    colours = list(colours) if colours is not None else list(range(gc.n_colours))
-    sides = (list(V1), list(V2))
-    masks = (mask_of(sides[0]), mask_of(sides[1]))
-    vfail = []
-    for i, side in enumerate(sides):
-        other = masks[1 - i]
-        need = d * len(sides[1 - i]) * len(colours)
-        for v in side:
-            tot = gc.degree_into(v, other, colours)
-            if tot < need:
-                vfail.append((i + 1, v, tot, need))
-    return tuple(vfail)
-
-
-def _colour_floors(gc: GraphCollection, V1, V2, d: float, colours=None):
-    colours = list(colours) if colours is not None else list(range(gc.n_colours))
-    m2 = mask_of(V2)
-    need = d * len(list(V1)) * len(list(V2))
-    cfail = []
-    for c in colours:
-        cnt = gc.edges_into(c, V1, m2)
-        if cnt < need:
-            cfail.append((c, cnt, need))
-    return tuple(cfail)
-
-
-def classify_collection(
-    gc: GraphCollection,
-    V1: Iterable[int],
-    V2: Iterable[int],
-    spec: DensitySpec,
-    budget: int = 200,
-    seed: int = 0,
-    colours: Iterable[int] | None = None,
-) -> ClassificationReport:
-    """Check the declared class of the collection over (V1, V2).
-
-    regular: the 3-graph view is (eps,d)-regular; semi-super adds the vertex
-    total-degree floor; super adds the per-colour edge floor; half-super
-    checks the one-sided subset bound plus both floors.  Failures are report
-    entries, never faults.
-    """
-    V1, V2 = list(V1), list(V2)
-    colours = list(colours) if colours is not None else list(range(gc.n_colours))
-    dens = density(gc, (V1, V2, colours))
-    wanted = spec.mode
-    one_sided = wanted == "half-super"
-    wspec = replace(spec, mode="half-super" if one_sided else "regular")
-    res = irregularity_witness(gc, (V1, V2, colours), wspec, budget=budget, seed=seed)
-    reg_ok = res.witness is None and (one_sided or dens >= frac(spec.d))
-    vfail: tuple = ()
-    cfail: tuple = ()
-    if wanted in ("semi-super", "super", "half-super"):
-        vfail = _degree_floors(gc, V1, V2, spec.d, colours)
-    if wanted in ("super", "half-super"):
-        cfail = _colour_floors(gc, V1, V2, spec.d, colours)
-    ok = reg_ok and not vfail and not cfail
-    return ClassificationReport(
-        mode=wanted,
-        ok=ok,
-        density=dens,
-        witness=res.witness,
-        stamp="exhaustive" if res.exhaustive else "sampled",
-        vertex_failures=vfail,
-        colour_failures=cfail,
-        details={"proof": res.proof, "samples": res.samples},
-    )
+# Typical vertices and colours
 
 
 @dataclass(frozen=True)
@@ -463,9 +381,14 @@ def typical_elements(
     colours = list(range(gc.n_colours))
     _check_slice(gc, (V1, V2, colours))
     d_eps = spec.d - spec.epsilon
-    vfail = _degree_floors(gc, V1, V2, d_eps, colours)
-    out_v = tuple(tuple(v for side, v, *_ in vfail if side == i) for i in (1, 2))
-    bad_c = tuple(c for c, *_ in _colour_floors(gc, V1, V2, d_eps, colours))
+    v_need = (d_eps * len(V2) * len(colours), d_eps * len(V1) * len(colours))
+    c_need = d_eps * len(V1) * len(V2)
+    other = (mask_of(V2), mask_of(V1))
+    out_v = tuple(
+        tuple(v for v in side if gc.degree_into(v, other[i], colours) < v_need[i])
+        for i, side in enumerate((V1, V2))
+    )
+    bad_c = tuple(c for c in colours if gc.edges_into(c, V1, other[0]) < c_need)
     spot = None
     if spot_check:
         res = irregularity_witness(gc, (V1, V2, colours), replace(spec, mode="regular"),
@@ -474,8 +397,8 @@ def typical_elements(
     return TypicalElements(
         atypical_vertices=out_v,
         atypical_colours=bad_c,
-        vertex_threshold=(d_eps * len(V2) * len(colours), d_eps * len(V1) * len(colours)),
-        colour_threshold=d_eps * len(V1) * len(V2),
+        vertex_threshold=v_need,
+        colour_threshold=c_need,
         regularity_spot_check=spot,
     )
 
@@ -576,23 +499,6 @@ def ledger_slice(
     return ParameterLedger(
         m, eps, d, delta, mode, initial=ledger.initial, lineage=ledger.lineage + (entry,)
     )
-
-
-def replay_lineage(ledger: ParameterLedger) -> bool:
-    """Re-apply the lineage from the initial parameters; True iff it lands on
-    the ledger's current parameters exactly."""
-    if not ledger.initial:
-        return not ledger.lineage
-    m, eps, d, delta, mode = ledger.initial
-    for entry in ledger.lineage:
-        alpha, k, eps_prime = entry.args
-        (m, eps, d, delta), mode = _apply_rule(
-            m, eps, d, delta, mode, entry.rule,
-            {"alpha": alpha, "k": k, "eps_prime": eps_prime},
-        )
-        if (m, eps, d, delta) != entry.params:
-            return False
-    return (m, eps, d, delta) == ledger.params and mode == ledger.mode
 
 
 # ---------------------------------------------------------------------------
@@ -1046,62 +952,4 @@ def partition_collection(
         rounds=rounds,
         energy_history=tuple(energies),
         diagnostics=diagnostics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Degree inheritance (reduced-collection degrees)
-
-
-@dataclass(frozen=True)
-class DegreeInheritanceReport:
-    precondition_failures: tuple[tuple[int, int, float], ...]  # (c, min deg, need)
-    per_cluster_counts: tuple[int, ...]  # good colours per vertex cluster
-    per_colour_counts: tuple[int, ...]  # good clusters per colour cluster
-    cluster_threshold: float  # (1-d^(1/4)) M
-    colour_threshold: float  # (1-d^(1/4)) L
-    degree_floor: float  # (p + gamma/2) L
-    clusters_ok: bool
-    colours_ok: bool
-
-
-def degree_inheritance_report(
-    gc: GraphCollection,
-    partition: RegularityPartition,
-    p: float,
-    gamma: float,
-    d: float | None = None,
-) -> DegreeInheritanceReport:
-    """Count reduced degrees against the (p + gamma/2) L floor and report how
-    many clusters/colours clear the (1 - d^(1/4)) thresholds."""
-    n = gc.n
-    need = (p + gamma) * n
-    pre = []
-    for c in range(gc.n_colours):
-        mind = min(gc.degree(c, v) for v in range(n)) if n else 0
-        if mind < need:
-            pre.append((c, mind, need))
-    L, M = partition.L, partition.M
-    if d is None:
-        d = 0.0
-    floor = (p + gamma / 2) * L
-    per_cluster = []
-    for i in range(L):
-        good = sum(1 for R in partition.reduced if R.degree(i) >= floor)
-        per_cluster.append(good)
-    per_colour = []
-    for R in partition.reduced:
-        good = sum(1 for i in range(L) if R.degree(i) >= floor)
-        per_colour.append(good)
-    cthr = (1 - d ** 0.25) * M
-    lthr = (1 - d ** 0.25) * L
-    return DegreeInheritanceReport(
-        precondition_failures=tuple(pre),
-        per_cluster_counts=tuple(per_cluster),
-        per_colour_counts=tuple(per_colour),
-        cluster_threshold=cthr,
-        colour_threshold=lthr,
-        degree_floor=floor,
-        clusters_ok=all(g >= cthr for g in per_cluster),
-        colours_ok=all(g >= lthr for g in per_colour),
     )

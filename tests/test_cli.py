@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import transversal
 from transversal.cli import main
 from transversal.core import GraphCollection, PatternGraph, collection_to_json, pattern_to_json
+from transversal.generators import parity_threegraph
 
 
 def write_json(path, obj):
@@ -48,6 +49,27 @@ def test_generate_check_cycle(workdir):
     assert main(["check", "--instance", "g.json", "--mono-triangles", "--out", "c.json"]) == 0
     rep = json.loads((workdir / "c.json").read_text())
     assert rep["monochromatic_triangles"] == 0
+
+
+@pytest.mark.parametrize("construction, flags, check", [
+    ("mantel", ["--n", "8", "--colours", "3"], "--mono-triangles"),
+    ("parity", ["--n", "4", "--x-size", "1", "--seed", "2"], "--three-density"),
+])
+def test_generate_mantel_and_parity_then_check(workdir, construction, flags, check):
+    reports = []
+    for run in range(2):
+        assert main(["generate", "--construction", construction, *flags,
+                     "--out", f"g{run}.json"]) == 0
+        assert main(["check", "--instance", f"g{run}.json", check,
+                     "--out", f"c{run}.json"]) == 0
+        reports.append(json.loads((workdir / f"c{run}.json").read_text()))
+    assert reports[0]["instance_digest"] == reports[1]["instance_digest"]
+    if construction == "mantel":
+        # K_{4,4} in every colour is triangle-free
+        assert reports[0]["monochromatic_triangles"] == 0
+    else:
+        g = parity_threegraph(4, {0}, seed=2)
+        assert reports[0]["density"] == g.e / 4 ** 3
 
 
 def test_embed_feasible_and_verify_round_trip(workdir):

@@ -25,7 +25,6 @@ from transversal.core import (
     pattern_to_json,
     separability_certificate,
     threegraph_from_json,
-    to_three_graph,
     verify_transversal_embedding,
 )
 
@@ -43,22 +42,9 @@ def random_gc(n, k, density, seed):
 # three-graph conversions
 
 
-def test_to_three_graph_empty_collection():
-    gc = GraphCollection(3, 2)
-    tg = to_three_graph(gc)
-    assert tg.n == 5
-    assert tg.e == 0
-
-
-def test_to_three_graph_single_edge():
-    gc = GraphCollection(4, 3, {1: [(0, 2)]})
-    tg = to_three_graph(gc)
-    assert tg.edges == {(0, 2, 5)}
-
-
 def test_three_graph_edge_count_equals_colour_sum():
     gc = random_gc(8, 5, 0.4, seed=1)
-    tg = to_three_graph(gc)
+    tg = ThreeGraph(8 + 5, [(u, v, 8 + c) for c in range(5) for u, v in gc.edges(c)])
     # independent recount straight from the edge lists
     recount = sum(len(list(gc.edges(c))) for c in range(gc.n_colours))
     assert tg.e == recount == gc.total_edge_count()
@@ -67,7 +53,7 @@ def test_three_graph_edge_count_equals_colour_sum():
 def test_round_trip_identity_small():
     for seed in range(10):
         gc = random_gc(6, 4, 0.5, seed)
-        tg = to_three_graph(gc)
+        tg = ThreeGraph(6 + 4, [(u, v, 6 + c) for c in range(4) for u, v in gc.edges(c)])
         back = from_three_graph(tg, range(6), range(6, 10))
         assert back == gc
 
@@ -81,7 +67,8 @@ def test_round_trip_identity_small():
 )
 def test_round_trip_identity_property(n, k, seed, density):
     gc = random_gc(n, k, density, seed)
-    assert from_three_graph(to_three_graph(gc), range(n), range(n, n + k)) == gc
+    tg = ThreeGraph(n + k, [(u, v, n + c) for c in range(k) for u, v in gc.edges(c)])
+    assert from_three_graph(tg, range(n), range(n, n + k)) == gc
 
 
 def test_from_three_graph_single():

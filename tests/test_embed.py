@@ -23,7 +23,6 @@ from transversal.embed import (
     equitable_colouring,
     expand_embed_3graph,
     find_induced_matching,
-    induced_matching_ok,
     partial_embed,
     quasi_embed,
     transversal_blowup,
@@ -95,6 +94,45 @@ def test_equitable_random_delta3():
                 assert a == b or not H.has_edge(a, b)
 
 
+# Patterns whose greedy colouring into r = Delta + 1 classes is unbalanced, so
+# the balancing loop runs, and which a line tracer showed reach exactly one
+# kind of move.  The first two are G(n, p) draws (n=6, p=0.2, random.Random(266)
+# and n=11, p=0.3, random.Random(218)); the third is a 4-regular graph on 8
+# vertices whose jiggle has more than one legal move, so its pinned colouring
+# depends on the seeded draw.  Each pins its seed-0 colouring.
+BALANCING = {
+    "single-move": (
+        [(0, 5), (1, 4), (2, 3), (3, 4)],
+        ((3, 5), (2, 4), (0, 1)),
+    ),
+    "two-step-chain": (
+        [(0, 2), (0, 5), (0, 7), (0, 10), (1, 3), (1, 7), (1, 8), (1, 10), (2, 4), (2, 8),
+         (3, 5), (3, 8), (4, 10), (5, 6), (5, 7), (5, 8), (6, 8), (6, 9), (6, 10), (7, 9)],
+        ((5, 10), (8, 9), (0, 3), (1, 2), (4, 6), (7,)),
+    ),
+    "random-jiggle": (
+        [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (2, 7),
+         (3, 5), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)],
+        ((0, 5), (1, 7), (2,), (3, 6), (4,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("move", sorted(BALANCING))
+def test_equitable_balancing_moves(move):
+    edges, pinned = BALANCING[move]
+    H = PatternGraph(1 + max(max(e) for e in edges), edges)
+    r = H.max_degree + 1
+    eq = equitable_colouring(H, r, seed=0)
+    assert eq.proper and eq.balanced and eq.rounds >= 1
+    assert sorted(v for p in eq.parts for v in p) == list(range(H.n))
+    assert max(map(len, eq.parts)) - min(map(len, eq.parts)) <= 1
+    for p in eq.parts:
+        assert not any(H.has_edge(a, b) for a, b in combinations(p, 2))
+    assert eq.parts == pinned
+    assert equitable_colouring(H, r, seed=0) == eq
+
+
 def test_equitable_needs_enough_classes():
     H = PatternGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError):
@@ -153,6 +191,28 @@ def test_partial_deterministic():
 
 # ---------------------------------------------------------------------------
 # induced matchings
+
+
+def induced_matching_ok(H, matching, forbidden):
+    """Brute post-predicate: induced, forbidden-avoiding, and every outside
+    vertex sees at most one matching edge."""
+    mv = {v for e in matching for v in e}
+    if mv & forbidden:
+        return False
+    medges = {tuple(sorted(e)) for e in matching}
+    for u in mv:
+        for v in mv:
+            if u < v and H.has_edge(u, v) and (u, v) not in medges:
+                return False
+    for y in range(H.n):
+        if y in mv:
+            continue
+        touched = {v for v in H.neighbours(y) if v in mv}
+        if not touched:
+            continue
+        if not any(touched <= set(e) for e in medges):
+            return False
+    return True
 
 
 def test_matching_on_perfect_matching_pattern():

@@ -15,14 +15,11 @@ from transversal.regularity import (
     EmptyPart,
     PromiseViolated,
     RuleInapplicable,
-    classify_collection,
-    degree_inheritance_report,
     density,
     irregularity_witness,
     ledger_slice,
     make_ledger,
     partition_collection,
-    replay_lineage,
     sparsify_to_superregular,
     typical_elements,
 )
@@ -233,43 +230,29 @@ def test_random_dense_pair_regular_at_loose_eps():
 
 
 # ---------------------------------------------------------------------------
-# classification and typical elements
+# typical elements
 
 
-def test_identical_complete_layers_are_super():
-    edges = [(u, v) for u in range(5) for v in range(5, 10)]
-    gc = GraphCollection(10, 6, {c: edges for c in range(6)})
-    rep = classify_collection(gc, range(5), range(5, 10), DensitySpec(d=0.9, epsilon=0.2, mode="super"))
-    assert rep.ok and rep.stamp == "exhaustive"
-
-
-def test_planted_empty_colour_fails_super():
-    edges = [(u, v) for u in range(5) for v in range(5, 10)]
-    layers = {c: edges for c in range(5)}
-    layers[5] = []
-    gc = GraphCollection(10, 6, layers)
-    rep = classify_collection(gc, range(5), range(5, 10), DensitySpec(d=0.5, epsilon=0.45, mode="super"))
-    assert not rep.ok
-    assert any(c == 5 for (c, _, _) in rep.colour_failures)
-
-
-def test_classification_matches_direct_recount():
+def test_typical_elements_matches_direct_recount():
     gc = random_collection(GenSpec(n=20, n_colours=10, density=0.5, seed=11))
     V1, V2 = list(range(10)), list(range(10, 20))
-    spec = DensitySpec(d=0.35, epsilon=0.2, mode="super")
-    rep = classify_collection(gc, V1, V2, spec, budget=60, seed=2)
+    spec = DensitySpec(d=0.7, epsilon=0.2)
+    te = typical_elements(gc, V1, V2, spec, spot_check=False)
+    floor = spec.d - spec.epsilon
     # independent recount of the degree and colour floors
-    for side, others in ((V1, V2), (V2, V1)):
+    flagged = []
+    for i, (side, others) in enumerate(((V1, V2), (V2, V1))):
         for v in side:
             tot = sum(
                 sum(1 for w in others if gc.has_edge(c, v, w)) for c in range(10)
             )
-            flagged = any(f[1] == v for f in rep.vertex_failures)
-            assert flagged == (tot < spec.d * len(others) * 10)
+            flagged.append(v in te.atypical_vertices[i])
+            assert flagged[-1] == (tot < floor * len(others) * 10)
     for c in range(10):
         cnt = sum(1 for u in V1 for w in V2 if gc.has_edge(c, u, w))
-        flagged = any(f[0] == c for f in rep.colour_failures)
-        assert flagged == (cnt < spec.d * len(V1) * len(V2))
+        flagged.append(c in te.atypical_colours)
+        assert flagged[-1] == (cnt < floor * len(V1) * len(V2))
+    assert any(flagged) and not all(flagged)
 
 
 def test_typical_elements_complete_and_planted():
@@ -338,7 +321,14 @@ def test_ledger_replay_matches(steps):
             led = ledger_slice(led, rule, alpha="0.5", k=2)
         except RuleInapplicable:
             pass
-    assert replay_lineage(led)
+    # the lineage records enough to rebuild the ledger from its initial values
+    m, eps, d, delta, mode = led.initial
+    replay = make_ledger(m, eps, d, delta, mode=mode)
+    for entry in led.lineage:
+        alpha, k, eps_prime = entry.args
+        replay = ledger_slice(replay, entry.rule, alpha=alpha, k=k, eps_prime=eps_prime)
+        assert replay.params == entry.params and replay.mode == entry.mode
+    assert replay == led
 
 
 # ---------------------------------------------------------------------------
@@ -649,38 +639,7 @@ def test_partition_structural_properties_random():
 
 
 # ---------------------------------------------------------------------------
-# degree inheritance
-
-
-def test_degree_inheritance_complete():
-    edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
-    gc = GraphCollection(12, 12, {c: edges for c in range(12)})
-    part = partition_collection(gc, DensitySpec(d=0.5, epsilon=0.25), L0=3, seed=0)
-    rep = degree_inheritance_report(gc, part, p=0.5, gamma=0.1, d=0.01)
-    assert not rep.precondition_failures
-    assert rep.clusters_ok and rep.colours_ok
-    # every reduced degree equals L-1
-    assert all(cnt == part.M for cnt in rep.per_cluster_counts)
-
-
-def test_degree_inheritance_planted_defect():
-    edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
-    layers = {c: edges for c in range(11)}
-    layers[11] = [(0, 1)]
-    gc = GraphCollection(12, 12, layers)
-    part = partition_collection(gc, DensitySpec(d=0.5, epsilon=0.25), L0=3, seed=0)
-    rep = degree_inheritance_report(gc, part, p=0.5, gamma=0.1, d=0.01)
-    assert any(c == 11 for (c, _, _) in rep.precondition_failures)
-
-
-def test_degree_inheritance_recount_agrees():
-    gc = random_collection(GenSpec(n=16, n_colours=16, density=0.7, seed=9))
-    part = partition_collection(gc, DensitySpec(d=0.25, epsilon=0.35), L0=3, seed=1)
-    rep = degree_inheritance_report(gc, part, p=0.5, gamma=0.1, d=0.25)
-    floor = (0.5 + 0.05) * part.L
-    for i in range(part.L):
-        good = sum(1 for R in part.reduced if sum(1 for j in R.neighbours(i)) >= floor)
-        assert good == rep.per_cluster_counts[i]
+# sampled witness search
 
 
 def test_sampled_mode_confidence_metadata():
