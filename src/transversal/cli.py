@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import gc as _gc
 import hashlib
 import json
 import os
@@ -95,10 +97,19 @@ def _failure_outcome(failure) -> dict:
 
 
 def _load_instance(path: str) -> GraphCollection | ThreeGraph:
-    d = _load(path)
-    if "colours" in d:
-        return collection_from_json(d)
-    return threegraph_from_json(d)
+    """Read an instance file with the cyclic garbage collector paused until
+    the parsed document is freed (README, CLI): its row lists cannot form a
+    cycle, yet every collection their allocation triggers walks them all."""
+    was_enabled = _gc.isenabled()
+    _gc.disable()
+    try:
+        d = _load(path)
+        inst = collection_from_json(d) if "colours" in d else threegraph_from_json(d)
+        del d
+        return inst
+    finally:
+        if was_enabled:
+            _gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use (about 2 ms) and then kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be opened, read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

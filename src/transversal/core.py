@@ -508,9 +508,6 @@ class TransversalEmbedding:
     tau: Mapping[int, int]
     sigma: Mapping[tuple[int, int], int]
 
-    def colour_of(self, u: int, v: int) -> int:
-        return self.sigma[(u, v) if u < v else (v, u)]
-
 
 @dataclass(frozen=True)
 class VerificationReport:

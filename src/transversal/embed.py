@@ -382,6 +382,11 @@ def partial_embed(
     neighbourhood.  Only the subgraph induced on X + Y is touched; edges
     inside Y must be absent.  Success requires final vertex candidate sets
     of size >= nu'*m and never-empty colour candidates.
+
+    Vertex and colour candidate sets are bitmasks.  Used hosts and retired
+    colours are kept in one mask each and taken out whenever a set is read,
+    so "remove everywhere" is one bit.  Each pick is ``rng.choice`` over the
+    set in ascending order, so the draws are those of the set-based loop.
     """
     rng = random.Random(_mix(seed, 23))
     X, Y = list(X), list(Y)
@@ -393,7 +398,6 @@ def partial_embed(
         u, v = inside_y[0]
         return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
     targets = targets or {}
-    cluster_sets = [set(cl) for cl in t.clusters]
     d = float(t.ledger.d)
     eps = float(t.ledger.eps)
     m = float(t.ledger.m)
@@ -401,18 +405,22 @@ def partial_embed(
 
     order = X + Y
     pos = {v: i for i, v in enumerate(order)}
-    cand_v: dict[int, set[int]] = {}
+    cand_v: dict[int, int] = {}
     for w in order:
-        base = cluster_sets[phi[w]]
+        cluster = t.clusters[phi[w]]
         tw = targets.get(w)
-        cand_v[w] = set(base) & set(tw) if tw is not None else set(base)
+        if tw is not None:  # a target outside the cluster is ignored
+            tw = set(tw)
+            cluster = [v for v in cluster if v in tw]
+        cand_v[w] = mask_of(cluster)
         if not cand_v[w]:
             return Failure(
                 "partial", CANDIDATE_EXHAUSTED, seed,
                 element=("vertex", w), step="init", detail="empty target within cluster",
             )
+    xy_mask = mask_of(xy_set)
     edges_live = H.edges_within(xy_set)
-    cand_c: dict[tuple[int, int], set[int]] = {}
+    cand_c: dict[tuple[int, int], int] = {}
     for (u, v) in edges_live:
         key = _class_key(phi, u, v)
         if key not in t.colour_clusters:
@@ -420,66 +428,65 @@ def partial_embed(
                 "partial", PRECONDITION, seed,
                 detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}",
             )
-        cand_c[(u, v)] = set(t.colours_of_edge(*key))
+        cand_c[(u, v)] = mask_of(t.colours_of_edge(*key))
 
     tau: dict[int, int] = {}
     sigma: dict[tuple[int, int], int] = {}
-
-    def later_neighbours(x):
-        return sorted(
-            (y for y in H.neighbours(x) if y in xy_set and pos[y] > pos[x]),
-            key=lambda y: pos[y],
-        )
+    used = 0  # hosts taken by tau
+    retired = 0  # colours taken by sigma
+    adj = t.gc.adj
 
     for x in X:
+        later = sorted((y for y in bits_of(H.adj(x) & xy_mask) if pos[y] > pos[x]),
+                       key=pos.__getitem__)
         # (x,1) colour-sum pruning of the vertex candidate set
-        for y in later_neighbours(x):
+        cx = cand_v[x] & ~used
+        for y in later:
             e = (x, y) if x < y else (y, x)
-            Cxy, Cy = cand_c[e], cand_v[y]
+            Cxy, Cy = cand_c[e] & ~retired, cand_v[y] & ~used
             if not Cxy or not Cy:
                 return Failure(
                     "partial", CANDIDATE_EXHAUSTED, seed,
                     element=("edge", e), step=f"({x},1)",
                 )
-            cy_mask = mask_of(Cy)
-            thr = (d - eps) * len(Cxy) * len(Cy)
-            bad = [v for v in cand_v[x] if t.gc.degree_into(v, cy_mask, Cxy) < thr]
-            cand_v[x] -= set(bad)
-        if not cand_v[x]:
+            colours = list(bits_of(Cxy))
+            thr = (d - eps) * len(colours) * Cy.bit_count()
+            for v in bits_of(cx):
+                if t.gc.degree_into(v, Cy, colours) < thr:
+                    cx ^= 1 << v
+        if not cx:
             return Failure(
                 "partial", CANDIDATE_EXHAUSTED, seed,
                 element=("vertex", x), step=f"({x},1)",
             )
-        # (x,2) choose the image
-        tau[x] = rng.choice(sorted(cand_v[x]))
-        # (x,3) retire the host vertex everywhere
-        for w in order:
-            cand_v[w].discard(tau[x])
+        # (x,2) choose the image; (x,3) retire the host vertex everywhere
+        tau[x] = tx = rng.choice(list(bits_of(cx)))
+        used |= 1 << tx
         # (x,4) colours towards later neighbours
-        for y in later_neighbours(x):
+        for y in later:
             e = (x, y) if x < y else (y, x)
-            Cy = cand_v[y]
-            cy_mask = mask_of(Cy)
-            thr = d * len(Cy) / 2
-            cand_c[e] = {
-                c for c in cand_c[e] if (t.gc.adj(c, tau[x]) & cy_mask).bit_count() >= thr
-            }
-            if not cand_c[e]:
+            Cy = cand_v[y] & ~used
+            thr = d * Cy.bit_count() / 2
+            Cxy = 0
+            for c in bits_of(cand_c[e] & ~retired):
+                if (adj(c, tx) & Cy).bit_count() >= thr:
+                    Cxy |= 1 << c
+            if not Cxy:
                 return Failure(
                     "partial", CANDIDATE_EXHAUSTED, seed,
                     element=("edge", e), step=f"({x},{y},4.1)",
                 )
-            sigma[e] = rng.choice(sorted(cand_c[e]))
-            for other in cand_c:
-                cand_c[other].discard(sigma[e])
-            cand_v[y] &= {v for v in Cy if t.gc.adj(sigma[e], tau[x]) >> v & 1}
+            sigma[e] = c = rng.choice(list(bits_of(Cxy)))
+            retired |= 1 << c
+            cand_v[y] = Cy & adj(c, tx)
             if not cand_v[y]:
                 return Failure(
                     "partial", CANDIDATE_EXHAUSTED, seed,
                     element=("vertex", y), step=f"({x},{y},4.4)",
                 )
 
-    low = [(y, len(cand_v[y])) for y in Y if len(cand_v[y]) < floor]
+    final = {y: cand_v[y] & ~used for y in Y}
+    low = [(y, final[y].bit_count()) for y in Y if final[y].bit_count() < floor]
     if low:
         return Failure(
             "partial", CANDIDATE_EXHAUSTED, seed,
@@ -489,7 +496,7 @@ def partial_embed(
     return PartialEmbedding(
         tau=tau,
         sigma=sigma,
-        candidates={y: frozenset(cand_v[y]) for y in Y},
+        candidates={y: frozenset(bits_of(final[y])) for y in Y},
     )
 
 
@@ -1345,6 +1352,17 @@ def build_absorber(
 # Transversal blow-up pipeline (Steps 0-5)
 
 
+def _certified_separator(view: _PatternView, plan: SplitPlan) -> list[int]:
+    """Step 0's separator X for the pattern view, in global labels: the
+    certifier's, or empty when it certifies none (chunking then copes or
+    fails typed)."""
+    mu = plan.mu if view.pattern.n * plan.mu >= 1 else 1.0
+    cert = separability_certificate(view.pattern, mu)
+    if isinstance(cert, SeparabilityCertificate):
+        return sorted(view.to_global[v] for v in cert.separator)
+    return []
+
+
 def transversal_blowup(
     t: Template,
     H: PatternGraph,
@@ -1386,18 +1404,12 @@ def transversal_blowup(
                 "pipeline", PRECONDITION, seed, edge_class=key,
                 detail="pattern edge class outside R",
             )
-    # separator: supplied, or greedy on the active induced subgraph
+    # separator: supplied, or certified on the active induced subgraph
     view = _pattern_view(H, phi, active)
     if separator is not None:
         X = sorted(set(separator) & active)
     else:
-        cert = separability_certificate(
-            view.pattern, plan.mu if len(active) * plan.mu >= 1 else 1.0
-        )
-        if isinstance(cert, SeparabilityCertificate):
-            X = sorted(view.to_global[v] for v in cert.separator)
-        else:
-            X = []  # proceed with an empty separator; chunking will cope or fail typed
+        X = _certified_separator(view, plan)
 
     # set-up shared by every attempt: the components outside X with their
     # class edge counts
@@ -1905,6 +1917,9 @@ def quasi_embed(
     H_lt = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
     active = set(range(H.n)) - Xset
     class_rest = _class_edges(H, phi, active)
+    # the blow-up's separator depends only on H, phi and active: certify once
+    separator = (_certified_separator(_pattern_view(H, phi, active), plan)
+                 if dense_pairs else None)
 
     def attempt(sub_seed, _):
         rng = random.Random(sub_seed)
@@ -1985,7 +2000,7 @@ def quasi_embed(
         )
         out = transversal_blowup(
             tmpl2, H, phi, cand, plan, seed=_mix(sub_seed, 7),
-            active=active,
+            active=active, separator=separator,
         )
         if not out.ok:
             return out.failure

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transversal
-from transversal.cli import main
+from transversal.cli import _load_instance, main
 from transversal.core import GraphCollection, PatternGraph, collection_to_json, pattern_to_json
 from transversal.generators import parity_threegraph
 
@@ -223,6 +224,59 @@ def test_usage_error_exit_2(workdir):
     assert "invalid choice" in proc.stderr, proc.stderr
     # missing file is also a usage-level error
     assert main(["check", "--instance", "missing.json"]) == 2
+
+
+@pytest.mark.parametrize("path", ["missing.json", "."])
+def test_unreadable_instance_path_exits_2(workdir, capsys, path):
+    # a directory used to escape as an IsADirectoryError traceback, exit 1
+    assert main(["check", "--instance", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def collections_started():
+    """The generations of the collections the cyclic garbage collector
+    starts while the test runs, with the collector switched on."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(hook)
+        if not was_enabled:
+            gc.disable()
+
+
+def test_loading_a_host_starts_no_collection(workdir, collections_started):
+    rows = random.Random(0).sample([list(t) for t in combinations(range(60), 3)], 20_000)
+    write_json(workdir / "g.json", {"n": 60, "edges": rows})
+    del rows
+    gc.collect()
+    collections_started.clear()
+    host = _load_instance("g.json")
+    assert collections_started == []
+    assert host.e == 20_000 and gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("edges, code", [([[0, 1, 2]], 0), ([[0, 1, 9]], 2)])
+def test_main_leaves_the_collector_as_it_found_it(workdir, enabled, edges, code):
+    write_json(workdir / "g.json", {"n": 4, "edges": edges})
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["check", "--instance", "g.json", "--out", "c.json"]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_verify_malformed_embedding_is_a_usage_error(workdir):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from itertools import combinations
 
@@ -10,12 +11,17 @@ from transversal.core import (
     PatternGraph,
     SimpleGraph,
     ThreeGraph,
+    mask_of,
     verify_transversal_embedding,
 )
 from transversal.embed import (
+    CANDIDATE_EXHAUSTED,
+    PRECONDITION,
     Failure,
     PartialEmbedding,
     SplitPlan,
+    _class_key,
+    _mix,
     approx_embed,
     blowup_embed,
     build_absorber,
@@ -187,6 +193,215 @@ def test_partial_deterministic():
     assert type(a) == type(b)
     if isinstance(a, PartialEmbedding):
         assert a.tau == b.tau and a.sigma == b.sigma
+
+
+def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0):
+    """The set-based candidate loop that the bitmask ``partial_embed``
+    replaced, kept as its reference: same draws, same results."""
+    rng = random.Random(_mix(seed, 23))
+    X, Y = list(X), list(Y)
+    xy_set = set(X) | set(Y)
+    if len(xy_set) != len(X) + len(Y):
+        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
+    inside_y = H.edges_within(Y)
+    if inside_y:
+        u, v = inside_y[0]
+        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
+    targets = targets or {}
+    cluster_sets = [set(cl) for cl in t.clusters]
+    d = float(t.ledger.d)
+    eps = float(t.ledger.eps)
+    m = float(t.ledger.m)
+    floor = max(1, math.ceil(plan.nu_prime * m))
+
+    order = X + Y
+    pos = {v: i for i, v in enumerate(order)}
+    cand_v: dict[int, set[int]] = {}
+    for w in order:
+        base = cluster_sets[phi[w]]
+        tw = targets.get(w)
+        cand_v[w] = set(base) & set(tw) if tw is not None else set(base)
+        if not cand_v[w]:
+            return Failure(
+                "partial", CANDIDATE_EXHAUSTED, seed,
+                element=("vertex", w), step="init", detail="empty target within cluster",
+            )
+    edges_live = H.edges_within(xy_set)
+    cand_c: dict[tuple[int, int], set[int]] = {}
+    for (u, v) in edges_live:
+        key = _class_key(phi, u, v)
+        if key not in t.colour_clusters:
+            return Failure(
+                "partial", PRECONDITION, seed,
+                detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}",
+            )
+        cand_c[(u, v)] = set(t.colours_of_edge(*key))
+
+    tau: dict[int, int] = {}
+    sigma: dict[tuple[int, int], int] = {}
+
+    def later_neighbours(x):
+        return sorted(
+            (y for y in H.neighbours(x) if y in xy_set and pos[y] > pos[x]),
+            key=lambda y: pos[y],
+        )
+
+    for x in X:
+        # (x,1) colour-sum pruning of the vertex candidate set
+        for y in later_neighbours(x):
+            e = (x, y) if x < y else (y, x)
+            Cxy, Cy = cand_c[e], cand_v[y]
+            if not Cxy or not Cy:
+                return Failure(
+                    "partial", CANDIDATE_EXHAUSTED, seed,
+                    element=("edge", e), step=f"({x},1)",
+                )
+            cy_mask = mask_of(Cy)
+            thr = (d - eps) * len(Cxy) * len(Cy)
+            bad = [v for v in cand_v[x] if t.gc.degree_into(v, cy_mask, Cxy) < thr]
+            cand_v[x] -= set(bad)
+        if not cand_v[x]:
+            return Failure(
+                "partial", CANDIDATE_EXHAUSTED, seed,
+                element=("vertex", x), step=f"({x},1)",
+            )
+        # (x,2) choose the image
+        tau[x] = rng.choice(sorted(cand_v[x]))
+        # (x,3) retire the host vertex everywhere
+        for w in order:
+            cand_v[w].discard(tau[x])
+        # (x,4) colours towards later neighbours
+        for y in later_neighbours(x):
+            e = (x, y) if x < y else (y, x)
+            Cy = cand_v[y]
+            cy_mask = mask_of(Cy)
+            thr = d * len(Cy) / 2
+            cand_c[e] = {
+                c for c in cand_c[e] if (t.gc.adj(c, tau[x]) & cy_mask).bit_count() >= thr
+            }
+            if not cand_c[e]:
+                return Failure(
+                    "partial", CANDIDATE_EXHAUSTED, seed,
+                    element=("edge", e), step=f"({x},{y},4.1)",
+                )
+            sigma[e] = rng.choice(sorted(cand_c[e]))
+            for other in cand_c:
+                cand_c[other].discard(sigma[e])
+            cand_v[y] &= {v for v in Cy if t.gc.adj(sigma[e], tau[x]) >> v & 1}
+            if not cand_v[y]:
+                return Failure(
+                    "partial", CANDIDATE_EXHAUSTED, seed,
+                    element=("vertex", y), step=f"({x},{y},4.4)",
+                )
+
+    low = [(y, len(cand_v[y])) for y in Y if len(cand_v[y]) < floor]
+    if low:
+        return Failure(
+            "partial", CANDIDATE_EXHAUSTED, seed,
+            element=("vertex", low[0][0]), step="final-floor",
+            detail=f"candidate sets below nu'*m = {floor}: {low}",
+        )
+    return PartialEmbedding(
+        tau=tau,
+        sigma=sigma,
+        candidates={y: frozenset(cand_v[y]) for y in Y},
+    )
+
+
+def _random_pattern(rng, n, max_deg):
+    """A random graph on n vertices with maximum degree <= max_deg."""
+    deg = [0] * n
+    edges = set()
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        if deg[u] < max_deg and deg[v] < max_deg and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            deg[u] += 1
+            deg[v] += 1
+    return PatternGraph(n, sorted(edges))
+
+
+def _greedy_phi(H, r):
+    phi = []
+    for v in range(H.n):
+        taken = {phi[u] for u in H.neighbours(v) if u < v}
+        phi.append(min(set(range(r)) - taken))
+    return phi
+
+
+def _kr_template(rng, r, side, k, density, d, shared):
+    """Template on K_r with clusters of ``side`` hosts; colours are shared by
+    every pair (``shared``) or split into disjoint groups of k per pair."""
+    R = SimpleGraph(r, list(combinations(range(r), 2)))
+    clusters = [range(i * side, (i + 1) * side) for i in range(r)]
+    pairs = list(combinations(range(r), 2))
+    groups = {p: list(range(k)) if shared else list(range(h * k, (h + 1) * k))
+              for h, p in enumerate(pairs)}
+    n_colours = k if shared else k * len(pairs)
+    edges = {c: [] for c in range(n_colours)}
+    for (i, j), cs in groups.items():
+        for c in cs:
+            edges[c] += [(u, v) for u in clusters[i] for v in clusters[j]
+                         if rng.random() < density]
+    gc = GraphCollection(r * side, n_colours, edges)
+    led = make_ledger(side, "0.05", d, "0.5", mode="super")
+    return make_template(R, clusters, groups, gc, led, rainbow=not shared, klass="super")
+
+
+def _partial_case(case):
+    """One seeded partial_embed input: (t, H, phi, X, Y, targets, seed)."""
+    rng = random.Random(case)
+    kind = case % 4
+    if kind == 0:  # a bipartite pattern on the two-cluster template
+        t = bip_template(rng.randint(4, 9), rng.randint(2, 12), density=rng.uniform(0.4, 1.0),
+                         seed=case, d=rng.choice(["0", "0.3", "0.5", "0.7"]))
+        n = rng.randint(2, 8)
+        H = PatternGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if (u + v) % 2 and rng.random() < 0.5])
+        phi = [v % 2 for v in range(n)]
+    else:  # cycles (kind 1) or random max-degree-3 patterns on K_3 / K_4
+        n = rng.randint(3, 12)
+        H = (PatternGraph(n, [(i, (i + 1) % n) for i in range(n)]) if kind == 1
+             else _random_pattern(rng, n, 3))
+        r = 3 if kind == 1 else 4
+        phi = _greedy_phi(H, r)
+        t = _kr_template(rng, r, rng.randint(3, 8), rng.randint(2, 10),
+                         rng.uniform(0.3, 1.0), rng.choice(["0", "0.2", "0.4", "0.6"]),
+                         shared=kind != 3)
+    # Y: an independent set, the rest in X (shuffled, or BFS-like order)
+    Y = []
+    if rng.random() < 0.6:
+        for v in rng.sample(range(n), n):
+            if rng.random() < 0.5 and not any(H.has_edge(v, y) for y in Y):
+                Y.append(v)
+    X = [v for v in range(n) if v not in Y]
+    rng.shuffle(X)
+    targets = None
+    if rng.random() < 0.5:
+        hosts = t.gc.n
+        targets = {v: set(rng.sample(range(hosts + 3), rng.randint(hosts // 4, hosts)))
+                   for v in range(n) if rng.random() < 0.4}
+    return t, H, phi, X, Y, targets, rng.getrandbits(32)
+
+
+def _partial_fingerprint(out):
+    if isinstance(out, Failure):
+        return ("failure", out.stage, out.reason, out.seed, out.diagnostics)
+    return ("ok", list(out.tau.items()), list(out.sigma.items()), out.candidates)
+
+
+def test_bitmask_partial_embed_matches_the_set_reference():
+    steps = set()
+    for case in range(240):
+        t, H, phi, X, Y, targets, seed = _partial_case(case)
+        new = partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
+        ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
+        assert _partial_fingerprint(new) == _partial_fingerprint(ref), case
+        # "ok", or the failing step without its vertices: "(3,1)" -> "1)"
+        steps.add("ok" if isinstance(ref, PartialEmbedding)
+                  else ref.diagnostics["step"].split(",")[-1])
+    # successes and a failure at every step are among the cases
+    assert steps == {"ok", "init", "1)", "4.1)", "4.4)", "final-floor"}, steps
 
 
 # ---------------------------------------------------------------------------
