@@ -1383,9 +1383,10 @@ def transversal_blowup(
     embedder again on the flexible pool; Step 5 closes by matching the
     absorber edges to A plus the leftover B-subset, whose size must equal the
     flexibility count exactly (an explicit check: a mismatch is a typed
-    ``step5`` failure).  Set-up that draws nothing is computed once; a
-    component split that the component counts already rule out is not
-    retried.
+    ``step5`` failure).  Set-up that draws nothing is computed once, and a
+    split that the component counts rule out is not retried.  Whenever Steps
+    0-5 give no embedding, at any pattern size, one candidate-set pass over a
+    BFS order of the active vertices runs instead (``"path": "one-shot"``).
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1436,10 +1437,8 @@ def transversal_blowup(
                 comps, class_of_comp, Y, H_con, con_targets,
             ),
         )
-    # small instances can lack the components to fill all five stages; a
-    # one-shot candidate-set pass still yields sigma onto the colour set
-    # (class sizes equal class edge counts), so try that before giving up
-    if isinstance(out, Failure) and sum(len(es) for es in class_e.values()) <= 64:
+    # class sizes equal class edge counts, so one pass can use every colour
+    if isinstance(out, Failure):
         bfs = _bfs_order(H, active)
 
         def one_shot(sub_seed, attempt):
@@ -1920,6 +1919,8 @@ def quasi_embed(
     # the blow-up's separator depends only on H, phi and active: certify once
     separator = (_certified_separator(_pattern_view(H, phi, active), plan)
                  if dense_pairs else None)
+    # the candidate-set pass's order: all of H when every pair is sparse, else X
+    order = _bfs_order(H, X if dense_pairs else range(H.n))
 
     def attempt(sub_seed, _):
         rng = random.Random(sub_seed)
@@ -1958,7 +1959,6 @@ def quasi_embed(
         stats = dict(base_stats)
         if not dense_pairs:
             # every pair sparse: the run degenerates to one candidate-set pass
-            order = _bfs_order(H, range(H.n))
             part = partial_embed(
                 tmpl, H, phi, X=order, Y=[], targets=None, plan=plan, seed=sub_seed
             )
@@ -1971,7 +1971,7 @@ def quasi_embed(
         cand: dict[int, set[int]] = {}
         if X:
             part = partial_embed(
-                tmpl, H_lt, phi, X=_bfs_order(H, X), Y=Y,
+                tmpl, H_lt, phi, X=order, Y=Y,
                 targets=None, plan=plan, seed=sub_seed,
             )
             if isinstance(part, Failure):

@@ -33,7 +33,7 @@ from transversal.embed import (
     quasi_embed,
     transversal_blowup,
 )
-from transversal.generators import GenSpec, random_collection
+from transversal.generators import GenSpec, random_collection, separable_family
 from transversal.oracle import exact_transversal_embed
 from transversal.regularity import make_ledger
 from transversal.templates import make_template
@@ -1099,15 +1099,49 @@ def _count_pipeline_calls(monkeypatch):
 
 def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
     # no separator is certified for a 70-cycle at the default mu, so the
-    # cycle stays one component and no abs/app/col split exists; its 70 class
-    # edges are above the one-shot bound, so the failure is returned at once
+    # cycle stays one component and no abs/app/col split exists: Steps 0-5
+    # never run and the one-shot pass embeds the cycle instead
     calls = _count_pipeline_calls(monkeypatch)
     H = PatternGraph(70, [(i, (i + 1) % 70) for i in range(70)])
     gc = random_collection(GenSpec(n=70, n_colours=70, density=0.8, seed=1))
     out = quasi_embed(gc, H, PLAN, seed=1)
-    assert (out.failure.stage, out.failure.reason) == ("split", "ChernoffRetryExhausted")
-    assert out.failure.diagnostics == {"detail": "no component split meets the per-class minima"}
+    assert out.ok and out.verification.ok
+    assert out.stats["blowup"]["path"] == "one-shot"
     assert len(calls) == 0
+
+
+def _ladder(m):
+    """P_m x K_2: two paths 0..m-1 and m..2m-1 joined by rungs (i, m + i)."""
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return PatternGraph(2 * m, rails + [(i, m + i) for i in range(m)])
+
+
+def _max_degree_3(n, seed):
+    rng = random.Random(seed)
+    deg, edges = [0] * n, set()
+    for _ in range(20 * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges and deg[u] < 3 and deg[v] < 3:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return PatternGraph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("H", [
+    _ladder(30),
+    separable_family("bandwidth", n=60, b=2).graph,
+    _max_degree_3(60, 1),
+    PatternGraph(70, [(i, (i + 1) % 70) for i in range(70)]),
+], ids=["ladder-30", "path-square-60", "max-degree-3-60", "cycle-70"])
+def test_one_shot_backs_up_steps_0_to_5_at_any_pattern_size(H):
+    # at the default mu no split of the certified components exists for
+    # these 70-117 edge patterns; the one-shot pass embeds them whatever
+    # their size
+    gc = random_collection(GenSpec(n=H.n, n_colours=H.e, density=0.8, seed=1))
+    out = quasi_embed(gc, H, PLAN, seed=1)
+    assert out.ok and out.verification.ok
+    assert out.stats["blowup"]["path"] == "one-shot"
 
 
 def test_main_path_still_runs_the_pipeline(monkeypatch):
