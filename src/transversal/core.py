@@ -96,7 +96,8 @@ class SimpleGraph:
         return [
             (u, v)
             for u in bits_of(inside)
-            for v in bits_of(adj[u] & (inside >> (u + 1) << (u + 1)))
+            if (later := adj[u] & (inside >> (u + 1) << (u + 1)))  # skip u with no later neighbour
+            for v in bits_of(later)
         ]
 
     def components(self, vertices: Iterable[int]) -> list[list[int]]:
@@ -221,7 +222,7 @@ class GraphCollection:
         gc = cls(n, 0)
         gc.n_colours = len(rows)
         gc._adj = tuple(tuple(r) for r in rows)
-        gc._ecount = tuple(sum(m.bit_count() for m in r) // 2 for r in rows)
+        gc._ecount = tuple(sum(map(int.bit_count, r)) // 2 for r in rows)
         return gc
 
     def add_slice_to(self, rows: Sequence[list[int]], A, B, colours) -> int:
@@ -396,22 +397,20 @@ class ThreeGraph:
         restricted to ``v_side``, reindexed: ij is an edge of colour j iff
         ``{v_side[i], v_side[j'], c_side[j]}`` is a 3-edge.  The sides are
         disjoint lists of distinct vertices of this 3-graph."""
-        n, get = self.n, self._pairs.get
-        local = {1 << w: 1 << i for i, w in enumerate(v_side)}  # host bit -> local bit
-        vmask = mask_of(v_side)
-        rows = []
-        for c in c_side:
-            row = []
-            for u in v_side:
-                m = get(u * n + c if u < c else c * n + u, 0) & vmask
-                r = 0
-                while m:
-                    low = m & -m
-                    r |= local[low]
-                    m ^= low
-                row.append(r)
-            rows.append(row)
-        return GraphCollection.from_rows(len(v_side), rows)
+        n, get, k = self.n, self._pairs.get, len(v_side)
+        nb, kb = (n + 7) // 8, (k + 7) // 8
+        keys = [u * n + c if u < c else c * n + u for c in c_side for u in v_side]
+        cols = np.array(v_side, dtype=np.intp)
+        flat = []  # the rows of every colour, end to end
+        # each pair mask unpacks to n bytes, so a chunk holds _CHUNK_BYTES / n masks
+        step = max(1, _CHUNK_BYTES // (8 * nb))
+        for s in range(0, len(keys), step):
+            raw = b"".join(get(key, 0).to_bytes(nb, "little") for key in keys[s : s + step])
+            masks = np.frombuffer(raw, np.uint8).reshape(-1, nb)
+            bits = np.unpackbits(masks, axis=1, bitorder="little")
+            blob = np.packbits(bits[:, cols], axis=1, bitorder="little").tobytes()
+            flat += [int.from_bytes(blob[i : i + kb], "little") for i in range(0, len(blob), kb)]
+        return GraphCollection.from_rows(k, [flat[j * k : j * k + k] for j in range(len(c_side))])
 
     def __eq__(self, other):
         return (
@@ -425,6 +424,7 @@ class ThreeGraph:
 
 
 _CHUNK_ROWS = 1 << 14  # rows per chunk of the ThreeGraph build
+_CHUNK_BYTES = 1 << 20  # unpacked pair-mask bytes per chunk of a link collection
 
 
 def _int_rows(chunk: list) -> np.ndarray | None:

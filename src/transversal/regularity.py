@@ -536,15 +536,20 @@ def _meets_degree_floor(part_degrees: Sequence[Sequence[int]], d: float) -> bool
     )
 
 
+_COINS_NUMPY_MIN = 4096  # building and loading a RandomState costs about 4,000 plain calls
+
+
 def _coins(rng: random.Random, k: int) -> np.ndarray:
-    """The next k values of ``rng.random()``, drawn in one call, with ``rng``
-    left where k calls would leave it.  Both generators are MT19937 and
-    RandomState's ``random_sample`` builds the same 53-bit doubles as
-    ``random.random``; NEP 19 freezes that stream, so the values do not
-    depend on the numpy version.  The RandomState is made per call, so no
-    generator is shared between callers."""
-    if not k:
-        return np.empty(0)
+    """The next k values of ``rng.random()``, with ``rng`` left where k calls
+    would leave it.  Below ``_COINS_NUMPY_MIN`` they are k plain calls;
+    above, one call: both generators are MT19937 and RandomState's
+    ``random_sample`` builds the same 53-bit doubles as ``random.random``,
+    and NEP 19 freezes that stream, so the values do not depend on the numpy
+    version.  The RandomState is made per call, so no generator is shared
+    between callers."""
+    if k < _COINS_NUMPY_MIN:
+        draw = rng.random
+        return np.fromiter([draw() for _ in range(k)], float, k)
     version, internal, gauss = rng.getstate()
     mt = np.random.RandomState()
     mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
@@ -604,23 +609,23 @@ def _sparsify_slice(
     order = np.lexsort((np.maximum(u, v), np.minimum(u, v), group))
     pi, pj = np.divmod(order, len(J))  # each pair's index in I and in J
     u, v = I[pi], J[pj]
-    # the slice as 0/1 by (colour in chunk order, pair in the order above):
+    # the slice as 0/1 by (pair in the order above, colour in chunk order):
     # a cell is the block of one run of pairs and one run of colours
-    slab = _slice_rows(gc, I.tolist(), cols)[:, pi, v]
+    slab = _slice_rows(gc, I.tolist(), cols).transpose(1, 2, 0)[pi, v]
     colour_runs = _runs([len(ch) for ch in ch_c])
     cells = []  # (pair run, colour run, count, density) in sorted cell order
     for pr in _runs([len(a) * len(b) for a in ch_i for b in ch_j]):
         for cr in colour_runs:
-            count = int(np.count_nonzero(slab[cr, pr]))
+            count = int(np.count_nonzero(slab[pr, cr]))
             if count:
                 cells.append((pr, cr, count, count / ((pr.stop - pr.start) * (cr.stop - cr.start))))
     if d is None:
         d = _target_density([dens for *_, dens in cells]) if cells else 0.0
-    _thin(slab.T, [cell for cell in cells if cell[3] > d], d, rng)
+    _thin(slab, [cell for cell in cells if cell[3] > d], d, rng)
     # the kept rows of the slice's vertices, V_i then V_j in chunk order
     kept = np.zeros((len(cols), len(I) + len(J), 8 * nb), np.uint8)
-    kept[:, pi, v] = slab
-    kept[:, len(I) + pj, u] = slab
+    kept[:, pi, v] = slab.T
+    kept[:, len(I) + pj, u] = slab.T
     packed = np.packbits(kept, axis=2, bitorder="little")
     rows = [[0] * n for _ in range(gc.n_colours)]
     verts = I.tolist() + J.tolist()
@@ -628,8 +633,10 @@ def _sparsify_slice(
         row = rows[c]
         for x, s in zip(verts, range(0, len(blob), nb)):
             row[x] = int.from_bytes(blob[s : s + nb], "little")
-    deg = dict(zip(verts, kept.sum(axis=(0, 2)).tolist()))
-    deg_c = dict(zip(cols, slab.sum(axis=1).tolist()))
+    per_pair = slab.sum(axis=1)  # each pair's kept colours, summed onto its two ends
+    deg_i, deg_j = np.bincount(pi, per_pair, len(I)), np.bincount(pj, per_pair, len(J))
+    deg = dict(zip(verts, np.concatenate((deg_i, deg_j)).astype(int).tolist()))
+    deg_c = dict(zip(cols, slab.sum(axis=0).tolist()))
     return rows, d, [[deg[x] for x in Vi], [deg[y] for y in Vj], [deg_c[c] for c in colours]]
 
 

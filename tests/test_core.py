@@ -172,14 +172,22 @@ def _scan_link_collection(g, v_side, c_side):
     return GraphCollection(len(v_side), len(c_side), col_edges)
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", range(37))
 def test_link_collection_matches_the_triple_scan(seed):
     rng = random.Random(seed)
-    n = rng.randint(4, 40)
-    density = rng.random()
-    g = ThreeGraph(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density])
-    draw = rng.sample(range(n), rng.randint(2, n))
-    k = rng.randint(1, len(draw) - 1)
+    if seed < 25:
+        n = rng.randint(4, 40)
+        density = rng.random()
+        g = ThreeGraph(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < density])
+        draw = rng.sample(range(n), rng.randint(2, n))
+        k = rng.randint(1, len(draw) - 1)
+    else:
+        # masks of several words, n not a multiple of 8, rows wider than one
+        # word, and (every third seed) an empty colour side
+        n = rng.choice([65, 71, 97, 130, 133])
+        g = ThreeGraph(n, [rng.sample(range(n), 3) for _ in range(rng.randint(n, 20 * n))])
+        draw = rng.sample(range(n), n)
+        k = n if seed % 3 == 0 else rng.randint(n // 2, n - 1)
     v_side, c_side = draw[:k], draw[k:]
     if seed % 2:
         v_side, c_side = sorted(v_side), sorted(c_side)
@@ -187,6 +195,23 @@ def test_link_collection_matches_the_triple_scan(seed):
     ref = _scan_link_collection(g, v_side, c_side)
     assert gc == ref
     assert [gc.edge_count(c) for c in gc.colours] == [ref.edge_count(c) for c in ref.colours]
+
+
+def test_link_collection_memory_is_bounded_by_its_chunks():
+    # unpacking all 100 x 100 pair masks at once would take 200 MB at this n
+    rng = random.Random(3)
+    n = 20_000
+    sides = rng.sample(range(n), 200)
+    g = ThreeGraph(n, [rng.sample(sides, 3) for _ in range(3000)]
+                   + [rng.sample(range(n), 3) for _ in range(3000)])
+    tracemalloc.start()
+    try:
+        gc = g.link_collection(sides[:100], sides[100:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gc == _scan_link_collection(g, sides[:100], sides[100:])
+    assert peak < 8 << 20, peak
 
 
 def test_threegraph_footprint_is_linear_in_edges():

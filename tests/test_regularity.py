@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from transversal.core import GraphCollection, SimpleGraph, ThreeGraph, bits_of, mask_of
 from transversal.generators import GenSpec, random_collection
 from transversal.regularity import (
+    _COINS_NUMPY_MIN,
     DensitySpec,
     EmptyPart,
     PromiseViolated,
@@ -559,10 +560,16 @@ def test_sparsify_slice_kernel_matches_the_per_coin_loop(seed):
     assert rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("k", [0, 1, 10_000])
-def test_coins_are_the_next_k_random_calls(k):
+@pytest.mark.parametrize("k", [0, 1, _COINS_NUMPY_MIN - 1, _COINS_NUMPY_MIN, 10_000])
+def test_coins_are_the_next_k_random_calls(k, monkeypatch):
     from transversal.regularity import _coins
 
+    if k < _COINS_NUMPY_MIN:  # small draws are plain calls, with no RandomState built
+
+        def no_random_state(*args, **kwargs):
+            raise AssertionError("RandomState built for a small draw")
+
+        monkeypatch.setattr(np.random, "RandomState", no_random_state)
     rng, ref = random.Random(k), random.Random(k)
     for r in (rng, ref):  # start mid-stream, with a cached gauss value in the state
         r.random()
