@@ -223,7 +223,7 @@ def cmd_embed(args) -> int:
             else _failure_outcome(out.failure)
         )
         stats = out.stats
-    elif args.pipeline == "expand":
+    else:  # "expand", the last of the parser's choices
         if not isinstance(inst, ThreeGraph):
             print("expand needs a 3-graph instance", file=sys.stderr)
             return 2
@@ -240,9 +240,6 @@ def cmd_embed(args) -> int:
             else _failure_outcome(out.failure)
         )
         stats = out.stats
-    else:
-        print(f"unknown pipeline {args.pipeline!r}", file=sys.stderr)
-        return 2
     report = {
         "command": "embed",
         "pipeline": args.pipeline,

@@ -1387,6 +1387,10 @@ def transversal_blowup(
     split that the component counts rule out is not retried.  Whenever Steps
     0-5 give no embedding, at any pattern size, one candidate-set pass over a
     BFS order of the active vertices runs instead (``"path": "one-shot"``).
+    When that pass fails too, its failure is returned with
+    ``diagnostics["main"]`` saying why Steps 0-5 gave none:
+    ``"split-decided"`` when the component counts ruled the split out, else
+    the last attempt's ``stage:reason``.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1423,7 +1427,8 @@ def transversal_blowup(
         counts = class_of_comp[comp_of[u]]
         key = _class_key(phi, u, v)
         counts[key] = counts.get(key, 0) + 1
-    if _split_decided(comps, class_of_comp, t.colour_clusters):
+    decided = _split_decided(comps, class_of_comp, t.colour_clusters)
+    if decided:
         out = _no_split(seed)
     else:
         # Step 0's connecting graph: the edges incident to X (Y-Y edges wait)
@@ -1437,6 +1442,7 @@ def transversal_blowup(
                 comps, class_of_comp, Y, H_con, con_targets,
             ),
         )
+    main = out
     # class sizes equal class edge counts, so one pass can use every colour
     if isinstance(out, Failure):
         bfs = _bfs_order(H, active)
@@ -1453,7 +1459,8 @@ def transversal_blowup(
             return part.tau, part.sigma, {"path": "one-shot"}
 
         out, attempts = _retry(seed, 89, plan.retries, out, one_shot)
-    if isinstance(out, Failure):
+    if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding
+        out.diagnostics["main"] = "split-decided" if decided else f"{main.stage}:{main.reason}"
         return EmbedOutcome(embedding=None, failure=out, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts

@@ -1,14 +1,15 @@
-"""Weak-regularity machinery for graph collections and small hypergraphs.
+"""Weak-regularity machinery for graph collections.
 
-Everything here treats a bipartite graph collection through its 3-graph view:
-a triple (V1, V2, colours) is regular when every large sub-triple has density
-close to the whole triple's density.  Exhaustive checking enumerates subsets
-of the two smallest sides and handles the third side exactly by an extremal
-argument (for fixed vertex subsets, the densest/sparsest colour subset of a
-given size consists of the top/bottom colours by edge count), so "exhaustive"
-results are proofs.  Beyond the enumeration limits a sampled mode draws
-subset tuples of size exactly ceil(eps*|V_i|); a sampled witness is always
-genuine, while NoneFound is only evidence.
+Everything here reads a GraphCollection slice (V1, V2, colours): the 3-graph
+of the triples (u, v, c) with u in V1, v in V2 and uv in G_c, the 3-uniform
+hypergraph the paper applies weak regularity to.  A slice is regular when
+every large sub-slice has density close to the whole slice's density.
+Exhaustive checking enumerates subsets of V1 and V2 and handles the colours
+exactly by an extremal argument (for fixed vertex subsets, the densest or
+sparsest colour subset of a given size consists of the top or bottom colours
+by edge count), so "exhaustive" results are proofs.  Beyond the enumeration
+limits a sampled mode draws subset tuples of size exactly ceil(eps*|V_i|); a
+sampled witness is always genuine, while NoneFound is only evidence.
 
 Parameter bookkeeping is exact rational arithmetic via a ledger that records
 the lineage of rules applied.
@@ -19,13 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GraphCollection, SimpleGraph, ThreeGraph, mask_of
+from .core import GraphCollection, SimpleGraph, bits_of, mask_of
 
 
 class EmptyPart(ValueError):
@@ -48,25 +49,19 @@ def frac(x) -> Fraction:
     return Fraction(str(x))
 
 
-MODES = ("regular", "semi-super", "super", "half-super", "uniformly-dense")
-
-
 @dataclass(frozen=True)
 class DensitySpec:
-    """Target density d, uniform-density slack eta, tolerance eps, and mode."""
+    """Target density d and tolerance epsilon for a collection slice: a
+    witness is a sub-slice whose density differs from the slice's by at
+    least epsilon; typical elements are counted against the d - epsilon
+    floors, and ``partition_collection`` empties triples below d."""
 
     d: float
     epsilon: float
-    eta: float = 0.0
-    mode: str = "regular"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 # ---------------------------------------------------------------------------
-# Layered views: every density object becomes (layer matrices over A x B)
+# Slices: checked parts and their adjacency
 
 
 def _check_indices(parts, bound: int, what: str) -> None:
@@ -101,53 +96,29 @@ def _slice_rows(gc: GraphCollection, I, colours) -> np.ndarray:
     return np.unpackbits(bits, axis=2, bitorder="little")
 
 
-def _collection_layers(gc: GraphCollection, A, B, CC) -> np.ndarray:
-    return _slice_rows(gc, A, CC)[:, :, B].astype(np.int64)
-
-
-def _layer_view(obj, parts):
-    """Normalise (obj, parts) to (mats, axes), always through a collection
-    slice.  mats has shape (L, a, b): L scored layers over an a x b grid;
-    ``axes`` names which input part landed on which engine axis ('a', 'b',
-    'layers').  A ThreeGraph is read through its link collection, coloured
-    by the largest part; a bipartite SimpleGraph as a one-colour collection
-    whose V2 side plays the layers."""
-    parts = [list(p) for p in parts]
+def _slice_layers(gc: GraphCollection, parts) -> np.ndarray:
+    """The checked slice ``parts = [V1, V2, colours]`` (lists) as a 0/1
+    int64 array indexed (colour, position in V1, position in V2)."""
+    if not isinstance(gc, GraphCollection):
+        raise TypeError(
+            f"expected a GraphCollection slice (V1, V2, colours), got {type(gc).__name__}"
+        )
+    _check_slice(gc, parts)
     if any(len(p) == 0 for p in parts):
         raise EmptyPart("all parts must be nonempty")
-    if isinstance(obj, GraphCollection):
-        _check_slice(obj, parts)
-        return _collection_layers(obj, *parts), ("a", "b", "layers")
-    if isinstance(obj, ThreeGraph):
-        if len(parts) != 3:
-            raise ValueError("a 3-graph view needs three parts")
-        _check_indices(parts, obj.n, "vertex")
-        # score the largest part; enumerate the two smallest
-        ia, ib, il = sorted(range(3), key=lambda i: len(parts[i]))
-        a, b = len(parts[ia]), len(parts[ib])
-        link = obj.link_collection(parts[ia] + parts[ib], parts[il])
-        mats = _collection_layers(link, range(a), range(a, a + b), range(link.n_colours))
-        axes = [None] * 3
-        axes[ia], axes[ib], axes[il] = "a", "b", "layers"
-        return mats, tuple(axes)
-    if isinstance(obj, SimpleGraph):
-        if len(parts) != 2:
-            raise ValueError("a 2-graph view needs parts (V1, V2)")
-        _check_indices(parts, obj.n, "vertex")
-        one = GraphCollection.from_rows(obj.n, [[obj.adj(v) for v in range(obj.n)]])
-        return _collection_layers(one, *parts, [0]).transpose(2, 1, 0), ("a", "layers")
-    raise TypeError(f"unsupported object {type(obj).__name__}")
+    V1, V2, colours = parts
+    return _slice_rows(gc, V1, colours)[:, :, V2].astype(np.int64)
 
 
-def density(obj, parts: Sequence[Iterable[int]]) -> Fraction:
-    """Exact density e(U_1,...,U_k) / prod |U_i| of the induced tuple.
-
-    Parts must be nonempty, with distinct entries in range (disjoint vertex
-    parts, distinct colours), and their count must match the uniformity of
-    ``obj`` (2 for a plain graph, 3 for collections/3-graphs).
+def density(gc: GraphCollection, parts: Sequence[Iterable[int]]) -> Fraction:
+    """Exact density e(V1, V2, colours) / (|V1| |V2| |colours|) of the
+    GraphCollection slice ``parts``: the share of the triples (u, v, c) with
+    uv in G_c.  Parts must be nonempty, with disjoint vertex parts and
+    distinct colours, all in range (ValueError otherwise); any other type of
+    ``gc`` raises TypeError.
     """
-    mats, _ = _layer_view(obj, parts)
-    return Fraction(int(mats.sum()), mats.size)  # mats.size = prod |U_i|
+    mats = _slice_layers(gc, [list(p) for p in parts])
+    return Fraction(int(mats.sum()), mats.size)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +172,12 @@ def _subset_rows(size: int, min_k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, kept_masks
 
 
-def _exhaustive_search(mats: np.ndarray, eps: float, mode: str, d: float, eta_abs: float):
-    """Exact extremal scan.  Returns (best_candidates, reference) where each
-    candidate is (a_mask, b_mask, k, 'top'|'bottom', float_density)."""
+def _exhaustive_search(mats: np.ndarray, eps: float) -> list[tuple[int, int, int, str]]:
+    """Exact extremal scan of the slice layers ``mats`` (colour, V1, V2).
+    Returns the densest ('top') and then the sparsest ('bottom') sub-slice
+    with at least ceil(eps * size) elements per side, as (V1 mask, V2 mask,
+    colour count, side), each only if its float deviation from the slice's
+    density reaches eps."""
     L, a, b = mats.shape
     amin = max(1, math.ceil(eps * a))
     bmin = max(1, math.ceil(eps * b)) if b > 1 else 1
@@ -232,117 +206,73 @@ def _exhaustive_search(mats: np.ndarray, eps: float, mode: str, d: float, eta_ab
             ks[None, None, :] < L, cum[:, :, L - ks - 1], 0
         )
         vol = sa[:, None, None] * sb[None, :, None] * ks[None, None, :]
-        dens_top = top / vol
-        dens_bot = bot / vol
-        if mode == "two-sided":
-            pairs = ((dens_top - ref, dens_top, "top"), (ref - dens_bot, dens_bot, "bottom"))
-        else:  # one-sided lower bound: density >= d - eta_abs/vol
-            thr = d - eta_abs / vol if eta_abs else d
-            pairs = ((thr - dens_bot, dens_bot, "bottom"),)
-        for arr, dens, side in pairs:
-            mx = float(arr.max())
+        for side, dev in (("top", top / vol - ref), ("bottom", ref - bot / vol)):
+            mx = float(dev.max())
             if best[side] is None or mx > best[side][0]:
-                idx = np.unravel_index(int(arr.argmax()), arr.shape)
+                idx = np.unravel_index(int(dev.argmax()), dev.shape)
                 best[side] = (
-                    mx,
-                    (int(amasks[idx[0]]), int(bmasks[idx[1]]), int(ks[idx[2]]), side,
-                     float(dens[idx])),
+                    mx, (int(amasks[idx[0]]), int(bmasks[idx[1]]), int(ks[idx[2]]), side)
                 )
-    out = []
-    if mode == "two-sided":
-        for side in ("top", "bottom"):
-            if best[side] is not None and best[side][0] >= eps - 1e-9:
-                out.append(best[side][1])
-    else:
-        if best["bottom"] is not None and best["bottom"][0] > -1e-12:
-            out.append(best["bottom"][1])
-    return out, ref
+    return [cand for mx, cand in filter(None, best.values()) if mx >= eps - 1e-9]
 
 
-def _materialise(mats, parts, axes, a_mask, b_mask, k, side):
-    """Turn an engine candidate into concrete subsets in input-part order."""
-    L = mats.shape[0]
-    a_idx = [i for i in range(mats.shape[1]) if a_mask >> i & 1]
-    b_idx = [i for i in range(mats.shape[2]) if b_mask >> i & 1] if "b" in axes else [0]
-    per_layer = [int(mats[l][np.ix_(a_idx, b_idx)].sum()) for l in range(L)]
-    order = sorted(range(L), key=lambda l: per_layer[l])
+def _materialise(mats, parts, a_mask: int, b_mask: int, k: int, side: str):
+    """Turn an engine candidate into the subsets (V1', V2', colours') of the
+    input parts: the masked vertices and the k colours with the most
+    ('top') or fewest ('bottom') edges between them."""
+    a_idx, b_idx = list(bits_of(a_mask)), list(bits_of(b_mask))
+    per_layer = [int(layer[np.ix_(a_idx, b_idx)].sum()) for layer in mats]
+    order = sorted(range(len(mats)), key=per_layer.__getitem__)
     layer_idx = order[:k] if side == "bottom" else order[-k:]
-    chosen = {"a": a_idx, "b": b_idx, "layers": sorted(layer_idx)}
-    subsets = []
-    for part, ax in zip(parts, axes):
-        part = list(part)
-        subsets.append(tuple(part[i] for i in chosen[ax]))
-    return tuple(subsets)
+    V1, V2, colours = parts
+    return (tuple(V1[i] for i in a_idx), tuple(V2[i] for i in b_idx),
+            tuple(colours[l] for l in sorted(layer_idx)))
+
+
+# With one vertex in V2 the scan enumerates subsets of V1 only, so V1 may be
+# larger than ``exhaustive_limit`` allows when both sides are enumerated.
+_ONE_VERTEX_V1_LIMIT = 12
 
 
 def irregularity_witness(
-    obj,
+    gc: GraphCollection,
     parts: Sequence[Iterable[int]],
     spec: DensitySpec,
     budget: int = 200,
     seed: int = 0,
     exhaustive_limit: int = 8,
-    pair_limit: int = 12,
 ) -> WitnessSearchResult:
-    """Search for a subset tuple violating the spec.
+    """Search the GraphCollection slice ``parts = (V1, V2, colours)`` for a
+    sub-slice whose density differs from the slice's by at least
+    ``spec.epsilon``, above or below.
 
-    Two-sided deviation for mode 'regular' (and the regular half of the super
-    modes); one-sided lower-bound violation for 'half-super'/'uniformly-dense'.
-    Exhaustive whenever the enumerated sides fit the limits (a proof);
-    otherwise ``budget`` sampled tuples of size exactly ceil(eps*|V_i|).
+    Exhaustive (a proof when nothing is found) when |V1| and |V2| are at
+    most ``exhaustive_limit``, or |V2| = 1 and |V1| is at most 12; otherwise
+    ``budget`` sampled tuples of size exactly ceil(eps*|V_i|), drawn with
+    ``random.Random(seed)``.  Slices are checked as in :func:`density`.
     """
     parts = [list(p) for p in parts]
-    mats, axes = _layer_view(obj, parts)
-    one_sided = spec.mode in ("half-super", "uniformly-dense")
-    n_total = sum(len(p) for p in parts)
-    eta_abs = spec.eta * n_total**3 if (one_sided and spec.eta) else 0.0
-    a, b = mats.shape[1], mats.shape[2]
-    limit = pair_limit if b == 1 else exhaustive_limit
-    if a <= limit and (b == 1 or b <= exhaustive_limit):
-        cands, _ = _exhaustive_search(
-            mats, spec.epsilon, "bottom" if one_sided else "two-sided", spec.d, eta_abs
-        )
-        ref = density(obj, parts)
-        for (am, bm, k, side, _dens) in cands:
-            subsets = _materialise(mats, parts, axes, am, bm, k, side)
-            obs = density(obj, subsets)
-            dev = obs - ref
-            if one_sided:
-                thr = frac(spec.d) - (
-                    Fraction(str(eta_abs)).limit_denominator(10**9)
-                    / math.prod(len(s) for s in subsets)
-                    if eta_abs
-                    else 0
+    mats = _slice_layers(gc, parts)
+    ref = Fraction(int(mats.sum()), mats.size)
+    eps = frac(spec.epsilon)
+    _, a, b = mats.shape
+    if (a <= _ONE_VERTEX_V1_LIMIT) if b == 1 else (max(a, b) <= exhaustive_limit):
+        for cand in _exhaustive_search(mats, spec.epsilon):
+            subsets = _materialise(mats, parts, *cand)
+            obs = density(gc, subsets)
+            if abs(obs - ref) >= eps:
+                return WitnessSearchResult(
+                    IrregularityWitness(subsets, obs, ref, obs - ref), True, False
                 )
-                if obs < thr:
-                    return WitnessSearchResult(
-                        IrregularityWitness(subsets, obs, ref, dev), True, False
-                    )
-            else:
-                if abs(dev) >= frac(spec.epsilon):
-                    return WitnessSearchResult(
-                        IrregularityWitness(subsets, obs, ref, dev), True, False
-                    )
         return WitnessSearchResult(None, True, True)
-    # sampled mode
     rng = random.Random(seed)
-    ref = density(obj, parts)
     sizes = [max(1, math.ceil(spec.epsilon * len(p))) for p in parts]
     for trial in range(budget):
-        subsets = tuple(tuple(rng.sample(p, sizes[i])) for i, p in enumerate(parts))
-        obs = density(obj, subsets)
-        dev = obs - ref
-        if one_sided:
-            vol = math.prod(sizes)
-            thr = frac(spec.d) - (
-                Fraction(str(eta_abs)).limit_denominator(10**9) / vol if eta_abs else 0
-            )
-            hit = obs < thr
-        else:
-            hit = abs(dev) >= frac(spec.epsilon)
-        if hit:
+        subsets = tuple(tuple(rng.sample(p, size)) for p, size in zip(parts, sizes))
+        obs = density(gc, subsets)
+        if abs(obs - ref) >= eps:
             return WitnessSearchResult(
-                IrregularityWitness(subsets, obs, ref, dev),
+                IrregularityWitness(subsets, obs, ref, obs - ref),
                 exhaustive=False,
                 proof=False,
                 samples=trial + 1,
@@ -391,8 +321,7 @@ def typical_elements(
     bad_c = tuple(c for c in colours if gc.edges_into(c, V1, other[0]) < c_need)
     spot = None
     if spot_check:
-        res = irregularity_witness(gc, (V1, V2, colours), replace(spec, mode="regular"),
-                                   budget=40, seed=0)
+        res = irregularity_witness(gc, (V1, V2, colours), spec, budget=40, seed=0)
         spot = res.witness is None
     return TypicalElements(
         atypical_vertices=out_v,
@@ -737,13 +666,6 @@ def _energy(gc: GraphCollection, v_clusters, c_clusters) -> float:
     return total / (n * n * K)
 
 
-def _triple_regular(gc, Vh, Vi, Cj, eps, d, budget, seed):
-    spec = DensitySpec(d=d, epsilon=eps, mode="regular")
-    res = irregularity_witness(gc, (Vh, Vi, Cj), spec, budget=budget, seed=seed)
-    dens = density(gc, (Vh, Vi, Cj))
-    return res, dens
-
-
 def partition_collection(
     gc: GraphCollection,
     spec: DensitySpec,
@@ -793,9 +715,9 @@ def partition_collection(
         for h in range(len(v_clusters)):
             for i in range(h + 1, len(v_clusters)):
                 for j in range(len(c_clusters)):
-                    res, dens = _triple_regular(
-                        gc, v_clusters[h], v_clusters[i], c_clusters[j],
-                        eps, d, sample_budget, seed + 31 * rounds,
+                    res = irregularity_witness(
+                        gc, (v_clusters[h], v_clusters[i], c_clusters[j]), spec,
+                        budget=sample_budget, seed=seed + 31 * rounds,
                     )
                     if res.witness is None:
                         continue
@@ -867,40 +789,33 @@ def partition_collection(
         for c in cl:
             colour_cluster_of[c] = cj
 
-    # prune: start from G_c, remove intra-cluster edges for retained colours
-    pruned_edges: dict[int, list[tuple[int, int]]] = {c: [] for c in range(K)}
+    # prune the rows of G_c: a clustered colour loses its intra-cluster
+    # edges, and every colour of a failing triple its edges across the pair
+    masks = [mask_of(cl) for cl in v_final]
+    rows = [[gc.adj(c, v) for v in range(n)] for c in range(K)]
     for c in range(K):
-        keep_all = colour_cluster_of[c] == -1
-        for (u, v) in gc.edges(c):
-            cu, cv = cluster_of[u], cluster_of[v]
-            if keep_all or cu == -1 or cv == -1 or cu != cv:
-                pruned_edges[c].append((u, v))
-
-    # per-triple regularity: empty failing slices
+        if colour_cluster_of[c] != -1:
+            for cl, mask in zip(v_final, masks):
+                for v in cl:
+                    rows[c][v] &= ~mask
     triple_pass: dict[tuple[int, int, int], bool] = {}
     stamps = {"exhaustive": 0, "sampled": 0}
     for h in range(L):
         for i in range(h + 1, L):
-            mi, mh = mask_of(v_final[i]), mask_of(v_final[h])
             for j in range(M):
-                res, dens = _triple_regular(
-                    gc, v_final[h], v_final[i], c_final[j], eps, d,
-                    sample_budget, seed + 977,
-                )
-                ok = res.witness is None and dens >= frac(str(d))
+                triple = (v_final[h], v_final[i], c_final[j])
+                res = irregularity_witness(gc, triple, spec, budget=sample_budget,
+                                           seed=seed + 977)
+                ok = res.witness is None and density(gc, triple) >= frac(str(d))
                 stamps["exhaustive" if res.exhaustive else "sampled"] += 1
                 triple_pass[(h, i, j)] = ok
                 if not ok:
                     for c in c_final[j]:
-                        pruned_edges[c] = [
-                            (u, v)
-                            for (u, v) in pruned_edges[c]
-                            if not (
-                                (mh >> u & 1 and mi >> v & 1)
-                                or (mi >> u & 1 and mh >> v & 1)
-                            )
-                        ]
-    pruned = GraphCollection(n, K, pruned_edges)
+                        for u in v_final[h]:
+                            rows[c][u] &= ~masks[i]
+                        for v in v_final[i]:
+                            rows[c][v] &= ~masks[h]
+    pruned = GraphCollection.from_rows(n, rows)
     reduced = tuple(
         SimpleGraph(L, [(h, i) for (h, i, jj), ok in triple_pass.items() if jj == j and ok])
         for j in range(M)
@@ -916,21 +831,16 @@ def partition_collection(
     ) and all(
         gc.edge_count(c) - pruned.edge_count(c) < loss_bound for c in range(K)
     )
-    prop_iv = True
-    for c in range(K):
-        if colour_cluster_of[c] == -1:
-            continue
-        for (u, v) in pruned.edges(c):
-            if cluster_of[u] != -1 and cluster_of[u] == cluster_of[v]:
-                prop_iv = False
-    prop_v = True
-    for (h, i, j), ok in triple_pass.items():
-        if not ok:
-            mh, mi = mask_of(v_final[h]), mask_of(v_final[i])
-            for c in c_final[j]:
-                for (u, v) in pruned.edges(c):
-                    if (mh >> u & 1 and mi >> v & 1) or (mi >> u & 1 and mh >> v & 1):
-                        prop_v = False
+    prop_iv = all(
+        not pruned.adj(c, v) & masks[cluster_of[v]]
+        for c in range(K) if colour_cluster_of[c] != -1
+        for v in range(n) if cluster_of[v] != -1
+    )
+    prop_v = all(
+        not pruned.adj(c, u) & masks[i]
+        for (h, i, j), ok in triple_pass.items() if not ok
+        for c in c_final[j] for u in v_final[h]
+    )
 
     converged = converged_refine and prop_i and prop_iii
     diagnostics = {

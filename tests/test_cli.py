@@ -544,3 +544,25 @@ def test_cli_exits_2_on_malformed_files(workdir, data):
     for name, doc in _VALID_DOCS.items():
         write_json(workdir / f"{name}.json", bad if name == role else doc)
     assert main(_COMMANDS[command]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--instance", "tg.json", "--mono-triangles"],
+     "mono-triangle check needs a collection instance"),
+    (["partition", "--instance", "tg.json"], "partition needs a collection instance"),
+    (["embed", "--pipeline", "quasi", "--instance", "tg.json", "--pattern", "h.json"],
+     "quasi needs a collection instance"),
+    (["embed", "--pipeline", "expand", "--instance", "gc.json", "--pattern", "h.json"],
+     "expand needs a 3-graph instance"),
+    (["oracle", "--instance", "tg.json", "--pattern", "h.json"],
+     "oracle needs a collection instance"),
+    (["verify", "--instance", "tg.json", "--pattern", "h.json", "--embedding", "e.json"],
+     "verify needs a collection instance"),
+], ids=["check-mono-triangles", "partition", "embed-quasi", "embed-expand", "oracle", "verify"])
+def test_wrong_instance_type_exits_2(workdir, capsys, argv, message):
+    write_json(workdir / "gc.json", _VALID_DOCS["instance"])
+    write_json(workdir / "tg.json", {"n": 4, "edges": [[0, 1, 2]]})
+    write_json(workdir / "h.json", _VALID_DOCS["pattern"])
+    write_json(workdir / "e.json", _VALID_DOCS["embedding"])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -1014,7 +1014,9 @@ def _quasi_path(out):
 # diagnostics) of quasi_embed on _quasi_instance(seed), recorded before the
 # embedders shared one induced-subgraph primitive; the table runs the main
 # pipeline, the ladder-degenerate pass, the mixed sparse/dense split and the
-# one-shot fallback, so seeded replay of each path stays bit for bit
+# one-shot fallback, so seeded replay of each path stays bit for bit.
+# Seed 27's failure diagnostics also carry "main": "split-decided" (the
+# digest without that key is 22bbc261e03579e0).
 QUASI_REPLAY = {
     0: ("main", "5b4c5ebbcc5aa26c"),
     1: ("one-shot", "5e74e0b942ec71c1"),
@@ -1043,7 +1045,7 @@ QUASI_REPLAY = {
     24: ("main", "68b4dc7aa2447ed2"),
     25: ("main", "1269ea98405d45a1"),
     26: ("one-shot", "ea9a0280a0d9a6d1"),
-    27: ("one-shot:CandidateExhausted", "22bbc261e03579e0"),
+    27: ("one-shot:CandidateExhausted", "25de6ae4fb0688f2"),
 }
 
 
@@ -1108,6 +1110,29 @@ def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
     assert out.ok and out.verification.ok
     assert out.stats["blowup"]["path"] == "one-shot"
     assert len(calls) == 0
+
+
+def test_failure_says_the_split_was_decided(monkeypatch):
+    # two matching edges are two components, one short of a split, and a
+    # collection with no edges fails the one-shot pass too
+    calls = _count_pipeline_calls(monkeypatch)
+    t, H, phi = matching_pipeline_fixture(m=2, density=0.0)
+    out = transversal_blowup(t, H, phi, None, PLAN, seed=0)
+    assert not out.ok and len(calls) == 0
+    assert out.failure.stage == "one-shot"
+    assert out.failure.diagnostics["main"] == "split-decided"
+
+
+def test_failure_names_the_last_main_attempt(monkeypatch):
+    from transversal import embed
+
+    reasons = iter(f"Reason{k}" for k in range(PLAN.retries))
+    monkeypatch.setattr(embed, "_pipeline_once",
+                        lambda *args: Failure("step3", next(reasons), 0))
+    t, H, phi = matching_pipeline_fixture(m=4, density=0.0)  # four components
+    out = transversal_blowup(t, H, phi, None, PLAN, seed=0)
+    assert not out.ok and out.failure.stage == "one-shot"
+    assert out.failure.diagnostics["main"] == f"step3:Reason{PLAN.retries - 1}"
 
 
 def _ladder(m):

@@ -29,7 +29,12 @@ SPEC = DensitySpec(d=0.4, epsilon=0.3)
 
 
 def complete_bipartite(a, b):
-    return SimpleGraph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+    """K_{a,b} on {0..a-1} and {a..a+b-1} as a one-colour collection."""
+    return GraphCollection(a + b, 1, {0: [(u, v) for u in range(a) for v in range(a, a + b)]})
+
+
+def one_colour(n, edges):
+    return GraphCollection(n, 1, {0: edges})
 
 
 # ---------------------------------------------------------------------------
@@ -38,23 +43,27 @@ def complete_bipartite(a, b):
 
 def test_density_complete_bipartite():
     g = complete_bipartite(2, 3)
-    assert density(g, ([0, 1], [2, 3, 4])) == 1
-    assert density(g, (iter([0, 1]), iter([2, 3, 4]))) == 1  # parts read once
+    assert density(g, ([0, 1], [2, 3, 4], [0])) == 1
+    assert density(g, (iter([0, 1]), iter([2, 3, 4]), iter([0]))) == 1  # parts read once
+
+
+# A 3-graph is read through its link collection: colour k of
+# ``link_collection(V1 + V2, C)`` is the link of C[k], with V1 + V2 renumbered from 0.
 
 
 def test_density_empty_tripartite():
-    tg = ThreeGraph(6, [])
-    assert density(tg, ([0, 1], [2, 3], [4, 5])) == 0
+    link = ThreeGraph(6, []).link_collection([0, 1, 2, 3], [4, 5])
+    assert density(link, ([0, 1], [2, 3], [0, 1])) == 0
 
 
 def test_density_single_three_edge():
-    tg = ThreeGraph(4, [(0, 1, 2)])
-    assert density(tg, ([0], [1], [2, 3])) == Fraction(1, 2)
+    link = ThreeGraph(4, [(0, 1, 2)]).link_collection([0, 1], [2, 3])
+    assert density(link, ([0], [1], [0, 1])) == Fraction(1, 2)
 
 
 def test_density_empty_part_rejected():
     with pytest.raises(EmptyPart):
-        density(complete_bipartite(2, 2), ([], [2, 3]))
+        density(complete_bipartite(2, 2), ([], [2, 3], [0]))
 
 
 # On a 4-vertex collection with the one edge 0-3, a negative index used to
@@ -75,19 +84,25 @@ EDGE_03 = GraphCollection(4, 1, {0: [(0, 3)]})
     lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 3], [-1]), 0.1, 0.1, None),
     lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 2], [0]), 0.1, 0.1, None),
     lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 4], [0]), 0.1, 0.1, None),
-    lambda: density(ThreeGraph(4, [(0, 1, 3)]), ([-1], [0], [1])),
-    lambda: density(ThreeGraph(4, [(0, 1, 3)]), ([0], [1], [4])),
-    lambda: density(SimpleGraph(4, [(0, 3)]), ([-1], [0])),
-    lambda: density(SimpleGraph(4, [(0, 3)]), ([0], [5])),
     lambda: typical_elements(EDGE_03, [0, 0], [3], SPEC, spot_check=False),
     lambda: typical_elements(EDGE_03, [7], [0], SPEC, spot_check=False),
 ], ids=["neg-v1", "neg-v2", "repeat-v2", "repeat-v1", "repeat-colour", "big-vertex",
         "big-colour", "witness-neg-v1", "sparsify-neg-colour", "sparsify-repeat-v2",
-        "sparsify-big-vertex", "3graph-neg", "3graph-big", "pair-neg", "pair-big",
-        "typical-repeat-v1", "typical-big-vertex"])
+        "sparsify-big-vertex", "typical-repeat-v1", "typical-big-vertex"])
 def test_slice_indices_are_checked(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("obj, parts", [
+    (ThreeGraph(4, [(0, 1, 3)]), ([0], [1], [3])),
+    (SimpleGraph(4, [(0, 3)]), ([0], [3])),
+], ids=["threegraph", "simplegraph"])
+def test_density_and_witness_read_only_collection_slices(obj, parts):
+    with pytest.raises(TypeError):
+        density(obj, parts)
+    with pytest.raises(TypeError):
+        irregularity_witness(obj, parts, SPEC)
 
 
 # The layer builders as they were before every view went through one slice
@@ -115,25 +130,16 @@ def _ref_threegraph_layers(g, A, B, C):
     return mats
 
 
-def _ref_pair_layers(g, A, B):
-    mats = np.zeros((len(B), len(A), 1), dtype=np.int64)
-    for j, v in enumerate(B):
-        for i, u in enumerate(A):
-            if g.has_edge(u, v):
-                mats[j, i, 0] = 1
-    return mats
-
-
 def _random_view(form, seed):
-    """A random object of the given form on 3..40 vertices, unsorted disjoint
-    parts of a random vertex subset, and the reference layers and axes.  Edge
-    probabilities start at 0, so some layers are empty."""
+    """A random collection, or a 3-graph read through its link collection,
+    on 3..40 vertices, a slice of unsorted disjoint parts of a random vertex
+    subset, and the reference layers.  Edge probabilities start at 0, so
+    some layers are empty."""
     rng = random.Random(seed)
     n = rng.randint(3, 40)
     p = rng.choice([0.0, 0.05, rng.random()])
-    k = 3 if form == "threegraph" else 2
-    verts = rng.sample(range(n), rng.randint(k, n))
-    cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
+    verts = rng.sample(range(n), rng.randint(3, n))
+    cuts = sorted(rng.sample(range(1, len(verts)), 2))
     parts = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)])]
     if form == "collection":
         K = rng.randint(1, 8)
@@ -141,27 +147,24 @@ def _random_view(form, seed):
             c: [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p * (c % 3 > 0)]
             for c in range(K)
         })
-        parts.append(rng.sample(range(K), rng.randint(1, K)))
-        return gc, parts, _ref_collection_layers(gc, *parts), ("a", "b", "layers")
-    if form == "pair":
-        g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        return g, parts, _ref_pair_layers(g, *parts), ("a", "layers")
+        parts[2] = rng.sample(range(K), rng.randint(1, K))
+        return gc, parts, _ref_collection_layers(gc, *parts)
     g = ThreeGraph(n, [t for t in itertools.combinations(range(n), 3) if rng.random() < p])
-    ia, ib, il = sorted(range(3), key=lambda i: len(parts[i]))
-    axes = [None] * 3
-    axes[ia], axes[ib], axes[il] = "a", "b", "layers"
-    return g, parts, _ref_threegraph_layers(g, parts[ia], parts[ib], parts[il]), tuple(axes)
+    A, B, C = parts
+    link = g.link_collection(A + B, C)
+    slice_ = [list(range(len(A))), list(range(len(A), len(A) + len(B))), list(range(len(C)))]
+    return link, slice_, _ref_threegraph_layers(g, A, B, C)
 
 
-@pytest.mark.parametrize("form", ["collection", "threegraph", "pair"])
+@pytest.mark.parametrize("form", ["collection", "threegraph"])
 def test_layer_view_matches_the_per_type_builders(form):
-    from transversal.regularity import _layer_view
+    from transversal.regularity import _slice_layers
 
     for seed in range(120):
-        obj, parts, ref, ref_axes = _random_view(form, seed)
-        mats, axes = _layer_view(obj, parts)
+        gc, parts, ref = _random_view(form, seed)
+        mats = _slice_layers(gc, parts)
         assert mats.dtype == np.int64 and mats.shape == ref.shape, seed
-        assert np.array_equal(mats, ref) and axes == ref_axes, seed
+        assert np.array_equal(mats, ref), seed
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +173,18 @@ def test_layer_view_matches_the_per_type_builders(form):
 
 def test_complete_pair_has_no_witness():
     g = complete_bipartite(5, 5)
-    res = irregularity_witness(g, (range(5), range(5, 10)), DensitySpec(d=1, epsilon=0.1))
+    res = irregularity_witness(g, (range(5), range(5, 10), [0]), DensitySpec(d=1, epsilon=0.1))
     assert res.witness is None and res.proof
 
 
 def test_split_pair_witness_found_and_rescored():
-    g = SimpleGraph(
+    g = one_colour(
         8,
         [(u, v) for u in (0, 1) for v in (4, 5)]
         + [(u, v) for u in (2, 3) for v in (6, 7)],
     )
-    res = irregularity_witness(g, ([0, 1, 2, 3], [4, 5, 6, 7]), DensitySpec(d=0.5, epsilon=0.3))
+    res = irregularity_witness(g, ([0, 1, 2, 3], [4, 5, 6, 7], [0]),
+                               DensitySpec(d=0.5, epsilon=0.3))
     assert res.witness is not None
     w = res.witness
     assert abs(w.deviation) >= Fraction(3, 10)
@@ -190,27 +194,23 @@ def test_split_pair_witness_found_and_rescored():
 
 
 def test_sampled_witness_is_genuine_and_consistent_with_exhaustive():
-    rng = random.Random(0)
-    g = SimpleGraph(
+    g = one_colour(
         16,
         [(u, v) for u in range(4) for v in range(8, 12)]
         + [(u, v) for u in range(4, 8) for v in range(12, 16)],
     )
     spec = DensitySpec(d=0.5, epsilon=0.3)
-    sampled = irregularity_witness(
-        g, (range(8), range(8, 16)), spec, budget=400, seed=1, pair_limit=4
-    )
-    exhaustive = irregularity_witness(g, (range(8), range(8, 16)), spec)
-    assert exhaustive.exhaustive
+    parts = (range(8), range(8, 16), [0])
+    sampled = irregularity_witness(g, parts, spec, budget=400, seed=1, exhaustive_limit=4)
+    exhaustive = irregularity_witness(g, parts, spec)
+    assert exhaustive.exhaustive and not sampled.exhaustive
     if sampled.witness is not None:
-        assert not sampled.exhaustive
         assert density(g, sampled.witness.subsets) == sampled.witness.observed
         # a sampled witness implies the exhaustive check also finds one
         assert exhaustive.witness is not None
 
 
 def test_random_dense_pair_regular_at_loose_eps():
-    rng = random.Random(3)
     hits = 0
     for seed in range(5):
         rng2 = random.Random(seed)
@@ -220,9 +220,9 @@ def test_random_dense_pair_regular_at_loose_eps():
             for v in range(12, 24)
             if rng2.random() < 0.5
         ]
-        g = SimpleGraph(24, edges)
+        g = one_colour(24, edges)
         res = irregularity_witness(
-            g, (range(12), range(12, 24)), DensitySpec(d=0.3, epsilon=0.45)
+            g, (range(12), range(12, 24), [0]), DensitySpec(d=0.3, epsilon=0.45)
         )
         if res.witness is not None:
             assert density(g, res.witness.subsets) == res.witness.observed
@@ -396,7 +396,8 @@ def test_sparsify_takes_only_a_collection_slice():
         sparsify_to_superregular(ThreeGraph(9, [(0, 3, 6)]), ([0, 1, 2], [3, 4, 5], [6, 7, 8]),
                                  0.1, 0.2, 0.5)
     with pytest.raises(TypeError):
-        sparsify_to_superregular(complete_bipartite(3, 3), ([0, 1, 2], [3, 4, 5]), 0.1, 0.2, 0.5)
+        sparsify_to_superregular(SimpleGraph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+                                 ([0, 1, 2], [3, 4, 5]), 0.1, 0.2, 0.5)
 
 
 def _weighted_slice(seed, n=24, k=10):
@@ -650,15 +651,14 @@ def test_partition_structural_properties_random():
 
 
 def test_sampled_mode_confidence_metadata():
-    g = SimpleGraph(
+    g = one_colour(
         30, [(u, v) for u in range(15) for v in range(15, 30) if (u + v) % 2]
     )
     spec = DensitySpec(d=0.3, epsilon=0.2)
-    res = irregularity_witness(g, (range(15), range(15, 30)), spec,
-                               budget=100, seed=0, pair_limit=8)
+    res = irregularity_witness(g, (range(15), range(15, 30), [0]), spec, budget=100, seed=0)
     assert not res.exhaustive
     if res.witness is None:
         assert res.budget_exhausted and res.samples == 100
         assert res.miss_probability(0.05) == (1 - 0.05) ** 100
-    exh = irregularity_witness(g, (range(8), range(8, 16)), spec)
+    exh = irregularity_witness(g, (range(8), range(8, 16), [0]), spec)
     assert exh.miss_probability(0.5) == 0.0

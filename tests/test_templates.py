@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import random
+import re
+
+import pytest
 
 from transversal.core import GraphCollection, SimpleGraph
 from transversal.regularity import ledger_slice, make_ledger
@@ -128,3 +132,20 @@ def test_ledger_to_json_keeps_exact_values_and_lineage():
         "lineage": [{"rule": "template-i", "args": ["1/2", "1", None],
                      "params": ["4", "1/25", "1/5", "1/2"], "mode": "regular"}],
     }
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"klass": "hyper"}, "unknown template class"),
+    ({"clusters": ((0, 1, 2), (2, 3, 4))}, "vertex clusters must be disjoint"),
+    ({"R": SimpleGraph(2)}, "colour cluster for non-edge (0, 1) of R"),
+], ids=["klass", "overlapping-clusters", "colour-cluster-off-R"])
+def test_template_rejects_malformed_fields(change, message):
+    t = one_edge_template()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(t, **change)
+
+
+@pytest.mark.parametrize("lam", [0, 1, -0.5, 1.5])
+def test_thick_graph_rejects_lam_outside_the_open_unit_interval(lam):
+    with pytest.raises(ValueError, match=re.escape("lam must lie in (0,1)")):
+        thick_graph(one_edge_template(), lam)
