@@ -16,7 +16,9 @@ import csv
 import functools
 import gc as _gc
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import sys
@@ -33,6 +35,7 @@ from .core import (
     embedding_to_json,
     pattern_from_json,
     pattern_to_json,
+    threegraph_from_bytes,
     threegraph_from_json,
     threegraph_to_json,
     verify_expansion,
@@ -58,9 +61,12 @@ def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
     return _digest(collection_to_json(inst))
 
 
-def _load(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+def _load(path: str, raw: bytes | None = None) -> dict:
+    """The JSON object in the file ``path``, or in its bytes ``raw`` when read."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    doc = json.load(io.TextIOWrapper(io.BytesIO(raw)))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc
@@ -97,15 +103,20 @@ def _failure_outcome(failure) -> dict:
 
 
 def _load_instance(path: str) -> GraphCollection | ThreeGraph:
-    """Read an instance file with the cyclic garbage collector paused until
-    the parsed document is freed (README, CLI): its row lists cannot form a
-    cycle, yet every collection their allocation triggers walks them all."""
+    """Read an instance file, a plain 3-graph host straight from its bytes,
+    with the cyclic garbage collector paused until the parsed document is
+    freed (README, CLI): json's row lists cannot form a cycle, yet every
+    collection their allocation triggers walks them all."""
     was_enabled = _gc.isenabled()
     _gc.disable()
     try:
-        d = _load(path)
-        inst = collection_from_json(d) if "colours" in d else threegraph_from_json(d)
-        del d
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        inst = threegraph_from_bytes(raw)
+        if inst is None:
+            d = _load(path, raw)
+            inst = collection_from_json(d) if "colours" in d else threegraph_from_json(d)
+            del d
         return inst
     finally:
         if was_enabled:
@@ -149,20 +160,14 @@ def cmd_check(args) -> int:
         count = oracle.monochromatic_triangle_count(inst)
         report["monochromatic_triangles"] = count
     if args.three_density:
+        # edges over the places for one; 0.0 where there is no place at all
         if isinstance(inst, GraphCollection):
-            import math
-
-            pairs = math.comb(inst.n, 2)
-            dens = inst.total_edge_count() / (pairs * inst.n_colours) if pairs else 0.0
+            edges, places = inst.total_edge_count(), math.comb(inst.n, 2) * inst.n_colours
+        elif inst.parts and len(inst.parts) == 3:
+            edges, places = inst.e, math.prod(map(len, inst.parts))
         else:
-            if inst.parts and len(inst.parts) == 3:
-                p = inst.parts
-                dens = inst.e / (len(p[0]) * len(p[1]) * len(p[2]))
-            else:
-                import math
-
-                dens = inst.e / math.comb(inst.n, 3)
-        report["density"] = dens
+            edges, places = inst.e, math.comb(inst.n, 3)
+        report["density"] = edges / places if places else 0.0
     _dump(report, args.out)
     return 0
 

@@ -317,9 +317,9 @@ class ThreeGraph:
     set is one mask per vertex (:meth:`link_collection`).  ``edges``, the
     frozenset of sorted triples, is built from the table on first use.
 
-    The rows are checked, sorted and grouped into mask words with numpy, in
-    chunks of ``_CHUNK_ROWS``; a bad row raises ``ValueError`` naming the
-    first bad row in input order.
+    The rows (an iterable, or an int64 ``k x 3`` array) are checked, sorted
+    and grouped into mask words with numpy, in chunks of ``_CHUNK_ROWS``; a
+    bad row raises ``ValueError`` naming the first bad row in input order.
     """
 
     __slots__ = ("n", "e", "parts", "_pairs", "_edges")
@@ -332,11 +332,15 @@ class ThreeGraph:
     ):
         pairs: dict[int, int] = {}
         get = pairs.get
-        rows = iter(edges)
         # bounded chunks keep the numpy temporaries small; rebuilding a mask
         # bit is idempotent, so chunks need no dedup between them
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            t = _int_rows(chunk)
+        if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (3,):
+            chunks = (edges[s : s + _CHUNK_ROWS] for s in range(0, len(edges), _CHUNK_ROWS))
+        else:
+            rows = iter(edges)
+            chunks = iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
+        for chunk in chunks:
+            t = chunk if isinstance(chunk, np.ndarray) else _int_rows(chunk)
             if t is None:
                 raise _first_bad_row(chunk, n)
             # sort each triple by a min/max network; a < b < c also rules out repeats
@@ -344,7 +348,8 @@ class ThreeGraph:
             lo, hi = np.minimum(x, y), np.maximum(x, y)
             a, b, c = np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
             if not ((0 <= a) & (a < b) & (b < c) & (c < n)).all():
-                raise _first_bad_row(chunk, n)
+                # as Python ints, the rows read as they did in the file
+                raise _first_bad_row(t.tolist(), n)
             for key, word, bits in zip(*_pair_words(a, b, c, n)):
                 pairs[key] = get(key, 0) | bits << (word << 6)
         self.n = n
@@ -882,3 +887,71 @@ def threegraph_to_json(g: ThreeGraph) -> dict:
 @json_loader
 def threegraph_from_json(d: Mapping) -> ThreeGraph:
     return ThreeGraph(_vertex_count(d), d.get("edges", []), parts=d.get("parts"))
+
+
+_JSON_SPACE = b" \t\n\r"
+_DIGITS_TO_0 = bytes.maketrans(b"123456789", b"000000000")
+_MAX_DIGITS = 18  # every decimal of 18 digits fits in int64
+
+
+def threegraph_from_bytes(raw: bytes) -> ThreeGraph | None:
+    """The 3-graph of a file holding ``{"n": N, "edges": [[a, b, c], ...]}``
+    and nothing else (either key order, any JSON whitespace, every number a
+    non-negative integer of at most ``_MAX_DIGITS`` digits without a leading
+    zero), read into int64 rows in chunks of about ``_CHUNK_ROWS`` rows with
+    no Python lists; None for any other file, which is left to
+    :func:`threegraph_from_json`.  A bad row raises the same ``ValueError``."""
+    host = _host_rows(raw)  # built once the parse's buffers are freed
+    return None if host is None else ThreeGraph(*host)
+
+
+def _host_rows(raw: bytes) -> tuple[int, np.ndarray] | None:
+    """``n`` and the int64 rows of a file :func:`threegraph_from_bytes` takes, else None."""
+    digit = (np.frombuffer(raw, np.uint8) - 48) < 10  # other bytes wrap round to 10 or more
+    runs = np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum()
+    del digit
+    s = raw.translate(None, _JSON_SPACE)
+    if s.startswith(b'{"n":'):
+        i = s.find(b",")
+        num, lo, end = s[5:i], i + 10, len(s) - 2
+        ok = s[i : i + 10] == b',"edges":[' and s.endswith(b"]}")
+    else:
+        i = s.rfind(b'],"n":')
+        num, lo, end = s[i + 6 : -1], 10, i
+        ok = i >= 10 and s.startswith(b'{"edges":[') and s.endswith(b"}")
+    # whitespace may not split a key (nor, below, join two numbers)
+    if not (ok and b'"n"' in raw and b'"edges"' in raw and num.isdigit()
+            and len(num) <= _MAX_DIGITS and (len(num) == 1 or num[0] != 48)):
+        return None
+    out = np.empty((s.count(b"[", lo, end), 3), np.int64)
+    r = 0
+    while lo < end:  # rows s[lo:end], each "[a,b,c]", then the "]" of "edges"
+        hi = s.find(b"],", lo + 8 * _CHUNK_ROWS, end)  # a row takes at least 8 bytes
+        hi = end + 1 if hi < 0 else hi + 2
+        t = _digit_rows(np.frombuffer(s, np.uint8, hi - lo, lo))
+        if t is None:
+            return None
+        out[r : r + len(t)], r, lo = t, r + len(t), hi
+    # as many digit runs in the file as numbers read: whitespace joined none
+    return (int(num), out) if runs == 3 * len(out) + 1 else None
+
+
+def _digit_rows(buf: np.ndarray) -> np.ndarray | None:
+    """The rows ``[a,b,c]`` of ``buf``, each followed by one more byte
+    (``,``, or the ``]`` that closes ``edges``), as a k x 3 int64 array;
+    None unless every row and number is one :func:`threegraph_from_bytes` takes."""
+    d = buf - 48  # a digit's value; other bytes wrap round to 10 or more
+    digit = d < 10
+    start, end = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
+    keep = ~digit
+    keep[start] = True  # one "0" stands for each number
+    shape = buf[keep].tobytes().translate(_DIGITS_TO_0)
+    width = end - start
+    w = int(width.max(initial=1))
+    if (shape[:-1] != (b"[0,0,0]," * (len(start) // 3))[:-1] or w > _MAX_DIGITS
+            or ((d[start] == 0) & (width > 1)).any()):
+        return None
+    value = d[end - 1].astype(np.int64)
+    for back in range(2, w + 1):  # the digit ``back`` places from each number's end
+        value += np.where(width >= back, d.take(end - back, mode="clip"), 0) * np.int64(10) ** (back - 1)
+    return value.reshape(-1, 3)

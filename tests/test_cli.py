@@ -113,6 +113,57 @@ def test_oracle_infeasible_exit_code(workdir):
     assert rep["outcome"]["status"] == "infeasible"
 
 
+def test_oracle_count_report(workdir):
+    # both colours complete on three vertices: each of the 3 paths P_3 takes
+    # its two colours in either order, so 6 copies up to automorphism
+    write_json(workdir / "inst.json", collection_to_json(
+        GraphCollection(3, 2, {c: [(0, 1), (1, 2), (0, 2)] for c in range(2)})))
+    write_json(workdir / "p3.json", pattern_to_json(PatternGraph(3, [(0, 1), (1, 2)])))
+    assert main(["oracle", "--instance", "inst.json", "--pattern", "p3.json", "--count",
+                 "--out", "o.json"]) == 0
+    outcome = json.loads((workdir / "o.json").read_text())["outcome"]
+    assert (outcome["status"], outcome["count"]) == ("feasible", 6)
+    assert outcome["convention"] == "labelled (tau, sigma) pairs divided by |Aut(F)|"
+
+
+def test_feasible_oracle_report_carries_a_verified_embedding(workdir):
+    write_json(workdir / "inst.json", collection_to_json(
+        GraphCollection(4, 2, {0: [(0, 1)], 1: [(1, 2), (2, 3)]})))
+    write_json(workdir / "p3.json", pattern_to_json(PatternGraph(3, [(0, 1), (1, 2)])))
+    assert main(["oracle", "--instance", "inst.json", "--pattern", "p3.json",
+                 "--out", "o.json"]) == 0
+    outcome = json.loads((workdir / "o.json").read_text())["outcome"]
+    assert outcome["status"] == "feasible"
+    # the only rainbow P_3 is 0-1-2 (either way round): edge 01 in colour 0, 12 in colour 1
+    tau = {int(v): w for v, w in outcome["embedding"]["tau"].items()}
+    assert {tau[0], tau[2]} == {0, 2} and tau[1] == 1
+    assert sorted(outcome["embedding"]["sigma"].values()) == [0, 1]
+    # verify reads the embedding out of the oracle report
+    assert main(["verify", "--instance", "inst.json", "--pattern", "p3.json",
+                 "--embedding", "o.json", "--out", "v.json"]) == 0
+    assert json.loads((workdir / "v.json").read_text())["ok"] is True
+
+
+def test_three_density_of_a_collection(workdir):
+    # 3 edges of colour 0 and none of colour 1, over C(4, 2) = 6 pairs per colour
+    write_json(workdir / "inst.json", collection_to_json(
+        GraphCollection(4, 2, {0: [(0, 1), (1, 2), (2, 3)]})))
+    assert main(["check", "--instance", "inst.json", "--three-density", "--out", "c.json"]) == 0
+    assert json.loads((workdir / "c.json").read_text())["density"] == 3 / 12
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "edges": []},
+    {"n": 2, "edges": [], "parts": [[0], [1], []]},
+    {"n": 3, "colours": [], "edges": {}},
+], ids=["n-below-3", "empty-part", "no-colours"])
+def test_three_density_with_no_places_is_zero(workdir, doc):
+    # these used to exit 1 with a ZeroDivisionError traceback
+    write_json(workdir / "inst.json", doc)
+    assert main(["check", "--instance", "inst.json", "--three-density", "--out", "c.json"]) == 0
+    assert json.loads((workdir / "c.json").read_text())["density"] == 0.0
+
+
 def test_partition_report(workdir):
     assert main([
         "generate", "--construction", "random", "--n", "12", "--colours", "12",
