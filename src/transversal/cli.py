@@ -16,7 +16,6 @@ import csv
 import functools
 import gc as _gc
 import hashlib
-import io
 import json
 import math
 import os
@@ -61,12 +60,9 @@ def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
     return _digest(collection_to_json(inst))
 
 
-def _load(path: str, raw: bytes | None = None) -> dict:
-    """The JSON object in the file ``path``, or in its bytes ``raw`` when read."""
-    if raw is None:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    doc = json.load(io.TextIOWrapper(io.BytesIO(raw)))
+def _load(path: str) -> dict:
+    with open(path) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc
@@ -114,7 +110,7 @@ def _load_instance(path: str) -> GraphCollection | ThreeGraph:
             raw = fh.read()
         inst = threegraph_from_bytes(raw)
         if inst is None:
-            d = _load(path, raw)
+            d = _load(path)  # read again, as text, exactly as before
             inst = collection_from_json(d) if "colours" in d else threegraph_from_json(d)
             del d
         return inst

@@ -901,12 +901,6 @@ def threegraph_from_bytes(raw: bytes) -> ThreeGraph | None:
     zero), read into int64 rows in chunks of about ``_CHUNK_ROWS`` rows with
     no Python lists; None for any other file, which is left to
     :func:`threegraph_from_json`.  A bad row raises the same ``ValueError``."""
-    host = _host_rows(raw)  # built once the parse's buffers are freed
-    return None if host is None else ThreeGraph(*host)
-
-
-def _host_rows(raw: bytes) -> tuple[int, np.ndarray] | None:
-    """``n`` and the int64 rows of a file :func:`threegraph_from_bytes` takes, else None."""
     digit = (np.frombuffer(raw, np.uint8) - 48) < 10  # other bytes wrap round to 10 or more
     runs = np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum()
     del digit
@@ -919,9 +913,10 @@ def _host_rows(raw: bytes) -> tuple[int, np.ndarray] | None:
         i = s.rfind(b'],"n":')
         num, lo, end = s[i + 6 : -1], 10, i
         ok = i >= 10 and s.startswith(b'{"edges":[') and s.endswith(b"}")
-    # whitespace may not split a key (nor, below, join two numbers)
+    # whitespace may not split a key (nor, below, join two numbers); "edges" may not end in ","
     if not (ok and b'"n"' in raw and b'"edges"' in raw and num.isdigit()
-            and len(num) <= _MAX_DIGITS and (len(num) == 1 or num[0] != 48)):
+            and len(num) <= _MAX_DIGITS and (len(num) == 1 or num[0] != 48)
+            and not s.endswith(b",", lo, end)):
         return None
     out = np.empty((s.count(b"[", lo, end), 3), np.int64)
     r = 0
@@ -932,8 +927,9 @@ def _host_rows(raw: bytes) -> tuple[int, np.ndarray] | None:
         if t is None:
             return None
         out[r : r + len(t)], r, lo = t, r + len(t), hi
+    del s  # the parse's buffers are freed before the build
     # as many digit runs in the file as numbers read: whitespace joined none
-    return (int(num), out) if runs == 3 * len(out) + 1 else None
+    return ThreeGraph(int(num), out) if runs == 3 * len(out) + 1 else None
 
 
 def _digit_rows(buf: np.ndarray) -> np.ndarray | None:
@@ -951,7 +947,8 @@ def _digit_rows(buf: np.ndarray) -> np.ndarray | None:
     if (shape[:-1] != (b"[0,0,0]," * (len(start) // 3))[:-1] or w > _MAX_DIGITS
             or ((d[start] == 0) & (width > 1)).any()):
         return None
-    value = d[end - 1].astype(np.int64)
-    for back in range(2, w + 1):  # the digit ``back`` places from each number's end
-        value += np.where(width >= back, d.take(end - back, mode="clip"), 0) * np.int64(10) ** (back - 1)
+    value = np.zeros(len(start), np.int64)  # int64 before any uint8 digit is scaled
+    for back in range(w, 0, -1):  # Horner's rule over the digit ``back`` places from each end
+        value *= 10
+        value += np.where(width >= back, d.take(end - back, mode="clip"), 0)
     return value.reshape(-1, 3)

@@ -3,7 +3,6 @@ reads exactly what the json route reads, refuses every other file, and
 leaves the CLI's exit code and message as the json route gives them."""
 
 import json
-from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,13 +17,12 @@ DUMPS = [{}, {"separators": (",", ":")}, {"indent": 2, "sort_keys": True}]
 
 
 @st.composite
-def hosts(draw, max_n=9):
-    """``n`` and rows: distinct triples in any order, each in any vertex order,
-    some repeated."""
-    n = draw(st.integers(3, max_n))
-    triples = draw(st.lists(st.sampled_from(list(combinations(range(n), 3))), max_size=30))
-    rows = [list(draw(st.permutations(t))) for t in triples]
-    return n, rows
+def hosts(draw, max_n=99999):
+    """``n`` and rows of vertices of one to five digits, mixed in a row:
+    triples in any order, each in any vertex order, some repeated."""
+    n = draw(st.sampled_from([n for n in (3, 9, 10, 11, 100, 101, 1000, 1001, 99999) if n <= max_n]))
+    vertex = st.one_of(st.integers(0, min(n, 11) - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(st.lists(vertex, min_size=3, max_size=3, unique=True), max_size=30))
 
 
 def _via_json(raw: bytes) -> ThreeGraph:
@@ -48,15 +46,18 @@ def test_byte_route_reads_what_json_reads(small_chunks, host, dumps, n_first):
     assert got is not None and got == _via_json(raw) and got.e == _via_json(raw).e
 
 
-def test_byte_route_reads_numbers_of_up_to_18_digits():
-    rows = [[10 ** 17, 123456789012345678, 0], [999999999999999999, 1, 22]]
-    raw = json.dumps({"n": 10 ** 18 - 2, "edges": rows}).encode()
-    n, got = core._host_rows(raw)
-    assert n == 10 ** 18 - 2 and got.tolist() == rows
-    # a 19th digit, in a vertex or in n, leaves the file to the json route
-    assert core._host_rows(raw.replace(b"999999999999999999", b"1000000000000000000")) is None
-    assert core._host_rows(raw.replace(b"999999999999999998", b"1000000000000000000")) is None
+@pytest.mark.parametrize("big", [10 ** 17, 123456789012345678, 999999999999999999, 256, 65536, 10 ** 10])
+def test_byte_route_reads_numbers_of_up_to_18_digits(small_chunks, big):
+    # the out-of-range row names the number as read, on both routes
+    rows = [[0, 1, 2], [3, 1, 0], [2, big, 0], [1, 2, 3]]
+    raw = json.dumps({"n": 4, "edges": rows}).encode()
+    with pytest.raises(ValueError, match=rf"^3-edge \(2, {big}, 0\) out of range for n=4$"):
+        threegraph_from_bytes(raw)
+    assert threegraph_from_bytes(b'{"n":999999999999999999,"edges":[]}').n == 999999999999999999
     assert threegraph_from_bytes(b'{"n":3,"edges":[]}') == ThreeGraph(3, [])
+    # a 19th digit, in a vertex or in n, leaves the file to the json route
+    assert threegraph_from_bytes(raw.replace(b"2, ", b"1000000000000000000, ", 1)) is None
+    assert threegraph_from_bytes(b'{"n":1000000000000000000,"edges":[]}') is None
 
 
 def _mutations(n: int, rows: list) -> dict:
@@ -82,6 +83,7 @@ def _mutations(n: int, rows: list) -> dict:
         "nested": file(f"[[{a}], {b}, {c}]"),
         "trailing-comma-in-row": file(f"[{a}, {b}, {c},]"),
         "trailing-comma": file(f"[{a}, {b}, {c}]", tail=","),
+        "trailing-comma-in-edges": file(f"[{a}, {b}, {c}]").replace(b"]]}", b"],]}"),
         "extra-key": file(f"[{a}, {b}, {c}]", tail=', "x": 1'),
         "parts": file(f"[{a}, {b}, {c}]", tail=f', "parts": [{list(range(n))}, [], []]'),
         "duplicate-key": file(f"[{a}, {b}, {c}]", head=f'"n": {n}, "n": {n}'),
@@ -109,8 +111,8 @@ def _expand(tmp_path, capsys) -> tuple:
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(host=hosts(max_n=7).filter(lambda h: h[1]))
-def test_refused_files_take_the_json_route(tmp_path, monkeypatch, capsys, mutation, host):
+@given(host=hosts(max_n=101).filter(lambda h: h[1]))
+def test_refused_files_take_the_json_route(small_chunks, tmp_path, monkeypatch, capsys, mutation, host):
     n, rows = host
     raw = _mutations(n, rows)[mutation]
     assert threegraph_from_bytes(raw) is None
@@ -122,6 +124,16 @@ def test_refused_files_take_the_json_route(tmp_path, monkeypatch, capsys, mutati
     with monkeypatch.context() as m:  # the json route alone, as before the byte route
         m.setattr(cli, "threegraph_from_bytes", lambda raw: None)
         assert _expand(tmp_path, capsys) == ours
+
+
+@pytest.mark.parametrize("dumps", DUMPS)
+def test_a_comma_before_the_end_of_edges_is_refused_at_every_chunk_boundary(small_chunks, dumps):
+    for k in range(1, 12):
+        rows = [[0, 1, 2 + i % 7] for i in range(k)]
+        raw = json.dumps({"n": 9, "edges": rows}, **dumps).encode()
+        assert threegraph_from_bytes(raw) == ThreeGraph(9, rows)
+        end = raw.rindex(b"]", 0, raw.rindex(b"]"))  # the last row's "]"
+        assert threegraph_from_bytes(raw[: end + 1] + b"," + raw[end + 1 :]) is None
 
 
 @settings(max_examples=100, deadline=None,
