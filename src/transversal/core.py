@@ -165,6 +165,7 @@ class GraphCollection:
         "bipartition",
         "colour_names",
         "_pair_cache",
+        "_row_cache",
     )
 
     def __init__(
@@ -198,6 +199,7 @@ class GraphCollection:
         self._ecount = tuple(ecount)
         self.colour_names = tuple(colour_names) if colour_names else None
         self._pair_cache: dict[tuple[int, int], int] = {}
+        self._row_cache: dict[int, int] = {}
         if bipartition:
             bp = {}
             for c, (a, b) in bipartition.items():
@@ -259,6 +261,25 @@ class GraphCollection:
         v's degree into mask in the 3-graph view restricted to those colours."""
         adj = self._adj
         return sum((adj[c][v] & mask).bit_count() for c in colours)
+
+    def degree_screen(self, cands: int, mask: int, colours: Iterable[int], thr: float) -> int:
+        """The vertices of ``cands`` whose :meth:`degree_into` ``mask`` over
+        the distinct ``colours`` is at least ``thr``: one AND and one popcount
+        per vertex on its packed row (its adjacency in every colour, one n-bit
+        field each), built on the vertex's first screen and cached."""
+        n, rows = self.n, self._row_cache
+        mask &= (1 << n) - 1
+        spread = 0
+        for c in colours:
+            spread |= mask << c * n
+        keep = cands
+        for v in bits_of(cands):
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = sum(a[v] << c * n for c, a in enumerate(self._adj))
+            if (row & spread).bit_count() < thr:
+                keep ^= 1 << v
+        return keep
 
     def edges_into(self, c: int, vertices: Iterable[int], mask: int) -> int:
         """Edges of colour c from ``vertices`` into the vertex ``mask`` (an
@@ -457,7 +478,7 @@ def _triple_error(t: tuple, n: int) -> str | None:
     """Why the row ``t`` is not a 3-edge of a :class:`ThreeGraph` on ``n``
     vertices, or None when it is one."""
     if len(t) != 3:
-        return f"3-edge {t} has repeated vertices"
+        return f"3-edge {t} has {len(t)} vertices, not 3"
     if any(type(x) is not int for x in t):
         return f"3-edge {t} has a vertex that is not an integer"
     if len(set(t)) != 3:

@@ -387,6 +387,9 @@ def partial_embed(
     colours are kept in one mask each and taken out whenever a set is read,
     so "remove everywhere" is one bit.  Each pick is ``rng.choice`` over the
     set in ascending order, so the draws are those of the set-based loop.
+    The colour-sum test is ``GraphCollection.degree_screen`` on packed rows
+    cached on ``t.gc`` (at most n * |C| * n bits, built for screened hosts
+    only); the cluster and class colour masks are cached on ``t``.
     """
     rng = random.Random(_mix(seed, 23))
     X, Y = list(X), list(Y)
@@ -407,28 +410,33 @@ def partial_embed(
     pos = {v: i for i, v in enumerate(order)}
     cand_v: dict[int, int] = {}
     for w in order:
-        cluster = t.clusters[phi[w]]
         tw = targets.get(w)
-        if tw is not None:  # a target outside the cluster is ignored
+        if tw is None:
+            cand_v[w] = t.cluster_masks[phi[w]]
+        else:  # a target outside the cluster is ignored
             tw = set(tw)
-            cluster = [v for v in cluster if v in tw]
-        cand_v[w] = mask_of(cluster)
+            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
         if not cand_v[w]:
             return Failure(
                 "partial", CANDIDATE_EXHAUSTED, seed,
                 element=("vertex", w), step="init", detail="empty target within cluster",
             )
-    xy_mask = mask_of(xy_set)
-    edges_live = H.edges_within(xy_set)
+    # colour candidates per edge, later neighbours per x (no edge is inside Y)
+    class_masks = t.colour_cluster_masks
     cand_c: dict[tuple[int, int], int] = {}
-    for (u, v) in edges_live:
+    later: dict[int, list[tuple[int, int, tuple[int, int]]]] = {x: [] for x in X}
+    for u, v in H.edges_within(xy_set):
         key = _class_key(phi, u, v)
-        if key not in t.colour_clusters:
+        if key not in class_masks:
             return Failure(
                 "partial", PRECONDITION, seed,
                 detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}",
             )
-        cand_c[(u, v)] = mask_of(t.colours_of_edge(*key))
+        cand_c[u, v] = class_masks[key]
+        a, b = (u, v) if pos[u] < pos[v] else (v, u)
+        later[a].append((pos[b], b, (u, v)))
+    for ys in later.values():
+        ys.sort()
 
     tau: dict[int, int] = {}
     sigma: dict[tuple[int, int], int] = {}
@@ -437,23 +445,17 @@ def partial_embed(
     adj = t.gc.adj
 
     for x in X:
-        later = sorted((y for y in bits_of(H.adj(x) & xy_mask) if pos[y] > pos[x]),
-                       key=pos.__getitem__)
         # (x,1) colour-sum pruning of the vertex candidate set
         cx = cand_v[x] & ~used
-        for y in later:
-            e = (x, y) if x < y else (y, x)
+        for _, y, e in later[x]:
             Cxy, Cy = cand_c[e] & ~retired, cand_v[y] & ~used
             if not Cxy or not Cy:
                 return Failure(
                     "partial", CANDIDATE_EXHAUSTED, seed,
                     element=("edge", e), step=f"({x},1)",
                 )
-            colours = list(bits_of(Cxy))
-            thr = (d - eps) * len(colours) * Cy.bit_count()
-            for v in bits_of(cx):
-                if t.gc.degree_into(v, Cy, colours) < thr:
-                    cx ^= 1 << v
+            thr = (d - eps) * Cxy.bit_count() * Cy.bit_count()
+            cx = t.gc.degree_screen(cx, Cy, bits_of(Cxy), thr)
         if not cx:
             return Failure(
                 "partial", CANDIDATE_EXHAUSTED, seed,
@@ -463,8 +465,7 @@ def partial_embed(
         tau[x] = tx = rng.choice(list(bits_of(cx)))
         used |= 1 << tx
         # (x,4) colours towards later neighbours
-        for y in later:
-            e = (x, y) if x < y else (y, x)
+        for _, y, e in later[x]:
             Cy = cand_v[y] & ~used
             thr = d * Cy.bit_count() / 2
             Cxy = 0

@@ -11,6 +11,7 @@ stages check the floors they rely on, and every embedding is verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import GraphCollection, SimpleGraph, mask_of
@@ -48,6 +49,14 @@ class Template:
     @property
     def r(self) -> int:
         return self.R.n
+
+    @cached_property
+    def cluster_masks(self) -> tuple[int, ...]:
+        return tuple(map(mask_of, self.clusters))
+
+    @cached_property
+    def colour_cluster_masks(self) -> dict[tuple[int, int], int]:
+        return {e: mask_of(cs) for e, cs in self.colour_clusters.items()}
 
     def colours_of_edge(self, i: int, j: int) -> tuple[int, ...]:
         return self.colour_clusters[(i, j) if i < j else (j, i)]
@@ -146,9 +155,8 @@ def thick_graph(t: Template, lam: float) -> ThickGraph:
         for i, j in sorted(t.colour_clusters):
             for side, other in ((i, j), (j, i)):
                 floor = d / 2 * len(t.clusters[other])
-                other_mask = mask_of(t.clusters[other])
                 for u in t.clusters[side]:
-                    deg = (g.adj(u) & other_mask).bit_count()
+                    deg = (g.adj(u) & t.cluster_masks[other]).bit_count()
                     if deg < floor:
                         viol.append((side, u, deg, floor))
     return ThickGraph(

@@ -481,6 +481,8 @@ def test_collection_digest_hashes_the_collection_not_the_file(workdir):
     ([[0, 1, 2], [0.5, 1, 2], [0, 1, 99]], "3-edge (0.5, 1, 2) has a vertex that is not an integer"),
     ([[0, 1, 2], [7, 8, 1]], "3-edge (7, 8, 1) out of range for n=8"),
     ([[0, 1, 2], [3, 1, 3]], "3-edge (3, 1, 3) has repeated vertices"),
+    ([[0, 1, 2], [0, 1]], "3-edge (0, 1) has 2 vertices, not 3"),
+    ([[0, 1, 2], [0, 1, 2, 3]], "3-edge (0, 1, 2, 3) has 4 vertices, not 3"),
 ])
 def test_malformed_threegraph_exits_2_under_python_O(workdir, edges, message):
     # the bulk row check must not rest on assert statements

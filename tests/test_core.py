@@ -101,6 +101,8 @@ def _frozenset_reference(n, triples):
     eset = set()
     for e in triples:
         t = tuple(sorted(e))
+        if len(t) != 3:
+            raise ValueError(f"3-edge {e} has {len(t)} vertices, not 3")
         if len(set(t)) != 3:
             raise ValueError(f"3-edge {e} has repeated vertices")
         if not all(0 <= x < n for x in t):
@@ -227,6 +229,40 @@ def test_threegraph_footprint_is_linear_in_edges():
 
 
 # ---------------------------------------------------------------------------
+# GraphCollection.degree_screen (packed colour rows) against degree_into
+
+
+def _screen_reference(gc, cands, mask, colours, thr):
+    return core.mask_of(v for v in core.bits_of(cands) if gc.degree_into(v, mask, colours) >= thr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 31, 63, 64, 65, 71, 100, 127, 130])
+def test_degree_screen_keeps_what_degree_into_keeps(n):
+    rng = random.Random(n)
+    k = rng.randint(1, 9)
+    warm = random_gc(n, k, rng.uniform(0.1, 0.9), n)
+    rows = [[warm.adj(c, v) for v in range(n)] for c in warm.colours]
+    full = (1 << n) - 1
+    for trial in range(30):
+        colours = rng.sample(range(k), rng.randint(0, k))  # unsorted, maybe empty
+        # empty, full, random, and random with bits above n (cut off)
+        mask = [0, full, rng.getrandbits(n), rng.getrandbits(n + 70)][trial % 4]
+        cands = full if trial % 3 == 0 else rng.getrandbits(n)
+        degrees = sorted({warm.degree_into(v, mask, colours) for v in range(n)})
+        # a threshold equal to a degree keeps that degree, one just above drops it
+        some = rng.sample(degrees, min(3, len(degrees)))
+        for thr in {-1, 0, degrees[-1] + 1, *some, *(x + 0.5 for x in some)}:
+            want = _screen_reference(warm, cands, mask, colours, thr)
+            cold = GraphCollection.from_rows(n, rows)
+            assert cold.degree_screen(cands, mask, colours, thr) == want, (trial, thr)
+            assert set(cold._row_cache) == set(core.bits_of(cands))
+            assert warm.degree_screen(cands, mask, colours, thr) == want, (trial, thr)
+    # the warm rows are the cold ones: one n-bit field per colour
+    for v, row in warm._row_cache.items():
+        assert row == sum(rows[c][v] << c * n for c in range(k))
+
+
+# ---------------------------------------------------------------------------
 # ThreeGraph's bulk numpy build against the per-triple loop it replaced
 
 
@@ -240,7 +276,8 @@ def _per_triple_build(n, edges):
         try:
             a, b, c = t
         except ValueError:
-            raise ValueError(f"3-edge {tuple(t)} has repeated vertices") from None
+            t = tuple(t)
+            raise ValueError(f"3-edge {t} has {len(t)} vertices, not 3") from None
         if a > b:
             a, b = b, a
         if b > c:

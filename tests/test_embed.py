@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,8 @@ from transversal.core import (
     PatternGraph,
     SimpleGraph,
     ThreeGraph,
+    collection_from_json,
+    collection_to_json,
     mask_of,
     verify_transversal_embedding,
 )
@@ -402,6 +405,43 @@ def test_bitmask_partial_embed_matches_the_set_reference():
                   else ref.diagnostics["step"].split(",")[-1])
     # successes and a failure at every step are among the cases
     assert steps == {"ok", "init", "1)", "4.1)", "4.4)", "final-floor"}, steps
+
+
+def test_targets_outside_the_host_range_are_ignored():
+    for case in range(48):
+        t, H, phi, X, Y, _, seed = _partial_case(case)
+        n = t.gc.n
+        targets = {v: {*t.clusters[phi[v]][v % 2::2], -1, n + 5} for v in range(H.n)}
+        if case % 3 == 0:  # only hosts outside the collection: an empty target
+            targets[case % H.n] = {-1, n + 5}
+        new = partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
+        ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
+        assert _partial_fingerprint(new) == _partial_fingerprint(ref), case
+
+
+def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
+    # the 30-cycle's template takes the one-shot pass, whose first 13
+    # passes fail; the captured call runs again on that template (its masks
+    # and the collection's packed rows already built) and once on a template
+    # over a fresh copy of the collection
+    from transversal import embed
+
+    calls = []
+    real = embed.transversal_blowup
+    monkeypatch.setattr(embed, "transversal_blowup",
+                        lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.6, seed=2))
+    first = quasi_embed(gc, H, PLAN, seed=2).stats["blowup"]
+    assert first == {"path": "one-shot", "attempts": 14}
+    (t, *args), kwargs = calls[0]
+    assert t.gc._row_cache
+    fresh = dataclasses.replace(t, gc=collection_from_json(collection_to_json(t.gc)))
+    outs = [real(t, *args, **kwargs), real(t, *args, **kwargs), real(fresh, *args, **kwargs)]
+    assert {repr((o.stats, o.embedding.tau, o.embedding.sigma)) for o in outs} == {
+        repr((first, outs[0].embedding.tau, outs[0].embedding.sigma))
+    }
+    assert fresh.gc._row_cache.items() <= t.gc._row_cache.items()
 
 
 # ---------------------------------------------------------------------------
