@@ -1266,13 +1266,14 @@ def build_absorber(
     t: Template,
     z_edges: dict[tuple[int, int], list[tuple[int, int]]],
     plan: SplitPlan,
+    l_sizes: dict[tuple[int, int], int],
+    b_sizes: dict[tuple[int, int], int],
     seed: int = 0,
-    l_sizes: dict[tuple[int, int], int] | None = None,
-    b_sizes: dict[tuple[int, int], int] | None = None,
     pools: dict[tuple[int, int], list[int]] | None = None,
 ) -> Absorber | Failure:
-    """Per R-edge: disjoint colour sets (A, B) with |A| = |Z| - l such that A
-    plus ANY l-subset of B perfectly colours the embedded edges Z.
+    """Per R-edge: disjoint colour sets (A, B) with |B| = ``b_sizes[key]``
+    and |A| = |Z| - l, l = ``l_sizes[key]``, such that A plus ANY l-subset
+    of B perfectly colours the embedded edges Z.
 
     B is drawn randomly, l flexible elements of Z with at least lambda3|B|/2
     colour-neighbours in B are designated, the rest are matched into A by
@@ -1285,16 +1286,7 @@ def build_absorber(
     for key in sorted(z_edges):
         Z = [tuple(z) for z in z_edges[key]]
         pool = list(pools[key]) if pools else list(t.colours_of_edge(*key))
-        l = (
-            l_sizes[key]
-            if l_sizes is not None
-            else min(len(Z), max(1, round(plan.lambda1 * len(Z))) if Z else 0)
-        )
-        bsize = (
-            b_sizes[key]
-            if b_sizes is not None
-            else max(l, round(plan.p_vx * len(pool)))
-        )
+        l, bsize = l_sizes[key], b_sizes[key]
         if bsize > len(pool) or len(Z) - l > len(pool) - bsize:
             return Failure(
                 "absorber", PRECONDITION, seed, edge_class=key,
@@ -1352,16 +1344,58 @@ def build_absorber(
 # ---------------------------------------------------------------------------
 # Transversal blow-up pipeline (Steps 0-5)
 
+_STAGES = ("abs", "app", "col", "vx")
 
-def _certified_separator(view: _PatternView, plan: SplitPlan) -> list[int]:
-    """Step 0's separator X for the pattern view, in global labels: the
-    certifier's, or empty when it certifies none (chunking then copes or
-    fails typed)."""
+
+def _identity(held: bool, step: str, what: str, **where) -> None:
+    """Check a count that the split's bookkeeping fixes: a broken one is a
+    library defect, not a run outcome, and raises even under ``python -O``."""
+    if not held:
+        raise UnverifiedOutput(f"{step}: {what} broken at {where}")
+
+
+def _connecting_graph(H: PatternGraph, X: list[int], active) -> tuple[list[int], PatternGraph]:
+    """The neighbours Y of X inside ``active`` (X excluded) and the graph of
+    the edges at X, embedded first (the edges inside Y wait)."""
+    Y = sorted({y for x in X for y in H.neighbours(x) if y in active}.difference(X))
+    return Y, PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
+
+
+@dataclass(frozen=True)
+class _BlowupSetup:
+    """What Steps 0-5 need that no draw changes, for one (H, phi, active):
+    the verification view, the class edges, the separator X with Step 0's
+    neighbours Y and connecting graph, and the components outside X with
+    their class edge counts."""
+
+    view: _PatternView
+    class_e: dict[tuple[int, int], list[tuple[int, int]]]
+    X: list[int]
+    Y: list[int]
+    H_con: PatternGraph
+    comps: list[list[int]]
+    class_of_comp: list[dict[tuple[int, int], int]]
+
+
+def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan) -> _BlowupSetup:
+    """The set-up of ``transversal_blowup`` over ``active``.  X is the
+    certifier's separator of the active induced pattern, or empty when it
+    certifies none (chunking then copes or fails typed)."""
+    view = _pattern_view(H, phi, active)
     mu = plan.mu if view.pattern.n * plan.mu >= 1 else 1.0
     cert = separability_certificate(view.pattern, mu)
-    if isinstance(cert, SeparabilityCertificate):
-        return sorted(view.to_global[v] for v in cert.separator)
-    return []
+    X = (sorted(view.to_global[v] for v in cert.separator)
+         if isinstance(cert, SeparabilityCertificate) else [])
+    outside_x = set(active).difference(X)
+    comps = H.components(outside_x)
+    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
+    class_of_comp: list[dict[tuple[int, int], int]] = [{} for _ in comps]
+    for (u, v) in H.edges_within(outside_x):
+        counts = class_of_comp[comp_of[u]]
+        key = _class_key(phi, u, v)
+        counts[key] = counts.get(key, 0) + 1
+    return _BlowupSetup(view, _class_edges(H, phi, active), X,
+                        *_connecting_graph(H, X, active), comps, class_of_comp)
 
 
 def transversal_blowup(
@@ -1372,7 +1406,7 @@ def transversal_blowup(
     plan: SplitPlan,
     seed: int = 0,
     active: set[int] | None = None,
-    separator: list[int] | None = None,
+    setup: _BlowupSetup | None = None,
 ) -> EmbedOutcome:
     """Verified transversal embedding using every template colour exactly once.
 
@@ -1382,14 +1416,15 @@ def transversal_blowup(
     and colours, run the extra-colours embedder, the prescribed-colour
     embedder (on the app stage's leftover colours) and the extra-colours
     embedder again on the flexible pool; Step 5 closes by matching the
-    absorber edges to A plus the leftover B-subset, whose size must equal the
-    flexibility count exactly (an explicit check: a mismatch is a typed
-    ``step5`` failure).  Set-up that draws nothing is computed once, and a
-    split that the component counts rule out is not retried.  Whenever Steps
-    0-5 give no embedding, at any pattern size, one candidate-set pass over a
-    BFS order of the active vertices runs instead (``"path": "one-shot"``).
-    When that pass fails too, its failure is returned with
-    ``diagnostics["main"]`` saying why Steps 0-5 gave none:
+    absorber edges to A plus the leftover B-subset.  Counts that the split's
+    bookkeeping fixes, such as that subset's size, are identities: a broken
+    one raises ``UnverifiedOutput``.  Set-up that draws nothing is built once
+    (``setup``: ``_blowup_setup(H, phi, active, plan)``, which a caller may
+    pass in), and a split that the component counts rule out is not retried.
+    Whenever Steps 0-5 give no embedding, at any pattern size, one
+    candidate-set pass over a BFS order of the active vertices runs instead
+    (``"path": "one-shot"``).  When that pass fails too, its failure is
+    returned with ``diagnostics["main"]`` saying why Steps 0-5 gave none:
     ``"split-decided"`` when the component counts ruled the split out, else
     the last attempt's ``stage:reason``.
     """
@@ -1397,7 +1432,9 @@ def transversal_blowup(
     if isinstance(entry, EmbedOutcome):
         return entry
     active, targets = entry
-    class_e = _class_edges(H, phi, active)
+    if setup is None:
+        setup = _blowup_setup(H, phi, active, plan)
+    class_e = setup.class_e
     for key, cs in t.colour_clusters.items():
         if len(class_e.get(key, ())) != len(cs):
             return EmbedOutcome.fail(
@@ -1410,38 +1447,13 @@ def transversal_blowup(
                 "pipeline", PRECONDITION, seed, edge_class=key,
                 detail="pattern edge class outside R",
             )
-    # separator: supplied, or certified on the active induced subgraph
-    view = _pattern_view(H, phi, active)
-    if separator is not None:
-        X = sorted(set(separator) & active)
-    else:
-        X = _certified_separator(view, plan)
-
-    # set-up shared by every attempt: the components outside X with their
-    # class edge counts
-    Xset = set(X)
-    outside_x = active - Xset
-    comps = H.components(outside_x)
-    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
-    class_of_comp: list[dict[tuple[int, int], int]] = [{} for _ in comps]
-    for (u, v) in H.edges_within(outside_x):
-        counts = class_of_comp[comp_of[u]]
-        key = _class_key(phi, u, v)
-        counts[key] = counts.get(key, 0) + 1
-    decided = _split_decided(comps, class_of_comp, t.colour_clusters)
+    decided = _split_decided(setup.comps, setup.class_of_comp, t.colour_clusters)
     if decided:
         out = _no_split(seed)
     else:
-        # Step 0's connecting graph: the edges incident to X (Y-Y edges wait)
-        Y = sorted({y for x in X for y in H.neighbours(x) if y in active} - Xset)
-        con_targets = {w: targets.get(w) or set(t.clusters[phi[w]]) for w in X + Y}
-        H_con = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
         out, attempts = _retry(
             seed, 83, plan.retries, Failure("pipeline", EMBEDDING_FAILED, seed),
-            lambda sub_seed, _: _pipeline_once(
-                t, H, phi, targets, plan, sub_seed, X, class_e,
-                comps, class_of_comp, Y, H_con, con_targets,
-            ),
+            lambda sub_seed, _: _pipeline_once(t, H, phi, targets, plan, sub_seed, setup),
         )
     main = out
     # class sizes equal class edge counts, so one pass can use every colour
@@ -1465,7 +1477,7 @@ def transversal_blowup(
         return EmbedOutcome(embedding=None, failure=out, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts
-    done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
+    done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=setup.view)
     if sorted(sigma.values()) != t.all_colours():
         raise UnverifiedOutput(
             f"colour conservation violated on the {run_stats.get('path', 'main')} path"
@@ -1492,352 +1504,344 @@ def _split_decided(comps, class_of_comp, keys) -> bool:
     return len(comps) < need or any(c < 2 for c in spread.values())
 
 
+def _stage_class_counts(assign, class_of_comp, keys, stage) -> dict[tuple[int, int], int]:
+    """The class edge counts of the components that ``assign`` puts in
+    ``stage``, over ``keys`` in their order."""
+    out = dict.fromkeys(keys, 0)
+    for h, st in assign.items():
+        if st == stage:
+            for key, cnt in class_of_comp[h].items():
+                out[key] += cnt
+    return out
+
+
 def _split_components(comps, class_of_comp, plan, rng, keys):
     """Random abs/app/col/vx split of components with post-adjustment so every
     colour class keeps at least one absorber edge and one col edge."""
-    stages = ["abs", "app", "col", "vx"]
     probs = [plan.p_abs, plan.p_app, plan.p_col, plan.p_vx]
     assign: dict[int, str] = {}
     for h in range(len(comps)):
         x = rng.random()
         acc = 0.0
         assign[h] = "vx"
-        for st, p in zip(stages, probs):
+        for st, p in zip(_STAGES, probs):
             acc += p
             if x < acc:
                 assign[h] = st
                 break
 
-    def class_counts(stage):
-        out = {key: 0 for key in keys}
-        for h, st in assign.items():
-            if st != stage:
-                continue
-            for key, cnt in class_of_comp[h].items():
-                out[key] += cnt
-        return out
+    def donors(stage, key=None):
+        return [h for h, st in assign.items()
+                if st == stage and (key is None or class_of_comp[h].get(key, 0) >= 1)]
 
     # post-adjust: abs and col need edges in every class
     for need_stage in ("abs", "col"):
         for key in keys:
-            counts = class_counts(need_stage)
-            if counts[key] >= 1:
+            if _stage_class_counts(assign, class_of_comp, keys, need_stage)[key] >= 1:
                 continue
-            donors = [
-                h
-                for h, st in assign.items()
-                if st == "app" and class_of_comp[h].get(key, 0) >= 1
-            ]
-            if not donors:
-                donors = [
-                    h
-                    for h, st in assign.items()
-                    if st == "vx" and class_of_comp[h].get(key, 0) >= 1
-                ]
-            if not donors:
+            pool = donors("app", key) or donors("vx", key)
+            if not pool:
                 return None
-            assign[rng.choice(donors)] = need_stage
+            assign[rng.choice(pool)] = need_stage
     # the prescribed-colour matching hosts one induced edge per component, so
     # the col stage needs at least one component per colour class
     while sum(1 for st in assign.values() if st == "col") < len(keys):
-        donors = [h for h, st in assign.items() if st == "app"]
-        if not donors:
-            donors = [h for h, st in assign.items() if st == "vx"]
-        if not donors:
+        pool = donors("app") or donors("vx")
+        if not pool:
             return None
-        assign[rng.choice(donors)] = "col"
-    if not any(st == "app" for st in assign.values()):
+        assign[rng.choice(pool)] = "col"
+    if "app" not in assign.values():
         # app must be nonempty to anchor the leftover-colour bridge
-        cands = [h for h, st in assign.items() if st == "vx"]
-        if not cands:
+        pool = donors("vx")
+        if not pool:
             return None
-        assign[rng.choice(cands)] = "app"
+        assign[rng.choice(pool)] = "app"
     return assign
 
 
-def _pipeline_once(t, H, phi, targets, plan, seed, X, class_e,
-                   comps, class_of_comp, Y, H_con, con_targets):
-    """One attempt of Steps 0-5 from the set-up ``transversal_blowup``
-    computes once: the components outside the separator X with their class
-    edge counts, and Step 0's neighbours Y, graph and targets."""
-    rng = random.Random(seed)
-    r = t.r
-    keys = sorted(t.colour_clusters)
-    gc = t.gc
-    Xset = set(X)
-    assign = _split_components(comps, class_of_comp, plan, rng, keys)
-    if assign is None:
-        return _no_split(seed)
-    stage_sets = {st: set() for st in ("abs", "app", "col", "vx")}
-    for h, st in assign.items():
-        stage_sets[st].update(comps[h])
-    h_counts = {
-        st: {key: 0 for key in keys} for st in ("con", "abs", "app", "col", "vx")
-    }
-    for key, es in class_e.items():
-        for (u, v) in es:
-            if u in Xset or v in Xset:
-                h_counts["con"][key] += 1
-            else:
-                for st in ("abs", "app", "col", "vx"):
-                    if u in stage_sets[st]:
-                        h_counts[st][key] += 1
-                        break
-    n_stage = {
-        st: [sum(1 for v in stage_sets[st] if phi[v] == i) for i in range(r)]
-        for st in ("abs", "app", "col", "vx")
-    }
+class _Attempt:
+    """The run state of one attempt of Steps 0-5: the call's inputs, its
+    set-up and rng, and the attributes each step sets for the later ones."""
 
-    # ---- Step 0: the connecting graph
-    part = partial_embed(
-        t, H_con, phi, X=list(X), Y=Y, targets=con_targets, plan=plan, seed=seed
-    )
+    def __init__(self, t: Template, H: PatternGraph, phi, targets, plan: SplitPlan,
+                 seed: int, setup: _BlowupSetup):
+        self.t, self.H, self.phi, self.targets = t, H, phi, targets
+        self.plan, self.seed, self.setup, self.rng = plan, seed, setup, random.Random(seed)
+        self.keys = sorted(t.colour_clusters)
+        self.sigmas = {}  # Steps 2-4: stage -> its colouring
+
+
+def _split(run: _Attempt) -> Failure | None:
+    """The random abs/app/col/vx split of the components outside X, with
+    each stage's vertices, its class edge counts (row ``con``: the edges at
+    X) and its vertex count per cluster."""
+    s, keys = run.setup, run.keys
+    assign = _split_components(s.comps, s.class_of_comp, run.plan, run.rng, keys)
+    if assign is None:
+        return _no_split(run.seed)
+    run.assign = assign
+    run.stage_sets = {st: set() for st in _STAGES}
+    for h, st in assign.items():
+        run.stage_sets[st].update(s.comps[h])
+    rows = {st: _stage_class_counts(assign, s.class_of_comp, keys, st) for st in _STAGES}
+    con = {key: len(s.class_e.get(key, ())) - sum(rows[st][key] for st in _STAGES)
+           for key in keys}
+    run.h_counts = {"con": con, **rows}
+    run.n_stage = {st: [0] * run.t.r for st in _STAGES}
+    for st, vs in run.stage_sets.items():
+        for v in vs:
+            run.n_stage[st][run.phi[v]] += 1
+
+
+def _step0(run: _Attempt) -> Failure | None:
+    """Step 0: embed the connecting graph, shrink the targets of its
+    neighbours Y to their candidate sets, and leave the free hosts ``Vp``
+    and colours ``Cp``: exactly the stage vertices and stage edges."""
+    t, s, phi = run.t, run.setup, run.phi
+    con_targets = {w: run.targets.get(w) or set(t.clusters[phi[w]]) for w in s.X + s.Y}
+    part = partial_embed(t, s.H_con, phi, X=s.X, Y=s.Y, targets=con_targets, plan=run.plan,
+                         seed=run.seed)
     if isinstance(part, Failure):
         return part.with_stage("step0")
-    tau: dict[int, int] = dict(part.tau)
-    sigma: dict[tuple[int, int], int] = dict(part.sigma)
-    T1: dict[int, set[int]] = {}
-    for y in Y:
-        T1[y] = set(part.candidates[y])
-    for v, ts in targets.items():
-        if v not in tau and v not in T1:
-            T1[v] = set(ts)
-    used_hosts = set(tau.values())
-    used_cols = set(sigma.values())
-    Vp = [tuple(v for v in t.clusters[i] if v not in used_hosts) for i in range(r)]
-    Cp = {
-        key: tuple(c for c in t.colour_clusters[key] if c not in used_cols)
+    run.tau, run.sigma = dict(part.tau), dict(part.sigma)
+    run.T1 = {y: set(part.candidates[y]) for y in s.Y}
+    for v, ts in run.targets.items():
+        if v not in run.tau and v not in run.T1:
+            run.T1[v] = set(ts)
+    run.used_hosts = set(run.tau.values())
+    used_cols = set(run.sigma.values())
+    run.Vp = [tuple(v for v in t.clusters[i] if v not in run.used_hosts) for i in range(t.r)]
+    run.Cp = {key: tuple(c for c in t.colour_clusters[key] if c not in used_cols)
+              for key in run.keys}
+    for i in range(t.r):
+        _identity(len(run.Vp[i]) == sum(run.n_stage[st][i] for st in _STAGES),
+                  "step0", "free hosts = stage vertices", cluster=i)
+    for key in run.keys:
+        _identity(len(run.Cp[key]) == sum(run.h_counts[st][key] for st in _STAGES),
+                  "step0", "free colours = stage edges", edge_class=key)
+
+
+def _prescription_caps(run: _Attempt) -> dict[tuple[int, int], int]:
+    """P_e, the colours prescribed per class in Step 3.  A prescribed colour
+    needs its own induced-matching edge, and one small col component can
+    host only one such edge in total (its 2-ball swallows the component), so
+    the caps are individual (the col components containing the class) and
+    joint (the col component count)."""
+    keys = run.keys
+    col = [h for h, st in run.assign.items() if st == "col"]
+    comp_col = dict.fromkeys(keys, 0)
+    for h in col:
+        for key in run.setup.class_of_comp[h]:
+            comp_col[key] += 1
+    # with a col component per class, a sum above the count has a cap >= 2
+    comp_total = len(col)
+    _identity(comp_total >= len(keys), "step1", "a col component per class", col=comp_total)
+    p_cap = {
+        key: min(max(1, round(run.plan.p_abs * len(run.Cp[key]))),
+                 run.h_counts["col"][key], max(1, comp_col[key]))
         for key in keys
     }
-    for key in keys:
-        total = sum(h_counts[st][key] for st in ("abs", "app", "col", "vx"))
-        if len(Cp[key]) != total:
-            return Failure("step0", PRECONDITION, seed, edge_class=key,
-                           detail="colour bookkeeping identity broken")
+    while sum(p_cap.values()) > comp_total:
+        p_cap[max(keys, key=lambda k_: p_cap[k_])] -= 1
+    return p_cap
 
-    # ---- Step 1: absorber embedding + colour absorber
+
+def _step1(run: _Attempt) -> Failure | None:
+    """Step 1: embed the abs stage into the lambda3-thick graph on a random
+    slice of the free hosts, and build the colour absorber on its host
+    edges, sized so that Steps 2-4 leave exactly l colours of each B."""
+    t, H, phi, plan, keys = run.t, run.H, run.phi, run.plan, run.keys
     v_abs = []
-    for i in range(r):
-        pool = [v for v in Vp[i]]
-        if n_stage["abs"][i] > len(pool):
-            return Failure("step1", PRECONDITION, seed, cluster=i)
-        rng.shuffle(pool)
-        v_abs.append(sorted(pool[: n_stage["abs"][i]]))
-    thick = thick_host_graph(gc, v_abs, Cp, plan.lambda3)
-    abs_targets = {
-        v: (T1[v] & set(v_abs[phi[v]]))
-        for v in stage_sets["abs"]
-        if v in T1
-    }
+    for i in range(t.r):
+        pool = list(run.Vp[i])
+        run.rng.shuffle(pool)
+        v_abs.append(sorted(pool[: run.n_stage["abs"][i]]))
+    thick = thick_host_graph(t.gc, v_abs, run.Cp, plan.lambda3)
+    abs_set = run.stage_sets["abs"]
+    abs_targets = {v: run.T1[v] & set(v_abs[phi[v]]) for v in abs_set if v in run.T1}
     if any(not ts for ts in abs_targets.values()):
-        return Failure("step1", CANDIDATE_EXHAUSTED, seed, detail="target misses the absorber slice")
-    bres = blowup_embed(
-        thick, v_abs, t.R, H, phi, abs_targets, plan,
-        seed=_mix(seed, 2), active=stage_sets["abs"],
-    )
+        return Failure("step1", CANDIDATE_EXHAUSTED, run.seed,
+                       detail="target misses the absorber slice")
+    bres = blowup_embed(thick, v_abs, t.R, H, phi, abs_targets, plan, seed=_mix(run.seed, 2),
+                        active=abs_set)
     if not bres.ok:
         return bres.failure.with_stage("step1")
     tau_abs = bres.tau
-    z_edges = {key: [] for key in keys}
-    abs_edges = {key: [] for key in keys}  # the pattern edge embedded on each z
-    for (u, v) in H.edges_within(stage_sets["abs"]):
+    run.z_edges = {key: [] for key in keys}
+    run.abs_edges = {key: [] for key in keys}  # the pattern edge embedded on each z
+    for (u, v) in H.edges_within(abs_set):
         key = _class_key(phi, u, v)
         z = (tau_abs[u], tau_abs[v])
-        z_edges[key].append((min(z), max(z)))
-        abs_edges[key].append((u, v))
-    # a prescribed colour needs its own induced-matching edge, and one small
-    # col component can host only one such edge in total (its 2-ball swallows
-    # the component), so the per-class prescriptions are capped individually
-    # by the components containing that class and jointly by the component
-    # count
-    comp_col = {key: 0 for key in keys}
-    comp_total = 0
-    for h, st in assign.items():
-        if st != "col":
-            continue
-        comp_total += 1
-        for key, cnt in class_of_comp[h].items():
-            if cnt >= 1:
-                comp_col[key] += 1
-    p_cap = {}
+        run.z_edges[key].append((min(z), max(z)))
+        run.abs_edges[key].append((u, v))
+    run.p_cap = _prescription_caps(run)
+    run.l_sizes, b_sizes = {}, {}
     for key in keys:
-        hcol = h_counts["col"][key]
-        p_cap[key] = min(
-            max(1, round(plan.p_abs * len(Cp[key]))), hcol, max(1, comp_col[key])
-        )
-    while sum(p_cap.values()) > comp_total:
-        widest = max(keys, key=lambda k_: p_cap[k_])
-        if p_cap[widest] <= 1:
-            return Failure("split", PRECONDITION, seed,
-                           detail="too few col components for the prescriptions")
-        p_cap[widest] -= 1
-    l_sizes, b_sizes = {}, {}
-    for key in keys:
-        habs = h_counts["abs"][key]
-        hcol = h_counts["col"][key]
-        hvx = h_counts["vx"][key]
+        habs, hcol, hvx = (run.h_counts[st][key] for st in ("abs", "col", "vx"))
         l_e = min(habs, max(1, round(plan.lambda1 * habs)))
-        P_e = p_cap[key]
-        b_e = hvx + hcol - P_e + l_e
-        if b_e < l_e or b_e > len(Cp[key]) - (habs - l_e):
-            return Failure("step1", PRECONDITION, seed, edge_class=key,
-                           detail="absorber size ledger infeasible")
-        l_sizes[key], b_sizes[key] = l_e, b_e
-    absorber = build_absorber(
-        t, z_edges, plan, seed=_mix(seed, 3),
-        l_sizes=l_sizes, b_sizes=b_sizes,
-        pools={key: list(Cp[key]) for key in keys},
-    )
+        b_e = hvx + hcol - run.p_cap[key] + l_e
+        _identity(l_e <= b_e <= len(run.Cp[key]) - (habs - l_e),
+                  "step1", "absorber size ledger", edge_class=key)
+        run.l_sizes[key], b_sizes[key] = l_e, b_e
+    absorber = build_absorber(t, run.z_edges, plan, run.l_sizes, b_sizes, seed=_mix(run.seed, 3),
+                              pools={key: list(run.Cp[key]) for key in keys})
     if isinstance(absorber, Failure):
         return absorber.with_stage("step1")
-    tau.update(tau_abs)
-    used_hosts.update(tau_abs.values())
+    run.absorber = absorber
+    run.tau.update(tau_abs)
+    run.used_hosts.update(tau_abs.values())
 
-    # ---- preparation for Steps 2-4: vertex split of the remaining clusters
-    Vpp = [tuple(v for v in Vp[i] if v not in used_hosts) for i in range(r)]
-    n_colvx = [n_stage["col"][i] + n_stage["vx"][i] for i in range(r)]
+
+def _prep(run: _Attempt) -> Failure | None:
+    """Preparation for Steps 2-4: split each cluster's free hosts into the
+    app slice and the col/vx slice, drawn from the hosts of highest B-degree
+    towards the other clusters, and shrink the targets to those slices."""
+    r, rng, gc, n_stage = run.t.r, run.rng, run.t.gc, run.n_stage
+    per_edge = run.absorber.per_edge
+    Vpp = [tuple(v for v in run.Vp[i] if v not in run.used_hosts) for i in range(r)]
+    masks = [mask_of(vs) for vs in Vpp]
     v_colvx, v_app = [], []
     for i in range(r):
         pool = list(Vpp[i])
+        take = n_stage["col"][i] + n_stage["vx"][i]
+        _identity(len(pool) == take + n_stage["app"][i],
+                  "prep", "free hosts = app, col and vx vertices", cluster=i)
         # screen vertices with weak B-degree before drawing the col/vx slice
         scores = []
         for v in pool:
             s = 0
             for j in range(r):
                 key = (i, j) if i < j else (j, i)
-                ent = absorber.per_edge.get(key)
+                ent = per_edge.get(key)
                 if ent is None or i == j:
                     continue
-                other = mask_of(Vpp[j])
-                s += gc.degree_into(v, other, ent.B)
+                s += gc.degree_into(v, masks[j], ent.B)
             scores.append((s, rng.random(), v))
         scores.sort(reverse=True)
         ranked = [v for (_, _, v) in scores]
-        take = n_colvx[i]
-        if take > len(ranked):
-            return Failure("prep", PRECONDITION, seed, cluster=i)
         head = ranked[: max(take, min(len(ranked), take * 2))]
         rng.shuffle(head)
         chosen = sorted(head[:take])
         v_colvx.append(chosen)
         v_app.append(sorted(set(pool) - set(chosen)))
-    T2 = {
-        v: (T1[v] & set((v_app if v in stage_sets["app"] else v_colvx)[phi[v]]))
-        for v in T1
-        if v not in tau
-    }
+    app_set = run.stage_sets["app"]
+    T2 = {v: ts & set((v_app if v in app_set else v_colvx)[run.phi[v]])
+          for v, ts in run.T1.items() if v not in run.tau}
     if any(not ts for ts in T2.values()):
-        return Failure("prep", CANDIDATE_EXHAUSTED, seed, detail="target misses its stage slice")
+        return Failure("prep", CANDIDATE_EXHAUSTED, run.seed,
+                       detail="target misses its stage slice")
+    run.v_colvx, run.v_app, run.T2 = v_colvx, v_app, T2
 
-    # ---- Step 2: the app stage with surplus P_e
-    c_app = {
-        key: tuple(
-            c
-            for c in Cp[key]
-            if c not in set(absorber.per_edge[key].A) | set(absorber.per_edge[key].B)
-        )
-        for key in keys
-    }
-    for key in keys:
-        if len(c_app[key]) != h_counts["app"][key] + p_cap[key]:
-            return Failure("step2", PRECONDITION, seed, edge_class=key,
-                           detail="app colour pool does not match the ledger")
+
+def _stage_embed(run: _Attempt, step: str, stage: str, embedder, t_stage: Template, tag: int,
+                 **kw) -> Failure | None:
+    """Embed one stage of Steps 2-4 on its sub-template and keep its
+    colouring in ``run.sigmas``; the failure, tagged with the step."""
+    out = embedder(t_stage, run.H, run.phi, run.T2, plan=run.plan, seed=_mix(run.seed, tag),
+                   active=run.stage_sets[stage], **kw)
+    if not out.ok:
+        return out.failure.with_stage(step)
+    run.sigmas[stage] = dict(out.embedding.sigma)
+    run.tau.update(out.embedding.tau)
+    run.used_hosts.update(out.embedding.tau.values())
+
+
+def _step2(run: _Attempt) -> Failure | None:
+    """Step 2: the app stage on the colours outside A and B, which leaves
+    P_e of them per class."""
+    t = run.t
+    run.c_app = {}
+    for key in run.keys:
+        ent = run.absorber.per_edge[key]
+        held = set(ent.A) | set(ent.B)
+        run.c_app[key] = tuple(c for c in run.Cp[key] if c not in held)
+        _identity(len(run.c_app[key]) == run.h_counts["app"][key] + run.p_cap[key],
+                  "step2", "app colours = app edges + P_e", edge_class=key)
     # app-stage parameters per the (F1)-style transform: (m/4, 4e, d/4, delta/4)
-    ledger_app = make_ledger(
-        max(Fraction(1), t.ledger.m / 4), 4 * t.ledger.eps,
-        t.ledger.d / 4, t.ledger.delta / 4, mode="semi-super",
-    )
-    t_app = _sub_template(t, v_app, c_app, ledger=ledger_app, klass="semi-super")
-    out2 = approx_embed(
-        t_app, H, phi, T2, plan, seed=_mix(seed, 4), active=stage_sets["app"], beta=0.0
-    )
-    if not out2.ok:
-        return out2.failure.with_stage("step2")
-    sigma_app = dict(out2.embedding.sigma)
-    tau.update(out2.embedding.tau)
-    used_hosts.update(out2.embedding.tau.values())
+    led = t.ledger
+    ledger_app = make_ledger(max(Fraction(1), led.m / 4), 4 * led.eps, led.d / 4, led.delta / 4,
+                             mode="semi-super")
+    t_app = _sub_template(t, run.v_app, run.c_app, ledger=ledger_app, klass="semi-super")
+    return _stage_embed(run, "step2", "app", approx_embed, t_app, 4, beta=0.0)
 
-    # ---- Step 3: prescribed colours (the app leftovers) on the col stage
-    used_app = set(sigma_app.values())
-    D = {key: [c for c in c_app[key] if c not in used_app] for key in keys}
-    for key in keys:
-        if len(D[key]) != p_cap[key]:
-            return Failure("step3", PRECONDITION, seed, edge_class=key,
-                           detail="leftover-app colour count drifted")
-    c_col = {key: tuple(sorted(set(absorber.per_edge[key].B) | set(D[key]))) for key in keys}
-    ledger_col = make_ledger(
-        t.ledger.m, t.ledger.eps, t.ledger.d / 4, t.ledger.delta, mode="regular"
-    )
-    t_col = _sub_template(t, v_colvx, c_col, klass="regular", ledger=ledger_col)
-    out3 = embed_prescribed_colours(
-        t_col, H, phi, T2, D, plan, seed=_mix(seed, 5), active=stage_sets["col"],
-        prescribed_density_floor=float(t.ledger.d) / 22,
-    )
-    if not out3.ok:
-        return out3.failure.with_stage("step3")
-    sigma_col = dict(out3.embedding.sigma)
-    tau.update(out3.embedding.tau)
-    used_hosts.update(out3.embedding.tau.values())
 
-    # ---- Step 4: the vx stage inside B's leftovers
-    used_col = set(sigma_col.values())
-    c_vx = {
-        key: tuple(c for c in absorber.per_edge[key].B if c not in used_col)
-        for key in keys
-    }
-    for key in keys:
-        if len(c_vx[key]) - h_counts["vx"][key] != l_sizes[key]:
-            return Failure("step4", PRECONDITION, seed, edge_class=key,
-                           detail="vx colour surplus is not the flexibility count")
-    v_vx = [
-        tuple(v for v in v_colvx[i] if v not in used_hosts) for i in range(r)
-    ]
+def _step3(run: _Attempt) -> Failure | None:
+    """Step 3: the col stage on B plus the app stage's leftover colours D,
+    every colour of D prescribed."""
+    t = run.t
+    used_app = set(run.sigmas["app"].values())
+    D = {key: [c for c in run.c_app[key] if c not in used_app] for key in run.keys}
+    for key in run.keys:
+        _identity(len(D[key]) == run.p_cap[key], "step3", "app leftovers = P_e", edge_class=key)
+    c_col = {key: tuple(sorted({*run.absorber.per_edge[key].B, *D[key]})) for key in run.keys}
+    ledger_col = make_ledger(t.ledger.m, t.ledger.eps, t.ledger.d / 4, t.ledger.delta,
+                             mode="regular")
+    t_col = _sub_template(t, run.v_colvx, c_col, klass="regular", ledger=ledger_col)
+    return _stage_embed(run, "step3", "col", embed_prescribed_colours, t_col, 5, prescribed=D,
+                        prescribed_density_floor=float(t.ledger.d) / 22)
+
+
+def _step4(run: _Attempt) -> Failure | None:
+    """Step 4: the vx stage inside B's leftovers, which exceed the vx edges
+    by the flexibility count l."""
+    t = run.t
+    used_col = set(run.sigmas["col"].values())
+    run.c_vx = {}
+    for key in run.keys:
+        run.c_vx[key] = tuple(c for c in run.absorber.per_edge[key].B if c not in used_col)
+        _identity(len(run.c_vx[key]) - run.h_counts["vx"][key] == run.l_sizes[key],
+                  "step4", "vx colours = vx edges + l", edge_class=key)
+    v_vx = [tuple(v for v in run.v_colvx[i] if v not in run.used_hosts) for i in range(t.r)]
     # vx-stage parameters per the (F3)-style transform: (m', sqrt(e), d/13, delta/24)
-    m_prime = max(Fraction(1), frac(plan.p_vx) * t.ledger.m / 8)
-    ledger_vx = make_ledger(
-        m_prime, frac(str(round(float(t.ledger.eps) ** 0.5, 9))),
-        t.ledger.d / 13, t.ledger.delta / 24, mode="semi-super",
-    )
-    t_vx = _sub_template(t, v_vx, c_vx, ledger=ledger_vx, klass="semi-super")
-    out4 = approx_embed(
-        t_vx, H, phi, T2, plan, seed=_mix(seed, 6), active=stage_sets["vx"], beta=0.0
-    )
-    if not out4.ok:
-        return out4.failure.with_stage("step4")
-    sigma_vx = dict(out4.embedding.sigma)
-    tau.update(out4.embedding.tau)
+    m_prime = max(Fraction(1), frac(run.plan.p_vx) * t.ledger.m / 8)
+    ledger_vx = make_ledger(m_prime, frac(str(round(float(t.ledger.eps) ** 0.5, 9))),
+                            t.ledger.d / 13, t.ledger.delta / 24, mode="semi-super")
+    t_vx = _sub_template(t, v_vx, run.c_vx, ledger=ledger_vx, klass="semi-super")
+    return _stage_embed(run, "step4", "vx", approx_embed, t_vx, 6, beta=0.0)
 
-    # ---- Step 5: close the absorber on the exact leftover B-subset
-    leftover_stats = {}
-    used_vx = set(sigma_vx.values())
-    for key in keys:
-        ent = absorber.per_edge[key]
-        c_abs = sorted(set(ent.A) | (set(c_vx[key]) - used_vx))
-        b0 = sorted(set(c_abs) & set(ent.B))
-        if len(b0) != ent.l:
-            return Failure("step5", PRECONDITION, seed, edge_class=key,
-                           detail=f"leftover identity broken: {len(b0)} != {ent.l}")
-        leftover_stats[str(key)] = len(b0)
-        m = absorber.matching_for(gc, key, b0)
+
+def _step5(run: _Attempt) -> Failure | None:
+    """Step 5: close each absorber on its leftover B-subset (exactly l
+    colours) and colour the abs stage's edges by the matching."""
+    used_vx = set(run.sigmas["vx"].values())
+    run.leftover = {}
+    for key in run.keys:
+        ent = run.absorber.per_edge[key]
+        b0 = sorted(set(run.c_vx[key]) - used_vx)
+        _identity(len(b0) == ent.l, "step5", "B leftovers = l", edge_class=key)
+        run.leftover[str(key)] = len(b0)
+        m = run.absorber.matching_for(run.t.gc, key, b0)
         if m is None:
-            return Failure("step5", ABSORBER_UNVERIFIABLE, seed, edge_class=key,
+            return Failure("step5", ABSORBER_UNVERIFIABLE, run.seed, edge_class=key,
                            detail="sampled absorber missed the realised subset")
         # distribute over the pattern edges embedded on those host edges
-        for e, z in zip(abs_edges[key], z_edges[key]):
-            sigma[e] = m[z]
-    sigma.update(sigma_app)
-    sigma.update(sigma_col)
-    sigma.update(sigma_vx)
-    stats = {
-        "X": list(X),
-        "h_counts": {st: {str(k): v for k, v in d.items()} for st, d in h_counts.items()},
-        "l_sizes": {str(k): v for k, v in l_sizes.items()},
-        "leftover": leftover_stats,
+        for e, z in zip(run.abs_edges[key], run.z_edges[key]):
+            run.sigma[e] = m[z]
+    for st in ("app", "col", "vx"):
+        run.sigma.update(run.sigmas[st])
+
+
+_STEPS = (_split, _step0, _step1, _prep, _step2, _step3, _step4, _step5)
+
+
+def _pipeline_once(t, H, phi, targets, plan, seed, setup):
+    """One attempt of Steps 0-5 over the set-up that ``transversal_blowup``
+    builds once: the steps in turn, each returning a typed failure or None,
+    then (tau, sigma, stats)."""
+    run = _Attempt(t, H, phi, targets, plan, seed, setup)
+    for step in _STEPS:
+        failure = step(run)
+        if failure is not None:
+            return failure
+    return run.tau, run.sigma, {
+        "X": list(setup.X),
+        "h_counts": {st: {str(k): v for k, v in d.items()} for st, d in run.h_counts.items()},
+        "l_sizes": {str(k): v for k, v in run.l_sizes.items()},
+        "leftover": run.leftover,
         "absorber_verified": {
-            str(k): (e.verified, e.subsets_checked) for k, e in absorber.per_edge.items()
+            str(k): (e.verified, e.subsets_checked) for k, e in run.absorber.per_edge.items()
         },
     }
-    return tau, sigma, stats
 
 
 # ---------------------------------------------------------------------------
@@ -1919,14 +1923,10 @@ def quasi_embed(
     # the sparse side X (embedded first through candidate sets), its
     # neighbours Y and the rest, which the transversal blow-up embeds
     X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
-    Xset = set(X)
-    Y = sorted({y for x in X for y in H.neighbours(x)} - Xset)
-    H_lt = PatternGraph(H.n, set(H.edges_within(X + Y)) - set(H.edges_within(Y)))
-    active = set(range(H.n)) - Xset
-    class_rest = _class_edges(H, phi, active)
-    # the blow-up's separator depends only on H, phi and active: certify once
-    separator = (_certified_separator(_pattern_view(H, phi, active), plan)
-                 if dense_pairs else None)
+    Y, H_lt = _connecting_graph(H, X, range(H.n))
+    active = set(range(H.n)).difference(X)
+    # the blow-up's set-up depends only on H, phi and active: build it once
+    setup = _blowup_setup(H, phi, active, plan) if dense_pairs else None
     # the candidate-set pass's order: all of H when every pair is sparse, else X
     order = _bfs_order(H, X if dense_pairs else range(H.n))
 
@@ -1995,21 +1995,19 @@ def quasi_embed(
         split: dict[tuple[int, int], tuple[int, ...]] = {}
         pos = 0
         for key in sorted(dense_pairs):
-            need = len(class_rest.get(key, ()))
+            need = len(setup.class_e.get(key, ()))
             split[key] = tuple(sorted(rest_cols[pos : pos + need]))
             pos += need
-        if pos != len(rest_cols):
-            return Failure("quasi", PRECONDITION, sub_seed, detail="colour split sizing mismatch")
+        # every edge inside active lies in a dense pair
+        _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
         stats["colour_split_sizes"] = {str(k): len(v) for k, v in split.items()}
         stats["e_sparse"] = len(sigma)
         stats["colours_total"] = K
         tmpl2 = make_template(
             R, Vp, split, jgc, ledger, rainbow=True, klass="super",
         )
-        out = transversal_blowup(
-            tmpl2, H, phi, cand, plan, seed=_mix(sub_seed, 7),
-            active=active, separator=separator,
-        )
+        out = transversal_blowup(tmpl2, H, phi, cand, plan, seed=_mix(sub_seed, 7),
+                                 active=active, setup=setup)
         if not out.ok:
             return out.failure
         tau.update(out.embedding.tau)

@@ -198,9 +198,10 @@ def test_partial_deterministic():
         assert a.tau == b.tau and a.sigma == b.sigma
 
 
-def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0):
+def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0, ties=None):
     """The set-based candidate loop that the bitmask ``partial_embed``
-    replaced, kept as its reference: same draws, same results."""
+    replaced, kept as its reference: same draws, same results.  A list
+    ``ties`` collects the vertices whose (x,1) degree equals the threshold."""
     rng = random.Random(_mix(seed, 23))
     X, Y = list(X), list(Y)
     xy_set = set(X) | set(Y)
@@ -261,8 +262,10 @@ def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0):
                 )
             cy_mask = mask_of(Cy)
             thr = (d - eps) * len(Cxy) * len(Cy)
-            bad = [v for v in cand_v[x] if t.gc.degree_into(v, cy_mask, Cxy) < thr]
-            cand_v[x] -= set(bad)
+            degree = {v: t.gc.degree_into(v, cy_mask, Cxy) for v in cand_v[x]}
+            if ties is not None:
+                ties += [v for v, deg in degree.items() if deg == thr]
+            cand_v[x] -= {v for v, deg in degree.items() if deg < thr}
         if not cand_v[x]:
             return Failure(
                 "partial", CANDIDATE_EXHAUSTED, seed,
@@ -332,7 +335,7 @@ def _greedy_phi(H, r):
     return phi
 
 
-def _kr_template(rng, r, side, k, density, d, shared):
+def _kr_template(rng, r, side, k, density, d, shared, eps="0.05"):
     """Template on K_r with clusters of ``side`` hosts; colours are shared by
     every pair (``shared``) or split into disjoint groups of k per pair."""
     R = SimpleGraph(r, list(combinations(range(r), 2)))
@@ -347,17 +350,19 @@ def _kr_template(rng, r, side, k, density, d, shared):
             edges[c] += [(u, v) for u in clusters[i] for v in clusters[j]
                          if rng.random() < density]
     gc = GraphCollection(r * side, n_colours, edges)
-    led = make_ledger(side, "0.05", d, "0.5", mode="super")
+    led = make_ledger(side, eps, d, "0.5", mode="super")
     return make_template(R, clusters, groups, gc, led, rainbow=not shared, klass="super")
 
 
-def _partial_case(case):
-    """One seeded partial_embed input: (t, H, phi, X, Y, targets, seed)."""
+def _partial_case(case, ledger=None):
+    """One seeded partial_embed input: (t, H, phi, X, Y, targets, seed).
+    A ``ledger`` {"d": ..., "eps": ...} replaces the drawn d and eps 0.05."""
     rng = random.Random(case)
     kind = case % 4
     if kind == 0:  # a bipartite pattern on the two-cluster template
-        t = bip_template(rng.randint(4, 9), rng.randint(2, 12), density=rng.uniform(0.4, 1.0),
-                         seed=case, d=rng.choice(["0", "0.3", "0.5", "0.7"]))
+        side, k, density = rng.randint(4, 9), rng.randint(2, 12), rng.uniform(0.4, 1.0)
+        led = ledger or {"d": rng.choice(["0", "0.3", "0.5", "0.7"])}
+        t = bip_template(side, k, density=density, seed=case, **led)
         n = rng.randint(2, 8)
         H = PatternGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                              if (u + v) % 2 and rng.random() < 0.5])
@@ -368,9 +373,9 @@ def _partial_case(case):
              else _random_pattern(rng, n, 3))
         r = 3 if kind == 1 else 4
         phi = _greedy_phi(H, r)
-        t = _kr_template(rng, r, rng.randint(3, 8), rng.randint(2, 10),
-                         rng.uniform(0.3, 1.0), rng.choice(["0", "0.2", "0.4", "0.6"]),
-                         shared=kind != 3)
+        side, k, density = rng.randint(3, 8), rng.randint(2, 10), rng.uniform(0.3, 1.0)
+        led = ledger or {"d": rng.choice(["0", "0.2", "0.4", "0.6"])}
+        t = _kr_template(rng, r, side, k, density, shared=kind != 3, **led)
     # Y: an independent set, the rest in X (shuffled, or BFS-like order)
     Y = []
     if rng.random() < 0.6:
@@ -393,18 +398,28 @@ def _partial_fingerprint(out):
     return ("ok", list(out.tau.items()), list(out.sigma.items()), out.candidates)
 
 
+# (d, eps) with d - eps a binary fraction: whole (x,1) thresholds, so some
+# degrees equal them and a screen that drops those vertices shows
+TIE_LEDGERS = [{"d": d, "eps": eps} for d, eps in
+               [("0.5", "0.25"), ("0.75", "0.25"), ("0.625", "0.125"), ("0.375", "0.125")]]
+
+
 def test_bitmask_partial_embed_matches_the_set_reference():
-    steps = set()
-    for case in range(240):
-        t, H, phi, X, Y, targets, seed = _partial_case(case)
+    steps, ties = set(), []
+    cases = [(case, None) for case in range(240)]
+    cases += [(case, TIE_LEDGERS[case // 4 % 4]) for case in range(160)]
+    for case, ledger in cases:
+        t, H, phi, X, Y, targets, seed = _partial_case(case, ledger)
         new = partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
-        ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
-        assert _partial_fingerprint(new) == _partial_fingerprint(ref), case
+        ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed, ties=ties)
+        assert _partial_fingerprint(new) == _partial_fingerprint(ref), (case, ledger)
         # "ok", or the failing step without its vertices: "(3,1)" -> "1)"
         steps.add("ok" if isinstance(ref, PartialEmbedding)
                   else ref.diagnostics["step"].split(",")[-1])
-    # successes and a failure at every step are among the cases
+    # successes and a failure at every step are among the cases, and so are
+    # degrees equal to the (x,1) threshold
     assert steps == {"ok", "init", "1)", "4.1)", "4.4)", "final-floor"}, steps
+    assert len(ties) >= 20, len(ties)
 
 
 def test_targets_outside_the_host_range_are_ignored():
@@ -1214,6 +1229,52 @@ def test_main_path_still_runs_the_pipeline(monkeypatch):
     gc, H, plan = _quasi_instance(0)
     assert _quasi_path(quasi_embed(gc, H, plan, seed=0)) == "main"
     assert len(calls) >= 1
+
+
+def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
+    # each of seed 27's 20 attempts calls transversal_blowup; the set-up, its
+    # pattern view and the separator certificate are built once for all
+    from transversal import embed
+
+    counts = dict.fromkeys(("setup", "view", "certificate", "blowup"), 0)
+
+    def count(name, attr, only=lambda *a: True):
+        real = getattr(embed, attr)
+
+        def counted(*args, **kwargs):
+            counts[name] += only(*args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(embed, attr, counted)
+
+    count("setup", "_blowup_setup")
+    count("view", "_pattern_view", only=lambda H, phi, active, targets=None: targets is None)
+    count("certificate", "separability_certificate")
+    count("blowup", "transversal_blowup")
+    gc, H, plan = _quasi_instance(27)
+    out = quasi_embed(gc, H, plan, seed=27)
+    assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
+    assert counts == {"setup": 1, "view": 1, "certificate": 1, "blowup": PLAN.retries}
+
+
+def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
+    # seed 21 embeds its sparse side first; with one of those edges left
+    # uncoloured, a colour is left over that no dense class takes
+    from transversal import embed
+    from transversal.embed import UnverifiedOutput
+
+    real = embed.partial_embed
+
+    def one_colour_short(*args, **kwargs):
+        part = real(*args, **kwargs)
+        if isinstance(part, PartialEmbedding) and part.sigma:
+            del part.sigma[next(iter(part.sigma))]
+        return part
+
+    monkeypatch.setattr(embed, "partial_embed", one_colour_short)
+    gc, H, plan = _quasi_instance(21)
+    with pytest.raises(UnverifiedOutput, match="quasi: colour split"):
+        quasi_embed(gc, H, plan, seed=21)
 
 
 # ---------------------------------------------------------------------------
