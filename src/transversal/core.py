@@ -42,6 +42,14 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def pick_bit(rng, mask: int) -> int:
+    """A set bit of the non-zero ``mask`` drawn by ``rng``: the one, and the
+    one draw, of ``rng.choice(list(bits_of(mask)))``."""
+    for _ in range(rng.randrange(mask.bit_count())):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
 class SimpleGraph:
     """Plain undirected graph on ``n`` dense vertices with bitmask adjacency."""
 
@@ -338,9 +346,12 @@ class ThreeGraph:
     set is one mask per vertex (:meth:`link_collection`).  ``edges``, the
     frozenset of sorted triples, is built from the table on first use.
 
-    The rows (an iterable, or an int64 ``k x 3`` array) are checked, sorted
-    and grouped into mask words with numpy, in chunks of ``_CHUNK_ROWS``; a
-    bad row raises ``ValueError`` naming the first bad row in input order.
+    The rows (an iterable, or an int64 ``k x 3`` array) are checked with
+    numpy in chunks of ``_CHUNK_ROWS``; a bad row raises ``ValueError``
+    naming the first bad row in input order.  With ``n**3`` below
+    ``_TABLE_CELLS``, the chunks' incidences are scattered into one bool
+    table that is packed into the masks at the end; otherwise each chunk's
+    are sorted and grouped into mask words, in O(e) memory.
     """
 
     __slots__ = ("n", "e", "parts", "_pairs", "_edges")
@@ -353,6 +364,8 @@ class ThreeGraph:
     ):
         pairs: dict[int, int] = {}
         get = pairs.get
+        width = (n + 7) & ~7  # the table's rows pack into whole bytes
+        table = np.zeros(n * n * width, bool) if 0 < n and n**3 < _TABLE_CELLS else None
         # bounded chunks keep the numpy temporaries small; rebuilding a mask
         # bit is idempotent, so chunks need no dedup between them
         if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (3,):
@@ -371,11 +384,23 @@ class ThreeGraph:
             if not ((0 <= a) & (a < b) & (b < c) & (c < n)).all():
                 # as Python ints, the rows read as they did in the file
                 raise _first_bad_row(t.tolist(), n)
-            for key, word, bits in zip(*_pair_words(a, b, c, n)):
-                pairs[key] = get(key, 0) | bits << (word << 6)
+            if table is None:
+                for key, word, bits in zip(*_pair_words(a, b, c, n)):
+                    pairs[key] = get(key, 0) | bits << (word << 6)
+            else:  # cell (pair uv, third w) of each of the edge's three incidences
+                for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+                    table[(u * n + v) * width + w] = True
         self.n = n
-        # each edge abc is counted once, in the mask of ab, as the bit c above b
-        self.e = sum((m >> key % n >> 1).bit_count() for key, m in pairs.items())
+        if table is None:
+            # each edge abc is counted once, in the mask of ab, as the bit c above b
+            self.e = sum((m >> key % n >> 1).bit_count() for key, m in pairs.items())
+        else:
+            self.e = int(np.count_nonzero(table)) // 3
+            rows = np.packbits(table.reshape(n * n, width), axis=1, bitorder="little")
+            keys = np.flatnonzero(rows.any(axis=1))
+            raw, step = rows[keys].tobytes(), width // 8
+            words = (int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step))
+            pairs = dict(zip(keys.tolist(), words))
         self._pairs = pairs
         self._edges = None
         if parts is not None:
@@ -450,6 +475,7 @@ class ThreeGraph:
 
 
 _CHUNK_ROWS = 1 << 14  # rows per chunk of the ThreeGraph build
+_TABLE_CELLS = 1 << 22  # a ThreeGraph with n**3 below this is built in a bool table (n <= 161)
 _CHUNK_BYTES = 1 << 20  # unpacked pair-mask bytes per chunk of a link collection
 
 

@@ -32,6 +32,7 @@ from .core import (
     _bfs_order,
     bits_of,
     mask_of,
+    pick_bit,
     separability_certificate,
     verify_expansion,
     verify_transversal_embedding,
@@ -462,7 +463,7 @@ def partial_embed(
                 element=("vertex", x), step=f"({x},1)",
             )
         # (x,2) choose the image; (x,3) retire the host vertex everywhere
-        tau[x] = tx = rng.choice(list(bits_of(cx)))
+        tau[x] = tx = pick_bit(rng, cx)
         used |= 1 << tx
         # (x,4) colours towards later neighbours
         for _, y, e in later[x]:
@@ -477,7 +478,7 @@ def partial_embed(
                     "partial", CANDIDATE_EXHAUSTED, seed,
                     element=("edge", e), step=f"({x},{y},4.1)",
                 )
-            sigma[e] = c = rng.choice(list(bits_of(Cxy)))
+            sigma[e] = c = pick_bit(rng, Cxy)
             retired |= 1 << c
             cand_v[y] = Cy & adj(c, tx)
             if not cand_v[y]:
@@ -893,7 +894,7 @@ def blowup_embed(
             cand = candidates(v, tau, used)
             if not cand:
                 return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="greedy")
-            pick = rng.choice(list(bits_of(cand)))
+            pick = pick_bit(rng, cand)
             tau[v] = pick
             used |= 1 << pick
         # completion: per cluster, match buffer vertices to free hosts

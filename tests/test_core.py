@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,25 @@ def random_gc(n, k, density, seed):
         for c in range(k)
     }
     return GraphCollection(n, k, edges)
+
+
+# ---------------------------------------------------------------------------
+# pick_bit against rng.choice over the listed bits
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pick_bit_is_rng_choice_over_the_bits(seed):
+    masks = random.Random(seed)
+    ours, ref = random.Random(seed), random.Random(seed)
+    for mask in (
+        1 << masks.randrange(200),  # one bit, at times above 64
+        core.mask_of(masks.sample(range(64), 20)),
+        core.mask_of(masks.sample(range(300), 20)),  # most bits above 64
+        masks.getrandbits(200) | 1 << 199,
+    ):
+        for _ in range(5):
+            assert core.pick_bit(ours, mask) == ref.choice(list(core.bits_of(mask)))
+            assert ours.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +329,59 @@ def _mixed_rows(rng, triples):
     return [list(t) if rng.random() < 0.5 else tuple(t) for t in triples]
 
 
+def _on_each_route(monkeypatch):
+    """Yields the name of each ThreeGraph build route, with ``_TABLE_CELLS``
+    set so that every n up to 200 takes it, and the list of the sort route's
+    ``_pair_words`` calls (one per chunk), emptied for each route."""
+    calls = []
+    sort = core._pair_words
+    monkeypatch.setattr(core, "_pair_words", lambda *a: calls.append(a) or sort(*a))
+    for name, cells in (("sort", 0), ("table", 200**3 + 1)):
+        monkeypatch.setattr(core, "_TABLE_CELLS", cells)
+        calls.clear()
+        yield name, calls
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 5])  # None: the module's chunk size
 @pytest.mark.parametrize("n", [3, 63, 64, 65, 128, 129, 200])
 def test_bulk_build_matches_the_per_triple_loop(n, chunk, monkeypatch):
     if chunk:
         monkeypatch.setattr(core, "_CHUNK_ROWS", chunk)
-    rng = random.Random(f"{n}/{chunk}")
-    for m in (0, 1, 2, rng.randint(3, 4 * n)):
-        # random vertex order within rows, about one row in five repeated
-        rows = _mixed_rows(rng, _random_triples(rng, n, m))
-        g = ThreeGraph(n, rows)
-        assert (g._pairs, g.e) == _per_triple_build(n, rows)
-        assert g == ThreeGraph(n, iter(rows[::-1]))
+    for route, calls in _on_each_route(monkeypatch):
+        rng = random.Random(f"{n}/{chunk}")
+        for m in (0, 1, 2, rng.randint(3, 4 * n)):
+            # random vertex order within rows, about one row in five repeated
+            rows = _mixed_rows(rng, _random_triples(rng, n, m))
+            calls.clear()
+            g = ThreeGraph(n, rows)
+            assert bool(calls) == (route == "sort" and m > 0)
+            assert (g._pairs, g.e) == _per_triple_build(n, rows)
+            assert g == ThreeGraph(n, iter(rows[::-1]))
+            assert g == ThreeGraph(n, np.array(rows, np.int64).reshape(-1, 3))
 
 
-def test_bulk_build_over_several_chunks():
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_build_below_three_vertices(n, monkeypatch):
+    for _ in _on_each_route(monkeypatch):
+        for rows in ([], np.zeros((0, 3), np.int64)):
+            g = ThreeGraph(n, rows)
+            assert (g._pairs, g.e, g.edges, g.degree(0)) == ({}, 0, frozenset(), 0)
+        with pytest.raises(ValueError) as ref:
+            _per_triple_build(n, [(0, 1, 2)])
+        with pytest.raises(ValueError) as new:
+            ThreeGraph(n, [(0, 1, 2)])
+        assert str(new.value) == str(ref.value) == f"3-edge (0, 1, 2) out of range for n={n}"
+
+
+def test_bulk_build_over_several_chunks(monkeypatch):
     rng = random.Random(1)
     rows = _mixed_rows(rng, _random_triples(rng, 200, (5 * core._CHUNK_ROWS) // 2))
-    g = ThreeGraph(200, rows)
     assert len(rows) > 2 * core._CHUNK_ROWS
-    assert (g._pairs, g.e) == _per_triple_build(200, rows)
+    chunks = -(-len(rows) // core._CHUNK_ROWS)
+    for route, calls in _on_each_route(monkeypatch):
+        g = ThreeGraph(200, rows)
+        assert len(calls) == (chunks if route == "sort" else 0)
+        assert (g._pairs, g.e) == _per_triple_build(200, rows)
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -365,12 +418,13 @@ def test_first_bad_row_in_input_order_decides_the_message(first, second, gap, ch
     rows[2], rows[2 + gap] = first, second
     with pytest.raises(ValueError) as ref:
         _per_triple_build(9, rows)
-    with pytest.raises(ValueError) as new:
-        ThreeGraph(9, rows)
-    assert str(new.value) == str(ref.value) and str(tuple(first)) in str(new.value)
-    with pytest.raises(ValueError) as loaded:
-        threegraph_from_json({"n": 9, "edges": [list(t) for t in rows]})
-    assert str(loaded.value) == str(ref.value)
+    for _ in _on_each_route(monkeypatch):
+        with pytest.raises(ValueError) as new:
+            ThreeGraph(9, rows)
+        assert str(new.value) == str(ref.value) and str(tuple(first)) in str(new.value)
+        with pytest.raises(ValueError) as loaded:
+            threegraph_from_json({"n": 9, "edges": [list(t) for t in rows]})
+        assert str(loaded.value) == str(ref.value)
 
 
 def test_rows_the_int64_build_cannot_take_are_value_errors():
@@ -393,6 +447,21 @@ def test_dense_build_peak_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert g.e == len(rows) > 70_000
     assert peak < 5 << 20, peak
+
+
+def test_table_route_peak_is_the_table():
+    # the largest host built in a table, then the smallest one sorted instead
+    n = max(k for k in range(1000) if k**3 < core._TABLE_CELLS)
+    table = n * n * ((n + 7) & ~7)  # bool cells, rows padded to whole bytes
+    for n, bound in ((n, table + (1 << 20)), (n + 1, 1 << 20)):
+        tracemalloc.start()
+        try:
+            g = ThreeGraph(n, [(n - 1, 0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.e == 1 and g.edges == {(0, 1, n - 1)} and g.has(1, n - 1, 0)
+        assert peak < bound, (n, peak)
 
 
 def test_threegraph_rejects_overlapping_parts():

@@ -816,6 +816,23 @@ def test_pipeline_class_count_mismatch_rejected():
     assert not out.ok and out.failure.reason == "PreconditionViolated"
 
 
+def test_pipeline_unfilled_cluster_rejected():
+    t, H, phi = matching_pipeline_fixture()
+    phi = [1] + phi[1:]  # cluster 0 gets 23 pattern vertices for its 24 hosts
+    f = transversal_blowup(t, H, phi, None, PLAN, seed=0).failure
+    assert (f.stage, f.reason) == ("pipeline", PRECONDITION)
+    assert f.diagnostics == {"cluster": 0, "detail": "pattern must fill every cluster exactly"}
+
+
+def test_pipeline_edge_class_outside_r_rejected():
+    t, H, phi = matching_pipeline_fixture()
+    # an edge inside cluster 0 is of class (0, 0), which R2 lacks; class (0, 1) still fits
+    H = PatternGraph(48, H.edges() + ((0, 1),))
+    f = transversal_blowup(t, H, phi, None, PLAN, seed=0).failure
+    assert (f.stage, f.reason) == ("pipeline", PRECONDITION)
+    assert f.diagnostics == {"edge_class": (0, 0), "detail": "pattern edge class outside R"}
+
+
 def test_pipeline_deterministic():
     t, H, phi = matching_pipeline_fixture(density=0.8, seed=2)
     a = transversal_blowup(t, H, phi, None, PLAN, seed=11)
@@ -869,6 +886,14 @@ def test_quasi_precondition_failures_reported():
     H = PatternGraph(10, [(0, 1), (2, 3), (4, 5)])
     out = quasi_embed(gc, H, PLAN, seed=0)
     assert not out.ok and out.failure.reason == "PreconditionViolated"
+
+
+def test_quasi_pattern_larger_than_host_rejected():
+    gc = random_collection(GenSpec(n=4, n_colours=2, density=1.0, seed=0))
+    H = PatternGraph(6, [(0, 1), (2, 3)])  # |C| = e(H), but 6 pattern vertices for 4 hosts
+    f = quasi_embed(gc, H, PLAN, seed=0).failure
+    assert (f.stage, f.reason) == ("quasi", PRECONDITION)
+    assert f.diagnostics == {"detail": "pattern too large"}
 
 
 # ---------------------------------------------------------------------------
