@@ -17,6 +17,8 @@ across concurrent readers.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -40,6 +42,22 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def masks_of_words(words: np.ndarray) -> list[int]:
+    """The bitmasks whose little-endian uint64 words lie along the last axis
+    of ``words`` (word j holds bits 64j to 64j + 63), one per row, in row
+    order: one ``tolist`` when a mask is one word, else an object-array
+    shift-or from the top word down."""
+    *lead, width = words.shape
+    words = words.reshape(math.prod(lead), width)
+    if width <= 1:
+        return words[:, 0].tolist() if width else [0] * len(words)
+    masks = words[:, -1].astype(object)
+    for j in range(width - 2, -1, -1):
+        masks <<= 64
+        masks |= words[:, j].astype(object)
+    return masks.tolist()
 
 
 def pick_bit(rng, mask: int) -> int:
@@ -235,6 +253,20 @@ class GraphCollection:
         gc._ecount = tuple(sum(map(int.bit_count, r)) // 2 for r in rows)
         return gc
 
+    @classmethod
+    def union(cls, parts: Sequence[GraphCollection]) -> GraphCollection:
+        """Collection whose colour c holds the edges of colour c of every one
+        of ``parts`` (collections on one vertex set with one colour count);
+        a lone part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
+
+        def merge(a, b):
+            return list(map(operator.or_, a, b))
+
+        return cls.from_rows(parts[0].n, [functools.reduce(merge, rows)
+                                          for rows in zip(*(p._adj for p in parts))])
+
     def add_slice_to(self, rows: Sequence[list[int]], A, B, colours) -> int:
         """OR the edges between A and B of the given colours into the
         per-colour adjacency ``rows``; returns how many (u, v, c) were read."""
@@ -257,9 +289,11 @@ class GraphCollection:
     def adj(self, c: int, v: int) -> int:
         return self._adj[c][v]
 
-    def total_degree(self, v: int) -> int:
-        """Sum of deg_{G_c}(v) over all colours: the 3-graph degree of v."""
-        return sum(rows[v].bit_count() for rows in self._adj)
+    def total_degrees(self) -> list[int]:
+        """Each vertex's sum of deg_{G_c}(v) over all colours, its 3-graph
+        degree, in one pass over the colour rows."""
+        degrees = map(sum, zip(*(map(int.bit_count, rows) for rows in self._adj)))
+        return list(degrees) if self.n_colours else [0] * self.n
 
     def has_edge(self, c: int, u: int, v: int) -> bool:
         return bool(self._adj[c][u] >> v & 1)
@@ -349,7 +383,8 @@ class ThreeGraph:
     The rows (an iterable, or an int64 ``k x 3`` array) are checked with
     numpy in chunks of ``_CHUNK_ROWS``; a bad row raises ``ValueError``
     naming the first bad row in input order.  With ``n**3`` below
-    ``_TABLE_CELLS``, the chunks' incidences are scattered into one bool
+    ``_TABLE_CELLS`` and at least ``n**3 / _TABLE_FILL`` rows (or rows of
+    unknown count), the chunks' incidences are scattered into one bool
     table that is packed into the masks at the end; otherwise each chunk's
     are sorted and grouped into mask words, in O(e) memory.
     """
@@ -364,8 +399,10 @@ class ThreeGraph:
     ):
         pairs: dict[int, int] = {}
         get = pairs.get
-        width = (n + 7) & ~7  # the table's rows pack into whole bytes
-        table = np.zeros(n * n * width, bool) if 0 < n and n**3 < _TABLE_CELLS else None
+        width = (n + 63) & ~63  # the table's rows pack into whole words
+        # an iterator's row count is unknown, so it is not taken for sparse
+        sparse = hasattr(edges, "__len__") and len(edges) * _TABLE_FILL < n**3
+        table = np.zeros(n * n * width, bool) if 0 < n**3 < _TABLE_CELLS and not sparse else None
         # bounded chunks keep the numpy temporaries small; rebuilding a mask
         # bit is idempotent, so chunks need no dedup between them
         if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (3,):
@@ -396,11 +433,10 @@ class ThreeGraph:
             self.e = sum((m >> key % n >> 1).bit_count() for key, m in pairs.items())
         else:
             self.e = int(np.count_nonzero(table)) // 3
-            rows = np.packbits(table.reshape(n * n, width), axis=1, bitorder="little")
+            rows = np.packbits(table.reshape(n * n, width), axis=1, bitorder="little").view("<u8")
+            del table  # freed before the masks are built
             keys = np.flatnonzero(rows.any(axis=1))
-            raw, step = rows[keys].tobytes(), width // 8
-            words = (int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step))
-            pairs = dict(zip(keys.tolist(), words))
+            pairs = dict(zip(keys.tolist(), masks_of_words(rows[keys])))
         self._pairs = pairs
         self._edges = None
         if parts is not None:
@@ -450,6 +486,7 @@ class ThreeGraph:
         disjoint lists of distinct vertices of this 3-graph."""
         n, get, k = self.n, self._pairs.get, len(v_side)
         nb, kb = (n + 7) // 8, (k + 7) // 8
+        kw = (k + 63) // 64  # words per link row
         keys = [u * n + c if u < c else c * n + u for c in c_side for u in v_side]
         cols = np.array(v_side, dtype=np.intp)
         flat = []  # the rows of every colour, end to end
@@ -459,8 +496,9 @@ class ThreeGraph:
             raw = b"".join(get(key, 0).to_bytes(nb, "little") for key in keys[s : s + step])
             masks = np.frombuffer(raw, np.uint8).reshape(-1, nb)
             bits = np.unpackbits(masks, axis=1, bitorder="little")
-            blob = np.packbits(bits[:, cols], axis=1, bitorder="little").tobytes()
-            flat += [int.from_bytes(blob[i : i + kb], "little") for i in range(0, len(blob), kb)]
+            words = np.zeros((len(masks), 8 * kw), np.uint8)
+            words[:, :kb] = np.packbits(bits[:, cols], axis=1, bitorder="little")
+            flat += masks_of_words(words.view("<u8"))
         return GraphCollection.from_rows(k, [flat[j * k : j * k + k] for j in range(len(c_side))])
 
     def __eq__(self, other):
@@ -476,6 +514,7 @@ class ThreeGraph:
 
 _CHUNK_ROWS = 1 << 14  # rows per chunk of the ThreeGraph build
 _TABLE_CELLS = 1 << 22  # a ThreeGraph with n**3 below this is built in a bool table (n <= 161)
+_TABLE_FILL = 1 << 10  # ... unless it has fewer than n**3 / _TABLE_FILL rows, which sort faster
 _CHUNK_BYTES = 1 << 20  # unpacked pair-mask bytes per chunk of a link collection
 
 

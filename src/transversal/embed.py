@@ -113,7 +113,10 @@ class SplitPlan:
         return 1.0 - (self.p_vx + self.p_abs + self.p_col)
 
     def delta_ladder(self, level: int) -> float:
-        return self.ladder_base * self.ladder_ratio**level
+        try:
+            return self.ladder_base * self.ladder_ratio**level
+        except OverflowError:  # the power is past the largest float
+            return self.ladder_base * math.inf if self.ladder_base else 0.0
 
     def __post_init__(self):
         for p in (self.p_abs, self.p_col, self.p_vx):
@@ -121,6 +124,8 @@ class SplitPlan:
                 raise ValueError("split probabilities must lie in (0,1)")
         if self.p_app <= 0:
             raise ValueError("p_app must stay positive")
+        if not (math.isfinite(self.ladder_base) and math.isfinite(self.ladder_ratio)):
+            raise ValueError("the delta ladder's base and ratio must be finite")
         if self.ladder_ratio <= 1:
             raise ValueError("the delta ladder must be strictly increasing")
 
@@ -1881,7 +1886,7 @@ def quasi_embed(
         return EmbedOutcome.success(gc, H, tau, {}, stats={"path": "empty"})
     # declared super-uniform-density floors, reported (not assumed) on failure
     alpha = plan.alpha
-    weak_v = [v for v in range(n) if gc.total_degree(v) < alpha * K * n]
+    weak_v = [v for v, deg in enumerate(gc.total_degrees()) if deg < alpha * K * n]
     weak_c = [c for c in range(K) if gc.edge_count(c) < alpha * n * n]
     if weak_v or weak_c:
         return EmbedOutcome.fail(
@@ -1904,14 +1909,16 @@ def quasi_embed(
     d_ij = {
         (i, j): len(class_all.get((i, j), ())) / H.n for i in range(r) for j in range(i + 1, r)
     }
+    # the len(d_ij) densities cannot meet all len(d_ij) + 1 disjoint gaps
+    # between consecutive rungs of a finite ladder: one level is free of them
     level = next(
         (ell for ell in range(1, len(d_ij) + 2)
          if all(x <= plan.delta_ladder(ell) or x >= plan.delta_ladder(ell + 1)
                 for x in d_ij.values())),
         None,
     )
-    if level is None:
-        return EmbedOutcome.fail("quasi", PRECONDITION, seed, detail="no ladder level (unexpected)")
+    _identity(level is not None, "quasi", "a ladder level free of pair densities",
+              densities=sorted(d_ij.values()))
     sparse_pairs = {key for key, x in d_ij.items() if x <= plan.delta_ladder(level)}
     dense_pairs = set(d_ij) - sparse_pairs
     base_stats = {
@@ -1940,8 +1947,9 @@ def quasi_embed(
         for i in range(r):
             V.append(sorted(hosts[pos : pos + len(A[i])]))
             pos += len(A[i])
-        # per-pair sparsification of the (V_i, V_j, C) slice
-        rows = [[0] * n for _ in colours]
+        # per-pair sparsification of the (V_i, V_j, C) slice; the collection
+        # is the union of the sparsified slices
+        slices: list[GraphCollection] = []
         dens_pairs = []
         for i in range(r):
             for j in range(i + 1, r):
@@ -1952,10 +1960,13 @@ def quasi_embed(
                         seed=_mix(sub_seed, i, j),
                     )
                 except PromiseViolated:
-                    out = gc  # keep the raw slice; downstream checks decide
-                cnt = out.add_slice_to(rows, V[i], V[j], colours)
-                dens_pairs.append(cnt / max(1, len(V[i]) * len(V[j]) * K))
-        jgc = GraphCollection.from_rows(n, rows)
+                    # keep the raw slice; downstream checks decide
+                    rows = [[0] * n for _ in colours]
+                    gc.add_slice_to(rows, V[i], V[j], colours)
+                    out = GraphCollection.from_rows(n, rows)
+                slices.append(out)
+                dens_pairs.append(out.total_edge_count() / max(1, len(V[i]) * len(V[j]) * K))
+        jgc = GraphCollection.union(slices)
         d_eff = max(0.05, 0.5 * min(dens_pairs)) if dens_pairs else 0.05
         ledger = make_ledger(
             min(len(v) for v in V), plan.eps,

@@ -20,13 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GraphCollection, SimpleGraph, bits_of, mask_of
+from .core import GraphCollection, SimpleGraph, bits_of, mask_of, masks_of_words
 
 
 class EmptyPart(ValueError):
@@ -465,7 +466,10 @@ def _meets_degree_floor(part_degrees: Sequence[Sequence[int]], d: float) -> bool
     )
 
 
-_COINS_NUMPY_MIN = 4096  # building and loading a RandomState costs about 4,000 plain calls
+# loading a RandomState's state costs about 2,500 plain calls, and building
+# one (once per thread) 2,000-8,000 more
+_COINS_NUMPY_MIN = 4096
+_THREAD = threading.local()  # the calling thread's RandomState for _coins
 
 
 def _coins(rng: random.Random, k: int) -> np.ndarray:
@@ -474,13 +478,16 @@ def _coins(rng: random.Random, k: int) -> np.ndarray:
     above, one call: both generators are MT19937 and RandomState's
     ``random_sample`` builds the same 53-bit doubles as ``random.random``,
     and NEP 19 freezes that stream, so the values do not depend on the numpy
-    version.  The RandomState is made per call, so no generator is shared
-    between callers."""
+    version.  Each thread keeps one RandomState, built on its first such
+    call; every call overwrites its whole state before drawing, so no draw
+    depends on an earlier caller."""
     if k < _COINS_NUMPY_MIN:
         draw = rng.random
         return np.fromiter([draw() for _ in range(k)], float, k)
     version, internal, gauss = rng.getstate()
-    mt = np.random.RandomState()
+    mt = getattr(_THREAD, "mt", None)
+    if mt is None:
+        mt = _THREAD.mt = np.random.RandomState()
     mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
     out = mt.random_sample(k)
     _, key, pos, *_ = mt.get_state()
@@ -530,12 +537,12 @@ def _sparsify_slice(
     I = np.array([x for ch in ch_i for x in ch], dtype=np.intp)
     J = np.array([y for ch in ch_j for y in ch], dtype=np.intp)
     cols = [colours[k] for ch in ch_c for k in ch]
-    n, nb = gc.n, (gc.n + 7) // 8
+    n = gc.n
     # the pairs (u, v) of V_i x V_j, grouped by (chunk of u, chunk of v) in
     # sorted order and, within a group, in coin order: min(u, v), then max(u, v)
     u, v = np.repeat(I, len(J)), np.tile(J, len(I))
     group = np.add.outer(_chunk_index(ch_i) * len(ch_j), _chunk_index(ch_j)).ravel()
-    order = np.lexsort((np.maximum(u, v), np.minimum(u, v), group))
+    order = np.argsort((group * n + np.minimum(u, v)) * n + np.maximum(u, v))  # distinct keys
     pi, pj = np.divmod(order, len(J))  # each pair's index in I and in J
     u, v = I[pi], J[pj]
     # the slice as 0/1 by (pair in the order above, colour in chunk order):
@@ -551,17 +558,15 @@ def _sparsify_slice(
     if d is None:
         d = _target_density([dens for *_, dens in cells]) if cells else 0.0
     _thin(slab, [cell for cell in cells if cell[3] > d], d, rng)
-    # the kept rows of the slice's vertices, V_i then V_j in chunk order
-    kept = np.zeros((len(cols), len(I) + len(J), 8 * nb), np.uint8)
-    kept[:, pi, v] = slab.T
-    kept[:, len(I) + pj, u] = slab.T
-    packed = np.packbits(kept, axis=2, bitorder="little")
+    # the kept rows of every host vertex, by vertex, then colour in chunk order
+    kept = np.zeros((n, len(cols), 64 * ((n + 63) // 64)), np.uint8)
+    kept[u, :, v] = slab
+    kept[v, :, u] = slab
+    masks = masks_of_words(np.packbits(kept, axis=2, bitorder="little").view("<u8"))
     rows = [[0] * n for _ in range(gc.n_colours)]
+    for k, c in enumerate(cols):
+        rows[c] = masks[k :: len(cols)]
     verts = I.tolist() + J.tolist()
-    for c, blob in zip(cols, map(bytes, packed)):
-        row = rows[c]
-        for x, s in zip(verts, range(0, len(blob), nb)):
-            row[x] = int.from_bytes(blob[s : s + nb], "little")
     per_pair = slab.sum(axis=1)  # each pair's kept colours, summed onto its two ends
     deg_i, deg_j = np.bincount(pi, per_pair, len(I)), np.bincount(pj, per_pair, len(J))
     deg = dict(zip(verts, np.concatenate((deg_i, deg_j)).astype(int).tolist()))
@@ -827,7 +832,7 @@ def partition_collection(
     prop_i = len(v0_final) + len(c0_final) <= eps * n
     prop_ii = all(len(cl) == m for cl in v_final) and all(len(cl) == m for cl in c_final)
     prop_iii = all(
-        gc.total_degree(v) - pruned.total_degree(v) < loss_bound for v in range(n)
+        x - y < loss_bound for x, y in zip(gc.total_degrees(), pruned.total_degrees())
     ) and all(
         gc.edge_count(c) - pruned.edge_count(c) < loss_bound for c in range(K)
     )

@@ -353,6 +353,21 @@ def test_verify_malformed_embedding_is_a_usage_error(workdir):
                  "--pattern", "h.json", "--params", "p.json"]) == 2
 
 
+@pytest.mark.parametrize("params", ['{"ladder_ratio": NaN}', '{"ladder_base": Infinity}'])
+def test_a_non_finite_ladder_in_params_is_a_usage_error(workdir, capsys, params):
+    # json reads NaN and Infinity; the plan refuses them before any quasi run
+    assert main([
+        "generate", "--construction", "random", "--n", "6", "--colours", "3",
+        "--density", "1.0", "--seed", "1", "--out", "inst.json",
+    ]) == 0
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
+    (workdir / "p.json").write_text(params)
+    capsys.readouterr()
+    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                 "--pattern", "h.json", "--params", "p.json"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_failure_diagnostics_are_json_native(workdir):
     assert main([
         "generate", "--construction", "random", "--n", "12", "--colours", "6",

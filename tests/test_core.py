@@ -329,15 +329,40 @@ def _mixed_rows(rng, triples):
     return [list(t) if rng.random() < 0.5 else tuple(t) for t in triples]
 
 
-def _on_each_route(monkeypatch):
-    """Yields the name of each ThreeGraph build route, with ``_TABLE_CELLS``
-    set so that every n up to 200 takes it, and the list of the sort route's
-    ``_pair_words`` calls (one per chunk), emptied for each route."""
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 200])
+def test_masks_of_words_matches_from_bytes(n):
+    rng = random.Random(n)
+    top = 1 << n - 1 if n else 0
+    masks = [0, (1 << n) - 1, top, 0] + [rng.getrandbits(n) | top for _ in range(9)]
+    size = 8 * ((n + 63) // 64)  # bytes per mask, in whole words
+    raw = b"".join(m.to_bytes(size, "little") for m in masks)
+    # the reference: one int.from_bytes per mask
+    ref = [int.from_bytes(raw[i * size : i * size + size], "little") for i in range(len(masks))]
+    assert ref == masks
+    words = np.frombuffer(raw, "<u8").reshape(len(masks), size // 8)
+    for shaped in (words, words.reshape(1, len(masks), -1), words.astype(">u8")):
+        out = core.masks_of_words(shaped)
+        assert out == ref and {type(m) for m in out} == {int}
+    assert core.masks_of_words(words[:0]) == []
+
+
+def _sort_calls(monkeypatch) -> list:
+    """The list of the sort route's ``_pair_words`` calls (one per chunk)."""
     calls = []
     sort = core._pair_words
     monkeypatch.setattr(core, "_pair_words", lambda *a: calls.append(a) or sort(*a))
+    return calls
+
+
+def _on_each_route(monkeypatch):
+    """Yields the name of each ThreeGraph build route, with ``_TABLE_CELLS``
+    and ``_TABLE_FILL`` set so that every n up to 200 takes it (the table
+    route from one row up), and the list of the sort route's ``_pair_words``
+    calls, emptied for each route."""
+    calls = _sort_calls(monkeypatch)
     for name, cells in (("sort", 0), ("table", 200**3 + 1)):
         monkeypatch.setattr(core, "_TABLE_CELLS", cells)
+        monkeypatch.setattr(core, "_TABLE_FILL", cells)
         calls.clear()
         yield name, calls
 
@@ -434,9 +459,10 @@ def test_rows_the_int64_build_cannot_take_are_value_errors():
         ThreeGraph(5, [iter((0, 1, 2))])
 
 
-def test_dense_build_peak_is_bounded_by_the_chunk():
+def test_dense_build_peak_is_bounded_by_the_chunk(monkeypatch):
     # a dense n = 90 host like the expand-cli benchmark's; built in one chunk,
     # the numpy temporaries of its ~70k rows peak at about 12 MB
+    calls = _sort_calls(monkeypatch)
     rng = random.Random(0)
     rows = [list(t) for t in itertools.combinations(range(90), 3) if rng.random() < 0.6]
     tracemalloc.start()
@@ -445,23 +471,31 @@ def test_dense_build_peak_is_bounded_by_the_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.e == len(rows) > 70_000
+    assert g.e == len(rows) > 70_000 and calls == []  # built in the table
     assert peak < 5 << 20, peak
 
 
-def test_table_route_peak_is_the_table():
-    # the largest host built in a table, then the smallest one sorted instead
+def test_table_route_peak_is_the_table(monkeypatch):
+    # the largest host built in a table, then a sparse host of that size and
+    # the smallest host of one row sorted instead
+    calls = _sort_calls(monkeypatch)
     n = max(k for k in range(1000) if k**3 < core._TABLE_CELLS)
-    table = n * n * ((n + 7) & ~7)  # bool cells, rows padded to whole bytes
-    for n, bound in ((n, table + (1 << 20)), (n + 1, 1 << 20)):
+    table = n * n * ((n + 63) & ~63)  # bool cells, rows padded to whole words
+    fill = -(-(n**3) // core._TABLE_FILL)  # the fewest rows that take the table
+    first = list(itertools.islice(itertools.combinations(range(n - 1), 2), fill))
+    for size, k, bound in ((n, fill, table + (1 << 20)), (n, fill - 1, 1 << 21),
+                           (n, 10, 1 << 18), (n + 1, 1, 1 << 20)):
+        rows = [(size - 1, a, b) for a, b in first[:k]]
+        calls.clear()
         tracemalloc.start()
         try:
-            g = ThreeGraph(n, [(n - 1, 0, 1)])
+            g = ThreeGraph(size, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.e == 1 and g.edges == {(0, 1, n - 1)} and g.has(1, n - 1, 0)
-        assert peak < bound, (n, peak)
+        assert bool(calls) == (k < fill or size > n), (size, k)
+        assert g.e == k and g.has(first[0][0], size - 1, first[0][1])
+        assert peak < bound, (size, k, peak)
 
 
 def test_threegraph_rejects_overlapping_parts():

@@ -1302,6 +1302,92 @@ def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
         quasi_embed(gc, H, plan, seed=21)
 
 
+def test_quasi_collection_is_the_union_of_its_slices(monkeypatch):
+    # a cycle has Delta = 2, so three parts and three slices; the second
+    # slice's sparsification fails and that slice is kept raw
+    from transversal import embed, regularity
+    from transversal.regularity import PromiseViolated
+
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.8, seed=1))
+    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
+    real_sparsify, real_template = regularity.sparsify_to_superregular, embed.make_template
+    slices, collections = [], []
+
+    def sparsify(g, parts, **kw):
+        V1, V2, _ = parts
+        if len(slices) == 1:
+            slices.append((V1, V2, g))
+            raise PromiseViolated("stubbed")
+        out = real_sparsify(g, parts, **kw)
+        slices.append((V1, V2, out))
+        return out
+
+    def template(R, V, classes, jgc, *args, **kwargs):
+        collections.append(jgc)
+        return real_template(R, V, classes, jgc, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "sparsify_to_superregular", sparsify)
+    monkeypatch.setattr(embed, "make_template", template)
+    quasi_embed(gc, H, dataclasses.replace(PLAN, retries=1), seed=2)
+    jgc = collections[0]
+    assert len(slices) == 3 and slices[1][2] is gc
+    for V1, V2, source in slices:
+        m2 = mask_of(V2)
+        for c in range(gc.n_colours):
+            assert [jgc.adj(c, u) & m2 for u in V1] == [source.adj(c, u) & m2 for u in V1]
+    # and nothing besides the three slices
+    assert jgc.total_edge_count() == sum(source.edges_into(c, V1, mask_of(V2))
+                                         for V1, V2, source in slices for c in gc.colours)
+
+
+def test_quasi_lone_slice_is_the_collection(monkeypatch):
+    # a matching has two parts: the attempt's collection is the one slice
+    from transversal import embed, regularity
+
+    real_sparsify, real_template = regularity.sparsify_to_superregular, embed.make_template
+    outs, collections = [], []
+    monkeypatch.setattr(regularity, "sparsify_to_superregular",
+                        lambda *a, **k: outs.append(real_sparsify(*a, **k)) or outs[-1])
+    monkeypatch.setattr(embed, "make_template",
+                        lambda *a, **k: collections.append(a[3]) or real_template(*a, **k))
+    gc = random_collection(GenSpec(n=24, n_colours=12, density=0.8, seed=3))
+    H = PatternGraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    assert quasi_embed(gc, H, PLAN, seed=3).ok
+    assert collections[0] is outs[0]
+
+
+def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):
+    from transversal import embed
+    from transversal.embed import UNBALANCEABLE, EquitableColouring
+
+    monkeypatch.setattr(embed, "equitable_colouring",
+                        lambda H, r, seed=0: EquitableColouring(((),) * r, True, False, 0))
+    gc = random_collection(GenSpec(n=12, n_colours=6, density=1.0, seed=1))
+    H = PatternGraph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    f = quasi_embed(gc, H, PLAN, seed=4).failure
+    assert (f.stage, f.reason, f.seed) == ("quasi", UNBALANCEABLE, 4)
+
+
+@pytest.mark.parametrize("ladder", [{"ladder_ratio": math.nan}, {"ladder_base": math.nan},
+                                    {"ladder_base": 0, "ladder_ratio": math.inf},
+                                    {"ladder_base": -math.inf}])
+def test_split_plan_rejects_a_non_finite_ladder(ladder):
+    with pytest.raises(ValueError, match="finite"):
+        SplitPlan(**ladder)
+
+
+def test_a_ladder_past_the_largest_float_still_gives_a_level():
+    # 1e155**2 overflows, so rungs 2 on are infinite: the densities lie in
+    # level 1's gap, and level 2's gap is empty
+    plan = SplitPlan(ladder_base=1e-300, ladder_ratio=1e155)
+    assert plan.delta_ladder(1) < 1e-144 and plan.delta_ladder(2) == math.inf
+    assert SplitPlan(ladder_base=0.0, ladder_ratio=1e155).delta_ladder(3) == 0.0
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.8, seed=1))
+    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
+    out = quasi_embed(gc, H, plan, seed=1)
+    assert out.ok and out.stats["ladder_level"] == 2
+
+
 # ---------------------------------------------------------------------------
 # module-wide invariants
 
