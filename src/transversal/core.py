@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
+import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -66,6 +68,35 @@ def pick_bit(rng, mask: int) -> int:
     for _ in range(rng.randrange(mask.bit_count())):
         mask &= mask - 1
     return (mask & -mask).bit_length() - 1
+
+
+# loading a RandomState's state costs about 2,500 plain calls, and building
+# one (once per thread) 2,000-8,000 more
+_COINS_NUMPY_MIN = 4096
+_THREAD = threading.local()  # the calling thread's RandomState for _coins
+
+
+def _coins(rng: random.Random, k: int) -> np.ndarray:
+    """The next k values of ``rng.random()``, with ``rng`` left where k calls
+    would leave it.  Below ``_COINS_NUMPY_MIN`` they are k plain calls;
+    above, one call: both generators are MT19937 and RandomState's
+    ``random_sample`` builds the same 53-bit doubles as ``random.random``,
+    and NEP 19 freezes that stream, so the values do not depend on the numpy
+    version.  Each thread keeps one RandomState, built on its first such
+    call; every call overwrites its whole state before drawing, so no draw
+    depends on an earlier caller."""
+    if k < _COINS_NUMPY_MIN:
+        draw = rng.random
+        return np.fromiter([draw() for _ in range(k)], float, k)
+    version, internal, gauss = rng.getstate()
+    mt = getattr(_THREAD, "mt", None)
+    if mt is None:
+        mt = _THREAD.mt = np.random.RandomState()
+    mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    out = mt.random_sample(k)
+    _, key, pos, *_ = mt.get_state()
+    rng.setstate((version, (*key.tolist(), pos), gauss))
+    return out
 
 
 class SimpleGraph:
@@ -380,7 +411,7 @@ class ThreeGraph:
     set is one mask per vertex (:meth:`link_collection`).  ``edges``, the
     frozenset of sorted triples, is built from the table on first use.
 
-    The rows (an iterable, or an int64 ``k x 3`` array) are checked with
+    The rows (an iterable, or an integer ``k x 3`` array) are checked with
     numpy in chunks of ``_CHUNK_ROWS``; a bad row raises ``ValueError``
     naming the first bad row in input order.  With ``n**3`` below
     ``_TABLE_CELLS`` and at least ``n**3 / _TABLE_FILL`` rows (or rows of
@@ -405,13 +436,15 @@ class ThreeGraph:
         table = np.zeros(n * n * width, bool) if 0 < n**3 < _TABLE_CELLS and not sparse else None
         # bounded chunks keep the numpy temporaries small; rebuilding a mask
         # bit is idempotent, so chunks need no dedup between them
-        if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (3,):
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (3,):
             chunks = (edges[s : s + _CHUNK_ROWS] for s in range(0, len(edges), _CHUNK_ROWS))
-        else:
-            rows = iter(edges)
+        else:  # any other array is read as its rows of Python scalars, like a list
+            rows = iter(edges.tolist() if isinstance(edges, np.ndarray) else edges)
             chunks = iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
         for chunk in chunks:
-            t = chunk if isinstance(chunk, np.ndarray) else _int_rows(chunk)
+            arr = isinstance(chunk, np.ndarray)
+            # a uint64 vertex of 2**63 or more wraps negative, so fails the range check
+            t = chunk.astype(np.int64, copy=False) if arr else _int_rows(chunk)
             if t is None:
                 raise _first_bad_row(chunk, n)
             # sort each triple by a min/max network; a < b < c also rules out repeats
@@ -420,7 +453,7 @@ class ThreeGraph:
             a, b, c = np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
             if not ((0 <= a) & (a < b) & (b < c) & (c < n)).all():
                 # as Python ints, the rows read as they did in the file
-                raise _first_bad_row(t.tolist(), n)
+                raise _first_bad_row((chunk if arr else t).tolist(), n)
             if table is None:
                 for key, word, bits in zip(*_pair_words(a, b, c, n)):
                     pairs[key] = get(key, 0) | bits << (word << 6)

@@ -11,6 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     GraphCollection,
     NotCertified,
@@ -18,6 +20,8 @@ from .core import (
     SeparabilityCertificate,
     SimpleGraph,
     ThreeGraph,
+    _coins,
+    masks_of_words,
     separability_certificate,
 )
 
@@ -26,6 +30,8 @@ from .core import (
 #: contain a rainbow triangle, and a cannot be decreased.  Shipped for
 #: threshold experiments; the extremal construction itself is out of scope.
 AHARONI_TRIANGLE_CONSTANT = (26 - 2 * math.sqrt(7)) / 81
+
+_CHUNK_COINS = 1 << 20  # about this many coins, in whole colours, per chunk of random_collection
 
 
 @dataclass(frozen=True)
@@ -38,23 +44,27 @@ class GenSpec:
     def __post_init__(self):
         if not 0 <= self.density <= 1:
             raise ValueError("density must lie in [0,1]")
-        if self.n < 1 or self.n_colours < 1:
-            raise ValueError("n and colour count must be positive")
+        if any(type(x) is not int or x < 1 for x in (self.n, self.n_colours)):  # not a bool
+            raise ValueError("n and colour count must be positive integers")
 
 
 def random_collection(spec: GenSpec) -> GraphCollection:
-    """Each (pair, colour) incidence present independently with the given
-    probability."""
+    """Each (pair, colour) incidence kept independently when its coin is
+    below the density.  The coins go to the colours in order and, within
+    one, to the pairs u < v in row-major order; :func:`_coins` draws them in
+    chunks of whole colours, each scattered into a bool table and packed."""
+    n, k = spec.n, spec.n_colours
+    u, v = np.triu_indices(n, 1)
+    step = max(1, _CHUNK_COINS // max(1, len(u)))  # colours per chunk
     rng = random.Random(spec.seed)
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for c in range(spec.n_colours):
-        es = []
-        for u in range(spec.n):
-            for v in range(u + 1, spec.n):
-                if rng.random() < spec.density:
-                    es.append((u, v))
-        edges[c] = es
-    return GraphCollection(spec.n, spec.n_colours, edges)
+    masks = []
+    for s in range(0, k, step):
+        colours = min(step, k - s)
+        kept = _coins(rng, colours * len(u)).reshape(colours, len(u)) < spec.density
+        table = np.zeros((colours, n, (n + 63) & ~63), bool)  # rows of whole words
+        table[:, u, v] = table[:, v, u] = kept
+        masks += masks_of_words(np.packbits(table, axis=2, bitorder="little").view("<u8"))
+    return GraphCollection.from_rows(n, [masks[c * n : c * n + n] for c in range(k)])
 
 
 def cyclic_triangle_collection(

@@ -20,14 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GraphCollection, SimpleGraph, bits_of, mask_of, masks_of_words
+from .core import GraphCollection, SimpleGraph, _coins, bits_of, mask_of, masks_of_words
 
 
 class EmptyPart(ValueError):
@@ -464,35 +463,6 @@ def _meets_degree_floor(part_degrees: Sequence[Sequence[int]], d: float) -> bool
     return all(
         x >= floor_target * vol_all / len(degs) for degs in part_degrees for x in degs
     )
-
-
-# loading a RandomState's state costs about 2,500 plain calls, and building
-# one (once per thread) 2,000-8,000 more
-_COINS_NUMPY_MIN = 4096
-_THREAD = threading.local()  # the calling thread's RandomState for _coins
-
-
-def _coins(rng: random.Random, k: int) -> np.ndarray:
-    """The next k values of ``rng.random()``, with ``rng`` left where k calls
-    would leave it.  Below ``_COINS_NUMPY_MIN`` they are k plain calls;
-    above, one call: both generators are MT19937 and RandomState's
-    ``random_sample`` builds the same 53-bit doubles as ``random.random``,
-    and NEP 19 freezes that stream, so the values do not depend on the numpy
-    version.  Each thread keeps one RandomState, built on its first such
-    call; every call overwrites its whole state before drawing, so no draw
-    depends on an earlier caller."""
-    if k < _COINS_NUMPY_MIN:
-        draw = rng.random
-        return np.fromiter([draw() for _ in range(k)], float, k)
-    version, internal, gauss = rng.getstate()
-    mt = getattr(_THREAD, "mt", None)
-    if mt is None:
-        mt = _THREAD.mt = np.random.RandomState()
-    mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
-    out = mt.random_sample(k)
-    _, key, pos, *_ = mt.get_state()
-    rng.setstate((version, (*key.tolist(), pos), gauss))
-    return out
 
 
 def _chunk_index(chunk_list: list[list[int]]) -> np.ndarray:

@@ -398,6 +398,41 @@ def test_build_below_three_vertices(n, monkeypatch):
         assert str(new.value) == str(ref.value) == f"3-edge (0, 1, 2) out of range for n={n}"
 
 
+@pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
+                                   "uint8", "uint16", "uint32", "uint64"])
+def test_build_from_any_integer_array(dtype, monkeypatch):
+    rows = [(0, 1, 2), (4, 3, 1), (2, 1, 0), (5, 6, 0)]
+    for _ in _on_each_route(monkeypatch):
+        g = ThreeGraph(7, np.array(rows, dtype))
+        assert (g._pairs, g.e) == _per_triple_build(7, rows)
+        bad = rows + [(1, 2, 9)]
+        with pytest.raises(ValueError, match=r"^3-edge \(1, 2, 9\) out of range for n=7$"):
+            ThreeGraph(7, np.array(bad, dtype))
+
+
+@pytest.mark.parametrize("big", [1 << 63, (1 << 64) - 1])
+def test_uint64_vertex_past_int64_is_out_of_range(big, monkeypatch):
+    # cast to int64, it wraps negative; the message names the value itself
+    rows = [(0, 1, 2), (1, 2, big)]
+    for _ in _on_each_route(monkeypatch):
+        with pytest.raises(ValueError) as ref:
+            ThreeGraph(7, rows)
+        with pytest.raises(ValueError) as new:
+            ThreeGraph(7, np.array(rows, np.uint64))
+        assert str(new.value) == str(ref.value) == f"3-edge (1, 2, {big}) out of range for n=7"
+
+
+def test_bool_array_is_refused_as_a_list_of_bools(monkeypatch):
+    rows = [[False, True, True]]
+    for _ in _on_each_route(monkeypatch):
+        with pytest.raises(ValueError) as ref:
+            ThreeGraph(3, rows)
+        with pytest.raises(ValueError) as new:
+            ThreeGraph(3, np.array(rows, bool))
+        assert str(new.value) == str(ref.value) == \
+            "3-edge (False, True, True) has a vertex that is not an integer"
+
+
 def test_bulk_build_over_several_chunks(monkeypatch):
     rng = random.Random(1)
     rows = _mixed_rows(rng, _random_triples(rng, 200, (5 * core._CHUNK_ROWS) // 2))

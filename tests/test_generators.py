@@ -1,8 +1,12 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
-from transversal.core import SeparabilityCertificate, SimpleGraph
+import pytest
+
+from transversal import generators
+from transversal.core import GraphCollection, SeparabilityCertificate, SimpleGraph
 from transversal.generators import (
     AHARONI_TRIANGLE_CONSTANT,
     GenSpec,
@@ -22,6 +26,58 @@ def test_random_collection_extremes():
     assert gc.total_edge_count() == 4 * 15
     empty = random_collection(GenSpec(n=6, n_colours=4, density=0.0, seed=0))
     assert empty.total_edge_count() == 0
+
+
+def _per_coin_random_collection(spec):
+    """random_collection by one ``rng.random()`` call per (pair, colour)
+    incidence, colour-major, then pairs u < v in row-major order."""
+    rng = random.Random(spec.seed)
+    edges = {}
+    for c in range(spec.n_colours):
+        edges[c] = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)
+                    if rng.random() < spec.density]
+    return GraphCollection(spec.n, spec.n_colours, edges)
+
+
+@pytest.mark.parametrize("chunk", [None, 700])  # 700 coins: several chunks, the last one short
+@pytest.mark.parametrize("density", [0.0, 0.5, 0.8, 1.0])
+# 0 to 42,840 coins; with the default chunk, (1, 3), (2, 5), (5, 4) and
+# (60, 2) draw fewer than _COINS_NUMPY_MIN = 4,096, so by plain calls, and
+# the rest by one numpy call
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 5), (2, 5000), (5, 4), (5, 500),
+                                  (60, 2), (60, 3), (120, 1), (120, 6)])
+def test_random_collection_matches_the_per_coin_loop(n, k, density, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(generators, "_CHUNK_COINS", chunk)
+    spec = GenSpec(n=n, n_colours=k, density=density, seed=n * k)
+    gc, ref = random_collection(spec), _per_coin_random_collection(spec)
+    assert gc == ref
+    assert gc._ecount == ref._ecount
+
+
+def test_random_collection_peak_follows_the_chunk(monkeypatch):
+    chunk = 1 << 16
+    monkeypatch.setattr(generators, "_CHUNK_COINS", chunk)
+    n, k = 64, 1024
+    spec = GenSpec(n=n, n_colours=k, density=0.5, seed=1)
+    tracemalloc.start()
+    try:
+        gc = random_collection(spec)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gc.n_colours == k
+    # above the collection itself: a chunk's coins, bools and table, and the
+    # lists of the k * n rows; drawn at once, the coins alone take 16.5 MB
+    assert peak - current < 16 * (chunk + k * n) < 8 * k * math.comb(n, 2) / 4
+
+
+@pytest.mark.parametrize("field", ["n", "n_colours"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, False, "4"])
+def test_genspec_refuses_a_size_that_is_not_an_int(field, value):
+    sizes = {"n": 4, "n_colours": 3, field: value}
+    with pytest.raises(ValueError, match="must be positive integers"):
+        GenSpec(**sizes)
 
 
 def test_random_collection_concentration():
@@ -182,6 +238,25 @@ def test_separable_family_certificates():
 
     tree = separable_family("tree", n=24, seed=3, mu=0.25)
     assert tree.graph.e == 23
+
+
+def test_separable_family_cycle_union():
+    lengths = [3, 5, 8]
+    cu = separable_family("cycle-union", lengths=lengths, mu=0.3)
+    H = cu.graph
+    assert H.n == sum(lengths) and H.e == sum(lengths)
+    comps = H.components(range(H.n))
+    assert [len(comp) for comp in comps] == lengths
+    for comp in comps:  # connected and 2-regular: a cycle of its length
+        assert all(H.degree(x) == 2 for x in comp)
+    cert = cu.certificate
+    assert isinstance(cert, SeparabilityCertificate)
+    # the 5- and 8-cycles exceed 0.3 * 16 vertices, so each is cut
+    limit = 0.3 * H.n
+    assert 0 < len(cert.separator) <= limit
+    assert all(len(comp) <= limit for comp in cert.components)
+    rest = set(range(H.n)) - set(cert.separator)
+    assert sorted(x for comp in cert.components for x in comp) == sorted(rest)
 
 
 def test_mantel_extremal_counts():

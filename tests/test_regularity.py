@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transversal.core import GraphCollection, SimpleGraph, ThreeGraph, bits_of, mask_of
+from transversal.core import (
+    _COINS_NUMPY_MIN,
+    GraphCollection,
+    SimpleGraph,
+    ThreeGraph,
+    bits_of,
+    mask_of,
+)
 from transversal.generators import GenSpec, random_collection
 from transversal.regularity import (
-    _COINS_NUMPY_MIN,
     DensitySpec,
     EmptyPart,
     PromiseViolated,
@@ -563,7 +569,7 @@ def test_sparsify_slice_kernel_matches_the_per_coin_loop(seed):
 
 @pytest.mark.parametrize("k", [0, 1, _COINS_NUMPY_MIN - 1, _COINS_NUMPY_MIN, 10_000])
 def test_coins_are_the_next_k_random_calls(k, monkeypatch):
-    from transversal.regularity import _coins
+    from transversal.core import _coins
 
     if k < _COINS_NUMPY_MIN:  # small draws are plain calls, with no RandomState built
 
