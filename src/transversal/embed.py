@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -128,6 +129,14 @@ class SplitPlan:
             raise ValueError("the delta ladder's base and ratio must be finite")
         if self.ladder_ratio <= 1:
             raise ValueError("the delta ladder must be strictly increasing")
+        # retry loops run range(count): a float, a bool or a count below 1
+        # would crash, pass for another count or report a failure no attempt saw
+        for name, low in (("retries", 1), ("blowup_restarts", 1), ("approx_retries", 1),
+                          ("absorber_retries", 1), ("absorber_samples", 1),
+                          ("absorber_exhaustive_cap", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # not a bool
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 class UnverifiedOutput(AssertionError):
@@ -1371,8 +1380,9 @@ def _connecting_graph(H: PatternGraph, X: list[int], active) -> tuple[list[int],
 class _BlowupSetup:
     """What Steps 0-5 need that no draw changes, for one (H, phi, active):
     the verification view, the class edges, the separator X with Step 0's
-    neighbours Y and connecting graph, and the components outside X with
-    their class edge counts."""
+    neighbours Y and connecting graph, the components outside X with their
+    class edge counts, the template's class keys and whether those counts
+    rule every split out (``decided``)."""
 
     view: _PatternView
     class_e: dict[tuple[int, int], list[tuple[int, int]]]
@@ -1381,12 +1391,16 @@ class _BlowupSetup:
     H_con: PatternGraph
     comps: list[list[int]]
     class_of_comp: list[dict[tuple[int, int], int]]
+    keys: list[tuple[int, int]]
+    decided: bool
 
 
-def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan) -> _BlowupSetup:
-    """The set-up of ``transversal_blowup`` over ``active``.  X is the
-    certifier's separator of the active induced pattern, or empty when it
-    certifies none (chunking then copes or fails typed)."""
+def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
+                  keys: list[tuple[int, int]]) -> _BlowupSetup:
+    """The set-up of ``transversal_blowup`` over ``active`` for a template
+    with the sorted class keys ``keys``.  X is the certifier's separator of
+    the active induced pattern, or empty when it certifies none (chunking
+    then copes or fails typed)."""
     view = _pattern_view(H, phi, active)
     mu = plan.mu if view.pattern.n * plan.mu >= 1 else 1.0
     cert = separability_certificate(view.pattern, mu)
@@ -1394,14 +1408,11 @@ def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan) -> _B
          if isinstance(cert, SeparabilityCertificate) else [])
     outside_x = set(active).difference(X)
     comps = H.components(outside_x)
-    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
-    class_of_comp: list[dict[tuple[int, int], int]] = [{} for _ in comps]
-    for (u, v) in H.edges_within(outside_x):
-        counts = class_of_comp[comp_of[u]]
-        key = _class_key(phi, u, v)
-        counts[key] = counts.get(key, 0) + 1
+    class_of_comp = [Counter(_class_key(phi, u, v) for (u, v) in H.edges_within(comp))
+                     for comp in comps]
     return _BlowupSetup(view, _class_edges(H, phi, active), X,
-                        *_connecting_graph(H, X, active), comps, class_of_comp)
+                        *_connecting_graph(H, X, active), comps, class_of_comp,
+                        keys, _split_decided(comps, class_of_comp, keys))
 
 
 def transversal_blowup(
@@ -1424,9 +1435,10 @@ def transversal_blowup(
     embedder again on the flexible pool; Step 5 closes by matching the
     absorber edges to A plus the leftover B-subset.  Counts that the split's
     bookkeeping fixes, such as that subset's size, are identities: a broken
-    one raises ``UnverifiedOutput``.  Set-up that draws nothing is built once
-    (``setup``: ``_blowup_setup(H, phi, active, plan)``, which a caller may
-    pass in), and a split that the component counts rule out is not retried.
+    one raises ``UnverifiedOutput``.  Set-up that draws nothing, the split
+    decision included, is built once (``setup``: ``_blowup_setup(H, phi,
+    active, plan, sorted(t.colour_clusters))``, which a caller may pass in),
+    and a split that the component counts rule out is not retried.
     Whenever Steps 0-5 give no embedding, at any pattern size, one
     candidate-set pass over a BFS order of the active vertices runs instead
     (``"path": "one-shot"``).  When that pass fails too, its failure is
@@ -1438,8 +1450,10 @@ def transversal_blowup(
     if isinstance(entry, EmbedOutcome):
         return entry
     active, targets = entry
+    keys = sorted(t.colour_clusters)
     if setup is None:
-        setup = _blowup_setup(H, phi, active, plan)
+        setup = _blowup_setup(H, phi, active, plan, keys)
+    _identity(setup.keys == keys, "pipeline", "set-up class keys = template classes")
     class_e = setup.class_e
     for key, cs in t.colour_clusters.items():
         if len(class_e.get(key, ())) != len(cs):
@@ -1453,8 +1467,7 @@ def transversal_blowup(
                 "pipeline", PRECONDITION, seed, edge_class=key,
                 detail="pattern edge class outside R",
             )
-    decided = _split_decided(setup.comps, setup.class_of_comp, t.colour_clusters)
-    if decided:
+    if setup.decided:
         out = _no_split(seed)
     else:
         out, attempts = _retry(
@@ -1479,7 +1492,8 @@ def transversal_blowup(
 
         out, attempts = _retry(seed, 89, plan.retries, out, one_shot)
     if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding
-        out.diagnostics["main"] = "split-decided" if decided else f"{main.stage}:{main.reason}"
+        why = "split-decided" if setup.decided else f"{main.stage}:{main.reason}"
+        out.diagnostics["main"] = why
         return EmbedOutcome(embedding=None, failure=out, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts
@@ -1502,12 +1516,9 @@ def _split_decided(comps, class_of_comp, keys) -> bool:
     components; abs, app and one col component per class are distinct
     components, so there must be len(keys) + 2 of them (one, for app, when
     there is no class)."""
-    spread = dict.fromkeys(keys, 0)
-    for counts in class_of_comp:
-        for key in counts:
-            spread[key] += 1
-    need = len(spread) + 2 if spread else 1
-    return len(comps) < need or any(c < 2 for c in spread.values())
+    spread = Counter(key for counts in class_of_comp for key in counts)
+    need = len(keys) + 2 if keys else 1
+    return len(comps) < need or any(spread[key] < 2 for key in keys)
 
 
 def _stage_class_counts(assign, class_of_comp, keys, stage) -> dict[tuple[int, int], int]:
@@ -1573,7 +1584,7 @@ class _Attempt:
                  seed: int, setup: _BlowupSetup):
         self.t, self.H, self.phi, self.targets = t, H, phi, targets
         self.plan, self.seed, self.setup, self.rng = plan, seed, setup, random.Random(seed)
-        self.keys = sorted(t.colour_clusters)
+        self.keys = setup.keys
         self.sigmas = {}  # Steps 2-4: stage -> its colouring
 
 
@@ -1830,15 +1841,24 @@ def _step5(run: _Attempt) -> Failure | None:
 _STEPS = (_split, _step0, _step1, _prep, _step2, _step3, _step4, _step5)
 
 
-def _pipeline_once(t, H, phi, targets, plan, seed, setup):
-    """One attempt of Steps 0-5 over the set-up that ``transversal_blowup``
-    builds once: the steps in turn, each returning a typed failure or None,
-    then (tau, sigma, stats)."""
-    run = _Attempt(t, H, phi, targets, plan, seed, setup)
-    for step in _STEPS:
+def _run_steps(run, steps) -> Failure | None:
+    """The one step loop of an attempt: run ``steps`` in turn on the run
+    state ``run``, each returning a typed failure or None, and return the
+    first failure (None when every step ran)."""
+    for step in steps:
         failure = step(run)
         if failure is not None:
             return failure
+    return None
+
+
+def _pipeline_once(t, H, phi, targets, plan, seed, setup):
+    """One attempt of Steps 0-5 over the set-up that ``transversal_blowup``
+    builds once: the steps through ``_run_steps``, then (tau, sigma, stats)."""
+    run = _Attempt(t, H, phi, targets, plan, seed, setup)
+    failure = _run_steps(run, _STEPS)
+    if failure is not None:
+        return failure
     return run.tau, run.sigma, {
         "X": list(setup.X),
         "h_counts": {st: {str(k): v for k, v in d.items()} for st, d in run.h_counts.items()},
@@ -1857,6 +1877,174 @@ def _pipeline_once(t, H, phi, targets, plan, seed, setup):
 LADDER_DEGENERATE = "LadderDegenerate"
 
 
+class _Run:
+    """The run state of one attempt of ``quasi_embed`` or
+    ``expand_embed_3graph``: its inputs, set-up, sub-seed and rng, and the
+    attributes each step sets for the later ones."""
+
+    def __init__(self, setup, seed: int, **inputs):
+        self.__dict__.update(inputs)
+        self.setup, self.seed, self.rng = setup, seed, random.Random(seed)
+
+
+@dataclass(frozen=True)
+class _QuasiSetup:
+    """What the attempts of ``quasi_embed`` share, none of it drawn.  The
+    blow-up's set-up is None when no pair is dense."""
+
+    r: int
+    parts: list[list[int]]
+    phi: list[int]
+    R: SimpleGraph
+    level: int
+    base_stats: dict
+    dense_keys: list[tuple[int, int]]
+    sparse_H: PatternGraph
+    order: list[int]
+    Y: list[int]
+    active: set[int]
+    blowup: _BlowupSetup | None
+
+
+def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | Failure:
+    """Colour H equitably into Delta+1 parts, split the pairs of parts by
+    density against the delta ladder, and fix the sparse side: all of H when
+    no pair is dense, else the vertices X of the sparse classes with their
+    neighbours Y and ``H_lt``, the edges at X.  Or the typed failure."""
+    r = max(2, H.max_degree + 1)
+    eq = equitable_colouring(H, r, seed=seed)
+    if not eq.balanced:
+        return Failure("quasi", UNBALANCEABLE, seed)
+    parts = [list(p) for p in eq.parts]
+    phi = [0] * H.n
+    for i, part in enumerate(parts):
+        for v in part:
+            phi[v] = i
+    pairs = list(combinations(range(r), 2))
+    class_all = _class_edges(H, phi, range(H.n))
+    d_ij = {key: len(class_all.get(key, ())) / H.n for key in pairs}
+    # the len(d_ij) densities cannot meet all len(d_ij) + 1 disjoint gaps
+    # between consecutive rungs of a finite ladder: one level is free of them
+    level = next(
+        (ell for ell in range(1, len(d_ij) + 2)
+         if all(x <= plan.delta_ladder(ell) or x >= plan.delta_ladder(ell + 1)
+                for x in d_ij.values())),
+        None,
+    )
+    _identity(level is not None, "quasi", "a ladder level free of pair densities",
+              densities=sorted(d_ij.values()))
+    sparse_pairs = {key for key, x in d_ij.items() if x <= plan.delta_ladder(level)}
+    dense_keys = sorted(set(d_ij) - sparse_pairs)
+    base_stats = {
+        "ladder_level": level,
+        "pair_densities": {str(k): v for k, v in d_ij.items()},
+        "sparse_pairs": sorted(str(k) for k in sparse_pairs),
+    }
+    X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
+    active = set(range(H.n)).difference(X)
+    if dense_keys:
+        Y, sparse_H = _connecting_graph(H, X, range(H.n))
+        order, blowup = _bfs_order(H, X), _blowup_setup(H, phi, active, plan, dense_keys)
+    else:  # the run degenerates to one candidate-set pass over all of H
+        Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
+    return _QuasiSetup(r, parts, phi, SimpleGraph(r, pairs), level, base_stats, dense_keys,
+                       sparse_H, order, Y, active, blowup)
+
+
+def _quasi_draw(run: _Run) -> None:
+    """Draw V_i: a random vertex partition of the hosts with |V_i| = |A_i|."""
+    hosts = list(range(run.gc.n))
+    run.rng.shuffle(hosts)
+    run.V, pos = [], 0
+    for part in run.setup.parts:
+        run.V.append(sorted(hosts[pos : pos + len(part)]))
+        pos += len(part)
+
+
+def _quasi_sparsify(run: _Run) -> None:
+    """Sparsify each (V_i, V_j, C) slice, or keep it raw when it breaks the
+    promise (downstream checks decide); the collection is their union."""
+    # a call-time import: the benchmark's tracer patches the regularity module
+    from .regularity import PromiseViolated, sparsify_to_superregular
+
+    gc, V, K = run.gc, run.V, run.gc.n_colours
+    colours = list(range(K))
+    slices, densities = [], []
+    for i, j in combinations(range(run.setup.r), 2):
+        try:
+            out = sparsify_to_superregular(gc, (V[i], V[j], colours), eps=run.plan.eps,
+                                           eps_prime=run.plan.eps, d=None,
+                                           seed=_mix(run.seed, i, j))
+        except PromiseViolated:
+            rows = [[0] * gc.n for _ in colours]
+            gc.add_slice_to(rows, V[i], V[j], colours)
+            out = GraphCollection.from_rows(gc.n, rows)
+        slices.append(out)
+        densities.append(out.total_edge_count() / max(1, len(V[i]) * len(V[j]) * K))
+    run.jgc = GraphCollection.union(slices)
+    run.d_eff = max(0.05, 0.5 * min(densities))  # r >= 2 gives a pair
+
+
+def _quasi_template(run: _Run) -> None:
+    """The super template on the V_i with every colour on every pair."""
+    s, colours = run.setup, list(range(run.gc.n_colours))
+    run.ledger = make_ledger(
+        min(len(v) for v in run.V), run.plan.eps,
+        Fraction(str(round(run.d_eff, 6))), Fraction(1, 2), mode="super",
+    )
+    run.tmpl = make_template(s.R, run.V, {key: colours for key in combinations(range(s.r), 2)},
+                             run.jgc, run.ledger, rainbow=False, klass="super")
+
+
+def _quasi_sparse(run: _Run) -> Failure | None:
+    """Embed the sparse side (if any) through candidate sets; those of Y
+    are the dense side's targets."""
+    s = run.setup
+    if not s.order:
+        return None
+    part = partial_embed(run.tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None,
+                         plan=run.plan, seed=run.seed)
+    if isinstance(part, Failure):
+        return part.with_stage("quasi-sparse")
+    run.tau.update(part.tau)
+    run.sigma.update(part.sigma)
+    run.cand = {y: set(part.candidates[y]) for y in part.candidates}
+
+
+def _quasi_dense(run: _Run) -> Failure | None:
+    """Embed the dense side (if any) by the transversal blow-up on the
+    hosts left and a random colour split sized to the dense classes."""
+    s, K = run.setup, run.gc.n_colours
+    if s.blowup is None:
+        run.stats["path"] = LADDER_DEGENERATE
+        return None
+    used_cols, used_hosts = set(run.sigma.values()), set(run.tau.values())
+    rest_cols = [c for c in range(K) if c not in used_cols]
+    run.rng.shuffle(rest_cols)
+    Vp = [tuple(v for v in part if v not in used_hosts) for part in run.V]
+    split: dict[tuple[int, int], tuple[int, ...]] = {}
+    pos = 0
+    for key in s.dense_keys:
+        need = len(s.blowup.class_e.get(key, ()))
+        split[key] = tuple(sorted(rest_cols[pos : pos + need]))
+        pos += need
+    # every edge inside active lies in a dense pair
+    _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
+    run.stats.update(colour_split_sizes={str(k): len(v) for k, v in split.items()},
+                     e_sparse=len(run.sigma), colours_total=K)
+    tmpl = make_template(s.R, Vp, split, run.jgc, run.ledger, rainbow=True, klass="super")
+    out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
+                             active=s.active, setup=s.blowup)
+    if not out.ok:
+        return out.failure
+    run.tau.update(out.embedding.tau)
+    run.sigma.update(out.embedding.sigma)
+    run.stats.update(blowup=out.stats, ledger=ledger_to_json(tmpl.ledger))
+
+
+_QUASI_STEPS = (_quasi_draw, _quasi_sparsify, _quasi_template, _quasi_sparse, _quasi_dense)
+
+
 def quasi_embed(
     gc: GraphCollection,
     H: PatternGraph,
@@ -1865,15 +2053,17 @@ def quasi_embed(
 ) -> EmbedOutcome:
     """Transversal copy of H in a uniformly dense collection with |C| = e(H).
 
-    Pipeline: equitable colouring into Delta+1 independent parts; random
-    balanced vertex partition with degree checks; per-pair sparsification of
-    each slice; pigeonhole on the pair densities against the delta ladder to
-    split sparse pairs (embedded first through candidate sets) from dense
-    pairs (embedded by the transversal blow-up with the candidate sets as
-    targets); a random colour split sized exactly to the dense classes.
+    After the precondition checks, the set-up that no draw changes is built
+    once (``_quasi_setup``): an equitable colouring into Delta+1 independent
+    parts, the pigeonhole on the pair densities against the delta ladder
+    that splits sparse pairs from dense ones, the sparse side and, when a
+    pair is dense, the blow-up's set-up with its split decision.  Each
+    attempt then runs ``_QUASI_STEPS`` through ``_run_steps``: draw the
+    balanced vertex partition V_i, sparsify each pair's slice, build the
+    template, embed the sparse side through candidate sets, and embed the
+    dense side by the transversal blow-up with the candidate sets as
+    targets on a random colour split sized exactly to the dense classes.
     """
-    from .regularity import PromiseViolated, sparsify_to_superregular
-
     n, K = gc.n, gc.n_colours
     if K != H.e:
         return EmbedOutcome.fail(
@@ -1894,139 +2084,17 @@ def quasi_embed(
             weak_vertices=weak_v[:5], weak_colours=weak_c[:5],
             detail="declared degree/size floors fail",
         )
-    delta_h = H.max_degree
-    r = max(2, delta_h + 1)
-    eq = equitable_colouring(H, r, seed=seed)
-    if not eq.balanced:
-        return EmbedOutcome.fail("quasi", UNBALANCEABLE, seed)
-    A = [list(p) for p in eq.parts]
-    phi = [0] * H.n
-    for i, part in enumerate(A):
-        for v in part:
-            phi[v] = i
-    # pair densities of H against the delta ladder
-    class_all = _class_edges(H, phi, range(H.n))
-    d_ij = {
-        (i, j): len(class_all.get((i, j), ())) / H.n for i in range(r) for j in range(i + 1, r)
-    }
-    # the len(d_ij) densities cannot meet all len(d_ij) + 1 disjoint gaps
-    # between consecutive rungs of a finite ladder: one level is free of them
-    level = next(
-        (ell for ell in range(1, len(d_ij) + 2)
-         if all(x <= plan.delta_ladder(ell) or x >= plan.delta_ladder(ell + 1)
-                for x in d_ij.values())),
-        None,
-    )
-    _identity(level is not None, "quasi", "a ladder level free of pair densities",
-              densities=sorted(d_ij.values()))
-    sparse_pairs = {key for key, x in d_ij.items() if x <= plan.delta_ladder(level)}
-    dense_pairs = set(d_ij) - sparse_pairs
-    base_stats = {
-        "ladder_level": level,
-        "pair_densities": {str(k): v for k, v in d_ij.items()},
-        "sparse_pairs": sorted(str(k) for k in sparse_pairs),
-    }
-    colours = list(range(K))
-    R = SimpleGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
-    # the sparse side X (embedded first through candidate sets), its
-    # neighbours Y and the rest, which the transversal blow-up embeds
-    X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
-    Y, H_lt = _connecting_graph(H, X, range(H.n))
-    active = set(range(H.n)).difference(X)
-    # the blow-up's set-up depends only on H, phi and active: build it once
-    setup = _blowup_setup(H, phi, active, plan) if dense_pairs else None
-    # the candidate-set pass's order: all of H when every pair is sparse, else X
-    order = _bfs_order(H, X if dense_pairs else range(H.n))
+    setup = _quasi_setup(H, plan, seed)
+    if isinstance(setup, Failure):
+        return EmbedOutcome(None, setup, None)
 
     def attempt(sub_seed, _):
-        rng = random.Random(sub_seed)
-        hosts = list(range(n))
-        rng.shuffle(hosts)
-        V: list[list[int]] = []
-        pos = 0
-        for i in range(r):
-            V.append(sorted(hosts[pos : pos + len(A[i])]))
-            pos += len(A[i])
-        # per-pair sparsification of the (V_i, V_j, C) slice; the collection
-        # is the union of the sparsified slices
-        slices: list[GraphCollection] = []
-        dens_pairs = []
-        for i in range(r):
-            for j in range(i + 1, r):
-                try:
-                    out = sparsify_to_superregular(
-                        gc, (V[i], V[j], colours),
-                        eps=plan.eps, eps_prime=plan.eps, d=None,
-                        seed=_mix(sub_seed, i, j),
-                    )
-                except PromiseViolated:
-                    # keep the raw slice; downstream checks decide
-                    rows = [[0] * n for _ in colours]
-                    gc.add_slice_to(rows, V[i], V[j], colours)
-                    out = GraphCollection.from_rows(n, rows)
-                slices.append(out)
-                dens_pairs.append(out.total_edge_count() / max(1, len(V[i]) * len(V[j]) * K))
-        jgc = GraphCollection.union(slices)
-        d_eff = max(0.05, 0.5 * min(dens_pairs)) if dens_pairs else 0.05
-        ledger = make_ledger(
-            min(len(v) for v in V), plan.eps,
-            Fraction(str(round(d_eff, 6))), Fraction(1, 2), mode="super",
-        )
-        tmpl = make_template(
-            R, V, {(i, j): colours for i in range(r) for j in range(i + 1, r)},
-            jgc, ledger, rainbow=False, klass="super",
-        )
-        stats = dict(base_stats)
-        if not dense_pairs:
-            # every pair sparse: the run degenerates to one candidate-set pass
-            part = partial_embed(
-                tmpl, H, phi, X=order, Y=[], targets=None, plan=plan, seed=sub_seed
-            )
-            if isinstance(part, Failure):
-                return part.with_stage("quasi-sparse")
-            stats["path"] = LADDER_DEGENERATE
-            return EmbedOutcome.success(gc, H, part.tau, part.sigma, stats=stats)
-        tau: dict[int, int] = {}
-        sigma: dict[tuple[int, int], int] = {}
-        cand: dict[int, set[int]] = {}
-        if X:
-            part = partial_embed(
-                tmpl, H_lt, phi, X=order, Y=Y,
-                targets=None, plan=plan, seed=sub_seed,
-            )
-            if isinstance(part, Failure):
-                return part.with_stage("quasi-sparse")
-            tau.update(part.tau)
-            sigma.update(part.sigma)
-            cand = {y: set(part.candidates[y]) for y in part.candidates}
-        used_cols = set(sigma.values())
-        used_hosts = set(tau.values())
-        rest_cols = [c for c in colours if c not in used_cols]
-        rng.shuffle(rest_cols)
-        Vp = [tuple(v for v in V[i] if v not in used_hosts) for i in range(r)]
-        split: dict[tuple[int, int], tuple[int, ...]] = {}
-        pos = 0
-        for key in sorted(dense_pairs):
-            need = len(setup.class_e.get(key, ()))
-            split[key] = tuple(sorted(rest_cols[pos : pos + need]))
-            pos += need
-        # every edge inside active lies in a dense pair
-        _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
-        stats["colour_split_sizes"] = {str(k): len(v) for k, v in split.items()}
-        stats["e_sparse"] = len(sigma)
-        stats["colours_total"] = K
-        tmpl2 = make_template(
-            R, Vp, split, jgc, ledger, rainbow=True, klass="super",
-        )
-        out = transversal_blowup(tmpl2, H, phi, cand, plan, seed=_mix(sub_seed, 7),
-                                 active=active, setup=setup)
-        if not out.ok:
-            return out.failure
-        tau.update(out.embedding.tau)
-        sigma.update(out.embedding.sigma)
-        stats["blowup"] = out.stats
-        stats["ledger"] = ledger_to_json(tmpl2.ledger)
-        return EmbedOutcome.success(gc, H, tau, sigma, stats=stats)
+        run = _Run(setup, sub_seed, gc=gc, H=H, plan=plan, tau={}, sigma={}, cand={},
+                   stats=dict(setup.base_stats))
+        failure = _run_steps(run, _QUASI_STEPS)
+        if failure is not None:
+            return failure
+        return EmbedOutcome.success(gc, H, run.tau, run.sigma, stats=run.stats)
 
     out, _ = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed), attempt)
     return EmbedOutcome(None, out, None) if isinstance(out, Failure) else out
@@ -2053,6 +2121,91 @@ class ExpansionOutcome:
         return self.vertex_images[x]
 
 
+@dataclass(frozen=True)
+class _ExpandSetup:
+    """What the attempts of ``expand_embed_3graph`` share, none of it
+    drawn: the padded pattern Hp on the touched vertices, H's relabelling
+    into it, H's isolated vertices that no pad took and the padding stats."""
+
+    Hp: PatternGraph
+    relabel: dict[int, int]
+    leftover_iso: list[int]
+    stats: dict
+
+
+def _expand_setup(g: ThreeGraph, H: PatternGraph, plan: SplitPlan,
+                  seed: int) -> _ExpandSetup | Failure:
+    """Pad H with edges between isolated vertices (existing isolates first,
+    fresh ones if needed) until e > n/4 - 1 and relabel it onto the touched
+    vertices; or the typed failure when g is too small for that."""
+    n, edges = g.n, list(H.edges())
+    pool = [v for v in range(H.n) if H.degree(v) == 0]  # the isolates left
+    pads: list[tuple[int, int]] = []
+    next_id = H.n
+    while len(edges) + len(pads) <= n / 4 - 1:
+        if len(pool) >= 2:
+            pads.append((pool.pop(0), pool.pop(0)))
+        else:
+            pads.append((next_id, next_id + 1))
+            next_id += 2
+    all_edges = edges + pads
+    touched = sorted({v for e in all_edges for v in e})
+    consumption = len(touched) + len(all_edges) + len(pool)
+    fresh = next_id - H.n
+    if consumption > n:
+        return Failure("expand", PADDING_IMPOSSIBLE, seed,
+                       detail=f"padding needs {consumption} > {n} host vertices",
+                       padded_edges=len(pads), fresh_vertices=fresh)
+    relabel = {v: i for i, v in enumerate(touched)}
+    Hp = PatternGraph(len(touched), [(relabel[u], relabel[v]) for (u, v) in all_edges])
+    # a draw's link collection has at most g.e edges over its Hp.e colours, so
+    # below this count quasi_embed's per-colour floor fails on every draw
+    need = plan.alpha * Hp.n**2 * Hp.e
+    if g.e < need:
+        return Failure("expand", PRECONDITION, seed, host_edges=g.e, need=need,
+                       detail="too few host edges for the declared colour floor")
+    return _ExpandSetup(Hp, relabel, pool, {"padded_edges": len(pads), "fresh_vertices": fresh})
+
+
+def _expand_draw(run: _Run) -> None:
+    """Draw the disjoint vertex side and colour side of the host."""
+    Hp = run.setup.Hp
+    draw = run.rng.sample(range(run.g.n), Hp.n + Hp.e)
+    run.v_side, run.c_side = sorted(draw[: Hp.n]), sorted(draw[Hp.n :])
+
+
+def _expand_link(run: _Run) -> None:
+    """The link collection of the vertex side over the colour side."""
+    run.coll = run.g.link_collection(run.v_side, run.c_side)
+
+
+def _expand_quasi(run: _Run) -> Failure | None:
+    """Embed Hp in the link collection by ``quasi_embed``, map it back to
+    the sides (left-over isolates to unused hosts) and verify the result."""
+    s, H = run.setup, run.H
+    out = quasi_embed(run.coll, s.Hp, run.plan, seed=_mix(run.seed, 5))
+    if not out.ok:
+        return out.failure
+    tau, sigma = out.embedding.tau, out.embedding.sigma
+    vertex_images = {v: run.v_side[tau[s.relabel[v]]] for v in range(H.n) if v in s.relabel}
+    edge_images: dict[tuple[int, int], int] = {}
+    for (u, v) in H.edges():
+        lu, lv = s.relabel[u], s.relabel[v]
+        edge_images[(u, v)] = run.c_side[sigma[(lu, lv) if lu < lv else (lv, lu)]]
+    used = set(vertex_images.values()) | set(edge_images.values())
+    free = [w for w in range(run.g.n) if w not in used]
+    for v in s.leftover_iso:
+        vertex_images[v] = free.pop()
+    rep = verify_expansion(run.g, H, vertex_images, edge_images)
+    if not rep.ok:
+        raise UnverifiedOutput(f"expansion failed verification: {rep.violations}")
+    run.out = ExpansionOutcome(vertex_images, edge_images, None,
+                               stats={**s.stats, "quasi": out.stats})
+
+
+_EXPAND_STEPS = (_expand_draw, _expand_link, _expand_quasi)
+
+
 def expand_embed_3graph(
     g: ThreeGraph,
     H: PatternGraph,
@@ -2061,13 +2214,14 @@ def expand_embed_3graph(
 ) -> ExpansionOutcome:
     """Copy of the 1-expansion of H inside a dense 3-graph.
 
-    Pads H with edges between isolated vertices (existing isolates first,
-    fresh ones if needed) until e > n/4 - 1, restricts to non-isolated
-    vertices, draws disjoint random vertex and colour sides, builds the
-    induced collection and runs the uniformly-dense pipeline; the expansion
-    map sends pattern vertices to the vertex side and pattern edges to the
-    colour side.  Left-over isolated pattern vertices take unused host
-    vertices.
+    The set-up that no draw changes is built once (``_expand_setup``): H is
+    padded with edges between isolated vertices until e > n/4 - 1 and
+    restricted to its non-isolated vertices.  Each attempt then runs
+    ``_EXPAND_STEPS`` through ``_run_steps``: draw disjoint random vertex
+    and colour sides, build the induced link collection, and run the
+    uniformly-dense pipeline, whose embedding maps pattern vertices to the
+    vertex side and pattern edges to the colour side; left-over isolated
+    pattern vertices take unused host vertices.
     """
     n = g.n
     if H.n + H.e > n:
@@ -2083,75 +2237,14 @@ def expand_embed_3graph(
             failure=None,
             stats={"path": "edgeless"},
         )
-    iso = [v for v in range(H.n) if H.degree(v) == 0]
-    edges = list(H.edges())
-    fresh = 0
-    pads: list[tuple[int, int]] = []
-    pool = iso[:]
-    next_id = H.n
-    while len(edges) + len(pads) <= n / 4 - 1:
-        if len(pool) >= 2:
-            a, b = pool.pop(0), pool.pop(0)
-        else:
-            a, b = next_id, next_id + 1
-            next_id += 2
-            fresh += 2
-        pads.append((a, b))
-    all_edges = edges + pads
-    touched = sorted({v for e in all_edges for v in e})
-    touched_set = set(touched)
-    leftover_iso = [v for v in range(H.n) if H.degree(v) == 0 and v not in touched_set]
-    consumption = len(touched) + len(all_edges) + len(leftover_iso)
-    if consumption > n:
-        return ExpansionOutcome(None, None, Failure(
-            "expand", PADDING_IMPOSSIBLE, seed,
-            detail=f"padding needs {consumption} > {n} host vertices",
-            padded_edges=len(pads), fresh_vertices=fresh,
-        ))
-    relabel = {v: i for i, v in enumerate(touched)}
-    Hp = PatternGraph(len(touched), [(relabel[u], relabel[v]) for (u, v) in all_edges])
-    # a draw's link collection has at most g.e edges over its Hp.e colours, so
-    # below this count quasi_embed's per-colour floor fails on every draw
-    need = plan.alpha * Hp.n**2 * Hp.e
-    if g.e < need:
-        return ExpansionOutcome(None, None, Failure(
-            "expand", PRECONDITION, seed, host_edges=g.e, need=need,
-            detail="too few host edges for the declared colour floor",
-        ))
+    setup = _expand_setup(g, H, plan, seed)
+    if isinstance(setup, Failure):
+        return ExpansionOutcome(None, None, setup)
 
     def attempt(sub_seed, _):
-        rng = random.Random(sub_seed)
-        draw = rng.sample(range(n), Hp.n + Hp.e)
-        v_side, c_side = sorted(draw[: Hp.n]), sorted(draw[Hp.n :])
-        coll = g.link_collection(v_side, c_side)
-        out = quasi_embed(coll, Hp, plan, seed=_mix(sub_seed, 5))
-        if not out.ok:
-            return out.failure
-        tau_local = out.embedding.tau
-        sigma_local = out.embedding.sigma
-        vertex_images: dict[int, int] = {}
-        for v in range(H.n):
-            if v in relabel:
-                vertex_images[v] = v_side[tau_local[relabel[v]]]
-        edge_images: dict[tuple[int, int], int] = {}
-        for (u, v) in H.edges():
-            lu, lv = relabel[u], relabel[v]
-            key = (lu, lv) if lu < lv else (lv, lu)
-            edge_images[(u, v)] = c_side[sigma_local[key]]
-        used = set(vertex_images.values()) | set(edge_images.values())
-        free = [w for w in range(n) if w not in used]
-        for v in leftover_iso:
-            vertex_images[v] = free.pop()
-        rep = verify_expansion(g, H, vertex_images, edge_images)
-        if not rep.ok:
-            raise UnverifiedOutput(f"expansion failed verification: {rep.violations}")
-        return ExpansionOutcome(
-            vertex_images=vertex_images,
-            edge_images=edge_images,
-            failure=None,
-            stats={"padded_edges": len(pads), "fresh_vertices": fresh,
-                   "quasi": out.stats},
-        )
+        run = _Run(setup, sub_seed, g=g, H=H, plan=plan)
+        failure = _run_steps(run, _EXPAND_STEPS)
+        return run.out if failure is None else failure
 
     out, _ = _retry(
         seed, 103, max(1, plan.retries // 4), Failure("expand", EMBEDDING_FAILED, seed), attempt

@@ -48,23 +48,36 @@ class GenSpec:
             raise ValueError("n and colour count must be positive integers")
 
 
-def random_collection(spec: GenSpec) -> GraphCollection:
-    """Each (pair, colour) incidence kept independently when its coin is
-    below the density.  The coins go to the colours in order and, within
-    one, to the pairs u < v in row-major order; :func:`_coins` draws them in
-    chunks of whole colours, each scattered into a bool table and packed."""
-    n, k = spec.n, spec.n_colours
+def _chunked_collection(n: int, k: int, kept_of) -> GraphCollection:
+    """The collection on n vertices with k colours whose colours in the
+    slice ``cs`` keep the pairs u[i] < v[i] (row-major order) where
+    ``kept_of(u, v, cs)[c, i]`` holds.  It is called on chunks of whole
+    colours, of about ``_CHUNK_COINS`` incidences each, in colour order;
+    each chunk is scattered both ways into a bool table, packed with
+    ``np.packbits`` and turned into rows by ``masks_of_words``."""
     u, v = np.triu_indices(n, 1)
     step = max(1, _CHUNK_COINS // max(1, len(u)))  # colours per chunk
-    rng = random.Random(spec.seed)
     masks = []
     for s in range(0, k, step):
-        colours = min(step, k - s)
-        kept = _coins(rng, colours * len(u)).reshape(colours, len(u)) < spec.density
-        table = np.zeros((colours, n, (n + 63) & ~63), bool)  # rows of whole words
+        kept = kept_of(u, v, slice(s, min(s + step, k)))
+        table = np.zeros((len(kept), n, (n + 63) & ~63), bool)  # rows of whole words
         table[:, u, v] = table[:, v, u] = kept
         masks += masks_of_words(np.packbits(table, axis=2, bitorder="little").view("<u8"))
     return GraphCollection.from_rows(n, [masks[c * n : c * n + n] for c in range(k)])
+
+
+def random_collection(spec: GenSpec) -> GraphCollection:
+    """Each (pair, colour) incidence kept independently when its coin is
+    below the density.  The coins go to the colours in order and, within
+    one, to the pairs u < v in row-major order; :func:`_coins` draws them
+    chunk by chunk."""
+    rng = random.Random(spec.seed)
+
+    def kept_of(u, v, cs):
+        colours = cs.stop - cs.start
+        return _coins(rng, colours * len(u)).reshape(colours, len(u)) < spec.density
+
+    return _chunked_collection(spec.n, spec.n_colours, kept_of)
 
 
 def cyclic_triangle_collection(
@@ -77,37 +90,23 @@ def cyclic_triangle_collection(
     and colour, at most two of the three pairs can be edges of that colour
     (the three anchor arcs would need each endpoint pair oppositely oriented
     around c, a parity impossibility), so the guarantee is structural and
-    holds at every n.
+    holds at every n.  The orientation coins go to the vertices u in order
+    and, within one, to v = u + 1, ..., n + k - 1 (colour c is n + c).
     """
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
-    k = n_colours if n_colours is not None else n
-    rng = random.Random(seed)
-    # arc[u][v] True means u -> v; vertices 0..n-1, colours n..n+k-1.
-    # Both V-V and V-colour pairs get a uniform orientation.
-    total = n + k
-    arc = [[False] * total for _ in range(total)]
-    for u in range(n):
-        for v in range(u + 1, total):
-            fwd = rng.random() < 0.5
-            arc[u][v] = fwd
-            arc[v][u] = not fwd
+    k = n if n_colours is None else n_colours
+    if type(n) is not int or type(k) is not int or n < 3 or k < 0:  # not a bool
+        raise ValueError("need at least 3 vertices and a colour count >= 0, as integers")
+    later = np.arange(n + k) > np.arange(n)[:, None]  # the pairs u < v at a vertex u
+    arc = np.zeros(later.shape, bool)  # arc[u, v]: u -> v, for u < v
+    arc[later] = _coins(random.Random(seed), int(later.sum())) < 0.5  # row-major order
+    to_colour = arc[:, n:]  # to_colour[x, c]: x -> c, so c -> x when it is False
 
-    def cyclic(x: int, y: int, cv: int) -> bool:
-        return (arc[x][y] and arc[y][cv] and arc[cv][x]) or (
-            arc[y][x] and arc[x][cv] and arc[cv][y]
-        )
+    def kept_of(u, v, cs):
+        # xyc is cyclic as x -> y -> c -> x or as y -> x -> c -> y
+        fwd, tu, tv = arc[u, v][:, None], to_colour[u, cs], to_colour[v, cs]
+        return ((fwd & tv & ~tu) | (~fwd & tu & ~tv)).T
 
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for c in range(k):
-        cv = n + c
-        es = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if cyclic(u, v, cv):
-                    es.append((u, v))
-        edges[c] = es
-    return GraphCollection(n, k, edges)
+    return _chunked_collection(n, k, kept_of)
 
 
 def parity_threegraph(

@@ -353,6 +353,27 @@ def test_verify_malformed_embedding_is_a_usage_error(workdir):
                  "--pattern", "h.json", "--params", "p.json"]) == 2
 
 
+@pytest.mark.parametrize("params", ['{"retries": 2.5}', '{"retries": 0}', '{"retries": -3}',
+                                    '{"retries": true}', '{"absorber_samples": 0}',
+                                    '{"absorber_exhaustive_cap": -1}'])
+def test_a_retry_count_in_params_that_is_not_a_count_is_a_usage_error(workdir, params):
+    # range() in a retry loop would raise TypeError, and a count below 1
+    # would report a failure that no attempt saw
+    assert main([
+        "generate", "--construction", "random", "--n", "6", "--colours", "3",
+        "--density", "1.0", "--seed", "1", "--out", "inst.json",
+    ]) == 0
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
+    (workdir / "p.json").write_text(params)
+    proc = subprocess.run(
+        [sys.executable, "-m", "transversal.cli", "embed", "--pipeline", "quasi",
+         "--instance", "inst.json", "--pattern", "h.json", "--params", "p.json"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "must be an integer" in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("params", ['{"ladder_ratio": NaN}', '{"ladder_base": Infinity}'])
 def test_a_non_finite_ladder_in_params_is_a_usage_error(workdir, capsys, params):
     # json reads NaN and Infinity; the plan refuses them before any quasi run

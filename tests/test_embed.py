@@ -19,6 +19,7 @@ from transversal.core import (
 )
 from transversal.embed import (
     CANDIDATE_EXHAUSTED,
+    PADDING_IMPOSSIBLE,
     PRECONDITION,
     Failure,
     PartialEmbedding,
@@ -977,6 +978,28 @@ def test_corrupted_output_checks_survive_python_O():
     assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
+def test_expand_checks_its_own_output(monkeypatch):
+    from transversal import embed
+    from transversal.core import VerificationReport
+    from transversal.embed import UnverifiedOutput
+
+    monkeypatch.setattr(embed, "verify_expansion",
+                        lambda *args: VerificationReport(ok=False, violations=("stub",)))
+    g = ThreeGraph(8, list(combinations(range(8), 3)))
+    with pytest.raises(UnverifiedOutput, match=r"expansion failed verification: \('stub',\)"):
+        expand_embed_3graph(g, PatternGraph(2, [(0, 1)]), PLAN, seed=0)
+
+
+def test_expand_padding_that_needs_more_hosts_is_refused():
+    # one edge and 9 isolated vertices fit 12 hosts, but e > 12/4 - 1 takes
+    # two pads of isolates: 6 touched vertices, 3 edges and 5 isolates left
+    g = ThreeGraph(12, list(combinations(range(12), 3)))
+    f = expand_embed_3graph(g, PatternGraph(11, [(0, 1)]), PLAN, seed=0).failure
+    assert (f.stage, f.reason) == ("expand", PADDING_IMPOSSIBLE)
+    assert f.diagnostics == {"detail": "padding needs 14 > 12 host vertices",
+                             "padded_edges": 2, "fresh_vertices": 0}
+
+
 def test_expand_too_large_rejected():
     g = ThreeGraph(6, list(combinations(range(6), 3)))
     H = PatternGraph(5, [(i, (i + 1) % 5) for i in range(5)])  # 5 + 5 > 6
@@ -1258,10 +1281,11 @@ def test_main_path_still_runs_the_pipeline(monkeypatch):
 
 def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     # each of seed 27's 20 attempts calls transversal_blowup; the set-up, its
-    # pattern view and the separator certificate are built once for all
+    # pattern view, the separator certificate and the split decision are
+    # built once for all
     from transversal import embed
 
-    counts = dict.fromkeys(("setup", "view", "certificate", "blowup"), 0)
+    counts = dict.fromkeys(("setup", "view", "certificate", "decided", "blowup"), 0)
 
     def count(name, attr, only=lambda *a: True):
         real = getattr(embed, attr)
@@ -1275,11 +1299,13 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     count("setup", "_blowup_setup")
     count("view", "_pattern_view", only=lambda H, phi, active, targets=None: targets is None)
     count("certificate", "separability_certificate")
+    count("decided", "_split_decided")
     count("blowup", "transversal_blowup")
     gc, H, plan = _quasi_instance(27)
     out = quasi_embed(gc, H, plan, seed=27)
     assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
-    assert counts == {"setup": 1, "view": 1, "certificate": 1, "blowup": PLAN.retries}
+    assert counts == {"setup": 1, "view": 1, "certificate": 1, "decided": 1,
+                      "blowup": PLAN.retries}
 
 
 def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
@@ -1300,6 +1326,54 @@ def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
     gc, H, plan = _quasi_instance(21)
     with pytest.raises(UnverifiedOutput, match="quasi: colour split"):
         quasi_embed(gc, H, plan, seed=21)
+
+
+def test_quasi_mixed_path_reports_a_sparse_side_failure(monkeypatch):
+    # seed 9 splits its pairs into sparse and dense ones; when the sparse
+    # side's candidate-set pass fails, the attempt ends before the blow-up
+    from transversal import embed
+
+    sparse_graphs, blowups = [], []
+
+    def stuck(t, graph, *args, **kwargs):
+        sparse_graphs.append(graph)
+        return Failure("partial", CANDIDATE_EXHAUSTED, 0, detail="stub")
+
+    monkeypatch.setattr(embed, "partial_embed", stuck)
+    monkeypatch.setattr(embed, "transversal_blowup", lambda *a, **kw: blowups.append(a))
+    gc, H, plan = _quasi_instance(9)
+    f = quasi_embed(gc, H, plan, seed=9).failure
+    assert (f.stage, f.reason, f.diagnostics) == ("quasi-sparse", CANDIDATE_EXHAUSTED,
+                                                  {"detail": "stub"})
+    # one pass per attempt, on the edges at the sparse side X, not on all of H
+    assert len(sparse_graphs) == plan.retries
+    assert all(0 < g.e < H.e for g in sparse_graphs)
+    assert blowups == []
+
+
+def test_blowup_checks_colour_conservation(monkeypatch):
+    # a main-path attempt that gives two edges one colour, passed by a
+    # stubbed verifier, is caught by the colour count
+    from transversal import embed
+    from transversal.core import VerificationReport
+    from transversal.embed import UnverifiedOutput
+
+    real = embed._pipeline_once
+
+    def one_colour_twice(*args):
+        out = real(*args)
+        if isinstance(out, Failure):
+            return out
+        tau, sigma, stats = out
+        e, f = list(sigma)[:2]
+        return tau, {**sigma, e: sigma[f]}, stats
+
+    monkeypatch.setattr(embed, "_pipeline_once", one_colour_twice)
+    monkeypatch.setattr(embed, "verify_transversal_embedding",
+                        lambda *args: VerificationReport(ok=True))
+    gc, H, plan = _quasi_instance(0)  # the main path
+    with pytest.raises(UnverifiedOutput, match="colour conservation violated on the main path"):
+        quasi_embed(gc, H, plan, seed=0)
 
 
 def test_quasi_collection_is_the_union_of_its_slices(monkeypatch):
@@ -1374,6 +1448,28 @@ def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):
 def test_split_plan_rejects_a_non_finite_ladder(ladder):
     with pytest.raises(ValueError, match="finite"):
         SplitPlan(**ladder)
+
+
+_COUNTS = ["retries", "blowup_restarts", "approx_retries", "absorber_retries",
+           "absorber_samples"]
+
+
+@pytest.mark.parametrize("field", _COUNTS)
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, 0, -3, "2", None])
+def test_split_plan_refuses_a_retry_count_that_is_not_an_int_of_one_or_more(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        SplitPlan(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-1, 0.0, 1.5, True, None])
+def test_split_plan_refuses_an_exhaustive_cap_that_is_not_an_int_of_zero_or_more(value):
+    with pytest.raises(ValueError, match="^absorber_exhaustive_cap must be an integer >= 0"):
+        SplitPlan(absorber_exhaustive_cap=value)
+
+
+def test_split_plan_takes_the_least_counts():
+    plan = SplitPlan(**dict.fromkeys(_COUNTS, 1), absorber_exhaustive_cap=0)
+    assert [getattr(plan, f) for f in _COUNTS] == [1] * 5 and plan.absorber_exhaustive_cap == 0
 
 
 def test_a_ladder_past_the_largest_float_still_gives_a_level():

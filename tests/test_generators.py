@@ -101,6 +101,47 @@ def test_generators_seed_deterministic():
     assert e == f
 
 
+def _per_coin_cyclic_triangle_collection(n, seed, k):
+    """cyclic_triangle_collection by one ``rng.random()`` call per
+    orientation (u ascending, then v from u + 1; colour c is vertex n + c)
+    and one cyclic test per colour and vertex pair."""
+    rng = random.Random(seed)
+    total = n + k
+    arc = [[False] * total for _ in range(total)]
+    for u in range(n):
+        for v in range(u + 1, total):
+            fwd = rng.random() < 0.5
+            arc[u][v], arc[v][u] = fwd, not fwd
+    edges = {}
+    for c in range(k):
+        w = n + c
+        edges[c] = [(x, y) for x in range(n) for y in range(x + 1, n)
+                    if (arc[x][y] and arc[y][w] and arc[w][x])
+                    or (arc[y][x] and arc[x][w] and arc[w][y])]
+    return GraphCollection(n, k, edges)
+
+
+@pytest.mark.parametrize("chunk", [None, 50])  # 50 coins: a chunk per colour
+@pytest.mark.parametrize("n", [3, 4, 10, 40])
+# n = 40 with 120 colours draws 5,580 coins, more than _COINS_NUMPY_MIN, so
+# by one numpy call; the other cases by plain calls
+@pytest.mark.parametrize("k", [None, 0, 1, 2, 7, 65, 120])
+def test_cyclic_triangle_matches_the_per_coin_loop(n, k, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(generators, "_CHUNK_COINS", chunk)
+    seed = 10 * n + (k or 0)
+    gc = cyclic_triangle_collection(n, seed=seed, n_colours=k)
+    ref = _per_coin_cyclic_triangle_collection(n, seed, n if k is None else k)
+    assert gc == ref and gc._ecount == ref._ecount
+
+
+@pytest.mark.parametrize("n, k", [(2, None), (0, 3), (3.0, None), (5, 2.0), (True, 3),
+                                  (5, False), (5, -1), ("5", None)])
+def test_cyclic_triangle_refuses_bad_sizes(n, k):
+    with pytest.raises(ValueError, match="need at least 3 vertices"):
+        cyclic_triangle_collection(n, seed=0, n_colours=k)
+
+
 def test_cyclic_triangle_no_monochromatic_triangle_exhaustive():
     gc = cyclic_triangle_collection(12, seed=1)
     assert monochromatic_triangle_count(gc) == 0

@@ -33,3 +33,30 @@ def test_every_traced_function_resolves_to_one_object(layers):
 def test_every_traced_method_is_defined_on_its_class(layers):
     for layer, (cls, attr) in layers.METHODS.items():
         assert callable(cls.__dict__.get(attr)), (layer, cls.__name__, attr)
+
+
+def test_the_tracer_counts_every_layer_of_the_application_paths(layers):
+    # the tests above check that each name resolves; this one checks that
+    # the code looks each name up where the tracer patches it, so a layer
+    # that a refactor binds elsewhere (an import at module level, say)
+    # would read zero calls here
+    from test_embed import MIXED_PLAN, PLAN, _expand_instance, _quasi_instance
+
+    from transversal import embed
+
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        gc, H, plan = _quasi_instance(9)  # sparse and dense pairs
+        assert plan is MIXED_PLAN
+        quasi = embed.quasi_embed(gc, H, plan, seed=9)
+        expand = embed.expand_embed_3graph(*_expand_instance(1), PLAN, seed=1)
+    finally:
+        tracer.uninstall()
+    assert quasi.ok and quasi.stats["e_sparse"] and expand.ok
+    for layer in ("regularity.sparsify", "templates.make_template", "embed.partial",
+                  "embed.blowup_pipeline", "core.separability", "embed.equitable",
+                  "embed.quasi", "embed.expand", "core.verify"):
+        assert tracer.layers[layer].calls >= 1, layer
+    assert tracer.layers["embed.quasi"].calls == 2  # the direct call and expansion's
+    assert embed.quasi_embed.__name__ == "quasi_embed"  # uninstalled
