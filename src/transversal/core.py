@@ -335,23 +335,39 @@ class GraphCollection:
         adj = self._adj
         return sum((adj[c][v] & mask).bit_count() for c in colours)
 
-    def degree_screen(self, cands: int, mask: int, colours: Iterable[int], thr: float) -> int:
+    def degree_screen(self, cands: int, mask: int, colours: int, thr: float) -> int:
         """The vertices of ``cands`` whose :meth:`degree_into` ``mask`` over
-        the distinct ``colours`` is at least ``thr``: one AND and one popcount
-        per vertex on its packed row (its adjacency in every colour, one n-bit
-        field each), built on the vertex's first screen and cached."""
+        the colour bitmask ``colours`` is at least ``thr``: one AND and one
+        popcount per vertex on its packed row (its adjacency in every colour,
+        one n-bit field each), built on the vertex's first screen and cached."""
         n, rows = self.n, self._row_cache
         mask &= (1 << n) - 1
         spread = 0
-        for c in colours:
-            spread |= mask << c * n
+        while colours:
+            low = colours & -colours
+            colours ^= low
+            spread |= mask << (low.bit_length() - 1) * n
         keep = cands
-        for v in bits_of(cands):
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
             row = rows.get(v)
             if row is None:
                 row = rows[v] = sum(a[v] << c * n for c, a in enumerate(self._adj))
             if (row & spread).bit_count() < thr:
-                keep ^= 1 << v
+                keep ^= low
+        return keep
+
+    def colour_screen(self, v: int, colours: int, mask: int, thr: float) -> int:
+        """The colours of the bitmask ``colours`` in which v has at least
+        ``thr`` neighbours inside the vertex ``mask``."""
+        adj, keep = self._adj, colours
+        while colours:
+            low = colours & -colours
+            colours ^= low
+            if (adj[low.bit_length() - 1][v] & mask).bit_count() < thr:
+                keep ^= low
         return keep
 
     def edges_into(self, c: int, vertices: Iterable[int], mask: int) -> int:

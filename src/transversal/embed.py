@@ -20,6 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .core import (
@@ -376,6 +377,56 @@ class PartialEmbedding:
     candidates: dict[int, frozenset[int]]
 
 
+@dataclass(frozen=True)
+class _PartialSetup:
+    """The draw-free part of ``partial_embed`` for one (t, H, phi, targets,
+    X, Y): initial vertex candidate masks, the edges of X + Y with their
+    class colour masks, and the ledger's d, eps and m as floats."""
+
+    t: Template
+    H: PatternGraph
+    Y: frozenset[int]
+    cand_v: dict[int, int]
+    edges: list[tuple[tuple[int, int], int]]
+    ledger: tuple[float, float, float]
+
+
+def _exhausted(seed: int, element, step: str, **detail) -> Failure:
+    return Failure("partial", CANDIDATE_EXHAUSTED, seed, element=element, step=step, **detail)
+
+
+def _partial_setup(t, H, phi, X, Y, targets, seed: int = 0) -> _PartialSetup | Failure:
+    """The draw-free set-up of ``partial_embed``, or its typed failure."""
+    X, Y = list(X), list(Y)
+    xy_set = set(X) | set(Y)
+    if len(xy_set) != len(X) + len(Y):
+        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
+    if inside_y := H.edges_within(Y):
+        u, v = inside_y[0]
+        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
+    targets = targets or {}
+    cand_v: dict[int, int] = {}
+    for w in X + Y:
+        tw = targets.get(w)
+        if tw is None:
+            cand_v[w] = t.cluster_masks[phi[w]]
+        else:  # a target outside the cluster is ignored
+            tw = set(tw)
+            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
+        if not cand_v[w]:
+            return _exhausted(seed, ("vertex", w), "init", detail="empty target within cluster")
+    class_masks = t.colour_cluster_masks
+    edges = []
+    for u, v in H.edges_within(xy_set):
+        key = _class_key(phi, u, v)
+        if key not in class_masks:
+            return Failure("partial", PRECONDITION, seed,
+                           detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
+        edges.append(((u, v), class_masks[key]))
+    ledger = (float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m))
+    return _PartialSetup(t, H, frozenset(Y), cand_v, edges, ledger)
+
+
 def partial_embed(
     t: Template,
     H: PatternGraph,
@@ -385,6 +436,7 @@ def partial_embed(
     targets: dict[int, set[int]] | None,
     plan: SplitPlan,
     seed: int = 0,
+    setup: _PartialSetup | None = None,
 ) -> PartialEmbedding | Failure:
     """Embed X and fix colours for every edge incident to X, maintaining
     candidate sets for the unembedded independent set Y.
@@ -404,116 +456,71 @@ def partial_embed(
     set in ascending order, so the draws are those of the set-based loop.
     The colour-sum test is ``GraphCollection.degree_screen`` on packed rows
     cached on ``t.gc`` (at most n * |C| * n bits, built for screened hosts
-    only); the cluster and class colour masks are cached on ``t``.
-    """
-    rng = random.Random(_mix(seed, 23))
-    X, Y = list(X), list(Y)
-    xy_set = set(X) | set(Y)
-    if len(xy_set) != len(X) + len(Y):
-        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
-    inside_y = H.edges_within(Y)
-    if inside_y:
-        u, v = inside_y[0]
-        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
-    targets = targets or {}
-    d = float(t.ledger.d)
-    eps = float(t.ledger.eps)
-    m = float(t.ledger.m)
-    floor = max(1, math.ceil(plan.nu_prime * m))
+    only), the colour test ``GraphCollection.colour_screen``; the cluster
+    and class colour masks are cached on ``t``.
 
-    order = X + Y
-    pos = {v: i for i, v in enumerate(order)}
-    cand_v: dict[int, int] = {}
-    for w in order:
-        tw = targets.get(w)
-        if tw is None:
-            cand_v[w] = t.cluster_masks[phi[w]]
-        else:  # a target outside the cluster is ignored
-            tw = set(tw)
-            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
-        if not cand_v[w]:
-            return Failure(
-                "partial", CANDIDATE_EXHAUSTED, seed,
-                element=("vertex", w), step="init", detail="empty target within cluster",
-            )
-    # colour candidates per edge, later neighbours per x (no edge is inside Y)
-    class_masks = t.colour_cluster_masks
-    cand_c: dict[tuple[int, int], int] = {}
-    later: dict[int, list[tuple[int, int, tuple[int, int]]]] = {x: [] for x in X}
-    for u, v in H.edges_within(xy_set):
-        key = _class_key(phi, u, v)
-        if key not in class_masks:
-            return Failure(
-                "partial", PRECONDITION, seed,
-                detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}",
-            )
-        cand_c[u, v] = class_masks[key]
-        a, b = (u, v) if pos[u] < pos[v] else (v, u)
-        later[a].append((pos[b], b, (u, v)))
+    The checks, the edges with their class masks and the initial masks draw
+    nothing and ignore the order of X: ``setup`` (``_partial_setup``) holds
+    them for passes over reorderings of X, once per ``transversal_blowup``
+    call; a set-up for another template, pattern or (X, Y) is refused.
+    """
+    X, Y = list(X), list(Y)
+    pos = {v: i for i, v in enumerate(X + Y)}
+    if setup is None:
+        setup = _partial_setup(t, H, phi, X, Y, targets, seed)
+        if isinstance(setup, Failure):
+            return setup
+    elif (setup.t is not t or setup.H is not H or len(pos) != len(X) + len(Y)
+          or pos.keys() != setup.cand_v.keys() or setup.Y != frozenset(Y)):
+        raise ValueError("partial_embed: the set-up is for another template, pattern or X, Y")
+    rng = random.Random(_mix(seed, 23))
+    d, eps, m = setup.ledger
+    floor = max(1, math.ceil(plan.nu_prime * m))
+    # later neighbours per x, in the order X + Y (no edge is inside Y)
+    later: dict[int, list[tuple[int, int, tuple[int, int], int]]] = {x: [] for x in X}
+    for e, ce in setup.edges:
+        a, b = e if pos[e[0]] < pos[e[1]] else e[::-1]
+        later[a].append((pos[b], b, e, ce))
     for ys in later.values():
         ys.sort()
 
+    cand_v = dict(setup.cand_v)
     tau: dict[int, int] = {}
     sigma: dict[tuple[int, int], int] = {}
-    used = 0  # hosts taken by tau
-    retired = 0  # colours taken by sigma
-    adj = t.gc.adj
+    used = retired = 0  # hosts taken by tau, colours taken by sigma
+    degree_screen, colour_screen, adj = t.gc.degree_screen, t.gc.colour_screen, t.gc.adj
 
     for x in X:
         # (x,1) colour-sum pruning of the vertex candidate set
         cx = cand_v[x] & ~used
-        for _, y, e in later[x]:
-            Cxy, Cy = cand_c[e] & ~retired, cand_v[y] & ~used
+        for _, y, e, ce in later[x]:
+            Cxy, Cy = ce & ~retired, cand_v[y] & ~used
             if not Cxy or not Cy:
-                return Failure(
-                    "partial", CANDIDATE_EXHAUSTED, seed,
-                    element=("edge", e), step=f"({x},1)",
-                )
-            thr = (d - eps) * Cxy.bit_count() * Cy.bit_count()
-            cx = t.gc.degree_screen(cx, Cy, bits_of(Cxy), thr)
+                return _exhausted(seed, ("edge", e), f"({x},1)")
+            cx = degree_screen(cx, Cy, Cxy, (d - eps) * Cxy.bit_count() * Cy.bit_count())
         if not cx:
-            return Failure(
-                "partial", CANDIDATE_EXHAUSTED, seed,
-                element=("vertex", x), step=f"({x},1)",
-            )
+            return _exhausted(seed, ("vertex", x), f"({x},1)")
         # (x,2) choose the image; (x,3) retire the host vertex everywhere
         tau[x] = tx = pick_bit(rng, cx)
         used |= 1 << tx
         # (x,4) colours towards later neighbours
-        for _, y, e in later[x]:
+        for _, y, e, ce in later[x]:
             Cy = cand_v[y] & ~used
-            thr = d * Cy.bit_count() / 2
-            Cxy = 0
-            for c in bits_of(cand_c[e] & ~retired):
-                if (adj(c, tx) & Cy).bit_count() >= thr:
-                    Cxy |= 1 << c
+            Cxy = colour_screen(tx, ce & ~retired, Cy, d * Cy.bit_count() / 2)
             if not Cxy:
-                return Failure(
-                    "partial", CANDIDATE_EXHAUSTED, seed,
-                    element=("edge", e), step=f"({x},{y},4.1)",
-                )
+                return _exhausted(seed, ("edge", e), f"({x},{y},4.1)")
             sigma[e] = c = pick_bit(rng, Cxy)
             retired |= 1 << c
             cand_v[y] = Cy & adj(c, tx)
             if not cand_v[y]:
-                return Failure(
-                    "partial", CANDIDATE_EXHAUSTED, seed,
-                    element=("vertex", y), step=f"({x},{y},4.4)",
-                )
+                return _exhausted(seed, ("vertex", y), f"({x},{y},4.4)")
 
     final = {y: cand_v[y] & ~used for y in Y}
     low = [(y, final[y].bit_count()) for y in Y if final[y].bit_count() < floor]
     if low:
-        return Failure(
-            "partial", CANDIDATE_EXHAUSTED, seed,
-            element=("vertex", low[0][0]), step="final-floor",
-            detail=f"candidate sets below nu'*m = {floor}: {low}",
-        )
-    return PartialEmbedding(
-        tau=tau,
-        sigma=sigma,
-        candidates={y: frozenset(bits_of(final[y])) for y in Y},
-    )
+        return _exhausted(seed, ("vertex", low[0][0]), "final-floor",
+                          detail=f"candidate sets below nu'*m = {floor}: {low}")
+    return PartialEmbedding(tau, sigma, {y: frozenset(bits_of(final[y])) for y in Y})
 
 
 # ---------------------------------------------------------------------------
@@ -1181,8 +1188,8 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
         rng.shuffle(good)
         keep = sorted(good[:needj])
         if leftovers is not None:
-            spill = [v for v in vs if v not in set(keep)]
-            leftovers[j].extend(spill)
+            kept = set(keep)
+            leftovers[j].extend(v for v in vs if v not in kept)
         slices.append(keep)
     # thick graph over the pool; an empty pool gives no edges
     thick = thick_host_graph(
@@ -1378,11 +1385,12 @@ def _connecting_graph(H: PatternGraph, X: list[int], active) -> tuple[list[int],
 
 @dataclass(frozen=True)
 class _BlowupSetup:
-    """What Steps 0-5 need that no draw changes, for one (H, phi, active):
-    the verification view, the class edges, the separator X with Step 0's
-    neighbours Y and connecting graph, the components outside X with their
-    class edge counts, the template's class keys and whether those counts
-    rule every split out (``decided``)."""
+    """What Steps 0-5 and the one-shot passes need that no draw changes, for
+    one (H, phi, active): the verification view, the class edges, the
+    separator X with Step 0's neighbours Y and connecting graph, the
+    components outside X with their class edge counts, the template's class
+    keys, whether those counts rule every split out (``decided``) and
+    ``_bfs_order(H, active)`` (``bfs``: on first use, from the view's pattern)."""
 
     view: _PatternView
     class_e: dict[tuple[int, int], list[tuple[int, int]]]
@@ -1393,6 +1401,11 @@ class _BlowupSetup:
     class_of_comp: list[dict[tuple[int, int], int]]
     keys: list[tuple[int, int]]
     decided: bool
+
+    @cached_property
+    def bfs(self) -> list[int]:
+        local = _bfs_order(self.view.pattern, range(self.view.pattern.n))
+        return [self.view.to_global[v] for v in local]
 
 
 def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
@@ -1441,10 +1454,11 @@ def transversal_blowup(
     and a split that the component counts rule out is not retried.
     Whenever Steps 0-5 give no embedding, at any pattern size, one
     candidate-set pass over a BFS order of the active vertices runs instead
-    (``"path": "one-shot"``).  When that pass fails too, its failure is
-    returned with ``diagnostics["main"]`` saying why Steps 0-5 gave none:
-    ``"split-decided"`` when the component counts ruled the split out, else
-    the last attempt's ``stage:reason``.
+    (``"path": "one-shot"``; retries alternate that order and shuffles of
+    it, on one ``_partial_setup`` per call).  When that pass fails too, its
+    failure is returned with ``diagnostics["main"]`` saying why Steps 0-5
+    gave none: ``"split-decided"`` when the component counts ruled the
+    split out, else the last attempt's ``stage:reason``.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1477,15 +1491,15 @@ def transversal_blowup(
     main = out
     # class sizes equal class edge counts, so one pass can use every colour
     if isinstance(out, Failure):
-        bfs = _bfs_order(H, active)
+        prep = _partial_setup(t, H, phi, setup.bfs, [], targets)
+        prep = None if isinstance(prep, Failure) else prep  # each pass reports it
 
         def one_shot(sub_seed, attempt):
-            order = list(bfs)
+            order = list(setup.bfs)
             if attempt % 2:
                 random.Random(sub_seed).shuffle(order)
-            part = partial_embed(
-                t, H, phi, X=order, Y=[], targets=targets, plan=plan, seed=sub_seed,
-            )
+            part = partial_embed(t, H, phi, X=order, Y=[], targets=targets, plan=plan,
+                                 seed=sub_seed, setup=prep)
             if isinstance(part, Failure):
                 return part.with_stage("one-shot")
             return part.tau, part.sigma, {"path": "one-shot"}

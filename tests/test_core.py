@@ -249,7 +249,8 @@ def test_threegraph_footprint_is_linear_in_edges():
 
 
 # ---------------------------------------------------------------------------
-# GraphCollection.degree_screen (packed colour rows) against degree_into
+# GraphCollection.degree_screen (packed colour rows) against degree_into, and
+# colour_screen against a per-colour count
 
 
 def _screen_reference(gc, cands, mask, colours, thr):
@@ -274,12 +275,27 @@ def test_degree_screen_keeps_what_degree_into_keeps(n):
         for thr in {-1, 0, degrees[-1] + 1, *some, *(x + 0.5 for x in some)}:
             want = _screen_reference(warm, cands, mask, colours, thr)
             cold = GraphCollection.from_rows(n, rows)
-            assert cold.degree_screen(cands, mask, colours, thr) == want, (trial, thr)
+            cmask = core.mask_of(colours)
+            assert cold.degree_screen(cands, mask, cmask, thr) == want, (trial, thr)
             assert set(cold._row_cache) == set(core.bits_of(cands))
-            assert warm.degree_screen(cands, mask, colours, thr) == want, (trial, thr)
+            assert warm.degree_screen(cands, mask, cmask, thr) == want, (trial, thr)
     # the warm rows are the cold ones: one n-bit field per colour
     for v, row in warm._row_cache.items():
         assert row == sum(rows[c][v] << c * n for c in range(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 65, 130])
+def test_colour_screen_keeps_the_colours_with_enough_neighbours(n):
+    rng = random.Random(n)
+    k = rng.randint(1, 40)
+    gc = random_gc(n, k, rng.uniform(0.1, 0.9), n)
+    for trial in range(40):
+        v, colours = rng.randrange(n), rng.getrandbits(k)
+        mask = [0, (1 << n) - 1, rng.getrandbits(n)][trial % 3]
+        for thr in (-1, 0, 0.5, rng.randint(0, n), n + 1):
+            want = core.mask_of(c for c in core.bits_of(colours)
+                                if (gc.adj(c, v) & mask).bit_count() >= thr)
+            assert gc.colour_screen(v, colours, mask, thr) == want, (trial, thr)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +620,57 @@ def test_verify_checks_target_sets():
     gc, H, emb = rainbow_triangle_fixture()
     H2 = PatternGraph(3, H.edges(), targets={0: [2]})
     assert not verify_transversal_embedding(gc, H2, emb).ok
+
+
+def _triangle_report(mutate):
+    gc, H, emb = rainbow_triangle_fixture()
+    tau, sigma = dict(emb.tau), dict(emb.sigma)
+    mutate(tau, sigma)
+    return verify_transversal_embedding(gc, H, TransversalEmbedding(tau=tau, sigma=sigma))
+
+
+def _expansion_report(mutate):
+    # the edge 01 of H expands to the host triple {0, 1, 2}
+    vertex_images, edge_images = {0: 0, 1: 1}, {(0, 1): 2}
+    mutate(vertex_images, edge_images)
+    return core.verify_expansion(ThreeGraph(3, [(0, 1, 2)]), SimpleGraph(2, [(0, 1)]),
+                                 vertex_images, edge_images)
+
+
+# one row per rejection: a mutation of a verified embedding and the exact
+# violations it must produce
+VERIFIER_MUTATIONS = [
+    ("tau misses a vertex, whose edges are skipped", _triangle_report,
+     lambda tau, sigma: tau.pop(2), ("tau domain is not V(H): [0, 1]",)),
+    ("tau maps a vertex outside V(H)", _triangle_report,
+     lambda tau, sigma: tau.update({3: 0}),
+     ("tau domain is not V(H): [0, 1, 2, 3]", "tau is not injective")),
+    ("sigma misses an edge, which is skipped", _triangle_report,
+     lambda tau, sigma: sigma.pop((0, 2)), ("sigma domain is not E(H)",)),
+    ("tau is not injective", _triangle_report, lambda tau, sigma: tau.update({2: 1}),
+     ("tau is not injective",
+      "pattern edge (0,2) maps to (0,1) absent from colour 2",
+      "pattern edge (1,2) maps to (1,1) absent from colour 1")),
+    ("sigma image out of range", _triangle_report,
+     lambda tau, sigma: sigma.update({(0, 2): 3}),
+     ("sigma image 3 outside colour range",
+      "pattern edge (0,2) maps to (0,2) absent from colour 3")),
+    ("expansion images miss an edge", _expansion_report,
+     lambda vertex_images, edge_images: edge_images.clear(),
+     ("the images do not cover the pattern",)),
+    ("expansion images miss a vertex", _expansion_report,
+     lambda vertex_images, edge_images: vertex_images.pop(1),
+     ("the images do not cover the pattern",
+      "expansion triple of edge (0,1) is missing from the host")),
+]
+
+
+@pytest.mark.parametrize("name, report, mutate, want", VERIFIER_MUTATIONS,
+                         ids=[row[0] for row in VERIFIER_MUTATIONS])
+def test_each_verifier_mutation_gives_its_violation(name, report, mutate, want):
+    assert report(lambda *maps: None).ok
+    rep = report(mutate)
+    assert not rep.ok and rep.violations == want
 
 
 def naive_verify(gc, H, emb):

@@ -460,6 +460,42 @@ def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
     assert fresh.gc._row_cache.items() <= t.gc._row_cache.items()
 
 
+def test_one_shot_passes_reuse_one_setup_per_template():
+    # transversal_blowup's one-shot passes: one set-up per template, then
+    # passes over its BFS order and shuffles of it; every pass must equal the
+    # set-based reference, so a pass that leaked its candidate masks into the
+    # next, or a set-up of the other template, would show
+    from transversal.core import _bfs_order
+    from transversal.embed import _partial_setup
+
+    rng = random.Random(11)
+    H = PatternGraph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)])
+    phi = _greedy_phi(H, 4)
+    bfs = _bfs_order(H, range(H.n))
+    # two templates over H: other colour counts, densities and d
+    templates = [_kr_template(rng, 4, 6, k, density, d, shared=True)
+                 for k, density, d in ((9, 0.9, "0.3"), (14, 0.6, "0.2"))]
+    kinds = set()
+    for t in templates:
+        for targets in (None, {v: set(rng.sample(range(t.gc.n), 16)) for v in range(0, H.n, 2)}):
+            setup = _partial_setup(t, H, phi, bfs, [], targets)
+            for attempt in range(8):
+                order, seed = list(bfs), _mix(attempt, 89)
+                if attempt % 2:
+                    random.Random(seed).shuffle(order)
+                new = partial_embed(t, H, phi, order, [], targets, PLAN, seed=seed, setup=setup)
+                ref = _set_partial_embed(t, H, phi, order, [], targets, PLAN, seed=seed)
+                assert _partial_fingerprint(new) == _partial_fingerprint(ref), (attempt, targets)
+                kinds.add(type(new).__name__)
+        # the set-up answers only for its own template, pattern and vertices
+        other = templates[1] if t is templates[0] else templates[0]
+        for args in ((other, H, bfs), (t, PatternGraph(H.n, H.edges()), bfs), (t, H, bfs[1:]),
+                     (t, H, bfs + bfs[:1])):
+            with pytest.raises(ValueError):
+                partial_embed(args[0], args[1], phi, args[2], [], None, PLAN, setup=setup)
+    assert kinds == {"PartialEmbedding", "Failure"}, kinds
+
+
 # ---------------------------------------------------------------------------
 # induced matchings
 
@@ -622,6 +658,43 @@ def test_blowup_corrupted_output_raises_without_asserts(monkeypatch):
     with pytest.raises(embed.UnverifiedOutput):
         blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H,
                      [0] * n + [1] * n, None, PLAN, seed=0)
+
+
+def _blowup_with_bad_completion(monkeypatch, extras_adjacent, targets):
+    # the stubbed matching sends every buffer vertex to its own extra host
+    # vertex, outside both clusters: injective, but only adjacent to the
+    # clusters when ``extras_adjacent``
+    import itertools
+
+    from transversal import embed
+
+    n = 12
+    extras = itertools.count(2 * n)
+    monkeypatch.setattr(embed, "max_bipartite_matching",
+                        lambda adj: {b: next(extras) for b in adj})
+    edges = [(u, v) for u in range(n) for v in range(n, 2 * n)]
+    if extras_adjacent:
+        edges += [(u, w) for u in range(2 * n) for w in range(2 * n, 4 * n)]
+    host = SimpleGraph(4 * n, edges)
+    H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])
+    blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H,
+                 [0] * n + [1] * n, targets, PLAN, seed=0)
+
+
+def test_blowup_completion_onto_a_non_edge_raises(monkeypatch):
+    from transversal.embed import UnverifiedOutput
+
+    with pytest.raises(UnverifiedOutput, match="blow-up produced a non-edge"):
+        _blowup_with_bad_completion(monkeypatch, extras_adjacent=False, targets=None)
+
+
+def test_blowup_completion_outside_a_target_set_raises(monkeypatch):
+    from transversal.embed import UnverifiedOutput
+
+    # each pattern vertex's target is its whole cluster, so only the stub leaves it
+    targets = {v: set(range(12)) if v < 12 else set(range(12, 24)) for v in range(24)}
+    with pytest.raises(UnverifiedOutput, match="blow-up left a target set"):
+        _blowup_with_bad_completion(monkeypatch, extras_adjacent=True, targets=targets)
 
 
 def test_blowup_deterministic():
@@ -1297,6 +1370,13 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
         monkeypatch.setattr(embed, attr, counted)
 
     count("setup", "_blowup_setup")
+    # the graphs the BFS orders are built on, and the blow-up's set-up
+    bfs_graphs, setups = [], []
+    real_bfs, real_setup = embed._bfs_order, embed._blowup_setup
+    monkeypatch.setattr(embed, "_bfs_order",
+                        lambda G, vs: bfs_graphs.append(G) or real_bfs(G, vs))
+    monkeypatch.setattr(embed, "_blowup_setup",
+                        lambda *args: setups.append(real_setup(*args)) or setups[-1])
     count("view", "_pattern_view", only=lambda H, phi, active, targets=None: targets is None)
     count("certificate", "separability_certificate")
     count("decided", "_split_decided")
@@ -1306,6 +1386,11 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
     assert counts == {"setup": 1, "view": 1, "certificate": 1, "decided": 1,
                       "blowup": PLAN.retries}
+    # every attempt took the one-shot passes, over one BFS order for all,
+    # and that order is the active vertices' BFS order in H
+    (setup,) = setups
+    assert out.failure.stage == "one-shot" and bfs_graphs.count(setup.view.pattern) == 1
+    assert setup.bfs == real_bfs(H, setup.view.to_local)
 
 
 def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
