@@ -320,6 +320,11 @@ class GraphCollection:
     def adj(self, c: int, v: int) -> int:
         return self._adj[c][v]
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The adjacency bitmasks: ``rows[c][v]`` is v's row in colour c."""
+        return self._adj
+
     def total_degrees(self) -> list[int]:
         """Each vertex's sum of deg_{G_c}(v) over all colours, its 3-graph
         degree, in one pass over the colour rows."""
@@ -334,6 +339,15 @@ class GraphCollection:
         v's degree into mask in the 3-graph view restricted to those colours."""
         adj = self._adj
         return sum((adj[c][v] & mask).bit_count() for c in colours)
+
+    def degree_reaches(self, v: int, mask: int, colours: Iterable[int], thr: float) -> bool:
+        """:meth:`degree_into` >= ``thr``, summing colours only until it holds."""
+        adj, total = self._adj, 0
+        for c in colours:
+            total += (adj[c][v] & mask).bit_count()
+            if total >= thr:
+                return True
+        return total >= thr
 
     def degree_screen(self, cands: int, mask: int, colours: int, thr: float) -> int:
         """The vertices of ``cands`` whose :meth:`degree_into` ``mask`` over
@@ -666,7 +680,7 @@ class SeparabilityCertificate:
 
 
 class NotCertified:
-    """The greedy search found no certificate; not a proof of non-separability."""
+    """No certificate: a proof of non-separability only if ``reason`` says so."""
 
     def __init__(self, reason: str = ""):
         self.reason = reason
@@ -866,6 +880,15 @@ def _bfs_order(H: SimpleGraph, vertices: Iterable[int]) -> list[int]:
     return order
 
 
+def _separator_lower_bound(H: SimpleGraph, limit: int) -> int:
+    """Vertices that any X leaving components of at most ``limit`` vertices
+    has: each component of C - X, for C a component of H larger than limit,
+    touches X, so |C| <= |X & C| * (1 + Delta(H) * limit)."""
+    per = 1 + H.max_degree * limit
+    return sum(-(-k // per) for c in _components_masks(H._adj, (1 << H.n) - 1)
+               if (k := c.bit_count()) > limit)
+
+
 def separability_certificate(
     H: SimpleGraph,
     mu: float,
@@ -874,12 +897,14 @@ def separability_certificate(
     """Search for a separator X with |X| <= mu*v(H) leaving components of at
     most mu*v(H) vertices.
 
-    Strategies, in order: greedy peeling (remove the vertex of the largest
-    component that splits off the most small components, tie-break by the
-    smallest resulting largest component), then bandwidth-window cuts along
-    the natural and BFS orderings, linear and cyclic.  Every candidate is
-    re-validated by a component scan.  A user-supplied separator is validated
-    instead of searched.  NotCertified is not a proof of non-separability.
+    A counting bound (:func:`_separator_lower_bound`) runs first; above
+    mu*v(H) it returns a NotCertified whose reason says it is a proof.  Then
+    strategies run lazily until a component scan validates one: greedy
+    peeling (remove the vertex of the largest component that splits off the
+    most small components, tie-break by the smallest resulting largest
+    component), then bandwidth-window cuts along the natural and BFS
+    orderings, linear and cyclic, built only when the peel fails.  A
+    user-supplied separator is validated instead of searched.
     """
     if not 0 < mu <= 1:
         raise ValueError("mu must lie in (0, 1]")
@@ -907,17 +932,19 @@ def separability_certificate(
 
     if supplied_separator is not None:
         return finish(mask_of(supplied_separator))
+    if (need := _separator_lower_bound(H, limit)) > limit:
+        return NotCertified(f"proof: a separator leaving no component above {limit} "
+                            f"vertices has at least {need} > {limit}")
 
-    candidates: list[int] = [_greedy_peel_separator(H, limit)]
-    orders = [list(range(n)), _bfs_order(H, range(n))]
-    for order in orders:
-        for cyclic in (False, True):
-            w = _window_separator(H, limit, order, cyclic)
-            if w is not None:
-                candidates.append(w)
-    for sep in candidates:
-        cert = finish(sep)
-        if isinstance(cert, SeparabilityCertificate):
+    def candidates() -> Iterator[int | None]:
+        yield _greedy_peel_separator(H, limit)
+        for bfs in (False, True):
+            order = _bfs_order(H, range(n)) if bfs else list(range(n))
+            for cyclic in (False, True):
+                yield _window_separator(H, limit, order, cyclic)
+
+    for sep in candidates():
+        if sep is not None and (cert := finish(sep)):
             return cert
     return NotCertified("no strategy found a separator within budget")
 

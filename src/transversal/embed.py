@@ -1169,15 +1169,12 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
         bad: set[int] = set()
         if trim_to is not None:
             for jp in range(r):
-                key = (j, jp) if j < jp else (jp, j)
-                if key not in pools or j == jp:
+                pool = pools.get((j, jp) if j < jp else (jp, j))
+                if j == jp or not pool:
                     continue
                 other = mask_of(v_parts[jp])
-                pool = pools[key]
-                if not pool:
-                    continue
                 thr = 2 * d / 3 * len(v_parts[jp]) * len(pool)
-                bad.update(v for v in vs if t.gc.degree_into(v, other, pool) < thr)
+                bad.update(v for v in vs if not t.gc.degree_reaches(v, other, pool, thr))
         good = [v for v in vs if v not in bad]
         needj = trim_to[j] if trim_to is not None else len([x for x in B if phi[x] == j])
         if len(good) < needj:
@@ -1207,13 +1204,10 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
     used: set[int] = set()
     edges = H.edges_within(B)
     rng.shuffle(edges)
+    rows = t.gc.rows
     for (u, v) in edges:
-        key = _class_key(phi, u, v)
-        pool = pools.get(key, ())
-        avail = [
-            c for c in pool
-            if c not in used and t.gc.has_edge(c, tau[u], tau[v])
-        ]
+        key, a, b = _class_key(phi, u, v), tau[u], tau[v]
+        avail = [c for c in pools.get(key, ()) if c not in used and rows[c][a] >> b & 1]
         if not avail:
             return Failure(
                 "approx", COLOUR_EXHAUSTED, seed, edge=(u, v), edge_class=key,

@@ -259,7 +259,8 @@ def count_rainbow_copies(
 
     completed = place(0)
     if completed:
-        assert labelled % aut == 0
+        if labelled % aut:
+            raise AssertionError(f"{labelled} labelled copies, not a multiple of |Aut| = {aut}")
         return CountResult(
             count=labelled // aut,
             labelled=labelled,

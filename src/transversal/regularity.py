@@ -315,7 +315,7 @@ def typical_elements(
     c_need = d_eps * len(V1) * len(V2)
     other = (mask_of(V2), mask_of(V1))
     out_v = tuple(
-        tuple(v for v in side if gc.degree_into(v, other[i], colours) < v_need[i])
+        tuple(v for v in side if not gc.degree_reaches(v, other[i], colours, v_need[i]))
         for i, side in enumerate((V1, V2))
     )
     bad_c = tuple(c for c in colours if gc.edges_into(c, V1, other[0]) < c_need)

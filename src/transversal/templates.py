@@ -131,14 +131,20 @@ def thick_host_graph(
 ) -> SimpleGraph:
     """The lam-thick graph: for each (i, j) in ``pools``, the pairs u in
     parts[i], v in parts[j] whose colour multiset meets at least
-    lam*|pools[(i, j)]| colours of that pool."""
+    lam*|pools[(i, j)]| colours of that pool, counted only until that many
+    are found (so every pair is an edge when lam*|pool| <= 0)."""
     edges = []
     for (i, j), pool in pools.items():
         need = lam * len(pool)
-        cmask = mask_of(pool)
+        rows = [gc.rows[c] for c in pool]
         for u in parts[i]:
             for v in parts[j]:
-                if (gc.colour_mask(u, v) & cmask).bit_count() >= need:
+                found = 0
+                for row in rows:
+                    found += row[u] >> v & 1
+                    if found >= need:
+                        break
+                if found >= need:
                     edges.append((u, v))
     return SimpleGraph(gc.n, edges)
 

@@ -41,7 +41,8 @@ class EdgeColouring:
 
     def free_colour(self, v) -> int:
         m = ~self.incident[v] & ((1 << self.n_colours) - 1)
-        assert m, "no free colour; colour budget too small"
+        if not m:
+            raise AssertionError("no free colour; colour budget too small")
         return (m & -m).bit_length() - 1
 
     def is_free(self, v, c) -> bool:
@@ -120,7 +121,8 @@ def _colour_one(ec: EdgeColouring, u: int, v: int):
         if ec.is_free(w, d):
             idx = i
             break
-    assert idx is not None, "Misra-Gries invariant violated"
+    if idx is None:
+        raise AssertionError("Misra-Gries invariant violated")
     # rotate the prefix: uncolour first so the incident bitmasks never see
     # two edges of one colour at u
     shifted = [ec.colour(u, fan[j + 1]) for j in range(idx)]

@@ -255,6 +255,8 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
     {"construction": {"n": 6}, "pipeline": "blowup", "phi": [0] * 4 + [2] * 4},
     {"construction": {"n": 6}, "pipeline": "blowup", "phi": [0] * 4 + [0.5] * 4},
     {"construction": {"n": 6}, "pipeline": "blowup", "phi": 3},
+    {"construction": {"kind": "parity"}},  # unknown construction
+    {"construction": {}, "pipeline": "expand"},  # unknown pipeline
 ])
 def test_bad_bench_suite_is_a_usage_error(workdir, capsys, run):
     run = {"pipeline": "quasi", "pattern": pattern_to_json(CYCLE_8), **run}

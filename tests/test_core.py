@@ -249,6 +249,29 @@ def test_threegraph_footprint_is_linear_in_edges():
 
 
 # ---------------------------------------------------------------------------
+# GraphCollection.degree_reaches, which stops summing at the threshold,
+# against the full sum of degree_into
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 65, 130])
+def test_degree_reaches_is_degree_into_at_least_thr(n):
+    rng = random.Random(n)
+    k = rng.randint(1, 12)
+    gc = random_gc(n, k, rng.uniform(0.1, 0.9), n)
+    for trial in range(40):
+        v = rng.randrange(n)
+        colours = rng.sample(range(k), rng.randint(0, k))  # unsorted, maybe empty
+        mask = [0, (1 << n) - 1, rng.getrandbits(n)][trial % 3]
+        full = gc.degree_into(v, mask, colours)
+        for thr in (-1, 0, 0.5, full - 1, full - 0.5, full, full + 0.5, full + 1):
+            assert gc.degree_reaches(v, mask, colours, thr) == (full >= thr), (trial, thr)
+        # a generator of colours is read only up to the colour that decides
+        read = []
+        assert gc.degree_reaches(v, mask, (read.append(c) or c for c in colours), 0)
+        assert read == colours[:1]
+
+
+# ---------------------------------------------------------------------------
 # GraphCollection.degree_screen (packed colour rows) against degree_into, and
 # colour_screen against a per-colour count
 
@@ -629,6 +652,24 @@ def _triangle_report(mutate):
     return verify_transversal_embedding(gc, H, TransversalEmbedding(tau=tau, sigma=sigma))
 
 
+def _spare_colour_report(mutate):
+    # the rainbow triangle with a fourth colour that holds only the pair 12
+    gc = GraphCollection(3, 4, {0: [(0, 1)], 1: [(1, 2)], 2: [(0, 2)], 3: [(1, 2)]})
+    _, H, emb = rainbow_triangle_fixture()
+    tau, sigma = dict(emb.tau), dict(emb.sigma)
+    mutate(tau, sigma)
+    return verify_transversal_embedding(gc, H, TransversalEmbedding(tau=tau, sigma=sigma))
+
+
+def _marked_report(mutate):
+    # every pair in every colour, so only the target set of vertex 0 can fail
+    gc = GraphCollection(3, 3, {c: [(0, 1), (1, 2), (0, 2)] for c in range(3)})
+    H = PatternGraph(3, [(0, 1), (1, 2), (0, 2)], targets={0: [0]})
+    tau, sigma = {0: 0, 1: 1, 2: 2}, {(0, 1): 0, (1, 2): 1, (0, 2): 2}
+    mutate(tau, sigma)
+    return verify_transversal_embedding(gc, H, TransversalEmbedding(tau=tau, sigma=sigma))
+
+
 def _expansion_report(mutate):
     # the edge 01 of H expands to the host triple {0, 1, 2}
     vertex_images, edge_images = {0: 0, 1: 1}, {(0, 1): 2}
@@ -655,6 +696,21 @@ VERIFIER_MUTATIONS = [
      lambda tau, sigma: sigma.update({(0, 2): 3}),
      ("sigma image 3 outside colour range",
       "pattern edge (0,2) maps to (0,2) absent from colour 3")),
+    ("an edge recoloured to a colour that lacks it", _spare_colour_report,
+     lambda tau, sigma: sigma.update({(0, 1): 3}),
+     ("pattern edge (0,1) maps to (0,1) absent from colour 3",)),
+    ("two sigma images merged", _triangle_report,
+     lambda tau, sigma: sigma.update({(0, 1): 1}),
+     ("sigma is not injective", "pattern edge (0,1) maps to (0,1) absent from colour 1")),
+    ("a marked vertex moved outside its target set", _marked_report,
+     lambda tau, sigma: tau.update({0: 1, 1: 0}),
+     ("marked vertex 0 embedded at 1 outside its target set",)),
+    ("an edge key reversed, whose edge is skipped", _triangle_report,
+     lambda tau, sigma: sigma.update({(1, 0): sigma.pop((0, 1))}),
+     ("sigma domain is not E(H)",)),
+    ("expansion edge key reversed", _expansion_report,
+     lambda vertex_images, edge_images: edge_images.update({(1, 0): edge_images.pop((0, 1))}),
+     ("the images do not cover the pattern",)),
     ("expansion images miss an edge", _expansion_report,
      lambda vertex_images, edge_images: edge_images.clear(),
      ("the images do not cover the pattern",)),
@@ -752,6 +808,89 @@ def test_path_certificate_cuts():
 def test_complete_graph_not_certified():
     H = SimpleGraph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
     assert isinstance(separability_certificate(H, 0.2), NotCertified)
+
+
+def _cycle(n):
+    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _ladder(m):
+    return SimpleGraph(2 * m, [(i, i + 1) for i in range(m - 1)]
+                       + [(m + i, m + i + 1) for i in range(m - 1)]
+                       + [(i, m + i) for i in range(m)])
+
+
+def _tree(n, seed):
+    rng = random.Random(seed)
+    return SimpleGraph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+SEPARATOR_FAMILIES = {
+    "matching": [SimpleGraph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]) for k in (1, 5, 30)],
+    "path": [SimpleGraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (2, 10, 40, 100)],
+    "cycle": [_cycle(n) for n in (3, 10, 20, 30, 60, 120)],
+    "ladder": [_ladder(m) for m in (3, 10, 30, 60)],
+    "tree": [_tree(n, seed) for n in (10, 30, 80) for seed in (1, 2)],
+    "complete": [SimpleGraph(n, list(itertools.combinations(range(n), 2))) for n in (1, 4, 10)],
+}
+SEPARATOR_MUS = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(SEPARATOR_FAMILIES))
+def test_separator_bound_never_fires_where_the_search_certifies(monkeypatch, family):
+    fired = 0
+    for H in SEPARATOR_FAMILIES[family]:
+        for mu in SEPARATOR_MUS:
+            got = separability_certificate(H, mu)
+            with monkeypatch.context() as m:
+                m.setattr(core, "_separator_lower_bound", lambda H, limit: 0)
+                searched = separability_certificate(H, mu)
+            limit = int(mu * H.n)
+            need = core._separator_lower_bound(H, limit)
+            if need > limit:
+                fired += 1
+                assert not searched, (H, mu)
+                assert isinstance(got, NotCertified) and got.reason.startswith("proof:")
+            else:
+                assert (got == searched) if searched else not got, (H, mu)
+            if searched:
+                assert len(searched.separator) >= need, (H, mu)
+    assert fired  # every family has a size and a mu that the bound decides
+
+
+@pytest.mark.parametrize("n, outcome", [(20, "proof"), (30, "proof"), (60, "searched"),
+                                        (120, "certified")])
+def test_separator_bound_decides_the_short_cycles_at_mu_one_tenth(n, outcome):
+    # a cycle needs v / (1 + mu v) separator vertices, more than mu v for every
+    # v below 90; the bound asks v / (1 + 2 mu v), which decides v = 20 and 30
+    cert = separability_certificate(_cycle(n), 0.1)
+    if outcome == "certified":
+        assert cert
+    else:
+        assert cert.reason.startswith("proof:") == (outcome == "proof")
+
+
+def test_windows_are_built_only_when_the_greedy_peel_fails(monkeypatch):
+    built = []
+    real_window, real_bfs = core._window_separator, core._bfs_order
+    monkeypatch.setattr(core, "_window_separator",
+                        lambda *args: built.append("window") or real_window(*args))
+    monkeypatch.setattr(core, "_bfs_order", lambda *args: built.append("bfs") or real_bfs(*args))
+    matching = SimpleGraph(60, [(2 * i, 2 * i + 1) for i in range(30)])
+    cert = separability_certificate(matching, 0.1)
+    assert cert.separator == () and len(cert.components) == 30
+    assert built == []
+    # the greedy peel cuts a path into pieces of 10 with at most 10 cuts
+    assert separability_certificate(SimpleGraph(100, [(i, i + 1) for i in range(99)]), 0.1)
+    assert built == []
+    # on a 10-rung ladder at mu 0.3 the peel fails, the natural order is too
+    # wide for a window, and the first window along the BFS order certifies
+    assert separability_certificate(_ladder(10), 0.3)
+    assert built == ["window", "window", "bfs", "window"]
+    # on K_10 the bound fails to decide, so every strategy runs
+    built.clear()
+    assert not separability_certificate(SEPARATOR_FAMILIES["complete"][-1], 0.3)
+    assert built == ["window", "window", "bfs", "window", "window"]
 
 
 def test_supplied_separator_validated():

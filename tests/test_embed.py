@@ -697,6 +697,15 @@ def test_blowup_completion_outside_a_target_set_raises(monkeypatch):
         _blowup_with_bad_completion(monkeypatch, extras_adjacent=True, targets=targets)
 
 
+def test_blowup_with_more_pattern_vertices_than_hosts_fails_typed():
+    host = SimpleGraph(5, [(u, v) for u in range(2) for v in range(2, 5)])
+    H = PatternGraph(6, [(i, 3 + i) for i in range(3)])
+    res = blowup_embed(host, [[0, 1], [2, 3, 4]], R2, H, [0] * 3 + [1] * 3, None, PLAN, seed=0)
+    assert not res.ok and res.failure.stage == "blowup"
+    assert res.failure.reason == PRECONDITION
+    assert res.failure.diagnostics == {"cluster": 0, "detail": "3 pattern vertices > 2 hosts"}
+
+
 def test_blowup_deterministic():
     rng = random.Random(8)
     host = SimpleGraph(24, [(u, v) for u in range(12) for v in range(12, 24) if rng.random() < 0.7])

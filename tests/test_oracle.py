@@ -1,6 +1,9 @@
 import random
 from itertools import combinations
 
+import pytest
+
+from transversal import oracle
 from transversal.core import GraphCollection, PatternGraph, ThreeGraph
 from transversal.generators import (
     GenSpec,
@@ -93,6 +96,14 @@ def test_count_rainbow_triangles_complete_n3():
     assert res.automorphisms == 6
     assert res.labelled == 36
     assert res.count == 6
+
+
+def test_count_not_divisible_by_the_automorphisms_raises(monkeypatch):
+    # an explicit raise, so it also fires under python -O
+    gc = random_collection(GenSpec(n=3, n_colours=3, density=1.0, seed=0))
+    monkeypatch.setattr(oracle, "_automorphism_count", lambda F: 5)  # 36 labelled copies
+    with pytest.raises(AssertionError, match="36 labelled copies, not a multiple of"):
+        count_rainbow_copies(gc, TRIANGLE)
 
 
 def test_count_zero_when_too_few_colours():

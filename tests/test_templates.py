@@ -64,7 +64,10 @@ def test_thick_graph_multiplicity_recount():
 
 def test_thick_host_graph_on_subset_pools_is_the_threshold_graph():
     # the embedders build thick graphs over slices of the clusters and over
-    # the colours still unused, so parts and pools are strict subsets
+    # the colours still unused, so parts and pools are strict subsets; the
+    # builder stops counting a pair's colours at lam*|pool|, so the reference
+    # counts them all, with lam*|pool| <= 0 (every pair an edge), empty pools
+    # and whole-number thresholds among the cases
     for seed in range(20):
         rng = random.Random(seed)
         n, k = 18, 9
@@ -76,15 +79,15 @@ def test_thick_host_graph_on_subset_pools_is_the_threshold_graph():
         parts = [sorted(rng.sample(cl, rng.randrange(1, 6))) for cl in clusters]
         pools = {key: sorted(rng.sample(range(k), rng.randrange(0, k)))
                  for key in [(0, 1), (0, 2), (1, 2)] if rng.random() < 0.8}
-        lam = rng.choice([0.1, 0.3, 0.5, 0.9])
-        want = set()
-        for (i, j), pool in pools.items():
-            for u in parts[i]:
-                for v in parts[j]:
-                    if sum(gc.has_edge(c, u, v) for c in pool) >= lam * len(pool):
-                        want.add((min(u, v), max(u, v)))
-        got = thick_host_graph(gc, parts, pools, lam)
-        assert got.n == n and set(got.edges()) == want
+        for lam in (-0.5, 0.0, 0.1, 0.3, 0.5, 0.9, 1.0, 1.5, rng.random()):
+            want = set()
+            for (i, j), pool in pools.items():
+                for u in parts[i]:
+                    for v in parts[j]:
+                        if sum(gc.has_edge(c, u, v) for c in pool) >= lam * len(pool):
+                            want.add((min(u, v), max(u, v)))
+            got = thick_host_graph(gc, parts, pools, lam)
+            assert got.n == n and set(got.edges()) == want, (seed, lam)
 
 
 def test_thick_graph_degree_report_matches_recount():

@@ -1,8 +1,11 @@
 import math
 import random
 
+import pytest
+
+from transversal import vizing
 from transversal.core import SimpleGraph
-from transversal.vizing import extract_matching, proper_edge_colouring
+from transversal.vizing import EdgeColouring, extract_matching, proper_edge_colouring
 
 
 def random_graph(n, p, seed):
@@ -59,3 +62,20 @@ def test_thirty_edge_delta3_example():
         if g.e == 30 and g.max_degree == 3:
             break
     assert len(extract_matching(g)) >= 8
+
+
+# the two invariant checks are explicit raises, so they also fire under python -O
+
+
+def test_no_free_colour_raises_rather_than_uncolouring():
+    ec = EdgeColouring(SimpleGraph(3, [(0, 1), (0, 2)]), 1)
+    ec.set_colour(0, 1, 0)
+    with pytest.raises(AssertionError, match="no free colour"):
+        ec.free_colour(0)
+
+
+def test_a_fan_without_its_free_end_raises(monkeypatch):
+    # with no colour free anywhere, no prefix of the fan ends where d is free
+    monkeypatch.setattr(vizing.EdgeColouring, "is_free", lambda self, v, c: False)
+    with pytest.raises(AssertionError, match="Misra-Gries invariant violated"):
+        proper_edge_colouring(SimpleGraph(2, [(0, 1)]))
