@@ -349,18 +349,17 @@ class GraphCollection:
                 return True
         return total >= thr
 
-    def degree_screen(self, cands: int, mask: int, colours: int, thr: float) -> int:
-        """The vertices of ``cands`` whose :meth:`degree_into` ``mask`` over
-        the colour bitmask ``colours`` is at least ``thr``: one AND and one
-        popcount per vertex on its packed row (its adjacency in every colour,
-        one n-bit field each), built on the vertex's first screen and cached."""
+    def colour_word(self, colours: Iterable[int]) -> int:
+        """Colour c as bit c * n, so ``mask * word`` puts mask in each colour's field."""
+        return mask_of(c * self.n for c in colours)
+
+    def degree_screen(self, cands: int, mask: int, word: int, thr: float) -> int:
+        """The vertices of ``cands`` whose :meth:`degree_into` ``mask`` over the
+        colours of ``word`` (a :meth:`colour_word`) is at least ``thr``: one AND
+        and one popcount per vertex on its packed row (its adjacency in every
+        colour, one n-bit field each), built on its first screen and cached."""
         n, rows = self.n, self._row_cache
-        mask &= (1 << n) - 1
-        spread = 0
-        while colours:
-            low = colours & -colours
-            colours ^= low
-            spread |= mask << (low.bit_length() - 1) * n
+        spread = (mask & (1 << n) - 1) * word
         keep = cands
         while cands:
             low = cands & -cands
@@ -807,15 +806,15 @@ def _components_masks(adj: Sequence[int], alive: int) -> list[int]:
     return comps
 
 
-def _greedy_peel_separator(H: SimpleGraph, limit: int) -> int:
+def _greedy_peel_separator(H: SimpleGraph, limit: int, comps: list[int]) -> int:
     """Repeatedly remove the vertex of the largest component that peels off
     the most mass into small-enough components, tie-breaking by the smallest
-    resulting largest component."""
+    resulting largest component.  ``comps`` are H's components."""
     n = H.n
     sep = 0
     while sep.bit_count() < limit:
-        alive = ((1 << n) - 1) & ~sep
-        comps = _components_masks(H._adj, alive)
+        if sep:
+            comps = _components_masks(H._adj, ((1 << n) - 1) & ~sep)
         big = max(comps, key=lambda m: m.bit_count(), default=0)
         if big.bit_count() <= limit:
             break
@@ -880,13 +879,12 @@ def _bfs_order(H: SimpleGraph, vertices: Iterable[int]) -> list[int]:
     return order
 
 
-def _separator_lower_bound(H: SimpleGraph, limit: int) -> int:
+def _separator_lower_bound(H: SimpleGraph, limit: int, comps: list[int]) -> int:
     """Vertices that any X leaving components of at most ``limit`` vertices
-    has: each component of C - X, for C a component of H larger than limit,
-    touches X, so |C| <= |X & C| * (1 + Delta(H) * limit)."""
+    has: each component of C - X, for C one of H's components ``comps``
+    larger than limit, touches X, so |C| <= |X & C| * (1 + Delta(H) * limit)."""
     per = 1 + H.max_degree * limit
-    return sum(-(-k // per) for c in _components_masks(H._adj, (1 << H.n) - 1)
-               if (k := c.bit_count()) > limit)
+    return sum(-(-k // per) for c in comps if (k := c.bit_count()) > limit)
 
 
 def separability_certificate(
@@ -897,8 +895,9 @@ def separability_certificate(
     """Search for a separator X with |X| <= mu*v(H) leaving components of at
     most mu*v(H) vertices.
 
-    A counting bound (:func:`_separator_lower_bound`) runs first; above
-    mu*v(H) it returns a NotCertified whose reason says it is a proof.  Then
+    One scan of H's components gives X = {} when each fits; else it feeds a
+    counting bound (:func:`_separator_lower_bound`), whose NotCertified above
+    mu*v(H) says it is a proof, and the greedy peel's first round.  The
     strategies run lazily until a component scan validates one: greedy
     peeling (remove the vertex of the largest component that splits off the
     most small components, tie-break by the smallest resulting largest
@@ -914,9 +913,9 @@ def separability_certificate(
 
     fr = Fraction(str(mu)).limit_denominator(10**6)
 
-    def finish(sep_mask: int) -> SeparabilityCertificate | NotCertified:
-        alive = ((1 << n) - 1) & ~sep_mask
-        comps = _components_masks(H._adj, alive)
+    def finish(sep_mask: int, comps=None) -> SeparabilityCertificate | NotCertified:
+        if comps is None:
+            comps = _components_masks(H._adj, ((1 << n) - 1) & ~sep_mask)
         if sep_mask.bit_count() > limit:
             return NotCertified(f"separator larger than {limit}")
         if any(c.bit_count() > limit for c in comps):
@@ -932,12 +931,15 @@ def separability_certificate(
 
     if supplied_separator is not None:
         return finish(mask_of(supplied_separator))
-    if (need := _separator_lower_bound(H, limit)) > limit:
+    comps = _components_masks(H._adj, (1 << n) - 1)
+    if all(c.bit_count() <= limit for c in comps):
+        return finish(0, comps)
+    if (need := _separator_lower_bound(H, limit, comps)) > limit:
         return NotCertified(f"proof: a separator leaving no component above {limit} "
                             f"vertices has at least {need} > {limit}")
 
     def candidates() -> Iterator[int | None]:
-        yield _greedy_peel_separator(H, limit)
+        yield _greedy_peel_separator(H, limit, comps)
         for bfs in (False, True):
             order = _bfs_order(H, range(n)) if bfs else list(range(n))
             for cyclic in (False, True):

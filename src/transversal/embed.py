@@ -48,7 +48,6 @@ from .vizing import extract_matching
 CANDIDATE_EXHAUSTED = "CandidateExhausted"
 MATCHING_TOO_SMALL = "MatchingTooSmall"
 EMBEDDING_FAILED = "EmbeddingFailed"
-CHUNKING_FAILED = "ChunkingFailed"
 CHERNOFF_RETRY_EXHAUSTED = "ChernoffRetryExhausted"
 COLOUR_EXHAUSTED = "ColourExhausted"
 ABSORBER_UNVERIFIABLE = "AbsorberUnverifiable"
@@ -235,10 +234,10 @@ def equitable_colouring(H: SimpleGraph, r: int, seed: int = 0, cap: int | None =
         parts: list[set[int]] = [set() for _ in range(r)]
         for v in order:
             blocked = {cls[w] for w in H.neighbours(v) if cls[w] >= 0}
-            choice = min(
-                (k for k in range(r) if k not in blocked),
-                key=lambda k: (len(parts[k]), k),
-            )
+            choice = None  # the least-loaded free class, ties to the lowest k
+            for k in range(r):
+                if k not in blocked and (choice is None or len(parts[k]) < len(parts[choice])):
+                    choice = k
             cls[v] = choice
             parts[choice].add(v)
 
@@ -381,13 +380,13 @@ class PartialEmbedding:
 class _PartialSetup:
     """The draw-free part of ``partial_embed`` for one (t, H, phi, targets,
     X, Y): initial vertex candidate masks, the edges of X + Y with their
-    class colour masks, and the ledger's d, eps and m as floats."""
+    class colour masks and words, and the ledger's d, eps and m as floats."""
 
     t: Template
     H: PatternGraph
     Y: frozenset[int]
     cand_v: dict[int, int]
-    edges: list[tuple[tuple[int, int], int]]
+    edges: list[tuple[tuple[int, int], int, int]]
     ledger: tuple[float, float, float]
 
 
@@ -415,14 +414,14 @@ def _partial_setup(t, H, phi, X, Y, targets, seed: int = 0) -> _PartialSetup | F
             cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
         if not cand_v[w]:
             return _exhausted(seed, ("vertex", w), "init", detail="empty target within cluster")
-    class_masks = t.colour_cluster_masks
+    class_masks, class_words = t.colour_cluster_masks, t.colour_cluster_words
     edges = []
     for u, v in H.edges_within(xy_set):
         key = _class_key(phi, u, v)
         if key not in class_masks:
             return Failure("partial", PRECONDITION, seed,
                            detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
-        edges.append(((u, v), class_masks[key]))
+        edges.append(((u, v), class_masks[key], class_words[key]))
     ledger = (float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m))
     return _PartialSetup(t, H, frozenset(Y), cand_v, edges, ledger)
 
@@ -456,8 +455,9 @@ def partial_embed(
     set in ascending order, so the draws are those of the set-based loop.
     The colour-sum test is ``GraphCollection.degree_screen`` on packed rows
     cached on ``t.gc`` (at most n * |C| * n bits, built for screened hosts
-    only), the colour test ``GraphCollection.colour_screen``; the cluster
-    and class colour masks are cached on ``t``.
+    only) and the class's colour word less the retired word (one AND-NOT),
+    the colour test ``GraphCollection.colour_screen``; the cluster masks and
+    class colour masks and words are cached on ``t``.
 
     The checks, the edges with their class masks and the initial masks draw
     nothing and ignore the order of X: ``setup`` (``_partial_setup``) holds
@@ -477,40 +477,42 @@ def partial_embed(
     d, eps, m = setup.ledger
     floor = max(1, math.ceil(plan.nu_prime * m))
     # later neighbours per x, in the order X + Y (no edge is inside Y)
-    later: dict[int, list[tuple[int, int, tuple[int, int], int]]] = {x: [] for x in X}
-    for e, ce in setup.edges:
+    later: dict[int, list[tuple[int, int, tuple[int, int], int, int]]] = {x: [] for x in X}
+    for e, ce, we in setup.edges:
         a, b = e if pos[e[0]] < pos[e[1]] else e[::-1]
-        later[a].append((pos[b], b, e, ce))
+        later[a].append((pos[b], b, e, ce, we))
     for ys in later.values():
         ys.sort()
 
     cand_v = dict(setup.cand_v)
     tau: dict[int, int] = {}
     sigma: dict[tuple[int, int], int] = {}
-    used = retired = 0  # hosts taken by tau, colours taken by sigma
-    degree_screen, colour_screen, adj = t.gc.degree_screen, t.gc.colour_screen, t.gc.adj
+    used = retired = retired_w = 0  # hosts taken by tau, colours taken by sigma, their word
+    degree_screen, colour_screen, adj, n = t.gc.degree_screen, t.gc.colour_screen, t.gc.adj, t.gc.n
 
     for x in X:
         # (x,1) colour-sum pruning of the vertex candidate set
         cx = cand_v[x] & ~used
-        for _, y, e, ce in later[x]:
+        for _, y, e, ce, we in later[x]:
             Cxy, Cy = ce & ~retired, cand_v[y] & ~used
             if not Cxy or not Cy:
                 return _exhausted(seed, ("edge", e), f"({x},1)")
-            cx = degree_screen(cx, Cy, Cxy, (d - eps) * Cxy.bit_count() * Cy.bit_count())
+            cx = degree_screen(cx, Cy, we & ~retired_w,
+                               (d - eps) * Cxy.bit_count() * Cy.bit_count())
         if not cx:
             return _exhausted(seed, ("vertex", x), f"({x},1)")
         # (x,2) choose the image; (x,3) retire the host vertex everywhere
         tau[x] = tx = pick_bit(rng, cx)
         used |= 1 << tx
         # (x,4) colours towards later neighbours
-        for _, y, e, ce in later[x]:
+        for _, y, e, ce, _ in later[x]:
             Cy = cand_v[y] & ~used
             Cxy = colour_screen(tx, ce & ~retired, Cy, d * Cy.bit_count() / 2)
             if not Cxy:
                 return _exhausted(seed, ("edge", e), f"({x},{y},4.1)")
             sigma[e] = c = pick_bit(rng, Cxy)
             retired |= 1 << c
+            retired_w |= 1 << c * n
             cand_v[y] = Cy & adj(c, tx)
             if not cand_v[y]:
                 return _exhausted(seed, ("vertex", y), f"({x},{y},4.4)")
@@ -857,13 +859,20 @@ def blowup_embed(
     bipartite slices are dense: randomized greedy in reverse-degeneracy order
     with candidate tracking, reserving an independent buffer (about a fifth
     of each cluster) for a final maximum-matching completion phase, with
-    global restarts.  The output is structurally verified."""
+    global restarts.  The output is structurally verified.
+
+    Each vertex's start mask (cluster cut to targets) and neighbours in
+    ``active``, the reserve quotas and the active edges are built once per
+    call.  If a pattern edge uv has no host edge from u's cluster to v's, no
+    restart can succeed (whichever end comes second, greedy or matched, has
+    no candidate; the independent reserve never holds both), so only the
+    last restart runs, on its own sub-seed, and fails as the full budget
+    would.  ``restarts``: failed restarts before a success, else the budget."""
     active = set(active) if active is not None else set(range(H.n))
-    targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
+    ordered = sorted(active)
     by_cluster: dict[int, list[int]] = {}
-    for v in sorted(active):
+    for v in ordered:
         by_cluster.setdefault(phi[v], []).append(v)
-    cluster_masks = [mask_of(cl) for cl in clusters]
     for i, vs in by_cluster.items():
         if len(vs) > len(clusters[i]):
             return BlowupResult(
@@ -871,55 +880,63 @@ def blowup_embed(
                 Failure("blowup", PRECONDITION, seed, cluster=i,
                         detail=f"{len(vs)} pattern vertices > {len(clusters[i])} hosts"),
             )
+    inside = mask_of(ordered)
+    cluster_masks = {i: mask_of(clusters[i]) for i in by_cluster}
+    target_masks = {v: mask_of(ts) for v, ts in (targets or {}).items() if v in active}
+    start = {v: cluster_masks[phi[v]] & target_masks.get(v, -1) for v in ordered}
+    nbrs = {v: list(bits_of(H.adj(v) & inside)) for v in ordered}
+    edges = [(u, w) for u in ordered for w in nbrs[u] if w > u]  # H.edges_within(active)
+    quotas = [(vs, int(plan.blowup_reserve * len(vs))) for vs in by_cluster.values()]
+    host_adj = host.adj
 
     def candidates(v, tau, used):
-        """Free hosts of v's cluster inside its target set that are adjacent
-        to the images of all of v's embedded neighbours."""
-        cand = cluster_masks[phi[v]] & ~used
-        if v in targets:
-            cand &= mask_of(targets[v])
-        for w in H.neighbours(v):
+        """Free hosts of v's start mask adjacent to its embedded neighbours' images."""
+        cand = start[v] & ~used
+        for w in nbrs[v]:
             if w in tau:
-                cand &= host.adj(tau[w])
+                cand &= host_adj(tau[w])
         return cand
 
-    def attempt(sub_seed, restart):
-        rng = random.Random(sub_seed)
+    def attempt(rng):
+        """One restart: the embedding, or the phase it failed in."""
+        draw = rng.random
         # buffer: independent in H (within active), low degree preferred
         buffer: set[int] = set()
-        for i, vs in by_cluster.items():
-            quota = int(plan.blowup_reserve * len(vs))
-            cands = sorted(vs, key=lambda v: (H.degree(v), rng.random()))
-            for v in cands:
-                if len([b for b in buffer if phi[b] == i]) >= quota:
+        for vs, quota in quotas:
+            if not quota:  # the sort keys are drawn all the same
+                for _ in vs:
+                    draw()
+                continue
+            taken = 0
+            for v in sorted(vs, key=lambda v: (H.degree(v), draw())):
+                if taken >= quota:
                     break
-                if all(w not in buffer for w in H.neighbours(v)):
+                if all(w not in buffer for w in nbrs[v]):
                     buffer.add(v)
-        todo = [v for v in sorted(active) if v not in buffer]
+                    taken += 1
+        todo = [v for v in ordered if v not in buffer]
         # reverse elimination order: repeatedly remove a minimum-degree vertex
         todo_mask = mask_of(todo)
         deg = {v: (H.adj(v) & todo_mask).bit_count() for v in todo}
         alive = set(todo)
         elim = []
         while alive:
-            v = min(alive, key=lambda u: (deg[u], rng.random()))
+            v = min(alive, key=lambda u: (deg[u], draw()))
             elim.append(v)
             alive.discard(v)
-            for w in H.neighbours(v):
+            for w in nbrs[v]:
                 if w in alive:
                     deg[w] -= 1
-        order = list(reversed(elim))
         tau: dict[int, int] = {}
         used = 0
-        for v in order:
+        for v in reversed(elim):
             cand = candidates(v, tau, used)
             if not cand:
-                return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="greedy")
-            pick = pick_bit(rng, cand)
-            tau[v] = pick
+                return "greedy"
+            tau[v] = pick = pick_bit(rng, cand)
             used |= 1 << pick
         # completion: per cluster, match buffer vertices to free hosts
-        for i, vs in by_cluster.items():
+        for vs, _ in quotas:
             bvs = [v for v in vs if v in buffer]
             if not bvs:
                 continue
@@ -929,26 +946,31 @@ def blowup_embed(
                 rng.shuffle(adj[b])
             m = max_bipartite_matching(adj)
             if len(m) < len(bvs):
-                return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="matching")
+                return "matching"
             for b, w in m.items():
                 tau[b] = w
                 used |= 1 << w
         return tau
 
-    tau, attempts = _retry(
-        seed, 53, plan.blowup_restarts, Failure("blowup", EMBEDDING_FAILED, seed), attempt
-    )
-    if isinstance(tau, Failure):
-        return BlowupResult(None, tau, restarts=attempts)
+    budget = plan.blowup_restarts
+    hopeless = any(not any(host_adj(w) & cluster_masks[phi[v]] for w in clusters[phi[u]])
+                   for u, v in edges)
+    for k in range(max(budget - 1, 0) if hopeless else 0, budget):
+        tau = attempt(random.Random(_mix(seed, 53, k)))
+        if not isinstance(tau, str):
+            break
+    else:
+        diag = {"restart": k, "phase": tau} if budget > 0 else {}
+        return BlowupResult(None, Failure("blowup", EMBEDDING_FAILED, seed, diag), restarts=budget)
     # structural verification
     if len(set(tau.values())) != len(tau):
         raise UnverifiedOutput("blow-up map is not injective")
-    for (u, v) in H.edges_within(active):
+    for (u, v) in edges:
         if not host.has_edge(tau[u], tau[v]):
             raise UnverifiedOutput("blow-up produced a non-edge")
-    if any(tau[v] not in T for v, T in targets.items()):
+    if any(not mask >> tau[v] & 1 for v, mask in target_masks.items()):
         raise UnverifiedOutput("blow-up left a target set")
-    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1, verified=True)
+    return BlowupResult(tau=tau, failure=None, restarts=k, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -962,16 +984,12 @@ def _chunk_components(comps, phi, r, sizes, mu_floor, gamma_floor, q_stop):
     for h, comp in enumerate(comps):
         for v in comp:
             a[h][phi[v]] += 1
-    suffix = [0] * r
-    tstar = 0
+    tstar, suf = 0, [0] * r  # suf: cluster counts of components t..tcomp-1
     for t in range(tcomp, -1, -1):
-        suf = [0] * r
-        for h in range(t, tcomp):
-            for j in range(r):
-                suf[j] += a[h][j]
-        if all(suf[j] >= mu_floor for j in range(r)):
+        if t < tcomp:
+            suf = [x + y for x, y in zip(suf, a[t])]
+        if all(x >= mu_floor for x in suf):
             tstar = t
-            suffix = suf
             break
     rounds: list[list[int]] = []
     pos = 0
@@ -1076,9 +1094,10 @@ def approx_embed(
                 size = b[i][j] + slack[j]
                 parts_j.append(pool[pos : pos + size])
                 pos += size
-            parts_j.insert(0, pool[pos:])  # V^0_j, size b0[j] - s*slack[j]
-            if len(parts_j[0]) != b0[j] - s * slack[j] or (not parts_j[0] and b0[j] > 0):
-                return Failure("approx", CHUNKING_FAILED, sub_seed, detail="vertex partition sizes")
+            parts_j.insert(0, pool[pos:])
+            # |V_j| = sum(b) + b0, and slack > 0 only where s * slack <= b0 - 1
+            _identity(len(parts_j[0]) == b0[j] - s * slack[j] and (parts_j[0] or not b0[j]),
+                      "approx", "vertex partition sizes", cluster=j)
             part_v.append(parts_j)
         # colour buffer per class, clamped so that every stage fits
         h_b0 = {key: 0 for key in t.colour_clusters}
@@ -1095,8 +1114,8 @@ def approx_embed(
                 continue
             lo = h_b0[key]
             hi = len(cs) - (h_e - h_b0[key])
-            if lo > hi:
-                return Failure("approx", COLOUR_EXHAUSTED, sub_seed, detail="buffer sizing")
+            # the entry check keeps h_e <= |C_e|, which is lo <= hi
+            _identity(lo <= hi, "approx", "buffer sizing", edge_class=key)
             want = round(plan.zeta * len(cs))
             size0 = min(max(want, lo), hi)
             rng.shuffle(cs)
@@ -1413,13 +1432,18 @@ def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
     cert = separability_certificate(view.pattern, mu)
     X = (sorted(view.to_global[v] for v in cert.separator)
          if isinstance(cert, SeparabilityCertificate) else [])
-    outside_x = set(active).difference(X)
-    comps = H.components(outside_x)
-    class_of_comp = [Counter(_class_key(phi, u, v) for (u, v) in H.edges_within(comp))
-                     for comp in comps]
-    return _BlowupSetup(view, _class_edges(H, phi, active), X,
-                        *_connecting_graph(H, X, active), comps, class_of_comp,
-                        keys, _split_decided(comps, class_of_comp, keys))
+    comps = H.components(set(active).difference(X))
+    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
+    # one pass: an edge with both ends outside X lies in one component
+    class_e: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    class_of_comp = [Counter() for _ in comps]
+    for (u, v) in H.edges_within(active):
+        key = _class_key(phi, u, v)
+        class_e.setdefault(key, []).append((u, v))
+        if u in comp_of and v in comp_of:
+            class_of_comp[comp_of[u]][key] += 1
+    return _BlowupSetup(view, class_e, X, *_connecting_graph(H, X, active), comps,
+                        class_of_comp, keys, _split_decided(comps, class_of_comp, keys))
 
 
 def transversal_blowup(

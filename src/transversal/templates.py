@@ -58,6 +58,10 @@ class Template:
     def colour_cluster_masks(self) -> dict[tuple[int, int], int]:
         return {e: mask_of(cs) for e, cs in self.colour_clusters.items()}
 
+    @cached_property
+    def colour_cluster_words(self) -> dict[tuple[int, int], int]:  # see gc.colour_word
+        return {e: self.gc.colour_word(cs) for e, cs in self.colour_clusters.items()}
+
     def colours_of_edge(self, i: int, j: int) -> tuple[int, ...]:
         return self.colour_clusters[(i, j) if i < j else (j, i)]
 

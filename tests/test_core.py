@@ -298,10 +298,10 @@ def test_degree_screen_keeps_what_degree_into_keeps(n):
         for thr in {-1, 0, degrees[-1] + 1, *some, *(x + 0.5 for x in some)}:
             want = _screen_reference(warm, cands, mask, colours, thr)
             cold = GraphCollection.from_rows(n, rows)
-            cmask = core.mask_of(colours)
-            assert cold.degree_screen(cands, mask, cmask, thr) == want, (trial, thr)
+            word = cold.colour_word(colours)
+            assert cold.degree_screen(cands, mask, word, thr) == want, (trial, thr)
             assert set(cold._row_cache) == set(core.bits_of(cands))
-            assert warm.degree_screen(cands, mask, cmask, thr) == want, (trial, thr)
+            assert warm.degree_screen(cands, mask, word, thr) == want, (trial, thr)
     # the warm rows are the cold ones: one n-bit field per colour
     for v, row in warm._row_cache.items():
         assert row == sum(rows[c][v] << c * n for c in range(k))
@@ -843,10 +843,11 @@ def test_separator_bound_never_fires_where_the_search_certifies(monkeypatch, fam
         for mu in SEPARATOR_MUS:
             got = separability_certificate(H, mu)
             with monkeypatch.context() as m:
-                m.setattr(core, "_separator_lower_bound", lambda H, limit: 0)
+                m.setattr(core, "_separator_lower_bound", lambda H, limit, comps: 0)
                 searched = separability_certificate(H, mu)
             limit = int(mu * H.n)
-            need = core._separator_lower_bound(H, limit)
+            need = core._separator_lower_bound(
+                H, limit, core._components_masks(H._adj, (1 << H.n) - 1))
             if need > limit:
                 fired += 1
                 assert not searched, (H, mu)
@@ -891,6 +892,26 @@ def test_windows_are_built_only_when_the_greedy_peel_fails(monkeypatch):
     built.clear()
     assert not separability_certificate(SEPARATOR_FAMILIES["complete"][-1], 0.3)
     assert built == ["window", "window", "bfs", "window", "window"]
+
+
+def test_separability_scans_the_components_once_when_that_decides(monkeypatch):
+    scans = []
+    real = core._components_masks
+    monkeypatch.setattr(core, "_components_masks",
+                        lambda adj, alive: scans.append(alive) or real(adj, alive))
+    # every component fits: the certificate comes from the one scan
+    matching = SimpleGraph(60, [(2 * i, 2 * i + 1) for i in range(30)])
+    cert = separability_certificate(matching, 0.1)
+    assert cert.separator == () and len(scans) == 1
+    assert cert.components == tuple((2 * i, 2 * i + 1) for i in range(30))
+    # the bound's proof reads the same scan
+    scans.clear()
+    assert separability_certificate(_cycle(20), 0.1).reason.startswith("proof:")
+    assert len(scans) == 1
+    # the peel's first round reads it too: every later scan has a separator
+    scans.clear()
+    assert separability_certificate(SimpleGraph(100, [(i, i + 1) for i in range(99)]), 0.1)
+    assert scans[0] == (1 << 100) - 1 and all(alive != scans[0] for alive in scans[1:])
 
 
 def test_supplied_separator_validated():

@@ -718,6 +718,199 @@ def test_blowup_deterministic():
         assert a.tau == b.tau
 
 
+def _reference_blowup_embed(host, clusters, R, H, phi, targets, plan, seed=0, active=None):
+    # the per-restart blow-up embedder, kept as the reference: every restart
+    # builds its own set-up and every restart of the budget runs
+    from transversal.core import bits_of, pick_bit
+    from transversal.embed import (
+        EMBEDDING_FAILED, BlowupResult, UnverifiedOutput, _retry, max_bipartite_matching,
+    )
+
+    active = set(active) if active is not None else set(range(H.n))
+    targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
+    by_cluster: dict[int, list[int]] = {}
+    for v in sorted(active):
+        by_cluster.setdefault(phi[v], []).append(v)
+    cluster_masks = [mask_of(cl) for cl in clusters]
+    for i, vs in by_cluster.items():
+        if len(vs) > len(clusters[i]):
+            return BlowupResult(
+                None,
+                Failure("blowup", PRECONDITION, seed, cluster=i,
+                        detail=f"{len(vs)} pattern vertices > {len(clusters[i])} hosts"),
+            )
+
+    def candidates(v, tau, used):
+        cand = cluster_masks[phi[v]] & ~used
+        if v in targets:
+            cand &= mask_of(targets[v])
+        for w in H.neighbours(v):
+            if w in tau:
+                cand &= host.adj(tau[w])
+        return cand
+
+    def attempt(sub_seed, restart):
+        rng = random.Random(sub_seed)
+        buffer: set[int] = set()
+        for i, vs in by_cluster.items():
+            quota = int(plan.blowup_reserve * len(vs))
+            cands = sorted(vs, key=lambda v: (H.degree(v), rng.random()))
+            for v in cands:
+                if len([b for b in buffer if phi[b] == i]) >= quota:
+                    break
+                if all(w not in buffer for w in H.neighbours(v)):
+                    buffer.add(v)
+        todo = [v for v in sorted(active) if v not in buffer]
+        todo_mask = mask_of(todo)
+        deg = {v: (H.adj(v) & todo_mask).bit_count() for v in todo}
+        alive = set(todo)
+        elim = []
+        while alive:
+            v = min(alive, key=lambda u: (deg[u], rng.random()))
+            elim.append(v)
+            alive.discard(v)
+            for w in H.neighbours(v):
+                if w in alive:
+                    deg[w] -= 1
+        tau: dict[int, int] = {}
+        used = 0
+        for v in reversed(elim):
+            cand = candidates(v, tau, used)
+            if not cand:
+                return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="greedy")
+            pick = pick_bit(rng, cand)
+            tau[v] = pick
+            used |= 1 << pick
+        for i, vs in by_cluster.items():
+            bvs = [v for v in vs if v in buffer]
+            if not bvs:
+                continue
+            adj = {}
+            for b in bvs:
+                adj[b] = list(bits_of(candidates(b, tau, used)))
+                rng.shuffle(adj[b])
+            m = max_bipartite_matching(adj)
+            if len(m) < len(bvs):
+                return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="matching")
+            for b, w in m.items():
+                tau[b] = w
+                used |= 1 << w
+        return tau
+
+    tau, attempts = _retry(
+        seed, 53, plan.blowup_restarts, Failure("blowup", EMBEDDING_FAILED, seed), attempt
+    )
+    if isinstance(tau, Failure):
+        return BlowupResult(None, tau, restarts=attempts)
+    if len(set(tau.values())) != len(tau):
+        raise UnverifiedOutput("blow-up map is not injective")
+    for (u, v) in H.edges_within(active):
+        if not host.has_edge(tau[u], tau[v]):
+            raise UnverifiedOutput("blow-up produced a non-edge")
+    if any(tau[v] not in T for v, T in targets.items()):
+        raise UnverifiedOutput("blow-up left a target set")
+    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1, verified=True)
+
+
+def _random_blowup_case(rng):
+    # r clusters of 1-7 hosts each, a pattern filling part of each, a host
+    # whose cluster pairs have density 0 (no restart can succeed), sparse,
+    # dense or complete, and targets on some vertices
+    r = rng.randint(1, 4)
+    sizes = [rng.randint(1, 7) for _ in range(r)]
+    starts = [sum(sizes[:i]) for i in range(r)]
+    clusters = [list(range(s, s + k)) for s, k in zip(starts, sizes)]
+    n_host = sum(sizes) + rng.randint(0, 3)  # hosts outside every cluster too
+    density = {(i, j): rng.choice((0.0, 0.3, 0.7, 1.0)) for i in range(r) for j in range(i, r)}
+    host = SimpleGraph(n_host, [
+        (u, v) for i in range(r) for j in range(i, r) for u in clusters[i] for v in clusters[j]
+        if u < v and rng.random() < density[(i, j)]
+    ])
+    phi = [i for i in range(r) for _ in range(rng.randint(0, sizes[i]))]
+    rng.shuffle(phi)
+    n = len(phi)
+    H = PatternGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < 0.3])
+    active = None if rng.random() < 0.5 else {v for v in range(n) if rng.random() < 0.8}
+    targets = {v: set(rng.sample(range(n_host), rng.randint(1, n_host)))
+               for v in range(n) if rng.random() < 0.3}
+    return host, clusters, H, phi, targets or None, active
+
+
+def _blowup_fields(res):
+    f = res.failure
+    failure = None if f is None else (f.stage, f.reason, f.seed, f.diagnostics)
+    return res.tau, failure, res.restarts, res.verified
+
+
+@pytest.mark.parametrize("restarts, reserve", [(0, 0.25), (1, 0.25), (1, 0.5), (3, 0.4),
+                                               (30, 0.25), (30, 0.5)])
+def test_blowup_matches_the_per_restart_reference(restarts, reserve):
+    import types
+
+    # SplitPlan refuses a budget of 0, which blowup_embed still honours
+    plan = types.SimpleNamespace(blowup_restarts=restarts, blowup_reserve=reserve)
+    rng = random.Random(restarts * 100 + int(reserve * 100))
+    seen = set()
+    for case in range(150):
+        host, clusters, H, phi, targets, active = _random_blowup_case(rng)
+        R = SimpleGraph(len(clusters), [])
+        seed = rng.randrange(1 << 30)
+        got = blowup_embed(host, clusters, R, H, phi, targets, plan, seed=seed, active=active)
+        want = _reference_blowup_embed(host, clusters, R, H, phi, targets, plan, seed=seed,
+                                       active=active)
+        assert _blowup_fields(got) == _blowup_fields(want), case
+        inside = set(range(H.n)) if active is None else active
+        reach = [mask_of(w for u in cl for w in host.neighbours(u)) for cl in clusters]
+        seen.add(want.failure.diagnostics.get("phase") if want.failure else "ok")
+        if any(not reach[phi[u]] & mask_of(clusters[phi[v]]) for u, v in H.edges_within(inside)):
+            seen.add("hopeless")
+        if targets and inside & set(targets):
+            seen.add("targets")
+        if any(int(reserve * sum(phi[v] == i for v in inside)) for i in range(len(clusters))):
+            seen.add("reserve")
+    # every failing phase, a call no restart can help, targets and a reserve
+    runs = {"ok", "greedy", "matching"} if restarts else {None}
+    assert seen == runs | {"hopeless", "targets", "reserve"}
+
+
+def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
+    import types
+
+    from transversal import embed
+
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, x):
+            seeded.append(x)
+            super().__init__(x)
+
+    def run(host, targets=None):
+        seeded.clear()
+        with monkeypatch.context() as m:
+            m.setattr(embed, "random", types.SimpleNamespace(Random=Counted))
+            got = blowup_embed(host, clusters, R, H, phi, targets, PLAN, seed=9)
+        assert _blowup_fields(got) == _blowup_fields(
+            _reference_blowup_embed(host, clusters, R, H, phi, targets, PLAN, seed=9))
+        assert not got.ok and got.restarts == PLAN.blowup_restarts
+        return got
+
+    # clusters 0 and 1 are dense between them; no host edge reaches cluster 2
+    clusters = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
+    R = SimpleGraph(3, [(0, 1), (1, 2)])
+    H = PatternGraph(6, [(0, 2), (1, 3), (4, 5)])
+    phi = [0, 0, 1, 1, 1, 2]
+    dense = [(u, v) for u in range(4) for v in range(4, 8)]
+    got = run(SimpleGraph(12, dense))
+    assert seeded == [_mix(9, 53, PLAN.blowup_restarts - 1)]
+    assert got.failure.diagnostics["restart"] == PLAN.blowup_restarts - 1
+    # with one host edge from cluster 1 to cluster 2, a target set outside
+    # that edge still fails every restart, but the budget runs in full
+    run(SimpleGraph(12, dense + [(7, 11)]), targets={5: {10}})
+    assert seeded == [_mix(9, 53, k) for k in range(PLAN.blowup_restarts)]
+
+
 # ---------------------------------------------------------------------------
 # absorbers
 
@@ -820,6 +1013,107 @@ def test_approx_surplus_precondition():
     t, H, phi, K = four_cycles_fixture(k_extra=0)
     out = approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.5)
     assert not out.ok and out.failure.reason == "PreconditionViolated"
+
+
+def test_approx_vertex_partition_sizes_are_an_identity(monkeypatch):
+    # the sizes hold whenever the chunks cover every component, so only a
+    # chunking that drops one (a library defect) reaches the check
+    from transversal import embed
+
+    real = embed._chunk_components
+    monkeypatch.setattr(embed, "_chunk_components",
+                        lambda *args: (lambda b0, rounds: (b0[:-1], rounds))(*real(*args)))
+    t, H, phi, K = four_cycles_fixture()
+    with pytest.raises(embed.UnverifiedOutput, match="vertex partition sizes"):
+        approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.2)
+
+
+def test_approx_buffer_sizing_is_an_identity(monkeypatch):
+    # lo <= hi is h_e <= |C_e|, which the entry check holds, so only a
+    # template that loses colours after that check reaches it
+    from transversal import embed
+
+    t, H, phi, K = four_cycles_fixture()
+    real = embed._chunk_components
+
+    def shrinking(*args):
+        t.colour_clusters[(0, 1)] = t.colour_clusters[(0, 1)][:10]
+        return real(*args)
+
+    monkeypatch.setattr(embed, "_chunk_components", shrinking)
+    with pytest.raises(embed.UnverifiedOutput, match="buffer sizing"):
+        approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.2)
+
+
+def _reference_chunk_components(comps, phi, r, sizes, mu_floor, gamma_floor, q_stop):
+    # the reference: each t's suffix summed afresh, O(t^2 r)
+    from transversal.embed import _chunk_components
+
+    tcomp = len(comps)
+    a = [[sum(phi[v] == j for v in comp) for j in range(r)] for comp in comps]
+    tstar = 0
+    for t in range(tcomp, -1, -1):
+        suf = [sum(a[h][j] for h in range(t, tcomp)) for j in range(r)]
+        if all(suf[j] >= mu_floor for j in range(r)):
+            tstar = t
+            break
+    # the rounds after t* are the same code: cut the components at t*
+    b0, rounds = _chunk_components(comps[:tstar], phi, r, sizes, -1, gamma_floor, q_stop)
+    return list(range(tstar, tcomp)), rounds
+
+
+def test_chunk_components_matches_the_per_suffix_reference():
+    from transversal.embed import _chunk_components
+
+    rng = random.Random(5)
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        comps = [[rng.randrange(60) for _ in range(rng.randint(1, 5))]
+                 for _ in range(rng.randint(0, 25))]
+        phi = [rng.randrange(r) for _ in range(60)]
+        sizes = [rng.randint(5, 40) for _ in range(r)]
+        args = (r, sizes, rng.randint(0, 12), rng.randint(1, 6), rng.randint(0, 20))
+        assert _chunk_components(comps, phi, *args) == \
+            _reference_chunk_components(comps, phi, *args)
+
+
+def _ladder_pattern(m):
+    return PatternGraph(2 * m, [(i, i + 1) for i in range(m - 1)]
+                        + [(m + i, m + i + 1) for i in range(m - 1)]
+                        + [(i, m + i) for i in range(m)])
+
+
+@pytest.mark.parametrize("name", ["matching", "ladder-mu-0.3", "ladder-mu-0.1", "random",
+                                  "random-part"])
+def test_blowup_setup_matches_the_per_component_reference(name):
+    from collections import Counter
+
+    from transversal.embed import _blowup_setup, _class_edges
+
+    rng = random.Random(name)
+    plan = PLAN
+    if name == "matching":
+        H, phi = PatternGraph(60, [(i, 30 + i) for i in range(30)]), [0] * 30 + [1] * 30
+    elif name.startswith("ladder"):
+        m = 30
+        H, phi = _ladder_pattern(m), [(v % m + v // m) % 2 for v in range(2 * m)]
+        plan = SplitPlan(mu=float(name.rsplit("-", 1)[1]))
+    else:
+        H = PatternGraph(50, [(u, v) for u in range(50) for v in range(u + 1, 50)
+                              if rng.random() < 0.06])
+        phi = [rng.randrange(3) for _ in range(50)]
+    active = set(range(H.n)) if name != "random-part" else set(rng.sample(range(H.n), 35))
+    keys = sorted(_class_edges(H, phi, range(H.n)))
+    setup = _blowup_setup(H, phi, active, plan, keys)
+    if name in ("matching", "ladder-mu-0.3"):  # X is empty on a matching, not on a ladder
+        assert bool(setup.X) == (name != "matching")
+    outside = active.difference(setup.X)
+    assert setup.comps == H.components(outside)
+    want_e = _class_edges(H, phi, active)
+    assert list(setup.class_e.items()) == list(want_e.items())
+    want = [Counter(_class_key(phi, u, v) for (u, v) in H.edges_within(comp))
+            for comp in setup.comps]
+    assert [list(c.items()) for c in setup.class_of_comp] == [list(c.items()) for c in want]
 
 
 # ---------------------------------------------------------------------------
