@@ -40,7 +40,7 @@ from .core import (
     verify_expansion,
     verify_transversal_embedding,
 )
-from .embed import SplitPlan, blowup_embed, expand_embed_3graph, quasi_embed
+from .embed import LADDER_DEGENERATE, SplitPlan, blowup_embed, expand_embed_3graph, quasi_embed
 from .regularity import DensitySpec, partition_collection
 
 
@@ -326,7 +326,10 @@ def _bench_one(run: dict, seed: int):
         else:
             raise ValueError(f"unknown construction {kind!r}")
         out = quasi_embed(gc, pattern, plan, seed=seed)
-        ok, failure, attempts = out.ok, out.failure, out.stats.get("attempts", "")
+        ok, failure, st = out.ok, out.failure, out.stats
+        attempts = st.get("attempts", "")
+        path = ("ladder-degenerate" if st.get("path") == LADDER_DEGENERATE
+                else st.get("blowup", {}).get("path", st.get("path", "main")))
     elif run["pipeline"] == "blowup":
         def bipartite(n=30, density=0.6):
             rng = random.Random(seed)
@@ -342,7 +345,7 @@ def _bench_one(run: dict, seed: int):
             raise ValueError("a blowup run needs phi: one cluster, 0 or 1, per pattern vertex")
         res = blowup_embed(host, sides, SimpleGraph(2, [(0, 1)]), pattern, phi, None, plan,
                            seed=seed)
-        ok, failure = res.ok, res.failure
+        ok, failure, path = res.ok, res.failure, "main"
         attempts = res.restarts + 1 if res.ok else res.restarts
     else:
         raise ValueError(f"unknown pipeline {run['pipeline']!r}")
@@ -354,6 +357,7 @@ def _bench_one(run: dict, seed: int):
         "stage": failure.stage if failure else "",
         "reason": failure.reason if failure else "",
         "attempts": attempts,
+        "path": path if ok else "",
         "wall_ms": wall,
     }
 
@@ -365,7 +369,7 @@ def cmd_bench(args) -> int:
         for seed in run.get("seeds", [0]):
             rows.append(_bench_one(run, seed))
     rows.sort(key=lambda r: (r["name"], r["seed"]))
-    fields = ["name", "seed", "success", "stage", "reason", "attempts", "wall_ms"]
+    fields = ["name", "seed", "success", "stage", "reason", "attempts", "path", "wall_ms"]
     out = args.out or "bench.csv"
     with open(out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields)

@@ -376,26 +376,15 @@ class PartialEmbedding:
     candidates: dict[int, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class _PartialSetup:
-    """The draw-free part of ``partial_embed`` for one (t, H, phi, targets,
-    X, Y): initial vertex candidate masks, the edges of X + Y with their
-    class colour masks and words, and the ledger's d, eps and m as floats."""
-
-    t: Template
-    H: PatternGraph
-    Y: frozenset[int]
-    cand_v: dict[int, int]
-    edges: list[tuple[tuple[int, int], int, int]]
-    ledger: tuple[float, float, float]
-
-
 def _exhausted(seed: int, element, step: str, **detail) -> Failure:
     return Failure("partial", CANDIDATE_EXHAUSTED, seed, element=element, step=step, **detail)
 
 
-def _partial_setup(t, H, phi, X, Y, targets, seed: int = 0) -> _PartialSetup | Failure:
-    """The draw-free set-up of ``partial_embed``, or its typed failure."""
+def _partial_setup(t, H, phi, X, Y, targets, seed: int = 0):
+    """The draw-free set-up of ``partial_embed`` for one (t, H, phi, targets,
+    X, Y), or its typed failure: the initial vertex candidate masks, the
+    edges of X + Y with their class colour masks and words, and the ledger's
+    d, eps and m as floats."""
     X, Y = list(X), list(Y)
     xy_set = set(X) | set(Y)
     if len(xy_set) != len(X) + len(Y):
@@ -423,7 +412,7 @@ def _partial_setup(t, H, phi, X, Y, targets, seed: int = 0) -> _PartialSetup | F
                            detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
         edges.append(((u, v), class_masks[key], class_words[key]))
     ledger = (float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m))
-    return _PartialSetup(t, H, frozenset(Y), cand_v, edges, ledger)
+    return cand_v, edges, ledger
 
 
 def partial_embed(
@@ -435,7 +424,6 @@ def partial_embed(
     targets: dict[int, set[int]] | None,
     plan: SplitPlan,
     seed: int = 0,
-    setup: _PartialSetup | None = None,
 ) -> PartialEmbedding | Failure:
     """Embed X and fix colours for every edge incident to X, maintaining
     candidate sets for the unembedded independent set Y.
@@ -457,34 +445,26 @@ def partial_embed(
     cached on ``t.gc`` (at most n * |C| * n bits, built for screened hosts
     only) and the class's colour word less the retired word (one AND-NOT),
     the colour test ``GraphCollection.colour_screen``; the cluster masks and
-    class colour masks and words are cached on ``t``.
-
-    The checks, the edges with their class masks and the initial masks draw
-    nothing and ignore the order of X: ``setup`` (``_partial_setup``) holds
-    them for passes over reorderings of X, once per ``transversal_blowup``
-    call; a set-up for another template, pattern or (X, Y) is refused.
+    class colour masks and words are cached on ``t``.  The checks, the edges
+    with their class masks and the initial masks draw nothing
+    (``_partial_setup``); the pass draws.
     """
     X, Y = list(X), list(Y)
     pos = {v: i for i, v in enumerate(X + Y)}
-    if setup is None:
-        setup = _partial_setup(t, H, phi, X, Y, targets, seed)
-        if isinstance(setup, Failure):
-            return setup
-    elif (setup.t is not t or setup.H is not H or len(pos) != len(X) + len(Y)
-          or pos.keys() != setup.cand_v.keys() or setup.Y != frozenset(Y)):
-        raise ValueError("partial_embed: the set-up is for another template, pattern or X, Y")
+    setup = _partial_setup(t, H, phi, X, Y, targets, seed)
+    if isinstance(setup, Failure):
+        return setup
     rng = random.Random(_mix(seed, 23))
-    d, eps, m = setup.ledger
+    cand_v, edges, (d, eps, m) = setup
     floor = max(1, math.ceil(plan.nu_prime * m))
     # later neighbours per x, in the order X + Y (no edge is inside Y)
     later: dict[int, list[tuple[int, int, tuple[int, int], int, int]]] = {x: [] for x in X}
-    for e, ce, we in setup.edges:
+    for e, ce, we in edges:
         a, b = e if pos[e[0]] < pos[e[1]] else e[::-1]
         later[a].append((pos[b], b, e, ce, we))
     for ys in later.values():
         ys.sort()
 
-    cand_v = dict(setup.cand_v)
     tau: dict[int, int] = {}
     sigma: dict[tuple[int, int], int] = {}
     used = retired = retired_w = 0  # hosts taken by tau, colours taken by sigma, their word
@@ -1446,6 +1426,53 @@ def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
                         class_of_comp, keys, _split_decided(comps, class_of_comp, keys))
 
 
+def _buffer(H: SimpleGraph, order) -> int:
+    """The one-shot pass's buffer, as a mask: ``order`` scanned from the back,
+    taking each vertex with no H-neighbour taken yet (a maximal independent
+    set of the vertices of ``order``)."""
+    B = 0
+    for v in reversed(order):
+        B |= 0 if H.adj(v) & B else 1 << v
+    return B
+
+
+def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: PartialEmbedding,
+                   targets, seed: int):
+    """Finish a one-shot pass on its buffer B (independent, every neighbour
+    embedded by ``part``) with two deterministic matchings: each b to an
+    unused host of its cluster and target that every embedded neighbour a
+    reaches in some unused colour of the class of ab, then each edge at B to
+    an unused colour of its class that joins its ends' images.  A short
+    matching is a typed failure with its deficiency."""
+    tau, sigma, adj = dict(part.tau), dict(part.sigma), t.gc.adj
+    retired, used = mask_of(sigma.values()), mask_of(tau.values())
+    free = {key: mask & ~retired for key, mask in t.colour_cluster_masks.items()}
+    hosts = {b: ~used & (mask_of(v for v in t.clusters[phi[b]] if v in targets[b])
+                         if b in targets else t.cluster_masks[phi[b]]) for b in B}
+    edges = []
+    for b in B:
+        for a in H.neighbours(b):
+            if a in tau:
+                edges.append((a, b) if a < b else (b, a))
+                reach = 0
+                for c in bits_of(free[_class_key(phi, a, b)]):
+                    reach |= adj(c, tau[a])
+                hosts[b] &= reach
+    matched = max_bipartite_matching({b: bits_of(mask) for b, mask in hosts.items()})
+    if len(matched) < len(B):
+        return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-vertices",
+                       deficiency=len(B) - len(matched))
+    tau.update(matched)
+    matched = max_bipartite_matching({  # each edge to the free colours joining its images
+        (u, v): [c for c in bits_of(free[_class_key(phi, u, v)]) if adj(c, tau[u]) >> tau[v] & 1]
+        for u, v in sorted(edges)})
+    if len(matched) < len(edges):
+        return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-colours",
+                       deficiency=len(edges) - len(matched))
+    sigma.update(matched)
+    return tau, sigma, {"path": "one-shot"}
+
+
 def transversal_blowup(
     t: Template,
     H: PatternGraph,
@@ -1470,10 +1497,12 @@ def transversal_blowup(
     decision included, is built once (``setup``: ``_blowup_setup(H, phi,
     active, plan, sorted(t.colour_clusters))``, which a caller may pass in),
     and a split that the component counts rule out is not retried.
-    Whenever Steps 0-5 give no embedding, at any pattern size, one
-    candidate-set pass over a BFS order of the active vertices runs instead
-    (``"path": "one-shot"``; retries alternate that order and shuffles of
-    it, on one ``_partial_setup`` per call).  When that pass fails too, its
+    Whenever Steps 0-5 give no embedding, at any pattern size, one-shot
+    passes run instead (``"path": "one-shot"``), over a BFS order of the
+    active vertices and, on odd retries, a shuffle of it.  A pass holds back
+    the buffer B of ``_buffer``, runs the candidate-set pass on the rest and
+    finishes B with ``_finish_buffer``'s matchings, which fail typed with
+    step ``"buffer-vertices"`` or ``"buffer-colours"``.  When that fails too, its
     failure is returned with ``diagnostics["main"]`` saying why Steps 0-5
     gave none: ``"split-decided"`` when the component counts ruled the
     split out, else the last attempt's ``stage:reason``.
@@ -1509,18 +1538,16 @@ def transversal_blowup(
     main = out
     # class sizes equal class edge counts, so one pass can use every colour
     if isinstance(out, Failure):
-        prep = _partial_setup(t, H, phi, setup.bfs, [], targets)
-        prep = None if isinstance(prep, Failure) else prep  # each pass reports it
-
         def one_shot(sub_seed, attempt):
             order = list(setup.bfs)
             if attempt % 2:
                 random.Random(sub_seed).shuffle(order)
-            part = partial_embed(t, H, phi, X=order, Y=[], targets=targets, plan=plan,
-                                 seed=sub_seed, setup=prep)
+            B = _buffer(H, order)
+            part = partial_embed(t, H, phi, X=[v for v in order if not B >> v & 1], Y=[],
+                                 targets=targets, plan=plan, seed=sub_seed)
             if isinstance(part, Failure):
                 return part.with_stage("one-shot")
-            return part.tau, part.sigma, {"path": "one-shot"}
+            return _finish_buffer(t, H, phi, list(bits_of(B)), part, targets, sub_seed)
 
         out, attempts = _retry(seed, 89, plan.retries, out, one_shot)
     if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding

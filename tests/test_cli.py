@@ -228,14 +228,22 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
         {"name": "blowup-sparse", "construction": {"n": 6, "density": 0.1}, "pipeline": "blowup",
          "pattern": pattern_to_json(CYCLE_8), "phi": [0] * 4 + [1] * 4, "seeds": [0],
          "params": {"blowup_restarts": 3}},
+        # a 3-vertex path on 12 vertices (every pair of parts sparse) takes
+        # the ladder-degenerate pass
+        {"name": "path", "construction": {"kind": "random", "n": 12, "n_colours": 2,
+                                          "density": 0.8},
+         "pipeline": "quasi", "pattern": pattern_to_json(PatternGraph(12, [(0, 1), (1, 2)])),
+         "seeds": [0]},
     ]}
     write_json(workdir / "suite.json", suite)
     assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
     rows = list(csv.DictReader(open(workdir / "b.csv")))
-    assert [(r["name"], r["seed"], r["success"]) for r in rows] == [
-        ("blowup", "0", "1"), ("blowup", "1", "1"), ("blowup-run-phi", "3", "1"),
-        ("blowup-sparse", "0", "0"),
-        ("cyclic", "0", "1"), ("mantel", "0", "1"), ("mantel", "1", "1"),
+    assert [(r["name"], r["seed"], r["success"], r["path"]) for r in rows] == [
+        ("blowup", "0", "1", "main"), ("blowup", "1", "1", "main"),
+        ("blowup-run-phi", "3", "1", "main"), ("blowup-sparse", "0", "0", ""),
+        ("cyclic", "0", "1", "one-shot"),
+        ("mantel", "0", "1", "main"), ("mantel", "1", "1", "main"),
+        ("path", "0", "1", "ladder-degenerate"),
     ]
     # a failed blow-up run reports its whole budget of attempts, no more
     assert [r["attempts"] for r in rows[:4]] == ["1", "1", "5", "3"]

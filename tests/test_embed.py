@@ -12,6 +12,8 @@ from transversal.core import (
     PatternGraph,
     SimpleGraph,
     ThreeGraph,
+    TransversalEmbedding,
+    bits_of,
     collection_from_json,
     collection_to_json,
     mask_of,
@@ -38,6 +40,7 @@ from transversal.embed import (
     transversal_blowup,
 )
 from transversal.generators import GenSpec, random_collection, separable_family
+from transversal.matching import max_bipartite_matching
 from transversal.oracle import exact_transversal_embed
 from transversal.regularity import make_ledger
 from transversal.templates import make_template
@@ -436,7 +439,7 @@ def test_targets_outside_the_host_range_are_ignored():
 
 
 def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
-    # the 30-cycle's template takes the one-shot pass, whose first 13
+    # the 30-cycle's template takes the one-shot pass, whose first 4
     # passes fail; the captured call runs again on that template (its masks
     # and the collection's packed rows already built) and once on a template
     # over a fresh copy of the collection
@@ -447,9 +450,9 @@ def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
     monkeypatch.setattr(embed, "transversal_blowup",
                         lambda *a, **k: calls.append((a, k)) or real(*a, **k))
     H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
-    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.6, seed=2))
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.4, seed=2))
     first = quasi_embed(gc, H, PLAN, seed=2).stats["blowup"]
-    assert first == {"path": "one-shot", "attempts": 14}
+    assert first == {"path": "one-shot", "attempts": 5}
     (t, *args), kwargs = calls[0]
     assert t.gc._row_cache
     fresh = dataclasses.replace(t, gc=collection_from_json(collection_to_json(t.gc)))
@@ -460,40 +463,200 @@ def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
     assert fresh.gc._row_cache.items() <= t.gc._row_cache.items()
 
 
-def test_one_shot_passes_reuse_one_setup_per_template():
-    # transversal_blowup's one-shot passes: one set-up per template, then
-    # passes over its BFS order and shuffles of it; every pass must equal the
-    # set-based reference, so a pass that leaked its candidate masks into the
-    # next, or a set-up of the other template, would show
-    from transversal.core import _bfs_order
-    from transversal.embed import _partial_setup
+# ---------------------------------------------------------------------------
+# the one-shot pass's buffer and its matching finish
 
-    rng = random.Random(11)
-    H = PatternGraph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)])
-    phi = _greedy_phi(H, 4)
-    bfs = _bfs_order(H, range(H.n))
-    # two templates over H: other colour counts, densities and d
-    templates = [_kr_template(rng, 4, 6, k, density, d, shared=True)
-                 for k, density, d in ((9, 0.9, "0.3"), (14, 0.6, "0.2"))]
-    kinds = set()
-    for t in templates:
-        for targets in (None, {v: set(rng.sample(range(t.gc.n), 16)) for v in range(0, H.n, 2)}):
-            setup = _partial_setup(t, H, phi, bfs, [], targets)
-            for attempt in range(8):
-                order, seed = list(bfs), _mix(attempt, 89)
-                if attempt % 2:
-                    random.Random(seed).shuffle(order)
-                new = partial_embed(t, H, phi, order, [], targets, PLAN, seed=seed, setup=setup)
-                ref = _set_partial_embed(t, H, phi, order, [], targets, PLAN, seed=seed)
-                assert _partial_fingerprint(new) == _partial_fingerprint(ref), (attempt, targets)
-                kinds.add(type(new).__name__)
-        # the set-up answers only for its own template, pattern and vertices
-        other = templates[1] if t is templates[0] else templates[0]
-        for args in ((other, H, bfs), (t, PatternGraph(H.n, H.edges()), bfs), (t, H, bfs[1:]),
-                     (t, H, bfs + bfs[:1])):
-            with pytest.raises(ValueError):
-                partial_embed(args[0], args[1], phi, args[2], [], None, PLAN, setup=setup)
-    assert kinds == {"PartialEmbedding", "Failure"}, kinds
+
+def test_buffer_is_an_independent_set_maximal_over_the_order():
+    # property: over random patterns of maximum degree <= 4, random vertex
+    # subsets and random orders of them, the buffer lies in the order, has no
+    # edge inside, and each vertex of the order outside it has a neighbour in
+    # it that comes later (the back-to-front greedy took that one first)
+    from transversal.embed import _buffer
+
+    rng = random.Random(5)
+    for case in range(300):
+        H = _random_pattern(rng, rng.randint(2, 30), rng.randint(1, 4))
+        order = rng.sample(range(H.n), rng.randint(0, H.n))
+        B = set(bits_of(_buffer(H, order)))
+        assert B <= set(order) and not H.edges_within(B), case
+        for i, v in enumerate(order):
+            assert v in B or set(H.neighbours(v)) & B & set(order[i + 1:]), (case, v)
+
+
+def _set_finish(t, H, phi, B, part, targets):
+    """The buffer finish over sets of hosts and colours: (tau, sigma), or the
+    failing step and deficiency."""
+    tau, sigma = dict(part.tau), dict(part.sigma)
+    free = {key: set(cs) - set(sigma.values()) for key, cs in t.colour_clusters.items()}
+    hosts = {}
+    for b in B:
+        hosts[b] = [v for v in t.clusters[phi[b]] if v not in tau.values()
+                    and (b not in targets or v in targets[b])
+                    and all(any(t.gc.has_edge(c, tau[a], v) for c in free[_class_key(phi, a, b)])
+                            for a in H.neighbours(b) if a in part.tau)]
+    matched = max_bipartite_matching({b: sorted(vs) for b, vs in hosts.items()})
+    if len(matched) < len(B):
+        return "buffer-vertices", len(B) - len(matched)
+    tau.update(matched)
+    edges = sorted(tuple(sorted((a, b))) for b in B for a in H.neighbours(b) if a in part.tau)
+    matched = max_bipartite_matching({
+        e: sorted(c for c in free[_class_key(phi, *e)] if t.gc.has_edge(c, tau[e[0]], tau[e[1]]))
+        for e in edges})
+    if len(matched) < len(edges):
+        return "buffer-colours", len(edges) - len(matched)
+    sigma.update(matched)
+    return tau, sigma
+
+
+def test_buffer_finish_matches_the_set_reference():
+    # the finish's masks against plain sets, on the seeded partial_embed
+    # inputs: Y is independent, so embed X greedily and finish Y
+    from transversal.embed import _finish_buffer
+
+    outcomes = set()
+    for case in range(400):
+        t, H, phi, X, Y, targets, seed = _partial_case(case)
+        part = partial_embed(t, H, phi, X, [], targets, PLAN, seed=seed)
+        if not isinstance(part, PartialEmbedding):
+            continue
+        targets = {v: set(ts) for v, ts in (targets or {}).items()}
+        new = _finish_buffer(t, H, phi, sorted(Y), part, targets, seed)
+        ref = _set_finish(t, H, phi, sorted(Y), part, targets)
+        if isinstance(new, Failure):
+            assert (new.stage, new.reason) == ("one-shot", "MatchingTooSmall")
+            assert (new.diagnostics["step"], new.diagnostics["deficiency"]) == ref, case
+            outcomes.add(ref[0])
+        else:
+            assert new[:2] == ref and new[2] == {"path": "one-shot"}, case
+            emb = TransversalEmbedding(tau=new[0], sigma=new[1])
+            assert verify_transversal_embedding(t.gc, PatternGraph(H.n, H.edges()), emb).ok
+            outcomes.add("ok" if Y else "ok, empty buffer")
+    assert outcomes == {"ok", "ok, empty buffer", "buffer-vertices", "buffer-colours"}, outcomes
+
+
+def _captured_blowup(monkeypatch, gc, H, seed):
+    """quasi_embed's first transversal_blowup call: (t, H, phi, targets, plan), kwargs."""
+    from transversal import embed
+
+    calls = []
+    real = embed.transversal_blowup
+    monkeypatch.setattr(embed, "transversal_blowup",
+                        lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+    out = quasi_embed(gc, H, PLAN, seed=seed)
+    monkeypatch.setattr(embed, "transversal_blowup", real)
+    return out, calls[0]
+
+
+def test_buffered_pass_succeeds_where_every_greedy_pass_fails(monkeypatch):
+    # on this 30-cycle's template the greedy pass over the whole order (the
+    # one-shot pass before its buffer) fails on all 20 sub-seeds; the
+    # buffered pass succeeds on its first, verified, and replays bit for bit
+    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.4, seed=3))
+    out, ((t, H, phi, targets, plan), kwargs) = _captured_blowup(monkeypatch, gc, H, 3)
+    assert out.ok and out.stats["blowup"] == {"path": "one-shot", "attempts": 1}
+    bfs = kwargs["setup"].bfs
+    for k in range(PLAN.retries):
+        sub_seed, order = _mix(kwargs["seed"], 89, k), list(bfs)
+        if k % 2:
+            random.Random(sub_seed).shuffle(order)
+        greedy = partial_embed(t, H, phi, order, [], targets, PLAN, seed=sub_seed)
+        assert isinstance(greedy, Failure) and greedy.reason == CANDIDATE_EXHAUSTED, k
+    # the finish draws nothing: the same seed gives the same output twice
+    runs = [transversal_blowup(t, H, phi, targets, plan, **kwargs) for _ in range(2)]
+    assert all(o.ok and o.verification.ok for o in runs)
+    assert len({repr((o.embedding, o.stats)) for o in runs}) == 1
+
+
+def _path_template(c0, c1):
+    """The path 0-1-2 with phi = [0, 1, 0] on clusters {0, 1} and {2} and two
+    colours of class (0, 1), with host edges (u, 2) for u in c0 in colour 0
+    and for u in c1 in colour 1.  Every pass puts 1 on host 2 and buffers 0
+    and 2."""
+    gc = GraphCollection(3, 2, {0: [(u, 2) for u in c0], 1: [(u, 2) for u in c1]})
+    led = make_ledger(1, "0.05", "0.5", "0.5", mode="super")
+    t = make_template(R2, [range(2), range(2, 3)], {(0, 1): range(2)}, gc, led,
+                      rainbow=True, klass="super")
+    return t, PatternGraph(3, [(0, 1), (1, 2)]), [0, 1, 0]
+
+
+@pytest.mark.parametrize("c0, c1, step", [
+    ((0,), (0,), "buffer-vertices"),  # host 1 meets host 2 in no colour
+    ((0, 1), (), "buffer-colours"),  # both edges need colour 0
+])
+def test_buffer_finish_fails_typed(c0, c1, step):
+    t, H, phi = _path_template(c0, c1)
+    out = transversal_blowup(t, H, phi, None, PLAN, seed=4)
+    assert not out.ok
+    f = out.failure
+    assert (f.stage, f.reason, f.diagnostics["step"], f.diagnostics["deficiency"]) == (
+        "one-shot", "MatchingTooSmall", step, 1)
+    assert f.diagnostics["main"] == "split-decided"
+
+
+def test_buffer_keeps_the_sparse_sides_targets(monkeypatch):
+    # QUASI_REPLAY seed 9 (the finer ladder) embeds its sparse side first;
+    # the dense side's one-shot pass buffers vertices whose targets are the
+    # sparse side's candidate sets, and the finish keeps them inside
+    from transversal import embed
+
+    seen = []
+    real = embed._finish_buffer
+
+    def recorded(t, H, phi, B, part, targets, seed):
+        out = real(t, H, phi, B, part, targets, seed)
+        seen.append((B, targets, out))
+        return out
+
+    monkeypatch.setattr(embed, "_finish_buffer", recorded)
+    gc, H, plan = _quasi_instance(9)
+    assert plan is MIXED_PLAN
+    out = quasi_embed(gc, H, plan, seed=9)
+    assert out.ok and _quasi_path(out) == "one-shot+sparse"
+    B, targets, (tau, _, _) = seen[-1]
+    held = [b for b in B if b in targets]
+    assert held and all(tau[b] in targets[b] for b in held)
+    assert all(out.embedding.tau[b] == tau[b] for b in B)
+
+
+def test_a_broken_finish_is_caught_by_the_last_check(monkeypatch):
+    # a finish that maps two buffer vertices to one host: EmbedOutcome.success
+    # raises UnverifiedOutput (an explicit raise, so also under python -O)
+    from transversal import embed
+    from transversal.embed import UnverifiedOutput
+
+    real = embed._finish_buffer
+
+    def broken(t, H, phi, B, part, targets, seed):
+        tau, sigma, stats = real(t, H, phi, B, part, targets, seed)
+        tau[B[0]] = tau[B[1]]
+        return tau, sigma, stats
+
+    monkeypatch.setattr(embed, "_finish_buffer", broken)
+    t, H, phi = matching_pipeline_fixture(m=2)  # two components: the split is decided
+    with pytest.raises(UnverifiedOutput, match="failed verification: .*tau is not injective"):
+        transversal_blowup(t, H, phi, None, PLAN, seed=0)
+
+
+def test_an_unused_prescribed_colour_is_caught(monkeypatch):
+    # every colour joins every cross pair, so moving the prescribed colour 7
+    # to a free colour still verifies; the prescription check then raises
+    from transversal import embed
+    from transversal.embed import UnverifiedOutput
+
+    real = embed._embed_matched_then_rest
+
+    def skip_seven(*args):
+        tau, sigma = real(*args)
+        free = next(c for c in range(10) if c not in sigma.values())
+        return tau, {e: free if c == 7 else c for e, c in sigma.items()}
+
+    monkeypatch.setattr(embed, "_embed_matched_then_rest", skip_seven)
+    t = bip_template(8, 10, density=1.0, seed=6, d="0.4")
+    H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    with pytest.raises(UnverifiedOutput, match="a prescribed colour was not used"):
+        embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7]}, PLAN, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -1412,26 +1575,28 @@ def _expand_instance(seed):
 
 # sha256 prefixes of the expansion maps (or "stage:reason" of the failure)
 # that the scan over every host triple gave before ThreeGraph.link_collection,
-# so seeded replay stays bit for bit
+# so seeded replay stays bit for bit; the seeds decided by the one-shot pass
+# (1, 4, 5, 8, 9, 10, 12, 13, 16, 17) were re-recorded when that pass gained
+# its buffer finish
 EXPAND_REPLAY = {
     0: "99847fde6143c98b",
-    1: "4f397289adb05237",
+    1: "9b8616478cde4b3e",
     2: "378a8b5b936bc698",
     3: "51a006e49337b0eb",
-    4: "cb1d39c6200f4607",
-    5: "5ca76cbd6c3b252f",
+    4: "2dbe444179a62f16",
+    5: "0f59787cf5009c18",
     6: "273aec7a209da847",
     7: "c49e93e459ca9a49",
-    8: "0828adccbbd8b043",
-    9: "f4eb9b6f017a3988",
-    10: "9c3e722bf60315c8",
+    8: "08d192522453491b",
+    9: "e7aad798c120588c",
+    10: "62c5e4b95eac7a2a",
     11: "f4df615b5f36e83f",
-    12: "6105a2009f86a391",
-    13: "8c8145d107de1174",
+    12: "3e2fa268602faea5",
+    13: "7180875cbae88b24",
     14: "65763ca7c558427c",
     15: "759853e7ea21c07e",
-    16: "4eae61c0344c94c7",
-    17: "e182b4c678c3b8a1",
+    16: "c0c046ab05d7f7b0",
+    17: "d4309ee8269f8698",
     18: "70a8132caa4d841d",
     19: "9f3d274288556716",
 }
@@ -1493,38 +1658,40 @@ def _quasi_path(out):
 # diagnostics) of quasi_embed on _quasi_instance(seed), recorded before the
 # embedders shared one induced-subgraph primitive; the table runs the main
 # pipeline, the ladder-degenerate pass, the mixed sparse/dense split and the
-# one-shot fallback, so seeded replay of each path stays bit for bit.
-# Seed 27's failure diagnostics also carry "main": "split-decided" (the
-# digest without that key is 22bbc261e03579e0).
+# one-shot fallback, so seeded replay of each path stays bit for bit.  The
+# one-shot entries (1, 3, 7, 9, 11, 15, 17, 18, 19, 21, 26, 27) were
+# re-recorded when that pass gained its buffer finish.  Seed 27's failure
+# diagnostics are step "buffer-vertices", deficiency 5 and "main":
+# "split-decided" (the digest without that key is 8f572f99300b7eb3).
 QUASI_REPLAY = {
     0: ("main", "5b4c5ebbcc5aa26c"),
-    1: ("one-shot", "5e74e0b942ec71c1"),
+    1: ("one-shot", "7b2d55561d3ccc27"),
     2: ("ladder-degenerate", "b79ce2478c059c95"),
-    3: ("one-shot", "9a07876d7a6e4519"),
+    3: ("one-shot", "5ef81646fcb83827"),
     4: ("main", "5411fe8c9ecafdc8"),
     5: ("ladder-degenerate", "3a333930a0425118"),
     6: ("quasi-sparse:CandidateExhausted", "9e632d30ed218239"),
-    7: ("one-shot", "4bca690acc59093f"),
+    7: ("one-shot", "af5ed7719389a61b"),
     8: ("main", "fd77b206960f6ae8"),
-    9: ("one-shot+sparse", "0e89edc0426f3868"),
+    9: ("one-shot+sparse", "651fd3e48f66958d"),
     10: ("ladder-degenerate", "bc3f5fce1fc02648"),
-    11: ("one-shot+sparse", "5c3c02f7705f472c"),
+    11: ("one-shot+sparse", "98af5575af158dc7"),
     12: ("main", "b9e3a7fd5389e626"),
     13: ("quasi-sparse:CandidateExhausted", "073faaec55230385"),
     14: ("ladder-degenerate", "6c8228c03085cb75"),
-    15: ("one-shot", "34519b5be9f318c2"),
+    15: ("one-shot", "bece8659473cf7d4"),
     16: ("main", "7aefed4ba5e5ca85"),
-    17: ("one-shot", "25234f947bd62d84"),
-    18: ("one-shot", "5fa0e65fef403ed0"),
-    19: ("one-shot", "5098f38a1c339232"),
+    17: ("one-shot", "45b81ecf770abdee"),
+    18: ("one-shot", "eae1807baf853919"),
+    19: ("one-shot", "184b230612608afa"),
     20: ("main", "7b62ad4f461cf166"),
-    21: ("one-shot+sparse", "979c2d812ca162dc"),
+    21: ("one-shot+sparse", "a10d8d66a067bb11"),
     22: ("ladder-degenerate", "12c35f5215b8ec6d"),
     23: ("main", "750c363870ebeec6"),
     24: ("main", "68b4dc7aa2447ed2"),
     25: ("main", "1269ea98405d45a1"),
-    26: ("one-shot", "ea9a0280a0d9a6d1"),
-    27: ("one-shot:CandidateExhausted", "25de6ae4fb0688f2"),
+    26: ("one-shot", "42f788dcc3fff8b7"),
+    27: ("one-shot:MatchingTooSmall", "ab7ebad56b0523bb"),
 }
 
 
