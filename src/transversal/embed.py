@@ -77,6 +77,40 @@ def _retry(seed: int, tag: int, budget: int, default: Failure, attempt):
     return out, budget
 
 
+class _Run:
+    """The run state of one attempt: its sub-seed and rng, the inputs and
+    set-up it is given, and the attributes each step sets for the later
+    ones."""
+
+    def __init__(self, seed: int, **state):
+        self.__dict__.update(state)
+        self.seed, self.rng = seed, random.Random(seed)
+
+
+def _run_steps(run: _Run, steps) -> Failure | None:
+    """The one step loop of an attempt: run ``steps`` in turn on the run
+    state ``run``, each returning a typed failure or None, and return the
+    first failure (None when every step ran)."""
+    for step in steps:
+        failure = step(run)
+        if failure is not None:
+            return failure
+    return None
+
+
+def _steps(steps, **state):
+    """The ``_retry`` attempt that runs ``steps`` on a fresh ``_Run`` of its
+    sub-seed and ``state``: the run once every step ran, else the first
+    failure.  A step, not ``state``, makes what an attempt mutates."""
+
+    def attempt(sub_seed, _):
+        run = _Run(sub_seed, **state)
+        failure = _run_steps(run, steps)
+        return run if failure is None else failure
+
+    return attempt
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Concrete constants replacing the paper-style parameter hierarchy.
@@ -380,41 +414,6 @@ def _exhausted(seed: int, element, step: str, **detail) -> Failure:
     return Failure("partial", CANDIDATE_EXHAUSTED, seed, element=element, step=step, **detail)
 
 
-def _partial_setup(t, H, phi, X, Y, targets, seed: int = 0):
-    """The draw-free set-up of ``partial_embed`` for one (t, H, phi, targets,
-    X, Y), or its typed failure: the initial vertex candidate masks, the
-    edges of X + Y with their class colour masks and words, and the ledger's
-    d, eps and m as floats."""
-    X, Y = list(X), list(Y)
-    xy_set = set(X) | set(Y)
-    if len(xy_set) != len(X) + len(Y):
-        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
-    if inside_y := H.edges_within(Y):
-        u, v = inside_y[0]
-        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
-    targets = targets or {}
-    cand_v: dict[int, int] = {}
-    for w in X + Y:
-        tw = targets.get(w)
-        if tw is None:
-            cand_v[w] = t.cluster_masks[phi[w]]
-        else:  # a target outside the cluster is ignored
-            tw = set(tw)
-            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
-        if not cand_v[w]:
-            return _exhausted(seed, ("vertex", w), "init", detail="empty target within cluster")
-    class_masks, class_words = t.colour_cluster_masks, t.colour_cluster_words
-    edges = []
-    for u, v in H.edges_within(xy_set):
-        key = _class_key(phi, u, v)
-        if key not in class_masks:
-            return Failure("partial", PRECONDITION, seed,
-                           detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
-        edges.append(((u, v), class_masks[key], class_words[key]))
-    ledger = (float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m))
-    return cand_v, edges, ledger
-
-
 def partial_embed(
     t: Template,
     H: PatternGraph,
@@ -445,25 +444,43 @@ def partial_embed(
     cached on ``t.gc`` (at most n * |C| * n bits, built for screened hosts
     only) and the class's colour word less the retired word (one AND-NOT),
     the colour test ``GraphCollection.colour_screen``; the cluster masks and
-    class colour masks and words are cached on ``t``.  The checks, the edges
-    with their class masks and the initial masks draw nothing
-    (``_partial_setup``); the pass draws.
+    class colour masks and words are cached on ``t``.  The checks, the
+    initial masks and each x's later neighbours with their class masks
+    draw nothing; the pass draws.
     """
     X, Y = list(X), list(Y)
     pos = {v: i for i, v in enumerate(X + Y)}
-    setup = _partial_setup(t, H, phi, X, Y, targets, seed)
-    if isinstance(setup, Failure):
-        return setup
-    rng = random.Random(_mix(seed, 23))
-    cand_v, edges, (d, eps, m) = setup
-    floor = max(1, math.ceil(plan.nu_prime * m))
+    if len(pos) != len(X) + len(Y):
+        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
+    if inside_y := H.edges_within(Y):
+        u, v = inside_y[0]
+        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
+    targets = targets or {}
+    cand_v: dict[int, int] = {}
+    for w in pos:
+        tw = targets.get(w)
+        if tw is None:
+            cand_v[w] = t.cluster_masks[phi[w]]
+        else:  # a target outside the cluster is ignored
+            tw = set(tw)
+            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
+        if not cand_v[w]:
+            return _exhausted(seed, ("vertex", w), "init", detail="empty target within cluster")
     # later neighbours per x, in the order X + Y (no edge is inside Y)
     later: dict[int, list[tuple[int, int, tuple[int, int], int, int]]] = {x: [] for x in X}
-    for e, ce, we in edges:
-        a, b = e if pos[e[0]] < pos[e[1]] else e[::-1]
-        later[a].append((pos[b], b, e, ce, we))
+    class_masks, class_words = t.colour_cluster_masks, t.colour_cluster_words
+    for u, v in H.edges_within(pos):
+        key = _class_key(phi, u, v)
+        if key not in class_masks:
+            return Failure("partial", PRECONDITION, seed,
+                           detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
+        a, b = (u, v) if pos[u] < pos[v] else (v, u)
+        later[a].append((pos[b], b, (u, v), class_masks[key], class_words[key]))
     for ys in later.values():
         ys.sort()
+    d, eps, m = float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m)
+    floor = max(1, math.ceil(plan.nu_prime * m))
+    rng = random.Random(_mix(seed, 23))
 
     tau: dict[int, int] = {}
     sigma: dict[tuple[int, int], int] = {}
@@ -580,9 +597,18 @@ def embed_prescribed_colours(
     prescribed_density_floor: float | None = None,
 ) -> EmbedOutcome:
     """Full transversal embedding of H (restricted to ``active``) that uses
-    every prescribed colour: induced matching sized to the deduplicated
-    prescription, greedy matched-edge embedding through degree-filtered host
-    sets, then the candidate-set loop for the remainder."""
+    every prescribed colour.
+
+    The set-up draws nothing: it deduplicates the prescription in sorted
+    class order and checks the prescribed colours' density and the number
+    of unprescribed colours.  Each attempt then runs ``_PRESCRIBED_STEPS``
+    through ``_run_steps``: ``_prescribed_matching`` finds an induced
+    matching sized to the prescription, ``_prescribed_matched`` embeds its
+    edges greedily with their prescribed colours through degree-filtered
+    host masks, giving each unmatched neighbour a fresh colour, and
+    ``_prescribed_rest`` runs the candidate-set loop on the remainder.
+    Used hosts, used colours and the prescribed colours are a mask each.
+    """
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
     d = float(t.ledger.d)
@@ -591,56 +617,40 @@ def embed_prescribed_colours(
     seen: set[int] = set()
     dmap: dict[tuple[int, int], list[int]] = {}
     for key in sorted(prescribed):
-        fresh = [c for c in prescribed[key] if c not in seen]
-        seen.update(fresh)
-        dmap[key] = fresh
-    all_prescribed = set(seen)
+        dmap[key] = [c for c in prescribed[key] if c not in seen]
+        seen.update(dmap[key])
     # density precondition for prescribed colours, surfaced before embedding
-    for key, cs in dmap.items():
-        i, j = key
-        vi, vj = t.clusters[i], t.clusters[j]
-        mj = mask_of(vj)
-        need = floor_d * len(vi) * len(vj)
+    for (i, j), cs in dmap.items():
+        need = floor_d * len(t.clusters[i]) * len(t.clusters[j])
         for c in cs:
-            cnt = t.gc.edges_into(c, vi, mj)
+            cnt = t.gc.edges_into(c, t.clusters[i], t.cluster_masks[j])
             if cnt < need:
                 return EmbedOutcome.fail(
                     "prescribed", PRECONDITION, seed,
                     colour=c, edges=cnt, need=need,
                     detail="prescribed colour graph too sparse",
                 )
+    all_prescribed = mask_of(seen)
     for key, cs in t.colour_clusters.items():
-        rest = len(set(cs) - all_prescribed)
-        if rest < d * len(cs):
+        if (t.colour_cluster_masks[key] & ~all_prescribed).bit_count() < d * len(cs):
             return EmbedOutcome.fail(
                 "prescribed", PRECONDITION, seed,
                 edge_class=key, detail="too few unprescribed colours",
             )
-
-    sizes = {key: len(cs) for key, cs in dmap.items()}
-
-    def attempt(sub_seed, _):
-        matching = find_induced_matching(
-            H, phi, sizes, forbidden=set(targets), seed=sub_seed, active=active
-        )
-        if isinstance(matching, Failure):
-            return matching
-        return _embed_matched_then_rest(
-            t, H, phi, targets, dmap, matching, plan, sub_seed, active, random.Random(sub_seed)
-        )
-
-    out, attempts = _retry(
-        seed, 41, plan.retries, Failure("prescribed", EMBEDDING_FAILED, seed), attempt
+    run, attempts = _retry(
+        seed, 41, plan.retries, Failure("prescribed", EMBEDDING_FAILED, seed),
+        _steps(_PRESCRIBED_STEPS, t=t, H=H, phi=phi, plan=plan, active=active, targets=targets,
+               target_masks={v: mask_of(ts) for v, ts in targets.items()}, d=d, dmap=dmap,
+               prescribed=all_prescribed),
     )
-    if isinstance(out, Failure):
-        return EmbedOutcome(None, out, None, stats={"attempts": attempts})
-    tau, sigma = out
+    if isinstance(run, Failure):
+        return EmbedOutcome(None, run, None, stats={"attempts": attempts})
     done = EmbedOutcome.success(
-        t.gc, H, tau, sigma,
-        stats={"attempts": attempts, "prescribed_used": sorted(all_prescribed)},
+        t.gc, H, run.tau, run.sigma,
+        stats={"attempts": attempts, "prescribed_used": sorted(seen)},
         view=_pattern_view(H, phi, active, targets),
     )
-    if not all_prescribed <= set(sigma.values()):
+    if all_prescribed & ~mask_of(run.sigma.values()):
         raise UnverifiedOutput("a prescribed colour was not used")
     return done
 
@@ -676,136 +686,119 @@ def _relabel(view: _PatternView, emb: TransversalEmbedding) -> TransversalEmbedd
     return TransversalEmbedding(tau=tau, sigma=sigma)
 
 
-def _embed_matched_then_rest(
-    t, H, phi, targets, dmap, matching, plan, seed, active, rng
-):
-    """Greedy embedding of the induced matching with its prescribed colours
-    plus colours and candidate sets for all matched-edge neighbours, then the
-    candidate-set loop on the remainder."""
-    d = float(t.ledger.d)
-    used_hosts: set[int] = set()
-    used_colours: set[int] = set()
-    tau: dict[int, int] = {}
-    sigma: dict[tuple[int, int], int] = {}
-    pend_targets: dict[int, set[int]] = {}
-    mvertices = {v for es in matching.values() for e in es for v in e}
-    all_prescribed = {c for cs in dmap.values() for c in cs}
+def _prescribed_matching(run: _Run) -> Failure | None:
+    """The induced matching, one edge per prescribed colour of its class,
+    that avoids the targeted vertices."""
+    sizes = {key: len(cs) for key, cs in run.dmap.items()}
+    matching = find_induced_matching(run.H, run.phi, sizes, forbidden=set(run.targets),
+                                     seed=run.seed, active=run.active)
+    if isinstance(matching, Failure):
+        return matching
+    run.matching = matching
+    run.matched = {v for es in matching.values() for e in es for v in e}
 
-    def cluster_free(i):
-        return [v for v in t.clusters[i] if v not in used_hosts]
 
-    def fresh_colour_towards(zset, a_cluster, key):
-        """A colour of class `key`, unused and unprescribed, dense from zset
-        into cluster a_cluster; returns (colour, filtered zset)."""
-        va = [v for v in t.clusters[a_cluster] if v not in used_hosts]
-        if not va:
-            return None
-        va_mask = mask_of(va)
-        pool = [
-            c
-            for c in t.colours_of_edge(*key)
-            if c not in used_colours and c not in all_prescribed
-        ]
-        rng.shuffle(pool)
-        need_edges = d / 3 * len(zset) * len(va)
-        for c in pool:
-            cnt = t.gc.edges_into(c, zset, va_mask)
-            if cnt < need_edges:
-                continue
-            z2 = [z for z in zset if (t.gc.adj(c, z) & va_mask).bit_count() >= d / 6 * len(va)]
-            if z2:
-                return c, z2
-        return None
+def _prescribed_matched(run: _Run) -> Failure | None:
+    """Embed each matching edge xx' with its prescribed colour c*: x on a
+    free host of its cluster with c*-degree at least d/4 into the free
+    hosts of the other cluster, then x' on a free c*-neighbour of tau(x)
+    there; ``_prescribed_place`` first colours each one's unmatched
+    neighbours."""
+    t, phi, d, adj = run.t, run.phi, run.d, run.t.gc.adj
+    run.tau, run.sigma, run.pending = {}, {}, {}
+    run.used = run.retired = 0  # hosts taken by tau, colours taken by sigma
+    for key in sorted(run.matching):
+        for (x, xp), cstar in zip(run.matching[key], run.dmap[key]):
+            free_xp = t.cluster_masks[phi[xp]] & ~run.used
+            z_x = [v for v in bits_of(t.cluster_masks[phi[x]] & ~run.used)
+                   if (adj(cstar, v) & free_xp).bit_count() >= d / 4 * free_xp.bit_count()]
+            failure = _prescribed_place(run, x, z_x, (x, xp), "x")
+            if failure is not None:
+                return failure
+            run.sigma[(x, xp) if x < xp else (xp, x)] = cstar
+            run.retired |= 1 << cstar
+            z_xp = list(bits_of(adj(cstar, run.tau[x]) & free_xp & ~run.used))
+            failure = _prescribed_place(run, xp, z_xp, (x, xp), "x'")
+            if failure is not None:
+                return failure
 
-    def place(v, z, edge, tag):
-        """Give each unmatched neighbour of the matched vertex v a fresh
-        colour dense from z (narrowing z each time), embed v in what is left
-        of z and narrow those neighbours' targets; a Failure when stuck."""
-        if not z:
-            return Failure(
-                "prescribed", CANDIDATE_EXHAUSTED, seed,
-                element=("matched-edge", edge), step=f"Z({tag})",
-            )
-        chosen: list[tuple[int, int]] = []  # (neighbour, colour)
-        for y in H.neighbours(v):
-            if y not in active or y in mvertices:
-                continue
-            got = fresh_colour_towards(z, phi[y], _class_key(phi, v, y))
-            if got is None:
-                return Failure(
-                    "prescribed", COLOUR_EXHAUSTED, seed,
-                    element=("matched-vertex", v), step=f"N({tag}) colours",
-                )
-            cy, z = got
-            used_colours.add(cy)
-            chosen.append((y, cy))
-        tau[v] = rng.choice(sorted(z))
-        used_hosts.add(tau[v])
-        for (y, cy) in chosen:
-            sigma[(v, y) if v < y else (y, v)] = cy
-            nb = {
-                w
-                for w in bits_of(t.gc.adj(cy, tau[v]))
-                if w not in used_hosts and w in set(t.clusters[phi[y]])
-            }
-            pend_targets[y] = pend_targets[y] & nb if y in pend_targets else nb
-        return None
 
-    for key in sorted(matching):
-        cs = list(dmap[key])
-        for idx, (x, xp) in enumerate(matching[key]):
-            cstar = cs[idx]
-            j, jp = phi[x], phi[xp]
-            if (j, jp) != key and (jp, j) != key:
-                j, jp = jp, j
-            Ujp_mask = mask_of(cluster_free(jp))
-            z_x = [
-                v
-                for v in cluster_free(j)
-                if (t.gc.adj(cstar, v) & Ujp_mask).bit_count()
-                >= d / 4 * Ujp_mask.bit_count()
-            ]
-            stuck = place(x, z_x, (x, xp), "x")
-            if stuck:
-                return stuck
-            sigma[(x, xp) if x < xp else (xp, x)] = cstar
-            used_colours.add(cstar)
-            z_xp = [
-                v for v in bits_of(t.gc.adj(cstar, tau[x]) & Ujp_mask) if v not in used_hosts
-            ]
-            stuck = place(xp, z_xp, (x, xp), "x'")
-            if stuck:
-                return stuck
+def _prescribed_place(run: _Run, v: int, z: list[int], edge, tag: str) -> Failure | None:
+    """Give each unmatched neighbour y of the matched vertex v a fresh
+    colour dense from the hosts z (ascending) into y's free hosts
+    (``_fresh_colour``, narrowing z each time), embed v in what is left of
+    z and narrow y's pending targets to that colour's neighbourhood of
+    tau(v); a typed failure when stuck."""
+    if not z:
+        return Failure("prescribed", CANDIDATE_EXHAUSTED, run.seed,
+                       element=("matched-edge", edge), step=f"Z({tag})")
+    t, phi = run.t, run.phi
+    chosen: list[tuple[int, int]] = []  # (neighbour, colour)
+    for y in run.H.neighbours(v):
+        if y not in run.active or y in run.matched:
+            continue
+        free = t.cluster_masks[phi[y]] & ~run.used
+        got = _fresh_colour(run, z, free, _class_key(phi, v, y)) if free else None
+        if got is None:
+            return Failure("prescribed", COLOUR_EXHAUSTED, run.seed,
+                           element=("matched-vertex", v), step=f"N({tag}) colours")
+        c, z = got
+        run.retired |= 1 << c
+        chosen.append((y, c))
+    run.tau[v] = tv = run.rng.choice(z)
+    run.used |= 1 << tv
+    for y, c in chosen:
+        run.sigma[(v, y) if v < y else (y, v)] = c
+        near = t.gc.adj(c, tv) & t.cluster_masks[phi[y]] & ~run.used
+        run.pending[y] = run.pending.get(y, -1) & near
+    return None
 
-    # remainder: everything outside the matching, via the candidate-set loop
-    rest = sorted(active - mvertices)
+
+def _fresh_colour(run: _Run, z: list[int], free: int, key) -> tuple[int, list[int]] | None:
+    """The first colour of class ``key``, unused and unprescribed, in a
+    shuffled order, with at least d/3 |z| |free| edges from the hosts z into
+    the host mask ``free`` and a host of z with at least d/6 |free| of them,
+    and those hosts; None when no colour qualifies."""
+    d, gc = run.d, run.t.gc
+    pool = list(bits_of(run.t.colour_cluster_masks[key] & ~(run.retired | run.prescribed)))
+    run.rng.shuffle(pool)
+    n_free = free.bit_count()
+    for c in pool:
+        if gc.edges_into(c, z, free) < d / 3 * len(z) * n_free:
+            continue
+        dense = [w for w in z if (gc.adj(c, w) & free).bit_count() >= d / 6 * n_free]
+        if dense:
+            return c, dense
+    return None
+
+
+def _prescribed_rest(run: _Run) -> Failure | None:
+    """The vertices outside the matching, by the candidate-set loop on the
+    free hosts and the unused unprescribed colours, each within its target
+    and the pending targets that the matched vertices left."""
+    t, phi, used = run.t, run.phi, run.used
+    rest = sorted(run.active - run.matched)
     rest_targets: dict[int, set[int]] = {}
     for w in rest:
-        tw = set(t.clusters[phi[w]]) - used_hosts
-        if w in targets:
-            tw &= targets[w]
-        if w in pend_targets:
-            tw &= pend_targets[w]
+        free = t.cluster_masks[phi[w]] & ~used
+        tw = free & run.target_masks.get(w, -1) & run.pending.get(w, -1)
         if not tw:
-            return Failure(
-                "prescribed", CANDIDATE_EXHAUSTED, seed,
-                element=("vertex", w), step="rest-targets",
-            )
-        rest_targets[w] = tw
-    sub_clusters = [tuple(v for v in cl if v not in used_hosts) for cl in t.clusters]
-    sub_colours = {
-        key: tuple(c for c in cs if c not in used_colours and c not in all_prescribed)
-        for key, cs in t.colour_clusters.items()
-    }
-    t_rest = _sub_template(t, sub_clusters, sub_colours)
-    part = partial_embed(
-        t_rest, H, phi, X=rest, Y=[], targets=rest_targets, plan=plan, seed=seed
-    )
+            return Failure("prescribed", CANDIDATE_EXHAUSTED, run.seed,
+                           element=("vertex", w), step="rest-targets")
+        if tw != free:  # else w's cluster in t_rest is its target
+            rest_targets[w] = set(bits_of(tw))
+    off = run.retired | run.prescribed
+    t_rest = _sub_template(t, [bits_of(mask & ~used) for mask in t.cluster_masks],
+                           {key: bits_of(mask & ~off) for key, mask in t.colour_cluster_masks.items()})
+    part = partial_embed(t_rest, run.H, phi, X=rest, Y=[], targets=rest_targets, plan=run.plan,
+                         seed=run.seed)
     if isinstance(part, Failure):
         return part
-    tau.update(part.tau)
-    sigma.update(part.sigma)
-    return tau, sigma
+    run.tau.update(part.tau)
+    run.sigma.update(part.sigma)
+
+
+_PRESCRIBED_STEPS = (_prescribed_matching, _prescribed_matched, _prescribed_rest)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,20 +1000,23 @@ def approx_embed(
     """Transversal embedding of a spanning union of small components into a
     rainbow semi-super template with a colour surplus.
 
-    Components are chunked into rounds; each round embeds its chunk into the
-    thick graph of the round's subtemplate via the blow-up embedder and
-    greedily assigns distinct unused colours (thick edges see more colours
-    than the round needs); the final chunk lands in the leftover vertices
-    using a reserved colour buffer.  Chunk-size statistics are recorded.
+    The entry checks and the components draw nothing and run once.  Each
+    attempt then runs ``_APPROX_STEPS`` through ``_run_steps``:
+    ``_approx_chunk`` shuffles the components and chunks them into rounds
+    B_1..B_s and a final chunk B_0; ``_approx_slices`` splits each cluster
+    into a slice per round and V^0, and each class's colours into the
+    rounds' pool and a buffer; ``_approx_rounds`` embeds each round into the
+    thick graph of its subtemplate via the blow-up embedder and greedily
+    assigns distinct unused pool colours (thick edges see more colours than
+    the round needs); ``_approx_final`` lands B_0 in V^0 plus the rounds'
+    leftover vertices on the buffer colours.  Chunk-size statistics are
+    recorded.
     """
     entry = _filling_entry("approx", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
         return entry
     active, targets = entry
-    r = t.r
     m = float(t.ledger.m)
-    eps = float(t.ledger.eps)
-    d = float(t.ledger.d)
     class_e = _class_edges(H, phi, active)
     surplus_floor = max(0, math.ceil((beta if beta is not None else 0.0) * m))
     for key, cs in t.colour_clusters.items():
@@ -1031,142 +1027,116 @@ def approx_embed(
                 detail=f"colour surplus below beta*m: {len(cs)}-{h_e} < {surplus_floor}",
             )
     comps = H.components(active)
-    n_active = len(active)
-    oversize = [len(c) for c in comps if len(c) > max(1, plan.mu * n_active)]
+    oversize = [len(c) for c in comps if len(c) > max(1, plan.mu * len(active))]
     stats: dict = {"component_count": len(comps), "oversize_components": oversize}
-
-    sizes = [len(t.clusters[i]) for i in range(r)]
-    mu_floor = max(1, round(plan.mu_prime * m))
     gamma_floor = max(1, round(plan.gamma * m))
-    delta_h = max(1, H.max_degree)
-    q_stop = 2 * (delta_h + 1) ** (r - 1) * gamma_floor
-    stated = round(r * eps ** (1 / 3) * m)
-
-    def attempt(sub_seed, _):
-        rng = random.Random(sub_seed)
-        order = list(range(len(comps)))
-        rng.shuffle(order)
-        comps_o = [comps[i] for i in order]
-        b0_idx, round_idx = _chunk_components(
-            comps_o, phi, r, sizes, mu_floor, gamma_floor, q_stop
-        )
-        s = len(round_idx)
-        B0 = [v for h in b0_idx for v in comps_o[h]]
-        Bs = [[v for h in idxs for v in comps_o[h]] for idxs in round_idx]
-        b = [[sum(1 for v in B if phi[v] == j) for j in range(r)] for B in Bs]
-        b0 = [sum(1 for v in B0 if phi[v] == j) for j in range(r)]
-        stats["chunks"] = {"s": s, "b0": b0, "b": b, "mu_floor": mu_floor,
-                           "gamma_floor": gamma_floor, "q_stop": q_stop}
-        # slack: as much of the stated r*eps^(1/3)*m as the B_0 part affords
-        slack = [0] * r
-        if s:
-            for j in range(r):
-                afford = (b0[j] - max(1, mu_floor // 2)) // s
-                slack[j] = max(0, min(stated, afford))
-        # vertex partition: V_j -> V^0_j, V^1_j..V^s_j
-        part_v: list[list[list[int]]] = []
-        for j in range(r):
-            pool = list(t.clusters[j])
-            rng.shuffle(pool)
-            parts_j = []
-            pos = 0
-            for i in range(s):
-                size = b[i][j] + slack[j]
-                parts_j.append(pool[pos : pos + size])
-                pos += size
-            parts_j.insert(0, pool[pos:])
-            # |V_j| = sum(b) + b0, and slack > 0 only where s * slack <= b0 - 1
-            _identity(len(parts_j[0]) == b0[j] - s * slack[j] and (parts_j[0] or not b0[j]),
-                      "approx", "vertex partition sizes", cluster=j)
-            part_v.append(parts_j)
-        # colour buffer per class, clamped so that every stage fits
-        h_b0 = {key: 0 for key in t.colour_clusters}
-        for (u, v) in H.edges_within(B0):
-            h_b0[_class_key(phi, u, v)] += 1
-        pools: dict[tuple[int, int], list[int]] = {}
-        buffers: dict[tuple[int, int], list[int]] = {}
-        for key, cs in t.colour_clusters.items():
-            cs = list(cs)
-            h_e = len(class_e.get(key, ()))
-            if s == 0:
-                buffers[key] = []
-                pools[key] = cs
-                continue
-            lo = h_b0[key]
-            hi = len(cs) - (h_e - h_b0[key])
-            # the entry check keeps h_e <= |C_e|, which is lo <= hi
-            _identity(lo <= hi, "approx", "buffer sizing", edge_class=key)
-            want = round(plan.zeta * len(cs))
-            size0 = min(max(want, lo), hi)
-            rng.shuffle(cs)
-            buffers[key] = sorted(cs[:size0])
-            pools[key] = sorted(cs[size0:])
-        tau: dict[int, int] = {}
-        sigma: dict[tuple[int, int], int] = {}
-        used_colours: set[int] = set()
-        leftovers: list[list[int]] = [[] for _ in range(r)]
-        for i in range(1, s + 1):
-            Bi = Bs[i - 1]
-            cur_pools = {
-                key: [c for c in pools[key] if c not in used_colours]
-                for key in t.colour_clusters
-            }
-            res = _round_embed(
-                t, H, phi, Bi, [part_v[j][i] for j in range(r)],
-                cur_pools, targets, plan, rng, trim_to=[b[i - 1][j] for j in range(r)],
-                leftovers=leftovers, d=d, seed=sub_seed,
-            )
-            if isinstance(res, Failure):
-                return res
-            tau.update(res[0])
-            sigma.update(res[1])
-            used_colours.update(res[1].values())
-        # final round: B_0 into V^0 plus leftovers, buffer colours only
-        z_parts = [part_v[j][0] + leftovers[j] for j in range(r)]
-        final_pools = (
-            {key: [c for c in buffers[key] if c not in used_colours] for key in buffers}
-            if s
-            else {key: [c for c in pools[key] if c not in used_colours] for key in pools}
-        )
-        res = _round_embed(
-            t, H, phi, B0, z_parts, final_pools, targets, plan, rng,
-            trim_to=None, leftovers=None, d=d, seed=sub_seed,
-        )
-        if isinstance(res, Failure):
-            return res
-        tau.update(res[0])
-        sigma.update(res[1])
-        return tau, sigma
-
-    out, attempts = _retry(
-        seed, 67, plan.approx_retries, Failure("approx", EMBEDDING_FAILED, seed), attempt
-    )
-    if isinstance(out, Failure):
-        return EmbedOutcome(None, out, None, stats=stats)
+    run, attempts = _retry(seed, 67, plan.approx_retries, Failure("approx", EMBEDDING_FAILED, seed),
+                           _steps(_APPROX_STEPS, t=t, H=H, phi=phi, targets=targets, plan=plan,
+                                  class_e=class_e, comps=comps, stats=stats, d=float(t.ledger.d),
+                                  mu_floor=max(1, round(plan.mu_prime * m)),
+                                  gamma_floor=gamma_floor,
+                                  q_stop=2 * (max(1, H.max_degree) + 1) ** (t.r - 1) * gamma_floor,
+                                  stated=round(t.r * float(t.ledger.eps) ** (1 / 3) * m)))
+    if isinstance(run, Failure):
+        return EmbedOutcome(None, run, None, stats=stats)
     stats["attempts"] = attempts
-    return EmbedOutcome.success(
-        t.gc, H, *out, stats=stats, view=_pattern_view(H, phi, active, targets)
-    )
+    return EmbedOutcome.success(t.gc, H, run.tau, run.sigma, stats=stats,
+                                view=_pattern_view(H, phi, active, targets))
 
 
-def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, leftovers, d, seed=0):
-    """One blow-up round: degree-screen the round's vertex slices, build the
-    thick graph over the remaining pool, embed the chunk, then greedily give
-    every embedded edge a distinct unused pool colour."""
-    r = t.r
-    Bset = set(B)
+def _approx_chunk(run: _Run) -> None:
+    """Shuffle the components and chunk them into the rounds B_1..B_s and
+    the final chunk B_0, with their vertex counts per cluster."""
+    r, phi = run.t.r, run.phi
+    comps = list(run.comps)
+    run.rng.shuffle(comps)
+    b0_idx, round_idx = _chunk_components(comps, phi, r, [len(run.t.clusters[j]) for j in range(r)],
+                                          run.mu_floor, run.gamma_floor, run.q_stop)
+    run.B0 = [v for h in b0_idx for v in comps[h]]
+    run.Bs = [[v for h in idxs for v in comps[h]] for idxs in round_idx]
+    run.b = [[sum(1 for v in B if phi[v] == j) for j in range(r)] for B in run.Bs]
+    run.b0 = [sum(1 for v in run.B0 if phi[v] == j) for j in range(r)]
+    run.stats["chunks"] = {"s": len(run.Bs), "b0": run.b0, "b": run.b, "mu_floor": run.mu_floor,
+                           "gamma_floor": run.gamma_floor, "q_stop": run.q_stop}
+
+
+def _approx_slices(run: _Run) -> None:
+    """Split each cluster V_j at random into V^0_j and a slice per round
+    (its vertices plus a slack: as much of the stated r*eps^(1/3)*m as the
+    B_0 part affords), and each class's colours into the rounds' pool and
+    the final round's buffer, clamped so that every stage fits (all of them
+    when there is no round)."""
+    t, s, b, b0 = run.t, len(run.Bs), run.b, run.b0
+    slack = [max(0, min(run.stated, (b0[j] - max(1, run.mu_floor // 2)) // s)) if s else 0
+             for j in range(t.r)]
+    run.part_v = []
+    for j in range(t.r):
+        pool = list(t.clusters[j])
+        run.rng.shuffle(pool)
+        parts_j, pos = [], 0
+        for i in range(s):
+            parts_j.append(pool[pos : pos + b[i][j] + slack[j]])
+            pos += b[i][j] + slack[j]
+        parts_j.insert(0, pool[pos:])
+        # |V_j| = sum(b) + b0, and slack > 0 only where s * slack <= b0 - 1
+        _identity(len(parts_j[0]) == b0[j] - s * slack[j] and (parts_j[0] or not b0[j]),
+                  "approx", "vertex partition sizes", cluster=j)
+        run.part_v.append(parts_j)
+    h_b0 = dict.fromkeys(t.colour_clusters, 0)
+    for (u, v) in run.H.edges_within(run.B0):
+        h_b0[_class_key(run.phi, u, v)] += 1
+    run.pools, run.buffers = {}, {}
+    for key, cs in t.colour_clusters.items():
+        if not s:
+            run.buffers[key] = list(cs)
+            continue
+        lo, hi = h_b0[key], len(cs) - (len(run.class_e.get(key, ())) - h_b0[key])
+        # the entry check keeps h_e <= |C_e|, which is lo <= hi
+        _identity(lo <= hi, "approx", "buffer sizing", edge_class=key)
+        size0 = min(max(round(run.plan.zeta * len(cs)), lo), hi)
+        cs = list(cs)
+        run.rng.shuffle(cs)
+        run.buffers[key], run.pools[key] = sorted(cs[:size0]), sorted(cs[size0:])
+
+
+def _approx_rounds(run: _Run) -> Failure | None:
+    """Embed each round B_i into its slices on the pool colours that the
+    earlier rounds left, collecting the hosts that the rounds leave over."""
+    r = run.t.r
+    run.tau, run.sigma, run.leftovers = {}, {}, [[] for _ in range(r)]
+    for i, B in enumerate(run.Bs, 1):
+        used = set(run.sigma.values())
+        pools = {key: [c for c in pool if c not in used] for key, pool in run.pools.items()}
+        failure = _round_embed(run, B, [run.part_v[j][i] for j in range(r)], pools, run.leftovers)
+        if failure is not None:
+            return failure
+
+
+def _approx_final(run: _Run) -> Failure | None:
+    """The final round: B_0 into V^0 plus the rounds' leftovers, on the
+    buffer colours (which no round uses)."""
+    return _round_embed(run, run.B0, [run.part_v[j][0] + run.leftovers[j] for j in range(run.t.r)],
+                        run.buffers, None)
+
+
+_APPROX_STEPS = (_approx_chunk, _approx_slices, _approx_rounds, _approx_final)
+
+
+def _round_embed(run: _Run, B, v_parts, pools, leftovers) -> Failure | None:
+    """One blow-up round of ``approx_embed``: trim each cluster's slice to
+    B's vertex count there, build the thick graph over the pool, embed B
+    into it, then greedily give every embedded edge a distinct unused pool
+    colour.  The rounds before the final one pass ``leftovers``: their
+    slices are first screened for degree against the pool (the slack
+    allows discards), and the hosts not kept go to ``leftovers``."""
     if not B:
-        if trim_to is not None and leftovers is not None:
-            for j in range(r):
-                leftovers[j].extend(v_parts[j])
-        return {}, {}
-    # degree screen against the pool (intermediate rounds only, where the
-    # slack allows discards), then trim to the exact chunk size
+        return None
+    t, H, phi, rng, d, r = run.t, run.H, run.phi, run.rng, run.d, run.t.r
     slices: list[list[int]] = []
     for j in range(r):
         vs = list(v_parts[j])
         bad: set[int] = set()
-        if trim_to is not None:
+        if leftovers is not None:
             for jp in range(r):
                 pool = pools.get((j, jp) if j < jp else (jp, j))
                 if j == jp or not pool:
@@ -1175,10 +1145,10 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
                 thr = 2 * d / 3 * len(v_parts[jp]) * len(pool)
                 bad.update(v for v in vs if not t.gc.degree_reaches(v, other, pool, thr))
         good = [v for v in vs if v not in bad]
-        needj = trim_to[j] if trim_to is not None else len([x for x in B if phi[x] == j])
+        needj = len([x for x in B if phi[x] == j])
         if len(good) < needj:
             return Failure(
-                "approx", CHERNOFF_RETRY_EXHAUSTED, seed,
+                "approx", CHERNOFF_RETRY_EXHAUSTED, run.seed,
                 cluster=j, detail="degree screen removed too many vertices",
             )
         rng.shuffle(good)
@@ -1189,32 +1159,27 @@ def _round_embed(t, H, phi, B, v_parts, pools, targets, plan, rng, trim_to, left
         slices.append(keep)
     # thick graph over the pool; an empty pool gives no edges
     thick = thick_host_graph(
-        t.gc, slices, {key: pool for key, pool in pools.items() if pool}, plan.lambda_thick
+        t.gc, slices, {key: pool for key, pool in pools.items() if pool}, run.plan.lambda_thick
     )
-    res = blowup_embed(
-        thick, slices, t.R, H, phi,
-        {v: ts for v, ts in targets.items() if v in Bset},
-        plan, seed=rng.randrange(1 << 30), active=Bset,
-    )
+    Bset = set(B)
+    res = blowup_embed(thick, slices, t.R, H, phi,
+                       {v: ts for v, ts in run.targets.items() if v in Bset},
+                       run.plan, seed=rng.randrange(1 << 30), active=Bset)
     if not res.ok:
         return res.failure
-    tau = res.tau
-    sigma: dict[tuple[int, int], int] = {}
-    used: set[int] = set()
+    run.tau.update(res.tau)
     edges = H.edges_within(B)
     rng.shuffle(edges)
+    used: set[int] = set()
     rows = t.gc.rows
     for (u, v) in edges:
-        key, a, b = _class_key(phi, u, v), tau[u], tau[v]
+        key, a, b = _class_key(phi, u, v), res.tau[u], res.tau[v]
         avail = [c for c in pools.get(key, ()) if c not in used and rows[c][a] >> b & 1]
         if not avail:
-            return Failure(
-                "approx", COLOUR_EXHAUSTED, seed, edge=(u, v), edge_class=key,
-            )
-        c = rng.choice(avail)
-        used.add(c)
-        sigma[(u, v) if u < v else (v, u)] = c
-    return tau, sigma
+            return Failure("approx", COLOUR_EXHAUSTED, run.seed, edge=(u, v), edge_class=key)
+        used.add(c := rng.choice(avail))
+        run.sigma[(u, v) if u < v else (v, u)] = c
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1635,23 +1600,12 @@ def _split_components(comps, class_of_comp, plan, rng, keys):
     return assign
 
 
-class _Attempt:
-    """The run state of one attempt of Steps 0-5: the call's inputs, its
-    set-up and rng, and the attributes each step sets for the later ones."""
-
-    def __init__(self, t: Template, H: PatternGraph, phi, targets, plan: SplitPlan,
-                 seed: int, setup: _BlowupSetup):
-        self.t, self.H, self.phi, self.targets = t, H, phi, targets
-        self.plan, self.seed, self.setup, self.rng = plan, seed, setup, random.Random(seed)
-        self.keys = setup.keys
-        self.sigmas = {}  # Steps 2-4: stage -> its colouring
-
-
-def _split(run: _Attempt) -> Failure | None:
+def _split(run: _Run) -> Failure | None:
     """The random abs/app/col/vx split of the components outside X, with
     each stage's vertices, its class edge counts (row ``con``: the edges at
     X) and its vertex count per cluster."""
-    s, keys = run.setup, run.keys
+    s = run.setup
+    run.keys = keys = s.keys
     assign = _split_components(s.comps, s.class_of_comp, run.plan, run.rng, keys)
     if assign is None:
         return _no_split(run.seed)
@@ -1669,7 +1623,7 @@ def _split(run: _Attempt) -> Failure | None:
             run.n_stage[st][run.phi[v]] += 1
 
 
-def _step0(run: _Attempt) -> Failure | None:
+def _step0(run: _Run) -> Failure | None:
     """Step 0: embed the connecting graph, shrink the targets of its
     neighbours Y to their candidate sets, and leave the free hosts ``Vp``
     and colours ``Cp``: exactly the stage vertices and stage edges."""
@@ -1697,7 +1651,7 @@ def _step0(run: _Attempt) -> Failure | None:
                   "step0", "free colours = stage edges", edge_class=key)
 
 
-def _prescription_caps(run: _Attempt) -> dict[tuple[int, int], int]:
+def _prescription_caps(run: _Run) -> dict[tuple[int, int], int]:
     """P_e, the colours prescribed per class in Step 3.  A prescribed colour
     needs its own induced-matching edge, and one small col component can
     host only one such edge in total (its 2-ball swallows the component), so
@@ -1722,7 +1676,7 @@ def _prescription_caps(run: _Attempt) -> dict[tuple[int, int], int]:
     return p_cap
 
 
-def _step1(run: _Attempt) -> Failure | None:
+def _step1(run: _Run) -> Failure | None:
     """Step 1: embed the abs stage into the lambda3-thick graph on a random
     slice of the free hosts, and build the colour absorber on its host
     edges, sized so that Steps 2-4 leave exactly l colours of each B."""
@@ -1768,7 +1722,7 @@ def _step1(run: _Attempt) -> Failure | None:
     run.used_hosts.update(tau_abs.values())
 
 
-def _prep(run: _Attempt) -> Failure | None:
+def _prep(run: _Run) -> Failure | None:
     """Preparation for Steps 2-4: split each cluster's free hosts into the
     app slice and the col/vx slice, drawn from the hosts of highest B-degree
     towards the other clusters, and shrink the targets to those slices."""
@@ -1807,9 +1761,10 @@ def _prep(run: _Attempt) -> Failure | None:
         return Failure("prep", CANDIDATE_EXHAUSTED, run.seed,
                        detail="target misses its stage slice")
     run.v_colvx, run.v_app, run.T2 = v_colvx, v_app, T2
+    run.sigmas = {}  # Steps 2-4: stage -> its colouring
 
 
-def _stage_embed(run: _Attempt, step: str, stage: str, embedder, t_stage: Template, tag: int,
+def _stage_embed(run: _Run, step: str, stage: str, embedder, t_stage: Template, tag: int,
                  **kw) -> Failure | None:
     """Embed one stage of Steps 2-4 on its sub-template and keep its
     colouring in ``run.sigmas``; the failure, tagged with the step."""
@@ -1822,7 +1777,7 @@ def _stage_embed(run: _Attempt, step: str, stage: str, embedder, t_stage: Templa
     run.used_hosts.update(out.embedding.tau.values())
 
 
-def _step2(run: _Attempt) -> Failure | None:
+def _step2(run: _Run) -> Failure | None:
     """Step 2: the app stage on the colours outside A and B, which leaves
     P_e of them per class."""
     t = run.t
@@ -1841,7 +1796,7 @@ def _step2(run: _Attempt) -> Failure | None:
     return _stage_embed(run, "step2", "app", approx_embed, t_app, 4, beta=0.0)
 
 
-def _step3(run: _Attempt) -> Failure | None:
+def _step3(run: _Run) -> Failure | None:
     """Step 3: the col stage on B plus the app stage's leftover colours D,
     every colour of D prescribed."""
     t = run.t
@@ -1857,7 +1812,7 @@ def _step3(run: _Attempt) -> Failure | None:
                         prescribed_density_floor=float(t.ledger.d) / 22)
 
 
-def _step4(run: _Attempt) -> Failure | None:
+def _step4(run: _Run) -> Failure | None:
     """Step 4: the vx stage inside B's leftovers, which exceed the vx edges
     by the flexibility count l."""
     t = run.t
@@ -1876,7 +1831,7 @@ def _step4(run: _Attempt) -> Failure | None:
     return _stage_embed(run, "step4", "vx", approx_embed, t_vx, 6, beta=0.0)
 
 
-def _step5(run: _Attempt) -> Failure | None:
+def _step5(run: _Run) -> Failure | None:
     """Step 5: close each absorber on its leftover B-subset (exactly l
     colours) and colour the abs stage's edges by the matching."""
     used_vx = set(run.sigmas["vx"].values())
@@ -1900,21 +1855,10 @@ def _step5(run: _Attempt) -> Failure | None:
 _STEPS = (_split, _step0, _step1, _prep, _step2, _step3, _step4, _step5)
 
 
-def _run_steps(run, steps) -> Failure | None:
-    """The one step loop of an attempt: run ``steps`` in turn on the run
-    state ``run``, each returning a typed failure or None, and return the
-    first failure (None when every step ran)."""
-    for step in steps:
-        failure = step(run)
-        if failure is not None:
-            return failure
-    return None
-
-
 def _pipeline_once(t, H, phi, targets, plan, seed, setup):
     """One attempt of Steps 0-5 over the set-up that ``transversal_blowup``
     builds once: the steps through ``_run_steps``, then (tau, sigma, stats)."""
-    run = _Attempt(t, H, phi, targets, plan, seed, setup)
+    run = _Run(seed, setup=setup, t=t, H=H, phi=phi, targets=targets, plan=plan)
     failure = _run_steps(run, _STEPS)
     if failure is not None:
         return failure
@@ -1934,16 +1878,6 @@ def _pipeline_once(t, H, phi, targets, plan, seed, setup):
 
 
 LADDER_DEGENERATE = "LadderDegenerate"
-
-
-class _Run:
-    """The run state of one attempt of ``quasi_embed`` or
-    ``expand_embed_3graph``: its inputs, set-up, sub-seed and rng, and the
-    attributes each step sets for the later ones."""
-
-    def __init__(self, setup, seed: int, **inputs):
-        self.__dict__.update(inputs)
-        self.setup, self.seed, self.rng = setup, seed, random.Random(seed)
 
 
 @dataclass(frozen=True)
@@ -2012,6 +1946,7 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
 
 def _quasi_draw(run: _Run) -> None:
     """Draw V_i: a random vertex partition of the hosts with |V_i| = |A_i|."""
+    run.tau, run.sigma, run.cand, run.stats = {}, {}, {}, dict(run.setup.base_stats)
     hosts = list(range(run.gc.n))
     run.rng.shuffle(hosts)
     run.V, pos = [], 0
@@ -2147,16 +2082,11 @@ def quasi_embed(
     if isinstance(setup, Failure):
         return EmbedOutcome(None, setup, None)
 
-    def attempt(sub_seed, _):
-        run = _Run(setup, sub_seed, gc=gc, H=H, plan=plan, tau={}, sigma={}, cand={},
-                   stats=dict(setup.base_stats))
-        failure = _run_steps(run, _QUASI_STEPS)
-        if failure is not None:
-            return failure
-        return EmbedOutcome.success(gc, H, run.tau, run.sigma, stats=run.stats)
-
-    out, _ = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed), attempt)
-    return EmbedOutcome(None, out, None) if isinstance(out, Failure) else out
+    run, _ = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed),
+                    _steps(_QUASI_STEPS, setup=setup, gc=gc, H=H, plan=plan))
+    if isinstance(run, Failure):
+        return EmbedOutcome(None, run, None)
+    return EmbedOutcome.success(gc, H, run.tau, run.sigma, stats=run.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -2300,12 +2230,7 @@ def expand_embed_3graph(
     if isinstance(setup, Failure):
         return ExpansionOutcome(None, None, setup)
 
-    def attempt(sub_seed, _):
-        run = _Run(setup, sub_seed, g=g, H=H, plan=plan)
-        failure = _run_steps(run, _EXPAND_STEPS)
-        return run.out if failure is None else failure
-
-    out, _ = _retry(
-        seed, 103, max(1, plan.retries // 4), Failure("expand", EMBEDDING_FAILED, seed), attempt
-    )
-    return ExpansionOutcome(None, None, out) if isinstance(out, Failure) else out
+    run, _ = _retry(seed, 103, max(1, plan.retries // 4),
+                    Failure("expand", EMBEDDING_FAILED, seed),
+                    _steps(_EXPAND_STEPS, setup=setup, g=g, H=H, plan=plan))
+    return ExpansionOutcome(None, None, run) if isinstance(run, Failure) else run.out

@@ -202,6 +202,27 @@ def test_partial_deterministic():
         assert a.tau == b.tau and a.sigma == b.sigma
 
 
+def test_partial_refuses_overlapping_x_and_y():
+    t = bip_template(6, 8, density=0.7, seed=2, d="0.4")
+    H = PatternGraph(4, [(0, 1), (2, 3)])
+    f = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2], Y=[2], targets=None, plan=PLAN, seed=4)
+    assert (f.stage, f.reason, f.seed) == ("partial", PRECONDITION, 4)
+    assert f.diagnostics == {"detail": "X and Y overlap"}
+
+
+def test_partial_refuses_a_phi_that_is_not_a_homomorphism():
+    # R has the pair (0, 1) only, so the edge (1, 2) between clusters 0 and 2
+    # maps to a non-edge
+    gc = GraphCollection(9, 4, {c: [(u, v) for u in range(3) for v in range(3, 6)]
+                                for c in range(4)})
+    t = make_template(SimpleGraph(3, [(0, 1)]), [range(3), range(3, 6), range(6, 9)],
+                      {(0, 1): range(4)}, gc, make_ledger(3, "0.05", "0.5", "0.5"), rainbow=True)
+    H = PatternGraph(3, [(0, 1), (1, 2)])
+    f = partial_embed(t, H, [1, 0, 2], X=[0, 1, 2], Y=[], targets=None, plan=PLAN, seed=5)
+    assert (f.stage, f.reason, f.seed) == ("partial", PRECONDITION, 5)
+    assert f.diagnostics == {"detail": "phi is not a homomorphism: edge (1,2) -> non-edge (0, 2)"}
+
+
 def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0, ties=None):
     """The set-based candidate loop that the bitmask ``partial_embed``
     replaced, kept as its reference: same draws, same results.  A list
@@ -645,18 +666,25 @@ def test_an_unused_prescribed_colour_is_caught(monkeypatch):
     from transversal import embed
     from transversal.embed import UnverifiedOutput
 
-    real = embed._embed_matched_then_rest
+    def skip_seven(run):  # a last step of each attempt
+        free = next(c for c in range(10) if c not in run.sigma.values())
+        run.sigma = {e: free if c == 7 else c for e, c in run.sigma.items()}
 
-    def skip_seven(*args):
-        tau, sigma = real(*args)
-        free = next(c for c in range(10) if c not in sigma.values())
-        return tau, {e: free if c == 7 else c for e, c in sigma.items()}
-
-    monkeypatch.setattr(embed, "_embed_matched_then_rest", skip_seven)
+    monkeypatch.setattr(embed, "_PRESCRIBED_STEPS", (*embed._PRESCRIBED_STEPS, skip_seven))
     t = bip_template(8, 10, density=1.0, seed=6, d="0.4")
     H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     with pytest.raises(UnverifiedOutput, match="a prescribed colour was not used"):
         embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7]}, PLAN, seed=3)
+
+
+def test_prescribed_refuses_too_few_unprescribed_colours():
+    # four of ten colours prescribed leave six, below d * 10 = 7
+    t = bip_template(8, 10, density=1.0, seed=6, d="0.7")
+    H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    out = embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [1, 3, 5, 7]}, PLAN, seed=3)
+    f = out.failure
+    assert not out.ok and (f.stage, f.reason, f.seed) == ("prescribed", PRECONDITION, 3)
+    assert f.diagnostics == {"edge_class": (0, 1), "detail": "too few unprescribed colours"}
 
 
 # ---------------------------------------------------------------------------
@@ -1120,6 +1148,18 @@ def test_absorber_complete_incidence_any_split_works():
     assert ent.subsets_checked == 20
 
 
+@pytest.mark.parametrize("l_size, b_size", [(1, 15), (0, 10)])
+def test_absorber_refuses_a_colour_pool_too_small(l_size, b_size):
+    # 14 colours: B cannot hold 15, and A (|Z| - l = 6) does not fit beside
+    # a B of 10
+    t, pairs = dense_incidence_template()
+    f = build_absorber(t, {(0, 1): pairs}, PLAN, seed=4,
+                       l_sizes={(0, 1): l_size}, b_sizes={(0, 1): b_size})
+    assert (f.stage, f.reason, f.seed) == ("absorber", PRECONDITION, 4)
+    assert f.diagnostics == {"edge_class": (0, 1),
+                             "detail": "colour pool too small for the requested A and B sizes"}
+
+
 # ---------------------------------------------------------------------------
 # approx embedding (extra colours)
 
@@ -1176,6 +1216,16 @@ def test_approx_surplus_precondition():
     t, H, phi, K = four_cycles_fixture(k_extra=0)
     out = approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.5)
     assert not out.ok and out.failure.reason == "PreconditionViolated"
+
+
+@pytest.mark.parametrize("entry, stage", [(approx_embed, "approx"),
+                                          (transversal_blowup, "pipeline")])
+def test_rainbow_stages_refuse_a_template_that_is_not_rainbow(entry, stage):
+    t, H, phi = matching_pipeline_fixture(m=4)
+    out = entry(dataclasses.replace(t, rainbow=False), H, phi, None, PLAN, seed=2)
+    f = out.failure
+    assert not out.ok and (f.stage, f.reason, f.seed) == (stage, PRECONDITION, 2)
+    assert f.diagnostics == {"detail": "template must be rainbow"}
 
 
 def test_approx_vertex_partition_sizes_are_an_identity(monkeypatch):
@@ -2003,6 +2053,20 @@ def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):
 def test_split_plan_rejects_a_non_finite_ladder(ladder):
     with pytest.raises(ValueError, match="finite"):
         SplitPlan(**ladder)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"p_abs": 0.0}, r"split probabilities must lie in \(0,1\)"),
+    ({"p_col": 1.0}, r"split probabilities must lie in \(0,1\)"),
+    ({"p_vx": -0.1}, r"split probabilities must lie in \(0,1\)"),
+    ({"p_abs": 0.5, "p_col": 0.25, "p_vx": 0.25}, "p_app must stay positive"),  # p_app = 0
+    ({"p_abs": 0.4, "p_col": 0.4, "p_vx": 0.3}, "p_app must stay positive"),
+    ({"ladder_ratio": 1.0}, "the delta ladder must be strictly increasing"),
+    ({"ladder_ratio": 0.5}, "the delta ladder must be strictly increasing"),
+], ids=["p_abs=0", "p_col=1", "p_vx<0", "p_app=0", "p_app<0", "ratio=1", "ratio<1"])
+def test_split_plan_refuses_a_field_out_of_range(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SplitPlan(**fields)
 
 
 _COUNTS = ["retries", "blowup_restarts", "approx_retries", "absorber_retries",

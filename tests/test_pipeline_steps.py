@@ -22,6 +22,7 @@ from transversal.embed import (
     SplitPlan,
     UnverifiedOutput,
     quasi_embed,
+    transversal_blowup,
 )
 from transversal.generators import GenSpec, random_collection
 
@@ -57,7 +58,8 @@ def attempt_args():
 
 def _run_to(step, args):
     """A fresh run state of the attempt with every step before ``step`` run."""
-    run = embed._Attempt(*args)
+    t, H, phi, targets, plan, seed, setup = args
+    run = embed._Run(seed, setup=setup, t=t, H=H, phi=phi, targets=targets, plan=plan)
     for earlier in embed._STEPS[: embed._STEPS.index(step)]:
         assert earlier(run) is None
     return run
@@ -73,6 +75,20 @@ def test_the_captured_attempt_runs_every_step(attempt_args):
     assert embed._step5(run) is None
     assert sorted(run.sigma.values()) == run.t.all_colours()
     assert run.setup.X and run.setup.Y
+
+
+def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args):
+    # a target on a separator vertex, on one of its neighbours and on a
+    # vertex outside the connecting graph, whose target Step 0 passes on
+    t, H, phi, _, plan, _, setup = attempt_args
+    active = set(setup.view.to_global.values())
+    v = next(u for u in sorted(active) if u not in setup.X and u not in setup.Y)
+    targets = {u: set(t.clusters[phi[u]][k % 2::2])
+               for k, u in enumerate((setup.X[0], setup.Y[0], v))}
+    out = transversal_blowup(t, H, phi, targets, plan, seed=0, active=active)
+    assert out.ok and out.verification.ok
+    assert "path" not in out.stats  # the main path
+    assert all(out.embedding.tau[u] in ts for u, ts in targets.items())
 
 
 # ---------------------------------------------------------------------------
