@@ -251,103 +251,66 @@ class EquitableColouring:
 
 def equitable_colouring(H: SimpleGraph, r: int, seed: int = 0, cap: int | None = None) -> EquitableColouring:
     """Proper colouring into r >= Delta+1 independent sets with sizes differing
-    by at most one: greedy assignment plus iterative balancing moves (single
-    moves, then two-step chains), with internal restarts.  If the round cap
-    is exceeded the best colouring found is returned with balanced=False."""
+    by at most one: greedy assignment plus iterative balancing moves
+    (``_balancing_move``), with internal restarts on shuffled orders.  If no
+    restart balances within the round cap, the first restart's colouring is
+    returned with balanced=False.  The classes are bitmasks."""
     if r < H.max_degree + 1:
         raise ValueError("need r >= Delta(H) + 1 colour classes")
     cap = cap if cap is not None else 12 * H.n + 60
-    best: list[list[int]] | None = None
-    rounds_used = 0
+    adj, by_degree = H.adj, sorted(range(H.n), key=lambda v: (-H.degree(v), v))
+    best = None
     for restart in range(8):
         rng = random.Random(_mix(seed, 11, restart))
-        order = sorted(range(H.n), key=lambda v: (-H.degree(v), v))
+        order = list(by_degree)
         if restart:
             rng.shuffle(order)
-        cls = [-1] * H.n
-        parts: list[set[int]] = [set() for _ in range(r)]
+        parts = [0] * r
         for v in order:
-            blocked = {cls[w] for w in H.neighbours(v) if cls[w] >= 0}
-            choice = None  # the least-loaded free class, ties to the lowest k
-            for k in range(r):
-                if k not in blocked and (choice is None or len(parts[k]) < len(parts[choice])):
-                    choice = k
-            cls[v] = choice
-            parts[choice].add(v)
-
-        def movable(v, k):
-            return all(cls[w] != k for w in H.neighbours(v))
-
+            nv, k = adj(v), None  # the least-loaded free class, ties to the lowest
+            for j in range(r):
+                if not nv & parts[j] and (k is None or parts[j].bit_count() < parts[k].bit_count()):
+                    k = j
+            parts[k] |= 1 << v
         rounds = 0
         while rounds < cap:
-            sizes = [len(p) for p in parts]
+            sizes = [p.bit_count() for p in parts]
             hi = max(range(r), key=lambda k: (sizes[k], k))
             lo = min(range(r), key=lambda k: (sizes[k], k))
             if sizes[hi] - sizes[lo] <= 1:
                 break
             rounds += 1
-            moved = False
-            for v in sorted(parts[hi]):
-                if movable(v, lo):
-                    parts[hi].discard(v)
-                    parts[lo].add(v)
-                    cls[v] = lo
-                    moved = True
-                    break
-            if moved:
-                continue
-            # two-step chain through a middle class
-            for mid in range(r):
-                if mid in (hi, lo):
-                    continue
-                done = False
-                for v in sorted(parts[hi]):
-                    if not movable(v, mid):
-                        continue
-                    for w in sorted(parts[mid]):
-                        if w != v and movable(w, lo):
-                            parts[hi].discard(v)
-                            parts[mid].add(v)
-                            cls[v] = mid
-                            parts[mid].discard(w)
-                            parts[lo].add(w)
-                            cls[w] = lo
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    moved = True
-                    break
-            if not moved:
-                # jiggle: random legal move out of the largest class
-                cands = [
-                    (v, k)
-                    for v in sorted(parts[hi])
-                    for k in range(r)
-                    if k != hi and movable(v, k)
-                ]
-                if not cands:
-                    break
-                v, k = rng.choice(cands)
-                parts[hi].discard(v)
-                parts[k].add(v)
-                cls[v] = k
-        sizes = [len(p) for p in parts]
-        balanced = max(sizes) - min(sizes) <= 1
-        rounds_used = rounds
-        if balanced or best is None:
-            best = [sorted(p) for p in parts]
-        if balanced:
-            return EquitableColouring(
-                parts=tuple(tuple(p) for p in best), proper=True, balanced=True, rounds=rounds
-            )
-    return EquitableColouring(
-        parts=tuple(tuple(p) for p in (best or [[]] * r)),
-        proper=True,
-        balanced=False,
-        rounds=rounds_used,
-    )
+            moves = _balancing_move(adj, parts, hi, lo, rng)
+            if not moves:
+                break
+            for v, a, b in moves:
+                parts[a] &= ~(1 << v)
+                parts[b] |= 1 << v
+        colouring = tuple(tuple(bits_of(p)) for p in parts)
+        sizes = [p.bit_count() for p in parts]
+        if max(sizes) - min(sizes) <= 1:
+            return EquitableColouring(parts=colouring, proper=True, balanced=True, rounds=rounds)
+        best = best or colouring
+    return EquitableColouring(parts=best, proper=True, balanced=False, rounds=rounds)
+
+
+def _balancing_move(adj, parts: list[int], hi: int, lo: int, rng) -> list[tuple[int, int, int]]:
+    """One balancing round's moves out of the largest class hi, as (vertex,
+    from, to): the first vertex that fits the smallest class lo, else the
+    first two-step chain hi -> mid -> lo, else a random legal move of a
+    vertex of hi; none when no vertex of hi can move."""
+    for v in bits_of(parts[hi]):
+        if not adj(v) & parts[lo]:
+            return [(v, hi, lo)]
+    for mid in range(len(parts)):
+        if mid not in (hi, lo):
+            v = next((v for v in bits_of(parts[hi]) if not adj(v) & parts[mid]), None)
+            w = next((w for w in bits_of(parts[mid]) if not adj(w) & parts[lo]), None)
+            if v is not None and w is not None:
+                return [(v, hi, mid), (w, mid, lo)]
+    cands = [(v, hi, k) for v in bits_of(parts[hi]) for k in range(len(parts))
+             if k != hi and not adj(v) & parts[k]]
+    return [rng.choice(cands)] if cands else []
 
 
 # ---------------------------------------------------------------------------
@@ -427,66 +390,31 @@ def partial_embed(
     """Embed X and fix colours for every edge incident to X, maintaining
     candidate sets for the unembedded independent set Y.
 
-    The loop per embedded vertex x: prune its candidate set by the
-    colour-sum test against each later neighbour, pick tau(x), remove the
-    used host everywhere, then per later neighbour prune colours with a
-    small neighbourhood overlap, pick the edge colour, retire it globally,
-    and intersect the neighbour's candidates with the chosen colour
-    neighbourhood.  Only the subgraph induced on X + Y is touched; edges
-    inside Y must be absent.  Success requires final vertex candidate sets
-    of size >= nu'*m and never-empty colour candidates.
+    After the draw-free set-up (``_partial_setup``), the pass per embedded
+    vertex x: prune its candidate set by the colour-sum test against each
+    later neighbour, pick tau(x), remove the used host everywhere, then per
+    later neighbour prune colours with a small neighbourhood overlap, pick
+    the edge colour, retire it globally, and intersect the neighbour's
+    candidates with the chosen colour neighbourhood.  Only the subgraph
+    induced on X + Y is touched; edges inside Y must be absent.  Success
+    requires final vertex candidate sets of size >= nu'*m and never-empty
+    colour candidates.
 
-    Vertex and colour candidate sets are bitmasks.  Used hosts and retired
-    colours are kept in one mask each and taken out whenever a set is read,
-    so "remove everywhere" is one bit.  Each pick is ``rng.choice`` over the
-    set in ascending order, so the draws are those of the set-based loop.
-    The colour-sum test is ``GraphCollection.degree_screen`` on packed rows
-    cached on ``t.gc`` (at most n * |C| * n bits, built for screened hosts
-    only) and the class's colour word less the retired word (one AND-NOT),
-    the colour test ``GraphCollection.colour_screen``; the cluster masks and
-    class colour masks and words are cached on ``t``.  The checks, the
-    initial masks and each x's later neighbours with their class masks
-    draw nothing; the pass draws.
+    Candidate sets are bitmasks; used hosts and retired colours are one mask
+    each, taken out whenever a set is read.  The colour-sum test is
+    ``GraphCollection.degree_screen`` with the class's colour word less the
+    retired word, the colour test ``GraphCollection.colour_screen``.
     """
     X, Y = list(X), list(Y)
-    pos = {v: i for i, v in enumerate(X + Y)}
-    if len(pos) != len(X) + len(Y):
-        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
-    if inside_y := H.edges_within(Y):
-        u, v = inside_y[0]
-        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
-    targets = targets or {}
-    cand_v: dict[int, int] = {}
-    for w in pos:
-        tw = targets.get(w)
-        if tw is None:
-            cand_v[w] = t.cluster_masks[phi[w]]
-        else:  # a target outside the cluster is ignored
-            tw = set(tw)
-            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
-        if not cand_v[w]:
-            return _exhausted(seed, ("vertex", w), "init", detail="empty target within cluster")
-    # later neighbours per x, in the order X + Y (no edge is inside Y)
-    later: dict[int, list[tuple[int, int, tuple[int, int], int, int]]] = {x: [] for x in X}
-    class_masks, class_words = t.colour_cluster_masks, t.colour_cluster_words
-    for u, v in H.edges_within(pos):
-        key = _class_key(phi, u, v)
-        if key not in class_masks:
-            return Failure("partial", PRECONDITION, seed,
-                           detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
-        a, b = (u, v) if pos[u] < pos[v] else (v, u)
-        later[a].append((pos[b], b, (u, v), class_masks[key], class_words[key]))
-    for ys in later.values():
-        ys.sort()
+    setup = _partial_setup(t, H, phi, X, Y, targets or {}, seed)
+    if isinstance(setup, Failure):
+        return setup
+    cand_v, later = setup
     d, eps, m = float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m)
-    floor = max(1, math.ceil(plan.nu_prime * m))
     rng = random.Random(_mix(seed, 23))
-
-    tau: dict[int, int] = {}
-    sigma: dict[tuple[int, int], int] = {}
+    tau, sigma = {}, {}
     used = retired = retired_w = 0  # hosts taken by tau, colours taken by sigma, their word
     degree_screen, colour_screen, adj, n = t.gc.degree_screen, t.gc.colour_screen, t.gc.adj, t.gc.n
-
     for x in X:
         # (x,1) colour-sum pruning of the vertex candidate set
         cx = cand_v[x] & ~used
@@ -513,13 +441,48 @@ def partial_embed(
             cand_v[y] = Cy & adj(c, tx)
             if not cand_v[y]:
                 return _exhausted(seed, ("vertex", y), f"({x},{y},4.4)")
-
     final = {y: cand_v[y] & ~used for y in Y}
-    low = [(y, final[y].bit_count()) for y in Y if final[y].bit_count() < floor]
-    if low:
+    floor = max(1, math.ceil(plan.nu_prime * m))
+    if low := [(y, final[y].bit_count()) for y in Y if final[y].bit_count() < floor]:
         return _exhausted(seed, ("vertex", low[0][0]), "final-floor",
                           detail=f"candidate sets below nu'*m = {floor}: {low}")
     return PartialEmbedding(tau, sigma, {y: frozenset(bits_of(final[y])) for y in Y})
+
+
+def _partial_setup(t: Template, H: PatternGraph, phi, X: list[int], Y: list[int], targets,
+                   seed: int):
+    """The checks and the draw-free start of ``partial_embed``: each vertex's
+    initial candidate mask (its cluster, cut to its target) and each x's
+    later neighbours in the order X + Y, as (position, y, edge, class colour
+    mask, class colour word) ascending; or the typed failure."""
+    pos = {v: i for i, v in enumerate(X + Y)}
+    if len(pos) != len(X) + len(Y):
+        return Failure("partial", PRECONDITION, seed, detail="X and Y overlap")
+    if inside_y := H.edges_within(Y):
+        u, v = inside_y[0]
+        return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
+    cand_v: dict[int, int] = {}
+    for w in pos:
+        tw = targets.get(w)
+        if tw is None:
+            cand_v[w] = t.cluster_masks[phi[w]]
+        else:  # a target outside the cluster is ignored
+            tw = set(tw)
+            cand_v[w] = mask_of(v for v in t.clusters[phi[w]] if v in tw)
+        if not cand_v[w]:
+            return _exhausted(seed, ("vertex", w), "init", detail="empty target within cluster")
+    later: dict[int, list[tuple[int, int, tuple[int, int], int, int]]] = {x: [] for x in X}
+    class_masks, class_words = t.colour_cluster_masks, t.colour_cluster_words
+    for u, v in H.edges_within(pos):  # no edge is inside Y
+        key = _class_key(phi, u, v)
+        if key not in class_masks:
+            return Failure("partial", PRECONDITION, seed,
+                           detail=f"phi is not a homomorphism: edge ({u},{v}) -> non-edge {key}")
+        a, b = (u, v) if pos[u] < pos[v] else (v, u)
+        later[a].append((pos[b], b, (u, v), class_masks[key], class_words[key]))
+    for ys in later.values():
+        ys.sort()
+    return cand_v, later
 
 
 # ---------------------------------------------------------------------------
@@ -599,25 +562,26 @@ def embed_prescribed_colours(
     """Full transversal embedding of H (restricted to ``active``) that uses
     every prescribed colour.
 
-    The set-up draws nothing: it deduplicates the prescription in sorted
-    class order and checks the prescribed colours' density and the number
-    of unprescribed colours.  Each attempt then runs ``_PRESCRIBED_STEPS``
-    through ``_run_steps``: ``_prescribed_matching`` finds an induced
-    matching sized to the prescription, ``_prescribed_matched`` embeds its
-    edges greedily with their prescribed colours through degree-filtered
-    host masks, giving each unmatched neighbour a fresh colour, and
-    ``_prescribed_rest`` runs the candidate-set loop on the remainder.
+    The set-up draws nothing: it deduplicates the prescription (within and
+    across classes, in sorted class order) and checks the prescribed
+    colours' density and the number of unprescribed colours.  Each attempt
+    then runs ``_PRESCRIBED_STEPS`` through ``_run_steps``:
+    ``_prescribed_matching`` finds an induced matching sized to the
+    prescription, ``_prescribed_matched`` embeds its edges greedily with
+    their prescribed colours through degree-filtered host masks, giving each
+    unmatched neighbour a fresh colour, and ``_prescribed_rest`` runs the
+    candidate-set loop on the remainder.
     Used hosts, used colours and the prescribed colours are a mask each.
     """
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
     d = float(t.ledger.d)
     floor_d = prescribed_density_floor if prescribed_density_floor is not None else d
-    # deduplicate the prescription in sorted class order
+    # deduplicate the prescription in sorted class order, each class in its order
     seen: set[int] = set()
     dmap: dict[tuple[int, int], list[int]] = {}
     for key in sorted(prescribed):
-        dmap[key] = [c for c in prescribed[key] if c not in seen]
+        dmap[key] = [c for c in dict.fromkeys(prescribed[key]) if c not in seen]
         seen.update(dmap[key])
     # density precondition for prescribed colours, surfaced before embedding
     for (i, j), cs in dmap.items():
@@ -834,13 +798,14 @@ def blowup_embed(
     of each cluster) for a final maximum-matching completion phase, with
     global restarts.  The output is structurally verified.
 
-    Each vertex's start mask (cluster cut to targets) and neighbours in
-    ``active``, the reserve quotas and the active edges are built once per
-    call.  If a pattern edge uv has no host edge from u's cluster to v's, no
-    restart can succeed (whichever end comes second, greedy or matched, has
-    no candidate; the independent reserve never holds both), so only the
-    last restart runs, on its own sub-seed, and fails as the full budget
-    would.  ``restarts``: failed restarts before a success, else the budget."""
+    The set-up draws nothing and is built once per call: each vertex's start
+    mask (cluster cut to targets) and neighbours in ``active``, the reserve
+    quotas and the active edges.  Each restart runs ``_BLOWUP_STEPS`` on
+    ``_retry``'s sub-seed.  If a pattern edge uv has no host edge from u's
+    cluster to v's, no restart can succeed (whichever end comes second,
+    greedy or matched, has no candidate; the independent reserve never holds
+    both), so only the last restart runs and fails as the full budget would.
+    ``restarts``: failed restarts before a success, else the budget."""
     active = set(active) if active is not None else set(range(H.n))
     ordered = sorted(active)
     by_cluster: dict[int, list[int]] = {}
@@ -856,86 +821,28 @@ def blowup_embed(
     inside = mask_of(ordered)
     cluster_masks = {i: mask_of(clusters[i]) for i in by_cluster}
     target_masks = {v: mask_of(ts) for v, ts in (targets or {}).items() if v in active}
-    start = {v: cluster_masks[phi[v]] & target_masks.get(v, -1) for v in ordered}
     nbrs = {v: list(bits_of(H.adj(v) & inside)) for v in ordered}
     edges = [(u, w) for u in ordered for w in nbrs[u] if w > u]  # H.edges_within(active)
+    start = {v: cluster_masks[phi[v]] & target_masks.get(v, -1) for v in ordered}
     quotas = [(vs, int(plan.blowup_reserve * len(vs))) for vs in by_cluster.values()]
-    host_adj = host.adj
-
-    def candidates(v, tau, used):
-        """Free hosts of v's start mask adjacent to its embedded neighbours' images."""
-        cand = start[v] & ~used
-        for w in nbrs[v]:
-            if w in tau:
-                cand &= host_adj(tau[w])
-        return cand
-
-    def attempt(rng):
-        """One restart: the embedding, or the phase it failed in."""
-        draw = rng.random
-        # buffer: independent in H (within active), low degree preferred
-        buffer: set[int] = set()
-        for vs, quota in quotas:
-            if not quota:  # the sort keys are drawn all the same
-                for _ in vs:
-                    draw()
-                continue
-            taken = 0
-            for v in sorted(vs, key=lambda v: (H.degree(v), draw())):
-                if taken >= quota:
-                    break
-                if all(w not in buffer for w in nbrs[v]):
-                    buffer.add(v)
-                    taken += 1
-        todo = [v for v in ordered if v not in buffer]
-        # reverse elimination order: repeatedly remove a minimum-degree vertex
-        todo_mask = mask_of(todo)
-        deg = {v: (H.adj(v) & todo_mask).bit_count() for v in todo}
-        alive = set(todo)
-        elim = []
-        while alive:
-            v = min(alive, key=lambda u: (deg[u], draw()))
-            elim.append(v)
-            alive.discard(v)
-            for w in nbrs[v]:
-                if w in alive:
-                    deg[w] -= 1
-        tau: dict[int, int] = {}
-        used = 0
-        for v in reversed(elim):
-            cand = candidates(v, tau, used)
-            if not cand:
-                return "greedy"
-            tau[v] = pick = pick_bit(rng, cand)
-            used |= 1 << pick
-        # completion: per cluster, match buffer vertices to free hosts
-        for vs, _ in quotas:
-            bvs = [v for v in vs if v in buffer]
-            if not bvs:
-                continue
-            adj = {}
-            for b in bvs:
-                adj[b] = list(bits_of(candidates(b, tau, used)))
-                rng.shuffle(adj[b])
-            m = max_bipartite_matching(adj)
-            if len(m) < len(bvs):
-                return "matching"
-            for b, w in m.items():
-                tau[b] = w
-                used |= 1 << w
-        return tau
-
-    budget = plan.blowup_restarts
-    hopeless = any(not any(host_adj(w) & cluster_masks[phi[v]] for w in clusters[phi[u]])
+    hopeless = any(not any(host.adj(w) & cluster_masks[phi[v]] for w in clusters[phi[u]])
                    for u, v in edges)
-    for k in range(max(budget - 1, 0) if hopeless else 0, budget):
-        tau = attempt(random.Random(_mix(seed, 53, k)))
-        if not isinstance(tau, str):
-            break
-    else:
-        diag = {"restart": k, "phase": tau} if budget > 0 else {}
-        return BlowupResult(None, Failure("blowup", EMBEDDING_FAILED, seed, diag), restarts=budget)
-    # structural verification
+    default, last = Failure("blowup", EMBEDDING_FAILED, seed), plan.blowup_restarts - 1
+
+    def attempt(sub_seed, k):
+        if hopeless and k < last:  # no draw: the last restart alone is run
+            return default
+        run = _Run(sub_seed, H=H, ordered=ordered, start=start, nbrs=nbrs, quotas=quotas,
+                   host_adj=host.adj)
+        failure = _run_steps(run, _BLOWUP_STEPS)
+        if failure is not None:  # reported with the call's seed and the restart
+            return Failure("blowup", EMBEDDING_FAILED, seed, restart=k, **failure.diagnostics)
+        return run
+
+    run, attempts = _retry(seed, 53, plan.blowup_restarts, default, attempt)
+    if isinstance(run, Failure):
+        return BlowupResult(None, run, restarts=attempts)
+    tau = run.tau  # structural verification
     if len(set(tau.values())) != len(tau):
         raise UnverifiedOutput("blow-up map is not injective")
     for (u, v) in edges:
@@ -943,7 +850,96 @@ def blowup_embed(
             raise UnverifiedOutput("blow-up produced a non-edge")
     if any(not mask >> tau[v] & 1 for v, mask in target_masks.items()):
         raise UnverifiedOutput("blow-up left a target set")
-    return BlowupResult(tau=tau, failure=None, restarts=k, verified=True)
+    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1, verified=True)
+
+
+def _blowup_candidates(run: _Run, v: int, used: int) -> int:
+    """The hosts of v's start mask outside ``used``, adjacent to the images
+    of its embedded neighbours."""
+    tau, host_adj = run.tau, run.host_adj
+    cand = run.start[v] & ~used
+    for w in run.nbrs[v]:
+        if w in tau:
+            cand &= host_adj(tau[w])
+    return cand
+
+
+def _blowup_buffer(run: _Run) -> None:
+    """The reserve: per cluster, up to its quota of vertices independent in
+    H (within active), low degree preferred, ties drawn."""
+    draw, degree, nbrs = run.rng.random, run.H.degree, run.nbrs
+    run.buffer = buffer = set()
+    for vs, quota in run.quotas:
+        if not quota:  # the sort keys are drawn all the same
+            for _ in vs:
+                draw()
+            continue
+        taken = 0
+        for v in sorted(vs, key=lambda v: (degree(v), draw())):
+            if taken >= quota:
+                break
+            if all(w not in buffer for w in nbrs[v]):
+                buffer.add(v)
+                taken += 1
+
+
+def _blowup_order(run: _Run) -> None:
+    """The elimination order of the vertices outside the buffer: repeatedly
+    remove one of least degree among those left, ties drawn."""
+    draw, adj, nbrs, buffer = run.rng.random, run.H.adj, run.nbrs, run.buffer
+    todo = [v for v in run.ordered if v not in buffer]
+    todo_mask = mask_of(todo)
+    deg = {v: (adj(v) & todo_mask).bit_count() for v in todo}
+    alive = set(todo)
+    run.elim = elim = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], draw()))
+        elim.append(v)
+        alive.discard(v)
+        for w in nbrs[v]:
+            if w in alive:
+                deg[w] -= 1
+
+
+def _blowup_greedy(run: _Run) -> Failure | None:
+    """Embed the vertices outside the buffer in reverse elimination order,
+    each on a random candidate."""
+    rng, start, nbrs, host_adj = run.rng, run.start, run.nbrs, run.host_adj
+    run.tau = tau = {}
+    used = 0
+    for v in reversed(run.elim):
+        cand = start[v] & ~used  # as _blowup_candidates, inlined in this hot loop
+        for w in nbrs[v]:
+            if w in tau:
+                cand &= host_adj(tau[w])
+        if not cand:
+            return Failure("blowup", EMBEDDING_FAILED, run.seed, phase="greedy")
+        tau[v] = pick = pick_bit(rng, cand)
+        used |= 1 << pick
+    run.used = used
+
+
+def _blowup_complete(run: _Run) -> Failure | None:
+    """Per cluster, match the buffer vertices to free candidate hosts by
+    maximum matching, each one's candidates in a shuffled order."""
+    tau, used, buffer, shuffle = run.tau, run.used, run.buffer, run.rng.shuffle
+    for vs, _ in run.quotas:
+        bvs = [v for v in vs if v in buffer]
+        if not bvs:
+            continue
+        adj = {}
+        for b in bvs:
+            adj[b] = list(bits_of(_blowup_candidates(run, b, used)))
+            shuffle(adj[b])
+        m = max_bipartite_matching(adj)
+        if len(m) < len(bvs):
+            return Failure("blowup", EMBEDDING_FAILED, run.seed, phase="matching")
+        for b, w in m.items():
+            tau[b] = w
+            used |= 1 << w
+
+
+_BLOWUP_STEPS = (_blowup_buffer, _blowup_order, _blowup_greedy, _blowup_complete)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,42 +1200,33 @@ class Absorber:
         """Perfect matching between Z and A + B0 in the edge-colour incidence
         graph, or None."""
         ent = self.per_edge[key]
-        allowed = set(ent.A) | set(B0)
-        adj = {
-            zi: [c for c in bits_of(gc.colour_mask(*z)) if c in allowed]
-            for zi, z in enumerate(ent.Z)
-        }
-        m = perfect_matching(adj)
-        if m is None or set(m.values()) != allowed:
+        allowed = mask_of(ent.A) | mask_of(B0)
+        m = _colour_matching(dict(enumerate(gc.colour_mask(*z) for z in ent.Z)), allowed)
+        if m is None or mask_of(m.values()) != allowed:
             return None
         return {ent.Z[zi]: c for zi, c in m.items()}
+
+
+def _colour_matching(zmasks: dict, allowed: int) -> dict | None:
+    """A matching of every key of ``zmasks`` to a colour of its mask inside
+    ``allowed`` (Kuhn's, each key's colours ascending), or None."""
+    return perfect_matching({i: bits_of(zm & allowed) for i, zm in zmasks.items()})
 
 
 def _flexibility_check(gc, Z, A, B, l, cap, samples, rng):
     """All (or sampled) l-subsets B0 of B admit a perfect matching between Z
     and A + B0.  Returns (ok, mode, count)."""
-    zmasks = [gc.colour_mask(*z) for z in Z]
-    amask = mask_of(A)
-
-    def check(B0) -> bool:
-        allowed = amask | mask_of(B0)
-        adj = {i: list(bits_of(zmasks[i] & allowed)) for i in range(len(Z))}
-        m = max_bipartite_matching(adj)
-        return len(m) == len(Z)
-
+    zmasks, amask = dict(enumerate(gc.colour_mask(*z) for z in Z)), mask_of(A)
     total = math.comb(len(B), l)
     if total <= cap:
         for B0 in combinations(B, l):
-            if not check(B0):
+            if _colour_matching(zmasks, amask | mask_of(B0)) is None:
                 return False, "exhaustive", total
         return True, "exhaustive", total
-    count = 0
-    for _ in range(samples):
-        B0 = rng.sample(list(B), l)
-        count += 1
-        if not check(B0):
+    for count in range(1, samples + 1):
+        if _colour_matching(zmasks, amask | mask_of(rng.sample(list(B), l))) is None:
             return False, "sampled", count
-    return True, "sampled", count
+    return True, "sampled", samples
 
 
 def build_absorber(
@@ -1253,72 +1240,58 @@ def build_absorber(
 ) -> Absorber | Failure:
     """Per R-edge: disjoint colour sets (A, B) with |B| = ``b_sizes[key]``
     and |A| = |Z| - l, l = ``l_sizes[key]``, such that A plus ANY l-subset
-    of B perfectly colours the embedded edges Z.
-
-    B is drawn randomly, l flexible elements of Z with at least lambda3|B|/2
-    colour-neighbours in B are designated, the rest are matched into A by
-    maximum matching, and flexibility is then verified (exhaustively when
-    C(|B|, l) is small, sampled otherwise).  Verification failure reseeds;
-    after half the budget B is drawn greedily from the flexible elements'
-    common colours.  Unverifiable constructions are a typed failure.
-    """
+    of B perfectly colours the embedded edges Z (``_absorber_edge``, on the
+    class's colour pool: ``pools[key]``, else the template's colours)."""
     per_edge: dict[tuple[int, int], AbsorberEdge] = {}
     for key in sorted(z_edges):
-        Z = [tuple(z) for z in z_edges[key]]
         pool = list(pools[key]) if pools else list(t.colours_of_edge(*key))
-        l, bsize = l_sizes[key], b_sizes[key]
-        if bsize > len(pool) or len(Z) - l > len(pool) - bsize:
-            return Failure(
-                "absorber", PRECONDITION, seed, edge_class=key,
-                detail="colour pool too small for the requested A and B sizes",
-            )
-        zmasks = [t.gc.colour_mask(*z) & mask_of(pool) for z in Z]
-        thick_floor = plan.lambda3 * len(pool)
-        weak = [i for i, zm in enumerate(zmasks) if zm.bit_count() < thick_floor]
-        built = None
-        for attempt in range(plan.absorber_retries):
-            rng = random.Random(_mix(seed, 71, attempt, key[0], key[1]))
-            if attempt < plan.absorber_retries // 2 or l == 0:
-                B = sorted(rng.sample(pool, bsize))
-            else:
-                # greedy fallback: draw B from the most-covered colours
-                ranked = sorted(
-                    pool,
-                    key=lambda c: -sum(1 for zm in zmasks if zm >> c & 1),
-                )
-                B = sorted(ranked[:bsize])
-            bmask = mask_of(B)
-            flex_ok = [
-                i for i, zm in enumerate(zmasks)
-                if (zm & bmask).bit_count() >= plan.lambda3 * len(B) / 2
-            ]
-            if len(flex_ok) < l:
-                continue
-            flex = sorted(rng.sample(flex_ok, l))
-            rest = [i for i in range(len(Z)) if i not in set(flex)]
-            adj = {
-                i: [c for c in bits_of(zmasks[i] & ~bmask)] for i in rest
-            }
-            m = perfect_matching(adj)
-            if m is None:
-                continue
-            A = sorted(set(m.values()))
-            ok, mode, count = _flexibility_check(
-                t.gc, Z, A, B, l, plan.absorber_exhaustive_cap, plan.absorber_samples, rng
-            )
-            if ok:
-                built = AbsorberEdge(
-                    Z=tuple(Z), A=tuple(A), B=tuple(B), l=l,
-                    verified=mode, subsets_checked=count,
-                )
-                break
-        if built is None:
-            return Failure(
-                "absorber", ABSORBER_UNVERIFIABLE, seed, edge_class=key,
-                weak_edges=len(weak), retries=plan.absorber_retries,
-            )
+        built = _absorber_edge(t.gc, key, [tuple(z) for z in z_edges[key]], pool,
+                               l_sizes[key], b_sizes[key], plan, seed)
+        if isinstance(built, Failure):
+            return built
         per_edge[key] = built
     return Absorber(per_edge=per_edge)
+
+
+def _absorber_edge(gc, key, Z, pool, l, bsize, plan, seed) -> AbsorberEdge | Failure:
+    """The absorber of one class.  B is drawn randomly, l flexible elements
+    of Z with at least lambda3|B|/2 colour-neighbours in B are designated,
+    the rest are matched into A by maximum matching, and flexibility is then
+    verified (exhaustively when C(|B|, l) is small, sampled otherwise).
+    Verification failure reseeds; after half the budget B is drawn greedily
+    from the flexible elements' common colours.  Unverifiable constructions
+    are a typed failure."""
+    if bsize > len(pool) or len(Z) - l > len(pool) - bsize:
+        return Failure(
+            "absorber", PRECONDITION, seed, edge_class=key,
+            detail="colour pool too small for the requested A and B sizes",
+        )
+    zmasks = [gc.colour_mask(*z) & mask_of(pool) for z in Z]
+    for attempt in range(plan.absorber_retries):
+        rng = random.Random(_mix(seed, 71, attempt, key[0], key[1]))
+        if attempt < plan.absorber_retries // 2 or l == 0:
+            B = sorted(rng.sample(pool, bsize))
+        else:  # greedy fallback: draw B from the most-covered colours
+            B = sorted(sorted(pool, key=lambda c: -sum(1 for zm in zmasks if zm >> c & 1))[:bsize])
+        bmask = mask_of(B)
+        flex_ok = [i for i, zm in enumerate(zmasks)
+                   if (zm & bmask).bit_count() >= plan.lambda3 * len(B) / 2]
+        if len(flex_ok) < l:
+            continue
+        flex = set(rng.sample(flex_ok, l))
+        m = _colour_matching({i: zm for i, zm in enumerate(zmasks) if i not in flex}, ~bmask)
+        if m is None:
+            continue
+        A = sorted(set(m.values()))
+        ok, mode, count = _flexibility_check(
+            gc, Z, A, B, l, plan.absorber_exhaustive_cap, plan.absorber_samples, rng
+        )
+        if ok:
+            return AbsorberEdge(Z=tuple(Z), A=tuple(A), B=tuple(B), l=l,
+                                verified=mode, subsets_checked=count)
+    weak = sum(1 for zm in zmasks if zm.bit_count() < plan.lambda3 * len(pool))
+    return Failure("absorber", ABSORBER_UNVERIFIABLE, seed, edge_class=key,
+                   weak_edges=weak, retries=plan.absorber_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -1480,19 +1453,9 @@ def transversal_blowup(
     if setup is None:
         setup = _blowup_setup(H, phi, active, plan, keys)
     _identity(setup.keys == keys, "pipeline", "set-up class keys = template classes")
-    class_e = setup.class_e
-    for key, cs in t.colour_clusters.items():
-        if len(class_e.get(key, ())) != len(cs):
-            return EmbedOutcome.fail(
-                "pipeline", PRECONDITION, seed, edge_class=key,
-                detail=f"e(H class)={len(class_e.get(key, ()))} != |C_e|={len(cs)}",
-            )
-    for key in class_e:
-        if key not in t.colour_clusters:
-            return EmbedOutcome.fail(
-                "pipeline", PRECONDITION, seed, edge_class=key,
-                detail="pattern edge class outside R",
-            )
+    mismatch = _class_count_mismatch(t, setup.class_e, seed)
+    if mismatch is not None:
+        return mismatch
     if setup.decided:
         out = _no_split(seed)
     else:
@@ -1503,18 +1466,8 @@ def transversal_blowup(
     main = out
     # class sizes equal class edge counts, so one pass can use every colour
     if isinstance(out, Failure):
-        def one_shot(sub_seed, attempt):
-            order = list(setup.bfs)
-            if attempt % 2:
-                random.Random(sub_seed).shuffle(order)
-            B = _buffer(H, order)
-            part = partial_embed(t, H, phi, X=[v for v in order if not B >> v & 1], Y=[],
-                                 targets=targets, plan=plan, seed=sub_seed)
-            if isinstance(part, Failure):
-                return part.with_stage("one-shot")
-            return _finish_buffer(t, H, phi, list(bits_of(B)), part, targets, sub_seed)
-
-        out, attempts = _retry(seed, 89, plan.retries, out, one_shot)
+        out, attempts = _retry(seed, 89, plan.retries, out,
+                               _one_shot(t, H, phi, targets, plan, setup.bfs))
     if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding
         why = "split-decided" if setup.decided else f"{main.stage}:{main.reason}"
         out.diagnostics["main"] = why
@@ -1527,6 +1480,44 @@ def transversal_blowup(
             f"colour conservation violated on the {run_stats.get('path', 'main')} path"
         )
     return done
+
+
+def _class_count_mismatch(t: Template, class_e, seed: int) -> EmbedOutcome | None:
+    """The entry failure when a colour class's size differs from its class
+    edge count, or a pattern edge class lies outside R; else None."""
+    for key, cs in t.colour_clusters.items():
+        if len(class_e.get(key, ())) != len(cs):
+            return EmbedOutcome.fail(
+                "pipeline", PRECONDITION, seed, edge_class=key,
+                detail=f"e(H class)={len(class_e.get(key, ()))} != |C_e|={len(cs)}",
+            )
+    for key in class_e:
+        if key not in t.colour_clusters:
+            return EmbedOutcome.fail(
+                "pipeline", PRECONDITION, seed, edge_class=key,
+                detail="pattern edge class outside R",
+            )
+    return None
+
+
+def _one_shot(t: Template, H: PatternGraph, phi, targets, plan: SplitPlan, bfs: list[int]):
+    """The ``_retry`` attempt of the one-shot passes: over ``bfs``, shuffled
+    on odd attempts by a generator of the sub-seed, hold back ``_buffer``'s
+    B, run the candidate-set pass on the rest and finish B by
+    ``_finish_buffer``."""
+
+    def attempt(sub_seed, k):
+        order = list(bfs)
+        if k % 2:
+            random.Random(sub_seed).shuffle(order)
+        B = _buffer(H, order)
+        part = partial_embed(t, H, phi, X=[v for v in order if not B >> v & 1], Y=[],
+                             targets=targets, plan=plan, seed=sub_seed)
+        if isinstance(part, Failure):
+            return part.with_stage("one-shot")
+        return _finish_buffer(t, H, phi, list(bits_of(B)), part, targets, sub_seed)
+
+    return attempt
 
 
 def _no_split(seed: int) -> Failure:

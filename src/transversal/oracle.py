@@ -86,6 +86,12 @@ def _connected_order(H: PatternGraph) -> list[int]:
     return order
 
 
+def _edge_colours(edge_avail: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """A maximum matching of the edges to their available colours (each a
+    mask, tried ascending): an injective colouring when it matches all."""
+    return max_bipartite_matching({e: list(bits_of(m)) for e, m in edge_avail.items()})
+
+
 def exact_transversal_embed(
     gc: GraphCollection,
     H: PatternGraph,
@@ -98,16 +104,10 @@ def exact_transversal_embed(
     if H.e > gc.n_colours or H.n > gc.n:
         return OracleResult(INFEASIBLE, meta={"reason": "pigeonhole"})
     order = _connected_order(H)
-    pos = {v: i for i, v in enumerate(order)}
     clock = _Clock(budget)
     tau: dict[int, int] = {}
     used_hosts: set[int] = set()
     edge_avail: dict[tuple[int, int], int] = {}
-
-    def colours_ok() -> bool:
-        adj = {e: list(bits_of(m)) for e, m in edge_avail.items()}
-        return len(max_bipartite_matching(adj)) == len(adj)
-
     sym_floor = [-1]
 
     def place(i: int) -> bool | None:
@@ -141,7 +141,7 @@ def exact_transversal_embed(
                 edge_avail[e] = m
             if v == order[0]:
                 sym_floor[0] = w
-            if not new_edges or colours_ok():
+            if not new_edges or len(_edge_colours(edge_avail)) == len(edge_avail):
                 res = place(i + 1)
                 if res:
                     return True
@@ -158,9 +158,7 @@ def exact_transversal_embed(
         return OracleResult(BUDGET_EXCEEDED, nodes=clock.nodes)
     if not res:
         return OracleResult(INFEASIBLE, nodes=clock.nodes)
-    adj = {e: list(bits_of(m)) for e, m in edge_avail.items()}
-    sigma = max_bipartite_matching(adj)
-    emb = TransversalEmbedding(tau=dict(tau), sigma=dict(sigma))
+    emb = TransversalEmbedding(tau=dict(tau), sigma=_edge_colours(edge_avail))
     return OracleResult(FEASIBLE, embedding=emb, nodes=clock.nodes)
 
 

@@ -23,10 +23,12 @@ from transversal.embed import (
     CANDIDATE_EXHAUSTED,
     PADDING_IMPOSSIBLE,
     PRECONDITION,
+    EquitableColouring,
     Failure,
     PartialEmbedding,
     SplitPlan,
     _class_key,
+    _flexibility_check,
     _mix,
     approx_embed,
     blowup_embed,
@@ -144,6 +146,38 @@ def test_equitable_balancing_moves(move):
         assert not any(H.has_edge(a, b) for a, b in combinations(p, 2))
     assert eq.parts == pinned
     assert equitable_colouring(H, r, seed=0) == eq
+
+
+# G(n, p) draws (random.Random(691), (386) and (1641) draw n, then p, then the
+# edges) whose first greedy pass into r = Delta + 1 classes is unbalanced:
+# with no balancing round allowed, a later restart's shuffled order gives the
+# colouring.
+RESHUFFLED = [
+    ([(0, 1), (0, 5), (1, 4), (2, 5), (3, 4)], ((1, 5), (2, 4), (0, 3))),
+    ([(0, 3), (0, 7), (1, 2), (2, 3), (3, 7), (4, 5), (4, 6)], ((2, 4), (3, 5), (0, 6), (1, 7))),
+    ([(0, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 8), (4, 8), (5, 7), (6, 7)],
+     ((2, 4), (0, 7), (3, 5, 6), (1, 8))),
+]
+
+
+@pytest.mark.parametrize("edges, pinned", RESHUFFLED)
+def test_equitable_restart_shuffles_the_order(edges, pinned):
+    H = PatternGraph(1 + max(max(e) for e in edges), edges)
+    r = H.max_degree + 1
+    assert equitable_colouring(H, r, seed=0).rounds >= 1  # the first pass needs a round
+    assert equitable_colouring(H, r, seed=0, cap=0) == EquitableColouring(
+        parts=pinned, proper=True, balanced=True, rounds=0)
+
+
+def test_equitable_returns_the_first_colouring_when_no_restart_balances():
+    # a union of small blocks, relabelled, found by a seeded search: none of
+    # the eight greedy passes at seed 1 is balanced, and no round may run
+    edges = [(0, 2), (0, 11), (1, 5), (1, 9), (1, 10), (2, 4), (2, 7), (3, 5), (3, 9), (3, 10),
+             (4, 11), (5, 6), (6, 9), (6, 10), (7, 11)]
+    H = PatternGraph(12, edges)
+    eq = equitable_colouring(H, H.max_degree + 1, seed=1, cap=0)
+    assert eq == EquitableColouring(parts=((0, 1, 6, 7), (2, 8, 9), (3, 11), (4, 5, 10)),
+                                    proper=True, balanced=False, rounds=0)
 
 
 def test_equitable_needs_enough_classes():
@@ -677,6 +711,15 @@ def test_an_unused_prescribed_colour_is_caught(monkeypatch):
         embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7]}, PLAN, seed=3)
 
 
+def test_prescribed_colour_named_twice_in_one_class_is_prescribed_once():
+    # a colour listed twice in one class is prescribed once, on one matching edge
+    t = bip_template(8, 10, density=1.0, seed=6, d="0.4")
+    H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    out = embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7, 7]}, PLAN, seed=3)
+    assert out.ok and out.verification.ok
+    assert out.stats["prescribed_used"] == [7] and 7 in out.embedding.sigma.values()
+
+
 def test_prescribed_refuses_too_few_unprescribed_colours():
     # four of ten colours prescribed leave six, below d * 10 = 7
     t = bip_template(8, 10, density=1.0, seed=6, d="0.7")
@@ -1127,6 +1170,21 @@ def test_absorber_exhaustive_flexibility():
     assert ent.verified == "exhaustive" and ent.subsets_checked == 28
     for B0 in combinations(ent.B, 2):
         assert ab.matching_for(t.gc, (0, 1), B0) is not None
+
+
+def test_flexibility_check_rejects_a_sampled_subset():
+    # z0 = (0, 2) has colours 1 and 2, z1 = (1, 3) only colour 0 = A, so of
+    # the 1-subsets of B = [1, 2, 3] only {3} leaves z0 unmatched
+    gc = GraphCollection(4, 4, {0: [(1, 3)], 1: [(0, 2)], 2: [(0, 2)], 3: []})
+    Z = [(0, 2), (1, 3)]
+    assert _flexibility_check(gc, Z, [0], [1, 2, 3], 1, 10, 200, random.Random(0)) == (
+        False, "exhaustive", 3)
+    # cap 0 samples; the first draw of {3} is the 5th at seed 0, the 2nd at seed 1
+    for seed, count in ((0, 5), (1, 2)):
+        assert _flexibility_check(gc, Z, [0], [1, 2, 3], 1, 0, 200, random.Random(seed)) == (
+            False, "sampled", count)
+    assert _flexibility_check(gc, Z, [0], [1, 2], 1, 0, 200, random.Random(0)) == (
+        True, "sampled", 200)
 
 
 def test_absorber_l_zero_is_distinct_colour_system():

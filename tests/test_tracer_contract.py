@@ -60,3 +60,26 @@ def test_the_tracer_counts_every_layer_of_the_application_paths(layers):
         assert tracer.layers[layer].calls >= 1, layer
     assert tracer.layers["embed.quasi"].calls == 2  # the direct call and expansion's
     assert embed.quasi_embed.__name__ == "quasi_embed"  # uninstalled
+
+
+def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers):
+    # Steps 0-5 call the blow-up embedder (Step 1 and every round of the
+    # extra-colours embedder), the absorber and the extra-colours embedder;
+    # the tracer adds up each blow-up call's BlowupResult.restarts
+    from test_embed import PLAN, _quasi_instance
+    from workloads import _quasi_path
+
+    from transversal import embed
+
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        gc, H, plan = _quasi_instance(12)  # one blow-up call fails after its full budget
+        out = embed.quasi_embed(gc, H, plan, seed=12)
+    finally:
+        tracer.uninstall()
+    assert plan is PLAN and out.ok and _quasi_path(out.stats) == "main"
+    for layer in ("embed.blowup_embed", "embed.absorber", "embed.approx"):
+        assert tracer.layers[layer].calls >= 1, layer
+    assert tracer.layers["embed.blowup_embed"].fail == 1
+    assert tracer.extra["restarts"] == PLAN.blowup_restarts
