@@ -971,11 +971,14 @@ def json_loader(load):
 
 
 def _vertex_count(d: Mapping) -> int:
-    """The document's ``n``, which must be a JSON integer: a float, bool or
-    string is rejected before anything is sized by it."""
+    """The document's ``n``, which must be a non-negative JSON integer: a
+    float, bool, string or negative number is rejected before anything is
+    sized by it."""
     n = d["n"]
     if type(n) is not int:
         raise ValueError(f"n must be a JSON integer, not {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, not {n}")
     return n
 
 

@@ -805,6 +805,8 @@ def blowup_embed(
     cluster to v's, no restart can succeed (whichever end comes second,
     greedy or matched, has no candidate; the independent reserve never holds
     both), so only the last restart runs and fails as the full budget would.
+    A forced call (each cluster used holds one host) with a nonzero budget
+    returns its only map, with no restart or draw, if the final check passes.
     ``restarts``: failed restarts before a success, else the budget."""
     active = set(active) if active is not None else set(range(H.n))
     ordered = sorted(active)
@@ -819,10 +821,14 @@ def blowup_embed(
                         detail=f"{len(vs)} pattern vertices > {len(clusters[i])} hosts"),
             )
     inside = mask_of(ordered)
-    cluster_masks = {i: mask_of(clusters[i]) for i in by_cluster}
     target_masks = {v: mask_of(ts) for v, ts in (targets or {}).items() if v in active}
     nbrs = {v: list(bits_of(H.adj(v) & inside)) for v in ordered}
     edges = [(u, w) for u in ordered for w in nbrs[u] if w > u]  # H.edges_within(active)
+    if plan.blowup_restarts >= 1 and all(len(clusters[i]) == 1 for i in by_cluster):
+        tau = {v: clusters[phi[v]][0] for v in ordered}
+        if _blowup_violation(host, tau, edges, target_masks) is None:
+            return BlowupResult(tau=tau, failure=None, restarts=0, verified=True)
+    cluster_masks = {i: mask_of(clusters[i]) for i in by_cluster}
     start = {v: cluster_masks[phi[v]] & target_masks.get(v, -1) for v in ordered}
     quotas = [(vs, int(plan.blowup_reserve * len(vs))) for vs in by_cluster.values()]
     hopeless = any(not any(host.adj(w) & cluster_masks[phi[v]] for w in clusters[phi[u]])
@@ -842,15 +848,22 @@ def blowup_embed(
     run, attempts = _retry(seed, 53, plan.blowup_restarts, default, attempt)
     if isinstance(run, Failure):
         return BlowupResult(None, run, restarts=attempts)
-    tau = run.tau  # structural verification
+    if (violation := _blowup_violation(host, run.tau, edges, target_masks)) is not None:
+        raise UnverifiedOutput(violation)
+    return BlowupResult(tau=run.tau, failure=None, restarts=attempts - 1, verified=True)
+
+
+def _blowup_violation(host: SimpleGraph, tau, edges, target_masks) -> str | None:
+    """The structural check of a blow-up map: the first way ``tau`` is not
+    injective, sends an active edge to a non-edge or leaves a target set,
+    else None."""
     if len(set(tau.values())) != len(tau):
-        raise UnverifiedOutput("blow-up map is not injective")
-    for (u, v) in edges:
-        if not host.has_edge(tau[u], tau[v]):
-            raise UnverifiedOutput("blow-up produced a non-edge")
+        return "blow-up map is not injective"
+    if any(not host.has_edge(tau[u], tau[v]) for u, v in edges):
+        return "blow-up produced a non-edge"
     if any(not mask >> tau[v] & 1 for v, mask in target_masks.items()):
-        raise UnverifiedOutput("blow-up left a target set")
-    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1, verified=True)
+        return "blow-up left a target set"
+    return None
 
 
 def _blowup_candidates(run: _Run, v: int, used: int) -> int:

@@ -555,6 +555,23 @@ def test_non_integer_n_is_a_usage_error(workdir):
     assert main(verify) == 2
 
 
+@pytest.mark.parametrize("negative", ["pattern", "host"])
+def test_a_negative_n_is_a_usage_error(workdir, capsys, negative):
+    # a pattern with n = -3 used to exit 2 with random.sample's message, and a
+    # host with n = -3 to fail typed as expand:PreconditionViolated
+    edges = [list(t) for t in combinations(range(8), 3)]
+    write_json(workdir / "g.json", {"n": 8, "edges": edges})
+    write_json(workdir / "e.json", {"n": 2, "edges": [[0, 1]]})
+    expand = ["embed", "--pipeline", "expand", "--instance", "g.json",
+              "--pattern", "e.json", "--out", "rep.json"]
+    assert main(expand) == 0
+    bad = {"n": -3, "edges": []}
+    write_json(workdir / ("e.json" if negative == "pattern" else "g.json"), bad)
+    capsys.readouterr()
+    assert main(expand) == 2
+    assert capsys.readouterr().err == "usage error: n must be non-negative, not -3\n"
+
+
 @pytest.mark.parametrize("triple", [[0.0, 1, 2], [True, 0, 2], [0, 1, "2"]])
 def test_non_integer_triple_vertex_is_a_usage_error(workdir, triple):
     edges = [list(t) for t in combinations(range(8), 3)]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transversal import core
@@ -774,6 +774,61 @@ def test_verifier_agrees_with_independent_path():
         )
 
 
+def _drop_tau_key(draw, gc, H, tau, sigma):
+    tau.pop(draw(st.sampled_from(sorted(tau))))
+
+
+def _add_tau_key(draw, gc, H, tau, sigma):
+    tau[H.n] = draw(st.integers(0, gc.n - 1))
+
+
+def _merge_images(draw, gc, H, tau, sigma):
+    u, v = draw(st.lists(st.sampled_from(sorted(tau)), min_size=2, max_size=2, unique=True))
+    tau[u] = tau[v]
+
+
+def _recolour_edge(draw, gc, H, tau, sigma):
+    # up to one past the last colour, so the range check is reached too
+    sigma[draw(st.sampled_from(sorted(sigma)))] = draw(st.integers(0, gc.n_colours))
+
+
+def _merge_colours(draw, gc, H, tau, sigma):
+    e, f = draw(st.lists(st.sampled_from(sorted(sigma)), min_size=2, max_size=2, unique=True))
+    sigma[e] = sigma[f]
+
+
+def _reverse_edge_key(draw, gc, H, tau, sigma):
+    u, v = draw(st.sampled_from(sorted(sigma)))
+    sigma[(v, u)] = sigma.pop((u, v))
+
+
+def _move_marked_vertex(draw, gc, H, tau, sigma):
+    tau[0] = draw(st.integers(0, gc.n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 50), density=st.sampled_from([0.4, 0.7, 1.0]), marked=st.sets(
+    st.integers(0, 6), min_size=2), mutate=st.sampled_from([
+        _drop_tau_key, _add_tau_key, _merge_images, _recolour_edge, _merge_colours,
+        _reverse_edge_key, _move_marked_vertex]), data=st.data())
+def test_verifier_agrees_with_the_naive_check_on_a_mutated_oracle_embedding(
+        seed, density, marked, mutate, data):
+    # one generic mutation of a verified embedding: the verifier and the
+    # independent re-implementation must give the same verdict
+    from transversal.oracle import exact_transversal_embed
+
+    gc = random_gc(7, 6, density, seed)
+    H = PatternGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], targets={0: marked})
+    res = exact_transversal_embed(gc, H)
+    assume(res.feasible)
+    assert verify_transversal_embedding(gc, H, res.embedding).ok
+    assert naive_verify(gc, H, res.embedding)
+    tau, sigma = dict(res.embedding.tau), dict(res.embedding.sigma)
+    mutate(data.draw, gc, H, tau, sigma)
+    emb = TransversalEmbedding(tau=tau, sigma=sigma)
+    assert verify_transversal_embedding(gc, H, emb).ok == naive_verify(gc, H, emb)
+
+
 # ---------------------------------------------------------------------------
 # separability
 
@@ -1088,3 +1143,17 @@ def test_json_loaders_take_n_only_as_a_json_integer(n):
         with pytest.raises(ValueError, match="JSON integer"):
             load(doc)
         assert load({**doc, "n": 3}).n == 3
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_json_loaders_refuse_a_negative_n(n):
+    # pattern_from_json and threegraph_from_json used to build a graph with n < 0
+    docs = {
+        collection_from_json: {"n": n, "colours": [0], "edges": {}},
+        pattern_from_json: {"n": n, "edges": []},
+        threegraph_from_json: {"n": n, "edges": []},
+    }
+    for load, doc in docs.items():
+        with pytest.raises(ValueError, match=f"n must be non-negative, not {n}"):
+            load(doc)
+        assert load({**doc, "n": 0}).n == 0

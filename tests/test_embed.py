@@ -1103,9 +1103,12 @@ def test_blowup_matches_the_per_restart_reference(restarts, reserve):
             seen.add("targets")
         if any(int(reserve * sum(phi[v] == i for v in inside)) for i in range(len(clusters))):
             seen.add("reserve")
-    # every failing phase, a call no restart can help, targets and a reserve
+        if inside and all(len(clusters[phi[v]]) == 1 for v in inside):
+            seen.add("forced")
+    # every failing phase, a call no restart can help, targets, a reserve and
+    # a forced call (one active vertex and one host in each cluster used)
     runs = {"ok", "greedy", "matching"} if restarts else {None}
-    assert seen == runs | {"hopeless", "targets", "reserve"}
+    assert seen == runs | {"hopeless", "targets", "reserve", "forced"}
 
 
 def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
@@ -1143,6 +1146,48 @@ def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
     # that edge still fails every restart, but the budget runs in full
     run(SimpleGraph(12, dense + [(7, 11)]), targets={5: {10}})
     assert seeded == [_mix(9, 53, k) for k in range(PLAN.blowup_restarts)]
+
+
+@pytest.mark.parametrize("clusters, host_edges, targets, restarts, seeds", [
+    # the forced map 0 -> 0, 1 -> 1, 2 -> 2 passes the check: no restart, no draw
+    ([[0], [1], [2]], [(0, 1), (1, 2)], {1: {1, 3}}, 30, 0),
+    # the pattern edge 12 has no host edge, so only the last restart runs
+    ([[0], [1], [2]], [(0, 1)], None, 30, 1),
+    # the target set of vertex 1 excludes its only host
+    ([[0], [1], [2]], [(0, 1), (1, 2)], {1: {3}}, 30, 30),
+    # clusters 0 and 2 share their host, so the forced map is not injective
+    ([[0], [1], [0]], [(0, 1)], None, 30, 30),
+    # a valid forced map, but a budget of no restart
+    ([[0], [1], [2]], [(0, 1), (1, 2)], None, 0, 0),
+], ids=["forced-success", "missing-host-edge", "target-excludes-host", "shared-host",
+        "no-restart-budget"])
+def test_a_forced_blowup_call(monkeypatch, clusters, host_edges, targets, restarts, seeds):
+    import types
+
+    from transversal import embed
+
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, x):
+            seeded.append(x)
+            super().__init__(x)
+
+    # a path on three clusters of one host each; host 3 lies outside them
+    host, R = SimpleGraph(4, host_edges), SimpleGraph(3, [(0, 1), (1, 2)])
+    H, phi = PatternGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]
+    plan = types.SimpleNamespace(blowup_restarts=restarts, blowup_reserve=PLAN.blowup_reserve)
+    with monkeypatch.context() as m:
+        m.setattr(embed, "random", types.SimpleNamespace(Random=Counted))
+        got = blowup_embed(host, clusters, R, H, phi, targets, plan, seed=9)
+    assert _blowup_fields(got) == _blowup_fields(
+        _reference_blowup_embed(host, clusters, R, H, phi, targets, plan, seed=9))
+    assert len(seeded) == seeds
+    if seeds == 0 and restarts:
+        assert got.ok and got.verified and got.restarts == 0
+        assert got.tau == {0: 0, 1: 1, 2: 2}
+    else:
+        assert not got.ok and got.restarts == restarts
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,15 @@ def test_count_matches_brute_force_enumeration():
     assert res.count == count // 2
 
 
+def test_count_stops_at_its_node_budget_and_finishes_on_the_default():
+    gc = random_collection(GenSpec(n=6, n_colours=3, density=0.9, seed=1))
+    tiny = count_rainbow_copies(gc, TRIANGLE, budget=SearchBudget(node_limit=2))
+    assert tiny.status == BUDGET_EXCEEDED and tiny.nodes == 3
+    # budget-monotone: more budget turns the exit into the full count
+    full = count_rainbow_copies(gc, TRIANGLE)
+    assert full.status == FEASIBLE and full.count == 90 and full.labelled == 540
+
+
 def test_mono_triangle_count_cyclic_construction():
     gc = cyclic_triangle_collection(12, seed=3)
     assert monochromatic_triangle_count(gc) == 0
@@ -148,6 +157,14 @@ def test_tight_cycle_in_complete_three_graph():
     for i in range(6):
         tr = tuple(sorted((cyc[i], cyc[(i + 1) % 6], cyc[(i + 2) % 6])))
         assert tr in g.edges
+
+
+def test_tight_search_stops_at_its_node_budget_and_finishes_on_the_default():
+    g = ThreeGraph(7, list(combinations(range(7), 3)))
+    tiny = tight_hamilton_search(g, budget=SearchBudget(node_limit=2))
+    assert tiny.status == BUDGET_EXCEEDED and tiny.cycle is None and tiny.nodes == 3
+    full = tight_hamilton_search(g)
+    assert full.status == FEASIBLE and full.cycle == tuple(range(7))
 
 
 def test_isolated_vertex_infeasible():
