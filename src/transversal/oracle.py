@@ -26,6 +26,7 @@ from .core import (
 from .matching import max_bipartite_matching
 
 FEASIBLE = "feasible"
+EXACT = "exact"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget-exceeded"
 
@@ -62,11 +63,13 @@ class _Clock:
         self.nodes = 0
 
     def tick(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.limit:
+        """Allow one more node, counting it, unless the node or time budget
+        is spent; a refused tick is not counted."""
+        if self.nodes >= self.limit:
             return False
         if self.deadline is not None and time.monotonic() > self.deadline:
             return False
+        self.nodes += 1
         return True
 
 
@@ -217,10 +220,13 @@ class CountResult:
 def count_rainbow_copies(
     gc: GraphCollection, F: PatternGraph, budget: SearchBudget = SearchBudget()
 ) -> CountResult:
-    """Exact transversal-copy count, up to F-automorphism.
+    """Transversal-copy count, up to F-automorphism; intended for v(F) <= 5.
 
-    Counts all labelled (tau, sigma) pairs and divides by |Aut(F)|; intended
-    for v(F) <= 5.
+    Counts the labelled (tau, sigma) pairs and divides by |Aut(F)|.  A
+    finished search has status ``"exact"`` (also for a count of 0).  A
+    search stopped by its budget has status ``"budget-exceeded"`` and
+    ``count`` = ceil(labelled / |Aut(F)|) of the pairs found so far: a
+    lower bound, since every copy has exactly |Aut(F)| labelled versions.
     """
     if F.n > 8:
         raise ValueError("copy counting is intended for small patterns")
@@ -255,24 +261,13 @@ def count_rainbow_copies(
             del tau[v]
         return True
 
-    completed = place(0)
-    if completed:
-        if labelled % aut:
-            raise AssertionError(f"{labelled} labelled copies, not a multiple of |Aut| = {aut}")
-        return CountResult(
-            count=labelled // aut,
-            labelled=labelled,
-            automorphisms=aut,
-            nodes=clock.nodes,
-            status=FEASIBLE,
-        )
-    return CountResult(
-        count=labelled // aut,
-        labelled=labelled,
-        automorphisms=aut,
-        nodes=clock.nodes,
-        status=BUDGET_EXCEEDED,
-    )
+    if not place(0):
+        return CountResult(-(-labelled // aut), labelled, aut, clock.nodes, BUDGET_EXCEEDED,
+                           "labelled (tau, sigma) pairs found so far divided by |Aut(F)|, "
+                           "rounded up: a lower bound")
+    if labelled % aut:
+        raise AssertionError(f"{labelled} labelled copies, not a multiple of |Aut| = {aut}")
+    return CountResult(labelled // aut, labelled, aut, clock.nodes, EXACT)
 
 
 def monochromatic_triangle_count(gc: GraphCollection) -> int:

@@ -144,9 +144,6 @@ class WitnessSearchResult:
     samples: int = 0
     budget_exhausted: bool = False
 
-    def __bool__(self):
-        return self.witness is not None
-
     def miss_probability(self, per_draw: float) -> float:
         """Confidence companion for sampled NoneFound results: if witnessing
         tuples occurred with probability at least ``per_draw`` under the
@@ -622,23 +619,172 @@ class RegularityPartition:
 def _energy(gc: GraphCollection, v_clusters, c_clusters) -> float:
     """Mean-square density index over ordered cluster pairs (incl. diagonal)
     and colour clusters, normalised by n^2 * |C|; non-decreasing under
-    refinement."""
+    refinement.  Clusters are never empty, so only n = 0 or |C| = 0 has
+    nothing to sum."""
     n, K = gc.n, gc.n_colours
     if n == 0 or K == 0:
         return 0.0
     masks = [mask_of(cl) for cl in v_clusters]
     total = 0.0
-    for hi, Vh in enumerate(v_clusters):
-        for ii, mi in enumerate(masks):
-            size_prod = len(Vh) * len(v_clusters[ii])
-            if size_prod == 0:
-                continue
+    for Vh in v_clusters:
+        for Vi, mi in zip(v_clusters, masks):
+            size_prod = len(Vh) * len(Vi)
             for Cj in c_clusters:
-                cnt = sum(gc.edges_into(c, Vh, mi) for c in Cj)
-                if cnt:
-                    dens = cnt / (size_prod * len(Cj))
-                    total += size_prod * len(Cj) * dens * dens
+                dens = sum(gc.edges_into(c, Vh, mi) for c in Cj) / (size_prod * len(Cj))
+                total += size_prod * len(Cj) * dens * dens
     return total / (n * n * K)
+
+
+def _initial_clusters(n: int, K: int, L0: int, rng: random.Random):
+    """The shuffled vertices, then the shuffled colours, cut into clusters
+    of m0 = n // L0; the remainders are the exceptional sets.  When either
+    side has no whole cluster, all vertices and all colours are one
+    cluster each.  Returns (v_clusters, v0, c_clusters, c0)."""
+    m0 = max(1, n // max(1, L0))
+    verts, cols = list(range(n)), list(range(K))
+    rng.shuffle(verts)
+    rng.shuffle(cols)
+
+    def cut(items):
+        whole = len(items) - len(items) % m0
+        return [items[i : i + m0] for i in range(0, whole, m0)], items[whole:]
+
+    (v_clusters, v0), (c_clusters, c0) = cut(verts), cut(cols)
+    if not v_clusters or not c_clusters:
+        return [verts], [], [cols], []
+    return v_clusters, v0, c_clusters, c0
+
+
+def _witness_splits(gc, spec, v_clusters, c_clusters, sample_budget, seed):
+    """One refinement round's witness search over every triple (V_h, V_i,
+    C_j) with h < i: the first witness subset found for each vertex and
+    colour cluster, as (vertex splits, colour splits) keyed by index."""
+    splits_v: dict[int, set] = {}
+    splits_c: dict[int, set] = {}
+    for h, i in itertools.combinations(range(len(v_clusters)), 2):
+        for j, Cj in enumerate(c_clusters):
+            res = irregularity_witness(gc, (v_clusters[h], v_clusters[i], Cj), spec,
+                                       budget=sample_budget, seed=seed)
+            if res.witness is not None:
+                sh, si, sj = res.witness.subsets
+                splits_v.setdefault(h, set(sh))
+                splits_v.setdefault(i, set(si))
+                splits_c.setdefault(j, set(sj))
+    return splits_v, splits_c
+
+
+def _split(clusters, splits) -> list:
+    """Each cluster with a witness subset split in two: the part on the
+    side of the subset that holds the cluster's first element, then the
+    rest (when not empty)."""
+    out = []
+    for idx, cl in enumerate(clusters):
+        sub = splits.get(idx, ())
+        first = cl[0] in sub
+        out += filter(None, ([x for x in cl if (x in sub) == first],
+                             [x for x in cl if (x in sub) != first]))
+    return out
+
+
+def _refine(gc, spec, v_clusters, c_clusters, seed, sample_budget, max_rounds, max_clusters):
+    """Witness refinement: round r searches with seed ``seed + 31 r`` and
+    splits every cluster a witness cut.  Stops converged when a round finds
+    no witness, or unconverged after ``max_rounds`` refinements or when a
+    round with witnesses starts with ``max_clusters`` clusters or more.
+    Returns (v_clusters, c_clusters, energy history, converged); the
+    history holds one entry more than there were refinements."""
+    energies = [_energy(gc, v_clusters, c_clusters)]
+    while len(energies) <= max_rounds:
+        splits_v, splits_c = _witness_splits(gc, spec, v_clusters, c_clusters, sample_budget,
+                                             seed + 31 * len(energies))
+        if not splits_v:
+            return v_clusters, c_clusters, energies, True
+        if len(v_clusters) + len(c_clusters) >= max_clusters:
+            break
+        v_clusters, c_clusters = _split(v_clusters, splits_v), _split(c_clusters, splits_c)
+        energies.append(_energy(gc, v_clusters, c_clusters))
+    return v_clusters, c_clusters, energies, False
+
+
+def _chunk_size(sizes: list[int], exceptional: int, budget: float) -> int:
+    """The largest common chunk size m whose waste (the exceptional elements
+    plus every cluster's remainder mod m) fits ``budget``; if none fits, the
+    waste-minimising size, the larger on ties."""
+    def waste(m):
+        return exceptional + sum(s % m for s in sizes)
+
+    candidates = range(max(sizes), 0, -1)
+    fits = next((m for m in candidates if waste(m) <= budget), None)
+    return fits if fits is not None else min(candidates, key=waste, default=1)
+
+
+def _chop(clusters, exceptional, m: int):
+    """Each cluster sorted and cut into chunks of m, the remainders added to
+    the exceptional set: (chunks, sorted exceptional set), both tuples."""
+    chunks, exc = [], list(exceptional)
+    for cl in clusters:
+        cl = sorted(cl)
+        whole = len(cl) - len(cl) % m
+        chunks += [tuple(cl[i : i + m]) for i in range(0, whole, m)]
+        exc += cl[whole:]
+    return tuple(chunks), tuple(sorted(exc))
+
+
+def _prune(gc, spec, v_final, c_final, sample_budget, seed):
+    """Exile and prune the rows of G_c: a clustered colour loses its
+    intra-cluster edges, and every colour of a failing triple (a witness
+    found with seed ``seed + 977``, or density below d) its edges across
+    the pair.  Returns (pruned collection, pass of each triple (h, i, j),
+    exhaustive and sampled check counts)."""
+    masks = [mask_of(cl) for cl in v_final]
+    rows = [list(r) for r in gc.rows]
+    for c in itertools.chain.from_iterable(c_final):
+        for cl, mask in zip(v_final, masks):
+            for v in cl:
+                rows[c][v] &= ~mask
+    d_floor = frac(spec.d)
+    passes: dict[tuple[int, int, int], bool] = {}
+    stamps = {"exhaustive": 0, "sampled": 0}
+    for h, i in itertools.combinations(range(len(v_final)), 2):
+        for j, Cj in enumerate(c_final):
+            triple = (v_final[h], v_final[i], Cj)
+            res = irregularity_witness(gc, triple, spec, budget=sample_budget, seed=seed + 977)
+            ok = res.witness is None and density(gc, triple) >= d_floor
+            stamps["exhaustive" if res.exhaustive else "sampled"] += 1
+            passes[(h, i, j)] = ok
+            if not ok:
+                for c in Cj:
+                    for u in v_final[h]:
+                        rows[c][u] &= ~masks[i]
+                    for v in v_final[i]:
+                        rows[c][v] &= ~masks[h]
+    return GraphCollection.from_rows(gc.n, rows), passes, stamps
+
+
+def _checks(gc, pruned, spec, m, v_final, v0, c_final, c0, passes) -> dict:
+    """The five structural properties as literal checks, with the measured
+    delta = min(|C|/n, n/|C|) and the degree-loss bound they use."""
+    n, K, eps, d = gc.n, gc.n_colours, spec.epsilon, spec.d
+    masks = [mask_of(cl) for cl in v_final]
+    delta_measured = min(K / n, n / K) if n and K else 1.0
+    loss_bound = (3 * d / delta_measured**2 + eps) * n * n
+    lost = zip(gc.total_degrees(), pruned.total_degrees())
+    properties = {
+        "exceptional_bound": len(v0) + len(c0) <= eps * n,
+        "equal_sizes": all(len(cl) == m for cl in v_final + c_final),
+        "degree_loss": all(x - y < loss_bound for x, y in lost) and all(
+            gc.edge_count(c) - pruned.edge_count(c) < loss_bound for c in range(K)),
+        "intra_cluster_exile": all(
+            not pruned.adj(c, v) & mask
+            for c in itertools.chain.from_iterable(c_final)
+            for cl, mask in zip(v_final, masks) for v in cl),
+        "regular_or_empty": all(
+            not pruned.adj(c, u) & masks[i]
+            for (h, i, j), ok in passes.items() if not ok
+            for c in c_final[j] for u in v_final[h]),
+    }
+    return {"properties": properties, "delta_measured": delta_measured,
+            "loss_bound": loss_bound}
 
 
 def partition_collection(
@@ -650,198 +796,43 @@ def partition_collection(
     max_rounds: int | None = None,
     max_clusters: int = 48,
 ) -> RegularityPartition:
-    """Witness-driven refinement plus the standard cleanup.
+    """Witness-driven refinement plus the standard cleanup, as plain steps.
 
-    Refines by intersecting clusters with witness subsets until no witness is
-    found or the round cap ceil(eps^-3) is hit, then chops clusters into
-    equal chunks of a common size m (vertex and colour clusters alike),
-    absorbs remainders into the exceptional sets, prunes each retained colour
-    graph (intra-cluster edges removed, irregular or sparse triples emptied)
-    and attaches the reduced collection.  Non-convergence is reported in the
-    result, never raised.
+    ``_initial_clusters`` shuffles the vertices and colours (with
+    ``random.Random(seed)``) into clusters of n // L0; ``_refine``
+    intersects clusters with witness subsets until no witness is found, the
+    round cap ``max_rounds`` (default ceil(eps^-3), at most 60) is hit or
+    the clusters number ``max_clusters``; ``_chunk_size`` picks the common
+    size m whose remainder waste fits eps*n, and ``_chop`` cuts vertex and
+    colour clusters alike into chunks of m, the remainders joining the
+    exceptional sets; ``_prune`` removes intra-cluster edges and empties
+    irregular or sparse triples; ``_checks`` tests the five properties.
+    ``rounds`` counts the refinements, one less than ``energy_history``'s
+    entries, on every exit.  Non-convergence is reported in the result,
+    never raised.
     """
-    rng = random.Random(seed)
-    n, K = gc.n, gc.n_colours
-    eps, d = spec.epsilon, spec.d
+    eps = spec.epsilon
     if max_rounds is None:
         max_rounds = min(60, math.ceil(eps**-3) if eps > 0 else 60)
-    m0 = max(1, n // max(1, L0))
-    verts = list(range(n))
-    rng.shuffle(verts)
-    nv = (n // m0) * m0
-    v_clusters = [verts[i : i + m0] for i in range(0, nv, m0)]
-    v0 = verts[nv:]
-    cols = list(range(K))
-    rng.shuffle(cols)
-    nc = (K // m0) * m0
-    c_clusters = [cols[i : i + m0] for i in range(0, nc, m0)]
-    c0 = cols[nc:]
-    if not v_clusters or not c_clusters:
-        v_clusters, v0 = [verts], []
-        c_clusters, c0 = [cols], []
-
-    energies = [_energy(gc, v_clusters, c_clusters)]
-    converged_refine = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        splits_v: dict[int, list[set]] = {}
-        splits_c: dict[int, list[set]] = {}
-        found = 0
-        for h in range(len(v_clusters)):
-            for i in range(h + 1, len(v_clusters)):
-                for j in range(len(c_clusters)):
-                    res = irregularity_witness(
-                        gc, (v_clusters[h], v_clusters[i], c_clusters[j]), spec,
-                        budget=sample_budget, seed=seed + 31 * rounds,
-                    )
-                    if res.witness is None:
-                        continue
-                    found += 1
-                    sh, si, sj = res.witness.subsets
-                    splits_v.setdefault(h, []).append(set(sh))
-                    splits_v.setdefault(i, []).append(set(si))
-                    splits_c.setdefault(j, []).append(set(sj))
-        if not found:
-            converged_refine = True
-            rounds -= 1
-            break
-        if len(v_clusters) + len(c_clusters) >= max_clusters:
-            break
-
-        def refine(clusters, splits):
-            out = []
-            for idx, cl in enumerate(clusters):
-                subs = splits.get(idx, [])[:1]  # one split per cluster per round
-                if not subs:
-                    out.append(cl)
-                    continue
-                groups: dict[tuple, list] = {}
-                for v in cl:
-                    sig = tuple(v in s for s in subs)
-                    groups.setdefault(sig, []).append(v)
-                out.extend(groups.values())
-            return out
-
-        v_clusters = refine(v_clusters, splits_v)
-        c_clusters = refine(c_clusters, splits_c)
-        energies.append(_energy(gc, v_clusters, c_clusters))
-
-    # --- cleanup: common cluster size, exceptional absorption
-    # largest common chunk size whose remainder waste fits the exceptional
-    # budget eps*n; if none fits, the waste-minimising size (ties -> larger m)
-    sizes = [len(c) for c in v_clusters] + [len(c) for c in c_clusters]
-    budget_exc = max(eps * n, 0)
-    m = 1
-    best_waste = None
-    for m_cand in range(max(sizes), 0, -1):
-        waste = len(v0) + len(c0) + sum(s % m_cand for s in sizes)
-        if waste <= budget_exc:
-            m = m_cand
-            best_waste = waste
-            break
-        if best_waste is None or waste < best_waste:
-            m, best_waste = m_cand, waste
-
-    def chop(clusters, exceptional):
-        chunks, exc = [], list(exceptional)
-        for cl in clusters:
-            cl = sorted(cl)
-            for i in range(0, len(cl) - len(cl) % m, m):
-                chunks.append(tuple(cl[i : i + m]))
-            exc.extend(cl[len(cl) - len(cl) % m :])
-        return chunks, tuple(sorted(exc))
-
-    v_final, v0_final = chop(v_clusters, v0)
-    c_final, c0_final = chop(c_clusters, c0)
-    L, M = len(v_final), len(c_final)
-
-    cluster_of = [-1] * n
-    for ci, cl in enumerate(v_final):
-        for v in cl:
-            cluster_of[v] = ci
-    colour_cluster_of = [-1] * K
-    for cj, cl in enumerate(c_final):
-        for c in cl:
-            colour_cluster_of[c] = cj
-
-    # prune the rows of G_c: a clustered colour loses its intra-cluster
-    # edges, and every colour of a failing triple its edges across the pair
-    masks = [mask_of(cl) for cl in v_final]
-    rows = [[gc.adj(c, v) for v in range(n)] for c in range(K)]
-    for c in range(K):
-        if colour_cluster_of[c] != -1:
-            for cl, mask in zip(v_final, masks):
-                for v in cl:
-                    rows[c][v] &= ~mask
-    triple_pass: dict[tuple[int, int, int], bool] = {}
-    stamps = {"exhaustive": 0, "sampled": 0}
-    for h in range(L):
-        for i in range(h + 1, L):
-            for j in range(M):
-                triple = (v_final[h], v_final[i], c_final[j])
-                res = irregularity_witness(gc, triple, spec, budget=sample_budget,
-                                           seed=seed + 977)
-                ok = res.witness is None and density(gc, triple) >= frac(str(d))
-                stamps["exhaustive" if res.exhaustive else "sampled"] += 1
-                triple_pass[(h, i, j)] = ok
-                if not ok:
-                    for c in c_final[j]:
-                        for u in v_final[h]:
-                            rows[c][u] &= ~masks[i]
-                        for v in v_final[i]:
-                            rows[c][v] &= ~masks[h]
-    pruned = GraphCollection.from_rows(n, rows)
+    v_clusters, v0, c_clusters, c0 = _initial_clusters(gc.n, gc.n_colours, L0,
+                                                       random.Random(seed))
+    v_clusters, c_clusters, energies, refined = _refine(
+        gc, spec, v_clusters, c_clusters, seed, sample_budget, max_rounds, max_clusters)
+    m = _chunk_size([len(cl) for cl in v_clusters + c_clusters], len(v0) + len(c0),
+                    max(eps * gc.n, 0))
+    (v_final, v0), (c_final, c0) = _chop(v_clusters, v0, m), _chop(c_clusters, c0, m)
+    pruned, passes, stamps = _prune(gc, spec, v_final, c_final, sample_budget, seed)
+    checks = _checks(gc, pruned, spec, m, v_final, v0, c_final, c0, passes)
+    converged = (refined and checks["properties"]["exceptional_bound"]
+                 and checks["properties"]["degree_loss"])
     reduced = tuple(
-        SimpleGraph(L, [(h, i) for (h, i, jj), ok in triple_pass.items() if jj == j and ok])
-        for j in range(M)
+        SimpleGraph(len(v_final), [(h, i) for (h, i, jj), ok in passes.items() if jj == j and ok])
+        for j in range(len(c_final))
     )
-
-    # --- the five structural properties as literal checks
-    delta_measured = min(K / n, n / K) if n and K else 1.0
-    loss_bound = (3 * d / delta_measured**2 + eps) * n * n
-    prop_i = len(v0_final) + len(c0_final) <= eps * n
-    prop_ii = all(len(cl) == m for cl in v_final) and all(len(cl) == m for cl in c_final)
-    prop_iii = all(
-        x - y < loss_bound for x, y in zip(gc.total_degrees(), pruned.total_degrees())
-    ) and all(
-        gc.edge_count(c) - pruned.edge_count(c) < loss_bound for c in range(K)
-    )
-    prop_iv = all(
-        not pruned.adj(c, v) & masks[cluster_of[v]]
-        for c in range(K) if colour_cluster_of[c] != -1
-        for v in range(n) if cluster_of[v] != -1
-    )
-    prop_v = all(
-        not pruned.adj(c, u) & masks[i]
-        for (h, i, j), ok in triple_pass.items() if not ok
-        for c in c_final[j] for u in v_final[h]
-    )
-
-    converged = converged_refine and prop_i and prop_iii
-    diagnostics = {
-        "refinement_converged": converged_refine,
-        "properties": {
-            "exceptional_bound": prop_i,
-            "equal_sizes": prop_ii,
-            "degree_loss": prop_iii,
-            "intra_cluster_exile": prop_iv,
-            "regular_or_empty": prop_v,
-        },
-        "delta_measured": delta_measured,
-        "loss_bound": loss_bound,
-        "triple_stamps": stamps,
-        "reason": None if converged else "DidNotConverge",
-    }
+    diagnostics = {"refinement_converged": refined, **checks, "triple_stamps": stamps,
+                   "reason": None if converged else "DidNotConverge"}
     return RegularityPartition(
-        v_clusters=tuple(tuple(sorted(c)) for c in v_final),
-        v_exceptional=v0_final,
-        c_clusters=tuple(tuple(sorted(c)) for c in c_final),
-        c_exceptional=c0_final,
-        m=m,
-        pruned=pruned,
-        reduced=reduced,
-        converged=converged,
-        rounds=rounds,
-        energy_history=tuple(energies),
-        diagnostics=diagnostics,
+        v_clusters=v_final, v_exceptional=v0, c_clusters=c_final, c_exceptional=c0, m=m,
+        pruned=pruned, reduced=reduced, converged=converged, rounds=len(energies) - 1,
+        energy_history=tuple(energies), diagnostics=diagnostics,
     )

@@ -122,7 +122,7 @@ def test_oracle_count_report(workdir):
     assert main(["oracle", "--instance", "inst.json", "--pattern", "p3.json", "--count",
                  "--out", "o.json"]) == 0
     outcome = json.loads((workdir / "o.json").read_text())["outcome"]
-    assert (outcome["status"], outcome["count"]) == ("feasible", 6)
+    assert (outcome["status"], outcome["count"]) == ("exact", 6)
     assert outcome["convention"] == "labelled (tau, sigma) pairs divided by |Aut(F)|"
 
 

@@ -134,10 +134,22 @@ def test_count_matches_brute_force_enumeration():
 def test_count_stops_at_its_node_budget_and_finishes_on_the_default():
     gc = random_collection(GenSpec(n=6, n_colours=3, density=0.9, seed=1))
     tiny = count_rainbow_copies(gc, TRIANGLE, budget=SearchBudget(node_limit=2))
-    assert tiny.status == BUDGET_EXCEEDED and tiny.nodes == 3
+    assert tiny.status == BUDGET_EXCEEDED and tiny.nodes == 2
     # budget-monotone: more budget turns the exit into the full count
     full = count_rainbow_copies(gc, TRIANGLE)
-    assert full.status == FEASIBLE and full.count == 90 and full.labelled == 540
+    assert full.status == "exact" and full.count == 90 and full.labelled == 540
+
+
+def test_a_stopped_count_is_a_lower_bound_and_a_finished_one_is_exact():
+    gc = random_collection(GenSpec(n=6, n_colours=3, density=0.9, seed=1))
+    part = count_rainbow_copies(gc, TRIANGLE, budget=SearchBudget(node_limit=40))
+    # 131 labelled copies found: they belong to at least ceil(131 / 6) copies
+    assert (part.status, part.labelled, part.count, part.nodes) == (BUDGET_EXCEEDED, 131, 22, 40)
+    assert part.count <= count_rainbow_copies(gc, TRIANGLE).count
+    assert "lower bound" in part.convention
+    # a finished count of 0 is exact, not a verdict on existence
+    none = count_rainbow_copies(random_collection(GenSpec(5, 2, 1.0, 0)), TRIANGLE)
+    assert (none.status, none.count) == ("exact", 0)
 
 
 def test_mono_triangle_count_cyclic_construction():
@@ -162,7 +174,7 @@ def test_tight_cycle_in_complete_three_graph():
 def test_tight_search_stops_at_its_node_budget_and_finishes_on_the_default():
     g = ThreeGraph(7, list(combinations(range(7), 3)))
     tiny = tight_hamilton_search(g, budget=SearchBudget(node_limit=2))
-    assert tiny.status == BUDGET_EXCEEDED and tiny.cycle is None and tiny.nodes == 3
+    assert tiny.status == BUDGET_EXCEEDED and tiny.cycle is None and tiny.nodes == 2
     full = tight_hamilton_search(g)
     assert full.status == FEASIBLE and full.cycle == tuple(range(7))
 

@@ -314,6 +314,12 @@ def test_ledger_mode_guards():
             ledger_slice(led, rule, alpha="0.5", eps_prime="0.1")
 
 
+def test_ledger_refuses_an_unknown_rule():
+    led = make_ledger(10, "0.01", "0.4", "0.5", mode="super")
+    with pytest.raises(RuleInapplicable, match="unknown rule 'template-v'"):
+        ledger_slice(led, "template-v", alpha="0.5")
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     steps=st.lists(
@@ -650,6 +656,28 @@ def test_partition_structural_properties_random():
     # pruned never adds edges
     for c in range(18):
         assert set(part.pruned.edges(c)) <= set(gc.edges(c))
+
+
+def test_partition_rounds_count_the_refinements_on_every_exit():
+    gc = random_collection(GenSpec(16, 16, 0.7, 3))
+    spec = DensitySpec(d=0.3, epsilon=0.3)
+    exits = {}
+    for max_rounds, max_clusters in ((None, 48), (1, 48), (None, 4), (None, 8)):
+        part = partition_collection(gc, spec, L0=3, seed=2, max_rounds=max_rounds,
+                                    max_clusters=max_clusters)
+        assert part.rounds == len(part.energy_history) - 1
+        exits[max_rounds, max_clusters] = (part.diagnostics["refinement_converged"], part.rounds)
+    # converged; the round cap after one refinement; the cluster cap (4 and
+    # 8 clusters) before any refinement and after one
+    assert exits == {(None, 48): (True, 3), (1, 48): (False, 1),
+                     (None, 4): (False, 0), (None, 8): (False, 1)}
+
+
+def test_partition_without_colours_has_no_energy_to_sum():
+    part = partition_collection(GraphCollection(5, 0, {}), SPEC, L0=2, seed=0)
+    assert part.converged and (part.L, part.M, part.m) == (1, 0, 5)
+    assert part.energy_history == (0.0,) and part.rounds == 0
+    assert part.reduced == () and part.pruned.n_colours == 0
 
 
 # ---------------------------------------------------------------------------
