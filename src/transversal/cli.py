@@ -45,18 +45,20 @@ from .regularity import DensitySpec, partition_collection
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)  # a str is its own text
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
     """Digest of the validated instance, not of its file: equal instances get
     equal digests whatever the order, repeats and vertex order of the rows.
-    A 3-graph's masks are hashed in hex: it takes linear time, and unlike a
-    decimal string it has no digit limit on hosts with tens of thousands of
-    vertices."""
+    A 3-graph's masks go in hex (linear time, and no digit limit on hosts of
+    tens of thousands of vertices) into the JSON text of ``[n, parts, keys,
+    masks]``, joined by hand: an int list prints as its JSON."""
     if isinstance(inst, ThreeGraph):
         items = inst.pair_masks()
-        return _digest([inst.n, inst.parts, [k for k, _ in items], [hex(m) for _, m in items]])
+        masks = '["' + '", "'.join([hex(m) for _, m in items]) + '"]' if items else "[]"
+        return _digest(f"[{inst.n}, {json.dumps(inst.parts)}, {[k for k, _ in items]}, {masks}]")
     return _digest(collection_to_json(inst))
 
 

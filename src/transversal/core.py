@@ -1056,8 +1056,6 @@ def threegraph_from_json(d: Mapping) -> ThreeGraph:
     return ThreeGraph(_vertex_count(d), d.get("edges", []), parts=d.get("parts"))
 
 
-_JSON_SPACE = b" \t\n\r"
-_DIGITS_TO_0 = bytes.maketrans(b"123456789", b"000000000")
 _MAX_DIGITS = 18  # every decimal of 18 digits fits in int64
 
 
@@ -1071,7 +1069,7 @@ def threegraph_from_bytes(raw: bytes) -> ThreeGraph | None:
     digit = (np.frombuffer(raw, np.uint8) - 48) < 10  # other bytes wrap round to 10 or more
     runs = np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum()
     del digit
-    s = raw.translate(None, _JSON_SPACE)
+    s = raw.translate(None, b" \t\n\r")  # JSON's whitespace
     if s.startswith(b'{"n":'):
         i = s.find(b",")
         num, lo, end = s[5:i], i + 10, len(s) - 2
@@ -1085,37 +1083,47 @@ def threegraph_from_bytes(raw: bytes) -> ThreeGraph | None:
             and len(num) <= _MAX_DIGITS and (len(num) == 1 or num[0] != 48)
             and not s.endswith(b",", lo, end)):
         return None
-    out = np.empty((s.count(b"[", lo, end), 3), np.int64)
+    out = np.empty(((runs - 1) // 3, 3), np.int64)  # a row for each 3 digit runs after n's
     r = 0
     while lo < end:  # rows s[lo:end], each "[a,b,c]", then the "]" of "edges"
         hi = s.find(b"],", lo + 8 * _CHUNK_ROWS, end)  # a row takes at least 8 bytes
         hi = end + 1 if hi < 0 else hi + 2
         t = _digit_rows(np.frombuffer(s, np.uint8, hi - lo, lo))
-        if t is None:
+        if t is None or r + len(t) > len(out):
             return None
         out[r : r + len(t)], r, lo = t, r + len(t), hi
     del s  # the parse's buffers are freed before the build
     # as many digit runs in the file as numbers read: whitespace joined none
-    return ThreeGraph(int(num), out) if runs == 3 * len(out) + 1 else None
+    return ThreeGraph(int(num), out) if runs == 3 * r + 1 else None
 
 
 def _digit_rows(buf: np.ndarray) -> np.ndarray | None:
     """The rows ``[a,b,c]`` of ``buf``, each followed by one more byte
-    (``,``, or the ``]`` that closes ``edges``), as a k x 3 int64 array;
-    None unless every row and number is one :func:`threegraph_from_bytes` takes."""
+    (``,``, or the ``]`` that closes ``edges``), as a k x 3 integer array;
+    None unless every row and number is one :func:`threegraph_from_bytes` takes.
+    The shape is checked where the digit runs stop: 3k runs, the last
+    ending 2 bytes before the end; ``,`` ``,`` ``]`` after a row's numbers,
+    then ``,[`` unless the row is the last; ``[`` first; 5k non-digit bytes,
+    so none but those named: the gaps between runs are 1, 1, 3."""
     d = buf - 48  # a digit's value; other bytes wrap round to 10 or more
     digit = d < 10
-    start, end = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
-    keep = ~digit
-    keep[start] = True  # one "0" stands for each number
-    shape = buf[keep].tobytes().translate(_DIGITS_TO_0)
-    width = end - start
-    w = int(width.max(initial=1))
-    if (shape[:-1] != (b"[0,0,0]," * (len(start) // 3))[:-1] or w > _MAX_DIGITS
-            or ((d[start] == 0) & (width > 1)).any()):
+    last = np.flatnonzero(digit[:-1] > digit[1:])  # each number's last digit
+    k, odd = divmod(len(last), 3)
+    after = buf[last + 1]  # the byte after each number
+    if (odd or not k or buf[0] != 91 or digit[-1] or last[-1] != len(buf) - 3
+            or np.count_nonzero(digit) != len(buf) - 5 * k
+            or (after[2::3] != 93).any() or np.count_nonzero(after == 44) != 2 * k
+            or (buf[last[2:-1:3] + 2] != 44).any() or (buf[last[2:-1:3] + 3] != 91).any()
+            or ((buf[1:-1] == 48) & ~digit[:-2] & digit[2:]).any()):  # a leading zero
         return None
-    value = np.zeros(len(start), np.int64)  # int64 before any uint8 digit is scaled
-    for back in range(w, 0, -1):  # Horner's rule over the digit ``back`` places from each end
-        value *= 10
-        value += np.where(width >= back, d.take(end - back, mode="clip"), 0)
+    pair = d * digit  # 0 for every byte that is no digit
+    pair[1:] += pair[:-1] * 10  # at a number's last digit, the value of its last two
+    value = pair.take(last)
+    if (digit[:-2] & digit[1:-1] & digit[2:]).any():  # a number of three digits or more
+        width = last - np.flatnonzero(digit[1:] > digit[:-1])
+        if (w := int(width.max())) > _MAX_DIGITS:
+            return None
+        for back in range(2, w, 2):  # two digits more, where a number has them
+            more = np.where(width > back, pair.take(last - back), 0).astype(np.int64)
+            value = value + more * 10**back
     return value.reshape(-1, 3)

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import os
 import pathlib
@@ -14,8 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transversal
-from transversal.cli import _load_instance, main
-from transversal.core import GraphCollection, PatternGraph, collection_to_json, pattern_to_json
+from transversal.cli import _load_instance, instance_digest, main
+from transversal.core import (
+    GraphCollection,
+    PatternGraph,
+    ThreeGraph,
+    collection_to_json,
+    pattern_to_json,
+)
 from transversal.generators import parity_threegraph
 
 
@@ -473,6 +480,36 @@ def test_instance_digest_hashes_the_instance_not_the_file(workdir):
         write_json(workdir / "g.json", doc)
         digests.add(_digest_of(["check", "--instance", "g.json"], "c.json"))
     assert len(digests) == 4
+
+
+_PINNED_EDGES = [[0, 1, 2], [3, 2, 1], [2, 5, 6], [6, 4, 0], [1, 3, 5]]
+# literal digests: any change to the text that instance_digest hashes moves them
+PINNED_DIGESTS = [
+    ({"n": 7, "edges": _PINNED_EDGES}, "961a165b3e13e9d1"),
+    ({"n": 7, "edges": _PINNED_EDGES, "parts": [[0, 1, 2], [3, 4], [5, 6]]}, "f67c26fe3fd0a2be"),
+    ({"n": 5, "edges": []}, "35cf9aac0a64b365"),
+    ({"n": 4, "colours": ["a", "b"], "edges": {"0": [[0, 1], [1, 2]], "1": [[3, 2]]}},
+     "1b765d1f867a755b"),
+]
+
+
+@pytest.mark.parametrize("doc,digest", PINNED_DIGESTS)
+def test_instance_digest_is_pinned(workdir, doc, digest):
+    write_json(workdir / "g.json", doc)
+    assert instance_digest(_load_instance("g.json")) == digest
+    assert _digest_of(["check", "--instance", "g.json"], "c.json") == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 70), density=st.sampled_from([0.0, 0.02, 0.3]), parted=st.booleans(),
+       seed=st.integers(0, 99))
+def test_threegraph_digest_hashes_the_json_text_of_its_masks(n, density, parted, seed):
+    rng = random.Random(seed)
+    g = ThreeGraph(n, [t for t in combinations(range(n), 3) if rng.random() < density],
+                   parts=[range(0, n, 2), range(1, n, 2)] if parted else None)
+    items = g.pair_masks()
+    text = json.dumps([n, g.parts, [k for k, _ in items], [hex(m) for _, m in items]], sort_keys=True)
+    assert instance_digest(g) == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_digest_of_a_large_sparse_host(workdir):

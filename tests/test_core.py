@@ -105,6 +105,14 @@ def test_from_three_graph_straddle_rejected():
         from_three_graph(tg, [0], [1, 2, 3])
 
 
+def test_from_three_graph_checks_its_sides():
+    tg = ThreeGraph(4, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="^v_side and c_side overlap$"):
+        from_three_graph(tg, [0, 1, 2], [2, 3])
+    with pytest.raises(ValueError, match="^v_side and c_side must partition the vertex set$"):
+        from_three_graph(tg, [0, 1], [2])
+
+
 def test_from_three_graph_straddle_names_the_triple():
     tg = ThreeGraph(5, [(0, 1, 4), (0, 3, 4)])
     with pytest.raises(EdgeStraddlesSides, match=r"\(0, 3, 4\) has 2 vertices"):
@@ -975,6 +983,10 @@ def test_supplied_separator_validated():
     assert isinstance(good, SeparabilityCertificate)
     bad = separability_certificate(H, 0.3, supplied_separator=[])
     assert isinstance(bad, NotCertified)
+    # on P6 at mu = 0.34 a separator may hold int(0.34 * 6) = 2 vertices
+    P6 = SimpleGraph(6, [(i, i + 1) for i in range(5)])
+    big = separability_certificate(P6, 0.34, supplied_separator=[0, 1, 2, 3])
+    assert isinstance(big, NotCertified) and big.reason == "separator larger than 2"
 
 
 # ---------------------------------------------------------------------------
@@ -1100,6 +1112,22 @@ def test_bipartition_invariant_enforced():
         )
     gc = GraphCollection(4, 1, {0: [(0, 2)]}, bipartition={0: ([0, 1], [2, 3])})
     assert gc.bipartition is not None
+
+
+def test_a_declared_bipartition_survives_the_json_round_trip():
+    gc = GraphCollection(5, 2, {0: [(0, 2), (3, 1)], 1: [(4, 0)]},
+                         bipartition={0: ([0, 1], [2, 3, 4]), 1: ([0], [4])})
+    doc = collection_to_json(gc)
+    assert doc["bipartition"] == {"0": [[0, 1], [2, 3, 4]], "1": [[0], [4]]}
+    back = collection_from_json(doc)
+    assert back == gc and back.bipartition == gc.bipartition
+    doc["edges"]["0"].append([1, 0])  # both ends on side a
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) of colour 0 does not cross the declared"):
+        collection_from_json(doc)
+    doc["edges"]["0"].pop()
+    doc["bipartition"]["1"] = [[0, 4], [4]]
+    with pytest.raises(ValueError, match="^bipartition sides of colour 1 overlap$"):
+        collection_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ leaves the CLI's exit code and message as the json route gives them."""
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from transversal import cli, core
@@ -89,6 +89,15 @@ def _mutations(n: int, rows: list) -> dict:
         "duplicate-key": file(f"[{a}, {b}, {c}]", head=f'"n": {n}, "n": {n}'),
         "space-in-key": file(f"[{a}, {b}, {c}]", head=f'" n": {n}'),
         "bom": b"\xef\xbb\xbf" + file(f"[{a}, {b}, {c}]"),
+        "empty-vertex": file(f"[{a}, , {c}]"),
+        "extra-close": file(f"[{a}, {b}, {c}]]"),
+        "no-open": file(f"{a}, {b}, {c}]"),
+        "double-comma-between-rows": file(f"[{a}, {b}, {c}],, [{a}, {b}, {c}]"),
+        "number-between-rows": file(f"[{a}, {b}, {c}], {a}, [{a}, {b}, {c}]"),
+        "digit-after-row": file(f"[{a}, {b}, {c}]{a}"),
+        # as many digit runs and other bytes as two good rows, in other places
+        "comma-moved-into-a-row": file(f"[{a}, {b}, {c}][{a}, , {b}, {c}]"),
+        "two-then-four-vertices": file(f"[{a}, {b}], [{c}, {a}, {b}, {c}]"),
     }
 
 
@@ -124,6 +133,36 @@ def test_refused_files_take_the_json_route(small_chunks, tmp_path, monkeypatch, 
     with monkeypatch.context() as m:  # the json route alone, as before the byte route
         m.setattr(cli, "threegraph_from_bytes", lambda raw: None)
         assert _expand(tmp_path, capsys) == ours
+
+
+# what an edit may write: digits, JSON's punctuation and whitespace, and bytes of other numbers
+_EDIT_BYTES = b'0123456789[],: \n"{}-.enx'
+
+
+@seed(32)
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(host=hosts(max_n=1001), dumps=st.sampled_from(DUMPS), n_first=st.booleans(), data=st.data())
+def test_an_edited_file_is_read_as_json_reads_it_or_refused(small_chunks, host, dumps, n_first, data):
+    n, rows = host
+    doc = {"n": n, "edges": rows} if n_first else {"edges": rows, "n": n}
+    raw = bytearray(json.dumps(doc, **dumps).encode())
+    for _ in range(data.draw(st.integers(1, 2))):
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.integers(0, len(raw) - (edit != "insert")))
+        byte = data.draw(st.sampled_from(_EDIT_BYTES))
+        raw[at : at + (edit != "insert")] = [] if edit == "delete" else [byte]
+    raw = bytes(raw)
+    try:
+        got = threegraph_from_bytes(raw)
+    except ValueError as exc:  # a bad row: the json route names it the same way
+        with pytest.raises(ValueError) as by_json:
+            _via_json(raw)
+        assert str(exc) == str(by_json.value)
+        return
+    if got is not None:
+        want = _via_json(raw)
+        assert got == want and got.e == want.e
 
 
 @pytest.mark.parametrize("dumps", DUMPS)

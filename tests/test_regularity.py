@@ -685,14 +685,16 @@ def test_partition_without_colours_has_no_energy_to_sum():
 
 
 def test_sampled_mode_confidence_metadata():
-    g = one_colour(
-        30, [(u, v) for u in range(15) for v in range(15, 30) if (u + v) % 2]
-    )
+    # the complete 15 x 15 slice: no sub-slice deviates, so the sampled
+    # search spends its whole budget and finds no witness
+    g = one_colour(30, [(u, v) for u in range(15) for v in range(15, 30)])
     spec = DensitySpec(d=0.3, epsilon=0.2)
     res = irregularity_witness(g, (range(15), range(15, 30), [0]), spec, budget=100, seed=0)
-    assert not res.exhaustive
-    if res.witness is None:
-        assert res.budget_exhausted and res.samples == 100
-        assert res.miss_probability(0.05) == (1 - 0.05) ** 100
+    assert not res.exhaustive and res.witness is None
+    assert res.budget_exhausted and res.samples == 100
+    assert res.miss_probability(0.05) == 0.95 ** 100
+    for per_draw in (0, 1.5):
+        with pytest.raises(ValueError, match="per-draw probability"):
+            res.miss_probability(per_draw)
     exh = irregularity_witness(g, (range(8), range(8, 16), [0]), spec)
     assert exh.miss_probability(0.5) == 0.0
