@@ -345,8 +345,7 @@ def _bench_one(run: dict, seed: int):
         if not (isinstance(phi, (list, tuple)) and len(phi) == pattern.n
                 and all(isinstance(i, int) and i in (0, 1) for i in phi)):
             raise ValueError("a blowup run needs phi: one cluster, 0 or 1, per pattern vertex")
-        res = blowup_embed(host, sides, SimpleGraph(2, [(0, 1)]), pattern, phi, None, plan,
-                           seed=seed)
+        res = blowup_embed(host, sides, pattern, phi, pattern.targets, plan, seed=seed)
         ok, failure, path = res.ok, res.failure, "main"
         attempts = res.restarts + 1 if res.ok else res.restarts
     else:

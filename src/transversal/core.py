@@ -672,8 +672,6 @@ class VerificationReport:
 class SeparabilityCertificate:
     """A separator X plus the component list of H - X, both of size <= mu*v(H)."""
 
-    mu_num: int
-    mu_den: int
     separator: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
@@ -909,9 +907,6 @@ def separability_certificate(
         raise ValueError("mu must lie in (0, 1]")
     n = H.n
     limit = int(mu * n)  # both |X| and component sizes must be <= mu*v(H)
-    from fractions import Fraction
-
-    fr = Fraction(str(mu)).limit_denominator(10**6)
 
     def finish(sep_mask: int, comps=None) -> SeparabilityCertificate | NotCertified:
         if comps is None:
@@ -921,8 +916,6 @@ def separability_certificate(
         if any(c.bit_count() > limit for c in comps):
             return NotCertified(f"a component exceeds {limit} vertices")
         return SeparabilityCertificate(
-            mu_num=fr.numerator,
-            mu_den=fr.denominator,
             separator=tuple(sorted(bits_of(sep_mask))),
             components=tuple(
                 tuple(sorted(bits_of(c))) for c in sorted(comps, key=lambda m: -m.bit_count())

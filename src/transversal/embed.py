@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -117,7 +117,8 @@ class SplitPlan:
 
     The analysis only fixes the order of quantifiers; desk-scale runs need
     numbers.  Honesty is preserved because every output is verified and every
-    failed assumption surfaces as a typed failure.  All fields overridable.
+    failed assumption surfaces as a typed failure.  All fields overridable;
+    a value no pipeline can run raises ValueError at construction.
     """
 
     eps: float = 0.05
@@ -154,13 +155,19 @@ class SplitPlan:
             return self.ladder_base * math.inf if self.ladder_base else 0.0
 
     def __post_init__(self):
+        # a nan fails every comparison, so a floor it reaches never fires
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if isinstance(f.default, float) and not (number and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+        if not 0 < self.mu <= 1:
+            raise ValueError("mu must lie in (0,1]")
         for p in (self.p_abs, self.p_col, self.p_vx):
             if not 0 < p < 1:
                 raise ValueError("split probabilities must lie in (0,1)")
         if self.p_app <= 0:
             raise ValueError("p_app must stay positive")
-        if not (math.isfinite(self.ladder_base) and math.isfinite(self.ladder_ratio)):
-            raise ValueError("the delta ladder's base and ratio must be finite")
         if self.ladder_ratio <= 1:
             raise ValueError("the delta ladder must be strictly increasing")
         # retry loops run range(count): a float, a bool or a count below 1
@@ -228,13 +235,9 @@ class EmbedOutcome:
         return cls(embedding=emb, failure=None, verification=rep, stats=stats or {})
 
     @classmethod
-    def fail(cls, stage: str, reason: str, seed: int, stats=None, **diag):
-        return cls(
-            embedding=None,
-            failure=Failure(stage=stage, reason=reason, seed=seed, diagnostics=diag),
-            verification=None,
-            stats=stats or {},
-        )
+    def fail(cls, stage: str, reason: str, seed: int, **diag):
+        return cls(embedding=None, verification=None,
+                   failure=Failure(stage=stage, reason=reason, seed=seed, diagnostics=diag))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +615,7 @@ def embed_prescribed_colours(
     done = EmbedOutcome.success(
         t.gc, H, run.tau, run.sigma,
         stats={"attempts": attempts, "prescribed_used": sorted(seen)},
-        view=_pattern_view(H, phi, active, targets),
+        view=_pattern_view(H, active, targets),
     )
     if all_prescribed & ~mask_of(run.sigma.values()):
         raise UnverifiedOutput("a prescribed colour was not used")
@@ -628,7 +631,7 @@ class _PatternView:
     to_global: dict[int, int]
 
 
-def _pattern_view(H: SimpleGraph, phi, active: set[int], targets=None) -> _PatternView:
+def _pattern_view(H: SimpleGraph, active: set[int], targets=None) -> _PatternView:
     ordered = sorted(active)
     to_local = {v: i for i, v in enumerate(ordered)}
     edges = [(to_local[u], to_local[v]) for (u, v) in H.edges_within(ordered)]
@@ -784,7 +787,6 @@ class BlowupResult:
 def blowup_embed(
     host: SimpleGraph,
     clusters,
-    R: SimpleGraph,
     H: SimpleGraph,
     phi,
     targets: dict[int, set[int]] | None,
@@ -792,11 +794,12 @@ def blowup_embed(
     seed: int = 0,
     active: set[int] | None = None,
 ) -> BlowupResult:
-    """Spanning (or partial) embedding of H into a host graph whose per-R-edge
-    bipartite slices are dense: randomized greedy in reverse-degeneracy order
-    with candidate tracking, reserving an independent buffer (about a fifth
-    of each cluster) for a final maximum-matching completion phase, with
-    global restarts.  The output is structurally verified.
+    """Spanning (or partial) embedding of H into a host graph whose bipartite
+    slices are dense between the clusters that ``phi`` maps H's edges to:
+    randomized greedy in reverse-degeneracy order with candidate tracking,
+    reserving an independent buffer (about a fifth of each cluster) for a
+    final maximum-matching completion phase, with global restarts.  The
+    output is structurally verified.
 
     The set-up draws nothing and is built once per call: each vertex's start
     mask (cluster cut to targets) and neighbours in ``active``, the reserve
@@ -1050,7 +1053,7 @@ def approx_embed(
         return EmbedOutcome(None, run, None, stats=stats)
     stats["attempts"] = attempts
     return EmbedOutcome.success(t.gc, H, run.tau, run.sigma, stats=stats,
-                                view=_pattern_view(H, phi, active, targets))
+                                view=_pattern_view(H, active, targets))
 
 
 def _approx_chunk(run: _Run) -> None:
@@ -1171,7 +1174,7 @@ def _round_embed(run: _Run, B, v_parts, pools, leftovers) -> Failure | None:
         t.gc, slices, {key: pool for key, pool in pools.items() if pool}, run.plan.lambda_thick
     )
     Bset = set(B)
-    res = blowup_embed(thick, slices, t.R, H, phi,
+    res = blowup_embed(thick, slices, H, phi,
                        {v: ts for v, ts in run.targets.items() if v in Bset},
                        run.plan, seed=rng.randrange(1 << 30), active=Bset)
     if not res.ok:
@@ -1358,7 +1361,7 @@ def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
     with the sorted class keys ``keys``.  X is the certifier's separator of
     the active induced pattern, or empty when it certifies none (chunking
     then copes or fails typed)."""
-    view = _pattern_view(H, phi, active)
+    view = _pattern_view(H, active)
     mu = plan.mu if view.pattern.n * plan.mu >= 1 else 1.0
     cert = separability_certificate(view.pattern, mu)
     X = (sorted(view.to_global[v] for v in cert.separator)
@@ -1696,7 +1699,7 @@ def _step1(run: _Run) -> Failure | None:
     if any(not ts for ts in abs_targets.values()):
         return Failure("step1", CANDIDATE_EXHAUSTED, run.seed,
                        detail="target misses the absorber slice")
-    bres = blowup_embed(thick, v_abs, t.R, H, phi, abs_targets, plan, seed=_mix(run.seed, 2),
+    bres = blowup_embed(thick, v_abs, H, phi, abs_targets, plan, seed=_mix(run.seed, 2),
                         active=abs_set)
     if not bres.ok:
         return bres.failure.with_stage("step1")
@@ -1882,6 +1885,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, setup):
 
 
 LADDER_DEGENERATE = "LadderDegenerate"
+_NO_TARGETS = "target sets are not supported by this pipeline"
 
 
 @dataclass(frozen=True)
@@ -1893,7 +1897,6 @@ class _QuasiSetup:
     parts: list[list[int]]
     phi: list[int]
     R: SimpleGraph
-    level: int
     base_stats: dict
     dense_keys: list[tuple[int, int]]
     sparse_H: PatternGraph
@@ -1944,7 +1947,7 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
         order, blowup = _bfs_order(H, X), _blowup_setup(H, phi, active, plan, dense_keys)
     else:  # the run degenerates to one candidate-set pass over all of H
         Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
-    return _QuasiSetup(r, parts, phi, SimpleGraph(r, pairs), level, base_stats, dense_keys,
+    return _QuasiSetup(r, parts, phi, SimpleGraph(r, pairs), base_stats, dense_keys,
                        sparse_H, order, Y, active, blowup)
 
 
@@ -1970,8 +1973,7 @@ def _quasi_sparsify(run: _Run) -> None:
     slices, densities = [], []
     for i, j in combinations(range(run.setup.r), 2):
         try:
-            out = sparsify_to_superregular(gc, (V[i], V[j], colours), eps=run.plan.eps,
-                                           eps_prime=run.plan.eps, d=None,
+            out = sparsify_to_superregular(gc, (V[i], V[j], colours), d=None,
                                            seed=_mix(run.seed, i, j))
         except PromiseViolated:
             rows = [[0] * gc.n for _ in colours]
@@ -2061,6 +2063,8 @@ def quasi_embed(
     template, embed the sparse side through candidate sets, and embed the
     dense side by the transversal blow-up with the candidate sets as
     targets on a random colour split sized exactly to the dense classes.
+    A pattern with target sets (``H.targets``) fails PreconditionViolated
+    before any draw: no step honours them.
     """
     n, K = gc.n, gc.n_colours
     if K != H.e:
@@ -2069,6 +2073,8 @@ def quasi_embed(
         )
     if H.n > n:
         return EmbedOutcome.fail("quasi", PRECONDITION, seed, detail="pattern too large")
+    if H.targets:
+        return EmbedOutcome.fail("quasi", PRECONDITION, seed, detail=_NO_TARGETS)
     if H.e == 0:
         tau = {v: v for v in range(H.n)}
         return EmbedOutcome.success(gc, H, tau, {}, stats={"path": "empty"})
@@ -2214,13 +2220,17 @@ def expand_embed_3graph(
     and colour sides, build the induced link collection, and run the
     uniformly-dense pipeline, whose embedding maps pattern vertices to the
     vertex side and pattern edges to the colour side; left-over isolated
-    pattern vertices take unused host vertices.
+    pattern vertices take unused host vertices.  A pattern with target sets
+    fails PreconditionViolated before any draw, as in ``quasi_embed``.
     """
     n = g.n
     if H.n + H.e > n:
         return ExpansionOutcome(None, None, Failure(
             "expand", PRECONDITION, seed, detail="v(H)+e(H) > v(G)"
         ))
+    if H.targets:
+        return ExpansionOutcome(None, None, Failure("expand", PRECONDITION, seed,
+                                                    detail=_NO_TARGETS))
     if H.e == 0:
         rng = random.Random(_mix(seed, 101))
         hosts = rng.sample(range(n), H.n)

@@ -6,14 +6,14 @@ bipartite edge/colour incidence graph has a matching saturating the edges,
 so a matching check per node replaces colour branching entirely and makes
 Infeasible a genuine proof within budget.
 
-Results are deterministic and budget-monotone: raising a budget can only
-turn BudgetExceeded into a definite answer, never flip feasible/infeasible.
+The budget counts search nodes only, so results are deterministic and
+budget-monotone: raising a budget can only turn BudgetExceeded into a
+definite answer, never flip feasible/infeasible.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from .core import (
@@ -34,14 +34,10 @@ BUDGET_EXCEEDED = "budget-exceeded"
 @dataclass(frozen=True)
 class SearchBudget:
     node_limit: int = 2_000_000
-    time_limit: float | None = None
-    symmetry_breaking: bool = False
 
     def __post_init__(self):
         if self.node_limit <= 0:
             raise ValueError("node limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
 
 
 @dataclass
@@ -58,16 +54,13 @@ class OracleResult:
 
 class _Clock:
     def __init__(self, budget: SearchBudget):
-        self.deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
         self.limit = budget.node_limit
         self.nodes = 0
 
     def tick(self) -> bool:
-        """Allow one more node, counting it, unless the node or time budget
-        is spent; a refused tick is not counted."""
+        """Allow one more node, counting it, unless the node budget is
+        spent; a refused tick is not counted."""
         if self.nodes >= self.limit:
-            return False
-        if self.deadline is not None and time.monotonic() > self.deadline:
             return False
         self.nodes += 1
         return True
@@ -98,12 +91,13 @@ def _edge_colours(edge_avail: dict[tuple[int, int], int]) -> dict[tuple[int, int
 def exact_transversal_embed(
     gc: GraphCollection,
     H: PatternGraph,
-    targets: dict[int, set[int]] | None = None,
     budget: SearchBudget = SearchBudget(),
 ) -> OracleResult:
     """Complete backtracking over vertex images with a matching-based forward
-    check on colour availability.  Intended for v(H) <= 12, |C| <= 14."""
-    targets = targets or (H.targets or {})
+    check on colour availability; a vertex with a target set in
+    ``H.targets`` tries only those hosts.  Intended for v(H) <= 12,
+    |C| <= 14."""
+    targets = H.targets or {}
     if H.e > gc.n_colours or H.n > gc.n:
         return OracleResult(INFEASIBLE, meta={"reason": "pigeonhole"})
     order = _connected_order(H)
@@ -111,7 +105,6 @@ def exact_transversal_embed(
     tau: dict[int, int] = {}
     used_hosts: set[int] = set()
     edge_avail: dict[tuple[int, int], int] = {}
-    sym_floor = [-1]
 
     def place(i: int) -> bool | None:
         if i == len(order):
@@ -124,8 +117,6 @@ def exact_transversal_embed(
                 continue
             if not clock.tick():
                 return None
-            if budget.symmetry_breaking and v != order[0] and w < sym_floor[0]:
-                continue
             new_edges = []
             ok = True
             for u in H.neighbours(v):
@@ -142,8 +133,6 @@ def exact_transversal_embed(
             used_hosts.add(w)
             for e, m in new_edges:
                 edge_avail[e] = m
-            if v == order[0]:
-                sym_floor[0] = w
             if not new_edges or len(_edge_colours(edge_avail)) == len(edge_avail):
                 res = place(i + 1)
                 if res:

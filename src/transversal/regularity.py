@@ -453,7 +453,7 @@ def _target_density(densities: list[float]) -> float:
 
 
 def _meets_degree_floor(part_degrees: Sequence[Sequence[int]], d: float) -> bool:
-    """The (eps', d^2/2)-superregular floor: each element of part i has degree
+    """The superregular degree floor: each element of part i has degree
     at least d^2/2 * prod_j |V_j| / |V_i| (``part_degrees[i]`` lists them)."""
     floor_target = d * d / 2
     vol_all = math.prod(len(p) for p in part_degrees)
@@ -544,8 +544,6 @@ def _sparsify_slice(
 def sparsify_to_superregular(
     g,
     parts: Sequence[Sequence[int]],
-    eps: float,
-    eps_prime: float,
     d: float | None,
     seed: int = 0,
     chunks: int = 2,
@@ -565,8 +563,8 @@ def sparsify_to_superregular(
     sorted (chunk of V_i, chunk of V_j, chunk of colours) order; within a
     cell the coins go to x = min(u, v) ascending, then y = max(u, v)
     ascending, then colour by list position.  The output is re-checked by
-    degree counting against the (eps', d^2/2)-superregular floor; the
-    construction is retried with derived seeds and raises
+    degree counting against the superregular degree floor d^2/2 (not for
+    regularity); the construction is retried with derived seeds and raises
     :class:`PromiseViolated` when every retry fails.  Never adds edges.
 
     A 3-graph is sparsified through its link collection: slice it with
@@ -591,6 +589,8 @@ def sparsify_to_superregular(
 
 # ---------------------------------------------------------------------------
 # Regularity lemma for collections
+
+_WITNESS_SAMPLES = 80  # tuples drawn by a witness search too large to be exhaustive
 
 
 @dataclass
@@ -655,7 +655,7 @@ def _initial_clusters(n: int, K: int, L0: int, rng: random.Random):
     return v_clusters, v0, c_clusters, c0
 
 
-def _witness_splits(gc, spec, v_clusters, c_clusters, sample_budget, seed):
+def _witness_splits(gc, spec, v_clusters, c_clusters, seed):
     """One refinement round's witness search over every triple (V_h, V_i,
     C_j) with h < i: the first witness subset found for each vertex and
     colour cluster, as (vertex splits, colour splits) keyed by index."""
@@ -664,7 +664,7 @@ def _witness_splits(gc, spec, v_clusters, c_clusters, sample_budget, seed):
     for h, i in itertools.combinations(range(len(v_clusters)), 2):
         for j, Cj in enumerate(c_clusters):
             res = irregularity_witness(gc, (v_clusters[h], v_clusters[i], Cj), spec,
-                                       budget=sample_budget, seed=seed)
+                                       budget=_WITNESS_SAMPLES, seed=seed)
             if res.witness is not None:
                 sh, si, sj = res.witness.subsets
                 splits_v.setdefault(h, set(sh))
@@ -686,7 +686,7 @@ def _split(clusters, splits) -> list:
     return out
 
 
-def _refine(gc, spec, v_clusters, c_clusters, seed, sample_budget, max_rounds, max_clusters):
+def _refine(gc, spec, v_clusters, c_clusters, seed, max_rounds, max_clusters):
     """Witness refinement: round r searches with seed ``seed + 31 r`` and
     splits every cluster a witness cut.  Stops converged when a round finds
     no witness, or unconverged after ``max_rounds`` refinements or when a
@@ -695,7 +695,7 @@ def _refine(gc, spec, v_clusters, c_clusters, seed, sample_budget, max_rounds, m
     history holds one entry more than there were refinements."""
     energies = [_energy(gc, v_clusters, c_clusters)]
     while len(energies) <= max_rounds:
-        splits_v, splits_c = _witness_splits(gc, spec, v_clusters, c_clusters, sample_budget,
+        splits_v, splits_c = _witness_splits(gc, spec, v_clusters, c_clusters,
                                              seed + 31 * len(energies))
         if not splits_v:
             return v_clusters, c_clusters, energies, True
@@ -730,7 +730,7 @@ def _chop(clusters, exceptional, m: int):
     return tuple(chunks), tuple(sorted(exc))
 
 
-def _prune(gc, spec, v_final, c_final, sample_budget, seed):
+def _prune(gc, spec, v_final, c_final, seed):
     """Exile and prune the rows of G_c: a clustered colour loses its
     intra-cluster edges, and every colour of a failing triple (a witness
     found with seed ``seed + 977``, or density below d) its edges across
@@ -748,7 +748,7 @@ def _prune(gc, spec, v_final, c_final, sample_budget, seed):
     for h, i in itertools.combinations(range(len(v_final)), 2):
         for j, Cj in enumerate(c_final):
             triple = (v_final[h], v_final[i], Cj)
-            res = irregularity_witness(gc, triple, spec, budget=sample_budget, seed=seed + 977)
+            res = irregularity_witness(gc, triple, spec, budget=_WITNESS_SAMPLES, seed=seed + 977)
             ok = res.witness is None and density(gc, triple) >= d_floor
             stamps["exhaustive" if res.exhaustive else "sampled"] += 1
             passes[(h, i, j)] = ok
@@ -792,7 +792,6 @@ def partition_collection(
     spec: DensitySpec,
     L0: int,
     seed: int = 0,
-    sample_budget: int = 80,
     max_rounds: int | None = None,
     max_clusters: int = 48,
 ) -> RegularityPartition:
@@ -807,6 +806,7 @@ def partition_collection(
     colour clusters alike into chunks of m, the remainders joining the
     exceptional sets; ``_prune`` removes intra-cluster edges and empties
     irregular or sparse triples; ``_checks`` tests the five properties.
+    A witness search too large to be exhaustive samples ``_WITNESS_SAMPLES``.
     ``rounds`` counts the refinements, one less than ``energy_history``'s
     entries, on every exit.  Non-convergence is reported in the result,
     never raised.
@@ -817,11 +817,11 @@ def partition_collection(
     v_clusters, v0, c_clusters, c0 = _initial_clusters(gc.n, gc.n_colours, L0,
                                                        random.Random(seed))
     v_clusters, c_clusters, energies, refined = _refine(
-        gc, spec, v_clusters, c_clusters, seed, sample_budget, max_rounds, max_clusters)
+        gc, spec, v_clusters, c_clusters, seed, max_rounds, max_clusters)
     m = _chunk_size([len(cl) for cl in v_clusters + c_clusters], len(v0) + len(c0),
                     max(eps * gc.n, 0))
     (v_final, v0), (c_final, c0) = _chop(v_clusters, v0, m), _chop(c_clusters, c0, m)
-    pruned, passes, stamps = _prune(gc, spec, v_final, c_final, sample_budget, seed)
+    pruned, passes, stamps = _prune(gc, spec, v_final, c_final, seed)
     checks = _checks(gc, pruned, spec, m, v_final, v0, c_final, c0, passes)
     converged = (refined and checks["properties"]["exceptional_bound"]
                  and checks["properties"]["degree_loss"])

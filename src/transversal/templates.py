@@ -119,9 +119,9 @@ def ledger_to_json(ledger: ParameterLedger) -> dict:
 
 @dataclass(frozen=True)
 class ThickGraph:
-    """Pairs lying in at least lam*|C_ij| of their cluster pair's colours."""
+    """Pairs lying in at least lam*|C_ij| of their cluster pair's colours,
+    for the ``lam`` given to :func:`thick_graph`."""
 
-    lam: float
     graph: SimpleGraph
     min_degree_ok: bool
     min_degree_violations: tuple[tuple[int, int, int, float], ...]
@@ -169,6 +169,4 @@ def thick_graph(t: Template, lam: float) -> ThickGraph:
                     deg = (g.adj(u) & t.cluster_masks[other]).bit_count()
                     if deg < floor:
                         viol.append((side, u, deg, floor))
-    return ThickGraph(
-        lam=lam, graph=g, min_degree_ok=not viol, min_degree_violations=tuple(viol)
-    )
+    return ThickGraph(graph=g, min_degree_ok=not viol, min_degree_violations=tuple(viol))

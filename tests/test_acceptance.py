@@ -174,7 +174,7 @@ def test_criterion_01_verifier_soundness():
         )
         H, phi = _matching_pattern(n_side)
         res = blowup_embed(host, [list(range(n_side)), list(range(n_side, 2 * n_side))],
-                           R2, H, phi, None, FAST_PLAN, seed=seed)
+                           H, phi, None, FAST_PLAN, seed=seed)
         runs += 1
         if res.ok:
             successes += 1
@@ -482,7 +482,7 @@ def test_criterion_12_blowup_success_rate():
         phi = [0] * n_side + [1] * n_side
         res = blowup_embed(
             host, [list(range(n_side)), list(range(n_side, 2 * n_side))],
-            R2, H, phi, None, SplitPlan(blowup_restarts=40), seed=seed,
+            H, phi, None, SplitPlan(blowup_restarts=40), seed=seed,
         )
         if res.ok:
             for (u, v) in H.edges():

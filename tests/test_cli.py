@@ -23,6 +23,7 @@ from transversal.core import (
     collection_to_json,
     pattern_to_json,
 )
+from transversal.embed import SplitPlan
 from transversal.generators import parity_threegraph
 
 
@@ -257,6 +258,22 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
     assert (rows[3]["stage"], rows[3]["reason"]) == ("blowup", "EmbeddingFailed")
 
 
+def test_bench_blowup_honours_the_pattern_target_sets(workdir):
+    # vertex 0 lies in cluster 0 (hosts 0-5) and may only go to host 11
+    targets = {"free": None, "outside-its-cluster": {0: [11]}}
+    suite = {"runs": [
+        {"name": name, "construction": {"n": 6, "density": 0.9}, "pipeline": "blowup",
+         "pattern": pattern_to_json(PatternGraph(8, CYCLE_8.edges(), phi=[0] * 4 + [1] * 4,
+                                                 targets=ts)),
+         "seeds": [0], "params": {"blowup_restarts": 2}}
+        for name, ts in targets.items()]}
+    write_json(workdir / "suite.json", suite)
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
+    rows = list(csv.DictReader(open(workdir / "b.csv")))
+    assert [(r["name"], r["success"], r["reason"]) for r in rows] == [
+        ("free", "1", ""), ("outside-its-cluster", "0", "EmbeddingFailed")]
+
+
 @pytest.mark.parametrize("run", [
     {"construction": {"kind": "random", "n": 12, "n_colours": 6, "dens": 1.0}},
     {"construction": {"kind": "random", "n": 12, "n_colours": 6, "construction": "parity"}},
@@ -404,6 +421,61 @@ def test_a_non_finite_ladder_in_params_is_a_usage_error(workdir, capsys, params)
     assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
                  "--pattern", "h.json", "--params", "p.json"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["quasi", "expand"])
+def test_embed_reports_a_pattern_with_target_sets_as_a_failure(workdir, pipeline):
+    # neither pipeline honours target sets: a typed failure report and exit 1,
+    # where quasi used to end in a traceback and expand to ignore them
+    if pipeline == "quasi":
+        assert main(["generate", "--construction", "random", "--n", "20", "--colours", "10",
+                     "--density", "1.0", "--seed", "1", "--out", "inst.json"]) == 0
+        H = PatternGraph(20, [(2 * i, 2 * i + 1) for i in range(10)], targets={0: [5]})
+    else:
+        write_json(workdir / "inst.json",
+                   {"n": 16, "edges": [list(t) for t in combinations(range(16), 3)]})
+        H = PatternGraph(4, [(i, (i + 1) % 4) for i in range(4)], targets={0: [15]})
+    write_json(workdir / "h.json", pattern_to_json(H))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transversal.cli", "embed", "--pipeline", pipeline,
+         "--instance", "inst.json", "--pattern", "h.json", "--seed", "1", "--out", "rep.json"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    rep = json.loads((workdir / "rep.json").read_text())
+    assert rep["verified"] is False
+    assert rep["outcome"] == {
+        "status": "failure", "stage": pipeline, "reason": "PreconditionViolated",
+        "diagnostics": {"detail": "target sets are not supported by this pipeline"}}
+
+
+@pytest.mark.parametrize("params, message", [
+    ('{"alpha": NaN}', "alpha must be a finite number, not nan"),
+    ('{"eps": NaN}', "eps must be a finite number, not nan"),
+    ('{"mu": Infinity}', "mu must be a finite number, not inf"),
+    ('{"blowup_reserve": -Infinity}', "blowup_reserve must be a finite number, not -inf"),
+    ('{"alpha": "0.05"}', "alpha must be a finite number, not '0.05'"),
+    ('{"eps": true}', "eps must be a finite number, not True"),
+    ('{"mu": 2.0}', r"mu must lie in \(0,1\]"),
+    ('{"mu": 0.0}', r"mu must lie in \(0,1\]"),
+])
+def test_a_plan_value_no_pipeline_can_run_is_refused(workdir, capsys, params, message):
+    # alpha = nan used to switch off quasi_embed's floors, eps = nan to raise
+    # inside the first attempt, alpha = "0.05" to raise TypeError from the
+    # floors, mu = 2 to raise from the separator search and mu = 0 to be
+    # replaced by 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SplitPlan(**json.loads(params))
+    assert main([
+        "generate", "--construction", "random", "--n", "6", "--colours", "3",
+        "--density", "1.0", "--seed", "1", "--out", "inst.json",
+    ]) == 0
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
+    (workdir / "p.json").write_text(params)
+    capsys.readouterr()
+    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                 "--pattern", "h.json", "--params", "p.json"]) == 2
+    assert message.replace("\\", "") in capsys.readouterr().err
 
 
 def test_failure_diagnostics_are_json_native(workdir):

@@ -851,7 +851,7 @@ def test_blowup_complete_host_spanning():
     host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)] + [(n + i, (i + 1) % n) for i in range(n)])
     phi = [0] * n + [1] * n
-    res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H, phi, None, PLAN, seed=0)
+    res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H, phi, None, PLAN, seed=0)
     assert res.ok and res.verified
     for (u, v) in H.edges():
         assert host.has_edge(res.tau[u], res.tau[v])
@@ -862,7 +862,7 @@ def test_blowup_respects_targets():
     host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
     H = PatternGraph(4, [(0, 2), (1, 3)])
     res = blowup_embed(
-        host, [list(range(n)), list(range(n, 2 * n))], R2, H, [0, 0, 1, 1],
+        host, [list(range(n)), list(range(n, 2 * n))], H, [0, 0, 1, 1],
         {0: {5}, 2: {9, 10}}, PLAN, seed=1,
     )
     assert res.ok
@@ -876,7 +876,7 @@ def test_blowup_isolated_host_vertex_fails_spanning():
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])  # perfect matching
     phi = [0] * n + [1] * n
     plan = SplitPlan(blowup_restarts=6)
-    res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H, phi, None, plan, seed=2)
+    res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H, phi, None, plan, seed=2)
     assert not res.ok
     assert res.failure.reason == "EmbeddingFailed"
 
@@ -890,7 +890,7 @@ def test_blowup_corrupted_output_raises_without_asserts(monkeypatch):
     host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])
     with pytest.raises(embed.UnverifiedOutput):
-        blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H,
+        blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H,
                      [0] * n + [1] * n, None, PLAN, seed=0)
 
 
@@ -911,7 +911,7 @@ def _blowup_with_bad_completion(monkeypatch, extras_adjacent, targets):
         edges += [(u, w) for u in range(2 * n) for w in range(2 * n, 4 * n)]
     host = SimpleGraph(4 * n, edges)
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])
-    blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], R2, H,
+    blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H,
                  [0] * n + [1] * n, targets, PLAN, seed=0)
 
 
@@ -934,7 +934,7 @@ def test_blowup_completion_outside_a_target_set_raises(monkeypatch):
 def test_blowup_with_more_pattern_vertices_than_hosts_fails_typed():
     host = SimpleGraph(5, [(u, v) for u in range(2) for v in range(2, 5)])
     H = PatternGraph(6, [(i, 3 + i) for i in range(3)])
-    res = blowup_embed(host, [[0, 1], [2, 3, 4]], R2, H, [0] * 3 + [1] * 3, None, PLAN, seed=0)
+    res = blowup_embed(host, [[0, 1], [2, 3, 4]], H, [0] * 3 + [1] * 3, None, PLAN, seed=0)
     assert not res.ok and res.failure.stage == "blowup"
     assert res.failure.reason == PRECONDITION
     assert res.failure.diagnostics == {"cluster": 0, "detail": "3 pattern vertices > 2 hosts"}
@@ -945,14 +945,14 @@ def test_blowup_deterministic():
     host = SimpleGraph(24, [(u, v) for u in range(12) for v in range(12, 24) if rng.random() < 0.7])
     H = PatternGraph(24, [(i, 12 + i) for i in range(12)])
     phi = [0] * 12 + [1] * 12
-    a = blowup_embed(host, [list(range(12)), list(range(12, 24))], R2, H, phi, None, PLAN, seed=5)
-    b = blowup_embed(host, [list(range(12)), list(range(12, 24))], R2, H, phi, None, PLAN, seed=5)
+    a = blowup_embed(host, [list(range(12)), list(range(12, 24))], H, phi, None, PLAN, seed=5)
+    b = blowup_embed(host, [list(range(12)), list(range(12, 24))], H, phi, None, PLAN, seed=5)
     assert a.ok == b.ok
     if a.ok:
         assert a.tau == b.tau
 
 
-def _reference_blowup_embed(host, clusters, R, H, phi, targets, plan, seed=0, active=None):
+def _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=0, active=None):
     # the per-restart blow-up embedder, kept as the reference: every restart
     # builds its own set-up and every restart of the budget runs
     from transversal.core import bits_of, pick_bit
@@ -1088,10 +1088,9 @@ def test_blowup_matches_the_per_restart_reference(restarts, reserve):
     seen = set()
     for case in range(150):
         host, clusters, H, phi, targets, active = _random_blowup_case(rng)
-        R = SimpleGraph(len(clusters), [])
         seed = rng.randrange(1 << 30)
-        got = blowup_embed(host, clusters, R, H, phi, targets, plan, seed=seed, active=active)
-        want = _reference_blowup_embed(host, clusters, R, H, phi, targets, plan, seed=seed,
+        got = blowup_embed(host, clusters, H, phi, targets, plan, seed=seed, active=active)
+        want = _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=seed,
                                        active=active)
         assert _blowup_fields(got) == _blowup_fields(want), case
         inside = set(range(H.n)) if active is None else active
@@ -1127,15 +1126,14 @@ def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
         seeded.clear()
         with monkeypatch.context() as m:
             m.setattr(embed, "random", types.SimpleNamespace(Random=Counted))
-            got = blowup_embed(host, clusters, R, H, phi, targets, PLAN, seed=9)
+            got = blowup_embed(host, clusters, H, phi, targets, PLAN, seed=9)
         assert _blowup_fields(got) == _blowup_fields(
-            _reference_blowup_embed(host, clusters, R, H, phi, targets, PLAN, seed=9))
+            _reference_blowup_embed(host, clusters, H, phi, targets, PLAN, seed=9))
         assert not got.ok and got.restarts == PLAN.blowup_restarts
         return got
 
     # clusters 0 and 1 are dense between them; no host edge reaches cluster 2
     clusters = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
-    R = SimpleGraph(3, [(0, 1), (1, 2)])
     H = PatternGraph(6, [(0, 2), (1, 3), (4, 5)])
     phi = [0, 0, 1, 1, 1, 2]
     dense = [(u, v) for u in range(4) for v in range(4, 8)]
@@ -1174,14 +1172,14 @@ def test_a_forced_blowup_call(monkeypatch, clusters, host_edges, targets, restar
             super().__init__(x)
 
     # a path on three clusters of one host each; host 3 lies outside them
-    host, R = SimpleGraph(4, host_edges), SimpleGraph(3, [(0, 1), (1, 2)])
+    host = SimpleGraph(4, host_edges)
     H, phi = PatternGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]
     plan = types.SimpleNamespace(blowup_restarts=restarts, blowup_reserve=PLAN.blowup_reserve)
     with monkeypatch.context() as m:
         m.setattr(embed, "random", types.SimpleNamespace(Random=Counted))
-        got = blowup_embed(host, clusters, R, H, phi, targets, plan, seed=9)
+        got = blowup_embed(host, clusters, H, phi, targets, plan, seed=9)
     assert _blowup_fields(got) == _blowup_fields(
-        _reference_blowup_embed(host, clusters, R, H, phi, targets, plan, seed=9))
+        _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=9))
     assert len(seeded) == seeds
     if seeds == 0 and restarts:
         assert got.ok and got.verified and got.restarts == 0
@@ -1587,6 +1585,35 @@ def test_quasi_pattern_larger_than_host_rejected():
     f = quasi_embed(gc, H, PLAN, seed=0).failure
     assert (f.stage, f.reason) == ("quasi", PRECONDITION)
     assert f.diagnostics == {"detail": "pattern too large"}
+
+
+@pytest.mark.parametrize("pipeline, n, edges", [
+    ("quasi", 20, [(2 * i, 2 * i + 1) for i in range(10)]),
+    ("expand", 4, [(i, (i + 1) % 4) for i in range(4)]),
+    ("expand", 3, []),
+], ids=["quasi-matching", "expand-c4", "expand-edgeless"])
+def test_a_pattern_with_target_sets_is_refused_before_any_draw(monkeypatch, pipeline, n, edges):
+    # no step of either pipeline honours H.targets: quasi_embed would build
+    # an embedding that its check against them rejects, and expand_embed_3graph
+    # one that ignores them
+    import types
+
+    from transversal import embed
+
+    def no_draw(seed):
+        raise AssertionError(f"a draw with seed {seed}")
+
+    monkeypatch.setattr(embed, "random", types.SimpleNamespace(Random=no_draw))
+    H = PatternGraph(n, edges, targets={0: [5]})
+    if pipeline == "quasi":
+        gc = random_collection(GenSpec(n=20, n_colours=10, density=1.0, seed=1))
+        out = quasi_embed(gc, H, PLAN, seed=1)
+    else:
+        out = expand_embed_3graph(ThreeGraph(16, list(combinations(range(16), 3))), H, PLAN,
+                                  seed=1)
+    f = out.failure
+    assert not out.ok and (f.stage, f.reason, f.seed) == (pipeline, PRECONDITION, 1)
+    assert f.diagnostics == {"detail": "target sets are not supported by this pipeline"}
 
 
 # ---------------------------------------------------------------------------
@@ -2000,7 +2027,7 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
                         lambda G, vs: bfs_graphs.append(G) or real_bfs(G, vs))
     monkeypatch.setattr(embed, "_blowup_setup",
                         lambda *args: setups.append(real_setup(*args)) or setups[-1])
-    count("view", "_pattern_view", only=lambda H, phi, active, targets=None: targets is None)
+    count("view", "_pattern_view", only=lambda H, active, targets=None: targets is None)
     count("certificate", "separability_certificate")
     count("decided", "_split_decided")
     count("blowup", "transversal_blowup")

@@ -74,6 +74,58 @@ def test_budget_exceeded_reported_and_monotone():
     assert big.status == bigger.status
 
 
+def _brute_force_feasible(gc, H):
+    """Independent enumeration: every injective vertex map that respects the
+    target sets, with every injective colour assignment of the edges."""
+    from itertools import permutations
+
+    targets, edges = H.targets or {}, list(H.edges())
+    for tau in permutations(range(gc.n), H.n):
+        if any(tau[v] not in ts for v, ts in targets.items()):
+            continue
+        for sigma in permutations(range(gc.n_colours), len(edges)):
+            if all(gc.has_edge(c, tau[u], tau[v]) for (u, v), c in zip(edges, sigma)):
+                return True
+    return False
+
+
+def _oracle_grid():
+    """A seeded grid of hosts with n <= 5 and |C| <= 4 and patterns with at
+    most 3 edges, half of them with target sets; then the path 0-1-2 on a
+    host where the middle vertex, which the search places first, must take
+    the largest host."""
+    rng = random.Random(11)
+    for case in range(240):
+        n, K = rng.randint(2, 5), rng.randint(1, 4)
+        density = rng.choice([0.3, 0.6, 0.9])
+        gc = GraphCollection(n, K, {c: [e for e in combinations(range(n), 2)
+                                        if rng.random() < density] for c in range(K)})
+        h = rng.randint(2, n) if case % 12 else min(n + 1, 5)  # some past the pigeonhole
+        pairs = list(combinations(range(h), 2))
+        edges = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+        targets = None
+        if case % 2:
+            marked = rng.sample(range(h), rng.randint(1, h))
+            targets = {v: rng.sample(range(n), rng.randint(1, n)) for v in marked}
+        yield gc, PatternGraph(h, edges, targets=targets)
+    host = GraphCollection(3, 2, {0: [(2, 0), (2, 1)], 1: [(2, 0), (2, 1)]})
+    yield host, PatternGraph(3, [(0, 1), (1, 2)])
+
+
+def test_oracle_verdict_matches_brute_force_enumeration():
+    verdicts = set()
+    for case, (gc, H) in enumerate(_oracle_grid()):
+        res = exact_transversal_embed(gc, H)
+        assert res.status in (FEASIBLE, INFEASIBLE), case
+        assert res.feasible == _brute_force_feasible(gc, H), case
+        if res.feasible:
+            assert verify_transversal_embedding(gc, H, res.embedding).ok, case
+        verdicts.add((res.status, bool(H.targets)))
+    # both verdicts, with and without target sets
+    assert verdicts == {(s, t) for s in (FEASIBLE, INFEASIBLE) for t in (False, True)}
+    assert res.feasible and res.embedding.tau[1] == 2  # the path bends at host 2
+
+
 def test_oracle_deterministic():
     gc = random_collection(GenSpec(n=8, n_colours=6, density=0.6, seed=5))
     H = PatternGraph(4, [(0, 1), (1, 2), (2, 3)])

@@ -87,9 +87,9 @@ EDGE_03 = GraphCollection(4, 1, {0: [(0, 3)]})
     lambda: density(EDGE_03, ([4], [0], [0])),
     lambda: density(EDGE_03, ([0], [3], [1])),
     lambda: irregularity_witness(EDGE_03, ([-1], [0], [0]), SPEC),
-    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 3], [-1]), 0.1, 0.1, None),
-    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 2], [0]), 0.1, 0.1, None),
-    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 4], [0]), 0.1, 0.1, None),
+    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 3], [-1]), None),
+    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 2], [0]), None),
+    lambda: sparsify_to_superregular(EDGE_03, ([0, 1], [2, 4], [0]), None),
     lambda: typical_elements(EDGE_03, [0, 0], [3], SPEC, spot_check=False),
     lambda: typical_elements(EDGE_03, [7], [0], SPEC, spot_check=False),
 ], ids=["neg-v1", "neg-v2", "repeat-v2", "repeat-v1", "repeat-colour", "big-vertex",
@@ -365,7 +365,7 @@ def tripartite_degrees(gc):
 
 def test_sparsify_never_adds_and_degrees_monotone():
     gc = complete_tripartite()
-    out = sparsify_to_superregular(gc, TRIPARTITE, eps=0.1, eps_prime=0.2, d=0.5, seed=3)
+    out = sparsify_to_superregular(gc, TRIPARTITE, d=0.5, seed=3)
     for c in range(3):
         assert set(out.edges(c)) <= set(gc.edges(c))
     for x, y in zip(tripartite_degrees(out), tripartite_degrees(gc)):
@@ -374,7 +374,7 @@ def test_sparsify_never_adds_and_degrees_monotone():
 
 def test_sparsify_density_and_degree_floor():
     gc = complete_tripartite()
-    out = sparsify_to_superregular(gc, TRIPARTITE, eps=0.1, eps_prime=0.2, d=0.5, seed=1)
+    out = sparsify_to_superregular(gc, TRIPARTITE, d=0.5, seed=1)
     dens = out.total_edge_count() / 27
     assert 0.4 <= dens <= 0.75  # target 0.5 at desk scale, wide tolerance
     floor = 0.5 * 0.5 / 2 * 27 / 3
@@ -383,16 +383,16 @@ def test_sparsify_density_and_degree_floor():
 
 def test_sparsify_identity_when_target_is_density():
     gc = complete_tripartite()
-    out = sparsify_to_superregular(gc, TRIPARTITE, eps=0.1, eps_prime=0.2, d=1.0, seed=5)
+    out = sparsify_to_superregular(gc, TRIPARTITE, d=1.0, seed=5)
     assert out == gc
 
 
 def test_sparsify_deterministic():
     gc = complete_tripartite()
-    a = sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, 0.5, seed=9)
-    b = sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, 0.5, seed=9)
+    a = sparsify_to_superregular(gc, TRIPARTITE, 0.5, seed=9)
+    b = sparsify_to_superregular(gc, TRIPARTITE, 0.5, seed=9)
     assert a == b
-    c = sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, 0.5, seed=10)
+    c = sparsify_to_superregular(gc, TRIPARTITE, 0.5, seed=10)
     assert a != c
 
 
@@ -400,16 +400,15 @@ def test_sparsify_promise_violation_raises():
     # a graph with an isolated vertex can never meet the degree floor
     gc = ThreeGraph(9, [(0, 3, 6)]).link_collection(list(range(6)), [6, 7, 8])
     with pytest.raises(PromiseViolated):
-        sparsify_to_superregular(gc, TRIPARTITE, 0.1, 0.2, d=0.5, seed=0, retries=3)
+        sparsify_to_superregular(gc, TRIPARTITE, d=0.5, seed=0, retries=3)
 
 
 def test_sparsify_takes_only_a_collection_slice():
     with pytest.raises(TypeError):
-        sparsify_to_superregular(ThreeGraph(9, [(0, 3, 6)]), ([0, 1, 2], [3, 4, 5], [6, 7, 8]),
-                                 0.1, 0.2, 0.5)
+        sparsify_to_superregular(ThreeGraph(9, [(0, 3, 6)]), ([0, 1, 2], [3, 4, 5], [6, 7, 8]), 0.5)
     with pytest.raises(TypeError):
         sparsify_to_superregular(SimpleGraph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
-                                 ([0, 1, 2], [3, 4, 5]), 0.1, 0.2, 0.5)
+                                 ([0, 1, 2], [3, 4, 5]), 0.5)
 
 
 def _weighted_slice(seed, n=24, k=10):
@@ -459,7 +458,7 @@ REPLAY = {
 @pytest.mark.parametrize("seed", range(5))
 def test_sparsify_slice_keeps_the_threegraph_forms_edges(seed, d, chunks):
     gc, (V1, V2, colours) = _weighted_slice(seed)
-    kw = dict(eps=0.1, eps_prime=0.1, d=d, seed=seed, chunks=chunks, retries=40)
+    kw = dict(d=d, seed=seed, chunks=chunks, retries=40)
     out = sparsify_to_superregular(gc, (V1, V2, colours), **kw)
     kept = {(min(u, v), max(u, v), c) for c in range(gc.n_colours) for u, v in out.edges(c)}
     triples = sum(gc.edges_into(c, V1, mask_of(V2)) for c in colours)
@@ -480,16 +479,16 @@ def test_sparsify_slice_raises_after_its_retries(monkeypatch):
     real = regularity._sparsify_slice
     monkeypatch.setattr(regularity, "_sparsify_slice", lambda *a: calls.append(1) or real(*a))
     with pytest.raises(PromiseViolated):
-        sparsify_to_superregular(gc, (V1, V2, colours), 0.1, 0.1, d=None, seed=0, retries=3)
+        sparsify_to_superregular(gc, (V1, V2, colours), d=None, seed=0, retries=3)
     assert len(calls) == 3
 
 
 def test_sparsify_slice_rejects_overlapping_parts():
     gc, (V1, V2, colours) = _weighted_slice(0)
     with pytest.raises(ValueError):
-        sparsify_to_superregular(gc, (V1, V2 + V1[:1], colours), 0.1, 0.1, d=None)
+        sparsify_to_superregular(gc, (V1, V2 + V1[:1], colours), d=None)
     with pytest.raises(ValueError):
-        sparsify_to_superregular(gc, (V1, V2, colours + colours[:1]), 0.1, 0.1, d=None)
+        sparsify_to_superregular(gc, (V1, V2, colours + colours[:1]), d=None)
 
 
 def _per_coin_sparsify_slice(gc, parts, d, rng, chunks):
