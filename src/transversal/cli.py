@@ -128,7 +128,7 @@ def cmd_generate(args) -> int:
     if args.construction == "random":
         gc = generators.random_collection(
             generators.GenSpec(
-                n=args.n, n_colours=args.colours or args.n,
+                n=args.n, n_colours=args.n if args.colours is None else args.colours,
                 density=args.density, seed=args.seed,
             )
         )
@@ -138,7 +138,8 @@ def cmd_generate(args) -> int:
                                                    n_colours=args.colours)
         doc = collection_to_json(gc)
     elif args.construction == "mantel":
-        gc = generators.mantel_extremal(args.n, n_colours=args.colours or 3)
+        gc = generators.mantel_extremal(
+            args.n, n_colours=3 if args.colours is None else args.colours)
         doc = collection_to_json(gc)
     else:  # "parity", the last of the parser's choices
         X = set(range(args.x_size or 0))

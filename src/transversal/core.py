@@ -662,6 +662,12 @@ class TransversalEmbedding:
     sigma: Mapping[tuple[int, int], int]
 
 
+class UnverifiedOutput(AssertionError):
+    """An entry point's own check rejected the output it built: a defect in
+    the library, never a property of the input.  Raised by explicit checks,
+    so it also fires under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool

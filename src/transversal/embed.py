@@ -30,6 +30,7 @@ from .core import (
     SimpleGraph,
     ThreeGraph,
     TransversalEmbedding,
+    UnverifiedOutput,
     VerificationReport,
     _bfs_order,
     bits_of,
@@ -178,12 +179,6 @@ class SplitPlan:
             value = getattr(self, name)
             if type(value) is not int or value < low:  # not a bool
                 raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-
-
-class UnverifiedOutput(AssertionError):
-    """An entry point's own check rejected the output it built: a defect in
-    the library, never a property of the input.  Raised by explicit checks,
-    so it also fires under ``python -O``."""
 
 
 class Failure:
@@ -551,6 +546,12 @@ def find_induced_matching(
 # Prescribed-colour embedding
 
 
+def _target_masks(targets, active, n: int) -> dict[int, int]:
+    """Each active vertex's target set as a mask of its hosts in range(n):
+    hosts outside the range are ignored, as by ``partial_embed``."""
+    return {v: mask_of(w for w in ts if 0 <= w < n) for v, ts in targets.items() if v in active}
+
+
 def embed_prescribed_colours(
     t: Template,
     H: PatternGraph,
@@ -574,7 +575,8 @@ def embed_prescribed_colours(
     their prescribed colours through degree-filtered host masks, giving each
     unmatched neighbour a fresh colour, and ``_prescribed_rest`` runs the
     candidate-set loop on the remainder.
-    Used hosts, used colours and the prescribed colours are a mask each.
+    Used hosts, used colours and the prescribed colours are a mask each;
+    target hosts outside the host range are ignored (``_target_masks``).
     """
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
@@ -607,7 +609,7 @@ def embed_prescribed_colours(
     run, attempts = _retry(
         seed, 41, plan.retries, Failure("prescribed", EMBEDDING_FAILED, seed),
         _steps(_PRESCRIBED_STEPS, t=t, H=H, phi=phi, plan=plan, active=active, targets=targets,
-               target_masks={v: mask_of(ts) for v, ts in targets.items()}, d=d, dmap=dmap,
+               target_masks=_target_masks(targets, active, t.gc.n), d=d, dmap=dmap,
                prescribed=all_prescribed),
     )
     if isinstance(run, Failure):
@@ -802,9 +804,9 @@ def blowup_embed(
     output is structurally verified.
 
     The set-up draws nothing and is built once per call: each vertex's start
-    mask (cluster cut to targets) and neighbours in ``active``, the reserve
-    quotas and the active edges.  Each restart runs ``_BLOWUP_STEPS`` on
-    ``_retry``'s sub-seed.  If a pattern edge uv has no host edge from u's
+    mask (cluster cut to ``_target_masks``) and neighbours in ``active``, the
+    reserve quotas and the active edges.  Each restart runs ``_BLOWUP_STEPS``
+    on ``_retry``'s sub-seed.  If a pattern edge uv has no host edge from u's
     cluster to v's, no restart can succeed (whichever end comes second,
     greedy or matched, has no candidate; the independent reserve never holds
     both), so only the last restart runs and fails as the full budget would.
@@ -824,7 +826,7 @@ def blowup_embed(
                         detail=f"{len(vs)} pattern vertices > {len(clusters[i])} hosts"),
             )
     inside = mask_of(ordered)
-    target_masks = {v: mask_of(ts) for v, ts in (targets or {}).items() if v in active}
+    target_masks = _target_masks(targets or {}, active, host.n)
     nbrs = {v: list(bits_of(H.adj(v) & inside)) for v in ordered}
     edges = [(u, w) for u in ordered for w in nbrs[u] if w > u]  # H.edges_within(active)
     if plan.blowup_restarts >= 1 and all(len(clusters[i]) == 1 for i in by_cluster):
@@ -1459,7 +1461,8 @@ def transversal_blowup(
     step ``"buffer-vertices"`` or ``"buffer-colours"``.  When that fails too, its
     failure is returned with ``diagnostics["main"]`` saying why Steps 0-5
     gave none: ``"split-decided"`` when the component counts ruled the
-    split out, else the last attempt's ``stage:reason``.
+    split out, else the last attempt's ``stage:reason``.  A success is
+    verified against the target sets too.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1469,8 +1472,7 @@ def transversal_blowup(
     if setup is None:
         setup = _blowup_setup(H, phi, active, plan, keys)
     _identity(setup.keys == keys, "pipeline", "set-up class keys = template classes")
-    mismatch = _class_count_mismatch(t, setup.class_e, seed)
-    if mismatch is not None:
+    if (mismatch := _class_count_mismatch(t, setup.class_e, seed)) is not None:
         return mismatch
     if setup.decided:
         out = _no_split(seed)
@@ -1490,7 +1492,8 @@ def transversal_blowup(
         return EmbedOutcome(embedding=None, failure=out, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts
-    done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=setup.view)
+    view = _pattern_view(H, active, targets) if targets else setup.view
+    done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
     if sorted(sigma.values()) != t.all_colours():
         raise UnverifiedOutput(
             f"colour conservation violated on the {run_stats.get('path', 'main')} path"
@@ -1631,11 +1634,12 @@ def _split(run: _Run) -> Failure | None:
 
 
 def _step0(run: _Run) -> Failure | None:
-    """Step 0: embed the connecting graph, shrink the targets of its
+    """Step 0: embed the connecting graph (its vertices cut to their target
+    sets, an empty one admitting no host), shrink the targets of its
     neighbours Y to their candidate sets, and leave the free hosts ``Vp``
     and colours ``Cp``: exactly the stage vertices and stage edges."""
     t, s, phi = run.t, run.setup, run.phi
-    con_targets = {w: run.targets.get(w) or set(t.clusters[phi[w]]) for w in s.X + s.Y}
+    con_targets = {w: run.targets[w] for w in s.X + s.Y if w in run.targets}
     part = partial_embed(t, s.H_con, phi, X=s.X, Y=s.Y, targets=con_targets, plan=run.plan,
                          seed=run.seed)
     if isinstance(part, Failure):
@@ -2195,11 +2199,19 @@ def _expand_quasi(run: _Run) -> Failure | None:
     free = [w for w in range(run.g.n) if w not in used]
     for v in s.leftover_iso:
         vertex_images[v] = free.pop()
-    rep = verify_expansion(run.g, H, vertex_images, edge_images)
+    run.out = _verified_expansion(run.g, H, vertex_images, edge_images,
+                                  {**s.stats, "quasi": out.stats})
+
+
+def _verified_expansion(g: ThreeGraph, H: PatternGraph, vertex_images, edge_images,
+                        stats: dict) -> ExpansionOutcome:
+    """The successful outcome with these images; raises UnverifiedOutput if
+    ``verify_expansion`` rejects them (an explicit raise, so also under
+    ``python -O``)."""
+    rep = verify_expansion(g, H, vertex_images, edge_images)
     if not rep.ok:
         raise UnverifiedOutput(f"expansion failed verification: {rep.violations}")
-    run.out = ExpansionOutcome(vertex_images, edge_images, None,
-                               stats={**s.stats, "quasi": out.stats})
+    return ExpansionOutcome(vertex_images, edge_images, None, stats=stats)
 
 
 _EXPAND_STEPS = (_expand_draw, _expand_link, _expand_quasi)
@@ -2220,8 +2232,10 @@ def expand_embed_3graph(
     and colour sides, build the induced link collection, and run the
     uniformly-dense pipeline, whose embedding maps pattern vertices to the
     vertex side and pattern edges to the colour side; left-over isolated
-    pattern vertices take unused host vertices.  A pattern with target sets
-    fails PreconditionViolated before any draw, as in ``quasi_embed``.
+    pattern vertices take unused host vertices.  An edgeless H takes a
+    random sample of hosts instead.  Every success, that one too, passes
+    ``verify_expansion`` (``_verified_expansion``).  A pattern with target
+    sets fails PreconditionViolated before any draw, as in ``quasi_embed``.
     """
     n = g.n
     if H.n + H.e > n:
@@ -2232,14 +2246,8 @@ def expand_embed_3graph(
         return ExpansionOutcome(None, None, Failure("expand", PRECONDITION, seed,
                                                     detail=_NO_TARGETS))
     if H.e == 0:
-        rng = random.Random(_mix(seed, 101))
-        hosts = rng.sample(range(n), H.n)
-        return ExpansionOutcome(
-            vertex_images={v: hosts[v] for v in range(H.n)},
-            edge_images={},
-            failure=None,
-            stats={"path": "edgeless"},
-        )
+        hosts = random.Random(_mix(seed, 101)).sample(range(n), H.n)
+        return _verified_expansion(g, H, dict(enumerate(hosts)), {}, {"path": "edgeless"})
     setup = _expand_setup(g, H, plan, seed)
     if isinstance(setup, Failure):
         return ExpansionOutcome(None, None, setup)

@@ -1,10 +1,11 @@
 """Exact brute-force solvers used as ground truth.
 
-The transversal embedder backtracks over vertex images only: an injective
-colour assignment exists for the currently completed pattern edges iff the
-bipartite edge/colour incidence graph has a matching saturating the edges,
-so a matching check per node replaces colour branching entirely and makes
-Infeasible a genuine proof within budget.
+The transversal embedder and the copy counter run one backtracking search
+over injective vertex images (``_search``).  The embedder never branches on
+colours: an injective colour assignment exists for the currently completed
+pattern edges iff the bipartite edge/colour incidence graph has a matching
+saturating the edges, so a matching check per node replaces colour
+branching entirely and makes Infeasible a genuine proof within budget.
 
 The budget counts search nodes only, so results are deterministic and
 budget-monotone: raising a budget can only turn BudgetExceeded into a
@@ -21,7 +22,9 @@ from .core import (
     PatternGraph,
     ThreeGraph,
     TransversalEmbedding,
+    UnverifiedOutput,
     bits_of,
+    verify_transversal_embedding,
 )
 from .matching import max_bipartite_matching
 
@@ -88,69 +91,74 @@ def _edge_colours(edge_avail: dict[tuple[int, int], int]) -> dict[tuple[int, int
     return max_bipartite_matching({e: list(bits_of(m)) for e, m in edge_avail.items()})
 
 
-def exact_transversal_embed(
-    gc: GraphCollection,
-    H: PatternGraph,
-    budget: SearchBudget = SearchBudget(),
-) -> OracleResult:
-    """Complete backtracking over vertex images with a matching-based forward
-    check on colour availability; a vertex with a target set in
-    ``H.targets`` tries only those hosts.  Intended for v(H) <= 12,
-    |C| <= 14."""
-    targets = H.targets or {}
-    if H.e > gc.n_colours or H.n > gc.n:
-        return OracleResult(INFEASIBLE, meta={"reason": "pigeonhole"})
-    order = _connected_order(H)
-    clock = _Clock(budget)
-    tau: dict[int, int] = {}
-    used_hosts: set[int] = set()
-    edge_avail: dict[tuple[int, int], int] = {}
+def _search(gc: GraphCollection, H: PatternGraph, targets, clock: _Clock, forward: bool, leaf):
+    """The backtracking over injective vertex images that both oracles run.
 
-    def place(i: int) -> bool | None:
+    Vertices go in ``_connected_order``; one with a set in ``targets`` tries
+    its hosts in range ascending, any other every host.  Each host tried is a
+    node on ``clock``.  A host is skipped when an edge to a placed neighbour
+    has no colour, and with ``forward`` also when the edges placed so far
+    have no injective colouring (``_edge_colours``).  ``leaf(tau, avail)``
+    sees each complete map with every edge's colour mask, in placement order,
+    and returns False to go on or a value to stop with (not None).  The
+    result is that value, False when the search ran to the end, or None when
+    the node budget ran out.
+    """
+    order = _connected_order(H)
+    tau: dict[int, int] = {}
+    used: set[int] = set()
+    avail: dict[tuple[int, int], int] = {}
+
+    def place(i: int):
         if i == len(order):
-            return True
+            return leaf(tau, avail)
         v = order[i]
         cand = targets.get(v)
-        host_iter = sorted(cand) if cand is not None else range(gc.n)
-        for w in host_iter:
-            if w in used_hosts or not 0 <= w < gc.n:
+        for w in sorted(cand) if cand is not None else range(gc.n):
+            if w in used or not 0 <= w < gc.n:
                 continue
             if not clock.tick():
                 return None
-            new_edges = []
-            ok = True
-            for u in H.neighbours(v):
-                if u in tau:
-                    m = gc.colour_mask(tau[u], w)
-                    if not m:
-                        ok = False
-                        break
-                    e = (u, v) if u < v else (v, u)
-                    new_edges.append((e, m))
-            if not ok:
+            new = [((u, v) if u < v else (v, u), gc.colour_mask(tau[u], w))
+                   for u in H.neighbours(v) if u in tau]
+            if not all(m for _, m in new):
                 continue
             tau[v] = w
-            used_hosts.add(w)
-            for e, m in new_edges:
-                edge_avail[e] = m
-            if not new_edges or len(_edge_colours(edge_avail)) == len(edge_avail):
+            used.add(w)
+            avail.update(new)
+            if not (forward and new) or len(_edge_colours(avail)) == len(avail):
                 res = place(i + 1)
-                if res:
-                    return True
-                if res is None:
-                    return None
-            for e, _ in new_edges:
-                del edge_avail[e]
-            used_hosts.discard(w)
+                if res is not False:
+                    return res
+            for e, _ in new:
+                del avail[e]
+            used.discard(w)
             del tau[v]
         return False
 
-    res = place(0)
-    if res is None:
+    return place(0)
+
+
+def exact_transversal_embed(
+    gc: GraphCollection, H: PatternGraph, budget: SearchBudget = SearchBudget()
+) -> OracleResult:
+    """``_search`` with the matching-based forward check, stopped at its
+    first complete map, whose sigma is ``_edge_colours`` of the edges' masks;
+    a vertex with a target set in ``H.targets`` tries only those hosts.  The
+    embedding is verified, and one the verifier rejects raises
+    ``UnverifiedOutput``.  Intended for v(H) <= 12, |C| <= 14."""
+    if H.e > gc.n_colours or H.n > gc.n:
+        return OracleResult(INFEASIBLE, meta={"reason": "pigeonhole"})
+    clock = _Clock(budget)
+    emb = _search(gc, H, H.targets or {}, clock, True,
+                  lambda tau, avail: TransversalEmbedding(dict(tau), _edge_colours(avail)))
+    if emb is None:
         return OracleResult(BUDGET_EXCEEDED, nodes=clock.nodes)
-    if not res:
+    if emb is False:
         return OracleResult(INFEASIBLE, nodes=clock.nodes)
-    emb = TransversalEmbedding(tau=dict(tau), sigma=_edge_colours(edge_avail))
+    rep = verify_transversal_embedding(gc, H, emb)
+    if not rep.ok:
+        raise UnverifiedOutput(f"oracle embedding failed verification: {rep.violations}")
     return OracleResult(FEASIBLE, embedding=emb, nodes=clock.nodes)
 
 
@@ -166,28 +174,15 @@ def _automorphism_count(F: PatternGraph) -> int:
     return count
 
 
-def _count_colour_systems(edge_masks: list[int]) -> int:
-    """Number of injective colour assignments: systems of distinct
-    representatives, by DP over edges with a compressed colour mask."""
-    if not edge_masks:
-        return 1
-    universe = 0
-    for m in edge_masks:
-        universe |= m
-    cols = list(bits_of(universe))
-    remap = {c: i for i, c in enumerate(cols)}
-    masks = []
-    for m in edge_masks:
-        mm = 0
-        for c in bits_of(m):
-            mm |= 1 << remap[c]
-        masks.append(mm)
+def _count_colour_systems(edge_masks) -> int:
+    """Number of injective colour assignments (systems of distinct
+    representatives) of the colour masks, by DP over them keyed by the mask
+    of colours used."""
     states: dict[int, int] = {0: 1}
-    for m in masks:
+    for m in edge_masks:
         nxt: dict[int, int] = {}
         for used, ways in states.items():
-            free = m & ~used
-            for b in bits_of(free):
+            for b in bits_of(m & ~used):
                 key = used | (1 << b)
                 nxt[key] = nxt.get(key, 0) + ways
         states = nxt
@@ -211,7 +206,9 @@ def count_rainbow_copies(
 ) -> CountResult:
     """Transversal-copy count, up to F-automorphism; intended for v(F) <= 5.
 
-    Counts the labelled (tau, sigma) pairs and divides by |Aut(F)|.  A
+    Runs ``_search`` without the forward check and with no target sets,
+    adding ``_count_colour_systems`` of each complete map's edge masks to
+    the labelled (tau, sigma) pairs, and divides by |Aut(F)|.  A
     finished search has status ``"exact"`` (also for a count of 0).  A
     search stopped by its budget has status ``"budget-exceeded"`` and
     ``count`` = ceil(labelled / |Aut(F)|) of the pairs found so far: a
@@ -220,37 +217,15 @@ def count_rainbow_copies(
     if F.n > 8:
         raise ValueError("copy counting is intended for small patterns")
     aut = _automorphism_count(F)
-    order = _connected_order(F)
     clock = _Clock(budget)
     labelled = 0
-    tau: dict[int, int] = {}
-    used: set[int] = set()
 
-    def place(i: int) -> bool:
+    def add(tau, avail) -> bool:
         nonlocal labelled
-        if i == len(order):
-            masks = [gc.colour_mask(tau[u], tau[v]) for (u, v) in F.edges()]
-            labelled += _count_colour_systems(masks)
-            return True
-        v = order[i]
-        for w in range(gc.n):
-            if w in used:
-                continue
-            if not clock.tick():
-                return False
-            if any(
-                u in tau and not gc.colour_mask(tau[u], w) for u in F.neighbours(v)
-            ):
-                continue
-            tau[v] = w
-            used.add(w)
-            if not place(i + 1):
-                return False
-            used.discard(w)
-            del tau[v]
-        return True
+        labelled += _count_colour_systems(avail.values())
+        return False
 
-    if not place(0):
+    if _search(gc, F, {}, clock, False, add) is None:
         return CountResult(-(-labelled // aut), labelled, aut, clock.nodes, BUDGET_EXCEEDED,
                            "labelled (tau, sigma) pairs found so far divided by |Aut(F)|, "
                            "rounded up: a lower bound")

@@ -274,6 +274,37 @@ def test_bench_blowup_honours_the_pattern_target_sets(workdir):
         ("free", "1", ""), ("outside-its-cluster", "0", "EmbeddingFailed")]
 
 
+def test_bench_blowup_ignores_target_hosts_outside_the_host_range(workdir):
+    # host -1 used to end the run with "negative shift count" (exit 2): it is
+    # ignored, so next to vertex 0's cluster (hosts 0-5) it changes nothing,
+    # and alone it leaves a target set that admits no host
+    targets = {"cluster-and-minus-one": {0: [-1, *range(6)]}, "minus-one": {0: [-1]}}
+    suite = {"runs": [
+        {"name": name, "construction": {"n": 6, "density": 0.9}, "pipeline": "blowup",
+         "pattern": pattern_to_json(PatternGraph(8, CYCLE_8.edges(), phi=[0] * 4 + [1] * 4,
+                                                 targets=ts)),
+         "seeds": [0], "params": {"blowup_restarts": 2}}
+        for name, ts in targets.items()]}
+    write_json(workdir / "suite.json", suite)
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
+    rows = list(csv.DictReader(open(workdir / "b.csv")))
+    assert [(r["name"], r["success"], r["reason"]) for r in rows] == [
+        ("cluster-and-minus-one", "1", ""), ("minus-one", "0", "EmbeddingFailed")]
+
+
+@pytest.mark.parametrize("construction, code, colours", [
+    ("random", 2, None),  # GenSpec refuses 0 colours
+    ("mantel", 0, 0),
+])
+def test_generate_keeps_an_explicit_zero_colour_count(workdir, construction, code, colours):
+    # --colours 0 used to be replaced by the default (n for random, 3 for mantel)
+    argv = ["generate", "--construction", construction, "--n", "4", "--colours", "0",
+            "--out", "g.json"]
+    assert main(argv) == code
+    if colours is not None:
+        assert len(json.loads((workdir / "g.json").read_text())["colours"]) == colours
+
+
 @pytest.mark.parametrize("run", [
     {"construction": {"kind": "random", "n": 12, "n_colours": 6, "dens": 1.0}},
     {"construction": {"kind": "random", "n": 12, "n_colours": 6, "construction": "parity"}},

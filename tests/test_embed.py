@@ -694,6 +694,47 @@ def test_a_broken_finish_is_caught_by_the_last_check(monkeypatch):
         transversal_blowup(t, H, phi, None, PLAN, seed=0)
 
 
+def test_a_pipeline_success_is_verified_against_its_target_sets(monkeypatch):
+    # a finish that swaps the images of vertices 0 and 1: every colour joins
+    # every cross pair, so the copy stays transversal, but vertex 0 leaves
+    # its target set {1}
+    from transversal import embed
+    from transversal.embed import UnverifiedOutput
+
+    real = embed._finish_buffer
+
+    def swapped(t, H, phi, B, part, targets, seed):
+        tau, sigma, stats = real(t, H, phi, B, part, targets, seed)
+        tau[0], tau[1] = tau[1], tau[0]
+        return tau, sigma, stats
+
+    t, H, phi = matching_pipeline_fixture(m=2)
+    assert transversal_blowup(t, H, phi, {0: {1}}, PLAN, seed=0).embedding.tau[0] == 1
+    monkeypatch.setattr(embed, "_finish_buffer", swapped)
+    with pytest.raises(UnverifiedOutput, match="marked vertex 0 embedded at 0 outside"):
+        transversal_blowup(t, H, phi, {0: {1}}, PLAN, seed=0)
+
+
+def test_target_hosts_outside_the_host_range_are_ignored_by_the_masks():
+    # host -1 used to stop blowup_embed and embed_prescribed_colours with
+    # "negative shift count"; next to in-range hosts it changes nothing, and
+    # alone it leaves a target set that admits no host
+    n = 8
+    host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
+    clusters = [list(range(n)), list(range(n, 2 * n))]
+    H = PatternGraph(4, [(0, 2), (1, 3)])
+    runs = [blowup_embed(host, clusters, H, [0, 0, 1, 1], {0: ts}, PLAN, seed=1)
+            for ts in ({5, 6}, {-1, 5, 6}, {-1})]
+    assert runs[0].ok and runs[1].tau == runs[0].tau and not runs[2].ok
+    t = bip_template(8, 10, density=0.9, seed=6, d="0.4")
+    H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    outs = [embed_prescribed_colours(t, H, [0, 1] * 4, {0: ts}, {(0, 1): [7]}, PLAN, seed=3)
+            for ts in ({1, 2}, {-1, 1, 2})]
+    assert outs[0].ok and outs[0].embedding.tau[0] in {1, 2}
+    assert (outs[1].embedding.tau, outs[1].embedding.sigma) == (
+        outs[0].embedding.tau, outs[0].embedding.sigma)
+
+
 def test_an_unused_prescribed_colour_is_caught(monkeypatch):
     # every colour joins every cross pair, so moving the prescribed colour 7
     # to a free colour still verifies; the prescription check then raises
@@ -1707,6 +1748,20 @@ def test_expand_checks_its_own_output(monkeypatch):
     g = ThreeGraph(8, list(combinations(range(8), 3)))
     with pytest.raises(UnverifiedOutput, match=r"expansion failed verification: \('stub',\)"):
         expand_embed_3graph(g, PatternGraph(2, [(0, 1)]), PLAN, seed=0)
+
+
+def test_expand_checks_its_edgeless_output(monkeypatch):
+    # the edgeless pattern's random sample of hosts goes through the same
+    # explicit check as the pipeline's output
+    from transversal import embed
+    from transversal.core import VerificationReport
+    from transversal.embed import UnverifiedOutput
+
+    monkeypatch.setattr(embed, "verify_expansion",
+                        lambda *args: VerificationReport(ok=False, violations=("stub",)))
+    g = ThreeGraph(8, list(combinations(range(8), 3)))
+    with pytest.raises(UnverifiedOutput, match=r"expansion failed verification: \('stub',\)"):
+        expand_embed_3graph(g, PatternGraph(3, []), PLAN, seed=0)
 
 
 def test_expand_padding_that_needs_more_hosts_is_refused():

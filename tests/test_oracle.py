@@ -22,7 +22,8 @@ from transversal.oracle import (
     monochromatic_triangle_count,
     tight_hamilton_search,
 )
-from transversal.core import verify_transversal_embedding
+from transversal import UnverifiedOutput
+from transversal.core import VerificationReport, verify_transversal_embedding
 
 TRIANGLE = PatternGraph(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -124,6 +125,15 @@ def test_oracle_verdict_matches_brute_force_enumeration():
     # both verdicts, with and without target sets
     assert verdicts == {(s, t) for s in (FEASIBLE, INFEASIBLE) for t in (False, True)}
     assert res.feasible and res.embedding.tau[1] == 2  # the path bends at host 2
+
+
+def test_an_oracle_embedding_the_verifier_rejects_raises(monkeypatch):
+    # an explicit raise, so it also fires under python -O
+    monkeypatch.setattr(oracle, "verify_transversal_embedding",
+                        lambda *args: VerificationReport(ok=False, violations=("stub",)))
+    gc = random_collection(GenSpec(n=3, n_colours=3, density=1.0, seed=0))
+    with pytest.raises(UnverifiedOutput, match=r"oracle embedding failed verification"):
+        exact_transversal_embed(gc, TRIANGLE)
 
 
 def test_oracle_deterministic():

@@ -91,6 +91,17 @@ def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args):
     assert all(out.embedding.tau[u] in ts for u, ts in targets.items())
 
 
+def test_an_empty_target_set_on_the_separator_admits_no_host(attempt_args):
+    # Step 0 used to widen an empty target set to the whole cluster, and the
+    # main path then placed the vertex anyway
+    t, H, phi, _, plan, _, setup = attempt_args
+    active = set(setup.view.to_global.values())
+    x = setup.X[0]
+    out = transversal_blowup(t, H, phi, {x: set()}, plan, seed=0, active=active)
+    assert not out.ok
+    assert out.failure.diagnostics["main"] == "step0:CandidateExhausted"
+
+
 # ---------------------------------------------------------------------------
 # typed exits
 
