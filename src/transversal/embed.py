@@ -41,8 +41,8 @@ from .core import (
     verify_transversal_embedding,
 )
 from .matching import max_bipartite_matching, perfect_matching
-from .regularity import frac, make_ledger
-from .templates import Template, ledger_to_json, make_template, thick_host_graph
+from .regularity import frac
+from .templates import Template, make_template, thick_host_graph
 from .vizing import extract_matching
 
 # failure reason tags
@@ -327,17 +327,11 @@ def _class_edges(H: SimpleGraph, phi, active) -> dict[tuple[int, int], list[tupl
     return out
 
 
-def _sub_template(t: Template, clusters, colour_clusters, klass=None, ledger=None) -> Template:
-    """Index-level subtemplate sharing the parent's collection (no pruning)."""
-    return make_template(
-        t.R,
-        clusters,
-        colour_clusters,
-        t.gc,
-        ledger if ledger is not None else t.ledger,
-        rainbow=t.rainbow,
-        klass=klass if klass is not None else t.klass,
-    )
+def _sub_template(t: Template, clusters, colour_clusters, **change) -> Template:
+    """Index-level subtemplate sharing the parent's collection (no pruning);
+    ``change`` overrides its d, eps, m or klass."""
+    kept = {"d": t.d, "eps": t.eps, "m": t.m, "rainbow": t.rainbow, "klass": t.klass}
+    return make_template(clusters, colour_clusters, t.gc, **{**kept, **change})
 
 
 def _filling_entry(stage: str, t: Template, H: SimpleGraph, phi, targets, seed: int, active):
@@ -408,7 +402,7 @@ def partial_embed(
     if isinstance(setup, Failure):
         return setup
     cand_v, later = setup
-    d, eps, m = float(t.ledger.d), float(t.ledger.eps), float(t.ledger.m)
+    d, eps, m = float(t.d), float(t.eps), float(t.m)
     rng = random.Random(_mix(seed, 23))
     tau, sigma = {}, {}
     used = retired = retired_w = 0  # hosts taken by tau, colours taken by sigma, their word
@@ -580,7 +574,7 @@ def embed_prescribed_colours(
     """
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
-    d = float(t.ledger.d)
+    d = float(t.d)
     floor_d = prescribed_density_floor if prescribed_density_floor is not None else d
     # deduplicate the prescription in sorted class order, each class in its order
     seen: set[int] = set()
@@ -1030,7 +1024,7 @@ def approx_embed(
     if isinstance(entry, EmbedOutcome):
         return entry
     active, targets = entry
-    m = float(t.ledger.m)
+    m = float(t.m)
     class_e = _class_edges(H, phi, active)
     surplus_floor = max(0, math.ceil((beta if beta is not None else 0.0) * m))
     for key, cs in t.colour_clusters.items():
@@ -1046,11 +1040,11 @@ def approx_embed(
     gamma_floor = max(1, round(plan.gamma * m))
     run, attempts = _retry(seed, 67, plan.approx_retries, Failure("approx", EMBEDDING_FAILED, seed),
                            _steps(_APPROX_STEPS, t=t, H=H, phi=phi, targets=targets, plan=plan,
-                                  class_e=class_e, comps=comps, stats=stats, d=float(t.ledger.d),
+                                  class_e=class_e, comps=comps, stats=stats, d=float(t.d),
                                   mu_floor=max(1, round(plan.mu_prime * m)),
                                   gamma_floor=gamma_floor,
                                   q_stop=2 * (max(1, H.max_degree) + 1) ** (t.r - 1) * gamma_floor,
-                                  stated=round(t.r * float(t.ledger.eps) ** (1 / 3) * m)))
+                                  stated=round(t.r * float(t.eps) ** (1 / 3) * m)))
     if isinstance(run, Failure):
         return EmbedOutcome(None, run, None, stats=stats)
     stats["attempts"] = attempts
@@ -1799,11 +1793,9 @@ def _step2(run: _Run) -> Failure | None:
         run.c_app[key] = tuple(c for c in run.Cp[key] if c not in held)
         _identity(len(run.c_app[key]) == run.h_counts["app"][key] + run.p_cap[key],
                   "step2", "app colours = app edges + P_e", edge_class=key)
-    # app-stage parameters per the (F1)-style transform: (m/4, 4e, d/4, delta/4)
-    led = t.ledger
-    ledger_app = make_ledger(max(Fraction(1), led.m / 4), 4 * led.eps, led.d / 4, led.delta / 4,
-                             mode="semi-super")
-    t_app = _sub_template(t, run.v_app, run.c_app, ledger=ledger_app, klass="semi-super")
+    # app-stage parameters per the (F1)-style transform: (m/4, 4e, d/4)
+    t_app = _sub_template(t, run.v_app, run.c_app, d=t.d / 4, eps=4 * t.eps,
+                          m=max(Fraction(1), t.m / 4), klass="semi-super")
     return _stage_embed(run, "step2", "app", approx_embed, t_app, 4, beta=0.0)
 
 
@@ -1816,11 +1808,9 @@ def _step3(run: _Run) -> Failure | None:
     for key in run.keys:
         _identity(len(D[key]) == run.p_cap[key], "step3", "app leftovers = P_e", edge_class=key)
     c_col = {key: tuple(sorted({*run.absorber.per_edge[key].B, *D[key]})) for key in run.keys}
-    ledger_col = make_ledger(t.ledger.m, t.ledger.eps, t.ledger.d / 4, t.ledger.delta,
-                             mode="regular")
-    t_col = _sub_template(t, run.v_colvx, c_col, klass="regular", ledger=ledger_col)
+    t_col = _sub_template(t, run.v_colvx, c_col, d=t.d / 4, klass="regular")
     return _stage_embed(run, "step3", "col", embed_prescribed_colours, t_col, 5, prescribed=D,
-                        prescribed_density_floor=float(t.ledger.d) / 22)
+                        prescribed_density_floor=float(t.d) / 22)
 
 
 def _step4(run: _Run) -> Failure | None:
@@ -1834,11 +1824,10 @@ def _step4(run: _Run) -> Failure | None:
         _identity(len(run.c_vx[key]) - run.h_counts["vx"][key] == run.l_sizes[key],
                   "step4", "vx colours = vx edges + l", edge_class=key)
     v_vx = [tuple(v for v in run.v_colvx[i] if v not in run.used_hosts) for i in range(t.r)]
-    # vx-stage parameters per the (F3)-style transform: (m', sqrt(e), d/13, delta/24)
-    m_prime = max(Fraction(1), frac(run.plan.p_vx) * t.ledger.m / 8)
-    ledger_vx = make_ledger(m_prime, frac(str(round(float(t.ledger.eps) ** 0.5, 9))),
-                            t.ledger.d / 13, t.ledger.delta / 24, mode="semi-super")
-    t_vx = _sub_template(t, v_vx, run.c_vx, ledger=ledger_vx, klass="semi-super")
+    # vx-stage parameters per the (F3)-style transform: (m', sqrt(e), d/13)
+    t_vx = _sub_template(t, v_vx, run.c_vx, d=t.d / 13,
+                         eps=frac(str(round(float(t.eps) ** 0.5, 9))),
+                         m=max(Fraction(1), frac(run.plan.p_vx) * t.m / 8), klass="semi-super")
     return _stage_embed(run, "step4", "vx", approx_embed, t_vx, 6, beta=0.0)
 
 
@@ -1900,7 +1889,6 @@ class _QuasiSetup:
     r: int
     parts: list[list[int]]
     phi: list[int]
-    R: SimpleGraph
     base_stats: dict
     dense_keys: list[tuple[int, int]]
     sparse_H: PatternGraph
@@ -1951,8 +1939,7 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
         order, blowup = _bfs_order(H, X), _blowup_setup(H, phi, active, plan, dense_keys)
     else:  # the run degenerates to one candidate-set pass over all of H
         Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
-    return _QuasiSetup(r, parts, phi, SimpleGraph(r, pairs), base_stats, dense_keys,
-                       sparse_H, order, Y, active, blowup)
+    return _QuasiSetup(r, parts, phi, base_stats, dense_keys, sparse_H, order, Y, active, blowup)
 
 
 def _quasi_draw(run: _Run) -> None:
@@ -1986,27 +1973,21 @@ def _quasi_sparsify(run: _Run) -> None:
         slices.append(out)
         densities.append(out.total_edge_count() / max(1, len(V[i]) * len(V[j]) * K))
     run.jgc = GraphCollection.union(slices)
-    run.d_eff = max(0.05, 0.5 * min(densities))  # r >= 2 gives a pair
-
-
-def _quasi_template(run: _Run) -> None:
-    """The super template on the V_i with every colour on every pair."""
-    s, colours = run.setup, list(range(run.gc.n_colours))
-    run.ledger = make_ledger(
-        min(len(v) for v in run.V), run.plan.eps,
-        Fraction(str(round(run.d_eff, 6))), Fraction(1, 2), mode="super",
-    )
-    run.tmpl = make_template(s.R, run.V, {key: colours for key in combinations(range(s.r), 2)},
-                             run.jgc, run.ledger, rainbow=False, klass="super")
+    # the d, eps and m of the attempt's super templates; r >= 2 gives a pair
+    run.numbers = {"d": Fraction(str(round(max(0.05, 0.5 * min(densities)), 6))),
+                   "eps": run.plan.eps, "m": min(len(v) for v in V)}
 
 
 def _quasi_sparse(run: _Run) -> Failure | None:
-    """Embed the sparse side (if any) through candidate sets; those of Y
-    are the dense side's targets."""
+    """Embed the sparse side (if any) through candidate sets, on the super
+    template with every colour on every pair; those of Y are the dense
+    side's targets."""
     s = run.setup
     if not s.order:
         return None
-    part = partial_embed(run.tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None,
+    tmpl = make_template(run.V, dict.fromkeys(combinations(range(s.r), 2), range(run.gc.n_colours)),
+                         run.jgc, **run.numbers, rainbow=False, klass="super")
+    part = partial_embed(tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None,
                          plan=run.plan, seed=run.seed)
     if isinstance(part, Failure):
         return part.with_stage("quasi-sparse")
@@ -2036,17 +2017,18 @@ def _quasi_dense(run: _Run) -> Failure | None:
     _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
     run.stats.update(colour_split_sizes={str(k): len(v) for k, v in split.items()},
                      e_sparse=len(run.sigma), colours_total=K)
-    tmpl = make_template(s.R, Vp, split, run.jgc, run.ledger, rainbow=True, klass="super")
+    tmpl = make_template(Vp, split, run.jgc, **run.numbers, rainbow=True, klass="super")
     out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
                              active=s.active, setup=s.blowup)
     if not out.ok:
         return out.failure
     run.tau.update(out.embedding.tau)
     run.sigma.update(out.embedding.sigma)
-    run.stats.update(blowup=out.stats, ledger=ledger_to_json(tmpl.ledger))
+    run.stats.update(blowup=out.stats,
+                     template={"d": str(tmpl.d), "eps": str(tmpl.eps), "m": str(tmpl.m)})
 
 
-_QUASI_STEPS = (_quasi_draw, _quasi_sparsify, _quasi_template, _quasi_sparse, _quasi_dense)
+_QUASI_STEPS = (_quasi_draw, _quasi_sparsify, _quasi_sparse, _quasi_dense)
 
 
 def quasi_embed(
@@ -2063,10 +2045,11 @@ def quasi_embed(
     that splits sparse pairs from dense ones, the sparse side and, when a
     pair is dense, the blow-up's set-up with its split decision.  Each
     attempt then runs ``_QUASI_STEPS`` through ``_run_steps``: draw the
-    balanced vertex partition V_i, sparsify each pair's slice, build the
-    template, embed the sparse side through candidate sets, and embed the
-    dense side by the transversal blow-up with the candidate sets as
-    targets on a random colour split sized exactly to the dense classes.
+    balanced vertex partition V_i, sparsify each pair's slice, embed the
+    sparse side through candidate sets on a template with every colour on
+    every pair, and embed the dense side by the transversal blow-up with
+    the candidate sets as targets on a random colour split sized exactly
+    to the dense classes.
     A pattern with target sets (``H.targets``) fails PreconditionViolated
     before any draw: no step honours them.
     """

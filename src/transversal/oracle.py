@@ -206,16 +206,20 @@ def count_rainbow_copies(
 ) -> CountResult:
     """Transversal-copy count, up to F-automorphism; intended for v(F) <= 5.
 
-    Runs ``_search`` without the forward check and with no target sets,
-    adding ``_count_colour_systems`` of each complete map's edge masks to
-    the labelled (tau, sigma) pairs, and divides by |Aut(F)|.  A
+    Runs ``_search`` without the forward check, adding
+    ``_count_colour_systems`` of each complete map's edge masks to the
+    labelled (tau, sigma) pairs, and divides by |Aut(F)|.  A
     finished search has status ``"exact"`` (also for a count of 0).  A
     search stopped by its budget has status ``"budget-exceeded"`` and
     ``count`` = ceil(labelled / |Aut(F)|) of the pairs found so far: a
     lower bound, since every copy has exactly |Aut(F)| labelled versions.
+    A pattern with target sets (``F.targets``) is refused with ValueError
+    before any search: the count is of copies with no target sets.
     """
     if F.n > 8:
         raise ValueError("copy counting is intended for small patterns")
+    if F.targets:
+        raise ValueError("copy counting does not support target sets")
     aut = _automorphism_count(F)
     clock = _Clock(budget)
     labelled = 0

@@ -1,35 +1,39 @@
 """R-templates: the transversal analogue of reduced graphs.
 
-A template carries a cluster graph R on [r], disjoint vertex clusters
-V_1..V_r, a colour cluster per R-edge, and the collection restricted to each
-R-edge's bipartite slice, together with an exact parameter ledger
-(m, eps, d, delta).  Templates declare their class (regular / semi-super /
-super / half-super) as a promise that is not checked here; the embedding
-stages check the floors they rely on, and every embedding is verified.
+A template carries disjoint vertex clusters V_1..V_r, a colour cluster per
+edge of the cluster graph R on [r] (R's edges are the keys of
+``colour_clusters``), the collection restricted to each R-edge's bipartite
+slice, and the exact numbers d, eps and m that its embedders read.
+Templates declare their class (regular / semi-super / super / half-super) as
+a promise that is not checked here; the embedding stages check the floors
+they rely on, and every embedding is verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import GraphCollection, SimpleGraph, mask_of
-# unused here, but perfbench/layers.py also patches the sparsifier at this name
-from .regularity import ParameterLedger, sparsify_to_superregular  # noqa: F401
+# sparsify_to_superregular is unused here, but perfbench/layers.py also
+# patches the sparsifier at this name
+from .regularity import frac, sparsify_to_superregular  # noqa: F401
 
 TEMPLATE_CLASSES = ("regular", "semi-super", "super", "half-super")
 
 
 @dataclass(frozen=True)
 class Template:
-    """(R, clusters, colour clusters, collection) with a parameter ledger."""
+    """(clusters, colour clusters, collection) with exact d, eps and m."""
 
-    R: SimpleGraph
     clusters: tuple[tuple[int, ...], ...]
     colour_clusters: Mapping[tuple[int, int], tuple[int, ...]]
     gc: GraphCollection
-    ledger: ParameterLedger
+    d: Fraction
+    eps: Fraction
+    m: Fraction
     rainbow: bool = False
     klass: str = "regular"
 
@@ -43,12 +47,12 @@ class Template:
             seen.update(cl)
         for e in self.colour_clusters:
             i, j = e
-            if not self.R.has_edge(i, j):
-                raise ValueError(f"colour cluster for non-edge {e} of R")
+            if not 0 <= i < j < self.r:
+                raise ValueError(f"colour cluster key {e} is not a pair i < j < r = {self.r}")
 
     @property
     def r(self) -> int:
-        return self.R.n
+        return len(self.clusters)
 
     @cached_property
     def cluster_masks(self) -> tuple[int, ...]:
@@ -73,48 +77,30 @@ class Template:
 
 
 def make_template(
-    R: SimpleGraph,
     clusters: Sequence[Iterable[int]],
     colour_clusters: Mapping[tuple[int, int], Iterable[int]],
     gc: GraphCollection,
-    ledger: ParameterLedger,
+    d,
+    eps,
+    m,
     rainbow: bool = False,
     klass: str = "regular",
 ) -> Template:
+    """The template with sorted clusters, colour clusters keyed (i, j) with
+    i < j, and d, eps and m as exact fractions (``regularity.frac``)."""
     cc = {
         (min(e), max(e)): tuple(sorted(cs)) for e, cs in colour_clusters.items()
     }
     return Template(
-        R=R,
         clusters=tuple(tuple(sorted(c)) for c in clusters),
         colour_clusters=cc,
         gc=gc,
-        ledger=ledger,
+        d=frac(d),
+        eps=frac(eps),
+        m=frac(m),
         rainbow=rainbow,
         klass=klass,
     )
-
-
-def ledger_to_json(ledger: ParameterLedger) -> dict:
-    return {
-        "m": str(ledger.m),
-        "eps": str(ledger.eps),
-        "d": str(ledger.d),
-        "delta": str(ledger.delta),
-        "mode": ledger.mode,
-        "initial": [str(x) for x in ledger.initial[:4]] + [ledger.initial[4]]
-        if ledger.initial
-        else [],
-        "lineage": [
-            {
-                "rule": e.rule,
-                "args": [None if a is None else str(a) for a in e.args],
-                "params": [str(x) for x in e.params],
-                "mode": e.mode,
-            }
-            for e in ledger.lineage
-        ],
-    }
 
 
 @dataclass(frozen=True)
@@ -159,7 +145,7 @@ def thick_graph(t: Template, lam: float) -> ThickGraph:
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0,1)")
     g = thick_host_graph(t.gc, t.clusters, t.colour_clusters, lam)
-    d = float(t.ledger.d)
+    d = float(t.d)
     viol = []
     if t.klass in ("semi-super", "super"):
         for i, j in sorted(t.colour_clusters):

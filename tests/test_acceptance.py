@@ -50,7 +50,6 @@ from transversal.regularity import (
 from transversal.templates import make_template, thick_graph
 from transversal.vizing import extract_matching
 
-R2 = SimpleGraph(2, [(0, 1)])
 FAST_PLAN = SplitPlan(retries=6, approx_retries=5, blowup_restarts=15)
 
 
@@ -73,9 +72,8 @@ def _bip_collection(m, k, dens, seed):
 
 def _bip_template(m, k, dens, seed, d="0.5"):
     gc = _bip_collection(m, k, dens, seed)
-    led = make_ledger(m, "0.05", d, "0.5", mode="super")
     return make_template(
-        R2, [range(m), range(m, 2 * m)], {(0, 1): range(k)}, gc, led,
+        [range(m), range(m, 2 * m)], {(0, 1): range(k)}, gc, d=d, eps="0.05", m=m,
         rainbow=True, klass="super",
     )
 
@@ -146,8 +144,7 @@ def test_criterion_01_verifier_soundness():
         m = 12
         K = 2 * m + 8
         t = _bip_template(m, K, (0.8, 1.0)[seed % 2], seed, d="0.6")
-        t = make_template(t.R, t.clusters, t.colour_clusters, t.gc,
-                          make_ledger(m, "0.05", "0.5", "0.5", mode="semi-super"),
+        t = make_template(t.clusters, t.colour_clusters, t.gc, d="0.5", eps="0.05", m=m,
                           rainbow=True, klass="semi-super")
         edges = []
         for j in range(m // 2):
@@ -344,9 +341,8 @@ def test_criterion_08_thick_graph_degree_bound():
         if not semi:
             continue
         good += 1
-        led = make_ledger(m, "0.45", str(d), "0.5", mode="semi-super")
-        t = make_template(R2, [range(m), range(m, 2 * m)], {(0, 1): range(k)},
-                          gc, led, rainbow=True, klass="semi-super")
+        t = make_template([range(m), range(m, 2 * m)], {(0, 1): range(k)},
+                          gc, d=str(d), eps="0.45", m=m, rainbow=True, klass="semi-super")
         tk = thick_graph(t, lam)
         for v in range(2 * m):
             if tk.graph.degree(v) < 0.2 * m:
@@ -399,9 +395,8 @@ def test_criterion_10_absorber_flexibility():
         pairs = [(i, 10 + i) for i in range(n_pairs)]
         edges = {c: [e for e in pairs if rng.random() < 0.8] for c in range(k)}
         gc = GraphCollection(20, k, edges)
-        led = make_ledger(10, "0.1", "0.5", "0.5")
-        t = make_template(R2, [range(10), range(10, 20)], {(0, 1): range(k)},
-                          gc, led, rainbow=True)
+        t = make_template([range(10), range(10, 20)], {(0, 1): range(k)},
+                          gc, d="0.5", eps="0.1", m=10, rainbow=True)
         if bsize > k or n_pairs - l > k - bsize:
             continue
         ab = build_absorber(t, {(0, 1): pairs}, SplitPlan(), seed=attempt,

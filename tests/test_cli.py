@@ -134,6 +134,22 @@ def test_oracle_count_report(workdir):
     assert outcome["convention"] == "labelled (tau, sigma) pairs divided by |Aut(F)|"
 
 
+def test_oracle_count_refuses_a_pattern_with_target_sets(workdir, capsys):
+    # the complete 3-vertex, 3-colour collection, where the triangle has 6
+    # copies, and a target host that the embedder finds nowhere
+    write_json(workdir / "inst.json", collection_to_json(
+        GraphCollection(3, 3, {c: [(0, 1), (1, 2), (0, 2)] for c in range(3)})))
+    write_json(workdir / "k3.json", pattern_to_json(
+        PatternGraph(3, [(0, 1), (1, 2), (0, 2)], targets={0: [7]})))
+    assert main(["oracle", "--instance", "inst.json", "--pattern", "k3.json",
+                 "--out", "o.json"]) == 1
+    assert json.loads((workdir / "o.json").read_text())["outcome"]["status"] == "infeasible"
+    assert main(["oracle", "--instance", "inst.json", "--pattern", "k3.json", "--count",
+                 "--out", "c.json"]) == 2
+    assert "copy counting does not support target sets" in capsys.readouterr().err
+    assert not (workdir / "c.json").exists()
+
+
 def test_feasible_oracle_report_carries_a_verified_embedding(workdir):
     write_json(workdir / "inst.json", collection_to_json(
         GraphCollection(4, 2, {0: [(0, 1)], 1: [(1, 2), (2, 3)]})))

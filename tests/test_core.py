@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +28,10 @@ from transversal.core import (
     pattern_to_json,
     separability_certificate,
     threegraph_from_json,
+    verify_expansion,
     verify_transversal_embedding,
 )
+from transversal.embed import expand_embed_3graph, quasi_embed
 
 
 def random_gc(n, k, density, seed):
@@ -814,11 +818,19 @@ def _move_marked_vertex(draw, gc, H, tau, sigma):
     tau[0] = draw(st.integers(0, gc.n - 1))
 
 
+def _swap_marked_vertex(draw, gc, H, tau, sigma):
+    # keeps tau injective: in a spanning embedding, a move collides
+    v = draw(st.sampled_from(sorted(tau)))
+    tau[0], tau[v] = tau[v], tau[0]
+
+
+MUTATIONS = [_drop_tau_key, _add_tau_key, _merge_images, _recolour_edge, _merge_colours,
+             _reverse_edge_key, _move_marked_vertex, _swap_marked_vertex]
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 50), density=st.sampled_from([0.4, 0.7, 1.0]), marked=st.sets(
-    st.integers(0, 6), min_size=2), mutate=st.sampled_from([
-        _drop_tau_key, _add_tau_key, _merge_images, _recolour_edge, _merge_colours,
-        _reverse_edge_key, _move_marked_vertex]), data=st.data())
+    st.integers(0, 6), min_size=2), mutate=st.sampled_from(MUTATIONS), data=st.data())
 def test_verifier_agrees_with_the_naive_check_on_a_mutated_oracle_embedding(
         seed, density, marked, mutate, data):
     # one generic mutation of a verified embedding: the verifier and the
@@ -835,6 +847,77 @@ def test_verifier_agrees_with_the_naive_check_on_a_mutated_oracle_embedding(
     mutate(data.draw, gc, H, tau, sigma)
     emb = TransversalEmbedding(tau=tau, sigma=sigma)
     assert verify_transversal_embedding(gc, H, emb).ok == naive_verify(gc, H, emb)
+
+
+# _quasi_instance seeds (tests/test_embed.py) whose successes take each
+# path, as QUASI_REPLAY pins them, and _expand_instance seeds whose
+# expansions succeed (a path, a matching with isolated vertices, a cycle)
+QUASI_PATH_SEEDS = {"main": 0, "one-shot": 1, "ladder-degenerate": 2}
+EXPAND_SEEDS = (1, 2, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _quasi_success(path):
+    from test_embed import _quasi_instance, _quasi_path
+
+    seed = QUASI_PATH_SEEDS[path]
+    gc, H, plan = _quasi_instance(seed)
+    out = quasi_embed(gc, H, plan, seed=seed)
+    assert _quasi_path(out) == path
+    return gc, H, out.embedding
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(seed):
+    from test_embed import PLAN, _expand_instance
+
+    g, H = _expand_instance(seed)
+    out = expand_embed_3graph(g, H, PLAN, seed=seed)
+    assert out.ok
+    return g, H, out.vertex_images, out.edge_images
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(sorted(QUASI_PATH_SEEDS)), marked=st.sets(st.integers(0, 23)),
+       mutate=st.sampled_from(MUTATIONS), data=st.data())
+def test_verifier_agrees_with_the_naive_check_on_a_mutated_pipeline_embedding(
+        path, marked, mutate, data):
+    # the same mutations of a quasi_embed success; vertex 0 is marked with
+    # its own host and the drawn ones, so moving it can break the target set
+    gc, H, emb = _quasi_success(path)
+    H = PatternGraph(H.n, H.edges(), targets={0: marked | {emb.tau[0]}})
+    assert verify_transversal_embedding(gc, H, emb).ok
+    assert naive_verify(gc, H, emb)
+    tau, sigma = dict(emb.tau), dict(emb.sigma)
+    mutate(data.draw, gc, H, tau, sigma)
+    emb = TransversalEmbedding(tau=tau, sigma=sigma)
+    assert verify_transversal_embedding(gc, H, emb).ok == naive_verify(gc, H, emb)
+
+
+def naive_expansion_check(g, H, vertex_images, edge_images):
+    """Independent re-implementation of the expansion check, on g's triples."""
+    if sorted(vertex_images) != list(range(H.n)) or set(edge_images) != set(H.edges()):
+        return False
+    images = list(vertex_images.values()) + list(edge_images.values())
+    if len(set(images)) != len(images) or not all(0 <= w < g.n for w in images):
+        return False
+    triples = g.edges
+    return all(tuple(sorted((vertex_images[u], vertex_images[v], c))) in triples
+               for (u, v), c in edge_images.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.sampled_from(EXPAND_SEEDS), mutate=st.sampled_from(MUTATIONS), data=st.data())
+def test_expansion_check_agrees_with_the_naive_check_on_a_mutated_expansion(
+        seed, mutate, data):
+    # an edge's image is a host vertex: the mutations draw vertex and edge
+    # images from V(g), up to one past its last vertex
+    g, H, vertex_images, edge_images = _expansion(seed)
+    assert verify_expansion(g, H, vertex_images, edge_images).ok
+    assert naive_expansion_check(g, H, vertex_images, edge_images)
+    tau, sigma = dict(vertex_images), dict(edge_images)
+    mutate(data.draw, SimpleNamespace(n=g.n, n_colours=g.n), H, tau, sigma)
+    assert verify_expansion(g, H, tau, sigma).ok == naive_expansion_check(g, H, tau, sigma)
 
 
 # ---------------------------------------------------------------------------

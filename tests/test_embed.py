@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 
@@ -44,15 +44,13 @@ from transversal.embed import (
 from transversal.generators import GenSpec, random_collection, separable_family
 from transversal.matching import max_bipartite_matching
 from transversal.oracle import exact_transversal_embed
-from transversal.regularity import make_ledger
 from transversal.templates import make_template
 
 PLAN = SplitPlan()
-R2 = SimpleGraph(2, [(0, 1)])
 
 
 def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05",
-                 klass="super", mode="super", rainbow=True):
+                 klass="super", rainbow=True):
     rng = random.Random(seed)
     edges = {
         c: [
@@ -64,10 +62,9 @@ def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05",
         for c in range(k)
     }
     gc = GraphCollection(2 * n_side, k, edges)
-    led = make_ledger(n_side, eps, d, "0.5", mode=mode)
     return make_template(
-        R2, [range(n_side), range(n_side, 2 * n_side)], {(0, 1): range(k)},
-        gc, led, rainbow=rainbow, klass=klass,
+        [range(n_side), range(n_side, 2 * n_side)], {(0, 1): range(k)},
+        gc, d=d, eps=eps, m=n_side, rainbow=rainbow, klass=klass,
     )
 
 
@@ -249,8 +246,8 @@ def test_partial_refuses_a_phi_that_is_not_a_homomorphism():
     # maps to a non-edge
     gc = GraphCollection(9, 4, {c: [(u, v) for u in range(3) for v in range(3, 6)]
                                 for c in range(4)})
-    t = make_template(SimpleGraph(3, [(0, 1)]), [range(3), range(3, 6), range(6, 9)],
-                      {(0, 1): range(4)}, gc, make_ledger(3, "0.05", "0.5", "0.5"), rainbow=True)
+    t = make_template([range(3), range(3, 6), range(6, 9)], {(0, 1): range(4)}, gc,
+                      d="0.5", eps="0.05", m=3, rainbow=True)
     H = PatternGraph(3, [(0, 1), (1, 2)])
     f = partial_embed(t, H, [1, 0, 2], X=[0, 1, 2], Y=[], targets=None, plan=PLAN, seed=5)
     assert (f.stage, f.reason, f.seed) == ("partial", PRECONDITION, 5)
@@ -272,9 +269,7 @@ def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0, ties=None)
         return Failure("partial", PRECONDITION, seed, detail=f"edge ({u},{v}) inside Y")
     targets = targets or {}
     cluster_sets = [set(cl) for cl in t.clusters]
-    d = float(t.ledger.d)
-    eps = float(t.ledger.eps)
-    m = float(t.ledger.m)
+    d, eps, m = float(t.d), float(t.eps), float(t.m)
     floor = max(1, math.ceil(plan.nu_prime * m))
 
     order = X + Y
@@ -397,7 +392,6 @@ def _greedy_phi(H, r):
 def _kr_template(rng, r, side, k, density, d, shared, eps="0.05"):
     """Template on K_r with clusters of ``side`` hosts; colours are shared by
     every pair (``shared``) or split into disjoint groups of k per pair."""
-    R = SimpleGraph(r, list(combinations(range(r), 2)))
     clusters = [range(i * side, (i + 1) * side) for i in range(r)]
     pairs = list(combinations(range(r), 2))
     groups = {p: list(range(k)) if shared else list(range(h * k, (h + 1) * k))
@@ -409,18 +403,18 @@ def _kr_template(rng, r, side, k, density, d, shared, eps="0.05"):
             edges[c] += [(u, v) for u in clusters[i] for v in clusters[j]
                          if rng.random() < density]
     gc = GraphCollection(r * side, n_colours, edges)
-    led = make_ledger(side, eps, d, "0.5", mode="super")
-    return make_template(R, clusters, groups, gc, led, rainbow=not shared, klass="super")
+    return make_template(clusters, groups, gc, d=d, eps=eps, m=side, rainbow=not shared,
+                         klass="super")
 
 
-def _partial_case(case, ledger=None):
+def _partial_case(case, numbers=None):
     """One seeded partial_embed input: (t, H, phi, X, Y, targets, seed).
-    A ``ledger`` {"d": ..., "eps": ...} replaces the drawn d and eps 0.05."""
+    A ``numbers`` {"d": ..., "eps": ...} replaces the drawn d and eps 0.05."""
     rng = random.Random(case)
     kind = case % 4
     if kind == 0:  # a bipartite pattern on the two-cluster template
         side, k, density = rng.randint(4, 9), rng.randint(2, 12), rng.uniform(0.4, 1.0)
-        led = ledger or {"d": rng.choice(["0", "0.3", "0.5", "0.7"])}
+        led = numbers or {"d": rng.choice(["0", "0.3", "0.5", "0.7"])}
         t = bip_template(side, k, density=density, seed=case, **led)
         n = rng.randint(2, 8)
         H = PatternGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -433,7 +427,7 @@ def _partial_case(case, ledger=None):
         r = 3 if kind == 1 else 4
         phi = _greedy_phi(H, r)
         side, k, density = rng.randint(3, 8), rng.randint(2, 10), rng.uniform(0.3, 1.0)
-        led = ledger or {"d": rng.choice(["0", "0.2", "0.4", "0.6"])}
+        led = numbers or {"d": rng.choice(["0", "0.2", "0.4", "0.6"])}
         t = _kr_template(rng, r, side, k, density, shared=kind != 3, **led)
     # Y: an independent set, the rest in X (shuffled, or BFS-like order)
     Y = []
@@ -459,19 +453,19 @@ def _partial_fingerprint(out):
 
 # (d, eps) with d - eps a binary fraction: whole (x,1) thresholds, so some
 # degrees equal them and a screen that drops those vertices shows
-TIE_LEDGERS = [{"d": d, "eps": eps} for d, eps in
+TIE_NUMBERS = [{"d": d, "eps": eps} for d, eps in
                [("0.5", "0.25"), ("0.75", "0.25"), ("0.625", "0.125"), ("0.375", "0.125")]]
 
 
 def test_bitmask_partial_embed_matches_the_set_reference():
     steps, ties = set(), []
     cases = [(case, None) for case in range(240)]
-    cases += [(case, TIE_LEDGERS[case // 4 % 4]) for case in range(160)]
-    for case, ledger in cases:
-        t, H, phi, X, Y, targets, seed = _partial_case(case, ledger)
+    cases += [(case, TIE_NUMBERS[case // 4 % 4]) for case in range(160)]
+    for case, numbers in cases:
+        t, H, phi, X, Y, targets, seed = _partial_case(case, numbers)
         new = partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
         ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed, ties=ties)
-        assert _partial_fingerprint(new) == _partial_fingerprint(ref), (case, ledger)
+        assert _partial_fingerprint(new) == _partial_fingerprint(ref), (case, numbers)
         # "ok", or the failing step without its vertices: "(3,1)" -> "1)"
         steps.add("ok" if isinstance(ref, PartialEmbedding)
                   else ref.diagnostics["step"].split(",")[-1])
@@ -630,9 +624,8 @@ def _path_template(c0, c1):
     and for u in c1 in colour 1.  Every pass puts 1 on host 2 and buffers 0
     and 2."""
     gc = GraphCollection(3, 2, {0: [(u, 2) for u in c0], 1: [(u, 2) for u in c1]})
-    led = make_ledger(1, "0.05", "0.5", "0.5", mode="super")
-    t = make_template(R2, [range(2), range(2, 3)], {(0, 1): range(2)}, gc, led,
-                      rainbow=True, klass="super")
+    t = make_template([range(2), range(2, 3)], {(0, 1): range(2)}, gc, d="0.5", eps="0.05",
+                      m=1, rainbow=True, klass="super")
     return t, PatternGraph(3, [(0, 1), (1, 2)]), [0, 1, 0]
 
 
@@ -874,9 +867,8 @@ def test_prescribed_empty_colour_graph_rejected():
     edges = {c: [(u, v) for u in range(6) for v in range(6, 12)] for c in range(5)}
     edges[4] = []
     gc = GraphCollection(12, 5, edges)
-    led = make_ledger(6, "0.05", "0.5", "0.5", mode="super")
-    t = make_template(R2, [range(6), range(6, 12)], {(0, 1): range(5)}, gc, led,
-                      rainbow=True, klass="super")
+    t = make_template([range(6), range(6, 12)], {(0, 1): range(5)}, gc, d="0.5", eps="0.05",
+                      m=6, rainbow=True, klass="super")
     H = PatternGraph(4, [(0, 1), (2, 3)])
     out = embed_prescribed_colours(t, H, [0, 1, 0, 1], None, {(0, 1): [4]}, PLAN, seed=0)
     assert not out.ok
@@ -1238,8 +1230,8 @@ def dense_incidence_template(n_pairs=6, k=14, density=0.8, seed=3):
     rng = random.Random(seed)
     edges = {c: [e for e in pairs if rng.random() < density] for c in range(k)}
     gc = GraphCollection(20, k, edges)
-    led = make_ledger(10, "0.1", "0.5", "0.5")
-    t = make_template(R2, [range(10), range(10, 20)], {(0, 1): range(k)}, gc, led, rainbow=True)
+    t = make_template([range(10), range(10, 20)], {(0, 1): range(k)}, gc, d="0.5", eps="0.1",
+                      m=10, rainbow=True)
     return t, pairs
 
 
@@ -1311,9 +1303,8 @@ def four_cycles_fixture(k_extra=8):
     edges_all = [(u, v) for u in range(12) for v in range(12, 24)]
     K = 24 + k_extra
     gc = GraphCollection(n, K, {c: edges_all for c in range(K)})
-    led = make_ledger(12, "0.05", "0.7", "0.5", mode="semi-super")
-    t = make_template(R2, [range(12), range(12, 24)], {(0, 1): range(K)}, gc, led,
-                      rainbow=True, klass="semi-super")
+    t = make_template([range(12), range(12, 24)], {(0, 1): range(K)}, gc, d="0.7", eps="0.05",
+                      m=12, rainbow=True, klass="semi-super")
     edges = []
     for k in range(6):
         a, b = 2 * k, 2 * k + 1
@@ -1485,9 +1476,9 @@ def matching_pipeline_fixture(m=24, density=1.0, seed=0):
         for c in range(m)
     }
     gc = GraphCollection(n, m, edges)
-    led = make_ledger(m, "0.05", "0.6" if density < 1 else "0.8", "0.5", mode="super")
-    t = make_template(R2, [range(m), range(m, n)], {(0, 1): range(m)}, gc, led,
-                      rainbow=True, klass="super")
+    t = make_template([range(m), range(m, n)], {(0, 1): range(m)}, gc,
+                      d="0.6" if density < 1 else "0.8", eps="0.05", m=m, rainbow=True,
+                      klass="super")
     H = PatternGraph(n, [(i, m + i) for i in range(m)])
     phi = [0] * m + [1] * m
     return t, H, phi
@@ -1527,9 +1518,8 @@ def test_pipeline_union_of_paths_seeded():
         for c in range(K)
     }
     gc = GraphCollection(n, K, gedges)
-    led = make_ledger(m, "0.05", "0.4", "0.5", mode="super")
-    t = make_template(R2, [range(m), range(m, n)], {(0, 1): range(K)}, gc, led,
-                      rainbow=True, klass="super")
+    t = make_template([range(m), range(m, n)], {(0, 1): range(K)}, gc, d="0.4", eps="0.05",
+                      m=m, rainbow=True, klass="super")
     out = transversal_blowup(t, H, phi, None, PLAN, seed=4)
     assert out.ok
     assert sorted(out.embedding.sigma.values()) == list(range(K))
@@ -1558,7 +1548,7 @@ def test_pipeline_unfilled_cluster_rejected():
 
 def test_pipeline_edge_class_outside_r_rejected():
     t, H, phi = matching_pipeline_fixture()
-    # an edge inside cluster 0 is of class (0, 0), which R2 lacks; class (0, 1) still fits
+    # an edge inside cluster 0 is of class (0, 0), which R lacks; class (0, 1) still fits
     H = PatternGraph(48, H.edges() + ((0, 1),))
     f = transversal_blowup(t, H, phi, None, PLAN, seed=0).failure
     assert (f.stage, f.reason) == ("pipeline", PRECONDITION)
@@ -1944,6 +1934,74 @@ def test_quasi_replays_every_path(seed):
     assert (_quasi_path(out), digest) == QUASI_REPLAY[seed]
 
 
+# (calls in a row, embedder, r, sorted colour-cluster keys, d, eps, m,
+# rainbow, klass) of the templates passed to partial_embed, approx_embed,
+# embed_prescribed_colours and transversal_blowup on a main-path quasi run,
+# the mixed sparse/dense quasi run and an expansion; recorded from the
+# templates' parameter ledgers before a template held d, eps and m itself
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+K4_12 = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+K3 = [(0, 1), (0, 2), (1, 2)]
+TEMPLATE_PIN = {
+    "quasi-0": [
+        (1, "transversal_blowup", 2, [(0, 1)], "95269/250000", "1/20", "12", True, "super"),
+        (1, "partial_embed", 2, [(0, 1)], "95269/250000", "1/20", "12", True, "super"),
+        (1, "approx_embed", 2, [(0, 1)], "95269/1000000", "1/5", "3", True, "semi-super"),
+        (1, "embed_prescribed_colours", 2, [(0, 1)], "95269/1000000", "1/20", "12", True,
+         "regular"),
+        (1, "partial_embed", 2, [(0, 1)], "95269/1000000", "1/20", "12", True, "regular"),
+        (1, "approx_embed", 2, [(0, 1)], "95269/3250000", "111803399/500000000", "1", True,
+         "semi-super"),
+    ],
+    "quasi-9": [
+        (1, "partial_embed", 4, K4, "169643/500000", "1/20", "6", False, "super"),
+        (1, "transversal_blowup", 4, K4_12, "169643/500000", "1/20", "6", True, "super"),
+        (1, "partial_embed", 4, K4_12, "169643/500000", "1/20", "6", True, "super"),
+    ],
+    "expand-1": [
+        (1, "transversal_blowup", 3, K3, "12963/100000", "1/20", "3", True, "super"),
+        (20, "partial_embed", 3, K3, "12963/100000", "1/20", "3", True, "super"),
+        (1, "transversal_blowup", 3, K3, "5353/31250", "1/20", "3", True, "super"),
+        (20, "partial_embed", 3, K3, "5353/31250", "1/20", "3", True, "super"),
+        (1, "transversal_blowup", 3, K3, "80247/500000", "1/20", "3", True, "super"),
+        (20, "partial_embed", 3, K3, "80247/500000", "1/20", "3", True, "super"),
+        (1, "transversal_blowup", 3, K3, "80247/500000", "1/20", "3", True, "super"),
+        (20, "partial_embed", 3, K3, "80247/500000", "1/20", "3", True, "super"),
+        (1, "transversal_blowup", 3, K3, "138889/1000000", "1/20", "3", True, "super"),
+        (2, "partial_embed", 3, K3, "138889/1000000", "1/20", "3", True, "super"),
+    ],
+}
+
+
+def test_each_embedder_reads_the_pinned_template_numbers(monkeypatch):
+    from transversal import embed
+
+    seen = []
+
+    def record(name):
+        real = getattr(embed, name)
+
+        def recorded(t, *args, **kwargs):
+            seen.append((name, t.r, sorted(t.colour_clusters), str(t.d), str(t.eps), str(t.m),
+                         t.rainbow, t.klass))
+            return real(t, *args, **kwargs)
+
+        monkeypatch.setattr(embed, name, recorded)
+
+    for name in ("partial_embed", "approx_embed", "embed_prescribed_colours",
+                 "transversal_blowup"):
+        record(name)
+    runs = {
+        "quasi-0": lambda: quasi_embed(*_quasi_instance(0), seed=0),
+        "quasi-9": lambda: quasi_embed(*_quasi_instance(9), seed=9),
+        "expand-1": lambda: expand_embed_3graph(*_expand_instance(1), PLAN, seed=1),
+    }
+    for label, run in runs.items():
+        seen.clear()
+        assert run().ok, label
+        assert [(len(list(calls)), *rec) for rec, calls in groupby(seen)] == TEMPLATE_PIN[label]
+
+
 # ---------------------------------------------------------------------------
 # the shared check-and-retry loop
 
@@ -2186,9 +2244,9 @@ def test_quasi_collection_is_the_union_of_its_slices(monkeypatch):
         slices.append((V1, V2, out))
         return out
 
-    def template(R, V, classes, jgc, *args, **kwargs):
+    def template(V, classes, jgc, *args, **kwargs):
         collections.append(jgc)
-        return real_template(R, V, classes, jgc, *args, **kwargs)
+        return real_template(V, classes, jgc, *args, **kwargs)
 
     monkeypatch.setattr(regularity, "sparsify_to_superregular", sparsify)
     monkeypatch.setattr(embed, "make_template", template)
@@ -2213,7 +2271,7 @@ def test_quasi_lone_slice_is_the_collection(monkeypatch):
     monkeypatch.setattr(regularity, "sparsify_to_superregular",
                         lambda *a, **k: outs.append(real_sparsify(*a, **k)) or outs[-1])
     monkeypatch.setattr(embed, "make_template",
-                        lambda *a, **k: collections.append(a[3]) or real_template(*a, **k))
+                        lambda *a, **k: collections.append(a[2]) or real_template(*a, **k))
     gc = random_collection(GenSpec(n=24, n_colours=12, density=0.8, seed=3))
     H = PatternGraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
     assert quasi_embed(gc, H, PLAN, seed=3).ok
@@ -2319,8 +2377,8 @@ def test_absorber_sampled_mode_records_count():
     k = 60
     edges = {c: [e for e in pairs if rng.random() < 0.9] for c in range(k)}
     gc = GraphCollection(20, k, edges)
-    led = make_ledger(10, "0.1", "0.5", "0.5")
-    t = make_template(R2, [range(10), range(10, 20)], {(0, 1): range(k)}, gc, led, rainbow=True)
+    t = make_template([range(10), range(10, 20)], {(0, 1): range(k)}, gc, d="0.5", eps="0.1",
+                      m=10, rainbow=True)
     ab = build_absorber(t, {(0, 1): pairs}, PLAN, seed=2,
                         l_sizes={(0, 1): 4}, b_sizes={(0, 1): 45})
     assert hasattr(ab, "per_edge")
@@ -2332,7 +2390,6 @@ def test_absorber_sampled_mode_records_count():
 def test_pipeline_r3_triangle_template():
     # three clusters, six 6-cycles each visiting all clusters twice
     m = 12
-    R3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
     clusters = [list(range(0, 12)), list(range(12, 24)), list(range(24, 36))]
     phi = [0] * 12 + [1] * 12 + [2] * 12
     edges = []
@@ -2358,8 +2415,8 @@ def test_pipeline_r3_triangle_template():
             cid += 1
         colour_clusters[key] = cc
     gc = GraphCollection(36, cid, gedges)
-    led = make_ledger(m, "0.05", "0.5", "0.5", mode="super")
-    t = make_template(R3, clusters, colour_clusters, gc, led, rainbow=True, klass="super")
+    t = make_template(clusters, colour_clusters, gc, d="0.5", eps="0.05", m=m, rainbow=True,
+                      klass="super")
     out = transversal_blowup(t, H, phi, None, PLAN, seed=1)
     assert out.ok
     assert sorted(out.embedding.sigma.values()) == list(range(cid))

@@ -160,6 +160,17 @@ def test_count_rainbow_triangles_complete_n3():
     assert res.count == 6
 
 
+def test_count_refuses_a_pattern_with_target_sets_before_any_search(monkeypatch):
+    # the embedder reads the target sets and finds no host 7 among three;
+    # the counter does not read them, so it refuses the pattern
+    gc = random_collection(GenSpec(n=3, n_colours=3, density=1.0, seed=0))
+    H = PatternGraph(3, TRIANGLE.edges(), targets={0: [7]})
+    assert exact_transversal_embed(gc, H).status == INFEASIBLE
+    monkeypatch.setattr(oracle, "_search", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match="copy counting does not support target sets"):
+        count_rainbow_copies(gc, H)
+
+
 def test_count_not_divisible_by_the_automorphisms_raises(monkeypatch):
     # an explicit raise, so it also fires under python -O
     gc = random_collection(GenSpec(n=3, n_colours=3, density=1.0, seed=0))

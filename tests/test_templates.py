@@ -1,17 +1,15 @@
 import dataclasses
-import json
 import random
 import re
 
 import pytest
 
-from transversal.core import GraphCollection, SimpleGraph
-from transversal.regularity import ledger_slice, make_ledger
-from transversal.templates import ledger_to_json, make_template, thick_graph, thick_host_graph
+from transversal.core import GraphCollection
+from transversal.templates import make_template, thick_graph, thick_host_graph
 
 
 def one_edge_template(n_side=6, k=8, density=1.0, seed=0, d="0.5", eps="0.2",
-                      klass="super", mode="super"):
+                      klass="super"):
     rng = random.Random(seed)
     edges = {
         c: [
@@ -23,11 +21,9 @@ def one_edge_template(n_side=6, k=8, density=1.0, seed=0, d="0.5", eps="0.2",
         for c in range(k)
     }
     gc = GraphCollection(2 * n_side, k, edges)
-    R = SimpleGraph(2, [(0, 1)])
-    led = make_ledger(n_side, eps, d, "0.5", mode=mode)
     return make_template(
-        R, [range(n_side), range(n_side, 2 * n_side)], {(0, 1): range(k)},
-        gc, led, rainbow=True, klass=klass,
+        [range(n_side), range(n_side, 2 * n_side)], {(0, 1): range(k)},
+        gc, d=d, eps=eps, m=n_side, rainbow=True, klass=klass,
     )
 
 
@@ -39,10 +35,9 @@ def test_thick_graph_identity_and_empty():
     # each edge in exactly one colour, threshold above 1/k -> empty
     edges = {c: [(c % 6, 6 + (c // 6) % 6)] for c in range(8)}
     gc = GraphCollection(12, 8, edges)
-    led = make_ledger(6, "0.2", "0.1", "0.5")
     t2 = make_template(
-        SimpleGraph(2, [(0, 1)]), [range(6), range(6, 12)], {(0, 1): range(8)},
-        gc, led, rainbow=True, klass="regular",
+        [range(6), range(6, 12)], {(0, 1): range(8)},
+        gc, d="0.1", eps="0.2", m=6, rainbow=True, klass="regular",
     )
     tk2 = thick_graph(t2, 0.2)  # threshold 1.6 colours > multiplicity 1
     assert tk2.graph.e == 0
@@ -96,11 +91,9 @@ def test_thick_graph_degree_report_matches_recount():
         c: [(u, v) for u in range(18) for v in range(u + 1, 18) if rng.random() < 0.5]
         for c in range(7)
     })
-    R = SimpleGraph(3, [(0, 1), (0, 2), (1, 2)])
     clusters = [range(0, 6), range(6, 12), range(12, 18)]
     cc = {(0, 1): range(3), (1, 2): range(2, 7), (0, 2): (5,)}
-    t = make_template(R, clusters, cc, gc, make_ledger(6, "0.05", "0.5", "0.5"),
-                      klass="semi-super")
+    t = make_template(clusters, cc, gc, d="0.5", eps="0.05", m=6, klass="semi-super")
     for lam in (0.1, 0.4, 0.7):
         tk = thick_graph(t, lam)
         want = []
@@ -115,8 +108,7 @@ def test_thick_graph_degree_report_matches_recount():
 
 
 def test_thick_graph_semi_super_min_degree():
-    t = one_edge_template(density=0.6, seed=3, d="0.4", eps="0.45", klass="semi-super",
-                          mode="semi-super")
+    t = one_edge_template(density=0.6, seed=3, d="0.4", eps="0.45", klass="semi-super")
     tk = thick_graph(t, 0.05)
     # the declared-class degree bound is checked and reported
     if tk.min_degree_ok:
@@ -124,24 +116,14 @@ def test_thick_graph_semi_super_min_degree():
             assert tk.graph.degree(u) >= 0.2 * 6
 
 
-def test_ledger_to_json_keeps_exact_values_and_lineage():
-    led = make_ledger(8, "0.02", "0.4", "0.5", mode="super")
-    led = ledger_slice(led, "template-i", alpha="0.5", k=1)
-    doc = ledger_to_json(led)
-    assert json.loads(json.dumps(doc)) == doc
-    assert doc == {
-        "m": "4", "eps": "1/25", "d": "1/5", "delta": "1/2", "mode": "regular",
-        "initial": ["8", "1/50", "2/5", "1/2", "super"],
-        "lineage": [{"rule": "template-i", "args": ["1/2", "1", None],
-                     "params": ["4", "1/25", "1/5", "1/2"], "mode": "regular"}],
-    }
-
-
 @pytest.mark.parametrize("change, message", [
     ({"klass": "hyper"}, "unknown template class"),
     ({"clusters": ((0, 1, 2), (2, 3, 4))}, "vertex clusters must be disjoint"),
-    ({"R": SimpleGraph(2)}, "colour cluster for non-edge (0, 1) of R"),
-], ids=["klass", "overlapping-clusters", "colour-cluster-off-R"])
+    ({"colour_clusters": {(0, 2): (0,)}}, "colour cluster key (0, 2) is not a pair i < j < r = 2"),
+    ({"colour_clusters": {(1, 0): (0,)}}, "colour cluster key (1, 0) is not a pair i < j < r = 2"),
+    ({"colour_clusters": {(0, 0): (0,)}}, "colour cluster key (0, 0) is not a pair i < j < r = 2"),
+], ids=["klass", "overlapping-clusters", "colour-cluster-off-R", "colour-cluster-key-unordered",
+        "colour-cluster-key-a-loop"])
 def test_template_rejects_malformed_fields(change, message):
     t = one_edge_template()
     with pytest.raises(ValueError, match=re.escape(message)):
