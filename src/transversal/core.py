@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import threading
 from dataclasses import dataclass
@@ -283,35 +282,6 @@ class GraphCollection:
         gc._adj = tuple(tuple(r) for r in rows)
         gc._ecount = tuple(sum(map(int.bit_count, r)) // 2 for r in rows)
         return gc
-
-    @classmethod
-    def union(cls, parts: Sequence[GraphCollection]) -> GraphCollection:
-        """Collection whose colour c holds the edges of colour c of every one
-        of ``parts`` (collections on one vertex set with one colour count);
-        a lone part is returned as it is."""
-        if len(parts) == 1:
-            return parts[0]
-
-        def merge(a, b):
-            return list(map(operator.or_, a, b))
-
-        return cls.from_rows(parts[0].n, [functools.reduce(merge, rows)
-                                          for rows in zip(*(p._adj for p in parts))])
-
-    def add_slice_to(self, rows: Sequence[list[int]], A, B, colours) -> int:
-        """OR the edges between A and B of the given colours into the
-        per-colour adjacency ``rows``; returns how many (u, v, c) were read."""
-        ma, mb = mask_of(A), mask_of(B)
-        count = 0
-        for c in colours:
-            row, adj = rows[c], self._adj[c]
-            for u in A:
-                m = adj[u] & mb
-                row[u] |= m
-                count += m.bit_count()
-            for v in B:
-                row[v] |= adj[v] & ma
-        return count
 
     @property
     def colours(self) -> range:

@@ -1953,27 +1953,16 @@ def _quasi_draw(run: _Run) -> None:
         pos += len(part)
 
 
-def _quasi_sparsify(run: _Run) -> None:
-    """Sparsify each (V_i, V_j, C) slice, or keep it raw when it breaks the
-    promise (downstream checks decide); the collection is their union."""
-    # a call-time import: the benchmark's tracer patches the regularity module
-    from .regularity import PromiseViolated, sparsify_to_superregular
-
-    gc, V, K = run.gc, run.V, run.gc.n_colours
-    colours = list(range(K))
-    slices, densities = [], []
-    for i, j in combinations(range(run.setup.r), 2):
-        try:
-            out = sparsify_to_superregular(gc, (V[i], V[j], colours), d=None,
-                                           seed=_mix(run.seed, i, j))
-        except PromiseViolated:
-            rows = [[0] * gc.n for _ in colours]
-            gc.add_slice_to(rows, V[i], V[j], colours)
-            out = GraphCollection.from_rows(gc.n, rows)
-        slices.append(out)
-        densities.append(out.total_edge_count() / max(1, len(V[i]) * len(V[j]) * K))
-    run.jgc = GraphCollection.union(slices)
-    # the d, eps and m of the attempt's super templates; r >= 2 gives a pair
+def _quasi_numbers(run: _Run) -> None:
+    """The d, eps and m of the attempt's super templates, which take the
+    caller's collection itself: d is half the least density of edges
+    between V_i and V_j over every colour, and at least 0.05."""
+    gc, V = run.gc, run.V
+    densities = []
+    for i, j in combinations(range(run.setup.r), 2):  # r >= 2 gives a pair
+        mj = mask_of(V[j])
+        cross = sum(gc.edges_into(c, V[i], mj) for c in gc.colours)
+        densities.append(cross / max(1, len(V[i]) * len(V[j]) * gc.n_colours))
     run.numbers = {"d": Fraction(str(round(max(0.05, 0.5 * min(densities)), 6))),
                    "eps": run.plan.eps, "m": min(len(v) for v in V)}
 
@@ -1986,7 +1975,7 @@ def _quasi_sparse(run: _Run) -> Failure | None:
     if not s.order:
         return None
     tmpl = make_template(run.V, dict.fromkeys(combinations(range(s.r), 2), range(run.gc.n_colours)),
-                         run.jgc, **run.numbers, rainbow=False, klass="super")
+                         run.gc, **run.numbers, rainbow=False, klass="super")
     part = partial_embed(tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None,
                          plan=run.plan, seed=run.seed)
     if isinstance(part, Failure):
@@ -2017,7 +2006,7 @@ def _quasi_dense(run: _Run) -> Failure | None:
     _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
     run.stats.update(colour_split_sizes={str(k): len(v) for k, v in split.items()},
                      e_sparse=len(run.sigma), colours_total=K)
-    tmpl = make_template(Vp, split, run.jgc, **run.numbers, rainbow=True, klass="super")
+    tmpl = make_template(Vp, split, run.gc, **run.numbers, rainbow=True, klass="super")
     out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
                              active=s.active, setup=s.blowup)
     if not out.ok:
@@ -2028,7 +2017,7 @@ def _quasi_dense(run: _Run) -> Failure | None:
                      template={"d": str(tmpl.d), "eps": str(tmpl.eps), "m": str(tmpl.m)})
 
 
-_QUASI_STEPS = (_quasi_draw, _quasi_sparsify, _quasi_sparse, _quasi_dense)
+_QUASI_STEPS = (_quasi_draw, _quasi_numbers, _quasi_sparse, _quasi_dense)
 
 
 def quasi_embed(
@@ -2045,11 +2034,14 @@ def quasi_embed(
     that splits sparse pairs from dense ones, the sparse side and, when a
     pair is dense, the blow-up's set-up with its split decision.  Each
     attempt then runs ``_QUASI_STEPS`` through ``_run_steps``: draw the
-    balanced vertex partition V_i, sparsify each pair's slice, embed the
-    sparse side through candidate sets on a template with every colour on
-    every pair, and embed the dense side by the transversal blow-up with
-    the candidate sets as targets on a random colour split sized exactly
-    to the dense classes.
+    balanced vertex partition V_i, read the attempt's d, eps and m off the
+    edges between the V_i, embed the sparse side through candidate sets on
+    a template with every colour on every pair, and embed the dense side by
+    the transversal blow-up with the candidate sets as targets on a random
+    colour split sized exactly to the dense classes.  Both templates take
+    ``gc`` itself as their collection: no slice is sparsified or copied,
+    their ``super`` class is a declared promise, and every step reads only
+    edges between two clusters, so the edges inside a V_i are never read.
     A pattern with target sets (``H.targets``) fails PreconditionViolated
     before any draw: no step honours them.
     """

@@ -2,8 +2,10 @@
 
 A template carries disjoint vertex clusters V_1..V_r, a colour cluster per
 edge of the cluster graph R on [r] (R's edges are the keys of
-``colour_clusters``), the collection restricted to each R-edge's bipartite
-slice, and the exact numbers d, eps and m that its embedders read.
+``colour_clusters``), a collection whose edges between the two clusters of
+each R-edge are the host's (its embedders read no other edges, so it may be
+the host collection itself), and the exact numbers d, eps and m that its
+embedders read.
 Templates declare their class (regular / semi-super / super / half-super) as
 a promise that is not checked here; the embedding stages check the floors
 they rely on, and every embedding is verified.

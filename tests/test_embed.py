@@ -488,9 +488,9 @@ def test_targets_outside_the_host_range_are_ignored():
 
 
 def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
-    # the 30-cycle's template takes the one-shot pass, whose first 4
-    # passes fail; the captured call runs again on that template (its masks
-    # and the collection's packed rows already built) and once on a template
+    # the 30-cycle's template takes the one-shot pass, whose first pass
+    # fails; the captured call runs again on that template (its masks and
+    # the collection's packed rows already built) and once on a template
     # over a fresh copy of the collection
     from transversal import embed
 
@@ -501,7 +501,7 @@ def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
     H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
     gc = random_collection(GenSpec(n=30, n_colours=30, density=0.4, seed=2))
     first = quasi_embed(gc, H, PLAN, seed=2).stats["blowup"]
-    assert first == {"path": "one-shot", "attempts": 5}
+    assert first == {"path": "one-shot", "attempts": 2}
     (t, *args), kwargs = calls[0]
     assert t.gc._row_cache
     fresh = dataclasses.replace(t, gc=collection_from_json(collection_to_json(t.gc)))
@@ -1802,28 +1802,29 @@ def _expand_instance(seed):
 # that the scan over every host triple gave before ThreeGraph.link_collection,
 # so seeded replay stays bit for bit; the seeds decided by the one-shot pass
 # (1, 4, 5, 8, 9, 10, 12, 13, 16, 17) were re-recorded when that pass gained
-# its buffer finish
+# its buffer finish, and every success but seed 11's when the quasi attempts
+# took the link collection itself in place of its sparsified slices
 EXPAND_REPLAY = {
     0: "99847fde6143c98b",
-    1: "9b8616478cde4b3e",
-    2: "378a8b5b936bc698",
-    3: "51a006e49337b0eb",
-    4: "2dbe444179a62f16",
-    5: "0f59787cf5009c18",
-    6: "273aec7a209da847",
-    7: "c49e93e459ca9a49",
-    8: "08d192522453491b",
-    9: "e7aad798c120588c",
-    10: "62c5e4b95eac7a2a",
+    1: "a6805cb8cb1176b4",
+    2: "432c6e4437a7cf62",
+    3: "a9f9b86aab809213",
+    4: "5a646517d02d473b",
+    5: "36a55aea6101782a",
+    6: "efaf4a8340e9d91c",
+    7: "b63483a80fa39128",
+    8: "535378fbd89bc915",
+    9: "274012f6a4e72565",
+    10: "c8118f8706404dce",
     11: "f4df615b5f36e83f",
-    12: "3e2fa268602faea5",
-    13: "7180875cbae88b24",
-    14: "65763ca7c558427c",
-    15: "759853e7ea21c07e",
-    16: "c0c046ab05d7f7b0",
-    17: "d4309ee8269f8698",
-    18: "70a8132caa4d841d",
-    19: "9f3d274288556716",
+    12: "10c5457c1322aa8a",
+    13: "b8e2dad1972e3b58",
+    14: "47e0a8bb35f6af28",
+    15: "42dee28877efc26a",
+    16: "8b2a93d0921a6a49",
+    17: "14e40b77c9d6df7c",
+    18: "a06491f662c53666",
+    19: "83d95142fc1d69ce",
 }
 
 
@@ -1885,38 +1886,43 @@ def _quasi_path(out):
 # pipeline, the ladder-degenerate pass, the mixed sparse/dense split and the
 # one-shot fallback, so seeded replay of each path stays bit for bit.  The
 # one-shot entries (1, 3, 7, 9, 11, 15, 17, 18, 19, 21, 26, 27) were
-# re-recorded when that pass gained its buffer finish.  Seed 27's failure
-# diagnostics are step "buffer-vertices", deficiency 5 and "main":
-# "split-decided" (the digest without that key is 8f572f99300b7eb3).
+# re-recorded when that pass gained its buffer finish.  Every entry but
+# seeds 1-3 was re-recorded when the attempts took the host collection
+# itself in place of sparsified slices; seeds 6, 13 and 27, which failed
+# until then, succeed since, so the failures of seeds 90 (step
+# "buffer-colours", deficiency 2, "main": "step1:EmbeddingFailed") and 97
+# (step "buffer-vertices", deficiency 5, "main": "split-decided") joined.
 QUASI_REPLAY = {
-    0: ("main", "5b4c5ebbcc5aa26c"),
+    0: ("main", "09b0b69a4f28bd56"),
     1: ("one-shot", "7b2d55561d3ccc27"),
     2: ("ladder-degenerate", "b79ce2478c059c95"),
     3: ("one-shot", "5ef81646fcb83827"),
-    4: ("main", "5411fe8c9ecafdc8"),
-    5: ("ladder-degenerate", "3a333930a0425118"),
-    6: ("quasi-sparse:CandidateExhausted", "9e632d30ed218239"),
-    7: ("one-shot", "af5ed7719389a61b"),
-    8: ("main", "fd77b206960f6ae8"),
-    9: ("one-shot+sparse", "651fd3e48f66958d"),
-    10: ("ladder-degenerate", "bc3f5fce1fc02648"),
-    11: ("one-shot+sparse", "98af5575af158dc7"),
-    12: ("main", "b9e3a7fd5389e626"),
-    13: ("quasi-sparse:CandidateExhausted", "073faaec55230385"),
-    14: ("ladder-degenerate", "6c8228c03085cb75"),
-    15: ("one-shot", "bece8659473cf7d4"),
-    16: ("main", "7aefed4ba5e5ca85"),
-    17: ("one-shot", "45b81ecf770abdee"),
-    18: ("one-shot", "eae1807baf853919"),
-    19: ("one-shot", "184b230612608afa"),
-    20: ("main", "7b62ad4f461cf166"),
-    21: ("one-shot+sparse", "a10d8d66a067bb11"),
-    22: ("ladder-degenerate", "12c35f5215b8ec6d"),
-    23: ("main", "750c363870ebeec6"),
-    24: ("main", "68b4dc7aa2447ed2"),
-    25: ("main", "1269ea98405d45a1"),
-    26: ("one-shot", "42f788dcc3fff8b7"),
-    27: ("one-shot:MatchingTooSmall", "ab7ebad56b0523bb"),
+    4: ("main", "ceaecced790ec9f1"),
+    5: ("ladder-degenerate", "6e108d90a4e27fc8"),
+    6: ("ladder-degenerate", "e539581acc2c85a9"),
+    7: ("one-shot", "91fed0714db5ed9e"),
+    8: ("main", "a216eee595920f2c"),
+    9: ("one-shot+sparse", "dea32bc7d64d0c11"),
+    10: ("ladder-degenerate", "78e48c5df3d8244c"),
+    11: ("one-shot+sparse", "9384ae061d373dd6"),
+    12: ("main", "629959988a31bb32"),
+    13: ("ladder-degenerate", "68d969f0fe296146"),
+    14: ("ladder-degenerate", "f4aac5e915ec04bd"),
+    15: ("one-shot", "a9c164dc50f70026"),
+    16: ("main", "4e573d06a1d4b04a"),
+    17: ("one-shot", "c61c30244ab14541"),
+    18: ("one-shot", "ea5663c338f3c82a"),
+    19: ("one-shot", "d5c377480cad59cc"),
+    20: ("main", "9ecf763400604dcb"),
+    21: ("one-shot+sparse", "ceff394ec202c20a"),
+    22: ("ladder-degenerate", "1c3f1021affa5778"),
+    23: ("main", "d501c3347858b824"),
+    24: ("main", "81032f4a1d131a76"),
+    25: ("main", "f961ca68f9d31493"),
+    26: ("one-shot", "e5d23f47c0e421b5"),
+    27: ("one-shot+sparse", "c9c56a9d7ccf81a7"),
+    90: ("one-shot:MatchingTooSmall", "c400257cf10329bf"),
+    97: ("one-shot:MatchingTooSmall", "ab7ebad56b0523bb"),
 }
 
 
@@ -1938,37 +1944,32 @@ def test_quasi_replays_every_path(seed):
 # rainbow, klass) of the templates passed to partial_embed, approx_embed,
 # embed_prescribed_colours and transversal_blowup on a main-path quasi run,
 # the mixed sparse/dense quasi run and an expansion; recorded from the
-# templates' parameter ledgers before a template held d, eps and m itself
+# templates' parameter ledgers before a template held d, eps and m itself,
+# and re-recorded when the quasi templates took the host collection itself
+# in place of sparsified slices (d is read off the raw pair densities, and
+# the expansion succeeds on its first draw)
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K4_12 = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
 TEMPLATE_PIN = {
     "quasi-0": [
-        (1, "transversal_blowup", 2, [(0, 1)], "95269/250000", "1/20", "12", True, "super"),
-        (1, "partial_embed", 2, [(0, 1)], "95269/250000", "1/20", "12", True, "super"),
-        (1, "approx_embed", 2, [(0, 1)], "95269/1000000", "1/5", "3", True, "semi-super"),
-        (1, "embed_prescribed_colours", 2, [(0, 1)], "95269/1000000", "1/20", "12", True,
+        (1, "transversal_blowup", 2, [(0, 1)], "99971/250000", "1/20", "12", True, "super"),
+        (1, "partial_embed", 2, [(0, 1)], "99971/250000", "1/20", "12", True, "super"),
+        (1, "approx_embed", 2, [(0, 1)], "99971/1000000", "1/5", "3", True, "semi-super"),
+        (1, "embed_prescribed_colours", 2, [(0, 1)], "99971/1000000", "1/20", "12", True,
          "regular"),
-        (1, "partial_embed", 2, [(0, 1)], "95269/1000000", "1/20", "12", True, "regular"),
-        (1, "approx_embed", 2, [(0, 1)], "95269/3250000", "111803399/500000000", "1", True,
+        (1, "partial_embed", 2, [(0, 1)], "99971/1000000", "1/20", "12", True, "regular"),
+        (1, "approx_embed", 2, [(0, 1)], "99971/3250000", "111803399/500000000", "1", True,
          "semi-super"),
     ],
     "quasi-9": [
-        (1, "partial_embed", 4, K4, "169643/500000", "1/20", "6", False, "super"),
-        (1, "transversal_blowup", 4, K4_12, "169643/500000", "1/20", "6", True, "super"),
-        (1, "partial_embed", 4, K4_12, "169643/500000", "1/20", "6", True, "super"),
+        (1, "partial_embed", 4, K4, "393849/1000000", "1/20", "6", False, "super"),
+        (1, "transversal_blowup", 4, K4_12, "393849/1000000", "1/20", "6", True, "super"),
+        (1, "partial_embed", 4, K4_12, "393849/1000000", "1/20", "6", True, "super"),
     ],
     "expand-1": [
-        (1, "transversal_blowup", 3, K3, "12963/100000", "1/20", "3", True, "super"),
-        (20, "partial_embed", 3, K3, "12963/100000", "1/20", "3", True, "super"),
-        (1, "transversal_blowup", 3, K3, "5353/31250", "1/20", "3", True, "super"),
-        (20, "partial_embed", 3, K3, "5353/31250", "1/20", "3", True, "super"),
-        (1, "transversal_blowup", 3, K3, "80247/500000", "1/20", "3", True, "super"),
-        (20, "partial_embed", 3, K3, "80247/500000", "1/20", "3", True, "super"),
-        (1, "transversal_blowup", 3, K3, "80247/500000", "1/20", "3", True, "super"),
-        (20, "partial_embed", 3, K3, "80247/500000", "1/20", "3", True, "super"),
-        (1, "transversal_blowup", 3, K3, "138889/1000000", "1/20", "3", True, "super"),
-        (2, "partial_embed", 3, K3, "138889/1000000", "1/20", "3", True, "super"),
+        (1, "transversal_blowup", 3, K3, "263889/1000000", "1/20", "3", True, "super"),
+        (1, "partial_embed", 3, K3, "263889/1000000", "1/20", "3", True, "super"),
     ],
 }
 
@@ -2116,7 +2117,7 @@ def test_main_path_still_runs_the_pipeline(monkeypatch):
 
 
 def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
-    # each of seed 27's 20 attempts calls transversal_blowup; the set-up, its
+    # each of seed 97's 20 attempts calls transversal_blowup; the set-up, its
     # pattern view, the separator certificate and the split decision are
     # built once for all
     from transversal import embed
@@ -2144,8 +2145,8 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     count("certificate", "separability_certificate")
     count("decided", "_split_decided")
     count("blowup", "transversal_blowup")
-    gc, H, plan = _quasi_instance(27)
-    out = quasi_embed(gc, H, plan, seed=27)
+    gc, H, plan = _quasi_instance(97)
+    out = quasi_embed(gc, H, plan, seed=97)
     assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
     assert counts == {"setup": 1, "view": 1, "certificate": 1, "decided": 1,
                       "blowup": PLAN.retries}
@@ -2224,58 +2225,48 @@ def test_blowup_checks_colour_conservation(monkeypatch):
         quasi_embed(gc, H, plan, seed=0)
 
 
-def test_quasi_collection_is_the_union_of_its_slices(monkeypatch):
-    # a cycle has Delta = 2, so three parts and three slices; the second
-    # slice's sparsification fails and that slice is kept raw
-    from transversal import embed, regularity
-    from transversal.regularity import PromiseViolated
-
-    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.8, seed=1))
-    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
-    real_sparsify, real_template = regularity.sparsify_to_superregular, embed.make_template
-    slices, collections = [], []
-
-    def sparsify(g, parts, **kw):
-        V1, V2, _ = parts
-        if len(slices) == 1:
-            slices.append((V1, V2, g))
-            raise PromiseViolated("stubbed")
-        out = real_sparsify(g, parts, **kw)
-        slices.append((V1, V2, out))
-        return out
-
-    def template(V, classes, jgc, *args, **kwargs):
-        collections.append(jgc)
-        return real_template(V, classes, jgc, *args, **kwargs)
-
-    monkeypatch.setattr(regularity, "sparsify_to_superregular", sparsify)
-    monkeypatch.setattr(embed, "make_template", template)
-    quasi_embed(gc, H, dataclasses.replace(PLAN, retries=1), seed=2)
-    jgc = collections[0]
-    assert len(slices) == 3 and slices[1][2] is gc
-    for V1, V2, source in slices:
-        m2 = mask_of(V2)
-        for c in range(gc.n_colours):
-            assert [jgc.adj(c, u) & m2 for u in V1] == [source.adj(c, u) & m2 for u in V1]
-    # and nothing besides the three slices
-    assert jgc.total_edge_count() == sum(source.edges_into(c, V1, mask_of(V2))
-                                         for V1, V2, source in slices for c in gc.colours)
+def _outcome_record(out):
+    """The outcome and stats of a quasi run, as one comparable value."""
+    if not out.ok:
+        return repr((out.failure.stage, out.failure.reason, out.failure.diagnostics))
+    return repr((sorted(out.embedding.tau.items()), sorted(out.embedding.sigma.items()),
+                 out.stats))
 
 
-def test_quasi_lone_slice_is_the_collection(monkeypatch):
-    # a matching has two parts: the attempt's collection is the one slice
-    from transversal import embed, regularity
+@pytest.mark.parametrize("seed", [0, 1, 2, 9, 20, 69, 6, 27, 90], ids=[
+    "main", "one-shot", "ladder-degenerate", "mixed", "main-0.2", "one-shot-0.2",
+    "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2"])
+def test_quasi_templates_take_the_callers_collection(monkeypatch, seed):
+    # every template of the run holds the caller's collection itself, and
+    # the edges inside a part are never read: an attempt whose templates
+    # hold only the edges between two of its parts V_i gives the same run,
+    # on host density 0.8 and on 0.2 (seed 90 fails every main attempt and
+    # every one-shot pass)
+    from transversal import embed
 
-    real_sparsify, real_template = regularity.sparsify_to_superregular, embed.make_template
-    outs, collections = [], []
-    monkeypatch.setattr(regularity, "sparsify_to_superregular",
-                        lambda *a, **k: outs.append(real_sparsify(*a, **k)) or outs[-1])
+    gc, H, plan = _quasi_instance(seed)
+    held = []
+    real_template = embed.make_template
     monkeypatch.setattr(embed, "make_template",
-                        lambda *a, **k: collections.append(a[2]) or real_template(*a, **k))
-    gc = random_collection(GenSpec(n=24, n_colours=12, density=0.8, seed=3))
-    H = PatternGraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
-    assert quasi_embed(gc, H, PLAN, seed=3).ok
-    assert collections[0] is outs[0]
+                        lambda V, cc, g, *a, **k: held.append(g) or real_template(V, cc, g, *a, **k))
+    out = quasi_embed(gc, H, plan, seed=seed)
+    assert held and all(g is gc for g in held)
+
+    def between_parts(run):
+        part_of = {v: i for i, part in enumerate(run.V) for v in part}
+        masks, hosts = [mask_of(part) for part in run.V], mask_of(part_of)
+        run.gc = GraphCollection.from_rows(gc.n, [
+            [row & hosts & ~masks[part_of[v]] if v in part_of else 0
+             for v, row in enumerate(rows)]
+            for rows in gc.rows])
+        assert run.gc.total_edge_count() < gc.total_edge_count()
+
+    steps = embed._QUASI_STEPS
+    monkeypatch.setattr(embed, "_QUASI_STEPS", (*steps[:2], between_parts, *steps[2:]))
+    held.clear()
+    stripped = quasi_embed(gc, H, plan, seed=seed)
+    assert held and not any(g is gc for g in held)
+    assert _outcome_record(stripped) == _outcome_record(out)
 
 
 def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):

@@ -3,17 +3,20 @@
 The frontier: ``quasi_embed`` with the default ``SplitPlan`` on
 ``random_collection(n = v(H), |C| = e(H))`` for four pattern families at
 v(H) = 60, host densities 0.4 and 0.8, seeds 1-3 (host and run seed alike).
-The oracle row: the same call on five patterns of 8-10 vertices at host
-density 0.3, seeds 0-19, against ``exact_transversal_embed``'s verdict.
+The oracle rows: the same call on five patterns of 8-10 vertices at host
+densities 0.2, 0.3 and 0.5, seeds 0-19, against ``exact_transversal_embed``'s
+verdict.  The spanning expansions: ``expand_embed_3graph`` of the 30-cycle
+in random 3-graphs on 60 vertices at triple density 0.15, seeds 1-3.
 """
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from transversal.core import PatternGraph
-from transversal.embed import LADDER_DEGENERATE, SplitPlan, quasi_embed
+from transversal.core import PatternGraph, ThreeGraph
+from transversal.embed import LADDER_DEGENERATE, SplitPlan, expand_embed_3graph, quasi_embed
 from transversal.generators import GenSpec, random_collection, separable_family
 from transversal.oracle import exact_transversal_embed
 
@@ -90,11 +93,13 @@ ORACLE_PATTERNS = {
 }
 
 # outcomes of the density-0.3 row (100 runs); the oracle finds every
-# instance feasible, so each failure is the pipeline's, not the instance's
+# instance feasible, so each failure is the pipeline's, not the instance's.
+# Re-recorded when quasi_embed stopped sparsifying its slices: the row held
+# 42 successes, 43 buffer-vertices, 12 (x,1) and 3 precondition failures.
 ORACLE_ROW_03 = {
-    "success": 42,
-    "one-shot:MatchingTooSmall:buffer-vertices": 43,
-    "one-shot:CandidateExhausted:(x,1)": 12,
+    "success": 87,
+    "one-shot:MatchingTooSmall:buffer-vertices": 7,
+    "one-shot:CandidateExhausted:(x,1)": 3,
     "quasi:PreconditionViolated:": 3,
 }
 
@@ -109,3 +114,58 @@ def test_oracle_gap_at_density_0_3():
             outcomes["success" if out.ok else _path(out)] += 1
     assert feasible == 100
     assert dict(outcomes) == ORACLE_ROW_03
+
+
+# (pattern, outcome) -> runs of the density-0.2 and 0.5 rows (20 runs per
+# pattern); the oracle finds every instance feasible.  Recorded when
+# quasi_embed took the host collection itself in place of sparsified
+# slices; with them the rows held 22 and 97 successes.
+ORACLE_ROWS = {
+    0.2: {
+        ("2C5", "success"): 4,
+        ("2C5", "one-shot:CandidateExhausted:(x,1)"): 2,
+        ("2C5", "one-shot:MatchingTooSmall:buffer-vertices"): 7,
+        ("2C5", "quasi:PreconditionViolated:"): 7,
+        ("C10", "success"): 2,
+        ("C10", "one-shot:CandidateExhausted:(x,1)"): 1,
+        ("C10", "one-shot:MatchingTooSmall:buffer-vertices"): 10,
+        ("C10", "quasi:PreconditionViolated:"): 7,
+        ("C8", "success"): 1,
+        ("C8", "one-shot:MatchingTooSmall:buffer-vertices"): 4,
+        ("C8", "quasi:PreconditionViolated:"): 15,
+        ("M5", "success"): 17,
+        ("M5", "quasi:PreconditionViolated:"): 3,
+        ("P10", "success"): 5,
+        ("P10", "one-shot:CandidateExhausted:(x,1)"): 1,
+        ("P10", "one-shot:MatchingTooSmall:buffer-vertices"): 8,
+        ("P10", "quasi:PreconditionViolated:"): 6,
+    },
+    0.5: {(name, "success"): 20 for name in ORACLE_PATTERNS},
+}
+
+
+@pytest.mark.parametrize("density", sorted(ORACLE_ROWS))
+def test_oracle_rows_by_pattern(density):
+    outcomes, feasible = Counter(), 0
+    for name, H in ORACLE_PATTERNS.items():
+        for seed in range(20):
+            gc = random_collection(GenSpec(n=H.n, n_colours=H.e, density=density, seed=seed))
+            feasible += exact_transversal_embed(gc, H).feasible
+            out = quasi_embed(gc, H, PLAN, seed=seed)
+            outcomes[name, "success" if out.ok else _path(out)] += 1
+    assert feasible == 100
+    assert dict(outcomes) == ORACLE_ROWS[density]
+
+
+# seed -> outcome of the spanning 1-expansion of C30 at triple density 0.15;
+# with sparsified slices all three failed: (x,1) on seeds 1 and 2,
+# buffer-vertices on seed 3
+SPANNING_C30 = {1: "success", 2: "one-shot:CandidateExhausted:(x,1)", 3: "success"}
+
+
+@pytest.mark.parametrize("seed", sorted(SPANNING_C30))
+def test_spanning_cycle_expansion_at_triple_density_0_15(seed):
+    rng = random.Random(seed)
+    g = ThreeGraph(60, [t for t in combinations(range(60), 3) if rng.random() < 0.15])
+    out = expand_embed_3graph(g, PatternGraph(30, _cycle(30)), PLAN, seed=seed)
+    assert ("success" if out.ok else _path(out)) == SPANNING_C30[seed]

@@ -514,8 +514,12 @@ def _per_coin_sparsify_slice(gc, parts, d, rng, chunks):
         d = _target_density([dens for *_, dens in cells]) if cells else 0.0
     rows = [[0] * gc.n for _ in range(gc.n_colours)]
     for a, b, pos, dens in cells:
-        if dens <= d:
-            gc.add_slice_to(rows, ch_i[a], ch_j[b], [colours[k] for k in pos])
+        if dens <= d:  # the cell is kept whole
+            for c in (colours[k] for k in pos):
+                for u in ch_i[a]:
+                    rows[c][u] |= adj(c, u) & masks_j[b]
+                for v in ch_j[b]:
+                    rows[c][v] |= adj(c, v) & masks_i[a]
             continue
         p_keep = d / dens
         # coins in sorted-triple order: x = min(u, v), then y, then position
