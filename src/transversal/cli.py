@@ -297,8 +297,11 @@ def cmd_verify(args) -> int:
         return 2
     pattern = pattern_from_json(_load(args.pattern))
     emb_doc = _load(args.embedding)
-    if isinstance(emb_doc.get("outcome"), dict):  # a full embed report
-        emb_doc = emb_doc["outcome"].get("embedding")
+    if isinstance(outcome := emb_doc.get("outcome"), dict):  # a full embed report
+        if "embedding" not in outcome:
+            raise ValueError(f"{args.embedding}: the report holds no embedding "
+                             f"(status {outcome.get('status')!r})")
+        emb_doc = outcome["embedding"]
     emb = embedding_from_json(emb_doc)
     rep = verify_transversal_embedding(inst, pattern, emb)
     report = {
@@ -331,8 +334,8 @@ def _bench_one(run: dict, seed: int):
         out = quasi_embed(gc, pattern, plan, seed=seed)
         ok, failure, st = out.ok, out.failure, out.stats
         attempts = st.get("attempts", "")
-        path = ("ladder-degenerate" if st.get("path") == LADDER_DEGENERATE
-                else st.get("blowup", {}).get("path", st.get("path", "main")))
+        path = st["path"] if ok else ""
+        path = "ladder-degenerate" if path == LADDER_DEGENERATE else path
     elif run["pipeline"] == "blowup":
         def bipartite(n=30, density=0.6):
             rng = random.Random(seed)

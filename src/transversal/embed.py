@@ -56,6 +56,16 @@ PRECONDITION = "PreconditionViolated"
 PADDING_IMPOSSIBLE = "PaddingImpossible"
 UNBALANCEABLE = "Unbalanceable"
 
+# constants of the stages that a plan does not override
+NU_PRIME = 0.1  # partial_embed: each final candidate set keeps >= nu'*m hosts
+ZETA = 0.1  # approx_embed: the final round's buffer share of each class's colours
+P_VX = 0.15  # Steps 0-5: the vx stage's share of the component split
+GAMMA = 0.1  # approx_embed: a round wants gamma*m vertices of each cluster
+MU_PRIME = 0.05  # approx_embed: B_0 keeps mu'*m vertices of each cluster
+LAMBDA_THICK = 0.05  # approx_embed: the thick-graph threshold of each round
+ABSORBER_RETRIES = 30  # build_absorber's attempts per class, greedy B after half
+ABSORBER_SAMPLES = 200  # sampled B-subsets when C(|B|, l) exceeds the exhaustive cap
+
 
 def _mix(seed: int, *tags: int) -> int:
     h = seed & 0xFFFFFFFF
@@ -119,7 +129,9 @@ class SplitPlan:
     The analysis only fixes the order of quantifiers; desk-scale runs need
     numbers.  Honesty is preserved because every output is verified and every
     failed assumption surfaces as a typed failure.  All fields overridable;
-    a value no pipeline can run raises ValueError at construction.
+    a value no pipeline can run raises ValueError at construction.  The
+    stage constants that no caller overrides (``NU_PRIME`` to
+    ``ABSORBER_SAMPLES``) are module constants instead.
     """
 
     eps: float = 0.05
@@ -127,27 +139,19 @@ class SplitPlan:
     alpha: float = 0.05
     lambda1: float = 0.1
     lambda3: float = 0.2
-    nu_prime: float = 0.1
-    zeta: float = 0.1
     p_abs: float = 0.05
     p_col: float = 0.08
-    p_vx: float = 0.15
-    gamma: float = 0.1
-    mu_prime: float = 0.05
-    lambda_thick: float = 0.05
     ladder_base: float = 0.02
     ladder_ratio: float = 3.0
     retries: int = 20
     blowup_restarts: int = 30
     blowup_reserve: float = 0.25
     approx_retries: int = 10
-    absorber_retries: int = 30
     absorber_exhaustive_cap: int = 100_000
-    absorber_samples: int = 200
 
     @property
     def p_app(self) -> float:
-        return 1.0 - (self.p_vx + self.p_abs + self.p_col)
+        return 1.0 - (P_VX + self.p_abs + self.p_col)
 
     def delta_ladder(self, level: int) -> float:
         try:
@@ -164,7 +168,7 @@ class SplitPlan:
                 raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         if not 0 < self.mu <= 1:
             raise ValueError("mu must lie in (0,1]")
-        for p in (self.p_abs, self.p_col, self.p_vx):
+        for p in (self.p_abs, self.p_col):
             if not 0 < p < 1:
                 raise ValueError("split probabilities must lie in (0,1)")
         if self.p_app <= 0:
@@ -174,7 +178,6 @@ class SplitPlan:
         # retry loops run range(count): a float, a bool or a count below 1
         # would crash, pass for another count or report a failure no attempt saw
         for name, low in (("retries", 1), ("blowup_restarts", 1), ("approx_retries", 1),
-                          ("absorber_retries", 1), ("absorber_samples", 1),
                           ("absorber_exhaustive_cap", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:  # not a bool
@@ -329,15 +332,16 @@ def _class_edges(H: SimpleGraph, phi, active) -> dict[tuple[int, int], list[tupl
 
 def _sub_template(t: Template, clusters, colour_clusters, **change) -> Template:
     """Index-level subtemplate sharing the parent's collection (no pruning);
-    ``change`` overrides its d, eps, m or klass."""
-    kept = {"d": t.d, "eps": t.eps, "m": t.m, "rainbow": t.rainbow, "klass": t.klass}
+    ``change`` overrides its d, eps or m."""
+    kept = {"d": t.d, "eps": t.eps, "m": t.m}
     return make_template(clusters, colour_clusters, t.gc, **{**kept, **change})
 
 
 def _filling_entry(stage: str, t: Template, H: SimpleGraph, phi, targets, seed: int, active):
     """Shared entry checks of the rainbow stages: the normalised ``(active,
-    targets)``, or the typed failure when the template is not rainbow or the
-    active part of H does not fill every cluster exactly."""
+    targets)``, or the typed failure when the template is not rainbow (two
+    colour clusters share a colour) or the active part of H does not fill
+    every cluster exactly."""
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
     if not t.rainbow:
@@ -376,7 +380,6 @@ def partial_embed(
     X,
     Y,
     targets: dict[int, set[int]] | None,
-    plan: SplitPlan,
     seed: int = 0,
 ) -> PartialEmbedding | Failure:
     """Embed X and fix colours for every edge incident to X, maintaining
@@ -434,7 +437,7 @@ def partial_embed(
             if not cand_v[y]:
                 return _exhausted(seed, ("vertex", y), f"({x},{y},4.4)")
     final = {y: cand_v[y] & ~used for y in Y}
-    floor = max(1, math.ceil(plan.nu_prime * m))
+    floor = max(1, math.ceil(NU_PRIME * m))
     if low := [(y, final[y].bit_count()) for y in Y if final[y].bit_count() < floor]:
         return _exhausted(seed, ("vertex", low[0][0]), "final-floor",
                           detail=f"candidate sets below nu'*m = {floor}: {low}")
@@ -753,8 +756,7 @@ def _prescribed_rest(run: _Run) -> Failure | None:
     off = run.retired | run.prescribed
     t_rest = _sub_template(t, [bits_of(mask & ~used) for mask in t.cluster_masks],
                            {key: bits_of(mask & ~off) for key, mask in t.colour_cluster_masks.items()})
-    part = partial_embed(t_rest, run.H, phi, X=rest, Y=[], targets=rest_targets, plan=run.plan,
-                         seed=run.seed)
+    part = partial_embed(t_rest, run.H, phi, X=rest, Y=[], targets=rest_targets, seed=run.seed)
     if isinstance(part, Failure):
         return part
     run.tau.update(part.tau)
@@ -773,7 +775,6 @@ class BlowupResult:
     tau: dict[int, int] | None
     failure: Failure | None
     restarts: int = 0
-    verified: bool = False
 
     @property
     def ok(self) -> bool:
@@ -826,7 +827,7 @@ def blowup_embed(
     if plan.blowup_restarts >= 1 and all(len(clusters[i]) == 1 for i in by_cluster):
         tau = {v: clusters[phi[v]][0] for v in ordered}
         if _blowup_violation(host, tau, edges, target_masks) is None:
-            return BlowupResult(tau=tau, failure=None, restarts=0, verified=True)
+            return BlowupResult(tau=tau, failure=None, restarts=0)
     cluster_masks = {i: mask_of(clusters[i]) for i in by_cluster}
     start = {v: cluster_masks[phi[v]] & target_masks.get(v, -1) for v in ordered}
     quotas = [(vs, int(plan.blowup_reserve * len(vs))) for vs in by_cluster.values()]
@@ -849,7 +850,7 @@ def blowup_embed(
         return BlowupResult(None, run, restarts=attempts)
     if (violation := _blowup_violation(host, run.tau, edges, target_masks)) is not None:
         raise UnverifiedOutput(violation)
-    return BlowupResult(tau=run.tau, failure=None, restarts=attempts - 1, verified=True)
+    return BlowupResult(tau=run.tau, failure=None, restarts=attempts - 1)
 
 
 def _blowup_violation(host: SimpleGraph, tau, edges, target_masks) -> str | None:
@@ -1003,10 +1004,10 @@ def approx_embed(
     plan: SplitPlan,
     seed: int = 0,
     active: set[int] | None = None,
-    beta: float | None = None,
 ) -> EmbedOutcome:
     """Transversal embedding of a spanning union of small components into a
-    rainbow semi-super template with a colour surplus.
+    rainbow semi-super template with at least as many colours per class as
+    class edges.
 
     The entry checks and the components draw nothing and run once.  Each
     attempt then runs ``_APPROX_STEPS`` through ``_run_steps``:
@@ -1026,22 +1027,20 @@ def approx_embed(
     active, targets = entry
     m = float(t.m)
     class_e = _class_edges(H, phi, active)
-    surplus_floor = max(0, math.ceil((beta if beta is not None else 0.0) * m))
     for key, cs in t.colour_clusters.items():
-        h_e = len(class_e.get(key, ()))
-        if h_e > len(cs) - surplus_floor:
+        if (h_e := len(class_e.get(key, ()))) > len(cs):
             return EmbedOutcome.fail(
                 "approx", PRECONDITION, seed, edge_class=key,
-                detail=f"colour surplus below beta*m: {len(cs)}-{h_e} < {surplus_floor}",
+                detail=f"fewer colours than class edges: {len(cs)} < {h_e}",
             )
     comps = H.components(active)
     oversize = [len(c) for c in comps if len(c) > max(1, plan.mu * len(active))]
     stats: dict = {"component_count": len(comps), "oversize_components": oversize}
-    gamma_floor = max(1, round(plan.gamma * m))
+    gamma_floor = max(1, round(GAMMA * m))
     run, attempts = _retry(seed, 67, plan.approx_retries, Failure("approx", EMBEDDING_FAILED, seed),
                            _steps(_APPROX_STEPS, t=t, H=H, phi=phi, targets=targets, plan=plan,
                                   class_e=class_e, comps=comps, stats=stats, d=float(t.d),
-                                  mu_floor=max(1, round(plan.mu_prime * m)),
+                                  mu_floor=max(1, round(MU_PRIME * m)),
                                   gamma_floor=gamma_floor,
                                   q_stop=2 * (max(1, H.max_degree) + 1) ** (t.r - 1) * gamma_floor,
                                   stated=round(t.r * float(t.eps) ** (1 / 3) * m)))
@@ -1101,7 +1100,7 @@ def _approx_slices(run: _Run) -> None:
         lo, hi = h_b0[key], len(cs) - (len(run.class_e.get(key, ())) - h_b0[key])
         # the entry check keeps h_e <= |C_e|, which is lo <= hi
         _identity(lo <= hi, "approx", "buffer sizing", edge_class=key)
-        size0 = min(max(round(run.plan.zeta * len(cs)), lo), hi)
+        size0 = min(max(round(ZETA * len(cs)), lo), hi)
         cs = list(cs)
         run.rng.shuffle(cs)
         run.buffers[key], run.pools[key] = sorted(cs[:size0]), sorted(cs[size0:])
@@ -1167,7 +1166,7 @@ def _round_embed(run: _Run, B, v_parts, pools, leftovers) -> Failure | None:
         slices.append(keep)
     # thick graph over the pool; an empty pool gives no edges
     thick = thick_host_graph(
-        t.gc, slices, {key: pool for key, pool in pools.items() if pool}, run.plan.lambda_thick
+        t.gc, slices, {key: pool for key, pool in pools.items() if pool}, LAMBDA_THICK
     )
     Bset = set(B)
     res = blowup_embed(thick, slices, H, phi,
@@ -1279,9 +1278,9 @@ def _absorber_edge(gc, key, Z, pool, l, bsize, plan, seed) -> AbsorberEdge | Fai
             detail="colour pool too small for the requested A and B sizes",
         )
     zmasks = [gc.colour_mask(*z) & mask_of(pool) for z in Z]
-    for attempt in range(plan.absorber_retries):
+    for attempt in range(ABSORBER_RETRIES):
         rng = random.Random(_mix(seed, 71, attempt, key[0], key[1]))
-        if attempt < plan.absorber_retries // 2 or l == 0:
+        if attempt < ABSORBER_RETRIES // 2 or l == 0:
             B = sorted(rng.sample(pool, bsize))
         else:  # greedy fallback: draw B from the most-covered colours
             B = sorted(sorted(pool, key=lambda c: -sum(1 for zm in zmasks if zm >> c & 1))[:bsize])
@@ -1296,14 +1295,14 @@ def _absorber_edge(gc, key, Z, pool, l, bsize, plan, seed) -> AbsorberEdge | Fai
             continue
         A = sorted(set(m.values()))
         ok, mode, count = _flexibility_check(
-            gc, Z, A, B, l, plan.absorber_exhaustive_cap, plan.absorber_samples, rng
+            gc, Z, A, B, l, plan.absorber_exhaustive_cap, ABSORBER_SAMPLES, rng
         )
         if ok:
             return AbsorberEdge(Z=tuple(Z), A=tuple(A), B=tuple(B), l=l,
                                 verified=mode, subsets_checked=count)
     weak = sum(1 for zm in zmasks if zm.bit_count() < plan.lambda3 * len(pool))
     return Failure("absorber", ABSORBER_UNVERIFIABLE, seed, edge_class=key,
-                   weak_edges=weak, retries=plan.absorber_retries)
+                   weak_edges=weak, retries=ABSORBER_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -1446,17 +1445,17 @@ def transversal_blowup(
     one raises ``UnverifiedOutput``.  Set-up that draws nothing, the split
     decision included, is built once (``setup``: ``_blowup_setup(H, phi,
     active, plan, sorted(t.colour_clusters))``, which a caller may pass in),
-    and a split that the component counts rule out is not retried.
-    Whenever Steps 0-5 give no embedding, at any pattern size, one-shot
-    passes run instead (``"path": "one-shot"``), over a BFS order of the
-    active vertices and, on odd retries, a shuffle of it.  A pass holds back
-    the buffer B of ``_buffer``, runs the candidate-set pass on the rest and
-    finishes B with ``_finish_buffer``'s matchings, which fail typed with
-    step ``"buffer-vertices"`` or ``"buffer-colours"``.  When that fails too, its
-    failure is returned with ``diagnostics["main"]`` saying why Steps 0-5
-    gave none: ``"split-decided"`` when the component counts ruled the
-    split out, else the last attempt's ``stage:reason``.  A success is
-    verified against the target sets too.
+    and a split that the component counts rule out is not retried.  Whenever
+    Steps 0-5 (``"path": "main"``) give no embedding, at any pattern size,
+    one-shot passes run instead (``"path": "one-shot"``), over a BFS order of
+    the active vertices and, on odd retries, a shuffle of it.  A pass holds
+    back the buffer B of ``_buffer``, runs the candidate-set pass on the rest
+    and finishes B with ``_finish_buffer``'s matchings, which fail typed with
+    step ``"buffer-vertices"`` or ``"buffer-colours"``.  When that fails too,
+    its failure is returned with ``diagnostics["main"]`` saying why Steps 0-5
+    gave none: ``"split-decided"`` when the component counts ruled the split
+    out, else the last attempt's ``stage:reason``.  A success is verified
+    against the target sets too.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1479,7 +1478,7 @@ def transversal_blowup(
     # class sizes equal class edge counts, so one pass can use every colour
     if isinstance(out, Failure):
         out, attempts = _retry(seed, 89, plan.retries, out,
-                               _one_shot(t, H, phi, targets, plan, setup.bfs))
+                               _one_shot(t, H, phi, targets, setup.bfs))
     if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding
         why = "split-decided" if setup.decided else f"{main.stage}:{main.reason}"
         out.diagnostics["main"] = why
@@ -1490,7 +1489,7 @@ def transversal_blowup(
     done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
     if sorted(sigma.values()) != t.all_colours():
         raise UnverifiedOutput(
-            f"colour conservation violated on the {run_stats.get('path', 'main')} path"
+            f"colour conservation violated on the {run_stats['path']} path"
         )
     return done
 
@@ -1513,7 +1512,7 @@ def _class_count_mismatch(t: Template, class_e, seed: int) -> EmbedOutcome | Non
     return None
 
 
-def _one_shot(t: Template, H: PatternGraph, phi, targets, plan: SplitPlan, bfs: list[int]):
+def _one_shot(t: Template, H: PatternGraph, phi, targets, bfs: list[int]):
     """The ``_retry`` attempt of the one-shot passes: over ``bfs``, shuffled
     on odd attempts by a generator of the sub-seed, hold back ``_buffer``'s
     B, run the candidate-set pass on the rest and finish B by
@@ -1525,7 +1524,7 @@ def _one_shot(t: Template, H: PatternGraph, phi, targets, plan: SplitPlan, bfs: 
             random.Random(sub_seed).shuffle(order)
         B = _buffer(H, order)
         part = partial_embed(t, H, phi, X=[v for v in order if not B >> v & 1], Y=[],
-                             targets=targets, plan=plan, seed=sub_seed)
+                             targets=targets, seed=sub_seed)
         if isinstance(part, Failure):
             return part.with_stage("one-shot")
         return _finish_buffer(t, H, phi, list(bits_of(B)), part, targets, sub_seed)
@@ -1563,7 +1562,7 @@ def _stage_class_counts(assign, class_of_comp, keys, stage) -> dict[tuple[int, i
 def _split_components(comps, class_of_comp, plan, rng, keys):
     """Random abs/app/col/vx split of components with post-adjustment so every
     colour class keeps at least one absorber edge and one col edge."""
-    probs = [plan.p_abs, plan.p_app, plan.p_col, plan.p_vx]
+    probs = [plan.p_abs, plan.p_app, plan.p_col, P_VX]
     assign: dict[int, str] = {}
     for h in range(len(comps)):
         x = rng.random()
@@ -1634,8 +1633,7 @@ def _step0(run: _Run) -> Failure | None:
     and colours ``Cp``: exactly the stage vertices and stage edges."""
     t, s, phi = run.t, run.setup, run.phi
     con_targets = {w: run.targets[w] for w in s.X + s.Y if w in run.targets}
-    part = partial_embed(t, s.H_con, phi, X=s.X, Y=s.Y, targets=con_targets, plan=run.plan,
-                         seed=run.seed)
+    part = partial_embed(t, s.H_con, phi, X=s.X, Y=s.Y, targets=con_targets, seed=run.seed)
     if isinstance(part, Failure):
         return part.with_stage("step0")
     run.tau, run.sigma = dict(part.tau), dict(part.sigma)
@@ -1795,8 +1793,8 @@ def _step2(run: _Run) -> Failure | None:
                   "step2", "app colours = app edges + P_e", edge_class=key)
     # app-stage parameters per the (F1)-style transform: (m/4, 4e, d/4)
     t_app = _sub_template(t, run.v_app, run.c_app, d=t.d / 4, eps=4 * t.eps,
-                          m=max(Fraction(1), t.m / 4), klass="semi-super")
-    return _stage_embed(run, "step2", "app", approx_embed, t_app, 4, beta=0.0)
+                          m=max(Fraction(1), t.m / 4))
+    return _stage_embed(run, "step2", "app", approx_embed, t_app, 4)
 
 
 def _step3(run: _Run) -> Failure | None:
@@ -1808,7 +1806,7 @@ def _step3(run: _Run) -> Failure | None:
     for key in run.keys:
         _identity(len(D[key]) == run.p_cap[key], "step3", "app leftovers = P_e", edge_class=key)
     c_col = {key: tuple(sorted({*run.absorber.per_edge[key].B, *D[key]})) for key in run.keys}
-    t_col = _sub_template(t, run.v_colvx, c_col, d=t.d / 4, klass="regular")
+    t_col = _sub_template(t, run.v_colvx, c_col, d=t.d / 4)
     return _stage_embed(run, "step3", "col", embed_prescribed_colours, t_col, 5, prescribed=D,
                         prescribed_density_floor=float(t.d) / 22)
 
@@ -1827,8 +1825,8 @@ def _step4(run: _Run) -> Failure | None:
     # vx-stage parameters per the (F3)-style transform: (m', sqrt(e), d/13)
     t_vx = _sub_template(t, v_vx, run.c_vx, d=t.d / 13,
                          eps=frac(str(round(float(t.eps) ** 0.5, 9))),
-                         m=max(Fraction(1), frac(run.plan.p_vx) * t.m / 8), klass="semi-super")
-    return _stage_embed(run, "step4", "vx", approx_embed, t_vx, 6, beta=0.0)
+                         m=max(Fraction(1), frac(P_VX) * t.m / 8))
+    return _stage_embed(run, "step4", "vx", approx_embed, t_vx, 6)
 
 
 def _step5(run: _Run) -> Failure | None:
@@ -1863,6 +1861,7 @@ def _pipeline_once(t, H, phi, targets, plan, seed, setup):
     if failure is not None:
         return failure
     return run.tau, run.sigma, {
+        "path": "main",
         "X": list(setup.X),
         "h_counts": {st: {str(k): v for k, v in d.items()} for st, d in run.h_counts.items()},
         "l_sizes": {str(k): v for k, v in run.l_sizes.items()},
@@ -1954,7 +1953,7 @@ def _quasi_draw(run: _Run) -> None:
 
 
 def _quasi_numbers(run: _Run) -> None:
-    """The d, eps and m of the attempt's super templates, which take the
+    """The d, eps and m of the attempt's templates, which take the
     caller's collection itself: d is half the least density of edges
     between V_i and V_j over every colour, and at least 0.05."""
     gc, V = run.gc, run.V
@@ -1968,16 +1967,15 @@ def _quasi_numbers(run: _Run) -> None:
 
 
 def _quasi_sparse(run: _Run) -> Failure | None:
-    """Embed the sparse side (if any) through candidate sets, on the super
+    """Embed the sparse side (if any) through candidate sets, on the
     template with every colour on every pair; those of Y are the dense
     side's targets."""
     s = run.setup
     if not s.order:
         return None
     tmpl = make_template(run.V, dict.fromkeys(combinations(range(s.r), 2), range(run.gc.n_colours)),
-                         run.gc, **run.numbers, rainbow=False, klass="super")
-    part = partial_embed(tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None,
-                         plan=run.plan, seed=run.seed)
+                         run.gc, **run.numbers)
+    part = partial_embed(tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None, seed=run.seed)
     if isinstance(part, Failure):
         return part.with_stage("quasi-sparse")
     run.tau.update(part.tau)
@@ -2006,14 +2004,14 @@ def _quasi_dense(run: _Run) -> Failure | None:
     _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
     run.stats.update(colour_split_sizes={str(k): len(v) for k, v in split.items()},
                      e_sparse=len(run.sigma), colours_total=K)
-    tmpl = make_template(Vp, split, run.gc, **run.numbers, rainbow=True, klass="super")
+    tmpl = make_template(Vp, split, run.gc, **run.numbers)
     out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
                              active=s.active, setup=s.blowup)
     if not out.ok:
         return out.failure
     run.tau.update(out.embedding.tau)
     run.sigma.update(out.embedding.sigma)
-    run.stats.update(blowup=out.stats,
+    run.stats.update(path=out.stats["path"], blowup=out.stats,
                      template={"d": str(tmpl.d), "eps": str(tmpl.eps), "m": str(tmpl.m)})
 
 
@@ -2040,9 +2038,10 @@ def quasi_embed(
     the transversal blow-up with the candidate sets as targets on a random
     colour split sized exactly to the dense classes.  Both templates take
     ``gc`` itself as their collection: no slice is sparsified or copied,
-    their ``super`` class is a declared promise, and every step reads only
-    edges between two clusters, so the edges inside a V_i are never read.
-    A pattern with target sets (``H.targets``) fails PreconditionViolated
+    and every step reads only edges between two clusters, so the edges
+    inside a V_i are never read.  A success's ``stats["path"]`` names its
+    path: ``main``, ``one-shot``, ``LadderDegenerate`` or ``empty``.  A
+    pattern with target sets (``H.targets``) fails PreconditionViolated
     before any draw: no step honours them.
     """
     n, K = gc.n, gc.n_colours

@@ -144,17 +144,6 @@ class WitnessSearchResult:
     samples: int = 0
     budget_exhausted: bool = False
 
-    def miss_probability(self, per_draw: float) -> float:
-        """Confidence companion for sampled NoneFound results: if witnessing
-        tuples occurred with probability at least ``per_draw`` under the
-        sampling distribution, the chance the whole budget missed them is at
-        most this bound.  Zero for exhaustive runs."""
-        if self.exhaustive:
-            return 0.0
-        if not 0 < per_draw <= 1:
-            raise ValueError("per-draw probability must lie in (0,1]")
-        return (1 - per_draw) ** self.samples
-
 
 def _subset_rows(size: int, min_k: int) -> tuple[np.ndarray, np.ndarray]:
     masks = np.arange(1 << size, dtype=np.uint32)

@@ -5,10 +5,9 @@ edge of the cluster graph R on [r] (R's edges are the keys of
 ``colour_clusters``), a collection whose edges between the two clusters of
 each R-edge are the host's (its embedders read no other edges, so it may be
 the host collection itself), and the exact numbers d, eps and m that its
-embedders read.
-Templates declare their class (regular / semi-super / super / half-super) as
-a promise that is not checked here; the embedding stages check the floors
-they rely on, and every embedding is verified.
+embedders read.  No regularity class is declared or checked here: the
+embedding stages check the floors they rely on, and every embedding is
+verified.  Whether a template is rainbow is read off its colour clusters.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from .core import GraphCollection, SimpleGraph, mask_of
 # patches the sparsifier at this name
 from .regularity import frac, sparsify_to_superregular  # noqa: F401
 
-TEMPLATE_CLASSES = ("regular", "semi-super", "super", "half-super")
-
 
 @dataclass(frozen=True)
 class Template:
@@ -36,12 +33,8 @@ class Template:
     d: Fraction
     eps: Fraction
     m: Fraction
-    rainbow: bool = False
-    klass: str = "regular"
 
     def __post_init__(self):
-        if self.klass not in TEMPLATE_CLASSES:
-            raise ValueError(f"unknown template class {self.klass!r}")
         seen: set[int] = set()
         for cl in self.clusters:
             if seen & set(cl):
@@ -65,6 +58,16 @@ class Template:
         return {e: mask_of(cs) for e, cs in self.colour_clusters.items()}
 
     @cached_property
+    def rainbow(self) -> bool:
+        """Whether the colour clusters are pairwise disjoint."""
+        union = 0
+        for mask in self.colour_cluster_masks.values():
+            if union & mask:
+                return False
+            union |= mask
+        return True
+
+    @cached_property
     def colour_cluster_words(self) -> dict[tuple[int, int], int]:  # see gc.colour_word
         return {e: self.gc.colour_word(cs) for e, cs in self.colour_clusters.items()}
 
@@ -85,8 +88,6 @@ def make_template(
     d,
     eps,
     m,
-    rainbow: bool = False,
-    klass: str = "regular",
 ) -> Template:
     """The template with sorted clusters, colour clusters keyed (i, j) with
     i < j, and d, eps and m as exact fractions (``regularity.frac``)."""
@@ -100,8 +101,6 @@ def make_template(
         d=frac(d),
         eps=frac(eps),
         m=frac(m),
-        rainbow=rainbow,
-        klass=klass,
     )
 
 
@@ -142,19 +141,19 @@ def thick_host_graph(
 
 
 def thick_graph(t: Template, lam: float) -> ThickGraph:
-    """Exact threshold graph; when the template is semi-super and lam << d the
-    per-slice min degree should be >= (d/2)|V_j| (checked, reported if violated)."""
+    """Exact threshold graph, with every vertex whose degree into the other
+    cluster of one of its R-edges is below (d/2)|V_j| reported (on a
+    semi-super template with lam << d there is none)."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0,1)")
     g = thick_host_graph(t.gc, t.clusters, t.colour_clusters, lam)
     d = float(t.d)
     viol = []
-    if t.klass in ("semi-super", "super"):
-        for i, j in sorted(t.colour_clusters):
-            for side, other in ((i, j), (j, i)):
-                floor = d / 2 * len(t.clusters[other])
-                for u in t.clusters[side]:
-                    deg = (g.adj(u) & t.cluster_masks[other]).bit_count()
-                    if deg < floor:
-                        viol.append((side, u, deg, floor))
+    for i, j in sorted(t.colour_clusters):
+        for side, other in ((i, j), (j, i)):
+            floor = d / 2 * len(t.clusters[other])
+            for u in t.clusters[side]:
+                deg = (g.adj(u) & t.cluster_masks[other]).bit_count()
+                if deg < floor:
+                    viol.append((side, u, deg, floor))
     return ThickGraph(graph=g, min_degree_ok=not viol, min_degree_violations=tuple(viol))

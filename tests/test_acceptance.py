@@ -74,7 +74,6 @@ def _bip_template(m, k, dens, seed, d="0.5"):
     gc = _bip_collection(m, k, dens, seed)
     return make_template(
         [range(m), range(m, 2 * m)], {(0, 1): range(k)}, gc, d=d, eps="0.05", m=m,
-        rainbow=True, klass="super",
     )
 
 
@@ -144,8 +143,7 @@ def test_criterion_01_verifier_soundness():
         m = 12
         K = 2 * m + 8
         t = _bip_template(m, K, (0.8, 1.0)[seed % 2], seed, d="0.6")
-        t = make_template(t.clusters, t.colour_clusters, t.gc, d="0.5", eps="0.05", m=m,
-                          rainbow=True, klass="semi-super")
+        t = make_template(t.clusters, t.colour_clusters, t.gc, d="0.5", eps="0.05", m=m)
         edges = []
         for j in range(m // 2):
             a, b = 2 * j, 2 * j + 1
@@ -153,7 +151,7 @@ def test_criterion_01_verifier_soundness():
             edges += [(a, c), (c, b), (b, d_), (d_, a)]
         H = PatternGraph(2 * m, edges)
         phi = [0] * m + [1] * m
-        out = approx_embed(t, H, phi, None, FAST_PLAN, seed=seed, beta=0.1)
+        out = approx_embed(t, H, phi, None, FAST_PLAN, seed=seed)
         runs += 1
         if out.ok:
             successes += 1
@@ -342,7 +340,7 @@ def test_criterion_08_thick_graph_degree_bound():
             continue
         good += 1
         t = make_template([range(m), range(m, 2 * m)], {(0, 1): range(k)},
-                          gc, d=str(d), eps="0.45", m=m, rainbow=True, klass="semi-super")
+                          gc, d=str(d), eps="0.45", m=m)
         tk = thick_graph(t, lam)
         for v in range(2 * m):
             if tk.graph.degree(v) < 0.2 * m:
@@ -396,7 +394,7 @@ def test_criterion_10_absorber_flexibility():
         edges = {c: [e for e in pairs if rng.random() < 0.8] for c in range(k)}
         gc = GraphCollection(20, k, edges)
         t = make_template([range(10), range(10, 20)], {(0, 1): range(k)},
-                          gc, d="0.5", eps="0.1", m=10, rainbow=True)
+                          gc, d="0.5", eps="0.1", m=10)
         if bsize > k or n_pairs - l > k - bsize:
             continue
         ab = build_absorber(t, {(0, 1): pairs}, SplitPlan(), seed=attempt,

@@ -411,6 +411,30 @@ def test_main_leaves_the_collector_as_it_found_it(workdir, enabled, edges, code)
         (gc.enable if was_enabled else gc.disable)()
 
 
+def test_verify_on_a_report_without_an_embedding_is_a_usage_error(workdir, capsys):
+    # an embed failure report and an infeasible oracle report hold no
+    # embedding: exit 2 names the report's status, not a parse error
+    assert main([
+        "generate", "--construction", "random", "--n", "6", "--colours", "3",
+        "--density", "1.0", "--seed", "1", "--out", "inst.json",
+    ]) == 0
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3)])))
+    # four edges and three colours: no transversal copy
+    P4 = PatternGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    write_json(workdir / "p4.json", pattern_to_json(P4))
+    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                 "--pattern", "h.json", "--out", "fail.json"]) == 1
+    assert main(["oracle", "--instance", "inst.json", "--pattern", "p4.json",
+                 "--out", "oracle.json"]) == 1
+    for report, pattern in (("fail.json", "h.json"), ("oracle.json", "p4.json")):
+        status = json.loads((workdir / report).read_text())["outcome"]["status"]
+        capsys.readouterr()
+        assert main(["verify", "--instance", "inst.json", "--pattern", pattern,
+                     "--embedding", report]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {report}: the report holds no embedding (status {status!r})\n")
+
+
 def test_verify_malformed_embedding_is_a_usage_error(workdir):
     # exit 1 would read as "verified infeasible"; a malformed file is exit 2
     assert main([
@@ -435,7 +459,7 @@ def test_verify_malformed_embedding_is_a_usage_error(workdir):
 
 
 @pytest.mark.parametrize("params", ['{"retries": 2.5}', '{"retries": 0}', '{"retries": -3}',
-                                    '{"retries": true}', '{"absorber_samples": 0}',
+                                    '{"retries": true}', '{"approx_retries": 0}',
                                     '{"absorber_exhaustive_cap": -1}'])
 def test_a_retry_count_in_params_that_is_not_a_count_is_a_usage_error(workdir, params):
     # range() in a retry loop would raise TypeError, and a count below 1

@@ -20,7 +20,10 @@ from transversal.core import (
     verify_transversal_embedding,
 )
 from transversal.embed import (
+    ABSORBER_SAMPLES,
     CANDIDATE_EXHAUSTED,
+    GAMMA,
+    NU_PRIME,
     PADDING_IMPOSSIBLE,
     PRECONDITION,
     EquitableColouring,
@@ -49,8 +52,7 @@ from transversal.templates import make_template
 PLAN = SplitPlan()
 
 
-def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05",
-                 klass="super", rainbow=True):
+def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05"):
     rng = random.Random(seed)
     edges = {
         c: [
@@ -64,7 +66,7 @@ def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05",
     gc = GraphCollection(2 * n_side, k, edges)
     return make_template(
         [range(n_side), range(n_side, 2 * n_side)], {(0, 1): range(k)},
-        gc, d=d, eps=eps, m=n_side, rainbow=rainbow, klass=klass,
+        gc, d=d, eps=eps, m=n_side,
     )
 
 
@@ -190,7 +192,7 @@ def test_equitable_needs_enough_classes():
 def test_partial_single_edge_complete():
     t = bip_template(6, 6)
     H = PatternGraph(2, [(0, 1)])
-    out = partial_embed(t, H, [0, 1], X=[0], Y=[1], targets=None, plan=PLAN, seed=0)
+    out = partial_embed(t, H, [0, 1], X=[0], Y=[1], targets=None, seed=0)
     assert isinstance(out, PartialEmbedding)
     assert out.tau[0] in set(range(6))
     # complete host: candidate set is the whole opposite cluster minus nothing
@@ -200,7 +202,7 @@ def test_partial_single_edge_complete():
 def test_partial_path_candidate_invariant():
     t = bip_template(6, 6)
     H = PatternGraph(3, [(0, 1), (1, 2)])
-    out = partial_embed(t, H, [0, 1, 0], X=[0, 2], Y=[1], targets=None, plan=PLAN, seed=1)
+    out = partial_embed(t, H, [0, 1, 0], X=[0, 2], Y=[1], targets=None, seed=1)
     assert isinstance(out, PartialEmbedding)
     for v in out.candidates[1]:
         for x in (0, 2):
@@ -211,7 +213,7 @@ def test_partial_path_candidate_invariant():
 def test_partial_pigeonhole_colour_exhaustion():
     t = bip_template(6, 1)
     H = PatternGraph(4, [(0, 1), (2, 3)])
-    out = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2, 3], Y=[], targets=None, plan=PLAN, seed=0)
+    out = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2, 3], Y=[], targets=None, seed=0)
     assert isinstance(out, Failure)
     assert out.reason == "CandidateExhausted"
 
@@ -219,15 +221,15 @@ def test_partial_pigeonhole_colour_exhaustion():
 def test_partial_rejects_edges_inside_y():
     t = bip_template(6, 6)
     H = PatternGraph(2, [(0, 1)])
-    out = partial_embed(t, H, [0, 1], X=[], Y=[0, 1], targets=None, plan=PLAN, seed=0)
+    out = partial_embed(t, H, [0, 1], X=[], Y=[0, 1], targets=None, seed=0)
     assert isinstance(out, Failure) and out.reason == "PreconditionViolated"
 
 
 def test_partial_deterministic():
     t = bip_template(6, 8, density=0.7, seed=2, d="0.4")
     H = PatternGraph(4, [(0, 1), (1, 2), (2, 3)])
-    a = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2, 3], Y=[], targets=None, plan=PLAN, seed=9)
-    b = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2, 3], Y=[], targets=None, plan=PLAN, seed=9)
+    a = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2, 3], Y=[], targets=None, seed=9)
+    b = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2, 3], Y=[], targets=None, seed=9)
     assert type(a) == type(b)
     if isinstance(a, PartialEmbedding):
         assert a.tau == b.tau and a.sigma == b.sigma
@@ -236,7 +238,7 @@ def test_partial_deterministic():
 def test_partial_refuses_overlapping_x_and_y():
     t = bip_template(6, 8, density=0.7, seed=2, d="0.4")
     H = PatternGraph(4, [(0, 1), (2, 3)])
-    f = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2], Y=[2], targets=None, plan=PLAN, seed=4)
+    f = partial_embed(t, H, [0, 1, 0, 1], X=[0, 1, 2], Y=[2], targets=None, seed=4)
     assert (f.stage, f.reason, f.seed) == ("partial", PRECONDITION, 4)
     assert f.diagnostics == {"detail": "X and Y overlap"}
 
@@ -247,14 +249,14 @@ def test_partial_refuses_a_phi_that_is_not_a_homomorphism():
     gc = GraphCollection(9, 4, {c: [(u, v) for u in range(3) for v in range(3, 6)]
                                 for c in range(4)})
     t = make_template([range(3), range(3, 6), range(6, 9)], {(0, 1): range(4)}, gc,
-                      d="0.5", eps="0.05", m=3, rainbow=True)
+                      d="0.5", eps="0.05", m=3)
     H = PatternGraph(3, [(0, 1), (1, 2)])
-    f = partial_embed(t, H, [1, 0, 2], X=[0, 1, 2], Y=[], targets=None, plan=PLAN, seed=5)
+    f = partial_embed(t, H, [1, 0, 2], X=[0, 1, 2], Y=[], targets=None, seed=5)
     assert (f.stage, f.reason, f.seed) == ("partial", PRECONDITION, 5)
     assert f.diagnostics == {"detail": "phi is not a homomorphism: edge (1,2) -> non-edge (0, 2)"}
 
 
-def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0, ties=None):
+def _set_partial_embed(t, H, phi, X, Y, targets, seed: int = 0, ties=None):
     """The set-based candidate loop that the bitmask ``partial_embed``
     replaced, kept as its reference: same draws, same results.  A list
     ``ties`` collects the vertices whose (x,1) degree equals the threshold."""
@@ -270,7 +272,7 @@ def _set_partial_embed(t, H, phi, X, Y, targets, plan, seed: int = 0, ties=None)
     targets = targets or {}
     cluster_sets = [set(cl) for cl in t.clusters]
     d, eps, m = float(t.d), float(t.eps), float(t.m)
-    floor = max(1, math.ceil(plan.nu_prime * m))
+    floor = max(1, math.ceil(NU_PRIME * m))
 
     order = X + Y
     pos = {v: i for i, v in enumerate(order)}
@@ -403,8 +405,7 @@ def _kr_template(rng, r, side, k, density, d, shared, eps="0.05"):
             edges[c] += [(u, v) for u in clusters[i] for v in clusters[j]
                          if rng.random() < density]
     gc = GraphCollection(r * side, n_colours, edges)
-    return make_template(clusters, groups, gc, d=d, eps=eps, m=side, rainbow=not shared,
-                         klass="super")
+    return make_template(clusters, groups, gc, d=d, eps=eps, m=side)
 
 
 def _partial_case(case, numbers=None):
@@ -463,8 +464,8 @@ def test_bitmask_partial_embed_matches_the_set_reference():
     cases += [(case, TIE_NUMBERS[case // 4 % 4]) for case in range(160)]
     for case, numbers in cases:
         t, H, phi, X, Y, targets, seed = _partial_case(case, numbers)
-        new = partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
-        ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed, ties=ties)
+        new = partial_embed(t, H, phi, X, Y, targets, seed=seed)
+        ref = _set_partial_embed(t, H, phi, X, Y, targets, seed=seed, ties=ties)
         assert _partial_fingerprint(new) == _partial_fingerprint(ref), (case, numbers)
         # "ok", or the failing step without its vertices: "(3,1)" -> "1)"
         steps.add("ok" if isinstance(ref, PartialEmbedding)
@@ -482,8 +483,8 @@ def test_targets_outside_the_host_range_are_ignored():
         targets = {v: {*t.clusters[phi[v]][v % 2::2], -1, n + 5} for v in range(H.n)}
         if case % 3 == 0:  # only hosts outside the collection: an empty target
             targets[case % H.n] = {-1, n + 5}
-        new = partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
-        ref = _set_partial_embed(t, H, phi, X, Y, targets, PLAN, seed=seed)
+        new = partial_embed(t, H, phi, X, Y, targets, seed=seed)
+        ref = _set_partial_embed(t, H, phi, X, Y, targets, seed=seed)
         assert _partial_fingerprint(new) == _partial_fingerprint(ref), case
 
 
@@ -566,7 +567,7 @@ def test_buffer_finish_matches_the_set_reference():
     outcomes = set()
     for case in range(400):
         t, H, phi, X, Y, targets, seed = _partial_case(case)
-        part = partial_embed(t, H, phi, X, [], targets, PLAN, seed=seed)
+        part = partial_embed(t, H, phi, X, [], targets, seed=seed)
         if not isinstance(part, PartialEmbedding):
             continue
         targets = {v: set(ts) for v, ts in (targets or {}).items()}
@@ -610,7 +611,7 @@ def test_buffered_pass_succeeds_where_every_greedy_pass_fails(monkeypatch):
         sub_seed, order = _mix(kwargs["seed"], 89, k), list(bfs)
         if k % 2:
             random.Random(sub_seed).shuffle(order)
-        greedy = partial_embed(t, H, phi, order, [], targets, PLAN, seed=sub_seed)
+        greedy = partial_embed(t, H, phi, order, [], targets, seed=sub_seed)
         assert isinstance(greedy, Failure) and greedy.reason == CANDIDATE_EXHAUSTED, k
     # the finish draws nothing: the same seed gives the same output twice
     runs = [transversal_blowup(t, H, phi, targets, plan, **kwargs) for _ in range(2)]
@@ -625,7 +626,7 @@ def _path_template(c0, c1):
     and 2."""
     gc = GraphCollection(3, 2, {0: [(u, 2) for u in c0], 1: [(u, 2) for u in c1]})
     t = make_template([range(2), range(2, 3)], {(0, 1): range(2)}, gc, d="0.5", eps="0.05",
-                      m=1, rainbow=True, klass="super")
+                      m=1)
     return t, PatternGraph(3, [(0, 1), (1, 2)]), [0, 1, 0]
 
 
@@ -845,8 +846,7 @@ def test_prescribed_empty_reduces_to_partial():
     from transversal.embed import _mix
 
     direct = partial_embed(
-        t, H, phi, X=[0, 1, 2, 3, 4, 5], Y=[], targets=None, plan=PLAN,
-        seed=_mix(5, 41, 0),
+        t, H, phi, X=[0, 1, 2, 3, 4, 5], Y=[], targets=None, seed=_mix(5, 41, 0),
     )
     assert isinstance(direct, PartialEmbedding)
     assert direct.tau == dict(out.embedding.tau)
@@ -868,7 +868,7 @@ def test_prescribed_empty_colour_graph_rejected():
     edges[4] = []
     gc = GraphCollection(12, 5, edges)
     t = make_template([range(6), range(6, 12)], {(0, 1): range(5)}, gc, d="0.5", eps="0.05",
-                      m=6, rainbow=True, klass="super")
+                      m=6)
     H = PatternGraph(4, [(0, 1), (2, 3)])
     out = embed_prescribed_colours(t, H, [0, 1, 0, 1], None, {(0, 1): [4]}, PLAN, seed=0)
     assert not out.ok
@@ -885,7 +885,7 @@ def test_blowup_complete_host_spanning():
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)] + [(n + i, (i + 1) % n) for i in range(n)])
     phi = [0] * n + [1] * n
     res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H, phi, None, PLAN, seed=0)
-    assert res.ok and res.verified
+    assert res.ok
     for (u, v) in H.edges():
         assert host.has_edge(res.tau[u], res.tau[v])
 
@@ -1076,7 +1076,7 @@ def _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=0, activ
             raise UnverifiedOutput("blow-up produced a non-edge")
     if any(tau[v] not in T for v, T in targets.items()):
         raise UnverifiedOutput("blow-up left a target set")
-    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1, verified=True)
+    return BlowupResult(tau=tau, failure=None, restarts=attempts - 1)
 
 
 def _random_blowup_case(rng):
@@ -1107,7 +1107,7 @@ def _random_blowup_case(rng):
 def _blowup_fields(res):
     f = res.failure
     failure = None if f is None else (f.stage, f.reason, f.seed, f.diagnostics)
-    return res.tau, failure, res.restarts, res.verified
+    return res.tau, failure, res.restarts
 
 
 @pytest.mark.parametrize("restarts, reserve", [(0, 0.25), (1, 0.25), (1, 0.5), (3, 0.4),
@@ -1215,7 +1215,7 @@ def test_a_forced_blowup_call(monkeypatch, clusters, host_edges, targets, restar
         _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=9))
     assert len(seeded) == seeds
     if seeds == 0 and restarts:
-        assert got.ok and got.verified and got.restarts == 0
+        assert got.ok and got.restarts == 0
         assert got.tau == {0: 0, 1: 1, 2: 2}
     else:
         assert not got.ok and got.restarts == restarts
@@ -1231,7 +1231,7 @@ def dense_incidence_template(n_pairs=6, k=14, density=0.8, seed=3):
     edges = {c: [e for e in pairs if rng.random() < density] for c in range(k)}
     gc = GraphCollection(20, k, edges)
     t = make_template([range(10), range(10, 20)], {(0, 1): range(k)}, gc, d="0.5", eps="0.1",
-                      m=10, rainbow=True)
+                      m=10)
     return t, pairs
 
 
@@ -1304,7 +1304,7 @@ def four_cycles_fixture(k_extra=8):
     K = 24 + k_extra
     gc = GraphCollection(n, K, {c: edges_all for c in range(K)})
     t = make_template([range(12), range(12, 24)], {(0, 1): range(K)}, gc, d="0.7", eps="0.05",
-                      m=12, rainbow=True, klass="semi-super")
+                      m=12)
     edges = []
     for k in range(6):
         a, b = 2 * k, 2 * k + 1
@@ -1317,7 +1317,7 @@ def four_cycles_fixture(k_extra=8):
 
 def test_approx_four_cycles_with_surplus():
     t, H, phi, K = four_cycles_fixture()
-    out = approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.2)
+    out = approx_embed(t, H, phi, None, PLAN, seed=0)
     assert out.ok
     used = set(out.embedding.sigma.values())
     assert len(used) == 24 and K - len(used) == 8
@@ -1325,7 +1325,7 @@ def test_approx_four_cycles_with_surplus():
 
 def test_approx_empty_pattern():
     t, H, phi, K = four_cycles_fixture()
-    out = approx_embed(t, PatternGraph(24, []), phi, None, PLAN, seed=1, beta=0.0)
+    out = approx_embed(t, PatternGraph(24, []), phi, None, PLAN, seed=1)
     assert out.ok and not out.embedding.sigma
     # all vertices placed
     assert len(out.embedding.tau) == 24
@@ -1333,7 +1333,7 @@ def test_approx_empty_pattern():
 
 def test_approx_chunk_bounds_recorded():
     t, H, phi, K = four_cycles_fixture()
-    out = approx_embed(t, H, phi, None, PLAN, seed=2, beta=0.2)
+    out = approx_embed(t, H, phi, None, PLAN, seed=2)
     ch = out.stats["chunks"]
     m = 12
     delta_h = max(1, H.max_degree)
@@ -1342,20 +1342,27 @@ def test_approx_chunk_bounds_recorded():
         for i, row in enumerate(ch["b"][:-1]):
             for bij in row:
                 assert ch["gamma_floor"] <= bij <= 2 * (delta_h + 1) ** (2 * r - 2) * ch["gamma_floor"]
-        assert ch["s"] <= max(1, round(1 / (0.5 * (PLAN.gamma))))
+        assert ch["s"] <= max(1, round(1 / (0.5 * GAMMA)))
 
 
 def test_approx_surplus_precondition():
-    t, H, phi, K = four_cycles_fixture(k_extra=0)
-    out = approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.5)
+    # 23 colours for the 24 edges of the class
+    t, H, phi, K = four_cycles_fixture(k_extra=-1)
+    out = approx_embed(t, H, phi, None, PLAN, seed=0)
     assert not out.ok and out.failure.reason == "PreconditionViolated"
+    assert out.failure.diagnostics == {"edge_class": (0, 1),
+                                       "detail": "fewer colours than class edges: 23 < 24"}
 
 
 @pytest.mark.parametrize("entry, stage", [(approx_embed, "approx"),
                                           (transversal_blowup, "pipeline")])
 def test_rainbow_stages_refuse_a_template_that_is_not_rainbow(entry, stage):
-    t, H, phi = matching_pipeline_fixture(m=4)
-    out = entry(dataclasses.replace(t, rainbow=False), H, phi, None, PLAN, seed=2)
+    # every pair of the three clusters takes the same two colours
+    t = _kr_template(random.Random(0), 3, 2, 2, 1.0, "0.5", shared=True)
+    assert not t.rainbow
+    assert _kr_template(random.Random(0), 3, 2, 2, 1.0, "0.5", shared=False).rainbow
+    H, phi = PatternGraph(6, [(0, 2), (3, 4), (5, 1)]), [0, 0, 1, 1, 2, 2]
+    out = entry(t, H, phi, None, PLAN, seed=2)
     f = out.failure
     assert not out.ok and (f.stage, f.reason, f.seed) == (stage, PRECONDITION, 2)
     assert f.diagnostics == {"detail": "template must be rainbow"}
@@ -1371,7 +1378,7 @@ def test_approx_vertex_partition_sizes_are_an_identity(monkeypatch):
                         lambda *args: (lambda b0, rounds: (b0[:-1], rounds))(*real(*args)))
     t, H, phi, K = four_cycles_fixture()
     with pytest.raises(embed.UnverifiedOutput, match="vertex partition sizes"):
-        approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.2)
+        approx_embed(t, H, phi, None, PLAN, seed=0)
 
 
 def test_approx_buffer_sizing_is_an_identity(monkeypatch):
@@ -1388,7 +1395,7 @@ def test_approx_buffer_sizing_is_an_identity(monkeypatch):
 
     monkeypatch.setattr(embed, "_chunk_components", shrinking)
     with pytest.raises(embed.UnverifiedOutput, match="buffer sizing"):
-        approx_embed(t, H, phi, None, PLAN, seed=0, beta=0.2)
+        approx_embed(t, H, phi, None, PLAN, seed=0)
 
 
 def _reference_chunk_components(comps, phi, r, sizes, mu_floor, gamma_floor, q_stop):
@@ -1477,8 +1484,7 @@ def matching_pipeline_fixture(m=24, density=1.0, seed=0):
     }
     gc = GraphCollection(n, m, edges)
     t = make_template([range(m), range(m, n)], {(0, 1): range(m)}, gc,
-                      d="0.6" if density < 1 else "0.8", eps="0.05", m=m, rainbow=True,
-                      klass="super")
+                      d="0.6" if density < 1 else "0.8", eps="0.05", m=m)
     H = PatternGraph(n, [(i, m + i) for i in range(m)])
     phi = [0] * m + [1] * m
     return t, H, phi
@@ -1519,7 +1525,7 @@ def test_pipeline_union_of_paths_seeded():
     }
     gc = GraphCollection(n, K, gedges)
     t = make_template([range(m), range(m, n)], {(0, 1): range(K)}, gc, d="0.4", eps="0.05",
-                      m=m, rainbow=True, klass="super")
+                      m=m)
     out = transversal_blowup(t, H, phi, None, PLAN, seed=4)
     assert out.ok
     assert sorted(out.embedding.sigma.values()) == list(range(K))
@@ -1874,9 +1880,9 @@ def _quasi_instance(seed):
 def _quasi_path(out):
     if not out.ok:
         return f"{out.failure.stage}:{out.failure.reason}"
-    if out.stats.get("path") == "LadderDegenerate":
+    path = out.stats["path"]
+    if path == "LadderDegenerate":
         return "ladder-degenerate"
-    path = "one-shot" if out.stats["blowup"].get("path") == "one-shot" else "main"
     return path + ("+sparse" if out.stats["e_sparse"] else "")
 
 
@@ -1941,35 +1947,34 @@ def test_quasi_replays_every_path(seed):
 
 
 # (calls in a row, embedder, r, sorted colour-cluster keys, d, eps, m,
-# rainbow, klass) of the templates passed to partial_embed, approx_embed,
+# rainbow) of the templates passed to partial_embed, approx_embed,
 # embed_prescribed_colours and transversal_blowup on a main-path quasi run,
 # the mixed sparse/dense quasi run and an expansion; recorded from the
 # templates' parameter ledgers before a template held d, eps and m itself,
 # and re-recorded when the quasi templates took the host collection itself
 # in place of sparsified slices (d is read off the raw pair densities, and
-# the expansion succeeds on its first draw)
+# the expansion succeeds on its first draw); rainbow, a declared flag when
+# recorded, is read off the colour clusters since, with the same values
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K4_12 = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
 TEMPLATE_PIN = {
     "quasi-0": [
-        (1, "transversal_blowup", 2, [(0, 1)], "99971/250000", "1/20", "12", True, "super"),
-        (1, "partial_embed", 2, [(0, 1)], "99971/250000", "1/20", "12", True, "super"),
-        (1, "approx_embed", 2, [(0, 1)], "99971/1000000", "1/5", "3", True, "semi-super"),
-        (1, "embed_prescribed_colours", 2, [(0, 1)], "99971/1000000", "1/20", "12", True,
-         "regular"),
-        (1, "partial_embed", 2, [(0, 1)], "99971/1000000", "1/20", "12", True, "regular"),
-        (1, "approx_embed", 2, [(0, 1)], "99971/3250000", "111803399/500000000", "1", True,
-         "semi-super"),
+        (1, "transversal_blowup", 2, [(0, 1)], "99971/250000", "1/20", "12", True),
+        (1, "partial_embed", 2, [(0, 1)], "99971/250000", "1/20", "12", True),
+        (1, "approx_embed", 2, [(0, 1)], "99971/1000000", "1/5", "3", True),
+        (1, "embed_prescribed_colours", 2, [(0, 1)], "99971/1000000", "1/20", "12", True),
+        (1, "partial_embed", 2, [(0, 1)], "99971/1000000", "1/20", "12", True),
+        (1, "approx_embed", 2, [(0, 1)], "99971/3250000", "111803399/500000000", "1", True),
     ],
     "quasi-9": [
-        (1, "partial_embed", 4, K4, "393849/1000000", "1/20", "6", False, "super"),
-        (1, "transversal_blowup", 4, K4_12, "393849/1000000", "1/20", "6", True, "super"),
-        (1, "partial_embed", 4, K4_12, "393849/1000000", "1/20", "6", True, "super"),
+        (1, "partial_embed", 4, K4, "393849/1000000", "1/20", "6", False),
+        (1, "transversal_blowup", 4, K4_12, "393849/1000000", "1/20", "6", True),
+        (1, "partial_embed", 4, K4_12, "393849/1000000", "1/20", "6", True),
     ],
     "expand-1": [
-        (1, "transversal_blowup", 3, K3, "263889/1000000", "1/20", "3", True, "super"),
-        (1, "partial_embed", 3, K3, "263889/1000000", "1/20", "3", True, "super"),
+        (1, "transversal_blowup", 3, K3, "263889/1000000", "1/20", "3", True),
+        (1, "partial_embed", 3, K3, "263889/1000000", "1/20", "3", True),
     ],
 }
 
@@ -1984,7 +1989,7 @@ def test_each_embedder_reads_the_pinned_template_numbers(monkeypatch):
 
         def recorded(t, *args, **kwargs):
             seen.append((name, t.r, sorted(t.colour_clusters), str(t.d), str(t.eps), str(t.m),
-                         t.rainbow, t.klass))
+                         t.rainbow))
             return real(t, *args, **kwargs)
 
         monkeypatch.setattr(embed, name, recorded)
@@ -2292,19 +2297,17 @@ def test_split_plan_rejects_a_non_finite_ladder(ladder):
 @pytest.mark.parametrize("fields, message", [
     ({"p_abs": 0.0}, r"split probabilities must lie in \(0,1\)"),
     ({"p_col": 1.0}, r"split probabilities must lie in \(0,1\)"),
-    ({"p_vx": -0.1}, r"split probabilities must lie in \(0,1\)"),
-    ({"p_abs": 0.5, "p_col": 0.25, "p_vx": 0.25}, "p_app must stay positive"),  # p_app = 0
-    ({"p_abs": 0.4, "p_col": 0.4, "p_vx": 0.3}, "p_app must stay positive"),
+    ({"p_abs": 0.5, "p_col": 0.35}, "p_app must stay positive"),  # p_app = 0
+    ({"p_abs": 0.5, "p_col": 0.4}, "p_app must stay positive"),
     ({"ladder_ratio": 1.0}, "the delta ladder must be strictly increasing"),
     ({"ladder_ratio": 0.5}, "the delta ladder must be strictly increasing"),
-], ids=["p_abs=0", "p_col=1", "p_vx<0", "p_app=0", "p_app<0", "ratio=1", "ratio<1"])
+], ids=["p_abs=0", "p_col=1", "p_app=0", "p_app<0", "ratio=1", "ratio<1"])
 def test_split_plan_refuses_a_field_out_of_range(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SplitPlan(**fields)
 
 
-_COUNTS = ["retries", "blowup_restarts", "approx_retries", "absorber_retries",
-           "absorber_samples"]
+_COUNTS = ["retries", "blowup_restarts", "approx_retries"]
 
 
 @pytest.mark.parametrize("field", _COUNTS)
@@ -2322,7 +2325,7 @@ def test_split_plan_refuses_an_exhaustive_cap_that_is_not_an_int_of_zero_or_more
 
 def test_split_plan_takes_the_least_counts():
     plan = SplitPlan(**dict.fromkeys(_COUNTS, 1), absorber_exhaustive_cap=0)
-    assert [getattr(plan, f) for f in _COUNTS] == [1] * 5 and plan.absorber_exhaustive_cap == 0
+    assert [getattr(plan, f) for f in _COUNTS] == [1] * 3 and plan.absorber_exhaustive_cap == 0
 
 
 def test_a_ladder_past_the_largest_float_still_gives_a_level():
@@ -2369,13 +2372,13 @@ def test_absorber_sampled_mode_records_count():
     edges = {c: [e for e in pairs if rng.random() < 0.9] for c in range(k)}
     gc = GraphCollection(20, k, edges)
     t = make_template([range(10), range(10, 20)], {(0, 1): range(k)}, gc, d="0.5", eps="0.1",
-                      m=10, rainbow=True)
+                      m=10)
     ab = build_absorber(t, {(0, 1): pairs}, PLAN, seed=2,
                         l_sizes={(0, 1): 4}, b_sizes={(0, 1): 45})
     assert hasattr(ab, "per_edge")
     ent = ab.per_edge[(0, 1)]
     assert ent.verified == "sampled"
-    assert ent.subsets_checked == PLAN.absorber_samples
+    assert ent.subsets_checked == ABSORBER_SAMPLES
 
 
 def test_pipeline_r3_triangle_template():
@@ -2406,8 +2409,7 @@ def test_pipeline_r3_triangle_template():
             cid += 1
         colour_clusters[key] = cc
     gc = GraphCollection(36, cid, gedges)
-    t = make_template(clusters, colour_clusters, gc, d="0.5", eps="0.05", m=m, rainbow=True,
-                      klass="super")
+    t = make_template(clusters, colour_clusters, gc, d="0.5", eps="0.05", m=m)
     out = transversal_blowup(t, H, phi, None, PLAN, seed=1)
     assert out.ok
     assert sorted(out.embedding.sigma.values()) == list(range(cid))

@@ -40,7 +40,7 @@ def test_main_path_with_a_separator(seed):
     out = _cycle_run(seed)
     assert out.ok and out.verification.ok
     blowup = out.stats["blowup"]
-    assert "path" not in out.stats and "path" not in blowup  # the main path
+    assert out.stats["path"] == blowup["path"] == "main"
     assert len(blowup["X"]) == 10
     assert sum(blowup["h_counts"]["con"].values()) > 0
 
@@ -87,7 +87,7 @@ def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args):
                for k, u in enumerate((setup.X[0], setup.Y[0], v))}
     out = transversal_blowup(t, H, phi, targets, plan, seed=0, active=active)
     assert out.ok and out.verification.ok
-    assert "path" not in out.stats  # the main path
+    assert out.stats["path"] == "main"
     assert all(out.embedding.tau[u] in ts for u, ts in targets.items())
 
 

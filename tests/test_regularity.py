@@ -695,9 +695,3 @@ def test_sampled_mode_confidence_metadata():
     res = irregularity_witness(g, (range(15), range(15, 30), [0]), spec, budget=100, seed=0)
     assert not res.exhaustive and res.witness is None
     assert res.budget_exhausted and res.samples == 100
-    assert res.miss_probability(0.05) == 0.95 ** 100
-    for per_draw in (0, 1.5):
-        with pytest.raises(ValueError, match="per-draw probability"):
-            res.miss_probability(per_draw)
-    exh = irregularity_witness(g, (range(8), range(8, 16), [0]), spec)
-    assert exh.miss_probability(0.5) == 0.0

@@ -8,8 +8,7 @@ from transversal.core import GraphCollection
 from transversal.templates import make_template, thick_graph, thick_host_graph
 
 
-def one_edge_template(n_side=6, k=8, density=1.0, seed=0, d="0.5", eps="0.2",
-                      klass="super"):
+def one_edge_template(n_side=6, k=8, density=1.0, seed=0, d="0.5", eps="0.2"):
     rng = random.Random(seed)
     edges = {
         c: [
@@ -23,7 +22,7 @@ def one_edge_template(n_side=6, k=8, density=1.0, seed=0, d="0.5", eps="0.2",
     gc = GraphCollection(2 * n_side, k, edges)
     return make_template(
         [range(n_side), range(n_side, 2 * n_side)], {(0, 1): range(k)},
-        gc, d=d, eps=eps, m=n_side, rainbow=True, klass=klass,
+        gc, d=d, eps=eps, m=n_side,
     )
 
 
@@ -37,14 +36,14 @@ def test_thick_graph_identity_and_empty():
     gc = GraphCollection(12, 8, edges)
     t2 = make_template(
         [range(6), range(6, 12)], {(0, 1): range(8)},
-        gc, d="0.1", eps="0.2", m=6, rainbow=True, klass="regular",
+        gc, d="0.1", eps="0.2", m=6,
     )
     tk2 = thick_graph(t2, 0.2)  # threshold 1.6 colours > multiplicity 1
     assert tk2.graph.e == 0
 
 
 def test_thick_graph_multiplicity_recount():
-    t = one_edge_template(density=0.5, seed=11, d="0.3", klass="regular")
+    t = one_edge_template(density=0.5, seed=11, d="0.3")
     lam = 0.4
     tk = thick_graph(t, lam)
     rng = random.Random(0)
@@ -93,7 +92,7 @@ def test_thick_graph_degree_report_matches_recount():
     })
     clusters = [range(0, 6), range(6, 12), range(12, 18)]
     cc = {(0, 1): range(3), (1, 2): range(2, 7), (0, 2): (5,)}
-    t = make_template(clusters, cc, gc, d="0.5", eps="0.05", m=6, klass="semi-super")
+    t = make_template(clusters, cc, gc, d="0.5", eps="0.05", m=6)
     for lam in (0.1, 0.4, 0.7):
         tk = thick_graph(t, lam)
         want = []
@@ -108,7 +107,7 @@ def test_thick_graph_degree_report_matches_recount():
 
 
 def test_thick_graph_semi_super_min_degree():
-    t = one_edge_template(density=0.6, seed=3, d="0.4", eps="0.45", klass="semi-super")
+    t = one_edge_template(density=0.6, seed=3, d="0.4", eps="0.45")
     tk = thick_graph(t, 0.05)
     # the declared-class degree bound is checked and reported
     if tk.min_degree_ok:
@@ -117,12 +116,11 @@ def test_thick_graph_semi_super_min_degree():
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"klass": "hyper"}, "unknown template class"),
     ({"clusters": ((0, 1, 2), (2, 3, 4))}, "vertex clusters must be disjoint"),
     ({"colour_clusters": {(0, 2): (0,)}}, "colour cluster key (0, 2) is not a pair i < j < r = 2"),
     ({"colour_clusters": {(1, 0): (0,)}}, "colour cluster key (1, 0) is not a pair i < j < r = 2"),
     ({"colour_clusters": {(0, 0): (0,)}}, "colour cluster key (0, 0) is not a pair i < j < r = 2"),
-], ids=["klass", "overlapping-clusters", "colour-cluster-off-R", "colour-cluster-key-unordered",
+], ids=["overlapping-clusters", "colour-cluster-off-R", "colour-cluster-key-unordered",
         "colour-cluster-key-a-loop"])
 def test_template_rejects_malformed_fields(change, message):
     t = one_edge_template()
