@@ -558,15 +558,15 @@ def embed_prescribed_colours(
     plan: SplitPlan,
     seed: int = 0,
     active: set[int] | None = None,
-    prescribed_density_floor: float | None = None,
 ) -> EmbedOutcome:
     """Full transversal embedding of H (restricted to ``active``) that uses
     every prescribed colour.
 
     The set-up draws nothing: it deduplicates the prescription (within and
     across classes, in sorted class order) and checks the prescribed
-    colours' density and the number of unprescribed colours.  Each attempt
-    then runs ``_PRESCRIBED_STEPS`` through ``_run_steps``:
+    colours' density (at least 2d/11: Step 3 quarters its parent's d, and
+    the floor is the parent's d/22) and the number of unprescribed colours.
+    Each attempt then runs ``_PRESCRIBED_STEPS`` through ``_run_steps``:
     ``_prescribed_matching`` finds an induced matching sized to the
     prescription, ``_prescribed_matched`` embeds its edges greedily with
     their prescribed colours through degree-filtered host masks, giving each
@@ -578,7 +578,7 @@ def embed_prescribed_colours(
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
     d = float(t.d)
-    floor_d = prescribed_density_floor if prescribed_density_floor is not None else d
+    floor_d = float(4 * t.d) / 22  # t.d is exact, so this is the parent's float(d) / 22
     # deduplicate the prescription in sorted class order, each class in its order
     seen: set[int] = set()
     dmap: dict[tuple[int, int], list[int]] = {}
@@ -934,17 +934,14 @@ def _blowup_greedy(run: _Run) -> Failure | None:
 
 def _blowup_complete(run: _Run) -> Failure | None:
     """Per cluster, match the buffer vertices to free candidate hosts by
-    maximum matching, each one's candidates in a shuffled order."""
-    tau, used, buffer, shuffle = run.tau, run.used, run.buffer, run.rng.shuffle
+    maximum matching (its size, and so success, does not depend on which
+    candidate is tried first)."""
+    tau, used, buffer = run.tau, run.used, run.buffer
     for vs, _ in run.quotas:
         bvs = [v for v in vs if v in buffer]
         if not bvs:
             continue
-        adj = {}
-        for b in bvs:
-            adj[b] = list(bits_of(_blowup_candidates(run, b, used)))
-            shuffle(adj[b])
-        m = max_bipartite_matching(adj)
+        m = max_bipartite_matching({b: _blowup_candidates(run, b, used) for b in bvs})
         if len(m) < len(bvs):
             return Failure("blowup", EMBEDDING_FAILED, run.seed, phase="matching")
         for b, w in m.items():
@@ -1221,7 +1218,7 @@ class Absorber:
 def _colour_matching(zmasks: dict, allowed: int) -> dict | None:
     """A matching of every key of ``zmasks`` to a colour of its mask inside
     ``allowed`` (Kuhn's, each key's colours ascending), or None."""
-    return perfect_matching({i: bits_of(zm & allowed) for i, zm in zmasks.items()})
+    return perfect_matching({i: zm & allowed for i, zm in zmasks.items()})
 
 
 def _flexibility_check(gc, Z, A, B, l, cap, samples, rng):
@@ -1328,51 +1325,68 @@ def _connecting_graph(H: PatternGraph, X: list[int], active) -> tuple[list[int],
 @dataclass(frozen=True)
 class _BlowupSetup:
     """What Steps 0-5 and the one-shot passes need that no draw changes, for
-    one (H, phi, active): the verification view, the class edges, the
-    separator X with Step 0's neighbours Y and connecting graph, the
-    components outside X with their class edge counts, the template's class
-    keys, whether those counts rule every split out (``decided``) and
-    ``_bfs_order(H, active)`` (``bfs``: on first use, from the view's pattern)."""
+    one (H, phi, active): the verification view, the class edges and the
+    template's class keys; then, each on first use: ``_bfs_order(H,
+    active)`` (``bfs``, from the view's pattern) and what only Steps 0-5
+    read, the separator X with Step 0's neighbours Y and connecting graph,
+    the components outside X with their class edge counts and whether those
+    counts rule every split out (``decided``)."""
 
     view: _PatternView
     class_e: dict[tuple[int, int], list[tuple[int, int]]]
-    X: list[int]
-    Y: list[int]
-    H_con: PatternGraph
-    comps: list[list[int]]
-    class_of_comp: list[dict[tuple[int, int], int]]
     keys: list[tuple[int, int]]
-    decided: bool
+    H: PatternGraph
+    phi: list[int]
+    active: set[int]
+    mu: float
 
     @cached_property
     def bfs(self) -> list[int]:
         local = _bfs_order(self.view.pattern, range(self.view.pattern.n))
         return [self.view.to_global[v] for v in local]
 
+    @cached_property
+    def X(self) -> list[int]:
+        """The certifier's separator of the active induced pattern, or empty
+        when it certifies none (chunking then copes or fails typed)."""
+        cert = separability_certificate(self.view.pattern, self.mu)
+        return (sorted(self.view.to_global[v] for v in cert.separator)
+                if isinstance(cert, SeparabilityCertificate) else [])
+
+    @cached_property
+    def Y(self) -> list[int]:
+        return _connecting_graph(self.H, self.X, self.active)[0]
+
+    @cached_property
+    def H_con(self) -> PatternGraph:
+        return _connecting_graph(self.H, self.X, self.active)[1]
+
+    @cached_property
+    def comps(self) -> list[list[int]]:
+        return self.H.components(self.active.difference(self.X))
+
+    @cached_property
+    def class_of_comp(self) -> list[Counter]:
+        comp_of = {v: h for h, comp in enumerate(self.comps) for v in comp}
+        counts = [Counter() for _ in self.comps]
+        for (u, v) in self.H.edges_within(self.active):
+            # an edge with both ends outside X lies in one component
+            if u in comp_of and v in comp_of:
+                counts[comp_of[u]][_class_key(self.phi, u, v)] += 1
+        return counts
+
+    @cached_property
+    def decided(self) -> bool:
+        return _split_decided(self.comps, self.class_of_comp, self.keys)
+
 
 def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
                   keys: list[tuple[int, int]]) -> _BlowupSetup:
     """The set-up of ``transversal_blowup`` over ``active`` for a template
-    with the sorted class keys ``keys``.  X is the certifier's separator of
-    the active induced pattern, or empty when it certifies none (chunking
-    then copes or fails typed)."""
+    with the sorted class keys ``keys``."""
     view = _pattern_view(H, active)
     mu = plan.mu if view.pattern.n * plan.mu >= 1 else 1.0
-    cert = separability_certificate(view.pattern, mu)
-    X = (sorted(view.to_global[v] for v in cert.separator)
-         if isinstance(cert, SeparabilityCertificate) else [])
-    comps = H.components(set(active).difference(X))
-    comp_of = {v: h for h, comp in enumerate(comps) for v in comp}
-    # one pass: an edge with both ends outside X lies in one component
-    class_e: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    class_of_comp = [Counter() for _ in comps]
-    for (u, v) in H.edges_within(active):
-        key = _class_key(phi, u, v)
-        class_e.setdefault(key, []).append((u, v))
-        if u in comp_of and v in comp_of:
-            class_of_comp[comp_of[u]][key] += 1
-    return _BlowupSetup(view, class_e, X, *_connecting_graph(H, X, active), comps,
-                        class_of_comp, keys, _split_decided(comps, class_of_comp, keys))
+    return _BlowupSetup(view, _class_edges(H, phi, active), keys, H, phi, set(active), mu)
 
 
 def _buffer(H: SimpleGraph, order) -> int:
@@ -1388,11 +1402,13 @@ def _buffer(H: SimpleGraph, order) -> int:
 def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: PartialEmbedding,
                    targets, seed: int):
     """Finish a one-shot pass on its buffer B (independent, every neighbour
-    embedded by ``part``) with two deterministic matchings: each b to an
-    unused host of its cluster and target that every embedded neighbour a
-    reaches in some unused colour of the class of ab, then each edge at B to
-    an unused colour of its class that joins its ends' images.  A short
-    matching is a typed failure with its deficiency."""
+    embedded by ``part``) with two deterministic matchings on masks: each b
+    to an unused host of its cluster and target that every embedded
+    neighbour a reaches in some unused colour of the class of ab, then each
+    edge at B to an unused colour of its class that joins its ends' images
+    (its class's free colours AND the images' ``colour_mask``).  A short
+    matching is a typed failure with its deficiency.  This is the finish of
+    every one-shot pass, which ``transversal_blowup`` runs before Steps 0-5."""
     tau, sigma, adj = dict(part.tau), dict(part.sigma), t.gc.adj
     retired, used = mask_of(sigma.values()), mask_of(tau.values())
     free = {key: mask & ~retired for key, mask in t.colour_cluster_masks.items()}
@@ -1406,14 +1422,16 @@ def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: Partia
                 reach = 0
                 for c in bits_of(free[_class_key(phi, a, b)]):
                     reach |= adj(c, tau[a])
+                    if not hosts[b] & ~reach:  # every host of b is reached
+                        break
                 hosts[b] &= reach
-    matched = max_bipartite_matching({b: bits_of(mask) for b, mask in hosts.items()})
+    matched = max_bipartite_matching(hosts)
     if len(matched) < len(B):
         return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-vertices",
                        deficiency=len(B) - len(matched))
     tau.update(matched)
     matched = max_bipartite_matching({  # each edge to the free colours joining its images
-        (u, v): [c for c in bits_of(free[_class_key(phi, u, v)]) if adj(c, tau[u]) >> tau[v] & 1]
+        (u, v): free[_class_key(phi, u, v)] & t.gc.colour_mask(tau[u], tau[v])
         for u, v in sorted(edges)})
     if len(matched) < len(edges):
         return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-colours",
@@ -1434,28 +1452,26 @@ def transversal_blowup(
 ) -> EmbedOutcome:
     """Verified transversal embedding using every template colour exactly once.
 
-    Step 0 embeds the separator graph and shrinks target sets to candidate
-    sets; Step 1 embeds the absorber part into the lambda3-thick graph and
-    builds the colour absorber (A, B); Steps 2-4 split the remaining clusters
-    and colours, run the extra-colours embedder, the prescribed-colour
-    embedder (on the app stage's leftover colours) and the extra-colours
-    embedder again on the flexible pool; Step 5 closes by matching the
-    absorber edges to A plus the leftover B-subset.  Counts that the split's
-    bookkeeping fixes, such as that subset's size, are identities: a broken
-    one raises ``UnverifiedOutput``.  Set-up that draws nothing, the split
-    decision included, is built once (``setup``: ``_blowup_setup(H, phi,
+    Up to ``retries`` one-shot passes run first (``"path": "one-shot"``, tag
+    89), over a BFS order of the active vertices and, on odd retries, a
+    shuffle of it: each holds back the buffer B of ``_buffer``, runs the
+    candidate-set pass on the rest and finishes B with ``_finish_buffer``'s
+    matchings.  Only when all fail do Steps 0-5 run (``"path": "main"``, tag
+    83, independent sub-seeds), the paper's blow-up lemma: Step 0 embeds
+    the separator graph and shrinks target sets to candidate sets; Step 1
+    embeds the absorber part into the lambda3-thick graph and builds the
+    colour absorber (A, B); Steps 2-4 split the remaining clusters and
+    colours, run the extra-colours embedder, the prescribed-colour embedder
+    (on the app stage's leftover colours) and the extra-colours embedder
+    again on the flexible pool; Step 5 closes by matching the absorber edges
+    to A plus the leftover B-subset.  Counts that the split's bookkeeping
+    fixes are identities: a broken one raises ``UnverifiedOutput``.  Set-up
+    that draws nothing is built once (``setup``: ``_blowup_setup(H, phi,
     active, plan, sorted(t.colour_clusters))``, which a caller may pass in),
-    and a split that the component counts rule out is not retried.  Whenever
-    Steps 0-5 (``"path": "main"``) give no embedding, at any pattern size,
-    one-shot passes run instead (``"path": "one-shot"``), over a BFS order of
-    the active vertices and, on odd retries, a shuffle of it.  A pass holds
-    back the buffer B of ``_buffer``, runs the candidate-set pass on the rest
-    and finishes B with ``_finish_buffer``'s matchings, which fail typed with
-    step ``"buffer-vertices"`` or ``"buffer-colours"``.  When that fails too,
-    its failure is returned with ``diagnostics["main"]`` saying why Steps 0-5
-    gave none: ``"split-decided"`` when the component counts ruled the split
-    out, else the last attempt's ``stage:reason``.  A success is verified
-    against the target sets too.
+    and a split that the component counts rule out is not tried.  When both
+    fail, the last pass's failure is returned with ``diagnostics["main"]``:
+    ``"split-decided"``, or the last Steps 0-5 attempt's ``stage:reason``.
+    A success is verified against the target sets too.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1467,22 +1483,18 @@ def transversal_blowup(
     _identity(setup.keys == keys, "pipeline", "set-up class keys = template classes")
     if (mismatch := _class_count_mismatch(t, setup.class_e, seed)) is not None:
         return mismatch
-    if setup.decided:
-        out = _no_split(seed)
-    else:
+    # class sizes equal class edge counts, so one pass can use every colour
+    out, attempts = _retry(seed, 89, plan.retries, Failure("one-shot", EMBEDDING_FAILED, seed),
+                           _one_shot(t, H, phi, targets, setup.bfs))
+    last = out
+    if isinstance(out, Failure) and not setup.decided:
         out, attempts = _retry(
             seed, 83, plan.retries, Failure("pipeline", EMBEDDING_FAILED, seed),
             lambda sub_seed, _: _pipeline_once(t, H, phi, targets, plan, sub_seed, setup),
         )
-    main = out
-    # class sizes equal class edge counts, so one pass can use every colour
-    if isinstance(out, Failure):
-        out, attempts = _retry(seed, 89, plan.retries, out,
-                               _one_shot(t, H, phi, targets, setup.bfs))
-    if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding
-        why = "split-decided" if setup.decided else f"{main.stage}:{main.reason}"
-        out.diagnostics["main"] = why
-        return EmbedOutcome(embedding=None, failure=out, verification=None)
+    if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding either
+        last.diagnostics["main"] = "split-decided" if setup.decided else f"{out.stage}:{out.reason}"
+        return EmbedOutcome(embedding=None, failure=last, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts
     view = _pattern_view(H, active, targets) if targets else setup.view
@@ -1530,11 +1542,6 @@ def _one_shot(t: Template, H: PatternGraph, phi, targets, bfs: list[int]):
         return _finish_buffer(t, H, phi, list(bits_of(B)), part, targets, sub_seed)
 
     return attempt
-
-
-def _no_split(seed: int) -> Failure:
-    return Failure("split", CHERNOFF_RETRY_EXHAUSTED, seed,
-                   detail="no component split meets the per-class minima")
 
 
 def _split_decided(comps, class_of_comp, keys) -> bool:
@@ -1611,7 +1618,8 @@ def _split(run: _Run) -> Failure | None:
     run.keys = keys = s.keys
     assign = _split_components(s.comps, s.class_of_comp, run.plan, run.rng, keys)
     if assign is None:
-        return _no_split(run.seed)
+        return Failure("split", CHERNOFF_RETRY_EXHAUSTED, run.seed,
+                       detail="no component split meets the per-class minima")
     run.assign = assign
     run.stage_sets = {st: set() for st in _STAGES}
     for h, st in assign.items():
@@ -1807,8 +1815,7 @@ def _step3(run: _Run) -> Failure | None:
         _identity(len(D[key]) == run.p_cap[key], "step3", "app leftovers = P_e", edge_class=key)
     c_col = {key: tuple(sorted({*run.absorber.per_edge[key].B, *D[key]})) for key in run.keys}
     t_col = _sub_template(t, run.v_colvx, c_col, d=t.d / 4)
-    return _stage_embed(run, "step3", "col", embed_prescribed_colours, t_col, 5, prescribed=D,
-                        prescribed_density_floor=float(t.d) / 22)
+    return _stage_embed(run, "step3", "col", embed_prescribed_colours, t_col, 5, prescribed=D)
 
 
 def _step4(run: _Run) -> Failure | None:

@@ -88,7 +88,7 @@ def _connected_order(H: PatternGraph) -> list[int]:
 def _edge_colours(edge_avail: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """A maximum matching of the edges to their available colours (each a
     mask, tried ascending): an injective colouring when it matches all."""
-    return max_bipartite_matching({e: list(bits_of(m)) for e, m in edge_avail.items()})
+    return max_bipartite_matching(edge_avail)
 
 
 def _search(gc: GraphCollection, H: PatternGraph, targets, clock: _Clock, forward: bool, leaf):

@@ -50,6 +50,8 @@ from transversal.regularity import (
 from transversal.templates import make_template, thick_graph
 from transversal.vizing import extract_matching
 
+from test_embed import fail_one_shot
+
 FAST_PLAN = SplitPlan(retries=6, approx_retries=5, blowup_restarts=15)
 
 
@@ -487,29 +489,35 @@ def test_criterion_12_blowup_success_rate():
             f"{successes}/50 successes, {wall:.1f}s")
 
 
-def test_criterion_13_colour_conservation():
+def test_criterion_13_colour_conservation(monkeypatch):
+    # every seed runs as it is, then with its one-shot passes made to fail,
+    # so that Steps 0-5 carry it
     main_path = 0
-    checked = 0
+    checked = {False: 0, True: 0}
     bad = 0
-    for seed in range(30):
-        m = 24
-        dens = (0.8, 1.0)[seed % 2]
-        if seed % 2:
-            H, phi = _matching_pattern(m)
-        else:
-            H, phi = _paths_pattern(m)
-        t = _bip_template(m, H.e, dens, 300 + seed)
-        out = transversal_blowup(t, H, phi, None, SplitPlan(), seed=seed)
-        if not out.ok:
-            continue
-        checked += 1
-        if sorted(out.embedding.sigma.values()) != list(range(H.e)):
-            bad += 1
-        if "leftover" in out.stats:
-            main_path += 1
-            for key, leftover in out.stats["leftover"].items():
-                if leftover != out.stats["l_sizes"][key]:
-                    bad += 1
-    ok = checked >= 15 and main_path >= 10 and bad == 0
+    for steps_only in (False, True):
+        if steps_only:
+            fail_one_shot(monkeypatch)
+        for seed in range(30):
+            m = 24
+            dens = (0.8, 1.0)[seed % 2]
+            if seed % 2:
+                H, phi = _matching_pattern(m)
+            else:
+                H, phi = _paths_pattern(m)
+            t = _bip_template(m, H.e, dens, 300 + seed)
+            out = transversal_blowup(t, H, phi, None, SplitPlan(), seed=seed)
+            if not out.ok:
+                continue
+            checked[steps_only] += 1
+            if sorted(out.embedding.sigma.values()) != list(range(H.e)):
+                bad += 1
+            if "leftover" in out.stats:
+                main_path += 1
+                for key, leftover in out.stats["leftover"].items():
+                    if leftover != out.stats["l_sizes"][key]:
+                        bad += 1
+    ok = min(checked.values()) >= 15 and main_path >= 10 and bad == 0
     _report(13, "sigma bijective onto colours + Step-5 leftover identity", ok,
-            f"{checked} successes, {main_path} main-path, {bad} violations")
+            f"{checked[False]} and {checked[True]} successes, {main_path} main-path, "
+            f"{bad} violations")

@@ -266,7 +266,7 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
         ("blowup", "0", "1", "main"), ("blowup", "1", "1", "main"),
         ("blowup-run-phi", "3", "1", "main"), ("blowup-sparse", "0", "0", ""),
         ("cyclic", "0", "1", "one-shot"),
-        ("mantel", "0", "1", "main"), ("mantel", "1", "1", "main"),
+        ("mantel", "0", "1", "one-shot"), ("mantel", "1", "1", "one-shot"),
         ("path", "0", "1", "ladder-degenerate"),
     ]
     # a failed blow-up run reports its whole budget of attempts, no more

@@ -52,6 +52,16 @@ from transversal.templates import make_template
 PLAN = SplitPlan()
 
 
+def fail_one_shot(mp):
+    """Make every one-shot pass of ``transversal_blowup`` fail without a
+    draw, so its Steps 0-5 fallback runs, on the sub-seeds it always draws
+    from: the way a test reaches the main path (``mp`` is a MonkeyPatch)."""
+    from transversal import embed
+
+    mp.setattr(embed, "_one_shot",
+               lambda *args: lambda sub_seed, k: Failure("one-shot", "Skipped", sub_seed))
+
+
 def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05"):
     rng = random.Random(seed)
     edges = {
@@ -545,13 +555,13 @@ def _set_finish(t, H, phi, B, part, targets):
                     and (b not in targets or v in targets[b])
                     and all(any(t.gc.has_edge(c, tau[a], v) for c in free[_class_key(phi, a, b)])
                             for a in H.neighbours(b) if a in part.tau)]
-    matched = max_bipartite_matching({b: sorted(vs) for b, vs in hosts.items()})
+    matched = max_bipartite_matching({b: mask_of(vs) for b, vs in hosts.items()})
     if len(matched) < len(B):
         return "buffer-vertices", len(B) - len(matched)
     tau.update(matched)
     edges = sorted(tuple(sorted((a, b))) for b in B for a in H.neighbours(b) if a in part.tau)
     matched = max_bipartite_matching({
-        e: sorted(c for c in free[_class_key(phi, *e)] if t.gc.has_edge(c, tau[e[0]], tau[e[1]]))
+        e: mask_of(c for c in free[_class_key(phi, *e)] if t.gc.has_edge(c, tau[e[0]], tau[e[1]]))
         for e in edges})
     if len(matched) < len(edges):
         return "buffer-colours", len(edges) - len(matched)
@@ -988,7 +998,7 @@ def test_blowup_deterministic():
 def _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=0, active=None):
     # the per-restart blow-up embedder, kept as the reference: every restart
     # builds its own set-up and every restart of the budget runs
-    from transversal.core import bits_of, pick_bit
+    from transversal.core import pick_bit
     from transversal.embed import (
         EMBEDDING_FAILED, BlowupResult, UnverifiedOutput, _retry, max_bipartite_matching,
     )
@@ -1052,11 +1062,7 @@ def _reference_blowup_embed(host, clusters, H, phi, targets, plan, seed=0, activ
             bvs = [v for v in vs if v in buffer]
             if not bvs:
                 continue
-            adj = {}
-            for b in bvs:
-                adj[b] = list(bits_of(candidates(b, tau, used)))
-                rng.shuffle(adj[b])
-            m = max_bipartite_matching(adj)
+            m = max_bipartite_matching({b: candidates(b, tau, used) for b in bvs})
             if len(m) < len(bvs):
                 return Failure("blowup", EMBEDDING_FAILED, seed, restart=restart, phase="matching")
             for b, w in m.items():
@@ -1141,6 +1147,41 @@ def test_blowup_matches_the_per_restart_reference(restarts, reserve):
     # a forced call (one active vertex and one host in each cluster used)
     runs = {"ok", "greedy", "matching"} if restarts else {None}
     assert seen == runs | {"hopeless", "targets", "reserve", "forced"}
+
+
+def test_blowup_completion_succeeds_whatever_order_it_tries_hosts_in(monkeypatch):
+    # the completion's matching tries each buffer vertex's hosts lowest
+    # first; with the hosts of every vertex shuffled (the list reference of
+    # tests/test_matching.py) each call succeeds or fails as before, at the
+    # same restart, and only the buffer vertices' hosts may move
+    from test_matching import recursive_matching
+
+    from transversal import embed
+
+    order_rng = random.Random(0)
+
+    def shuffled(adj):
+        lists = {b: list(bits_of(m)) for b, m in adj.items()}
+        for hosts in lists.values():
+            order_rng.shuffle(hosts)
+        return recursive_matching(lists)
+
+    plan = SplitPlan(blowup_restarts=3, blowup_reserve=0.5)
+    rng = random.Random(38)
+    seen = set()
+    for case in range(300):
+        host, clusters, H, phi, targets, active = _random_blowup_case(rng)
+        seed = rng.randrange(1 << 30)
+        want = blowup_embed(host, clusters, H, phi, targets, plan, seed=seed, active=active)
+        with monkeypatch.context() as mp:
+            mp.setattr(embed, "max_bipartite_matching", shuffled)
+            got = blowup_embed(host, clusters, H, phi, targets, plan, seed=seed, active=active)
+        assert _blowup_fields(got)[1:] == _blowup_fields(want)[1:], case
+        seen.add(want.failure.diagnostics.get("phase") if want.failure else "ok")
+        moved = {v for v in (want.tau or {}) if got.tau[v] != want.tau[v]}
+        assert not H.edges_within(moved), case  # the buffer is independent
+        seen.update(["moved"] if moved else [])
+    assert seen == {"ok", "greedy", "matching", "moved"}
 
 
 def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
@@ -1808,16 +1849,17 @@ def _expand_instance(seed):
 # that the scan over every host triple gave before ThreeGraph.link_collection,
 # so seeded replay stays bit for bit; the seeds decided by the one-shot pass
 # (1, 4, 5, 8, 9, 10, 12, 13, 16, 17) were re-recorded when that pass gained
-# its buffer finish, and every success but seed 11's when the quasi attempts
-# took the link collection itself in place of its sparsified slices
+# its buffer finish, every success but seed 11's when the quasi attempts
+# took the link collection itself in place of its sparsified slices, and
+# the main-path seeds (2, 6, 14, 18) when the one-shot passes ran first
 EXPAND_REPLAY = {
     0: "99847fde6143c98b",
     1: "a6805cb8cb1176b4",
-    2: "432c6e4437a7cf62",
+    2: "c49107f6b5473ddb",
     3: "a9f9b86aab809213",
     4: "5a646517d02d473b",
     5: "36a55aea6101782a",
-    6: "efaf4a8340e9d91c",
+    6: "52eb0f36ac82672a",
     7: "b63483a80fa39128",
     8: "535378fbd89bc915",
     9: "274012f6a4e72565",
@@ -1825,17 +1867,26 @@ EXPAND_REPLAY = {
     11: "f4df615b5f36e83f",
     12: "10c5457c1322aa8a",
     13: "b8e2dad1972e3b58",
-    14: "47e0a8bb35f6af28",
+    14: "4f71470e46b5a224",
     15: "42dee28877efc26a",
     16: "8b2a93d0921a6a49",
     17: "14e40b77c9d6df7c",
-    18: "a06491f662c53666",
+    18: "e2dee030d00e95d8",
     19: "83d95142fc1d69ce",
 }
 
 
-@pytest.mark.parametrize("seed", sorted(EXPAND_REPLAY))
-def test_expand_replays_the_triple_scans_outputs(seed):
+# the main-path expansions before the one-shot passes ran first, replayed
+# with those passes made to fail: Steps 0-5 give the maps they gave then
+EXPAND_MAIN_REPLAY = {
+    2: "432c6e4437a7cf62",
+    6: "efaf4a8340e9d91c",
+    14: "47e0a8bb35f6af28",
+    18: "a06491f662c53666",
+}
+
+
+def _expand_digest(seed):
     g, H = _expand_instance(seed)
     out = expand_embed_3graph(g, H, PLAN, seed=seed)
     if out.ok:
@@ -1843,8 +1894,18 @@ def test_expand_replays_the_triple_scans_outputs(seed):
                   "e": sorted([u, v, c] for (u, v), c in out.edge_images.items())}
     else:
         record = {"failure": f"{out.failure.stage}:{out.failure.reason}"}
-    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
-    assert digest == EXPAND_REPLAY[seed]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(EXPAND_REPLAY))
+def test_expand_replays_the_triple_scans_outputs(seed):
+    assert _expand_digest(seed) == EXPAND_REPLAY[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(EXPAND_MAIN_REPLAY))
+def test_expand_replays_the_main_path(seed, monkeypatch):
+    fail_one_shot(monkeypatch)
+    assert _expand_digest(seed) == EXPAND_MAIN_REPLAY[seed]
 
 
 MIXED_PLAN = SplitPlan(ladder_base=0.03, ladder_ratio=1.5)
@@ -1888,9 +1949,9 @@ def _quasi_path(out):
 
 # (path, sha256 prefix of the embedding or of the failure and its
 # diagnostics) of quasi_embed on _quasi_instance(seed), recorded before the
-# embedders shared one induced-subgraph primitive; the table runs the main
-# pipeline, the ladder-degenerate pass, the mixed sparse/dense split and the
-# one-shot fallback, so seeded replay of each path stays bit for bit.  The
+# embedders shared one induced-subgraph primitive; the table runs the
+# ladder-degenerate pass, the mixed sparse/dense split and the one-shot
+# passes, so seeded replay of each path stays bit for bit.  The
 # one-shot entries (1, 3, 7, 9, 11, 15, 17, 18, 19, 21, 26, 27) were
 # re-recorded when that pass gained its buffer finish.  Every entry but
 # seeds 1-3 was re-recorded when the attempts took the host collection
@@ -1898,33 +1959,36 @@ def _quasi_path(out):
 # until then, succeed since, so the failures of seeds 90 (step
 # "buffer-colours", deficiency 2, "main": "step1:EmbeddingFailed") and 97
 # (step "buffer-vertices", deficiency 5, "main": "split-decided") joined.
+# The main entries (0, 4, 8, 12, 16, 20, 23-25) were re-recorded when the
+# one-shot passes ran first and settled them; QUASI_MAIN_REPLAY keeps what
+# Steps 0-5 give on them.
 QUASI_REPLAY = {
-    0: ("main", "09b0b69a4f28bd56"),
+    0: ("one-shot", "e658c2711c464db5"),
     1: ("one-shot", "7b2d55561d3ccc27"),
     2: ("ladder-degenerate", "b79ce2478c059c95"),
     3: ("one-shot", "5ef81646fcb83827"),
-    4: ("main", "ceaecced790ec9f1"),
+    4: ("one-shot", "ba825f4dcde44aa3"),
     5: ("ladder-degenerate", "6e108d90a4e27fc8"),
     6: ("ladder-degenerate", "e539581acc2c85a9"),
     7: ("one-shot", "91fed0714db5ed9e"),
-    8: ("main", "a216eee595920f2c"),
+    8: ("one-shot", "02e814dfe9b87d19"),
     9: ("one-shot+sparse", "dea32bc7d64d0c11"),
     10: ("ladder-degenerate", "78e48c5df3d8244c"),
     11: ("one-shot+sparse", "9384ae061d373dd6"),
-    12: ("main", "629959988a31bb32"),
+    12: ("one-shot", "ecca08fc7d53770b"),
     13: ("ladder-degenerate", "68d969f0fe296146"),
     14: ("ladder-degenerate", "f4aac5e915ec04bd"),
     15: ("one-shot", "a9c164dc50f70026"),
-    16: ("main", "4e573d06a1d4b04a"),
+    16: ("one-shot", "a1ebb246e7a5aca9"),
     17: ("one-shot", "c61c30244ab14541"),
     18: ("one-shot", "ea5663c338f3c82a"),
     19: ("one-shot", "d5c377480cad59cc"),
-    20: ("main", "9ecf763400604dcb"),
+    20: ("one-shot", "6e868d06fe14af26"),
     21: ("one-shot+sparse", "ceff394ec202c20a"),
     22: ("ladder-degenerate", "1c3f1021affa5778"),
-    23: ("main", "d501c3347858b824"),
-    24: ("main", "81032f4a1d131a76"),
-    25: ("main", "f961ca68f9d31493"),
+    23: ("one-shot", "4c353d62e3d3e691"),
+    24: ("one-shot", "6b2674307c7703ae"),
+    25: ("one-shot", "d9a1e106a6188b98"),
     26: ("one-shot", "e5d23f47c0e421b5"),
     27: ("one-shot+sparse", "c9c56a9d7ccf81a7"),
     90: ("one-shot:MatchingTooSmall", "c400257cf10329bf"),
@@ -1932,8 +1996,23 @@ QUASI_REPLAY = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(QUASI_REPLAY))
-def test_quasi_replays_every_path(seed):
+# the main-path entries of QUASI_REPLAY before the one-shot passes ran
+# first, replayed with those passes made to fail: Steps 0-5 give the
+# embeddings they gave then
+QUASI_MAIN_REPLAY = {
+    0: ("main", "09b0b69a4f28bd56"),
+    4: ("main", "ceaecced790ec9f1"),
+    8: ("main", "a216eee595920f2c"),
+    12: ("main", "629959988a31bb32"),
+    16: ("main", "4e573d06a1d4b04a"),
+    20: ("main", "9ecf763400604dcb"),
+    23: ("main", "d501c3347858b824"),
+    24: ("main", "81032f4a1d131a76"),
+    25: ("main", "f961ca68f9d31493"),
+}
+
+
+def _quasi_replay(seed):
     gc, H, plan = _quasi_instance(seed)
     out = quasi_embed(gc, H, plan, seed=seed)
     if out.ok:
@@ -1943,13 +2022,25 @@ def test_quasi_replays_every_path(seed):
         record = {"failure": f"{out.failure.stage}:{out.failure.reason}",
                   "diag": out.failure.diagnostics}
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
-    assert (_quasi_path(out), digest) == QUASI_REPLAY[seed]
+    return _quasi_path(out), digest
+
+
+@pytest.mark.parametrize("seed", sorted(QUASI_REPLAY))
+def test_quasi_replays_every_path(seed):
+    assert _quasi_replay(seed) == QUASI_REPLAY[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(QUASI_MAIN_REPLAY))
+def test_quasi_replays_the_main_path(seed, monkeypatch):
+    fail_one_shot(monkeypatch)
+    assert _quasi_replay(seed) == QUASI_MAIN_REPLAY[seed]
 
 
 # (calls in a row, embedder, r, sorted colour-cluster keys, d, eps, m,
 # rainbow) of the templates passed to partial_embed, approx_embed,
-# embed_prescribed_colours and transversal_blowup on a main-path quasi run,
-# the mixed sparse/dense quasi run and an expansion; recorded from the
+# embed_prescribed_colours and transversal_blowup on a main-path quasi run
+# (its one-shot passes made to fail), the mixed sparse/dense quasi run and
+# an expansion; recorded from the
 # templates' parameter ledgers before a template held d, eps and m itself,
 # and re-recorded when the quasi templates took the host collection itself
 # in place of sparsified slices (d is read off the raw pair densities, and
@@ -1994,11 +2085,16 @@ def test_each_embedder_reads_the_pinned_template_numbers(monkeypatch):
 
         monkeypatch.setattr(embed, name, recorded)
 
+    def main_path(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            fail_one_shot(mp)
+            return quasi_embed(*args, **kwargs)
+
     for name in ("partial_embed", "approx_embed", "embed_prescribed_colours",
                  "transversal_blowup"):
         record(name)
     runs = {
-        "quasi-0": lambda: quasi_embed(*_quasi_instance(0), seed=0),
+        "quasi-0": lambda: main_path(*_quasi_instance(0), seed=0),
         "quasi-9": lambda: quasi_embed(*_quasi_instance(9), seed=9),
         "expand-1": lambda: expand_embed_3graph(*_expand_instance(1), PLAN, seed=1),
     }
@@ -2116,15 +2212,16 @@ def test_one_shot_backs_up_steps_0_to_5_at_any_pattern_size(H):
 
 def test_main_path_still_runs_the_pipeline(monkeypatch):
     calls = _count_pipeline_calls(monkeypatch)
+    fail_one_shot(monkeypatch)
     gc, H, plan = _quasi_instance(0)
     assert _quasi_path(quasi_embed(gc, H, plan, seed=0)) == "main"
     assert len(calls) >= 1
 
 
 def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
-    # each of seed 97's 20 attempts calls transversal_blowup; the set-up, its
-    # pattern view, the separator certificate and the split decision are
-    # built once for all
+    # each of seed 97's 20 attempts calls transversal_blowup; the set-up and
+    # its pattern view are built once for all, and the separator certificate
+    # and the split decision, which only Steps 0-5 read, at most once
     from transversal import embed
 
     counts = dict.fromkeys(("setup", "view", "certificate", "decided", "blowup"), 0)
@@ -2153,8 +2250,9 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     gc, H, plan = _quasi_instance(97)
     out = quasi_embed(gc, H, plan, seed=97)
     assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
-    assert counts == {"setup": 1, "view": 1, "certificate": 1, "decided": 1,
-                      "blowup": PLAN.retries}
+    assert counts["certificate"] <= 1 and counts["decided"] <= 1
+    assert {k: counts[k] for k in ("setup", "view", "blowup")} == {
+        "setup": 1, "view": 1, "blowup": PLAN.retries}
     # every attempt took the one-shot passes, over one BFS order for all,
     # and that order is the active vertices' BFS order in H
     (setup,) = setups
@@ -2225,6 +2323,7 @@ def test_blowup_checks_colour_conservation(monkeypatch):
     monkeypatch.setattr(embed, "_pipeline_once", one_colour_twice)
     monkeypatch.setattr(embed, "verify_transversal_embedding",
                         lambda *args: VerificationReport(ok=True))
+    fail_one_shot(monkeypatch)
     gc, H, plan = _quasi_instance(0)  # the main path
     with pytest.raises(UnverifiedOutput, match="colour conservation violated on the main path"):
         quasi_embed(gc, H, plan, seed=0)
@@ -2381,7 +2480,7 @@ def test_absorber_sampled_mode_records_count():
     assert ent.subsets_checked == ABSORBER_SAMPLES
 
 
-def test_pipeline_r3_triangle_template():
+def test_pipeline_r3_triangle_template(monkeypatch):
     # three clusters, six 6-cycles each visiting all clusters twice
     m = 12
     clusters = [list(range(0, 12)), list(range(12, 24)), list(range(24, 36))]
@@ -2410,10 +2509,12 @@ def test_pipeline_r3_triangle_template():
         colour_clusters[key] = cc
     gc = GraphCollection(36, cid, gedges)
     t = make_template(clusters, colour_clusters, gc, d="0.5", eps="0.05", m=m)
+    assert transversal_blowup(t, H, phi, None, PLAN, seed=1).stats["path"] == "one-shot"
+    fail_one_shot(monkeypatch)  # the main pipeline carries it too
     out = transversal_blowup(t, H, phi, None, PLAN, seed=1)
     assert out.ok
     assert sorted(out.embedding.sigma.values()) == list(range(cid))
-    assert out.stats.get("path") != "one-shot"  # the main pipeline carries it
+    assert out.stats["path"] == "main"
 
 
 def _cls_key(phi, u, v):

@@ -112,6 +112,7 @@ def test_oracle_gap_at_density_0_3():
             feasible += exact_transversal_embed(gc, H).feasible
             out = quasi_embed(gc, H, PLAN, seed=seed)
             outcomes["success" if out.ok else _path(out)] += 1
+            assert not out.ok or _path(out) == "one-shot"  # no success needs Steps 0-5
     assert feasible == 100
     assert dict(outcomes) == ORACLE_ROW_03
 
@@ -153,6 +154,7 @@ def test_oracle_rows_by_pattern(density):
             feasible += exact_transversal_embed(gc, H).feasible
             out = quasi_embed(gc, H, PLAN, seed=seed)
             outcomes[name, "success" if out.ok else _path(out)] += 1
+            assert not out.ok or _path(out) == "one-shot"  # no success needs Steps 0-5
     assert feasible == 100
     assert dict(outcomes) == ORACLE_ROWS[density]
 
@@ -169,3 +171,4 @@ def test_spanning_cycle_expansion_at_triple_density_0_15(seed):
     g = ThreeGraph(60, [t for t in combinations(range(60), 3) if rng.random() < 0.15])
     out = expand_embed_3graph(g, PatternGraph(30, _cycle(30)), PLAN, seed=seed)
     assert ("success" if out.ok else _path(out)) == SPANNING_C30[seed]
+    assert not out.ok or out.stats["quasi"]["blowup"]["path"] == "one-shot"

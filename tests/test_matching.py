@@ -3,12 +3,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transversal.core import bits_of, mask_of
 from transversal.matching import max_bipartite_matching, perfect_matching
 
 
 def recursive_matching(adj):
-    """Kuhn's algorithm with a recursive augmenting-path search: the
-    reference the iterative implementation must reproduce exactly."""
+    """Kuhn's algorithm on neighbour lists with a recursive augmenting-path
+    search: the reference the iterative mask implementation must reproduce
+    exactly when each list is ascending."""
     pair_left, pair_right = {}, {}
     neigh = {u: list(vs) for u, vs in adj.items()}
 
@@ -30,10 +32,11 @@ def recursive_matching(adj):
 
 
 def test_long_chain_needs_no_recursion():
-    # left i -> [i+1, i]: the last left vertex displaces every earlier one,
-    # an augmenting path of length n that overflows a recursive search
+    # left i -> {i-1, i}, from n-1 down: each takes i-1, its lowest, and the
+    # last left vertex displaces every earlier one, an augmenting path of
+    # length n that overflows a recursive search
     n = 1200
-    adj = {i: [j for j in (i + 1, i) if j < n] for i in range(n)}
+    adj = {i: mask_of(j for j in (i - 1, i) if j >= 0) for i in reversed(range(n))}
     m = max_bipartite_matching(adj)
     assert m == {i: i for i in range(n)}
     assert perfect_matching(adj) == m
@@ -50,10 +53,8 @@ def test_matches_recursive_reference(n_left, n_right, p, seed):
     rng = random.Random(seed)
     adj = {}
     for u in rng.sample(range(100), n_left):
-        nbrs = [v for v in range(n_right) if rng.random() < p]
-        rng.shuffle(nbrs)
-        adj[u] = nbrs
+        adj[u] = mask_of(v for v in range(n_right) if rng.random() < p)
     got = max_bipartite_matching(adj)
-    want = recursive_matching(adj)
+    want = recursive_matching({u: list(bits_of(m)) for u, m in adj.items()})
     assert got == want
     assert list(got.items()) == list(want.items())

@@ -26,13 +26,18 @@ from transversal.embed import (
 )
 from transversal.generators import GenSpec, random_collection
 
+from test_embed import fail_one_shot
+
 PLAN = SplitPlan()
 CYCLE = PatternGraph(120, [(i, (i + 1) % 120) for i in range(120)])
 
 
 def _cycle_run(seed):
+    """The 120-cycle run of ``seed``, its one-shot passes made to fail."""
     gc = random_collection(GenSpec(n=120, n_colours=120, density=0.8, seed=seed))
-    return quasi_embed(gc, CYCLE, PLAN, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        fail_one_shot(mp)
+        return quasi_embed(gc, CYCLE, PLAN, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -77,9 +82,10 @@ def test_the_captured_attempt_runs_every_step(attempt_args):
     assert run.setup.X and run.setup.Y
 
 
-def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args):
+def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args, monkeypatch):
     # a target on a separator vertex, on one of its neighbours and on a
     # vertex outside the connecting graph, whose target Step 0 passes on
+    fail_one_shot(monkeypatch)
     t, H, phi, _, plan, _, setup = attempt_args
     active = set(setup.view.to_global.values())
     v = next(u for u in sorted(active) if u not in setup.X and u not in setup.Y)

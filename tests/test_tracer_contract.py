@@ -55,24 +55,27 @@ def test_the_tracer_counts_every_layer_of_the_application_paths(layers):
         tracer.uninstall()
     assert quasi.ok and quasi.stats["e_sparse"] and expand.ok
     for layer in ("templates.make_template", "embed.partial", "embed.blowup_pipeline",
-                  "core.separability", "embed.equitable", "embed.quasi", "embed.expand",
-                  "core.verify"):
+                  "embed.equitable", "embed.quasi", "embed.expand", "core.verify"):
         assert tracer.layers[layer].calls >= 1, layer
+    # the one-shot passes settle both calls, so no separator is certified
+    assert tracer.layers["core.separability"].calls == 0
     # the attempts embed on the host collection itself: no slice is sparsified
     assert tracer.layers["regularity.sparsify"].calls == 0
     assert tracer.layers["embed.quasi"].calls == 2  # the direct call and expansion's
     assert embed.quasi_embed.__name__ == "quasi_embed"  # uninstalled
 
 
-def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers):
-    # Steps 0-5 call the blow-up embedder (Step 1 and every round of the
+def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers, monkeypatch):
+    # Steps 0-5, reached by making the one-shot passes fail, certify the
+    # separator and call the blow-up embedder (Step 1 and every round of the
     # extra-colours embedder), the absorber and the extra-colours embedder;
     # the tracer adds up each blow-up call's BlowupResult.restarts
-    from test_embed import PLAN, _quasi_instance
+    from test_embed import PLAN, _quasi_instance, fail_one_shot
     from workloads import _quasi_path
 
     from transversal import embed
 
+    fail_one_shot(monkeypatch)
     tracer = layers.Tracer()
     tracer.install()
     try:
@@ -81,7 +84,7 @@ def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers):
     finally:
         tracer.uninstall()
     assert plan is PLAN and out.ok and _quasi_path(out.stats) == "main"
-    for layer in ("embed.blowup_embed", "embed.absorber", "embed.approx"):
+    for layer in ("core.separability", "embed.blowup_embed", "embed.absorber", "embed.approx"):
         assert tracer.layers[layer].calls >= 1, layer
     assert tracer.layers["embed.blowup_embed"].fail == 1
     assert tracer.extra["restarts"] == PLAN.blowup_restarts
