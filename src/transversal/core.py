@@ -499,12 +499,15 @@ class ThreeGraph:
         form of the edge set."""
         return sorted(self._pairs.items())
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            return 0
-        n, get = self.n, self._pairs.get
-        # each edge uvw is seen twice, in the masks of uv and of vw
-        return sum(get(u * n + v if u < v else v * n + u, 0).bit_count() for u in range(n)) // 2
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, in one pass over the pair masks."""
+        twice = [0] * self.n
+        for key, m in self._pairs.items():
+            u, v = divmod(key, self.n)
+            # each edge uvw is seen twice at v, in the masks of uv and of vw
+            twice[u] += m.bit_count()
+            twice[v] += m.bit_count()
+        return [d // 2 for d in twice]
 
     def has(self, a: int, b: int, c: int) -> bool:
         """True when abc is a 3-edge; False for repeated or out-of-range vertices."""

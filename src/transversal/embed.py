@@ -65,6 +65,7 @@ MU_PRIME = 0.05  # approx_embed: B_0 keeps mu'*m vertices of each cluster
 LAMBDA_THICK = 0.05  # approx_embed: the thick-graph threshold of each round
 ABSORBER_RETRIES = 30  # build_absorber's attempts per class, greedy B after half
 ABSORBER_SAMPLES = 200  # sampled B-subsets when C(|B|, l) exceeds the exhaustive cap
+SPARSE_HOST_SHARE = 0.05  # expand: a host needs this * v(Hp)^2 * e(Hp) triples
 
 
 def _mix(seed: int, *tags: int) -> int:
@@ -131,12 +132,11 @@ class SplitPlan:
     failed assumption surfaces as a typed failure.  All fields overridable;
     a value no pipeline can run raises ValueError at construction.  The
     stage constants that no caller overrides (``NU_PRIME`` to
-    ``ABSORBER_SAMPLES``) are module constants instead.
+    ``SPARSE_HOST_SHARE``) are module constants instead.
     """
 
     eps: float = 0.05
     mu: float = 0.1
-    alpha: float = 0.05
     lambda1: float = 0.1
     lambda3: float = 0.2
     p_abs: float = 0.05
@@ -291,8 +291,9 @@ def equitable_colouring(H: SimpleGraph, r: int, seed: int = 0, cap: int | None =
         sizes = [p.bit_count() for p in parts]
         if max(sizes) - min(sizes) <= 1:
             return EquitableColouring(parts=colouring, proper=True, balanced=True, rounds=rounds)
-        best = best or colouring
-    return EquitableColouring(parts=best, proper=True, balanced=False, rounds=rounds)
+        best = best or EquitableColouring(parts=colouring, proper=True, balanced=False,
+                                          rounds=rounds)
+    return best
 
 
 def _balancing_move(adj, parts: list[int], hi: int, lo: int, rng) -> list[tuple[int, int, int]]:
@@ -2049,7 +2050,8 @@ def quasi_embed(
     inside a V_i are never read.  A success's ``stats["path"]`` names its
     path: ``main``, ``one-shot``, ``LadderDegenerate`` or ``empty``.  A
     pattern with target sets (``H.targets``) fails PreconditionViolated
-    before any draw: no step honours them.
+    before any draw: no step honours them.  So does a colour with no edge,
+    which the diagnostics name: |C| = e(H), so the copy uses every colour.
     """
     n, K = gc.n, gc.n_colours
     if K != H.e:
@@ -2063,16 +2065,10 @@ def quasi_embed(
     if H.e == 0:
         tau = {v: v for v in range(H.n)}
         return EmbedOutcome.success(gc, H, tau, {}, stats={"path": "empty"})
-    # declared super-uniform-density floors, reported (not assumed) on failure
-    alpha = plan.alpha
-    weak_v = [v for v, deg in enumerate(gc.total_degrees()) if deg < alpha * K * n]
-    weak_c = [c for c in range(K) if gc.edge_count(c) < alpha * n * n]
-    if weak_v or weak_c:
-        return EmbedOutcome.fail(
-            "quasi", PRECONDITION, seed,
-            weak_vertices=weak_v[:5], weak_colours=weak_c[:5],
-            detail="declared degree/size floors fail",
-        )
+    bare = next((c for c in range(K) if not gc.edge_count(c)), None)
+    if bare is not None:
+        return EmbedOutcome.fail("quasi", PRECONDITION, seed, colour=bare,
+                                 detail="a colour has no edge")
     setup = _quasi_setup(H, plan, seed)
     if isinstance(setup, Failure):
         return EmbedOutcome(None, setup, None)
@@ -2117,11 +2113,16 @@ class _ExpandSetup:
     stats: dict
 
 
-def _expand_setup(g: ThreeGraph, H: PatternGraph, plan: SplitPlan,
-                  seed: int) -> _ExpandSetup | Failure:
+def _expand_setup(g: ThreeGraph, H: PatternGraph, seed: int) -> _ExpandSetup | Failure:
     """Pad H with edges between isolated vertices (existing isolates first,
     fresh ones if needed) until e > n/4 - 1 and relabel it onto the touched
-    vertices; or the typed failure when g is too small for that."""
+    vertices; or the typed failure when g cannot host that padded pattern
+    Hp.  Both refusals below come before any link collection is built.  A
+    host with fewer than ``SPARSE_HOST_SHARE`` * v(Hp)^2 * e(Hp) triples is
+    too sparse for Hp: a draw's link collection costs O(n^2) however few
+    triples g has (at n = 20000, 3 triples and no such rule, the draws grew
+    past 2.1 GB).  When v(Hp) + e(Hp) = n, a host vertex in no triple is in
+    every draw, so every draw fails: the failure names that vertex."""
     n, edges = g.n, list(H.edges())
     pool = [v for v in range(H.n) if H.degree(v) == 0]  # the isolates left
     pads: list[tuple[int, int]] = []
@@ -2142,12 +2143,15 @@ def _expand_setup(g: ThreeGraph, H: PatternGraph, plan: SplitPlan,
                        padded_edges=len(pads), fresh_vertices=fresh)
     relabel = {v: i for i, v in enumerate(touched)}
     Hp = PatternGraph(len(touched), [(relabel[u], relabel[v]) for (u, v) in all_edges])
-    # a draw's link collection has at most g.e edges over its Hp.e colours, so
-    # below this count quasi_embed's per-colour floor fails on every draw
-    need = plan.alpha * Hp.n**2 * Hp.e
+    need = SPARSE_HOST_SHARE * Hp.n**2 * Hp.e
     if g.e < need:
         return Failure("expand", PRECONDITION, seed, host_edges=g.e, need=need,
-                       detail="too few host edges for the declared colour floor")
+                       detail="too few host edges for the padded pattern")
+    if Hp.n + Hp.e == n:  # every draw takes every host vertex
+        bare = next((v for v, d in enumerate(g.degrees()) if not d), None)
+        if bare is not None:
+            return Failure("expand", PRECONDITION, seed, vertex=bare,
+                           detail="a host vertex in no triple is in every draw")
     return _ExpandSetup(Hp, relabel, pool, {"padded_edges": len(pads), "fresh_vertices": fresh})
 
 
@@ -2217,23 +2221,26 @@ def expand_embed_3graph(
     random sample of hosts instead.  Every success, that one too, passes
     ``verify_expansion`` (``_verified_expansion``).  A pattern with target
     sets fails PreconditionViolated before any draw, as in ``quasi_embed``.
+    A failure's diagnostics carry the host quantities of the application
+    theorem: ``min_degree_ratio``, the least vertex degree over C(n-1, 2),
+    and ``triple_density``, e over C(n, 3).
     """
     n = g.n
     if H.n + H.e > n:
-        return ExpansionOutcome(None, None, Failure(
-            "expand", PRECONDITION, seed, detail="v(H)+e(H) > v(G)"
-        ))
-    if H.targets:
-        return ExpansionOutcome(None, None, Failure("expand", PRECONDITION, seed,
-                                                    detail=_NO_TARGETS))
-    if H.e == 0:
+        run = Failure("expand", PRECONDITION, seed, detail="v(H)+e(H) > v(G)")
+    elif H.targets:
+        run = Failure("expand", PRECONDITION, seed, detail=_NO_TARGETS)
+    elif H.e == 0:
         hosts = random.Random(_mix(seed, 101)).sample(range(n), H.n)
         return _verified_expansion(g, H, dict(enumerate(hosts)), {}, {"path": "edgeless"})
-    setup = _expand_setup(g, H, plan, seed)
-    if isinstance(setup, Failure):
-        return ExpansionOutcome(None, None, setup)
-
-    run, _ = _retry(seed, 103, max(1, plan.retries // 4),
-                    Failure("expand", EMBEDDING_FAILED, seed),
-                    _steps(_EXPAND_STEPS, setup=setup, g=g, H=H, plan=plan))
-    return ExpansionOutcome(None, None, run) if isinstance(run, Failure) else run.out
+    else:
+        setup = _expand_setup(g, H, seed)
+        run = setup if isinstance(setup, Failure) else _retry(
+            seed, 103, max(1, plan.retries // 4), Failure("expand", EMBEDDING_FAILED, seed),
+            _steps(_EXPAND_STEPS, setup=setup, g=g, H=H, plan=plan))[0]
+    if not isinstance(run, Failure):
+        return run.out
+    m = max(n, 3)  # below 3 vertices there is no triple, and both read 0
+    run.diagnostics.update(min_degree_ratio=min(g.degrees(), default=0) / math.comb(m - 1, 2),
+                           triple_density=g.e / math.comb(m, 3))
+    return ExpansionOutcome(None, None, run)

@@ -147,24 +147,11 @@ def parity_threegraph(
     return ThreeGraph(n, triples, parts=parts)
 
 
-def one_expansion(H: SimpleGraph, t_per_edge: int | dict[tuple[int, int], int] = 1) -> ThreeGraph:
-    """Expand every 2-edge xy into 3-edges xyc_1..xyc_t with fresh vertices.
-
-    t = 1 gives the 1-expansion, which is linear and has v(H)+e(H) vertices.
-    """
-    if isinstance(t_per_edge, int):
-        tmap = {e: t_per_edge for e in H.edges()}
-    else:
-        tmap = {(min(e), max(e)): t for e, t in t_per_edge.items()}
-    if any(t < 1 for t in tmap.values()):
-        raise ValueError("each edge needs at least one expansion vertex")
-    nxt = H.n
-    triples = []
-    for e in H.edges():
-        for _ in range(tmap[e]):
-            triples.append((e[0], e[1], nxt))
-            nxt += 1
-    return ThreeGraph(nxt, triples)
+def one_expansion(H: SimpleGraph) -> ThreeGraph:
+    """The 1-expansion of H: every 2-edge xy becomes the 3-edge xyc with a
+    fresh vertex c, so it is linear and has v(H)+e(H) vertices."""
+    triples = [(u, v, H.n + i) for i, (u, v) in enumerate(H.edges())]
+    return ThreeGraph(H.n + len(triples), triples)
 
 
 def _path_power(n: int, b: int) -> list[tuple[int, int]]:

@@ -515,26 +515,28 @@ def test_embed_reports_a_pattern_with_target_sets_as_a_failure(workdir, pipeline
     assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
     rep = json.loads((workdir / "rep.json").read_text())
     assert rep["verified"] is False
+    # an expand failure also reports its complete host's degree and density
+    host = {"min_degree_ratio": 1.0, "triple_density": 1.0} if pipeline == "expand" else {}
     assert rep["outcome"] == {
         "status": "failure", "stage": pipeline, "reason": "PreconditionViolated",
-        "diagnostics": {"detail": "target sets are not supported by this pipeline"}}
+        "diagnostics": {"detail": "target sets are not supported by this pipeline", **host}}
 
 
 @pytest.mark.parametrize("params, message", [
-    ('{"alpha": NaN}', "alpha must be a finite number, not nan"),
+    ('{"lambda1": NaN}', "lambda1 must be a finite number, not nan"),
     ('{"eps": NaN}', "eps must be a finite number, not nan"),
     ('{"mu": Infinity}', "mu must be a finite number, not inf"),
     ('{"blowup_reserve": -Infinity}', "blowup_reserve must be a finite number, not -inf"),
-    ('{"alpha": "0.05"}', "alpha must be a finite number, not '0.05'"),
+    ('{"ladder_base": "0.05"}', "ladder_base must be a finite number, not '0.05'"),
     ('{"eps": true}', "eps must be a finite number, not True"),
     ('{"mu": 2.0}', r"mu must lie in \(0,1\]"),
     ('{"mu": 0.0}', r"mu must lie in \(0,1\]"),
 ])
 def test_a_plan_value_no_pipeline_can_run_is_refused(workdir, capsys, params, message):
-    # alpha = nan used to switch off quasi_embed's floors, eps = nan to raise
-    # inside the first attempt, alpha = "0.05" to raise TypeError from the
-    # floors, mu = 2 to raise from the separator search and mu = 0 to be
-    # replaced by 1
+    # a nan fails every comparison, so it would switch off any check that
+    # reads it: eps = nan used to raise inside the first attempt, a string
+    # to raise TypeError from the first arithmetic on it, mu = 2 to raise
+    # from the separator search and mu = 0 to be replaced by 1
     with pytest.raises(ValueError, match=f"^{message}$"):
         SplitPlan(**json.loads(params))
     assert main([
@@ -549,22 +551,34 @@ def test_a_plan_value_no_pipeline_can_run_is_refused(workdir, capsys, params, me
     assert message.replace("\\", "") in capsys.readouterr().err
 
 
+def test_a_deleted_plan_field_is_a_usage_error(workdir, capsys):
+    # alpha, the fixed density floor of quasi_embed, is no SplitPlan field
+    write_json(workdir / "inst.json",
+               {"n": 4, "colours": [0, 1], "edges": {"0": [[0, 1]], "1": [[2, 3]]}})
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(4, [(0, 1), (2, 3)])))
+    write_json(workdir / "p.json", {"alpha": 0.05})
+    capsys.readouterr()
+    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                 "--pattern", "h.json", "--params", "p.json"]) == 2
+    assert "unexpected keyword argument 'alpha'" in capsys.readouterr().err
+
+
 def test_failure_diagnostics_are_json_native(workdir):
-    assert main([
-        "generate", "--construction", "random", "--n", "12", "--colours", "6",
-        "--density", "0.05", "--seed", "1", "--out", "sparse.json",
-    ]) == 0
+    # |C| = e(H) = 6, and colour 4 has no edge, so no copy can use it
+    edges = {str(c): [[u, v] for u, v in combinations(range(12), 2)] for c in range(6)}
+    edges["4"] = []
+    write_json(workdir / "bare.json", {"n": 12, "colours": list(range(6)), "edges": edges})
     H = PatternGraph(12, [(2 * i, 2 * i + 1) for i in range(6)])
     write_json(workdir / "h.json", pattern_to_json(H))
     assert main([
-        "embed", "--pipeline", "quasi", "--instance", "sparse.json",
+        "embed", "--pipeline", "quasi", "--instance", "bare.json",
         "--pattern", "h.json", "--out", "rep.json",
     ]) == 1
     outcome = json.loads((workdir / "rep.json").read_text())["outcome"]
-    assert outcome["reason"] == "PreconditionViolated"
-    assert isinstance(outcome["diagnostics"]["weak_vertices"], list)
-    assert all(isinstance(v, int) for v in outcome["diagnostics"]["weak_vertices"])
-    # an expand failure keeps its diagnostics too
+    assert (outcome["stage"], outcome["reason"]) == ("quasi", "PreconditionViolated")
+    assert outcome["diagnostics"] == {"colour": 4, "detail": "a colour has no edge"}
+    # an expand failure keeps its diagnostics too, with the host's least
+    # vertex degree over C(n-1, 2) and its triple density
     write_json(workdir / "g.json", {"n": 6, "edges": [list(t) for t in combinations(range(6), 3)]})
     write_json(workdir / "c5.json", {"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]})
     assert main([
@@ -572,8 +586,23 @@ def test_failure_diagnostics_are_json_native(workdir):
         "--pattern", "c5.json", "--out", "rep2.json",
     ]) == 1
     rep = json.loads((workdir / "rep2.json").read_text())
-    assert rep["outcome"]["diagnostics"]["detail"] == "v(H)+e(H) > v(G)"
+    assert rep["outcome"]["diagnostics"] == {"detail": "v(H)+e(H) > v(G)",
+                                             "min_degree_ratio": 1.0, "triple_density": 1.0}
     assert rep["verified"] is False
+
+
+def test_an_expand_failure_reports_the_hosts_degree_and_density(workdir):
+    # every triple of vertices 0-6, and vertex 7 in none; the 4-cycle's
+    # expansion takes all 8 vertices, so vertex 7 is in every draw
+    write_json(workdir / "g.json", {"n": 8, "edges": [list(t) for t in combinations(range(7), 3)]})
+    write_json(workdir / "c4.json", {"n": 4, "edges": [[i, (i + 1) % 4] for i in range(4)]})
+    assert main(["embed", "--pipeline", "expand", "--instance", "g.json",
+                 "--pattern", "c4.json", "--out", "rep.json"]) == 1
+    outcome = json.loads((workdir / "rep.json").read_text())["outcome"]
+    assert (outcome["stage"], outcome["reason"]) == ("expand", "PreconditionViolated")
+    assert outcome["diagnostics"] == {
+        "vertex": 7, "detail": "a host vertex in no triple is in every draw",
+        "min_degree_ratio": 0.0, "triple_density": 35 / 56}
 
 
 def test_expand_report_rechecks_the_triples(workdir, monkeypatch):

@@ -189,6 +189,26 @@ def test_equitable_returns_the_first_colouring_when_no_restart_balances():
                                     proper=True, balanced=False, rounds=0)
 
 
+def test_equitable_reports_the_rounds_of_the_colouring_it_returns(monkeypatch):
+    # the same pattern: restart 0 stops after one round, and every later
+    # restart runs no-op rounds up to the cap; the returned colouring is
+    # restart 0's, so its round count is 1, not the last restart's cap
+    from transversal import embed
+
+    def stop_then_stall(adj, parts, hi, lo, rng):
+        calls.append(hi)
+        return [] if len(calls) == 1 else [(parts[hi].bit_length() - 1, hi, hi)]
+
+    calls = []
+    monkeypatch.setattr(embed, "_balancing_move", stop_then_stall)
+    H = PatternGraph(12, [(0, 2), (0, 11), (1, 5), (1, 9), (1, 10), (2, 4), (2, 7), (3, 5),
+                          (3, 9), (3, 10), (4, 11), (5, 6), (6, 9), (6, 10), (7, 11)])
+    eq = equitable_colouring(H, H.max_degree + 1, seed=1, cap=5)
+    assert len(calls) == 1 + 7 * 5
+    assert eq == EquitableColouring(parts=((0, 1, 6, 7), (2, 8, 9), (3, 11), (4, 5, 10)),
+                                    proper=True, balanced=False, rounds=1)
+
+
 def test_equitable_needs_enough_classes():
     H = PatternGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError):
@@ -1691,7 +1711,8 @@ def test_a_pattern_with_target_sets_is_refused_before_any_draw(monkeypatch, pipe
                                   seed=1)
     f = out.failure
     assert not out.ok and (f.stage, f.reason, f.seed) == (pipeline, PRECONDITION, 1)
-    assert f.diagnostics == {"detail": "target sets are not supported by this pipeline"}
+    host = {"min_degree_ratio": 1.0, "triple_density": 1.0} if pipeline == "expand" else {}
+    assert f.diagnostics == {"detail": "target sets are not supported by this pipeline", **host}
 
 
 # ---------------------------------------------------------------------------
@@ -1808,7 +1829,8 @@ def test_expand_padding_that_needs_more_hosts_is_refused():
     f = expand_embed_3graph(g, PatternGraph(11, [(0, 1)]), PLAN, seed=0).failure
     assert (f.stage, f.reason) == ("expand", PADDING_IMPOSSIBLE)
     assert f.diagnostics == {"detail": "padding needs 14 > 12 host vertices",
-                             "padded_edges": 2, "fresh_vertices": 0}
+                             "padded_edges": 2, "fresh_vertices": 0,
+                             "min_degree_ratio": 1.0, "triple_density": 1.0}
 
 
 def test_expand_too_large_rejected():
@@ -1851,9 +1873,11 @@ def _expand_instance(seed):
 # (1, 4, 5, 8, 9, 10, 12, 13, 16, 17) were re-recorded when that pass gained
 # its buffer finish, every success but seed 11's when the quasi attempts
 # took the link collection itself in place of its sparsified slices, and
-# the main-path seeds (2, 6, 14, 18) when the one-shot passes ran first
+# the main-path seeds (2, 6, 14, 18) when the one-shot passes ran first;
+# seed 0 ran its draws when quasi_embed's fixed density floors went, which
+# refused it as quasi:PreconditionViolated; it now ends one-shot:CandidateExhausted
 EXPAND_REPLAY = {
-    0: "99847fde6143c98b",
+    0: "5ca76cbd6c3b252f",
     1: "a6805cb8cb1176b4",
     2: "c49107f6b5473ddb",
     3: "a9f9b86aab809213",

@@ -6,7 +6,8 @@ v(H) = 60, host densities 0.4 and 0.8, seeds 1-3 (host and run seed alike).
 The oracle rows: the same call on five patterns of 8-10 vertices at host
 densities 0.2, 0.3 and 0.5, seeds 0-19, against ``exact_transversal_embed``'s
 verdict.  The spanning expansions: ``expand_embed_3graph`` of the 30-cycle
-in random 3-graphs on 60 vertices at triple density 0.15, seeds 1-3.
+in random 3-graphs on 60 vertices at triple density 0.15, seeds 1-3, and
+on density-0.4 hosts with a few low-degree vertices.
 """
 
 import random
@@ -95,12 +96,13 @@ ORACLE_PATTERNS = {
 # outcomes of the density-0.3 row (100 runs); the oracle finds every
 # instance feasible, so each failure is the pipeline's, not the instance's.
 # Re-recorded when quasi_embed stopped sparsifying its slices: the row held
-# 42 successes, 43 buffer-vertices, 12 (x,1) and 3 precondition failures.
+# 42 successes, 43 buffer-vertices, 12 (x,1) and 3 precondition failures;
+# and when its fixed density floors went: those 3 refusals became 2
+# successes and a buffer-vertices failure.
 ORACLE_ROW_03 = {
-    "success": 87,
-    "one-shot:MatchingTooSmall:buffer-vertices": 7,
+    "success": 89,
+    "one-shot:MatchingTooSmall:buffer-vertices": 8,
     "one-shot:CandidateExhausted:(x,1)": 3,
-    "quasi:PreconditionViolated:": 3,
 }
 
 
@@ -120,26 +122,25 @@ def test_oracle_gap_at_density_0_3():
 # (pattern, outcome) -> runs of the density-0.2 and 0.5 rows (20 runs per
 # pattern); the oracle finds every instance feasible.  Recorded when
 # quasi_embed took the host collection itself in place of sparsified
-# slices; with them the rows held 22 and 97 successes.
+# slices; with them the rows held 22 and 97 successes.  Re-recorded when
+# quasi_embed's fixed density floors went: at 0.2 their 38 refusals became
+# 5 successes, 27 buffer-vertices, 5 (x,1) and 1 (x,4.1) failures.
 ORACLE_ROWS = {
     0.2: {
         ("2C5", "success"): 4,
         ("2C5", "one-shot:CandidateExhausted:(x,1)"): 2,
-        ("2C5", "one-shot:MatchingTooSmall:buffer-vertices"): 7,
-        ("2C5", "quasi:PreconditionViolated:"): 7,
+        ("2C5", "one-shot:MatchingTooSmall:buffer-vertices"): 14,
         ("C10", "success"): 2,
         ("C10", "one-shot:CandidateExhausted:(x,1)"): 1,
-        ("C10", "one-shot:MatchingTooSmall:buffer-vertices"): 10,
-        ("C10", "quasi:PreconditionViolated:"): 7,
-        ("C8", "success"): 1,
-        ("C8", "one-shot:MatchingTooSmall:buffer-vertices"): 4,
-        ("C8", "quasi:PreconditionViolated:"): 15,
-        ("M5", "success"): 17,
-        ("M5", "quasi:PreconditionViolated:"): 3,
-        ("P10", "success"): 5,
+        ("C10", "one-shot:MatchingTooSmall:buffer-vertices"): 17,
+        ("C8", "success"): 2,
+        ("C8", "one-shot:CandidateExhausted:(x,1)"): 5,
+        ("C8", "one-shot:CandidateExhausted:(x,4.1)"): 1,
+        ("C8", "one-shot:MatchingTooSmall:buffer-vertices"): 12,
+        ("M5", "success"): 20,
+        ("P10", "success"): 6,
         ("P10", "one-shot:CandidateExhausted:(x,1)"): 1,
-        ("P10", "one-shot:MatchingTooSmall:buffer-vertices"): 8,
-        ("P10", "quasi:PreconditionViolated:"): 6,
+        ("P10", "one-shot:MatchingTooSmall:buffer-vertices"): 13,
     },
     0.5: {(name, "success"): 20 for name in ORACLE_PATTERNS},
 }
@@ -172,3 +173,49 @@ def test_spanning_cycle_expansion_at_triple_density_0_15(seed):
     out = expand_embed_3graph(g, PatternGraph(30, _cycle(30)), PLAN, seed=seed)
     assert ("success" if out.ok else _path(out)) == SPANNING_C30[seed]
     assert not out.ok or out.stats["quasi"]["blowup"]["path"] == "one-shot"
+
+
+def _low_degree_host(k, q, seed, n=60, density=0.4):
+    """A random 3-graph on n vertices with triple density ``density``, except
+    that every triple at k seeded vertices is kept with probability q; with
+    the k vertices.  Each of them has degree about q * C(n-1, 2)."""
+    rng = random.Random(seed)
+    weak = rng.sample(range(n), k)
+    keep = [t for t in combinations(range(n), 3)
+            if rng.random() < (q if set(weak).intersection(t) else density)]
+    return ThreeGraph(n, keep), weak
+
+
+# (k, q) rows of low-degree hosts whose spanning C30 expansions a fixed floor
+# on each draw's vertex degrees and colour sizes refused (0 of 9 succeeded);
+# the application theorem asks for a minimum vertex degree of Omega(n^2)
+# with any positive constant, and the least here is about 0.016 * C(59, 2)
+LOW_DEGREE_ROWS = [(3, 0.05), (10, 0.1), (3, 0.02)]
+
+
+@pytest.mark.parametrize("k, q", LOW_DEGREE_ROWS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spanning_cycle_expansion_on_a_low_degree_host(k, q, seed):
+    g, _ = _low_degree_host(k, q, seed)
+    out = expand_embed_3graph(g, PatternGraph(30, _cycle(30)), PLAN, seed=seed)
+    assert out.ok and out.stats["quasi"]["blowup"]["path"] == "one-shot"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_host_vertex_in_no_triple_is_refused_before_any_draw(monkeypatch, seed):
+    # the spanning expansion takes all 60 host vertices, so the isolated one
+    # is in every draw; without this refusal every draw ran and failed
+    import types
+
+    from transversal import embed
+
+    def no_draw(seed):
+        raise AssertionError(f"a draw with seed {seed}")
+
+    g, [isolated] = _low_degree_host(1, 0.0, seed)
+    monkeypatch.setattr(embed, "random", types.SimpleNamespace(Random=no_draw))
+    f = expand_embed_3graph(g, PatternGraph(30, _cycle(30)), PLAN, seed=seed).failure
+    assert (f.stage, f.reason, f.seed) == ("expand", "PreconditionViolated", seed)
+    assert f.diagnostics["vertex"] == isolated
+    assert f.diagnostics["min_degree_ratio"] == 0.0
+    assert f.diagnostics["triple_density"] == g.e / 34220

@@ -240,7 +240,7 @@ def test_parity_threegraph_complement_swap():
 
 def test_one_expansion_counts_and_linearity():
     H = SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    g = one_expansion(H, 1)
+    g = one_expansion(H)
     assert g.n == H.n + H.e
     assert g.e == H.e
     # linear: every pair of 3-edges shares at most one vertex
@@ -250,14 +250,14 @@ def test_one_expansion_counts_and_linearity():
 
 def test_one_expansion_single_edge():
     H = SimpleGraph(2, [(0, 1)])
-    g = one_expansion(H, 1)
+    g = one_expansion(H)
     assert g.n == 3 and g.e == 1
 
 
 def test_one_expansion_loose_cycle():
     k = 5
     H = SimpleGraph(k, [(i, (i + 1) % k) for i in range(k)])
-    g = one_expansion(H, 1)
+    g = one_expansion(H)
     assert g.n == 2 * k and g.e == k
     # loose cycle: consecutive 3-edges intersect in one vertex, others in none
     for e, f in combinations(g.edges, 2):
