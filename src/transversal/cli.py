@@ -56,9 +56,9 @@ def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
     tens of thousands of vertices) into the JSON text of ``[n, parts, keys,
     masks]``, joined by hand: an int list prints as its JSON."""
     if isinstance(inst, ThreeGraph):
-        items = inst.pair_masks()
-        masks = '["' + '", "'.join([hex(m) for _, m in items]) + '"]' if items else "[]"
-        return _digest(f"[{inst.n}, {json.dumps(inst.parts)}, {[k for k, _ in items]}, {masks}]")
+        table = inst.pair_masks().mapping
+        masks = '["' + '", "'.join(map(hex, table.values())) + '"]' if table else "[]"
+        return _digest(f"[{inst.n}, {json.dumps(inst.parts)}, {list(table)}, {masks}]")
     return _digest(collection_to_json(inst))
 
 

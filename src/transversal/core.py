@@ -22,7 +22,7 @@ import random
 import threading
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -463,6 +463,7 @@ class ThreeGraph:
         if table is None:
             # each edge abc is counted once, in the mask of ab, as the bit c above b
             self.e = sum((m >> key % n >> 1).bit_count() for key, m in pairs.items())
+            pairs = dict(sorted(pairs.items()))  # in key order, as the table route's
         else:
             self.e = int(np.count_nonzero(table)) // 3
             rows = np.packbits(table.reshape(n * n, width), axis=1, bitorder="little").view("<u8")
@@ -494,10 +495,11 @@ class ThreeGraph:
             self._edges = frozenset(triples)
         return self._edges
 
-    def pair_masks(self) -> list[tuple[int, int]]:
-        """The table's ``(u * n + v, mask)`` items in key order, a canonical
-        form of the edge set."""
-        return sorted(self._pairs.items())
+    def pair_masks(self) -> ItemsView[int, int]:
+        """The table's ``(u * n + v, mask)`` items in key order (both build
+        routes keep it), a canonical form of the edge set: a read-only view,
+        whose ``mapping`` reads the keys and masks without pairing them."""
+        return self._pairs.items()
 
     def degrees(self) -> list[int]:
         """Every vertex's degree, in one pass over the pair masks."""

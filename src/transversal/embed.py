@@ -1326,14 +1326,14 @@ def _connecting_graph(H: PatternGraph, X: list[int], active) -> tuple[list[int],
 @dataclass(frozen=True)
 class _BlowupSetup:
     """What Steps 0-5 and the one-shot passes need that no draw changes, for
-    one (H, phi, active): the verification view, the class edges and the
-    template's class keys; then, each on first use: ``_bfs_order(H,
-    active)`` (``bfs``, from the view's pattern) and what only Steps 0-5
-    read, the separator X with Step 0's neighbours Y and connecting graph,
-    the components outside X with their class edge counts and whether those
+    one (H, phi, active): the class edges and the template's class keys;
+    then, each on first use: ``_bfs_order(H, active)`` (``bfs``), the
+    verification view of the active induced pattern (``view``; a success
+    over all of H is verified on H itself) and what only Steps 0-5 read,
+    the separator X with Step 0's neighbours Y and connecting graph, the
+    components outside X with their class edge counts and whether those
     counts rule every split out (``decided``)."""
 
-    view: _PatternView
     class_e: dict[tuple[int, int], list[tuple[int, int]]]
     keys: list[tuple[int, int]]
     H: PatternGraph
@@ -1343,8 +1343,11 @@ class _BlowupSetup:
 
     @cached_property
     def bfs(self) -> list[int]:
-        local = _bfs_order(self.view.pattern, range(self.view.pattern.n))
-        return [self.view.to_global[v] for v in local]
+        return _bfs_order(self.H, self.active)
+
+    @cached_property
+    def view(self) -> _PatternView:
+        return _pattern_view(self.H, self.active)
 
     @cached_property
     def X(self) -> list[int]:
@@ -1382,12 +1385,14 @@ class _BlowupSetup:
 
 
 def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
-                  keys: list[tuple[int, int]]) -> _BlowupSetup:
+                  keys: list[tuple[int, int]], class_e=None) -> _BlowupSetup:
     """The set-up of ``transversal_blowup`` over ``active`` for a template
-    with the sorted class keys ``keys``."""
-    view = _pattern_view(H, active)
-    mu = plan.mu if view.pattern.n * plan.mu >= 1 else 1.0
-    return _BlowupSetup(view, _class_edges(H, phi, active), keys, H, phi, set(active), mu)
+    with the sorted class keys ``keys``; ``class_e``, when given, is
+    ``_class_edges(H, phi, active)`` already built."""
+    mu = plan.mu if len(active) * plan.mu >= 1 else 1.0
+    if class_e is None:
+        class_e = _class_edges(H, phi, active)
+    return _BlowupSetup(class_e, keys, H, phi, set(active), mu)
 
 
 def _buffer(H: SimpleGraph, order) -> int:
@@ -1400,16 +1405,40 @@ def _buffer(H: SimpleGraph, order) -> int:
     return B
 
 
+def _greedy_colours(adj, free, phi, tau, edges) -> dict | None:
+    """Each edge of ``edges``, in turn, to the lowest colour of its class's
+    ``free`` mask not yet taken whose graph joins its ends' images; None
+    when some edge finds none."""
+    taken, out = 0, {}
+    for u, v in edges:
+        avail, x, y = free[_class_key(phi, u, v)] & ~taken, tau[u], tau[v]
+        while avail:
+            low = avail & -avail
+            if adj(low.bit_length() - 1, x) >> y & 1:
+                break
+            avail ^= low
+        else:
+            return None
+        taken |= low
+        out[(u, v)] = low.bit_length() - 1
+    return out
+
+
 def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: PartialEmbedding,
                    targets, seed: int):
     """Finish a one-shot pass on its buffer B (independent, every neighbour
-    embedded by ``part``) with two deterministic matchings on masks: each b
-    to an unused host of its cluster and target that every embedded
-    neighbour a reaches in some unused colour of the class of ab, then each
-    edge at B to an unused colour of its class that joins its ends' images
-    (its class's free colours AND the images' ``colour_mask``).  A short
-    matching is a typed failure with its deficiency.  This is the finish of
-    every one-shot pass, which ``transversal_blowup`` runs before Steps 0-5."""
+    embedded by ``part``).  First a deterministic matching on masks takes
+    each b to an unused host of its cluster and target that every embedded
+    neighbour a reaches in some unused colour of the class of ab.  Then each
+    edge at B, in sorted order, takes the lowest unused colour of its class
+    that joins its ends' images (``_greedy_colours``); only when some edge
+    finds none does a matching decide, on each edge's free class colours
+    AND its images' ``colour_mask``.  A greedy completion is a perfect
+    matching, so the greedy step moves no success, failure or deficiency,
+    only which colour an edge gets.  A short matching is a typed failure
+    with its deficiency (a ``buffer-colours`` one comes from the full
+    matching).  This is the finish of every one-shot pass, which
+    ``transversal_blowup`` runs before Steps 0-5."""
     tau, sigma, adj = dict(part.tau), dict(part.sigma), t.gc.adj
     retired, used = mask_of(sigma.values()), mask_of(tau.values())
     free = {key: mask & ~retired for key, mask in t.colour_cluster_masks.items()}
@@ -1431,12 +1460,15 @@ def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: Partia
         return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-vertices",
                        deficiency=len(B) - len(matched))
     tau.update(matched)
-    matched = max_bipartite_matching({  # each edge to the free colours joining its images
-        (u, v): free[_class_key(phi, u, v)] & t.gc.colour_mask(tau[u], tau[v])
-        for u, v in sorted(edges)})
-    if len(matched) < len(edges):
-        return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-colours",
-                       deficiency=len(edges) - len(matched))
+    edges.sort()
+    matched = _greedy_colours(adj, free, phi, tau, edges)
+    if matched is None:
+        matched = max_bipartite_matching({  # each edge to the free colours joining its images
+            (u, v): free[_class_key(phi, u, v)] & t.gc.colour_mask(tau[u], tau[v])
+            for u, v in edges})
+        if len(matched) < len(edges):
+            return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-colours",
+                           deficiency=len(edges) - len(matched))
     sigma.update(matched)
     return tau, sigma, {"path": "one-shot"}
 
@@ -1456,23 +1488,27 @@ def transversal_blowup(
     Up to ``retries`` one-shot passes run first (``"path": "one-shot"``, tag
     89), over a BFS order of the active vertices and, on odd retries, a
     shuffle of it: each holds back the buffer B of ``_buffer``, runs the
-    candidate-set pass on the rest and finishes B with ``_finish_buffer``'s
-    matchings.  Only when all fail do Steps 0-5 run (``"path": "main"``, tag
-    83, independent sub-seeds), the paper's blow-up lemma: Step 0 embeds
-    the separator graph and shrinks target sets to candidate sets; Step 1
-    embeds the absorber part into the lambda3-thick graph and builds the
-    colour absorber (A, B); Steps 2-4 split the remaining clusters and
-    colours, run the extra-colours embedder, the prescribed-colour embedder
-    (on the app stage's leftover colours) and the extra-colours embedder
-    again on the flexible pool; Step 5 closes by matching the absorber edges
-    to A plus the leftover B-subset.  Counts that the split's bookkeeping
-    fixes are identities: a broken one raises ``UnverifiedOutput``.  Set-up
-    that draws nothing is built once (``setup``: ``_blowup_setup(H, phi,
-    active, plan, sorted(t.colour_clusters))``, which a caller may pass in),
-    and a split that the component counts rule out is not tried.  When both
-    fail, the last pass's failure is returned with ``diagnostics["main"]``:
+    candidate-set pass on the rest and finishes B with ``_finish_buffer``: a
+    host matching, then a greedy colouring of B's edges with a colour
+    matching only when the greedy step sticks, so no outcome depends on
+    which of the two coloured them.  Only when all fail do Steps 0-5 run
+    (``"path": "main"``, tag 83, independent sub-seeds), the paper's blow-up
+    lemma: Step 0 embeds the separator graph and shrinks target sets to
+    candidate sets; Step 1 embeds the absorber part into the lambda3-thick
+    graph and builds the colour absorber (A, B); Steps 2-4 split the
+    remaining clusters and colours, run the extra-colours embedder, the
+    prescribed-colour embedder (on the app stage's leftover colours) and the
+    extra-colours embedder again on the flexible pool; Step 5 closes by
+    matching the absorber edges to A plus the leftover B-subset.  Counts
+    that the split's bookkeeping fixes are identities: a broken one raises
+    ``UnverifiedOutput``.  Set-up that draws nothing is built once
+    (``setup``: ``_blowup_setup(H, phi, active, plan,
+    sorted(t.colour_clusters))``, which a caller may pass in), and a split
+    that the component counts rule out is not tried.  When both fail, the
+    last pass's failure is returned with ``diagnostics["main"]``:
     ``"split-decided"``, or the last Steps 0-5 attempt's ``stage:reason``.
-    A success is verified against the target sets too.
+    A success is verified against the target sets too, on H itself when
+    ``active`` is all of H and there are none.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1498,7 +1534,9 @@ def transversal_blowup(
         return EmbedOutcome(embedding=None, failure=last, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts
-    view = _pattern_view(H, active, targets) if targets else setup.view
+    # over all of H, with no target set to drop, the view would be H itself
+    whole = len(active) == H.n and not H.targets
+    view = _pattern_view(H, active, targets) if targets else None if whole else setup.view
     done = EmbedOutcome.success(t.gc, H, tau, sigma, stats=run_stats, view=view)
     if sorted(sigma.values()) != t.all_colours():
         raise UnverifiedOutput(
@@ -1943,7 +1981,9 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
     active = set(range(H.n)).difference(X)
     if dense_keys:
         Y, sparse_H = _connecting_graph(H, X, range(H.n))
-        order, blowup = _bfs_order(H, X), _blowup_setup(H, phi, active, plan, dense_keys)
+        # with X empty, active is all of H and its class edges are class_all
+        order = _bfs_order(H, X)
+        blowup = _blowup_setup(H, phi, active, plan, dense_keys, None if X else class_all)
     else:  # the run degenerates to one candidate-set pass over all of H
         Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
     return _QuasiSetup(r, parts, phi, base_stats, dense_keys, sparse_H, order, Y, active, blowup)
@@ -1968,7 +2008,7 @@ def _quasi_numbers(run: _Run) -> None:
     densities = []
     for i, j in combinations(range(run.setup.r), 2):  # r >= 2 gives a pair
         mj = mask_of(V[j])
-        cross = sum(gc.edges_into(c, V[i], mj) for c in gc.colours)
+        cross = sum((row[u] & mj).bit_count() for row in gc.rows for u in V[i])
         densities.append(cross / max(1, len(V[i]) * len(V[j]) * gc.n_colours))
     run.numbers = {"d": Fraction(str(round(max(0.05, 0.5 * min(densities)), 6))),
                    "eps": run.plan.eps, "m": min(len(v) for v in V)}

@@ -431,6 +431,7 @@ def test_bulk_build_matches_the_per_triple_loop(n, chunk, monkeypatch):
             g = ThreeGraph(n, rows)
             assert bool(calls) == (route == "sort" and m > 0)
             assert (g._pairs, g.e) == _per_triple_build(n, rows)
+            assert list(g.pair_masks()) == sorted(g._pairs.items())  # key order on both routes
             assert g == ThreeGraph(n, iter(rows[::-1]))
             assert g == ThreeGraph(n, np.array(rows, np.int64).reshape(-1, 3))
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from itertools import combinations, groupby
 
 import pytest
@@ -565,8 +566,11 @@ def test_buffer_is_an_independent_set_maximal_over_the_order():
 
 
 def _set_finish(t, H, phi, B, part, targets):
-    """The buffer finish over sets of hosts and colours: (tau, sigma), or the
-    failing step and deficiency."""
+    """The buffer finish over sets of hosts and colours: (tau, sigma, branch)
+    with branch "greedy" or "kuhn", or the failing step and deficiency.  The
+    hosts are matched lowest-first; then each edge, in sorted order, takes
+    the lowest untaken colour that fits it, and only when one finds none
+    does the lowest-first matching over every fitting colour decide."""
     tau, sigma = dict(part.tau), dict(part.sigma)
     free = {key: set(cs) - set(sigma.values()) for key, cs in t.colour_clusters.items()}
     hosts = {}
@@ -580,21 +584,30 @@ def _set_finish(t, H, phi, B, part, targets):
         return "buffer-vertices", len(B) - len(matched)
     tau.update(matched)
     edges = sorted(tuple(sorted((a, b))) for b in B for a in H.neighbours(b) if a in part.tau)
-    matched = max_bipartite_matching({
-        e: mask_of(c for c in free[_class_key(phi, *e)] if t.gc.has_edge(c, tau[e[0]], tau[e[1]]))
-        for e in edges})
-    if len(matched) < len(edges):
-        return "buffer-colours", len(edges) - len(matched)
-    sigma.update(matched)
-    return tau, sigma
+    fits = {e: sorted(c for c in free[_class_key(phi, *e)] if t.gc.has_edge(c, tau[e[0]], tau[e[1]]))
+            for e in edges}
+    kuhn = max_bipartite_matching({e: mask_of(cs) for e, cs in fits.items()})
+    greedy = {}
+    for e in edges:
+        c = next((c for c in fits[e] if c not in greedy.values()), None)
+        if c is None:
+            break
+        greedy[e] = c
+    if len(greedy) == len(edges):
+        assert len(kuhn) == len(edges)  # a greedy completion is a perfect matching
+        return tau, {**sigma, **greedy}, "greedy"
+    if len(kuhn) < len(edges):
+        return "buffer-colours", len(edges) - len(kuhn)
+    return tau, {**sigma, **kuhn}, "kuhn"
 
 
 def test_buffer_finish_matches_the_set_reference():
     # the finish's masks against plain sets, on the seeded partial_embed
-    # inputs: Y is independent, so embed X greedily and finish Y
+    # inputs: Y is independent, so embed X greedily and finish Y; tau, sigma,
+    # the step and the deficiency are compared exactly, on every branch
     from transversal.embed import _finish_buffer
 
-    outcomes = set()
+    branches = Counter()
     for case in range(400):
         t, H, phi, X, Y, targets, seed = _partial_case(case)
         part = partial_embed(t, H, phi, X, [], targets, seed=seed)
@@ -606,13 +619,68 @@ def test_buffer_finish_matches_the_set_reference():
         if isinstance(new, Failure):
             assert (new.stage, new.reason) == ("one-shot", "MatchingTooSmall")
             assert (new.diagnostics["step"], new.diagnostics["deficiency"]) == ref, case
-            outcomes.add(ref[0])
+            branches[ref[0]] += 1
         else:
-            assert new[:2] == ref and new[2] == {"path": "one-shot"}, case
+            assert new == (*ref[:2], {"path": "one-shot"}), case
             emb = TransversalEmbedding(tau=new[0], sigma=new[1])
             assert verify_transversal_embedding(t.gc, PatternGraph(H.n, H.edges()), emb).ok
-            outcomes.add("ok" if Y else "ok, empty buffer")
-    assert outcomes == {"ok", "ok, empty buffer", "buffer-vertices", "buffer-colours"}, outcomes
+            branches[ref[2] if Y else "empty buffer"] += 1
+    # "kuhn": the greedy step stuck, and the matching's colouring came back
+    assert branches == {"greedy": 101, "kuhn": 6, "buffer-colours": 41, "buffer-vertices": 23,
+                        "empty buffer": 63}, branches
+
+
+def _finish_calls(monkeypatch):
+    """The (calls, result) of every ``_finish_buffer`` call from now on, with
+    the ``max_bipartite_matching`` ("match") and ``colour_mask`` ("mask")
+    calls that it made."""
+    from transversal import embed
+
+    counts, finishes = Counter(), []
+    real_match, real_mask, real_finish = (embed.max_bipartite_matching,
+                                          GraphCollection.colour_mask, embed._finish_buffer)
+    monkeypatch.setattr(embed, "max_bipartite_matching",
+                        lambda adj: counts.update(["match"]) or real_match(adj))
+    monkeypatch.setattr(GraphCollection, "colour_mask",
+                        lambda gc, u, v: counts.update(["mask"]) or real_mask(gc, u, v))
+
+    def finish(*args):
+        counts.clear()
+        out = real_finish(*args)
+        finishes.append((dict(counts), out))
+        return out
+
+    monkeypatch.setattr(embed, "_finish_buffer", finish)
+    return finishes
+
+
+def test_a_dense_finish_colours_its_buffer_without_a_colour_matching(monkeypatch):
+    # a perfect matching in a dense collection: every finish matches its
+    # hosts and colours each edge greedily, with no colour_mask call
+    finishes = _finish_calls(monkeypatch)
+    H = PatternGraph(60, [(2 * i, 2 * i + 1) for i in range(30)])
+    gc = random_collection(GenSpec(n=60, n_colours=30, density=0.8, seed=1))
+    out = quasi_embed(gc, H, PLAN, seed=1)
+    assert out.ok and out.stats["path"] == "one-shot"
+    assert finishes and all(calls == {"match": 1} for calls, _ in finishes), finishes
+    assert not isinstance(finishes[-1][1], Failure)
+
+
+def test_a_stuck_greedy_finish_makes_the_full_colour_matching(monkeypatch):
+    # _partial_case 11: the greedy colouring sticks on one of the buffer's 5
+    # edges, so the colour matching runs on every edge's colour_mask, as it
+    # did before the greedy step, and completes
+    from transversal import embed
+
+    finishes = _finish_calls(monkeypatch)
+    t, H, phi, X, Y, targets, seed = _partial_case(11)
+    part = partial_embed(t, H, phi, X, [], targets, seed=seed)
+    targets = {v: set(ts) for v, ts in (targets or {}).items()}
+    embed._finish_buffer(t, H, phi, sorted(Y), part, targets, seed)
+    ref = _set_finish(t, H, phi, sorted(Y), part, targets)
+    assert ref[2] == "kuhn"
+    ((calls, out),) = finishes
+    assert calls == {"match": 2, "mask": 5} and out == (*ref[:2], {"path": "one-shot"})
 
 
 def _captured_blowup(monkeypatch, gc, H, seed):
@@ -1500,8 +1568,6 @@ def _ladder_pattern(m):
 @pytest.mark.parametrize("name", ["matching", "ladder-mu-0.3", "ladder-mu-0.1", "random",
                                   "random-part"])
 def test_blowup_setup_matches_the_per_component_reference(name):
-    from collections import Counter
-
     from transversal.embed import _blowup_setup, _class_edges
 
     rng = random.Random(name)
@@ -1875,7 +1941,9 @@ def _expand_instance(seed):
 # took the link collection itself in place of its sparsified slices, and
 # the main-path seeds (2, 6, 14, 18) when the one-shot passes ran first;
 # seed 0 ran its draws when quasi_embed's fixed density floors went, which
-# refused it as quasi:PreconditionViolated; it now ends one-shot:CandidateExhausted
+# refused it as quasi:PreconditionViolated; it now ends one-shot:CandidateExhausted.
+# Seeds 6 and 16 were re-recorded when the buffer finish took each edge's
+# colour greedily: only their edge images moved
 EXPAND_REPLAY = {
     0: "5ca76cbd6c3b252f",
     1: "a6805cb8cb1176b4",
@@ -1883,7 +1951,7 @@ EXPAND_REPLAY = {
     3: "a9f9b86aab809213",
     4: "5a646517d02d473b",
     5: "36a55aea6101782a",
-    6: "52eb0f36ac82672a",
+    6: "bb7c41994ffc24e5",
     7: "b63483a80fa39128",
     8: "535378fbd89bc915",
     9: "274012f6a4e72565",
@@ -1893,7 +1961,7 @@ EXPAND_REPLAY = {
     13: "b8e2dad1972e3b58",
     14: "4f71470e46b5a224",
     15: "42dee28877efc26a",
-    16: "8b2a93d0921a6a49",
+    16: "c1e8866836939fbf",
     17: "14e40b77c9d6df7c",
     18: "e2dee030d00e95d8",
     19: "83d95142fc1d69ce",
@@ -1985,35 +2053,37 @@ def _quasi_path(out):
 # (step "buffer-vertices", deficiency 5, "main": "split-decided") joined.
 # The main entries (0, 4, 8, 12, 16, 20, 23-25) were re-recorded when the
 # one-shot passes ran first and settled them; QUASI_MAIN_REPLAY keeps what
-# Steps 0-5 give on them.
+# Steps 0-5 give on them.  Seeds 3, 8, 9, 11, 12, 15, 17, 18, 20, 23 and
+# 26 were re-recorded when the buffer finish took each edge's colour
+# greedily: only their sigma moved.
 QUASI_REPLAY = {
     0: ("one-shot", "e658c2711c464db5"),
     1: ("one-shot", "7b2d55561d3ccc27"),
     2: ("ladder-degenerate", "b79ce2478c059c95"),
-    3: ("one-shot", "5ef81646fcb83827"),
+    3: ("one-shot", "415d920d000c1fc9"),
     4: ("one-shot", "ba825f4dcde44aa3"),
     5: ("ladder-degenerate", "6e108d90a4e27fc8"),
     6: ("ladder-degenerate", "e539581acc2c85a9"),
     7: ("one-shot", "91fed0714db5ed9e"),
-    8: ("one-shot", "02e814dfe9b87d19"),
-    9: ("one-shot+sparse", "dea32bc7d64d0c11"),
+    8: ("one-shot", "edd12f0bd77a7ef5"),
+    9: ("one-shot+sparse", "777ccb3c32f668c2"),
     10: ("ladder-degenerate", "78e48c5df3d8244c"),
-    11: ("one-shot+sparse", "9384ae061d373dd6"),
-    12: ("one-shot", "ecca08fc7d53770b"),
+    11: ("one-shot+sparse", "a40d8618d38bc57f"),
+    12: ("one-shot", "7a9bb5df588319cb"),
     13: ("ladder-degenerate", "68d969f0fe296146"),
     14: ("ladder-degenerate", "f4aac5e915ec04bd"),
-    15: ("one-shot", "a9c164dc50f70026"),
+    15: ("one-shot", "26d0fb1fc6b18e5b"),
     16: ("one-shot", "a1ebb246e7a5aca9"),
-    17: ("one-shot", "c61c30244ab14541"),
-    18: ("one-shot", "ea5663c338f3c82a"),
+    17: ("one-shot", "c112949d5203665c"),
+    18: ("one-shot", "b61f7bf641c21604"),
     19: ("one-shot", "d5c377480cad59cc"),
-    20: ("one-shot", "6e868d06fe14af26"),
+    20: ("one-shot", "4180e3fdeaae87be"),
     21: ("one-shot+sparse", "ceff394ec202c20a"),
     22: ("ladder-degenerate", "1c3f1021affa5778"),
-    23: ("one-shot", "4c353d62e3d3e691"),
+    23: ("one-shot", "efc0e6e1a19f9a27"),
     24: ("one-shot", "6b2674307c7703ae"),
     25: ("one-shot", "d9a1e106a6188b98"),
-    26: ("one-shot", "e5d23f47c0e421b5"),
+    26: ("one-shot", "da89b8e5c6eec59f"),
     27: ("one-shot+sparse", "c9c56a9d7ccf81a7"),
     90: ("one-shot:MatchingTooSmall", "c400257cf10329bf"),
     97: ("one-shot:MatchingTooSmall", "ab7ebad56b0523bb"),
@@ -2243,9 +2313,9 @@ def test_main_path_still_runs_the_pipeline(monkeypatch):
 
 
 def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
-    # each of seed 97's 20 attempts calls transversal_blowup; the set-up and
-    # its pattern view are built once for all, and the separator certificate
-    # and the split decision, which only Steps 0-5 read, at most once
+    # each of seed 97's 20 attempts calls transversal_blowup; the set-up is
+    # built once for all, and its pattern view, the separator certificate
+    # and the split decision, which only Steps 0-5 read here, at most once
     from transversal import embed
 
     counts = dict.fromkeys(("setup", "view", "certificate", "decided", "blowup"), 0)
@@ -2260,11 +2330,11 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
         monkeypatch.setattr(embed, attr, counted)
 
     count("setup", "_blowup_setup")
-    # the graphs the BFS orders are built on, and the blow-up's set-up
-    bfs_graphs, setups = [], []
+    # the vertex sets the BFS orders are built on, and the blow-up's set-up
+    bfs_sets, setups = [], []
     real_bfs, real_setup = embed._bfs_order, embed._blowup_setup
     monkeypatch.setattr(embed, "_bfs_order",
-                        lambda G, vs: bfs_graphs.append(G) or real_bfs(G, vs))
+                        lambda G, vs: bfs_sets.append((G, set(vs))) or real_bfs(G, vs))
     monkeypatch.setattr(embed, "_blowup_setup",
                         lambda *args: setups.append(real_setup(*args)) or setups[-1])
     count("view", "_pattern_view", only=lambda H, active, targets=None: targets is None)
@@ -2274,14 +2344,31 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     gc, H, plan = _quasi_instance(97)
     out = quasi_embed(gc, H, plan, seed=97)
     assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
-    assert counts["certificate"] <= 1 and counts["decided"] <= 1
-    assert {k: counts[k] for k in ("setup", "view", "blowup")} == {
-        "setup": 1, "view": 1, "blowup": PLAN.retries}
+    assert counts["certificate"] <= 1 and counts["decided"] <= 1 and counts["view"] <= 1
+    assert {k: counts[k] for k in ("setup", "blowup")} == {"setup": 1, "blowup": PLAN.retries}
     # every attempt took the one-shot passes, over one BFS order for all,
-    # and that order is the active vertices' BFS order in H
+    # the active vertices' in H, which is the view's BFS order relabelled
     (setup,) = setups
-    assert out.failure.stage == "one-shot" and bfs_graphs.count(setup.view.pattern) == 1
-    assert setup.bfs == real_bfs(H, setup.view.to_local)
+    assert out.failure.stage == "one-shot" and bfs_sets.count((H, setup.active)) == 1
+    view = setup.view
+    assert setup.bfs == [view.to_global[v] for v in real_bfs(view.pattern, range(view.pattern.n))]
+
+
+def test_a_one_shot_success_over_all_of_H_builds_no_pattern_copy(monkeypatch):
+    # seed 0 (a perfect matching, no sparse pair) succeeds on a one-shot
+    # pass over all of H: its class edges are built once, by _quasi_setup,
+    # and it is verified on H itself, with no pattern view
+    from transversal import embed
+
+    calls = Counter()
+    for name in ("_class_edges", "_pattern_view"):
+        real = getattr(embed, name)
+        monkeypatch.setattr(embed, name, lambda *a, real=real, name=name, **k:
+                            calls.update([name]) or real(*a, **k))
+    gc, H, plan = _quasi_instance(0)
+    out = quasi_embed(gc, H, plan, seed=0)
+    assert out.ok and out.stats["path"] == "one-shot" and not out.stats["e_sparse"]
+    assert calls == {"_class_edges": 1}
 
 
 def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
@@ -2516,8 +2603,6 @@ def test_pipeline_r3_triangle_template(monkeypatch):
         c0, c1 = 24 + 2 * k, 24 + 2 * k + 1
         edges += [(a0, b0), (b0, c0), (c0, a1), (a1, b1), (b1, c1), (c1, a0)]
     H = PatternGraph(36, edges)
-    from collections import Counter
-
     cls = Counter(_cls_key(phi, u, v) for (u, v) in H.edges())
     rng = random.Random(42)
     gedges, colour_clusters, cid = {}, {}, 0
