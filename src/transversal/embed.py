@@ -40,7 +40,7 @@ from .core import (
     verify_expansion,
     verify_transversal_embedding,
 )
-from .matching import max_bipartite_matching, perfect_matching
+from .matching import koenig_set, max_bipartite_matching, perfect_matching
 from .regularity import frac
 from .templates import Template, make_template, thick_host_graph
 from .vizing import extract_matching
@@ -1405,72 +1405,107 @@ def _buffer(H: SimpleGraph, order) -> int:
     return B
 
 
-def _greedy_colours(adj, free, phi, tau, edges) -> dict | None:
-    """Each edge of ``edges``, in turn, to the lowest colour of its class's
-    ``free`` mask not yet taken whose graph joins its ends' images; None
-    when some edge finds none."""
-    taken, out = 0, {}
-    for u, v in edges:
-        avail, x, y = free[_class_key(phi, u, v)] & ~taken, tau[u], tau[v]
-        while avail:
-            low = avail & -avail
-            if adj(low.bit_length() - 1, x) >> y & 1:
+def _greedy_finish(rows, hosts, near) -> tuple[dict, dict] | None:
+    """The buffer finish as one greedy pass over ``_finish_buffer``'s
+    ``near``: (b -> host, edge -> colour), or None when some b finds no
+    host.  Each b, in turn, takes the lowest untaken host of ``hosts[b]`` at
+    which each of its edges, in turn, has an untaken colour of its free mask
+    joining its neighbour's image to that host; each edge takes the lowest."""
+    taken_h = taken_c = 0
+    placed, coloured = {}, {}
+    for b, nbrs in near:
+        cand = hosts[b] & ~taken_h
+        while cand:
+            h, took, got = (cand & -cand).bit_length() - 1, taken_c, {}
+            for x, free, e in nbrs:
+                avail = free & ~took
+                while avail and not rows[(avail & -avail).bit_length() - 1][x] >> h & 1:
+                    avail &= avail - 1
+                if not avail:
+                    break
+                got[e] = (avail & -avail).bit_length() - 1
+                took |= 1 << got[e]
+            else:  # every edge found a colour: b goes to h
                 break
-            avail ^= low
-        else:
+            cand &= cand - 1
+        else:  # no host of b works
             return None
-        taken |= low
-        out[(u, v)] = low.bit_length() - 1
-    return out
+        taken_h, taken_c, placed[b] = taken_h | 1 << h, took, h
+        coloured.update(got)
+    return placed, coloured
+
+
+def _short_matching(step: str, adj: dict, matched: dict, seed: int, label) -> Failure:
+    """The finish's typed failure for a matching ``matched`` of ``adj`` that
+    misses some left vertex, with König's set as the Hall witness: the
+    ``hall_set`` (its left vertices, ``label``-ed) and its ``neighbourhood``,
+    both sorted."""
+    hall, nbhd = koenig_set(adj, matched)
+    return Failure("one-shot", MATCHING_TOO_SMALL, seed, step=step,
+                   deficiency=len(adj) - len(matched), hall_set=sorted(map(label, hall)),
+                   neighbourhood=list(bits_of(nbhd)))
 
 
 def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: PartialEmbedding,
                    targets, seed: int):
-    """Finish a one-shot pass on its buffer B (independent, every neighbour
-    embedded by ``part``).  First a deterministic matching on masks takes
-    each b to an unused host of its cluster and target that every embedded
-    neighbour a reaches in some unused colour of the class of ab.  Then each
-    edge at B, in sorted order, takes the lowest unused colour of its class
-    that joins its ends' images (``_greedy_colours``); only when some edge
-    finds none does a matching decide, on each edge's free class colours
-    AND its images' ``colour_mask``.  A greedy completion is a perfect
-    matching, so the greedy step moves no success, failure or deficiency,
-    only which colour an edge gets.  A short matching is a typed failure
-    with its deficiency (a ``buffer-colours`` one comes from the full
-    matching).  This is the finish of every one-shot pass, which
-    ``transversal_blowup`` runs before Steps 0-5."""
-    tau, sigma, adj = dict(part.tau), dict(part.sigma), t.gc.adj
+    """Finish a one-shot pass on its buffer B (ascending, independent, every
+    neighbour embedded by ``part``).  ``_greedy_finish`` places and colours
+    B in one pass over the unused hosts of each b's cluster and target and
+    the unused colours of each edge's class; most dense finishes end there
+    (``"finish": "greedy"``).  When it sticks, ``_matched_finish`` runs the
+    matchings (``"finish": "matching"``): they decide tau on B, every
+    failure and its deficiency, and whether the colours complete depends on
+    tau alone, so the greedy pass loses no finish that they make.  This is
+    the finish of every one-shot pass, which ``transversal_blowup`` runs
+    before Steps 0-5."""
+    tau, sigma = dict(part.tau), dict(part.sigma)
     retired, used = mask_of(sigma.values()), mask_of(tau.values())
     free = {key: mask & ~retired for key, mask in t.colour_cluster_masks.items()}
-    hosts = {b: ~used & (mask_of(v for v in t.clusters[phi[b]] if v in targets[b])
-                         if b in targets else t.cluster_masks[phi[b]]) for b in B}
-    edges = []
-    for b in B:
-        for a in H.neighbours(b):
-            if a in tau:
-                edges.append((a, b) if a < b else (b, a))
-                reach = 0
-                for c in bits_of(free[_class_key(phi, a, b)]):
-                    reach |= adj(c, tau[a])
-                    if not hosts[b] & ~reach:  # every host of b is reached
-                        break
-                hosts[b] &= reach
-    matched = max_bipartite_matching(hosts)
-    if len(matched) < len(B):
-        return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-vertices",
-                       deficiency=len(B) - len(matched))
-    tau.update(matched)
-    edges.sort()
-    matched = _greedy_colours(adj, free, phi, tau, edges)
-    if matched is None:
-        matched = max_bipartite_matching({  # each edge to the free colours joining its images
-            (u, v): free[_class_key(phi, u, v)] & t.gc.colour_mask(tau[u], tau[v])
-            for u, v in edges})
-        if len(matched) < len(edges):
-            return Failure("one-shot", MATCHING_TOO_SMALL, seed, step="buffer-colours",
-                           deficiency=len(edges) - len(matched))
-    sigma.update(matched)
-    return tau, sigma, {"path": "one-shot"}
+    target = _target_masks(targets, set(B), t.gc.n)
+    hosts = {b: ~used & t.cluster_masks[phi[b]] & target.get(b, -1) for b in B}
+    # each b with its edges to embedded neighbours a: (tau(a), free colours
+    # of the class of ab, the edge)
+    near = [(b, [(tau[a], free[_class_key(phi, a, b)], (a, b) if a < b else (b, a))
+                 for a in H.neighbours(b) if a in tau]) for b in B]
+    out, finish = _greedy_finish(t.gc.rows, hosts, near), "greedy"
+    if out is None:
+        out, finish = _matched_finish(t.gc, hosts, near, seed), "matching"
+        if isinstance(out, Failure):
+            return out
+    tau.update(out[0])
+    sigma.update(out[1])
+    return tau, sigma, {"path": "one-shot", "finish": finish}
+
+
+def _matched_finish(gc: GraphCollection, hosts, near, seed: int):
+    """``_finish_buffer``'s matchings, on its ``hosts`` and ``near``: each b
+    to a host by a lowest-first matching over the hosts that each of its
+    edges reaches in some free colour; then the edges' colours by
+    ``_greedy_finish`` with each b on its matched host or, when that sticks,
+    by a matching over each edge's free colours AND its images'
+    ``colour_mask``.  (b -> host, edge -> colour), or a short matching's
+    typed failure (``_short_matching``)."""
+    rows = gc.rows
+    for b, nbrs in near:
+        for x, free, _ in nbrs:
+            reach = 0
+            for c in bits_of(free):
+                reach |= rows[c][x]
+                if not hosts[b] & ~reach:  # every host of b is reached
+                    break
+            hosts[b] &= reach
+    placed = max_bipartite_matching(hosts)
+    if len(placed) < len(hosts):
+        return _short_matching("buffer-vertices", hosts, placed, seed, int)
+    out = _greedy_finish(rows, {b: 1 << h for b, h in placed.items()}, near)
+    if out is not None:
+        return out
+    fits = dict(sorted((e, free & gc.colour_mask(x, placed[b]))
+                       for b, nbrs in near for x, free, e in nbrs))
+    coloured = max_bipartite_matching(fits)
+    if len(coloured) < len(fits):
+        return _short_matching("buffer-colours", fits, coloured, seed, list)
+    return placed, coloured
 
 
 def transversal_blowup(
@@ -1488,10 +1523,10 @@ def transversal_blowup(
     Up to ``retries`` one-shot passes run first (``"path": "one-shot"``, tag
     89), over a BFS order of the active vertices and, on odd retries, a
     shuffle of it: each holds back the buffer B of ``_buffer``, runs the
-    candidate-set pass on the rest and finishes B with ``_finish_buffer``: a
-    host matching, then a greedy colouring of B's edges with a colour
-    matching only when the greedy step sticks, so no outcome depends on
-    which of the two coloured them.  Only when all fail do Steps 0-5 run
+    candidate-set pass on the rest and finishes B with ``_finish_buffer``:
+    one greedy pass over B's hosts and colours, with the host and colour
+    matchings only when it sticks, so it loses no finish that they make
+    (``"finish"`` names which ended it).  Only when all fail do Steps 0-5 run
     (``"path": "main"``, tag 83, independent sub-seeds), the paper's blow-up
     lemma: Step 0 embeds the separator graph and shrinks target sets to
     candidate sets; Step 1 embeds the absorber part into the lambda3-thick

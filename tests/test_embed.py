@@ -533,7 +533,7 @@ def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
     H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
     gc = random_collection(GenSpec(n=30, n_colours=30, density=0.4, seed=2))
     first = quasi_embed(gc, H, PLAN, seed=2).stats["blowup"]
-    assert first == {"path": "one-shot", "attempts": 2}
+    assert first == {"path": "one-shot", "finish": "matching", "attempts": 2}
     (t, *args), kwargs = calls[0]
     assert t.gc._row_cache
     fresh = dataclasses.replace(t, gc=collection_from_json(collection_to_json(t.gc)))
@@ -565,69 +565,208 @@ def test_buffer_is_an_independent_set_maximal_over_the_order():
             assert v in B or set(H.neighbours(v)) & B & set(order[i + 1:]), (case, v)
 
 
-def _set_finish(t, H, phi, B, part, targets):
-    """The buffer finish over sets of hosts and colours: (tau, sigma, branch)
-    with branch "greedy" or "kuhn", or the failing step and deficiency.  The
-    hosts are matched lowest-first; then each edge, in sorted order, takes
-    the lowest untaken colour that fits it, and only when one finds none
-    does the lowest-first matching over every fitting colour decide."""
+def _set_cover(t, H, phi, B, part, targets):
+    """The buffer finish's inputs over sets: the free colours of each class,
+    each b's unused hosts in its cluster and target, and its embedded
+    neighbours."""
+    free = {key: set(cs) - set(part.sigma.values()) for key, cs in t.colour_clusters.items()}
+    hosts = {b: [v for v in t.clusters[phi[b]] if v not in part.tau.values()
+                 and (b not in targets or v in targets[b])] for b in B}
+    near = {b: [a for a in H.neighbours(b) if a in part.tau] for b in B}
+    return free, hosts, near
+
+
+def _set_fits(t, phi, free, a, b, x, y):
+    """The free colours of the class of ab joining hosts x and y, ascending."""
+    return sorted(c for c in free[_class_key(phi, a, b)] if t.gc.has_edge(c, x, y))
+
+
+def _set_greedy(t, phi, tau, free, hosts, near):
+    """The greedy finish over sets: each b, ascending, on the lowest untaken
+    host of hosts[b] where each of its edges, in turn, finds an untaken
+    fitting colour, each edge on the lowest; (placed, coloured) or None."""
+    placed, coloured = {}, {}
+    for b in sorted(hosts):
+        for v in sorted(set(hosts[b]) - set(placed.values())):
+            got = {}
+            for a in near[b]:
+                taken = set(coloured.values()) | set(got.values())
+                c = next((c for c in _set_fits(t, phi, free, a, b, tau[a], v)
+                          if c not in taken), None)
+                if c is None:
+                    break
+                got[tuple(sorted((a, b)))] = c
+            else:
+                placed[b] = v
+                coloured.update(got)
+                break
+        else:
+            return None
+    return placed, coloured
+
+
+def _set_matchings(t, H, phi, B, part, targets, colours):
+    """The buffer finish's matchings over sets, which the greedy pass falls
+    back on: the hosts matched lowest-first on the reach sets, then the
+    edges coloured by ``colours`` (tau, free, near, fits -> coloured or
+    None) or, when that sticks, by the lowest-first matching over every
+    fitting colour.  (tau, sigma, branch) with branch "colours" or "kuhn",
+    or (step, deficiency, the matching's sets)."""
     tau, sigma = dict(part.tau), dict(part.sigma)
-    free = {key: set(cs) - set(sigma.values()) for key, cs in t.colour_clusters.items()}
-    hosts = {}
-    for b in B:
-        hosts[b] = [v for v in t.clusters[phi[b]] if v not in tau.values()
-                    and (b not in targets or v in targets[b])
-                    and all(any(t.gc.has_edge(c, tau[a], v) for c in free[_class_key(phi, a, b)])
-                            for a in H.neighbours(b) if a in part.tau)]
-    matched = max_bipartite_matching({b: mask_of(vs) for b, vs in hosts.items()})
+    free, hosts, near = _set_cover(t, H, phi, B, part, targets)
+    reach = {b: [v for v in hosts[b]
+                 if all(_set_fits(t, phi, free, a, b, tau[a], v) for a in near[b])] for b in B}
+    matched = max_bipartite_matching({b: mask_of(vs) for b, vs in reach.items()})
     if len(matched) < len(B):
-        return "buffer-vertices", len(B) - len(matched)
+        return "buffer-vertices", len(B) - len(matched), reach
     tau.update(matched)
-    edges = sorted(tuple(sorted((a, b))) for b in B for a in H.neighbours(b) if a in part.tau)
-    fits = {e: sorted(c for c in free[_class_key(phi, *e)] if t.gc.has_edge(c, tau[e[0]], tau[e[1]]))
-            for e in edges}
+    fits = {tuple(sorted((a, b))): _set_fits(t, phi, free, a, b, tau[a], tau[b])
+            for b in B for a in near[b]}
+    fits = dict(sorted(fits.items()))
+    greedy = colours(tau, free, near, fits)
+    if greedy is not None:
+        return tau, {**sigma, **greedy}, "colours"
     kuhn = max_bipartite_matching({e: mask_of(cs) for e, cs in fits.items()})
-    greedy = {}
-    for e in edges:
-        c = next((c for c in fits[e] if c not in greedy.values()), None)
-        if c is None:
-            break
-        greedy[e] = c
-    if len(greedy) == len(edges):
-        assert len(kuhn) == len(edges)  # a greedy completion is a perfect matching
-        return tau, {**sigma, **greedy}, "greedy"
-    if len(kuhn) < len(edges):
-        return "buffer-colours", len(edges) - len(kuhn)
+    if len(kuhn) < len(fits):
+        return "buffer-colours", len(fits) - len(kuhn), fits
     return tau, {**sigma, **kuhn}, "kuhn"
+
+
+def _set_reference(t, H, phi, B, part, targets):
+    """The finish before the greedy pass, over sets: the host matching, then
+    each edge, in sorted order, on the lowest untaken fitting colour."""
+
+    def sorted_edges(tau, free, near, fits):
+        greedy = {}
+        for e, cs in fits.items():
+            c = next((c for c in cs if c not in greedy.values()), None)
+            if c is None:
+                return None
+            greedy[e] = c
+        return greedy
+
+    return _set_matchings(t, H, phi, B, part, targets, sorted_edges)
+
+
+def _set_finish(t, H, phi, B, part, targets):
+    """The buffer finish over sets: (tau, sigma, branch) with branch
+    "greedy" (the greedy pass), "colours" (the host matching, then the
+    greedy pass with each b on its matched host) or "kuhn" (the colour
+    matching too), or the failing step, its deficiency and the matching's
+    sets."""
+    free, hosts, near = _set_cover(t, H, phi, B, part, targets)
+    greedy = _set_greedy(t, phi, part.tau, free, hosts, near)
+    if greedy is not None:
+        return {**part.tau, **greedy[0]}, {**part.sigma, **greedy[1]}, "greedy"
+
+    def matched_hosts(tau, free, near, fits):
+        out = _set_greedy(t, phi, tau, free, {b: [tau[b]] for b in near}, near)
+        return out and out[1]
+
+    return _set_matchings(t, H, phi, B, part, targets, matched_hosts)
+
+
+def _assert_hall_witness(f, sets):
+    """A short matching's failure carries König's set as sorted JSON lists:
+    its neighbourhood is the union of the hall set's ``sets`` (a buffer
+    vertex's hosts or an edge's colours) and has deficiency fewer members."""
+    hall, nbhd = f.diagnostics["hall_set"], f.diagnostics["neighbourhood"]
+    keys = [tuple(h) if isinstance(h, list) else h for h in hall]
+    assert hall == sorted(hall) and nbhd == sorted({v for h in keys for v in sets[h]})
+    assert len(nbhd) == len(hall) - f.diagnostics["deficiency"], f.diagnostics
+    assert json.loads(json.dumps(f.diagnostics)) == f.diagnostics
+
+
+def _finish_cases():
+    """The seeded partial_embed inputs that embed X: (case, t, H, phi, B,
+    part, targets, seed) with Y as the buffer."""
+    for case in range(400):
+        t, H, phi, X, Y, targets, seed = _partial_case(case)
+        part = partial_embed(t, H, phi, X, [], targets, seed=seed)
+        if isinstance(part, PartialEmbedding):
+            targets = {v: set(ts) for v, ts in (targets or {}).items()}
+            yield case, t, H, phi, sorted(Y), part, targets, seed
 
 
 def test_buffer_finish_matches_the_set_reference():
     # the finish's masks against plain sets, on the seeded partial_embed
     # inputs: Y is independent, so embed X greedily and finish Y; tau, sigma,
-    # the step and the deficiency are compared exactly, on every branch
+    # the step, the deficiency and the stats are compared exactly, on every
+    # branch, and each failure's Hall witness is checked against the sets
     from transversal.embed import _finish_buffer
 
     branches = Counter()
-    for case in range(400):
-        t, H, phi, X, Y, targets, seed = _partial_case(case)
-        part = partial_embed(t, H, phi, X, [], targets, seed=seed)
-        if not isinstance(part, PartialEmbedding):
-            continue
-        targets = {v: set(ts) for v, ts in (targets or {}).items()}
-        new = _finish_buffer(t, H, phi, sorted(Y), part, targets, seed)
-        ref = _set_finish(t, H, phi, sorted(Y), part, targets)
+    for case, t, H, phi, B, part, targets, seed in _finish_cases():
+        new = _finish_buffer(t, H, phi, B, part, targets, seed)
+        ref = _set_finish(t, H, phi, B, part, targets)
         if isinstance(new, Failure):
             assert (new.stage, new.reason) == ("one-shot", "MatchingTooSmall")
-            assert (new.diagnostics["step"], new.diagnostics["deficiency"]) == ref, case
+            assert (new.diagnostics["step"], new.diagnostics["deficiency"]) == ref[:2], case
+            _assert_hall_witness(new, ref[2])
             branches[ref[0]] += 1
         else:
-            assert new == (*ref[:2], {"path": "one-shot"}), case
+            finish = "greedy" if ref[2] == "greedy" else "matching"
+            assert new == (*ref[:2], {"path": "one-shot", "finish": finish}), case
             emb = TransversalEmbedding(tau=new[0], sigma=new[1])
             assert verify_transversal_embedding(t.gc, PatternGraph(H.n, H.edges()), emb).ok
-            branches[ref[2] if Y else "empty buffer"] += 1
-    # "kuhn": the greedy step stuck, and the matching's colouring came back
-    assert branches == {"greedy": 101, "kuhn": 6, "buffer-colours": 41, "buffer-vertices": 23,
-                        "empty buffer": 63}, branches
+            branches[ref[2] if B else "empty buffer"] += 1
+    # "colours": the greedy pass stuck and the matched hosts took their
+    # colours greedily; "kuhn": that stuck too, and the colour matching ran
+    assert branches == {"greedy": 106, "colours": 1, "kuhn": 1, "buffer-colours": 40,
+                        "buffer-vertices": 23, "empty buffer": 63}, branches
+
+
+def _dense_passes(monkeypatch):
+    """The args of every ``_finish_buffer`` call that quasi_embed makes on 40
+    seeded perfect matchings in dense collections (n = 24-60)."""
+    from transversal import embed
+
+    calls = []
+    real = embed._finish_buffer
+    monkeypatch.setattr(embed, "_finish_buffer", lambda *a: calls.append(a) or real(*a))
+    for seed in range(40):
+        n = 24 + 12 * (seed % 4)
+        gc = random_collection(GenSpec(n=n, n_colours=n // 2, density=0.8, seed=seed))
+        quasi_embed(gc, PatternGraph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]), PLAN,
+                    seed=seed)
+    monkeypatch.setattr(embed, "_finish_buffer", real)
+    return calls
+
+
+def test_the_greedy_pass_loses_no_finish_of_the_matchings(monkeypatch):
+    # property, per pass, over the seeded partial_embed inputs and every
+    # pass of quasi_embed on 40 dense perfect matchings, with the finish
+    # before the greedy pass (_set_reference) as the reference: wherever it
+    # finishes the finish does, verified; when the greedy pass sticks, tau
+    # on B, the failing step and its deficiency are the reference's
+    from transversal.embed import _finish_buffer
+
+    passes = [(t, H, phi, B, part, targets, seed)
+              for _, t, H, phi, B, part, targets, seed in _finish_cases()]
+    passes += _dense_passes(monkeypatch)
+    seen = Counter()
+    for i, (t, H, phi, B, part, targets, seed) in enumerate(passes):
+        new = _finish_buffer(t, H, phi, B, part, targets, seed)
+        ref = _set_reference(t, H, phi, B, part, targets)
+        if isinstance(new, tuple):
+            emb = TransversalEmbedding(tau=new[0], sigma=new[1])
+            assert verify_transversal_embedding(t.gc, PatternGraph(H.n, H.edges()), emb).ok, i
+        if isinstance(new, tuple) and new[2]["finish"] == "greedy":
+            seen["greedy, reference " + ("ok" if isinstance(ref[0], dict) else ref[0])] += 1
+            continue
+        if isinstance(ref[0], dict):
+            assert isinstance(new, tuple), i
+            assert {b: new[0][b] for b in B} == {b: ref[0][b] for b in B}, i
+            seen["matching"] += 1
+        else:
+            assert isinstance(new, Failure), i
+            assert (new.diagnostics["step"], new.diagnostics["deficiency"]) == ref[:2], i
+            seen[ref[0]] += 1
+    # 211 partial_embed passes (63 with an empty buffer) and 63 dense ones;
+    # the greedy pass finishes one that the reference's colours miss
+    assert len(passes) == 274 and seen == {
+        "greedy, reference ok": 202, "greedy, reference buffer-colours": 1, "matching": 8,
+        "buffer-colours": 40, "buffer-vertices": 23}, (len(passes), seen)
 
 
 def _finish_calls(monkeypatch):
@@ -655,32 +794,57 @@ def _finish_calls(monkeypatch):
 
 
 def test_a_dense_finish_colours_its_buffer_without_a_colour_matching(monkeypatch):
-    # a perfect matching in a dense collection: every finish matches its
-    # hosts and colours each edge greedily, with no colour_mask call
+    # a perfect matching in a dense collection whose one finish misses in
+    # the greedy pass: it matches its hosts, then colours each edge on them
+    # greedily, with no colour_mask call
     finishes = _finish_calls(monkeypatch)
     H = PatternGraph(60, [(2 * i, 2 * i + 1) for i in range(30)])
     gc = random_collection(GenSpec(n=60, n_colours=30, density=0.8, seed=1))
     out = quasi_embed(gc, H, PLAN, seed=1)
     assert out.ok and out.stats["path"] == "one-shot"
+    assert out.stats["blowup"] == {"path": "one-shot", "finish": "matching", "attempts": 1}
     assert finishes and all(calls == {"match": 1} for calls, _ in finishes), finishes
-    assert not isinstance(finishes[-1][1], Failure)
 
 
 def test_a_stuck_greedy_finish_makes_the_full_colour_matching(monkeypatch):
-    # _partial_case 11: the greedy colouring sticks on one of the buffer's 5
-    # edges, so the colour matching runs on every edge's colour_mask, as it
-    # did before the greedy step, and completes
+    # _partial_case 125: the greedy pass sticks, and so does the greedy
+    # colouring on the matched hosts, so the colour matching runs on each of
+    # the buffer's 4 edges' colour_mask, as before either greedy step, and
+    # completes
     from transversal import embed
 
     finishes = _finish_calls(monkeypatch)
-    t, H, phi, X, Y, targets, seed = _partial_case(11)
+    t, H, phi, X, Y, targets, seed = _partial_case(125)
     part = partial_embed(t, H, phi, X, [], targets, seed=seed)
     targets = {v: set(ts) for v, ts in (targets or {}).items()}
     embed._finish_buffer(t, H, phi, sorted(Y), part, targets, seed)
     ref = _set_finish(t, H, phi, sorted(Y), part, targets)
     assert ref[2] == "kuhn"
     ((calls, out),) = finishes
-    assert calls == {"match": 2, "mask": 5} and out == (*ref[:2], {"path": "one-shot"})
+    assert calls == {"match": 2, "mask": 4}
+    assert out == (*ref[:2], {"path": "one-shot", "finish": "matching"})
+
+
+def test_a_round_of_dense_matchings_mostly_ends_in_the_greedy_pass(monkeypatch):
+    # one round of the benchmark's quasi-matching mix (perfect matchings in
+    # random_collection(n, n/2, 0.8), n = 60 six times and 120 twice) with
+    # fixed seeds: the greedy pass finishes 6 of the 8 operations, and the
+    # two it misses make all 3 Kuhn matchings of the round (two host
+    # matchings and one colour matching)
+    from transversal import embed
+
+    real, kuhn = embed.max_bipartite_matching, Counter()
+    monkeypatch.setattr(embed, "max_bipartite_matching",
+                        lambda adj: kuhn.update(["calls"]) or real(adj))
+    rng, finishes = random.Random(1), Counter()
+    for n in [60] * 6 + [120] * 2:
+        gc = random_collection(GenSpec(n=n, n_colours=n // 2, density=0.8,
+                                       seed=rng.getrandbits(32)))
+        H = PatternGraph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        out = quasi_embed(gc, H, PLAN, seed=rng.getrandbits(32))
+        assert out.ok and out.stats["path"] == "one-shot"
+        finishes[out.stats["blowup"]["finish"]] += 1
+    assert (finishes, kuhn["calls"]) == ({"greedy": 6, "matching": 2}, 3)
 
 
 def _captured_blowup(monkeypatch, gc, H, seed):
@@ -703,7 +867,8 @@ def test_buffered_pass_succeeds_where_every_greedy_pass_fails(monkeypatch):
     H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
     gc = random_collection(GenSpec(n=30, n_colours=30, density=0.4, seed=3))
     out, ((t, H, phi, targets, plan), kwargs) = _captured_blowup(monkeypatch, gc, H, 3)
-    assert out.ok and out.stats["blowup"] == {"path": "one-shot", "attempts": 1}
+    assert out.ok and out.stats["blowup"] == {"path": "one-shot", "finish": "matching",
+                                              "attempts": 1}
     bfs = kwargs["setup"].bfs
     for k in range(PLAN.retries):
         sub_seed, order = _mix(kwargs["seed"], 89, k), list(bfs)
@@ -733,12 +898,17 @@ def _path_template(c0, c1):
     ((0, 1), (), "buffer-colours"),  # both edges need colour 0
 ])
 def test_buffer_finish_fails_typed(c0, c1, step):
+    # each step's failure carries its deficiency and König's set, whose
+    # neighbourhood is smaller by the deficiency: buffer vertices 0 and 2
+    # both need host 0, or edges 01 and 12 both need colour 0
     t, H, phi = _path_template(c0, c1)
     out = transversal_blowup(t, H, phi, None, PLAN, seed=4)
     assert not out.ok
     f = out.failure
     assert (f.stage, f.reason, f.diagnostics["step"], f.diagnostics["deficiency"]) == (
         "one-shot", "MatchingTooSmall", step, 1)
+    hall_set = [0, 2] if step == "buffer-vertices" else [[0, 1], [1, 2]]
+    assert (f.diagnostics["hall_set"], f.diagnostics["neighbourhood"]) == (hall_set, [0])
     assert f.diagnostics["main"] == "split-decided"
 
 
@@ -1943,15 +2113,17 @@ def _expand_instance(seed):
 # seed 0 ran its draws when quasi_embed's fixed density floors went, which
 # refused it as quasi:PreconditionViolated; it now ends one-shot:CandidateExhausted.
 # Seeds 6 and 16 were re-recorded when the buffer finish took each edge's
-# colour greedily: only their edge images moved
+# colour greedily: only their edge images moved.  Seeds 1, 2, 6, 16 and 18
+# were re-recorded when the finish first ran one greedy pass over hosts and
+# colours, the matchings only when it sticks
 EXPAND_REPLAY = {
     0: "5ca76cbd6c3b252f",
-    1: "a6805cb8cb1176b4",
-    2: "c49107f6b5473ddb",
+    1: "bc9844ba541d3ad5",
+    2: "cd32866d2d27be92",
     3: "a9f9b86aab809213",
     4: "5a646517d02d473b",
     5: "36a55aea6101782a",
-    6: "bb7c41994ffc24e5",
+    6: "29b3d7ee9c66897e",
     7: "b63483a80fa39128",
     8: "535378fbd89bc915",
     9: "274012f6a4e72565",
@@ -1961,9 +2133,9 @@ EXPAND_REPLAY = {
     13: "b8e2dad1972e3b58",
     14: "4f71470e46b5a224",
     15: "42dee28877efc26a",
-    16: "c1e8866836939fbf",
+    16: "f2c82f2de7c04dd6",
     17: "14e40b77c9d6df7c",
-    18: "e2dee030d00e95d8",
+    18: "f0423dce79afad9b",
     19: "83d95142fc1d69ce",
 }
 
@@ -2055,38 +2227,43 @@ def _quasi_path(out):
 # one-shot passes ran first and settled them; QUASI_MAIN_REPLAY keeps what
 # Steps 0-5 give on them.  Seeds 3, 8, 9, 11, 12, 15, 17, 18, 20, 23 and
 # 26 were re-recorded when the buffer finish took each edge's colour
-# greedily: only their sigma moved.
+# greedily: only their sigma moved.  Seeds 0, 3, 4, 7, 9, 11, 12, 15, 17-19,
+# 23, 24, 26 and 90 were re-recorded when the finish first ran one greedy
+# pass over hosts and colours, the matchings only when it sticks; seed 90,
+# whose host matching leaves no colouring, is a greedy success since.  Seed
+# 97 was re-recorded when a short matching's failure gained its Hall
+# witness (``hall_set`` and ``neighbourhood``).
 QUASI_REPLAY = {
-    0: ("one-shot", "e658c2711c464db5"),
+    0: ("one-shot", "15a733a9da16d6ab"),
     1: ("one-shot", "7b2d55561d3ccc27"),
     2: ("ladder-degenerate", "b79ce2478c059c95"),
-    3: ("one-shot", "415d920d000c1fc9"),
-    4: ("one-shot", "ba825f4dcde44aa3"),
+    3: ("one-shot", "8bbadfe81e3a36cd"),
+    4: ("one-shot", "69b8447c82090a93"),
     5: ("ladder-degenerate", "6e108d90a4e27fc8"),
     6: ("ladder-degenerate", "e539581acc2c85a9"),
-    7: ("one-shot", "91fed0714db5ed9e"),
+    7: ("one-shot", "ccebca82ca1b41fc"),
     8: ("one-shot", "edd12f0bd77a7ef5"),
-    9: ("one-shot+sparse", "777ccb3c32f668c2"),
+    9: ("one-shot+sparse", "ecd6d717e02d95f0"),
     10: ("ladder-degenerate", "78e48c5df3d8244c"),
-    11: ("one-shot+sparse", "a40d8618d38bc57f"),
-    12: ("one-shot", "7a9bb5df588319cb"),
+    11: ("one-shot+sparse", "eacae683de13f1c0"),
+    12: ("one-shot", "91620117f3f23fa1"),
     13: ("ladder-degenerate", "68d969f0fe296146"),
     14: ("ladder-degenerate", "f4aac5e915ec04bd"),
-    15: ("one-shot", "26d0fb1fc6b18e5b"),
+    15: ("one-shot", "839a6071fa07611d"),
     16: ("one-shot", "a1ebb246e7a5aca9"),
-    17: ("one-shot", "c112949d5203665c"),
-    18: ("one-shot", "b61f7bf641c21604"),
-    19: ("one-shot", "d5c377480cad59cc"),
+    17: ("one-shot", "f9cb87d80ef99236"),
+    18: ("one-shot", "34c2158fd6e6b834"),
+    19: ("one-shot", "21aeb7e77bae4ced"),
     20: ("one-shot", "4180e3fdeaae87be"),
     21: ("one-shot+sparse", "ceff394ec202c20a"),
     22: ("ladder-degenerate", "1c3f1021affa5778"),
-    23: ("one-shot", "efc0e6e1a19f9a27"),
-    24: ("one-shot", "6b2674307c7703ae"),
+    23: ("one-shot", "5045754d149cd143"),
+    24: ("one-shot", "e8468af3de31cb68"),
     25: ("one-shot", "d9a1e106a6188b98"),
-    26: ("one-shot", "da89b8e5c6eec59f"),
+    26: ("one-shot", "e24cd994ebe58c3b"),
     27: ("one-shot+sparse", "c9c56a9d7ccf81a7"),
-    90: ("one-shot:MatchingTooSmall", "c400257cf10329bf"),
-    97: ("one-shot:MatchingTooSmall", "ab7ebad56b0523bb"),
+    90: ("one-shot", "3005ba851dcb7f50"),
+    97: ("one-shot:MatchingTooSmall", "72033e755603cee6"),
 }
 
 
@@ -2448,15 +2625,15 @@ def _outcome_record(out):
                  out.stats))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 9, 20, 69, 6, 27, 90], ids=[
+@pytest.mark.parametrize("seed", [0, 1, 2, 9, 20, 69, 6, 27, 97], ids=[
     "main", "one-shot", "ladder-degenerate", "mixed", "main-0.2", "one-shot-0.2",
     "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2"])
 def test_quasi_templates_take_the_callers_collection(monkeypatch, seed):
     # every template of the run holds the caller's collection itself, and
     # the edges inside a part are never read: an attempt whose templates
     # hold only the edges between two of its parts V_i gives the same run,
-    # on host density 0.8 and on 0.2 (seed 90 fails every main attempt and
-    # every one-shot pass)
+    # on host density 0.8 and on 0.2 (seed 97 fails every one-shot pass, and
+    # its split is decided)
     from transversal import embed
 
     gc, H, plan = _quasi_instance(seed)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transversal.core import bits_of, mask_of
-from transversal.matching import max_bipartite_matching, perfect_matching
+from transversal.matching import koenig_set, max_bipartite_matching, perfect_matching
 
 
 def recursive_matching(adj):
@@ -58,3 +58,28 @@ def test_matches_recursive_reference(n_left, n_right, p, seed):
     want = recursive_matching({u: list(bits_of(m)) for u, m in adj.items()})
     assert got == want
     assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_koenig_set_is_a_hall_witness(n_left, n_right, p, seed):
+    # property: König's set of a maximum matching holds every unmatched left
+    # vertex, its neighbourhood is the union of its masks, all of it matched
+    # into the set, and it is smaller than the set by the deficiency
+    rng = random.Random(seed)
+    adj = {u: mask_of(v for v in range(n_right) if rng.random() < p)
+           for u in rng.sample(range(100), n_left)}
+    m = max_bipartite_matching(adj)
+    hall, nbhd = koenig_set(adj, m)
+    assert len(set(hall)) == len(hall) and set(adj) - set(m) <= set(hall) <= set(adj)
+    union = 0
+    for u in hall:
+        union |= adj[u]
+    assert nbhd == union
+    assert {u for u, v in m.items() if nbhd >> v & 1} <= set(hall)
+    assert nbhd.bit_count() == len(hall) - (len(adj) - len(m))
