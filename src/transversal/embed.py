@@ -1437,13 +1437,24 @@ def _greedy_finish(rows, hosts, near) -> tuple[dict, dict] | None:
 
 def _short_matching(step: str, adj: dict, matched: dict, seed: int, label) -> Failure:
     """The finish's typed failure for a matching ``matched`` of ``adj`` that
-    misses some left vertex, with König's set as the Hall witness: the
-    ``hall_set`` (its left vertices, ``label``-ed) and its ``neighbourhood``,
-    both sorted."""
-    hall, nbhd = koenig_set(adj, matched)
+    misses some left vertex.  Its Hall witness is left pending under
+    ``"witness"`` (with ``label`` for its left vertices) for
+    ``_hall_witness``, so only the failure that a call returns builds it."""
     return Failure("one-shot", MATCHING_TOO_SMALL, seed, step=step,
-                   deficiency=len(adj) - len(matched), hall_set=sorted(map(label, hall)),
-                   neighbourhood=list(bits_of(nbhd)))
+                   deficiency=len(adj) - len(matched), witness=(adj, matched, label))
+
+
+def _hall_witness(failure: Failure) -> Failure:
+    """``failure`` with a short matching's pending ``"witness"`` replaced by
+    König's set: the ``hall_set`` (its left vertices, labelled) and its
+    ``neighbourhood``, both sorted.  Any other failure is left as it is."""
+    pending = failure.diagnostics.pop("witness", None)
+    if pending is not None:
+        adj, matched, label = pending
+        hall, nbhd = koenig_set(adj, matched)
+        failure.diagnostics.update(hall_set=sorted(map(label, hall)),
+                                   neighbourhood=list(bits_of(nbhd)))
+    return failure
 
 
 def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: PartialEmbedding,
@@ -1523,10 +1534,9 @@ def transversal_blowup(
     Up to ``retries`` one-shot passes run first (``"path": "one-shot"``, tag
     89), over a BFS order of the active vertices and, on odd retries, a
     shuffle of it: each holds back the buffer B of ``_buffer``, runs the
-    candidate-set pass on the rest and finishes B with ``_finish_buffer``:
-    one greedy pass over B's hosts and colours, with the host and colour
-    matchings only when it sticks, so it loses no finish that they make
-    (``"finish"`` names which ended it).  Only when all fail do Steps 0-5 run
+    candidate-set pass on the rest and finishes B with ``_finish_buffer``
+    (one greedy pass over B's hosts and colours, the matchings only when it
+    sticks; ``"finish"`` names which).  Only when all fail do Steps 0-5 run
     (``"path": "main"``, tag 83, independent sub-seeds), the paper's blow-up
     lemma: Step 0 embeds the separator graph and shrinks target sets to
     candidate sets; Step 1 embeds the absorber part into the lambda3-thick
@@ -1540,10 +1550,10 @@ def transversal_blowup(
     (``setup``: ``_blowup_setup(H, phi, active, plan,
     sorted(t.colour_clusters))``, which a caller may pass in), and a split
     that the component counts rule out is not tried.  When both fail, the
-    last pass's failure is returned with ``diagnostics["main"]``:
-    ``"split-decided"``, or the last Steps 0-5 attempt's ``stage:reason``.
-    A success is verified against the target sets too, on H itself when
-    ``active`` is all of H and there are none.
+    last pass's failure is returned, its ``_hall_witness`` built, with
+    ``diagnostics["main"]``: ``"split-decided"``, or the last Steps 0-5
+    attempt's ``stage:reason``.  A success is verified against the target
+    sets too, on H itself when ``active`` is all of H and there are none.
     """
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
@@ -1565,7 +1575,8 @@ def transversal_blowup(
             lambda sub_seed, _: _pipeline_once(t, H, phi, targets, plan, sub_seed, setup),
         )
     if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding either
-        last.diagnostics["main"] = "split-decided" if setup.decided else f"{out.stage}:{out.reason}"
+        _hall_witness(last).diagnostics["main"] = (
+            "split-decided" if setup.decided else f"{out.stage}:{out.reason}")
         return EmbedOutcome(embedding=None, failure=last, verification=None)
     tau, sigma, run_stats = out
     run_stats["attempts"] = attempts

@@ -46,7 +46,7 @@ from transversal.embed import (
     transversal_blowup,
 )
 from transversal.generators import GenSpec, random_collection, separable_family
-from transversal.matching import max_bipartite_matching
+from transversal.matching import koenig_set, max_bipartite_matching
 from transversal.oracle import exact_transversal_embed
 from transversal.templates import make_template
 
@@ -667,9 +667,14 @@ def _set_finish(t, H, phi, B, part, targets):
 
 
 def _assert_hall_witness(f, sets):
-    """A short matching's failure carries König's set as sorted JSON lists:
-    its neighbourhood is the union of the hall set's ``sets`` (a buffer
-    vertex's hosts or an edge's colours) and has deficiency fewer members."""
+    """A short matching's failure leaves its Hall witness pending until
+    ``_hall_witness`` builds it: König's set as sorted JSON lists, whose
+    neighbourhood is the union of the hall set's ``sets`` (a buffer vertex's
+    hosts or an edge's colours) and has deficiency fewer members."""
+    from transversal.embed import _hall_witness
+
+    assert "witness" in f.diagnostics and "hall_set" not in f.diagnostics
+    f = _hall_witness(f)
     hall, nbhd = f.diagnostics["hall_set"], f.diagnostics["neighbourhood"]
     keys = [tuple(h) if isinstance(h, list) else h for h in hall]
     assert hall == sorted(hall) and nbhd == sorted({v for h in keys for v in sets[h]})
@@ -897,13 +902,19 @@ def _path_template(c0, c1):
     ((0,), (0,), "buffer-vertices"),  # host 1 meets host 2 in no colour
     ((0, 1), (), "buffer-colours"),  # both edges need colour 0
 ])
-def test_buffer_finish_fails_typed(c0, c1, step):
+def test_buffer_finish_fails_typed(c0, c1, step, monkeypatch):
     # each step's failure carries its deficiency and König's set, whose
     # neighbourhood is smaller by the deficiency: buffer vertices 0 and 2
-    # both need host 0, or edges 01 and 12 both need colour 0
+    # both need host 0, or edges 01 and 12 both need colour 0.  Every pass
+    # fails, but König's set is built once, for the failure returned
+    from transversal import embed
+
+    built = []
+    monkeypatch.setattr(embed, "koenig_set",
+                        lambda *a: built.append(a) or koenig_set(*a))
     t, H, phi = _path_template(c0, c1)
     out = transversal_blowup(t, H, phi, None, PLAN, seed=4)
-    assert not out.ok
+    assert not out.ok and len(built) == 1
     f = out.failure
     assert (f.stage, f.reason, f.diagnostics["step"], f.diagnostics["deficiency"]) == (
         "one-shot", "MatchingTooSmall", step, 1)
@@ -2625,17 +2636,24 @@ def _outcome_record(out):
                  out.stats))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 9, 20, 69, 6, 27, 97], ids=[
+@pytest.mark.parametrize("seed, skip_one_shot", [
+    (0, False), (1, False), (2, False), (9, False), (20, False), (69, False), (6, False),
+    (27, False), (97, False), (0, True), (20, True), (90, True)], ids=[
     "main", "one-shot", "ladder-degenerate", "mixed", "main-0.2", "one-shot-0.2",
-    "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2"])
-def test_quasi_templates_take_the_callers_collection(monkeypatch, seed):
+    "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2", "steps", "steps-0.2",
+    "steps-failure-0.2"])
+def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one_shot):
     # every template of the run holds the caller's collection itself, and
     # the edges inside a part are never read: an attempt whose templates
     # hold only the edges between two of its parts V_i gives the same run,
-    # on host density 0.8 and on 0.2 (seed 97 fails every one-shot pass, and
-    # its split is decided)
+    # on host density 0.8 and on 0.2.  Seeds 0 and 20 settle on the one-shot
+    # path, and seed 97 fails every one-shot pass with its split decided, so
+    # the "steps" ids make the one-shot passes fail (fail_one_shot): Steps
+    # 0-5 then embed seeds 0 and 20, and fail on seed 90 at Step 1
     from transversal import embed
 
+    if skip_one_shot:
+        fail_one_shot(monkeypatch)
     gc, H, plan = _quasi_instance(seed)
     held = []
     real_template = embed.make_template
@@ -2643,6 +2661,9 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed):
                         lambda V, cc, g, *a, **k: held.append(g) or real_template(V, cc, g, *a, **k))
     out = quasi_embed(gc, H, plan, seed=seed)
     assert held and all(g is gc for g in held)
+    if skip_one_shot:  # Steps 0-5 ran
+        ran = out.stats["blowup"]["path"] if out.ok else out.failure.diagnostics["main"]
+        assert ran == ("step1:EmbeddingFailed" if seed == 90 else "main")
 
     def between_parts(run):
         part_of = {v: i for i, part in enumerate(run.V) for v in part}
