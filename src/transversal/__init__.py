@@ -23,6 +23,7 @@ from .embed import (
     Absorber,
     EmbedOutcome,
     Failure,
+    LemmaPlan,
     SplitPlan,
     UnverifiedOutput,
     approx_embed,
@@ -32,6 +33,7 @@ from .embed import (
     equitable_colouring,
     expand_embed_3graph,
     find_induced_matching,
+    lemma_blowup,
     partial_embed,
     quasi_embed,
     transversal_blowup,

@@ -22,8 +22,9 @@ import os
 import random
 import sys
 import time
+from dataclasses import fields
 
-from . import core, generators, oracle
+from . import core, embed, generators, oracle
 from .core import (
     GraphCollection,
     SimpleGraph,
@@ -90,8 +91,16 @@ def _call(fn, params: dict, what: str, **fixed):
         raise ValueError(f"bad {what} parameters: {exc}") from exc
 
 
-def _plan_from(params: dict | None) -> SplitPlan:
-    return _call(SplitPlan, params or {}, "SplitPlan")
+def _plan_from(params: dict | None, plan=SplitPlan, user: str = "embed"):
+    """The ``plan`` (a class) with ``params`` as its overrides; a field that
+    only a LemmaPlan has, where a SplitPlan is built, is refused by name."""
+    params = params or {}
+    if plan is SplitPlan and isinstance(params, dict):
+        if moved := [f.name for f in fields(embed.LemmaPlan) if f.name in params
+                     and not hasattr(SplitPlan, f.name)]:
+            raise ValueError(f"{user} does not take LemmaPlan fields ({', '.join(moved)}): "
+                             "only Steps 0-5 (lemma_blowup) read them")
+    return _call(plan, params, plan.__name__)
 
 
 def _failure_outcome(failure) -> dict:
@@ -317,7 +326,10 @@ def cmd_verify(args) -> int:
 def _bench_one(run: dict, seed: int):
     kind = run["construction"].get("kind", "random")
     cparams = {k: v for k, v in run["construction"].items() if k != "kind"}
-    plan = _plan_from(run.get("params"))
+    # a blowup run calls a stage embedder of Steps 0-5, which takes a LemmaPlan
+    plan = _plan_from(run.get("params"),
+                      embed.LemmaPlan if run["pipeline"] == "blowup" else SplitPlan,
+                      f"a {run['pipeline']} bench run")
     pattern = pattern_from_json(run["pattern"])
     t0 = time.monotonic()
     if run["pipeline"] == "quasi":

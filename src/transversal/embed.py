@@ -123,26 +123,59 @@ def _steps(steps, **state):
     return attempt
 
 
+def _check_plan(plan, counts) -> None:
+    """Refuse a float field that is not a finite number (a nan fails every
+    comparison, so a floor it reaches never fires) and a count of
+    ``counts``, (name, least value), that is not an int of that value or
+    more: a retry loop runs range(count)."""
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(f.default, float) and not (number and math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+    for name, low in counts:
+        value = getattr(plan, name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
-    """Concrete constants replacing the paper-style parameter hierarchy.
-
-    The analysis only fixes the order of quantifiers; desk-scale runs need
-    numbers.  Honesty is preserved because every output is verified and every
-    failed assumption surfaces as a typed failure.  All fields overridable;
-    a value no pipeline can run raises ValueError at construction.  The
-    stage constants that no caller overrides (``NU_PRIME`` to
-    ``SPARSE_HOST_SHARE``) are module constants instead.
-    """
+    """The concrete settings of the default path (``quasi_embed``,
+    ``expand_embed_3graph``, ``transversal_blowup``): the template's eps,
+    the delta ladder that splits pairs into sparse and dense ones and the
+    retry budget.  Every output is verified, so the numbers need no
+    asymptotic justification; one no pipeline can run raises ValueError."""
 
     eps: float = 0.05
+    ladder_base: float = 0.02
+    ladder_ratio: float = 3.0
+    retries: int = 20
+
+    def delta_ladder(self, level: int) -> float:
+        try:
+            return self.ladder_base * self.ladder_ratio**level
+        except OverflowError:  # the power is past the largest float
+            return self.ladder_base * math.inf if self.ladder_base else 0.0
+
+    def __post_init__(self):
+        _check_plan(self, (("retries", 1),))
+        if self.ladder_ratio <= 1:
+            raise ValueError("the delta ladder must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class LemmaPlan:
+    """The settings of the blow-up lemma (``lemma_blowup``, Steps 0-5) and
+    its stage embedders, which a ``SplitPlan`` lacks; ``retries`` budgets
+    the Steps 0-5 attempts and ``embed_prescribed_colours``.  One no
+    pipeline can run raises ValueError."""
+
     mu: float = 0.1
     lambda1: float = 0.1
     lambda3: float = 0.2
     p_abs: float = 0.05
     p_col: float = 0.08
-    ladder_base: float = 0.02
-    ladder_ratio: float = 3.0
     retries: int = 20
     blowup_restarts: int = 30
     blowup_reserve: float = 0.25
@@ -153,19 +186,9 @@ class SplitPlan:
     def p_app(self) -> float:
         return 1.0 - (P_VX + self.p_abs + self.p_col)
 
-    def delta_ladder(self, level: int) -> float:
-        try:
-            return self.ladder_base * self.ladder_ratio**level
-        except OverflowError:  # the power is past the largest float
-            return self.ladder_base * math.inf if self.ladder_base else 0.0
-
     def __post_init__(self):
-        # a nan fails every comparison, so a floor it reaches never fires
-        for f in fields(self):
-            value = getattr(self, f.name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if isinstance(f.default, float) and not (number and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+        _check_plan(self, (("retries", 1), ("blowup_restarts", 1), ("approx_retries", 1),
+                           ("absorber_exhaustive_cap", 0)))
         if not 0 < self.mu <= 1:
             raise ValueError("mu must lie in (0,1]")
         for p in (self.p_abs, self.p_col):
@@ -173,15 +196,6 @@ class SplitPlan:
                 raise ValueError("split probabilities must lie in (0,1)")
         if self.p_app <= 0:
             raise ValueError("p_app must stay positive")
-        if self.ladder_ratio <= 1:
-            raise ValueError("the delta ladder must be strictly increasing")
-        # retry loops run range(count): a float, a bool or a count below 1
-        # would crash, pass for another count or report a failure no attempt saw
-        for name, low in (("retries", 1), ("blowup_restarts", 1), ("approx_retries", 1),
-                          ("absorber_exhaustive_cap", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:  # not a bool
-                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 class Failure:
@@ -556,7 +570,7 @@ def embed_prescribed_colours(
     phi,
     targets: dict[int, set[int]] | None,
     prescribed: dict[tuple[int, int], list[int]],
-    plan: SplitPlan,
+    plan: LemmaPlan,
     seed: int = 0,
     active: set[int] | None = None,
 ) -> EmbedOutcome:
@@ -788,7 +802,7 @@ def blowup_embed(
     H: SimpleGraph,
     phi,
     targets: dict[int, set[int]] | None,
-    plan: SplitPlan,
+    plan: LemmaPlan,
     seed: int = 0,
     active: set[int] | None = None,
 ) -> BlowupResult:
@@ -999,7 +1013,7 @@ def approx_embed(
     H: PatternGraph,
     phi,
     targets: dict[int, set[int]] | None,
-    plan: SplitPlan,
+    plan: LemmaPlan,
     seed: int = 0,
     active: set[int] | None = None,
 ) -> EmbedOutcome:
@@ -1241,7 +1255,7 @@ def _flexibility_check(gc, Z, A, B, l, cap, samples, rng):
 def build_absorber(
     t: Template,
     z_edges: dict[tuple[int, int], list[tuple[int, int]]],
-    plan: SplitPlan,
+    plan: LemmaPlan,
     l_sizes: dict[tuple[int, int], int],
     b_sizes: dict[tuple[int, int], int],
     seed: int = 0,
@@ -1304,9 +1318,7 @@ def _absorber_edge(gc, key, Z, pool, l, bsize, plan, seed) -> AbsorberEdge | Fai
 
 
 # ---------------------------------------------------------------------------
-# Transversal blow-up pipeline (Steps 0-5)
-
-_STAGES = ("abs", "app", "col", "vx")
+# Transversal blow-up: the one-shot passes
 
 
 def _identity(held: bool, step: str, what: str, **where) -> None:
@@ -1325,21 +1337,17 @@ def _connecting_graph(H: PatternGraph, X: list[int], active) -> tuple[list[int],
 
 @dataclass(frozen=True)
 class _BlowupSetup:
-    """What Steps 0-5 and the one-shot passes need that no draw changes, for
-    one (H, phi, active): the class edges and the template's class keys;
-    then, each on first use: ``_bfs_order(H, active)`` (``bfs``), the
-    verification view of the active induced pattern (``view``; a success
-    over all of H is verified on H itself) and what only Steps 0-5 read,
-    the separator X with Step 0's neighbours Y and connecting graph, the
-    components outside X with their class edge counts and whether those
-    counts rule every split out (``decided``)."""
+    """What a blow-up needs that no draw changes, for one (H, phi, active):
+    the class edges ``_class_edges(H, phi, active)`` and the template's
+    sorted class keys; then, each on first use:
+    ``_bfs_order(H, active)`` (``bfs``) and the verification view of the
+    active induced pattern (``view``; a success over all of H is verified
+    on H itself)."""
 
     class_e: dict[tuple[int, int], list[tuple[int, int]]]
     keys: list[tuple[int, int]]
     H: PatternGraph
-    phi: list[int]
     active: set[int]
-    mu: float
 
     @cached_property
     def bfs(self) -> list[int]:
@@ -1348,51 +1356,6 @@ class _BlowupSetup:
     @cached_property
     def view(self) -> _PatternView:
         return _pattern_view(self.H, self.active)
-
-    @cached_property
-    def X(self) -> list[int]:
-        """The certifier's separator of the active induced pattern, or empty
-        when it certifies none (chunking then copes or fails typed)."""
-        cert = separability_certificate(self.view.pattern, self.mu)
-        return (sorted(self.view.to_global[v] for v in cert.separator)
-                if isinstance(cert, SeparabilityCertificate) else [])
-
-    @cached_property
-    def Y(self) -> list[int]:
-        return _connecting_graph(self.H, self.X, self.active)[0]
-
-    @cached_property
-    def H_con(self) -> PatternGraph:
-        return _connecting_graph(self.H, self.X, self.active)[1]
-
-    @cached_property
-    def comps(self) -> list[list[int]]:
-        return self.H.components(self.active.difference(self.X))
-
-    @cached_property
-    def class_of_comp(self) -> list[Counter]:
-        comp_of = {v: h for h, comp in enumerate(self.comps) for v in comp}
-        counts = [Counter() for _ in self.comps]
-        for (u, v) in self.H.edges_within(self.active):
-            # an edge with both ends outside X lies in one component
-            if u in comp_of and v in comp_of:
-                counts[comp_of[u]][_class_key(self.phi, u, v)] += 1
-        return counts
-
-    @cached_property
-    def decided(self) -> bool:
-        return _split_decided(self.comps, self.class_of_comp, self.keys)
-
-
-def _blowup_setup(H: PatternGraph, phi, active: set[int], plan: SplitPlan,
-                  keys: list[tuple[int, int]], class_e=None) -> _BlowupSetup:
-    """The set-up of ``transversal_blowup`` over ``active`` for a template
-    with the sorted class keys ``keys``; ``class_e``, when given, is
-    ``_class_edges(H, phi, active)`` already built."""
-    mu = plan.mu if len(active) * plan.mu >= 1 else 1.0
-    if class_e is None:
-        class_e = _class_edges(H, phi, active)
-    return _BlowupSetup(class_e, keys, H, phi, set(active), mu)
 
 
 def _buffer(H: SimpleGraph, order) -> int:
@@ -1467,8 +1430,7 @@ def _finish_buffer(t: Template, H: PatternGraph, phi, B: list[int], part: Partia
     matchings (``"finish": "matching"``): they decide tau on B, every
     failure and its deficiency, and whether the colours complete depends on
     tau alone, so the greedy pass loses no finish that they make.  This is
-    the finish of every one-shot pass, which ``transversal_blowup`` runs
-    before Steps 0-5."""
+    the finish of every one-shot pass of ``transversal_blowup``."""
     tau, sigma = dict(part.tau), dict(part.sigma)
     retired, used = mask_of(sigma.values()), mask_of(tau.values())
     free = {key: mask & ~retired for key, mask in t.colour_cluster_masks.items()}
@@ -1531,55 +1493,43 @@ def transversal_blowup(
 ) -> EmbedOutcome:
     """Verified transversal embedding using every template colour exactly once.
 
-    Up to ``retries`` one-shot passes run first (``"path": "one-shot"``, tag
-    89), over a BFS order of the active vertices and, on odd retries, a
-    shuffle of it: each holds back the buffer B of ``_buffer``, runs the
+    Up to ``retries`` one-shot passes run (``"path": "one-shot"``, tag 89),
+    over a BFS order of the active vertices and, on odd retries, a shuffle
+    of it: each holds back the buffer B of ``_buffer``, runs the
     candidate-set pass on the rest and finishes B with ``_finish_buffer``
     (one greedy pass over B's hosts and colours, the matchings only when it
-    sticks; ``"finish"`` names which).  Only when all fail do Steps 0-5 run
-    (``"path": "main"``, tag 83, independent sub-seeds), the paper's blow-up
-    lemma: Step 0 embeds the separator graph and shrinks target sets to
-    candidate sets; Step 1 embeds the absorber part into the lambda3-thick
-    graph and builds the colour absorber (A, B); Steps 2-4 split the
-    remaining clusters and colours, run the extra-colours embedder, the
-    prescribed-colour embedder (on the app stage's leftover colours) and the
-    extra-colours embedder again on the flexible pool; Step 5 closes by
-    matching the absorber edges to A plus the leftover B-subset.  Counts
-    that the split's bookkeeping fixes are identities: a broken one raises
-    ``UnverifiedOutput``.  Set-up that draws nothing is built once
-    (``setup``: ``_blowup_setup(H, phi, active, plan,
-    sorted(t.colour_clusters))``, which a caller may pass in), and a split
-    that the component counts rule out is not tried.  When both fail, the
-    last pass's failure is returned, its ``_hall_witness`` built, with
-    ``diagnostics["main"]``: ``"split-decided"``, or the last Steps 0-5
-    attempt's ``stage:reason``.  A success is verified against the target
-    sets too, on H itself when ``active`` is all of H and there are none.
+    sticks; ``"finish"`` names which).  Entry checks, set-up (which a caller
+    may pass in) and verification are ``_blowup``'s.  The paper's blow-up
+    lemma, Steps 0-5, is ``lemma_blowup``: no call here runs it.
     """
+    # class sizes equal class edge counts, so one pass can use every colour
+    return _blowup(t, H, phi, targets, seed, active, setup, lambda s, targets: _retry(
+        seed, 89, plan.retries, Failure("one-shot", EMBEDDING_FAILED, seed),
+        _one_shot(t, H, phi, targets, s.bfs)))
+
+
+def _blowup(t: Template, H: PatternGraph, phi, targets, seed: int, active, setup,
+            attempts) -> EmbedOutcome:
+    """What both blow-ups share: the entry checks, the set-up (unless given)
+    and then ``attempts(setup, targets)``, a ``_retry`` pair: the last
+    failure, its ``_hall_witness`` built, or (tau, sigma, stats), verified
+    against the target sets too (on H itself when ``active`` is all of H
+    and there are none) and checked to use every colour once."""
     entry = _filling_entry("pipeline", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
         return entry
     active, targets = entry
     keys = sorted(t.colour_clusters)
     if setup is None:
-        setup = _blowup_setup(H, phi, active, plan, keys)
+        setup = _BlowupSetup(_class_edges(H, phi, active), keys, H, active)
     _identity(setup.keys == keys, "pipeline", "set-up class keys = template classes")
     if (mismatch := _class_count_mismatch(t, setup.class_e, seed)) is not None:
         return mismatch
-    # class sizes equal class edge counts, so one pass can use every colour
-    out, attempts = _retry(seed, 89, plan.retries, Failure("one-shot", EMBEDDING_FAILED, seed),
-                           _one_shot(t, H, phi, targets, setup.bfs))
-    last = out
-    if isinstance(out, Failure) and not setup.decided:
-        out, attempts = _retry(
-            seed, 83, plan.retries, Failure("pipeline", EMBEDDING_FAILED, seed),
-            lambda sub_seed, _: _pipeline_once(t, H, phi, targets, plan, sub_seed, setup),
-        )
-    if isinstance(out, Failure):  # say why Steps 0-5 gave no embedding either
-        _hall_witness(last).diagnostics["main"] = (
-            "split-decided" if setup.decided else f"{out.stage}:{out.reason}")
-        return EmbedOutcome(embedding=None, failure=last, verification=None)
+    out, count = attempts(setup, targets)
+    if isinstance(out, Failure):
+        return EmbedOutcome(embedding=None, failure=_hall_witness(out), verification=None)
     tau, sigma, run_stats = out
-    run_stats["attempts"] = attempts
+    run_stats["attempts"] = count
     # over all of H, with no target set to drop, the view would be H itself
     whole = len(active) == H.n and not H.targets
     view = _pattern_view(H, active, targets) if targets else None if whole else setup.view
@@ -1627,6 +1577,82 @@ def _one_shot(t: Template, H: PatternGraph, phi, targets, bfs: list[int]):
         return _finish_buffer(t, H, phi, list(bits_of(B)), part, targets, sub_seed)
 
     return attempt
+
+
+# ---------------------------------------------------------------------------
+# The blow-up lemma (Steps 0-5)
+
+_STAGES = ("abs", "app", "col", "vx")
+
+
+@dataclass(frozen=True)
+class _LemmaSetup:
+    """What the Steps 0-5 attempts of a ``lemma_blowup`` call share, none of
+    it drawn: the separator X (empty when none is certified: chunking then
+    copes or fails typed), Step 0's neighbours Y and connecting graph, the
+    components outside X with their class edge counts, and whether those
+    rule every split out (``decided``)."""
+
+    class_e: dict[tuple[int, int], list[tuple[int, int]]]
+    keys: list[tuple[int, int]]
+    X: list[int]
+    Y: list[int]
+    H_con: PatternGraph
+    comps: list[list[int]]
+    class_of_comp: list[Counter]
+    decided: bool
+
+
+def _lemma_setup(base: _BlowupSetup, phi, mu: float) -> _LemmaSetup:
+    """The set-up of ``lemma_blowup`` on the blow-up set-up ``base``: a
+    separator of at most mu * |active| vertices (any size when that is
+    below one)."""
+    H, active, view = base.H, base.active, base.view
+    cert = separability_certificate(view.pattern, mu if len(active) * mu >= 1 else 1.0)
+    X = (sorted(view.to_global[v] for v in cert.separator)
+         if isinstance(cert, SeparabilityCertificate) else [])
+    Y, H_con = _connecting_graph(H, X, active)
+    comps = H.components(active.difference(X))
+    class_of_comp = [Counter(_class_key(phi, u, v) for u, v in H.edges_within(comp))
+                     for comp in comps]
+    return _LemmaSetup(base.class_e, base.keys, X, Y, H_con, comps, class_of_comp,
+                       _split_decided(comps, class_of_comp, base.keys))
+
+
+def lemma_blowup(
+    t: Template,
+    H: PatternGraph,
+    phi,
+    targets: dict[int, set[int]] | None,
+    plan: LemmaPlan,
+    seed: int = 0,
+    active: set[int] | None = None,
+) -> EmbedOutcome:
+    """Verified transversal embedding using every template colour exactly
+    once, by the paper's blow-up lemma: up to ``retries`` attempts of Steps
+    0-5 (``"path": "main"``, tag 83), each ``_STEPS`` through ``_run_steps``
+    on the set-up of ``_lemma_setup``: a random abs/app/col/vx split of the
+    components outside the separator; Step 0 embeds the separator graph and
+    shrinks target sets to candidate sets; Step 1 embeds the absorber part
+    in the lambda3-thick graph and builds the colour absorber (A, B); Steps
+    2-4 run the extra-colours embedder, the prescribed-colour embedder (on
+    the app stage's leftover colours) and the extra-colours embedder again
+    on the flexible pool; Step 5 matches the absorber edges to A plus the
+    leftover B-subset.  A broken count that the split fixes raises
+    ``UnverifiedOutput``.  When the component counts rule out every split,
+    the call fails PreconditionViolated at once, with no draw; the rest is
+    ``_blowup``'s."""
+
+    def attempts(base, targets):
+        setup = _lemma_setup(base, phi, plan.mu)
+        if setup.decided:
+            return Failure("split", PRECONDITION, seed, separator=len(setup.X),
+                           components=len(setup.comps), classes=len(setup.keys),
+                           detail="the component counts rule out every split"), 0
+        return _retry(seed, 83, plan.retries, Failure("pipeline", EMBEDDING_FAILED, seed),
+                      lambda k_seed, _: _pipeline_once(t, H, phi, targets, plan, k_seed, setup))
+
+    return _blowup(t, H, phi, targets, seed, active, None, attempts)
 
 
 def _split_decided(comps, class_of_comp, keys) -> bool:
@@ -1946,8 +1972,8 @@ _STEPS = (_split, _step0, _step1, _prep, _step2, _step3, _step4, _step5)
 
 
 def _pipeline_once(t, H, phi, targets, plan, seed, setup):
-    """One attempt of Steps 0-5 over the set-up that ``transversal_blowup``
-    builds once: the steps through ``_run_steps``, then (tau, sigma, stats)."""
+    """One attempt of Steps 0-5 over the set-up that ``lemma_blowup`` builds
+    once: the steps through ``_run_steps``, then (tau, sigma, stats)."""
     run = _Run(seed, setup=setup, t=t, H=H, phi=phi, targets=targets, plan=plan)
     failure = _run_steps(run, _STEPS)
     if failure is not None:
@@ -2027,9 +2053,10 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
     active = set(range(H.n)).difference(X)
     if dense_keys:
         Y, sparse_H = _connecting_graph(H, X, range(H.n))
-        # with X empty, active is all of H and its class edges are class_all
         order = _bfs_order(H, X)
-        blowup = _blowup_setup(H, phi, active, plan, dense_keys, None if X else class_all)
+        # with X empty, active is all of H and its class edges are class_all
+        blowup = _BlowupSetup(_class_edges(H, phi, active) if X else class_all, dense_keys, H,
+                              active)
     else:  # the run degenerates to one candidate-set pass over all of H
         Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
     return _QuasiSetup(r, parts, phi, base_stats, dense_keys, sparse_H, order, Y, active, blowup)
@@ -2124,20 +2151,21 @@ def quasi_embed(
     once (``_quasi_setup``): an equitable colouring into Delta+1 independent
     parts, the pigeonhole on the pair densities against the delta ladder
     that splits sparse pairs from dense ones, the sparse side and, when a
-    pair is dense, the blow-up's set-up with its split decision.  Each
-    attempt then runs ``_QUASI_STEPS`` through ``_run_steps``: draw the
-    balanced vertex partition V_i, read the attempt's d, eps and m off the
-    edges between the V_i, embed the sparse side through candidate sets on
-    a template with every colour on every pair, and embed the dense side by
-    the transversal blow-up with the candidate sets as targets on a random
-    colour split sized exactly to the dense classes.  Both templates take
-    ``gc`` itself as their collection: no slice is sparsified or copied,
-    and every step reads only edges between two clusters, so the edges
-    inside a V_i are never read.  A success's ``stats["path"]`` names its
-    path: ``main``, ``one-shot``, ``LadderDegenerate`` or ``empty``.  A
-    pattern with target sets (``H.targets``) fails PreconditionViolated
-    before any draw: no step honours them.  So does a colour with no edge,
-    which the diagnostics name: |C| = e(H), so the copy uses every colour.
+    pair is dense, the blow-up's set-up.  Each attempt then runs
+    ``_QUASI_STEPS`` through ``_run_steps``: draw the balanced vertex
+    partition V_i, read the attempt's d, eps and m off the edges between the
+    V_i, embed the sparse side through candidate sets on a template with
+    every colour on every pair, and embed the dense side by the one-shot
+    passes of ``transversal_blowup`` (never Steps 0-5) with the candidate
+    sets as targets on a random colour split sized exactly to the dense
+    classes.  Both templates take ``gc`` itself as their collection: no
+    slice is sparsified or copied, and every step reads only edges between
+    two clusters, so the edges inside a V_i are never read.  A success's
+    ``stats["path"]`` names its path: ``one-shot``, ``LadderDegenerate`` or
+    ``empty``.  A pattern with target sets (``H.targets``) fails
+    PreconditionViolated before any draw: no step honours them.  So does a
+    colour with no edge, which the diagnostics name: |C| = e(H), so the copy
+    uses every colour.
     """
     n, K = gc.n, gc.n_colours
     if K != H.e:

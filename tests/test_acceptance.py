@@ -17,10 +17,12 @@ from transversal.core import (
     verify_transversal_embedding,
 )
 from transversal.embed import (
+    LemmaPlan,
     SplitPlan,
     approx_embed,
     blowup_embed,
     build_absorber,
+    lemma_blowup,
     quasi_embed,
     transversal_blowup,
 )
@@ -50,9 +52,8 @@ from transversal.regularity import (
 from transversal.templates import make_template, thick_graph
 from transversal.vizing import extract_matching
 
-from test_embed import fail_one_shot
-
-FAST_PLAN = SplitPlan(retries=6, approx_retries=5, blowup_restarts=15)
+FAST_PLAN = SplitPlan(retries=6)
+FAST_LEMMA = LemmaPlan(retries=6, approx_retries=5, blowup_restarts=15)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -153,7 +154,7 @@ def test_criterion_01_verifier_soundness():
             edges += [(a, c), (c, b), (b, d_), (d_, a)]
         H = PatternGraph(2 * m, edges)
         phi = [0] * m + [1] * m
-        out = approx_embed(t, H, phi, None, FAST_PLAN, seed=seed)
+        out = approx_embed(t, H, phi, None, FAST_LEMMA, seed=seed)
         runs += 1
         if out.ok:
             successes += 1
@@ -171,7 +172,7 @@ def test_criterion_01_verifier_soundness():
         )
         H, phi = _matching_pattern(n_side)
         res = blowup_embed(host, [list(range(n_side)), list(range(n_side, 2 * n_side))],
-                           H, phi, None, FAST_PLAN, seed=seed)
+                           H, phi, None, FAST_LEMMA, seed=seed)
         runs += 1
         if res.ok:
             successes += 1
@@ -399,7 +400,7 @@ def test_criterion_10_absorber_flexibility():
                           gc, d="0.5", eps="0.1", m=10)
         if bsize > k or n_pairs - l > k - bsize:
             continue
-        ab = build_absorber(t, {(0, 1): pairs}, SplitPlan(), seed=attempt,
+        ab = build_absorber(t, {(0, 1): pairs}, LemmaPlan(), seed=attempt,
                             l_sizes={(0, 1): l}, b_sizes={(0, 1): bsize})
         if not hasattr(ab, "per_edge"):
             continue  # construction reported a typed failure; draw a new instance
@@ -477,7 +478,7 @@ def test_criterion_12_blowup_success_rate():
         phi = [0] * n_side + [1] * n_side
         res = blowup_embed(
             host, [list(range(n_side)), list(range(n_side, 2 * n_side))],
-            H, phi, None, SplitPlan(blowup_restarts=40), seed=seed,
+            H, phi, None, LemmaPlan(blowup_restarts=40), seed=seed,
         )
         if res.ok:
             for (u, v) in H.edges():
@@ -489,15 +490,12 @@ def test_criterion_12_blowup_success_rate():
             f"{successes}/50 successes, {wall:.1f}s")
 
 
-def test_criterion_13_colour_conservation(monkeypatch):
-    # every seed runs as it is, then with its one-shot passes made to fail,
-    # so that Steps 0-5 carry it
+def test_criterion_13_colour_conservation():
+    # every seed runs on the one-shot passes, then on Steps 0-5 (lemma_blowup)
     main_path = 0
     checked = {False: 0, True: 0}
     bad = 0
     for steps_only in (False, True):
-        if steps_only:
-            fail_one_shot(monkeypatch)
         for seed in range(30):
             m = 24
             dens = (0.8, 1.0)[seed % 2]
@@ -506,7 +504,10 @@ def test_criterion_13_colour_conservation(monkeypatch):
             else:
                 H, phi = _paths_pattern(m)
             t = _bip_template(m, H.e, dens, 300 + seed)
-            out = transversal_blowup(t, H, phi, None, SplitPlan(), seed=seed)
+            if steps_only:
+                out = lemma_blowup(t, H, phi, None, LemmaPlan(), seed=seed)
+            else:
+                out = transversal_blowup(t, H, phi, None, SplitPlan(), seed=seed)
             if not out.ok:
                 continue
             checked[steps_only] += 1

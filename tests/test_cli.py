@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -23,7 +24,7 @@ from transversal.core import (
     collection_to_json,
     pattern_to_json,
 )
-from transversal.embed import SplitPlan
+from transversal.embed import LemmaPlan, SplitPlan
 from transversal.generators import parity_threegraph
 
 
@@ -463,18 +464,22 @@ def test_verify_malformed_embedding_is_a_usage_error(workdir):
                                     '{"absorber_exhaustive_cap": -1}'])
 def test_a_retry_count_in_params_that_is_not_a_count_is_a_usage_error(workdir, params):
     # range() in a retry loop would raise TypeError, and a count below 1
-    # would report a failure that no attempt saw
+    # would report a failure that no attempt saw; a LemmaPlan count goes to
+    # a bench blowup run, which takes it, and the others to embed
     assert main([
         "generate", "--construction", "random", "--n", "6", "--colours", "3",
         "--density", "1.0", "--seed", "1", "--out", "inst.json",
     ]) == 0
     write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
     (workdir / "p.json").write_text(params)
-    proc = subprocess.run(
-        [sys.executable, "-m", "transversal.cli", "embed", "--pipeline", "quasi",
-         "--instance", "inst.json", "--pattern", "h.json", "--params", "p.json"],
-        capture_output=True, text=True, env=_child_env(),
-    )
+    if _lemma_only(params):
+        _blowup_suite(workdir, params)
+        argv = ["bench", "--suite", "suite.json", "--out", "b.csv"]
+    else:
+        argv = ["embed", "--pipeline", "quasi", "--instance", "inst.json", "--pattern", "h.json",
+                "--params", "p.json"]
+    proc = subprocess.run([sys.executable, "-m", "transversal.cli", *argv],
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "must be an integer" in proc.stderr, proc.stderr
 
@@ -536,9 +541,46 @@ def test_a_plan_value_no_pipeline_can_run_is_refused(workdir, capsys, params, me
     # a nan fails every comparison, so it would switch off any check that
     # reads it: eps = nan used to raise inside the first attempt, a string
     # to raise TypeError from the first arithmetic on it, mu = 2 to raise
-    # from the separator search and mu = 0 to be replaced by 1
+    # from the separator search and mu = 0 to be replaced by 1.  A LemmaPlan
+    # value is refused by a bench blowup run, which takes that plan
+    lemma = _lemma_only(params)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SplitPlan(**json.loads(params))
+        (LemmaPlan if lemma else SplitPlan)(**json.loads(params))
+    assert main([
+        "generate", "--construction", "random", "--n", "6", "--colours", "3",
+        "--density", "1.0", "--seed", "1", "--out", "inst.json",
+    ]) == 0
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
+    (workdir / "p.json").write_text(params)
+    capsys.readouterr()
+    if lemma:
+        _blowup_suite(workdir, params)
+        assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
+    else:
+        assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                     "--pattern", "h.json", "--params", "p.json"]) == 2
+    assert message.replace("\\", "") in capsys.readouterr().err
+
+
+def _lemma_only(params: str) -> bool:
+    """Whether the JSON overrides ``params`` name a field of LemmaPlan alone."""
+    split = {f.name for f in dataclasses.fields(SplitPlan)}
+    return not set(json.loads(params)) <= split
+
+
+def _blowup_suite(workdir, params: str):
+    """Write suite.json: one bench blowup run with the JSON overrides
+    ``params`` (json reads and writes NaN and Infinity as they stand)."""
+    write_json(workdir / "suite.json", {"runs": [
+        {"construction": {"n": 6, "density": 0.9}, "pipeline": "blowup", "seeds": [0],
+         "pattern": pattern_to_json(PatternGraph(8, CYCLE_8.edges(), phi=[0] * 4 + [1] * 4)),
+         "params": json.loads(params)}]})
+
+
+@pytest.mark.parametrize("params", ['{"mu": 0.2}', '{"retries": 3, "blowup_restarts": 2}'])
+def test_embed_refuses_a_lemma_plan_field(workdir, capsys, params):
+    # only Steps 0-5 and their stage embedders read a LemmaPlan, and embed
+    # runs neither: the message names the plan and the field
     assert main([
         "generate", "--construction", "random", "--n", "6", "--colours", "3",
         "--density", "1.0", "--seed", "1", "--out", "inst.json",
@@ -548,7 +590,30 @@ def test_a_plan_value_no_pipeline_can_run_is_refused(workdir, capsys, params, me
     capsys.readouterr()
     assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
                  "--pattern", "h.json", "--params", "p.json"]) == 2
-    assert message.replace("\\", "") in capsys.readouterr().err
+    field = "mu" if "mu" in params else "blowup_restarts"
+    assert f"embed does not take LemmaPlan fields ({field})" in capsys.readouterr().err
+
+
+def test_a_bench_run_builds_the_plan_of_its_pipeline(workdir, capsys, monkeypatch):
+    # a blowup run calls blowup_embed, a stage embedder of Steps 0-5, with a
+    # LemmaPlan of its params; a quasi run takes a SplitPlan, so each
+    # refuses the other plan's own fields
+    from transversal import cli
+
+    plans, real = [], cli.blowup_embed
+    monkeypatch.setattr(cli, "blowup_embed", lambda *a, **k: plans.append(a[5]) or real(*a, **k))
+    _blowup_suite(workdir, '{"mu": 0.5, "blowup_restarts": 2}')
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
+    assert plans == [LemmaPlan(mu=0.5, blowup_restarts=2)]
+    _blowup_suite(workdir, '{"ladder_base": 0.05}')
+    capsys.readouterr()
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
+    assert "bad LemmaPlan parameters" in capsys.readouterr().err
+    write_json(workdir / "suite.json", {"runs": [
+        {"construction": {"kind": "random", "n": 12, "n_colours": 6, "density": 1.0},
+         "pipeline": "quasi", "pattern": MATCHING_12, "seeds": [0], "params": {"mu": 0.5}}]})
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
+    assert "a quasi bench run does not take LemmaPlan fields (mu)" in capsys.readouterr().err
 
 
 def test_a_deleted_plan_field_is_a_usage_error(workdir, capsys):

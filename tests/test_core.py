@@ -850,8 +850,8 @@ def test_verifier_agrees_with_the_naive_check_on_a_mutated_oracle_embedding(
 
 
 # _quasi_instance seeds (tests/test_embed.py) whose successes take each
-# path, as QUASI_REPLAY pins them (the main path's with its one-shot passes
-# made to fail), and _expand_instance seeds whose
+# path, as QUASI_REPLAY pins them (the main path's with its dense side
+# embedded by lemma_blowup: lemma_dense_side), and _expand_instance seeds whose
 # expansions succeed (a path, a matching with isolated vertices, a cycle)
 QUASI_PATH_SEEDS = {"main": 0, "one-shot": 1, "ladder-degenerate": 2}
 EXPAND_SEEDS = (1, 2, 4)
@@ -859,13 +859,13 @@ EXPAND_SEEDS = (1, 2, 4)
 
 @functools.lru_cache(maxsize=None)
 def _quasi_success(path):
-    from test_embed import _quasi_instance, _quasi_path, fail_one_shot
+    from test_embed import _quasi_instance, _quasi_path, lemma_dense_side
 
     seed = QUASI_PATH_SEEDS[path]
     gc, H, plan = _quasi_instance(seed)
     with pytest.MonkeyPatch.context() as mp:
         if path == "main":
-            fail_one_shot(mp)
+            lemma_dense_side(mp)
         out = quasi_embed(gc, H, plan, seed=seed)
     assert _quasi_path(out) == path
     return gc, H, out.embedding

@@ -29,6 +29,7 @@ from transversal.embed import (
     PRECONDITION,
     EquitableColouring,
     Failure,
+    LemmaPlan,
     PartialEmbedding,
     SplitPlan,
     _class_key,
@@ -41,6 +42,7 @@ from transversal.embed import (
     equitable_colouring,
     expand_embed_3graph,
     find_induced_matching,
+    lemma_blowup,
     partial_embed,
     quasi_embed,
     transversal_blowup,
@@ -51,16 +53,24 @@ from transversal.oracle import exact_transversal_embed
 from transversal.templates import make_template
 
 PLAN = SplitPlan()
+LEMMA_PLAN = LemmaPlan()
 
 
-def fail_one_shot(mp):
-    """Make every one-shot pass of ``transversal_blowup`` fail without a
-    draw, so its Steps 0-5 fallback runs, on the sub-seeds it always draws
-    from: the way a test reaches the main path (``mp`` is a MonkeyPatch)."""
+def lemma_dense_side(mp):
+    """Make each ``transversal_blowup`` call of the default path (the dense
+    side of ``quasi_embed``, also inside an expansion) call ``lemma_blowup``
+    on the same arguments and seed, with the default ``LemmaPlan`` and the
+    caller's retry budget: Steps 0-5 then run on the tag-83 sub-seeds of
+    that seed, as they did when they followed failed one-shot passes.  The
+    way a test reaches Steps 0-5 through a quasi run (``mp`` is a
+    MonkeyPatch)."""
     from transversal import embed
 
-    mp.setattr(embed, "_one_shot",
-               lambda *args: lambda sub_seed, k: Failure("one-shot", "Skipped", sub_seed))
+    def lemma(t, H, phi, targets, plan, seed=0, active=None, setup=None):
+        return embed.lemma_blowup(t, H, phi, targets, LemmaPlan(retries=plan.retries), seed,
+                                  active)
+
+    mp.setattr(embed, "transversal_blowup", lemma)
 
 
 def bip_template(n_side, k, density=1.0, seed=0, d="0.7", eps="0.05"):
@@ -920,7 +930,7 @@ def test_buffer_finish_fails_typed(c0, c1, step, monkeypatch):
         "one-shot", "MatchingTooSmall", step, 1)
     hall_set = [0, 2] if step == "buffer-vertices" else [[0, 1], [1, 2]]
     assert (f.diagnostics["hall_set"], f.diagnostics["neighbourhood"]) == (hall_set, [0])
-    assert f.diagnostics["main"] == "split-decided"
+    assert "main" not in f.diagnostics  # no Steps 0-5 ran
 
 
 def test_buffer_keeps_the_sparse_sides_targets(monkeypatch):
@@ -996,12 +1006,12 @@ def test_target_hosts_outside_the_host_range_are_ignored_by_the_masks():
     host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
     clusters = [list(range(n)), list(range(n, 2 * n))]
     H = PatternGraph(4, [(0, 2), (1, 3)])
-    runs = [blowup_embed(host, clusters, H, [0, 0, 1, 1], {0: ts}, PLAN, seed=1)
+    runs = [blowup_embed(host, clusters, H, [0, 0, 1, 1], {0: ts}, LEMMA_PLAN, seed=1)
             for ts in ({5, 6}, {-1, 5, 6}, {-1})]
     assert runs[0].ok and runs[1].tau == runs[0].tau and not runs[2].ok
     t = bip_template(8, 10, density=0.9, seed=6, d="0.4")
     H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    outs = [embed_prescribed_colours(t, H, [0, 1] * 4, {0: ts}, {(0, 1): [7]}, PLAN, seed=3)
+    outs = [embed_prescribed_colours(t, H, [0, 1] * 4, {0: ts}, {(0, 1): [7]}, LEMMA_PLAN, seed=3)
             for ts in ({1, 2}, {-1, 1, 2})]
     assert outs[0].ok and outs[0].embedding.tau[0] in {1, 2}
     assert (outs[1].embedding.tau, outs[1].embedding.sigma) == (
@@ -1022,14 +1032,14 @@ def test_an_unused_prescribed_colour_is_caught(monkeypatch):
     t = bip_template(8, 10, density=1.0, seed=6, d="0.4")
     H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     with pytest.raises(UnverifiedOutput, match="a prescribed colour was not used"):
-        embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7]}, PLAN, seed=3)
+        embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7]}, LEMMA_PLAN, seed=3)
 
 
 def test_prescribed_colour_named_twice_in_one_class_is_prescribed_once():
     # a colour listed twice in one class is prescribed once, on one matching edge
     t = bip_template(8, 10, density=1.0, seed=6, d="0.4")
     H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    out = embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7, 7]}, PLAN, seed=3)
+    out = embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [7, 7]}, LEMMA_PLAN, seed=3)
     assert out.ok and out.verification.ok
     assert out.stats["prescribed_used"] == [7] and 7 in out.embedding.sigma.values()
 
@@ -1038,7 +1048,8 @@ def test_prescribed_refuses_too_few_unprescribed_colours():
     # four of ten colours prescribed leave six, below d * 10 = 7
     t = bip_template(8, 10, density=1.0, seed=6, d="0.7")
     H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    out = embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [1, 3, 5, 7]}, PLAN, seed=3)
+    out = embed_prescribed_colours(t, H, [0, 1] * 4, None, {(0, 1): [1, 3, 5, 7]}, LEMMA_PLAN,
+                                   seed=3)
     f = out.failure
     assert not out.ok and (f.stage, f.reason, f.seed) == ("prescribed", PRECONDITION, 3)
     assert f.diagnostics == {"edge_class": (0, 1), "detail": "too few unprescribed colours"}
@@ -1113,7 +1124,7 @@ def test_prescribed_empty_reduces_to_partial():
     t = bip_template(8, 10, density=0.8, seed=4, d="0.4")
     H = PatternGraph(6, [(0, 1), (2, 3), (4, 5)])
     phi = [0, 1, 0, 1, 0, 1]
-    out = embed_prescribed_colours(t, H, phi, None, {}, PLAN, seed=5)
+    out = embed_prescribed_colours(t, H, phi, None, {}, LEMMA_PLAN, seed=5)
     assert out.ok
     assert verify_transversal_embedding(
         t.gc,
@@ -1136,7 +1147,7 @@ def test_prescribed_colour_is_used():
     t = bip_template(8, 10, density=0.9, seed=6, d="0.4")
     H = PatternGraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     phi = [0, 1] * 4
-    out = embed_prescribed_colours(t, H, phi, None, {(0, 1): [7]}, PLAN, seed=3)
+    out = embed_prescribed_colours(t, H, phi, None, {(0, 1): [7]}, LEMMA_PLAN, seed=3)
     assert out.ok
     assert 7 in set(out.embedding.sigma.values())
 
@@ -1149,7 +1160,7 @@ def test_prescribed_empty_colour_graph_rejected():
     t = make_template([range(6), range(6, 12)], {(0, 1): range(5)}, gc, d="0.5", eps="0.05",
                       m=6)
     H = PatternGraph(4, [(0, 1), (2, 3)])
-    out = embed_prescribed_colours(t, H, [0, 1, 0, 1], None, {(0, 1): [4]}, PLAN, seed=0)
+    out = embed_prescribed_colours(t, H, [0, 1, 0, 1], None, {(0, 1): [4]}, LEMMA_PLAN, seed=0)
     assert not out.ok
     assert out.failure.reason == "PreconditionViolated"
 
@@ -1163,7 +1174,8 @@ def test_blowup_complete_host_spanning():
     host = SimpleGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)] + [(n + i, (i + 1) % n) for i in range(n)])
     phi = [0] * n + [1] * n
-    res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H, phi, None, PLAN, seed=0)
+    res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H, phi, None, LEMMA_PLAN,
+                       seed=0)
     assert res.ok
     for (u, v) in H.edges():
         assert host.has_edge(res.tau[u], res.tau[v])
@@ -1175,7 +1187,7 @@ def test_blowup_respects_targets():
     H = PatternGraph(4, [(0, 2), (1, 3)])
     res = blowup_embed(
         host, [list(range(n)), list(range(n, 2 * n))], H, [0, 0, 1, 1],
-        {0: {5}, 2: {9, 10}}, PLAN, seed=1,
+        {0: {5}, 2: {9, 10}}, LEMMA_PLAN, seed=1,
     )
     assert res.ok
     assert res.tau[0] == 5 and res.tau[2] in {9, 10}
@@ -1187,7 +1199,7 @@ def test_blowup_isolated_host_vertex_fails_spanning():
     host = SimpleGraph(2 * n, edges)
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])  # perfect matching
     phi = [0] * n + [1] * n
-    plan = SplitPlan(blowup_restarts=6)
+    plan = LemmaPlan(blowup_restarts=6)
     res = blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H, phi, None, plan, seed=2)
     assert not res.ok
     assert res.failure.reason == "EmbeddingFailed"
@@ -1203,7 +1215,7 @@ def test_blowup_corrupted_output_raises_without_asserts(monkeypatch):
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])
     with pytest.raises(embed.UnverifiedOutput):
         blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H,
-                     [0] * n + [1] * n, None, PLAN, seed=0)
+                     [0] * n + [1] * n, None, LEMMA_PLAN, seed=0)
 
 
 def _blowup_with_bad_completion(monkeypatch, extras_adjacent, targets):
@@ -1224,7 +1236,7 @@ def _blowup_with_bad_completion(monkeypatch, extras_adjacent, targets):
     host = SimpleGraph(4 * n, edges)
     H = PatternGraph(2 * n, [(i, n + i) for i in range(n)])
     blowup_embed(host, [list(range(n)), list(range(n, 2 * n))], H,
-                 [0] * n + [1] * n, targets, PLAN, seed=0)
+                 [0] * n + [1] * n, targets, LEMMA_PLAN, seed=0)
 
 
 def test_blowup_completion_onto_a_non_edge_raises(monkeypatch):
@@ -1246,7 +1258,7 @@ def test_blowup_completion_outside_a_target_set_raises(monkeypatch):
 def test_blowup_with_more_pattern_vertices_than_hosts_fails_typed():
     host = SimpleGraph(5, [(u, v) for u in range(2) for v in range(2, 5)])
     H = PatternGraph(6, [(i, 3 + i) for i in range(3)])
-    res = blowup_embed(host, [[0, 1], [2, 3, 4]], H, [0] * 3 + [1] * 3, None, PLAN, seed=0)
+    res = blowup_embed(host, [[0, 1], [2, 3, 4]], H, [0] * 3 + [1] * 3, None, LEMMA_PLAN, seed=0)
     assert not res.ok and res.failure.stage == "blowup"
     assert res.failure.reason == PRECONDITION
     assert res.failure.diagnostics == {"cluster": 0, "detail": "3 pattern vertices > 2 hosts"}
@@ -1257,8 +1269,8 @@ def test_blowup_deterministic():
     host = SimpleGraph(24, [(u, v) for u in range(12) for v in range(12, 24) if rng.random() < 0.7])
     H = PatternGraph(24, [(i, 12 + i) for i in range(12)])
     phi = [0] * 12 + [1] * 12
-    a = blowup_embed(host, [list(range(12)), list(range(12, 24))], H, phi, None, PLAN, seed=5)
-    b = blowup_embed(host, [list(range(12)), list(range(12, 24))], H, phi, None, PLAN, seed=5)
+    a = blowup_embed(host, [list(range(12)), list(range(12, 24))], H, phi, None, LEMMA_PLAN, seed=5)
+    b = blowup_embed(host, [list(range(12)), list(range(12, 24))], H, phi, None, LEMMA_PLAN, seed=5)
     assert a.ok == b.ok
     if a.ok:
         assert a.tau == b.tau
@@ -1390,7 +1402,7 @@ def _blowup_fields(res):
 def test_blowup_matches_the_per_restart_reference(restarts, reserve):
     import types
 
-    # SplitPlan refuses a budget of 0, which blowup_embed still honours
+    # LemmaPlan refuses a budget of 0, which blowup_embed still honours
     plan = types.SimpleNamespace(blowup_restarts=restarts, blowup_reserve=reserve)
     rng = random.Random(restarts * 100 + int(reserve * 100))
     seen = set()
@@ -1435,7 +1447,7 @@ def test_blowup_completion_succeeds_whatever_order_it_tries_hosts_in(monkeypatch
             order_rng.shuffle(hosts)
         return recursive_matching(lists)
 
-    plan = SplitPlan(blowup_restarts=3, blowup_reserve=0.5)
+    plan = LemmaPlan(blowup_restarts=3, blowup_reserve=0.5)
     rng = random.Random(38)
     seen = set()
     for case in range(300):
@@ -1469,10 +1481,10 @@ def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
         seeded.clear()
         with monkeypatch.context() as m:
             m.setattr(embed, "random", types.SimpleNamespace(Random=Counted))
-            got = blowup_embed(host, clusters, H, phi, targets, PLAN, seed=9)
+            got = blowup_embed(host, clusters, H, phi, targets, LEMMA_PLAN, seed=9)
         assert _blowup_fields(got) == _blowup_fields(
-            _reference_blowup_embed(host, clusters, H, phi, targets, PLAN, seed=9))
-        assert not got.ok and got.restarts == PLAN.blowup_restarts
+            _reference_blowup_embed(host, clusters, H, phi, targets, LEMMA_PLAN, seed=9))
+        assert not got.ok and got.restarts == LEMMA_PLAN.blowup_restarts
         return got
 
     # clusters 0 and 1 are dense between them; no host edge reaches cluster 2
@@ -1481,12 +1493,12 @@ def test_a_hopeless_blowup_call_seeds_one_generator(monkeypatch):
     phi = [0, 0, 1, 1, 1, 2]
     dense = [(u, v) for u in range(4) for v in range(4, 8)]
     got = run(SimpleGraph(12, dense))
-    assert seeded == [_mix(9, 53, PLAN.blowup_restarts - 1)]
-    assert got.failure.diagnostics["restart"] == PLAN.blowup_restarts - 1
+    assert seeded == [_mix(9, 53, LEMMA_PLAN.blowup_restarts - 1)]
+    assert got.failure.diagnostics["restart"] == LEMMA_PLAN.blowup_restarts - 1
     # with one host edge from cluster 1 to cluster 2, a target set outside
     # that edge still fails every restart, but the budget runs in full
     run(SimpleGraph(12, dense + [(7, 11)]), targets={5: {10}})
-    assert seeded == [_mix(9, 53, k) for k in range(PLAN.blowup_restarts)]
+    assert seeded == [_mix(9, 53, k) for k in range(LEMMA_PLAN.blowup_restarts)]
 
 
 @pytest.mark.parametrize("clusters, host_edges, targets, restarts, seeds", [
@@ -1517,7 +1529,7 @@ def test_a_forced_blowup_call(monkeypatch, clusters, host_edges, targets, restar
     # a path on three clusters of one host each; host 3 lies outside them
     host = SimpleGraph(4, host_edges)
     H, phi = PatternGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]
-    plan = types.SimpleNamespace(blowup_restarts=restarts, blowup_reserve=PLAN.blowup_reserve)
+    plan = types.SimpleNamespace(blowup_restarts=restarts, blowup_reserve=LEMMA_PLAN.blowup_reserve)
     with monkeypatch.context() as m:
         m.setattr(embed, "random", types.SimpleNamespace(Random=Counted))
         got = blowup_embed(host, clusters, H, phi, targets, plan, seed=9)
@@ -1547,7 +1559,7 @@ def dense_incidence_template(n_pairs=6, k=14, density=0.8, seed=3):
 
 def test_absorber_exhaustive_flexibility():
     t, pairs = dense_incidence_template()
-    ab = build_absorber(t, {(0, 1): pairs}, PLAN, seed=1,
+    ab = build_absorber(t, {(0, 1): pairs}, LEMMA_PLAN, seed=1,
                         l_sizes={(0, 1): 2}, b_sizes={(0, 1): 8})
     assert not isinstance(ab, Failure)
     ent = ab.per_edge[(0, 1)]
@@ -1575,7 +1587,7 @@ def test_flexibility_check_rejects_a_sampled_subset():
 
 def test_absorber_l_zero_is_distinct_colour_system():
     t, pairs = dense_incidence_template(seed=5)
-    ab = build_absorber(t, {(0, 1): pairs}, PLAN, seed=2,
+    ab = build_absorber(t, {(0, 1): pairs}, LEMMA_PLAN, seed=2,
                         l_sizes={(0, 1): 0}, b_sizes={(0, 1): 4})
     ent = ab.per_edge[(0, 1)]
     assert len(ent.A) == len(pairs)
@@ -1585,7 +1597,7 @@ def test_absorber_l_zero_is_distinct_colour_system():
 
 def test_absorber_complete_incidence_any_split_works():
     t, pairs = dense_incidence_template(density=1.0, seed=7)
-    ab = build_absorber(t, {(0, 1): pairs}, PLAN, seed=3,
+    ab = build_absorber(t, {(0, 1): pairs}, LEMMA_PLAN, seed=3,
                         l_sizes={(0, 1): 3}, b_sizes={(0, 1): 6})
     ent = ab.per_edge[(0, 1)]
     assert ent.verified == "exhaustive"
@@ -1597,7 +1609,7 @@ def test_absorber_refuses_a_colour_pool_too_small(l_size, b_size):
     # 14 colours: B cannot hold 15, and A (|Z| - l = 6) does not fit beside
     # a B of 10
     t, pairs = dense_incidence_template()
-    f = build_absorber(t, {(0, 1): pairs}, PLAN, seed=4,
+    f = build_absorber(t, {(0, 1): pairs}, LEMMA_PLAN, seed=4,
                        l_sizes={(0, 1): l_size}, b_sizes={(0, 1): b_size})
     assert (f.stage, f.reason, f.seed) == ("absorber", PRECONDITION, 4)
     assert f.diagnostics == {"edge_class": (0, 1),
@@ -1627,7 +1639,7 @@ def four_cycles_fixture(k_extra=8):
 
 def test_approx_four_cycles_with_surplus():
     t, H, phi, K = four_cycles_fixture()
-    out = approx_embed(t, H, phi, None, PLAN, seed=0)
+    out = approx_embed(t, H, phi, None, LEMMA_PLAN, seed=0)
     assert out.ok
     used = set(out.embedding.sigma.values())
     assert len(used) == 24 and K - len(used) == 8
@@ -1635,7 +1647,7 @@ def test_approx_four_cycles_with_surplus():
 
 def test_approx_empty_pattern():
     t, H, phi, K = four_cycles_fixture()
-    out = approx_embed(t, PatternGraph(24, []), phi, None, PLAN, seed=1)
+    out = approx_embed(t, PatternGraph(24, []), phi, None, LEMMA_PLAN, seed=1)
     assert out.ok and not out.embedding.sigma
     # all vertices placed
     assert len(out.embedding.tau) == 24
@@ -1643,7 +1655,7 @@ def test_approx_empty_pattern():
 
 def test_approx_chunk_bounds_recorded():
     t, H, phi, K = four_cycles_fixture()
-    out = approx_embed(t, H, phi, None, PLAN, seed=2)
+    out = approx_embed(t, H, phi, None, LEMMA_PLAN, seed=2)
     ch = out.stats["chunks"]
     m = 12
     delta_h = max(1, H.max_degree)
@@ -1658,21 +1670,22 @@ def test_approx_chunk_bounds_recorded():
 def test_approx_surplus_precondition():
     # 23 colours for the 24 edges of the class
     t, H, phi, K = four_cycles_fixture(k_extra=-1)
-    out = approx_embed(t, H, phi, None, PLAN, seed=0)
+    out = approx_embed(t, H, phi, None, LEMMA_PLAN, seed=0)
     assert not out.ok and out.failure.reason == "PreconditionViolated"
     assert out.failure.diagnostics == {"edge_class": (0, 1),
                                        "detail": "fewer colours than class edges: 23 < 24"}
 
 
 @pytest.mark.parametrize("entry, stage", [(approx_embed, "approx"),
-                                          (transversal_blowup, "pipeline")])
+                                          (transversal_blowup, "pipeline"),
+                                          (lemma_blowup, "pipeline")])
 def test_rainbow_stages_refuse_a_template_that_is_not_rainbow(entry, stage):
     # every pair of the three clusters takes the same two colours
     t = _kr_template(random.Random(0), 3, 2, 2, 1.0, "0.5", shared=True)
     assert not t.rainbow
     assert _kr_template(random.Random(0), 3, 2, 2, 1.0, "0.5", shared=False).rainbow
     H, phi = PatternGraph(6, [(0, 2), (3, 4), (5, 1)]), [0, 0, 1, 1, 2, 2]
-    out = entry(t, H, phi, None, PLAN, seed=2)
+    out = entry(t, H, phi, None, PLAN if entry is transversal_blowup else LEMMA_PLAN, seed=2)
     f = out.failure
     assert not out.ok and (f.stage, f.reason, f.seed) == (stage, PRECONDITION, 2)
     assert f.diagnostics == {"detail": "template must be rainbow"}
@@ -1688,7 +1701,7 @@ def test_approx_vertex_partition_sizes_are_an_identity(monkeypatch):
                         lambda *args: (lambda b0, rounds: (b0[:-1], rounds))(*real(*args)))
     t, H, phi, K = four_cycles_fixture()
     with pytest.raises(embed.UnverifiedOutput, match="vertex partition sizes"):
-        approx_embed(t, H, phi, None, PLAN, seed=0)
+        approx_embed(t, H, phi, None, LEMMA_PLAN, seed=0)
 
 
 def test_approx_buffer_sizing_is_an_identity(monkeypatch):
@@ -1705,7 +1718,7 @@ def test_approx_buffer_sizing_is_an_identity(monkeypatch):
 
     monkeypatch.setattr(embed, "_chunk_components", shrinking)
     with pytest.raises(embed.UnverifiedOutput, match="buffer sizing"):
-        approx_embed(t, H, phi, None, PLAN, seed=0)
+        approx_embed(t, H, phi, None, LEMMA_PLAN, seed=0)
 
 
 def _reference_chunk_components(comps, phi, r, sizes, mu_floor, gamma_floor, q_stop):
@@ -1749,23 +1762,23 @@ def _ladder_pattern(m):
 @pytest.mark.parametrize("name", ["matching", "ladder-mu-0.3", "ladder-mu-0.1", "random",
                                   "random-part"])
 def test_blowup_setup_matches_the_per_component_reference(name):
-    from transversal.embed import _blowup_setup, _class_edges
+    from transversal.embed import _BlowupSetup, _class_edges, _lemma_setup
 
     rng = random.Random(name)
-    plan = PLAN
+    plan = LEMMA_PLAN
     if name == "matching":
         H, phi = PatternGraph(60, [(i, 30 + i) for i in range(30)]), [0] * 30 + [1] * 30
     elif name.startswith("ladder"):
         m = 30
         H, phi = _ladder_pattern(m), [(v % m + v // m) % 2 for v in range(2 * m)]
-        plan = SplitPlan(mu=float(name.rsplit("-", 1)[1]))
+        plan = LemmaPlan(mu=float(name.rsplit("-", 1)[1]))
     else:
         H = PatternGraph(50, [(u, v) for u in range(50) for v in range(u + 1, 50)
                               if rng.random() < 0.06])
         phi = [rng.randrange(3) for _ in range(50)]
     active = set(range(H.n)) if name != "random-part" else set(rng.sample(range(H.n), 35))
     keys = sorted(_class_edges(H, phi, range(H.n)))
-    setup = _blowup_setup(H, phi, active, plan, keys)
+    setup = _lemma_setup(_BlowupSetup(_class_edges(H, phi, active), keys, H, active), phi, plan.mu)
     if name in ("matching", "ladder-mu-0.3"):  # X is empty on a matching, not on a ladder
         assert bool(setup.X) == (name != "matching")
     outside = active.difference(setup.X)
@@ -1808,11 +1821,10 @@ def test_pipeline_perfect_matching_complete():
 
 def test_pipeline_leftover_identity():
     t, H, phi = matching_pipeline_fixture()
-    out = transversal_blowup(t, H, phi, None, PLAN, seed=3)
-    assert out.ok
-    if "leftover" in out.stats:  # main pipeline path
-        for key, leftover in out.stats["leftover"].items():
-            assert leftover == out.stats["l_sizes"][key]
+    out = lemma_blowup(t, H, phi, None, LEMMA_PLAN, seed=3)
+    assert out.ok and out.stats["path"] == "main"
+    for key, leftover in out.stats["leftover"].items():
+        assert leftover == out.stats["l_sizes"][key]
 
 
 def test_pipeline_union_of_paths_seeded():
@@ -2152,7 +2164,8 @@ EXPAND_REPLAY = {
 
 
 # the main-path expansions before the one-shot passes ran first, replayed
-# with those passes made to fail: Steps 0-5 give the maps they gave then
+# with the dense side embedded by lemma_blowup on the same seed
+# (lemma_dense_side): Steps 0-5 give the maps they gave then
 EXPAND_MAIN_REPLAY = {
     2: "432c6e4437a7cf62",
     6: "efaf4a8340e9d91c",
@@ -2179,7 +2192,7 @@ def test_expand_replays_the_triple_scans_outputs(seed):
 
 @pytest.mark.parametrize("seed", sorted(EXPAND_MAIN_REPLAY))
 def test_expand_replays_the_main_path(seed, monkeypatch):
-    fail_one_shot(monkeypatch)
+    lemma_dense_side(monkeypatch)
     assert _expand_digest(seed) == EXPAND_MAIN_REPLAY[seed]
 
 
@@ -2232,8 +2245,9 @@ def _quasi_path(out):
 # seeds 1-3 was re-recorded when the attempts took the host collection
 # itself in place of sparsified slices; seeds 6, 13 and 27, which failed
 # until then, succeed since, so the failures of seeds 90 (step
-# "buffer-colours", deficiency 2, "main": "step1:EmbeddingFailed") and 97
-# (step "buffer-vertices", deficiency 5, "main": "split-decided") joined.
+# "buffer-colours", deficiency 2) and 97 (step "buffer-vertices",
+# deficiency 5) joined; each failure's diagnostics then also said why
+# Steps 0-5, which ran after the one-shot passes, failed too.
 # The main entries (0, 4, 8, 12, 16, 20, 23-25) were re-recorded when the
 # one-shot passes ran first and settled them; QUASI_MAIN_REPLAY keeps what
 # Steps 0-5 give on them.  Seeds 3, 8, 9, 11, 12, 15, 17, 18, 20, 23 and
@@ -2243,7 +2257,9 @@ def _quasi_path(out):
 # pass over hosts and colours, the matchings only when it sticks; seed 90,
 # whose host matching leaves no colouring, is a greedy success since.  Seed
 # 97 was re-recorded when a short matching's failure gained its Hall
-# witness (``hall_set`` and ``neighbourhood``).
+# witness (``hall_set`` and ``neighbourhood``), and again (72033e755603cee6
+# -> 8d306a13151248d2) when Steps 0-5 left the default path: its
+# diagnostics lost ``"main": "split-decided"``, and nothing else moved.
 QUASI_REPLAY = {
     0: ("one-shot", "15a733a9da16d6ab"),
     1: ("one-shot", "7b2d55561d3ccc27"),
@@ -2274,13 +2290,13 @@ QUASI_REPLAY = {
     26: ("one-shot", "e24cd994ebe58c3b"),
     27: ("one-shot+sparse", "c9c56a9d7ccf81a7"),
     90: ("one-shot", "3005ba851dcb7f50"),
-    97: ("one-shot:MatchingTooSmall", "72033e755603cee6"),
+    97: ("one-shot:MatchingTooSmall", "8d306a13151248d2"),
 }
 
 
 # the main-path entries of QUASI_REPLAY before the one-shot passes ran
-# first, replayed with those passes made to fail: Steps 0-5 give the
-# embeddings they gave then
+# first, replayed with the dense side embedded by lemma_blowup on the same
+# seed (lemma_dense_side): Steps 0-5 give the embeddings they gave then
 QUASI_MAIN_REPLAY = {
     0: ("main", "09b0b69a4f28bd56"),
     4: ("main", "ceaecced790ec9f1"),
@@ -2314,15 +2330,15 @@ def test_quasi_replays_every_path(seed):
 
 @pytest.mark.parametrize("seed", sorted(QUASI_MAIN_REPLAY))
 def test_quasi_replays_the_main_path(seed, monkeypatch):
-    fail_one_shot(monkeypatch)
+    lemma_dense_side(monkeypatch)
     assert _quasi_replay(seed) == QUASI_MAIN_REPLAY[seed]
 
 
 # (calls in a row, embedder, r, sorted colour-cluster keys, d, eps, m,
 # rainbow) of the templates passed to partial_embed, approx_embed,
 # embed_prescribed_colours and transversal_blowup on a main-path quasi run
-# (its one-shot passes made to fail), the mixed sparse/dense quasi run and
-# an expansion; recorded from the
+# (its dense side embedded by lemma_blowup: lemma_dense_side), the mixed
+# sparse/dense quasi run and an expansion; recorded from the
 # templates' parameter ledgers before a template held d, eps and m itself,
 # and re-recorded when the quasi templates took the host collection itself
 # in place of sparsified slices (d is read off the raw pair densities, and
@@ -2357,7 +2373,7 @@ def test_each_embedder_reads_the_pinned_template_numbers(monkeypatch):
 
     seen = []
 
-    def record(name):
+    def record(mp, name):
         real = getattr(embed, name)
 
         def recorded(t, *args, **kwargs):
@@ -2365,24 +2381,22 @@ def test_each_embedder_reads_the_pinned_template_numbers(monkeypatch):
                          t.rainbow))
             return real(t, *args, **kwargs)
 
-        monkeypatch.setattr(embed, name, recorded)
+        mp.setattr(embed, name, recorded)
 
-    def main_path(*args, **kwargs):
-        with pytest.MonkeyPatch.context() as mp:
-            fail_one_shot(mp)
-            return quasi_embed(*args, **kwargs)
-
-    for name in ("partial_embed", "approx_embed", "embed_prescribed_colours",
-                 "transversal_blowup"):
-        record(name)
     runs = {
-        "quasi-0": lambda: main_path(*_quasi_instance(0), seed=0),
+        "quasi-0": lambda: quasi_embed(*_quasi_instance(0), seed=0),
         "quasi-9": lambda: quasi_embed(*_quasi_instance(9), seed=9),
         "expand-1": lambda: expand_embed_3graph(*_expand_instance(1), PLAN, seed=1),
     }
     for label, run in runs.items():
-        seen.clear()
-        assert run().ok, label
+        with pytest.MonkeyPatch.context() as mp:
+            if label == "quasi-0":  # the main path: recorded as the blow-up call it replaces
+                lemma_dense_side(mp)
+            for name in ("partial_embed", "approx_embed", "embed_prescribed_colours",
+                         "transversal_blowup"):
+                record(mp, name)
+            seen.clear()
+            assert run().ok, label
         assert [(len(list(calls)), *rec) for rec, calls in groupby(seen)] == TEMPLATE_PIN[label]
 
 
@@ -2436,26 +2450,29 @@ def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
 
 
 def test_failure_says_the_split_was_decided(monkeypatch):
-    # two matching edges are two components, one short of a split, and a
-    # collection with no edges fails the one-shot pass too
+    # two matching edges are two components, one short of a split: the
+    # lemma fails typed at once, with no attempt; a collection with no
+    # edges fails the one-shot pass too, which names no lemma outcome
     calls = _count_pipeline_calls(monkeypatch)
     t, H, phi = matching_pipeline_fixture(m=2, density=0.0)
+    f = lemma_blowup(t, H, phi, None, LEMMA_PLAN, seed=0).failure
+    assert (f.stage, f.reason, f.seed) == ("split", PRECONDITION, 0) and len(calls) == 0
+    assert f.diagnostics == {"separator": 0, "components": 2, "classes": 1,
+                             "detail": "the component counts rule out every split"}
     out = transversal_blowup(t, H, phi, None, PLAN, seed=0)
-    assert not out.ok and len(calls) == 0
-    assert out.failure.stage == "one-shot"
-    assert out.failure.diagnostics["main"] == "split-decided"
+    assert not out.ok and out.failure.stage == "one-shot"
+    assert "main" not in out.failure.diagnostics and len(calls) == 0
 
 
 def test_failure_names_the_last_main_attempt(monkeypatch):
     from transversal import embed
 
-    reasons = iter(f"Reason{k}" for k in range(PLAN.retries))
+    reasons = iter(f"Reason{k}" for k in range(LEMMA_PLAN.retries))
     monkeypatch.setattr(embed, "_pipeline_once",
                         lambda *args: Failure("step3", next(reasons), 0))
     t, H, phi = matching_pipeline_fixture(m=4, density=0.0)  # four components
-    out = transversal_blowup(t, H, phi, None, PLAN, seed=0)
-    assert not out.ok and out.failure.stage == "one-shot"
-    assert out.failure.diagnostics["main"] == f"step3:Reason{PLAN.retries - 1}"
+    f = lemma_blowup(t, H, phi, None, LEMMA_PLAN, seed=0).failure
+    assert (f.stage, f.reason) == ("step3", f"Reason{LEMMA_PLAN.retries - 1}")
 
 
 def _ladder(m):
@@ -2494,7 +2511,7 @@ def test_one_shot_backs_up_steps_0_to_5_at_any_pattern_size(H):
 
 def test_main_path_still_runs_the_pipeline(monkeypatch):
     calls = _count_pipeline_calls(monkeypatch)
-    fail_one_shot(monkeypatch)
+    lemma_dense_side(monkeypatch)
     gc, H, plan = _quasi_instance(0)
     assert _quasi_path(quasi_embed(gc, H, plan, seed=0)) == "main"
     assert len(calls) >= 1
@@ -2502,8 +2519,8 @@ def test_main_path_still_runs_the_pipeline(monkeypatch):
 
 def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     # each of seed 97's 20 attempts calls transversal_blowup; the set-up is
-    # built once for all, and its pattern view, the separator certificate
-    # and the split decision, which only Steps 0-5 read here, at most once
+    # built once for all, its pattern view at most once, and no separator
+    # certificate or split decision, which only Steps 0-5 read
     from transversal import embed
 
     counts = dict.fromkeys(("setup", "view", "certificate", "decided", "blowup"), 0)
@@ -2517,13 +2534,13 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
 
         monkeypatch.setattr(embed, attr, counted)
 
-    count("setup", "_blowup_setup")
+    count("setup", "_BlowupSetup")
     # the vertex sets the BFS orders are built on, and the blow-up's set-up
     bfs_sets, setups = [], []
-    real_bfs, real_setup = embed._bfs_order, embed._blowup_setup
+    real_bfs, real_setup = embed._bfs_order, embed._BlowupSetup
     monkeypatch.setattr(embed, "_bfs_order",
                         lambda G, vs: bfs_sets.append((G, set(vs))) or real_bfs(G, vs))
-    monkeypatch.setattr(embed, "_blowup_setup",
+    monkeypatch.setattr(embed, "_BlowupSetup",
                         lambda *args: setups.append(real_setup(*args)) or setups[-1])
     count("view", "_pattern_view", only=lambda H, active, targets=None: targets is None)
     count("certificate", "separability_certificate")
@@ -2531,8 +2548,8 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     count("blowup", "transversal_blowup")
     gc, H, plan = _quasi_instance(97)
     out = quasi_embed(gc, H, plan, seed=97)
-    assert not out.ok and out.failure.diagnostics["main"] == "split-decided"
-    assert counts["certificate"] <= 1 and counts["decided"] <= 1 and counts["view"] <= 1
+    assert not out.ok and "main" not in out.failure.diagnostics
+    assert counts["certificate"] == counts["decided"] == 0 and counts["view"] <= 1
     assert {k: counts[k] for k in ("setup", "blowup")} == {"setup": 1, "blowup": PLAN.retries}
     # every attempt took the one-shot passes, over one BFS order for all,
     # the active vertices' in H, which is the view's BFS order relabelled
@@ -2622,7 +2639,7 @@ def test_blowup_checks_colour_conservation(monkeypatch):
     monkeypatch.setattr(embed, "_pipeline_once", one_colour_twice)
     monkeypatch.setattr(embed, "verify_transversal_embedding",
                         lambda *args: VerificationReport(ok=True))
-    fail_one_shot(monkeypatch)
+    lemma_dense_side(monkeypatch)
     gc, H, plan = _quasi_instance(0)  # the main path
     with pytest.raises(UnverifiedOutput, match="colour conservation violated on the main path"):
         quasi_embed(gc, H, plan, seed=0)
@@ -2647,13 +2664,13 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one
     # the edges inside a part are never read: an attempt whose templates
     # hold only the edges between two of its parts V_i gives the same run,
     # on host density 0.8 and on 0.2.  Seeds 0 and 20 settle on the one-shot
-    # path, and seed 97 fails every one-shot pass with its split decided, so
-    # the "steps" ids make the one-shot passes fail (fail_one_shot): Steps
-    # 0-5 then embed seeds 0 and 20, and fail on seed 90 at Step 1
+    # path, and seed 97 fails every one-shot pass, so the "steps" ids embed
+    # the dense side by lemma_blowup (lemma_dense_side): Steps 0-5 then
+    # embed seeds 0 and 20, and fail on seed 90 at Step 1
     from transversal import embed
 
     if skip_one_shot:
-        fail_one_shot(monkeypatch)
+        lemma_dense_side(monkeypatch)
     gc, H, plan = _quasi_instance(seed)
     held = []
     real_template = embed.make_template
@@ -2662,7 +2679,8 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one
     out = quasi_embed(gc, H, plan, seed=seed)
     assert held and all(g is gc for g in held)
     if skip_one_shot:  # Steps 0-5 ran
-        ran = out.stats["blowup"]["path"] if out.ok else out.failure.diagnostics["main"]
+        f = out.failure
+        ran = out.stats["blowup"]["path"] if out.ok else f"{f.stage}:{f.reason}"
         assert ran == ("step1:EmbeddingFailed" if seed == 90 else "main")
 
     def between_parts(run):
@@ -2711,29 +2729,47 @@ def test_split_plan_rejects_a_non_finite_ladder(ladder):
     ({"ladder_ratio": 0.5}, "the delta ladder must be strictly increasing"),
 ], ids=["p_abs=0", "p_col=1", "p_app=0", "p_app<0", "ratio=1", "ratio<1"])
 def test_split_plan_refuses_a_field_out_of_range(fields, message):
+    # the split shares are LemmaPlan fields, the ladder SplitPlan's
+    (plan,) = {cls for cls in _PLANS for name in fields if name in _field_names(cls)}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SplitPlan(**fields)
+        plan(**fields)
 
 
+_PLANS = (SplitPlan, LemmaPlan)
 _COUNTS = ["retries", "blowup_restarts", "approx_retries"]
+
+
+def _field_names(plan):
+    return {f.name for f in dataclasses.fields(plan)}
+
+
+def test_the_plans_share_only_the_retry_budget():
+    # SplitPlan holds what the default path reads, LemmaPlan what Steps 0-5
+    # and their stage embedders read
+    assert _field_names(SplitPlan) == {"eps", "ladder_base", "ladder_ratio", "retries"}
+    assert len(_field_names(LemmaPlan)) == 10
+    assert _field_names(SplitPlan) & _field_names(LemmaPlan) == {"retries"}
 
 
 @pytest.mark.parametrize("field", _COUNTS)
 @pytest.mark.parametrize("value", [2.5, 2.0, True, False, 0, -3, "2", None])
 def test_split_plan_refuses_a_retry_count_that_is_not_an_int_of_one_or_more(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
-        SplitPlan(**{field: value})
+    # retries is a count of both plans; the other two only LemmaPlan's
+    for plan in (cls for cls in _PLANS if field in _field_names(cls)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            plan(**{field: value})
 
 
 @pytest.mark.parametrize("value", [-1, 0.0, 1.5, True, None])
 def test_split_plan_refuses_an_exhaustive_cap_that_is_not_an_int_of_zero_or_more(value):
     with pytest.raises(ValueError, match="^absorber_exhaustive_cap must be an integer >= 0"):
-        SplitPlan(absorber_exhaustive_cap=value)
+        LemmaPlan(absorber_exhaustive_cap=value)
 
 
 def test_split_plan_takes_the_least_counts():
-    plan = SplitPlan(**dict.fromkeys(_COUNTS, 1), absorber_exhaustive_cap=0)
+    plan = LemmaPlan(**dict.fromkeys(_COUNTS, 1), absorber_exhaustive_cap=0)
     assert [getattr(plan, f) for f in _COUNTS] == [1] * 3 and plan.absorber_exhaustive_cap == 0
+    assert SplitPlan(retries=1).retries == 1
 
 
 def test_a_ladder_past_the_largest_float_still_gives_a_level():
@@ -2781,7 +2817,7 @@ def test_absorber_sampled_mode_records_count():
     gc = GraphCollection(20, k, edges)
     t = make_template([range(10), range(10, 20)], {(0, 1): range(k)}, gc, d="0.5", eps="0.1",
                       m=10)
-    ab = build_absorber(t, {(0, 1): pairs}, PLAN, seed=2,
+    ab = build_absorber(t, {(0, 1): pairs}, LEMMA_PLAN, seed=2,
                         l_sizes={(0, 1): 4}, b_sizes={(0, 1): 45})
     assert hasattr(ab, "per_edge")
     ent = ab.per_edge[(0, 1)]
@@ -2789,7 +2825,7 @@ def test_absorber_sampled_mode_records_count():
     assert ent.subsets_checked == ABSORBER_SAMPLES
 
 
-def test_pipeline_r3_triangle_template(monkeypatch):
+def test_pipeline_r3_triangle_template():
     # three clusters, six 6-cycles each visiting all clusters twice
     m = 12
     clusters = [list(range(0, 12)), list(range(12, 24)), list(range(24, 36))]
@@ -2817,8 +2853,7 @@ def test_pipeline_r3_triangle_template(monkeypatch):
     gc = GraphCollection(36, cid, gedges)
     t = make_template(clusters, colour_clusters, gc, d="0.5", eps="0.05", m=m)
     assert transversal_blowup(t, H, phi, None, PLAN, seed=1).stats["path"] == "one-shot"
-    fail_one_shot(monkeypatch)  # the main pipeline carries it too
-    out = transversal_blowup(t, H, phi, None, PLAN, seed=1)
+    out = lemma_blowup(t, H, phi, None, LEMMA_PLAN, seed=1)  # the lemma carries it too
     assert out.ok
     assert sorted(out.embedding.sigma.values()) == list(range(cid))
     assert out.stats["path"] == "main"

@@ -66,7 +66,7 @@ def _path(out):
         return f"{f.stage}:{f.reason}:{step}"
     if out.stats.get("path") == LADDER_DEGENERATE:
         return "ladder-degenerate"
-    return out.stats["blowup"].get("path", "main")
+    return out.stats["blowup"]["path"]
 
 
 # (family, host density, seed) -> outcome at v(H) = 60: every run succeeds
@@ -114,7 +114,6 @@ def test_oracle_gap_at_density_0_3():
             feasible += exact_transversal_embed(gc, H).feasible
             out = quasi_embed(gc, H, PLAN, seed=seed)
             outcomes["success" if out.ok else _path(out)] += 1
-            assert not out.ok or _path(out) == "one-shot"  # no success needs Steps 0-5
     assert feasible == 100
     assert dict(outcomes) == ORACLE_ROW_03
 
@@ -155,9 +154,29 @@ def test_oracle_rows_by_pattern(density):
             feasible += exact_transversal_embed(gc, H).feasible
             out = quasi_embed(gc, H, PLAN, seed=seed)
             outcomes[name, "success" if out.ok else _path(out)] += 1
-            assert not out.ok or _path(out) == "one-shot"  # no success needs Steps 0-5
     assert feasible == 100
     assert dict(outcomes) == ORACLE_ROWS[density]
+
+
+def test_the_default_path_runs_no_line_of_steps_0_to_5(monkeypatch):
+    # M5 at host density 0.1, seed 0, fails every one-shot pass of every
+    # attempt; each failing attempt used to fall through to up to 20
+    # Steps 0-5 attempts.  With the lemma's entry point and each of its
+    # steps made to raise, the call still returns its one-shot failure
+    from transversal import embed
+
+    def ran(*args, **kwargs):
+        raise AssertionError("Steps 0-5 ran on the default path")
+
+    monkeypatch.setattr(embed, "lemma_blowup", ran)
+    monkeypatch.setattr(embed, "_pipeline_once", ran)
+    for step in embed._STEPS:
+        monkeypatch.setattr(embed, step.__name__, ran)
+    monkeypatch.setattr(embed, "_STEPS", (ran,) * len(embed._STEPS))
+    H = ORACLE_PATTERNS["M5"]
+    gc = random_collection(GenSpec(n=H.n, n_colours=H.e, density=0.1, seed=0))
+    out = quasi_embed(gc, H, PLAN, seed=0)
+    assert _path(out).startswith("one-shot:MatchingTooSmall:")
 
 
 # seed -> outcome of the spanning 1-expansion of C30 at triple density 0.15;

@@ -1,4 +1,4 @@
-"""Steps 0-5 of the transversal blow-up, one step at a time.
+"""Steps 0-5 of the blow-up lemma (``lemma_blowup``), one step at a time.
 
 Each test replays the successful attempt of a 120-cycle run with a
 10-vertex separator up to one step, changes the run state that step reads,
@@ -19,24 +19,27 @@ from transversal.core import PatternGraph
 from transversal.embed import (
     ABSORBER_UNVERIFIABLE,
     CANDIDATE_EXHAUSTED,
+    LemmaPlan,
     SplitPlan,
     UnverifiedOutput,
+    lemma_blowup,
     quasi_embed,
-    transversal_blowup,
 )
 from transversal.generators import GenSpec, random_collection
 
-from test_embed import fail_one_shot
+from test_embed import lemma_dense_side
 
 PLAN = SplitPlan()
+LEMMA_PLAN = LemmaPlan()
 CYCLE = PatternGraph(120, [(i, (i + 1) % 120) for i in range(120)])
 
 
 def _cycle_run(seed):
-    """The 120-cycle run of ``seed``, its one-shot passes made to fail."""
+    """The 120-cycle run of ``seed``, its dense side embedded by
+    ``lemma_blowup``."""
     gc = random_collection(GenSpec(n=120, n_colours=120, density=0.8, seed=seed))
     with pytest.MonkeyPatch.context() as mp:
-        fail_one_shot(mp)
+        lemma_dense_side(mp)
         return quasi_embed(gc, CYCLE, PLAN, seed=seed)
 
 
@@ -82,16 +85,15 @@ def test_the_captured_attempt_runs_every_step(attempt_args):
     assert run.setup.X and run.setup.Y
 
 
-def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args, monkeypatch):
+def test_main_path_keeps_targets_on_and_off_the_connecting_graph(attempt_args):
     # a target on a separator vertex, on one of its neighbours and on a
     # vertex outside the connecting graph, whose target Step 0 passes on
-    fail_one_shot(monkeypatch)
     t, H, phi, _, plan, _, setup = attempt_args
-    active = set(setup.view.to_global.values())
+    active = set(setup.X).union(*setup.comps)
     v = next(u for u in sorted(active) if u not in setup.X and u not in setup.Y)
     targets = {u: set(t.clusters[phi[u]][k % 2::2])
                for k, u in enumerate((setup.X[0], setup.Y[0], v))}
-    out = transversal_blowup(t, H, phi, targets, plan, seed=0, active=active)
+    out = lemma_blowup(t, H, phi, targets, plan, seed=0, active=active)
     assert out.ok and out.verification.ok
     assert out.stats["path"] == "main"
     assert all(out.embedding.tau[u] in ts for u, ts in targets.items())
@@ -101,11 +103,11 @@ def test_an_empty_target_set_on_the_separator_admits_no_host(attempt_args):
     # Step 0 used to widen an empty target set to the whole cluster, and the
     # main path then placed the vertex anyway
     t, H, phi, _, plan, _, setup = attempt_args
-    active = set(setup.view.to_global.values())
+    active = set(setup.X).union(*setup.comps)
     x = setup.X[0]
-    out = transversal_blowup(t, H, phi, {x: set()}, plan, seed=0, active=active)
+    out = lemma_blowup(t, H, phi, {x: set()}, plan, seed=0, active=active)
     assert not out.ok
-    assert out.failure.diagnostics["main"] == "step0:CandidateExhausted"
+    assert (out.failure.stage, out.failure.reason) == ("step0", CANDIDATE_EXHAUSTED)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ def test_split_fails_when_col_cannot_get_a_component_per_class():
     class_of_comp = [dict.fromkeys(keys, 1) for _ in range(4)]
     assert not embed._split_decided(range(4), class_of_comp, keys)
     rng = _Draws([0.0, 0.0, 0.0, 0.99])
-    assert embed._split_components(range(4), class_of_comp, PLAN, rng, keys) is None
+    assert embed._split_components(range(4), class_of_comp, LEMMA_PLAN, rng, keys) is None
 
 
 def test_step0_fails_typed_when_a_separator_vertex_has_no_target(attempt_args):

@@ -65,26 +65,30 @@ def test_the_tracer_counts_every_layer_of_the_application_paths(layers):
     assert embed.quasi_embed.__name__ == "quasi_embed"  # uninstalled
 
 
-def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers, monkeypatch):
-    # Steps 0-5, reached by making the one-shot passes fail, certify the
-    # separator and call the blow-up embedder (Step 1 and every round of the
-    # extra-colours embedder), the absorber and the extra-colours embedder;
-    # the tracer adds up each blow-up call's BlowupResult.restarts
-    from test_embed import PLAN, _quasi_instance, fail_one_shot
-    from workloads import _quasi_path
+def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers):
+    # Steps 0-5, called directly (lemma_blowup) on the dense side of the
+    # first attempt of quasi seed 12, certify the separator and call the
+    # blow-up embedder (Step 1 and every round of the extra-colours
+    # embedder), the absorber and the extra-colours embedder; the tracer
+    # adds up each blow-up call's BlowupResult.restarts
+    from test_embed import LEMMA_PLAN, _quasi_instance
 
     from transversal import embed
 
-    fail_one_shot(monkeypatch)
+    calls, real = [], embed.transversal_blowup
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "transversal_blowup",
+                   lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+        embed.quasi_embed(*_quasi_instance(12), seed=12)
+    (t, H, phi, targets, _), kwargs = calls[0]
     tracer = layers.Tracer()
     tracer.install()
-    try:
-        gc, H, plan = _quasi_instance(12)  # one blow-up call fails after its full budget
-        out = embed.quasi_embed(gc, H, plan, seed=12)
+    try:  # one blow-up call fails after its full budget
+        out = embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, kwargs["seed"], kwargs["active"])
     finally:
         tracer.uninstall()
-    assert plan is PLAN and out.ok and _quasi_path(out.stats) == "main"
+    assert out.ok and out.stats["path"] == "main"
     for layer in ("core.separability", "embed.blowup_embed", "embed.absorber", "embed.approx"):
         assert tracer.layers[layer].calls >= 1, layer
     assert tracer.layers["embed.blowup_embed"].fail == 1
-    assert tracer.extra["restarts"] == PLAN.blowup_restarts
+    assert tracer.extra["restarts"] == LEMMA_PLAN.blowup_restarts
