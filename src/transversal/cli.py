@@ -92,12 +92,11 @@ def _call(fn, params: dict, what: str, **fixed):
 
 
 def _plan_from(params: dict | None, plan=SplitPlan, user: str = "embed"):
-    """The ``plan`` (a class) with ``params`` as its overrides; a field that
-    only a LemmaPlan has, where a SplitPlan is built, is refused by name."""
+    """The ``plan`` (a class) with ``params`` as its overrides; a LemmaPlan
+    field, where a SplitPlan is built, is refused by name."""
     params = params or {}
     if plan is SplitPlan and isinstance(params, dict):
-        if moved := [f.name for f in fields(embed.LemmaPlan) if f.name in params
-                     and not hasattr(SplitPlan, f.name)]:
+        if moved := [f.name for f in fields(embed.LemmaPlan) if f.name in params]:
             raise ValueError(f"{user} does not take LemmaPlan fields ({', '.join(moved)}): "
                              "only Steps 0-5 (lemma_blowup) read them")
     return _call(plan, params, plan.__name__)

@@ -64,6 +64,7 @@ GAMMA = 0.1  # approx_embed: a round wants gamma*m vertices of each cluster
 MU_PRIME = 0.05  # approx_embed: B_0 keeps mu'*m vertices of each cluster
 LAMBDA_THICK = 0.05  # approx_embed: the thick-graph threshold of each round
 ABSORBER_RETRIES = 30  # build_absorber's attempts per class, greedy B after half
+LEMMA_RETRIES = 20  # lemma_blowup's Steps 0-5 attempts, embed_prescribed_colours' attempts
 ABSORBER_SAMPLES = 200  # sampled B-subsets when C(|B|, l) exceeds the exhaustive cap
 SPARSE_HOST_SHARE = 0.05  # expand: a host needs this * v(Hp)^2 * e(Hp) triples
 
@@ -167,16 +168,14 @@ class SplitPlan:
 @dataclass(frozen=True)
 class LemmaPlan:
     """The settings of the blow-up lemma (``lemma_blowup``, Steps 0-5) and
-    its stage embedders, which a ``SplitPlan`` lacks; ``retries`` budgets
-    the Steps 0-5 attempts and ``embed_prescribed_colours``.  One no
-    pipeline can run raises ValueError."""
+    its stage embedders, which a ``SplitPlan`` lacks.  One no pipeline can
+    run raises ValueError."""
 
     mu: float = 0.1
     lambda1: float = 0.1
     lambda3: float = 0.2
     p_abs: float = 0.05
     p_col: float = 0.08
-    retries: int = 20
     blowup_restarts: int = 30
     blowup_reserve: float = 0.25
     approx_retries: int = 10
@@ -187,7 +186,7 @@ class LemmaPlan:
         return 1.0 - (P_VX + self.p_abs + self.p_col)
 
     def __post_init__(self):
-        _check_plan(self, (("retries", 1), ("blowup_restarts", 1), ("approx_retries", 1),
+        _check_plan(self, (("blowup_restarts", 1), ("approx_retries", 1),
                            ("absorber_exhaustive_cap", 0)))
         if not 0 < self.mu <= 1:
             raise ValueError("mu must lie in (0,1]")
@@ -619,7 +618,7 @@ def embed_prescribed_colours(
                 edge_class=key, detail="too few unprescribed colours",
             )
     run, attempts = _retry(
-        seed, 41, plan.retries, Failure("prescribed", EMBEDDING_FAILED, seed),
+        seed, 41, LEMMA_RETRIES, Failure("prescribed", EMBEDDING_FAILED, seed),
         _steps(_PRESCRIBED_STEPS, t=t, H=H, phi=phi, plan=plan, active=active, targets=targets,
                target_masks=_target_masks(targets, active, t.gc.n), d=d, dmap=dmap,
                prescribed=all_prescribed),
@@ -1588,13 +1587,12 @@ _STAGES = ("abs", "app", "col", "vx")
 @dataclass(frozen=True)
 class _LemmaSetup:
     """What the Steps 0-5 attempts of a ``lemma_blowup`` call share, none of
-    it drawn: the separator X (empty when none is certified: chunking then
-    copes or fails typed), Step 0's neighbours Y and connecting graph, the
-    components outside X with their class edge counts, and whether those
-    rule every split out (``decided``)."""
+    it drawn: the blow-up set-up ``base``, the separator X (empty when none
+    is certified: chunking then copes or fails typed), Step 0's neighbours Y
+    and connecting graph, the components outside X with their class edge
+    counts, and whether those rule every split out (``decided``)."""
 
-    class_e: dict[tuple[int, int], list[tuple[int, int]]]
-    keys: list[tuple[int, int]]
+    base: _BlowupSetup
     X: list[int]
     Y: list[int]
     H_con: PatternGraph
@@ -1615,7 +1613,7 @@ def _lemma_setup(base: _BlowupSetup, phi, mu: float) -> _LemmaSetup:
     comps = H.components(active.difference(X))
     class_of_comp = [Counter(_class_key(phi, u, v) for u, v in H.edges_within(comp))
                      for comp in comps]
-    return _LemmaSetup(base.class_e, base.keys, X, Y, H_con, comps, class_of_comp,
+    return _LemmaSetup(base, X, Y, H_con, comps, class_of_comp,
                        _split_decided(comps, class_of_comp, base.keys))
 
 
@@ -1629,27 +1627,27 @@ def lemma_blowup(
     active: set[int] | None = None,
 ) -> EmbedOutcome:
     """Verified transversal embedding using every template colour exactly
-    once, by the paper's blow-up lemma: up to ``retries`` attempts of Steps
-    0-5 (``"path": "main"``, tag 83), each ``_STEPS`` through ``_run_steps``
-    on the set-up of ``_lemma_setup``: a random abs/app/col/vx split of the
-    components outside the separator; Step 0 embeds the separator graph and
-    shrinks target sets to candidate sets; Step 1 embeds the absorber part
-    in the lambda3-thick graph and builds the colour absorber (A, B); Steps
-    2-4 run the extra-colours embedder, the prescribed-colour embedder (on
-    the app stage's leftover colours) and the extra-colours embedder again
-    on the flexible pool; Step 5 matches the absorber edges to A plus the
-    leftover B-subset.  A broken count that the split fixes raises
-    ``UnverifiedOutput``.  When the component counts rule out every split,
-    the call fails PreconditionViolated at once, with no draw; the rest is
-    ``_blowup``'s."""
+    once, by the paper's blow-up lemma: up to ``LEMMA_RETRIES`` attempts of
+    Steps 0-5 (``"path": "main"``, tag 83), each ``_STEPS`` through
+    ``_run_steps`` on the set-up of ``_lemma_setup``: a random abs/app/col/vx
+    split of the components outside the separator; Step 0 embeds the
+    separator graph and shrinks target sets to candidate sets; Step 1 embeds
+    the absorber part in the lambda3-thick graph and builds the colour
+    absorber (A, B); Steps 2-4 run the extra-colours embedder, the
+    prescribed-colour embedder (on the app stage's leftover colours) and the
+    extra-colours embedder again on the flexible pool; Step 5 matches the
+    absorber edges to A plus the leftover B-subset.  A broken count that the
+    split fixes raises ``UnverifiedOutput``.  When the component counts rule
+    out every split, the call fails PreconditionViolated at once, with no
+    draw; the rest is ``_blowup``'s."""
 
     def attempts(base, targets):
         setup = _lemma_setup(base, phi, plan.mu)
         if setup.decided:
             return Failure("split", PRECONDITION, seed, separator=len(setup.X),
-                           components=len(setup.comps), classes=len(setup.keys),
+                           components=len(setup.comps), classes=len(setup.base.keys),
                            detail="the component counts rule out every split"), 0
-        return _retry(seed, 83, plan.retries, Failure("pipeline", EMBEDDING_FAILED, seed),
+        return _retry(seed, 83, LEMMA_RETRIES, Failure("pipeline", EMBEDDING_FAILED, seed),
                       lambda k_seed, _: _pipeline_once(t, H, phi, targets, plan, k_seed, setup))
 
     return _blowup(t, H, phi, targets, seed, active, None, attempts)
@@ -1726,7 +1724,7 @@ def _split(run: _Run) -> Failure | None:
     each stage's vertices, its class edge counts (row ``con``: the edges at
     X) and its vertex count per cluster."""
     s = run.setup
-    run.keys = keys = s.keys
+    run.keys = keys = s.base.keys
     assign = _split_components(s.comps, s.class_of_comp, run.plan, run.rng, keys)
     if assign is None:
         return Failure("split", CHERNOFF_RETRY_EXHAUSTED, run.seed,
@@ -1736,7 +1734,7 @@ def _split(run: _Run) -> Failure | None:
     for h, st in assign.items():
         run.stage_sets[st].update(s.comps[h])
     rows = {st: _stage_class_counts(assign, s.class_of_comp, keys, st) for st in _STAGES}
-    con = {key: len(s.class_e.get(key, ())) - sum(rows[st][key] for st in _STAGES)
+    con = {key: len(s.base.class_e.get(key, ())) - sum(rows[st][key] for st in _STAGES)
            for key in keys}
     run.h_counts = {"con": con, **rows}
     run.n_stage = {st: [0] * run.t.r for st in _STAGES}
@@ -2001,17 +1999,16 @@ _NO_TARGETS = "target sets are not supported by this pipeline"
 @dataclass(frozen=True)
 class _QuasiSetup:
     """What the attempts of ``quasi_embed`` share, none of it drawn.  The
-    blow-up's set-up is None when no pair is dense."""
+    blow-up's set-up (its keys the dense pairs, its active vertices those
+    outside the sparse classes) is None when no pair is dense."""
 
     r: int
     parts: list[list[int]]
     phi: list[int]
     base_stats: dict
-    dense_keys: list[tuple[int, int]]
     sparse_H: PatternGraph
     order: list[int]
     Y: list[int]
-    active: set[int]
     blowup: _BlowupSetup | None
 
 
@@ -2059,7 +2056,7 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
                               active)
     else:  # the run degenerates to one candidate-set pass over all of H
         Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
-    return _QuasiSetup(r, parts, phi, base_stats, dense_keys, sparse_H, order, Y, active, blowup)
+    return _QuasiSetup(r, parts, phi, base_stats, sparse_H, order, Y, blowup)
 
 
 def _quasi_draw(run: _Run) -> None:
@@ -2117,7 +2114,7 @@ def _quasi_dense(run: _Run) -> Failure | None:
     Vp = [tuple(v for v in part if v not in used_hosts) for part in run.V]
     split: dict[tuple[int, int], tuple[int, ...]] = {}
     pos = 0
-    for key in s.dense_keys:
+    for key in s.blowup.keys:
         need = len(s.blowup.class_e.get(key, ()))
         split[key] = tuple(sorted(rest_cols[pos : pos + need]))
         pos += need
@@ -2127,7 +2124,7 @@ def _quasi_dense(run: _Run) -> Failure | None:
                      e_sparse=len(run.sigma), colours_total=K)
     tmpl = make_template(Vp, split, run.gc, **run.numbers)
     out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
-                             active=s.active, setup=s.blowup)
+                             active=s.blowup.active, setup=s.blowup)
     if not out.ok:
         return out.failure
     run.tau.update(out.embedding.tau)

@@ -53,7 +53,7 @@ from transversal.templates import make_template, thick_graph
 from transversal.vizing import extract_matching
 
 FAST_PLAN = SplitPlan(retries=6)
-FAST_LEMMA = LemmaPlan(retries=6, approx_retries=5, blowup_restarts=15)
+FAST_LEMMA = LemmaPlan(approx_retries=5, blowup_restarts=15)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):

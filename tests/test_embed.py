@@ -59,16 +59,14 @@ LEMMA_PLAN = LemmaPlan()
 def lemma_dense_side(mp):
     """Make each ``transversal_blowup`` call of the default path (the dense
     side of ``quasi_embed``, also inside an expansion) call ``lemma_blowup``
-    on the same arguments and seed, with the default ``LemmaPlan`` and the
-    caller's retry budget: Steps 0-5 then run on the tag-83 sub-seeds of
-    that seed, as they did when they followed failed one-shot passes.  The
-    way a test reaches Steps 0-5 through a quasi run (``mp`` is a
-    MonkeyPatch)."""
+    on the same arguments and seed, with the default ``LemmaPlan``: Steps
+    0-5 then run on the tag-83 sub-seeds of that seed, as they did when
+    they followed failed one-shot passes.  The way a test reaches Steps 0-5
+    through a quasi run (``mp`` is a MonkeyPatch)."""
     from transversal import embed
 
     def lemma(t, H, phi, targets, plan, seed=0, active=None, setup=None):
-        return embed.lemma_blowup(t, H, phi, targets, LemmaPlan(retries=plan.retries), seed,
-                                  active)
+        return embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, seed, active)
 
     mp.setattr(embed, "transversal_blowup", lemma)
 
@@ -1784,7 +1782,7 @@ def test_blowup_setup_matches_the_per_component_reference(name):
     outside = active.difference(setup.X)
     assert setup.comps == H.components(outside)
     want_e = _class_edges(H, phi, active)
-    assert list(setup.class_e.items()) == list(want_e.items())
+    assert list(setup.base.class_e.items()) == list(want_e.items())
     want = [Counter(_class_key(phi, u, v) for (u, v) in H.edges_within(comp))
             for comp in setup.comps]
     assert [list(c.items()) for c in setup.class_of_comp] == [list(c.items()) for c in want]
@@ -2438,15 +2436,20 @@ def _count_pipeline_calls(monkeypatch):
 
 def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
     # no separator is certified for a 70-cycle at the default mu, so the
-    # cycle stays one component and no abs/app/col split exists: Steps 0-5
-    # never run and the one-shot pass embeds the cycle instead
-    calls = _count_pipeline_calls(monkeypatch)
+    # cycle stays one component and no abs/app/col split exists: with its
+    # dense side run by the lemma, every quasi attempt fails typed at once
+    # and no Steps 0-5 attempt runs; the one-shot passes embed the cycle
     H = PatternGraph(70, [(i, (i + 1) % 70) for i in range(70)])
     gc = random_collection(GenSpec(n=70, n_colours=70, density=0.8, seed=1))
     out = quasi_embed(gc, H, PLAN, seed=1)
     assert out.ok and out.verification.ok
     assert out.stats["blowup"]["path"] == "one-shot"
-    assert len(calls) == 0
+    calls = _count_pipeline_calls(monkeypatch)
+    lemma_dense_side(monkeypatch)
+    f = quasi_embed(gc, H, PLAN, seed=1).failure
+    assert (f.stage, f.reason) == ("split", PRECONDITION) and len(calls) == 0
+    assert f.diagnostics == {"separator": 0, "components": 1, "classes": 3,
+                             "detail": "the component counts rule out every split"}
 
 
 def test_failure_says_the_split_was_decided(monkeypatch):
@@ -2467,12 +2470,12 @@ def test_failure_says_the_split_was_decided(monkeypatch):
 def test_failure_names_the_last_main_attempt(monkeypatch):
     from transversal import embed
 
-    reasons = iter(f"Reason{k}" for k in range(LEMMA_PLAN.retries))
+    reasons = iter(f"Reason{k}" for k in range(embed.LEMMA_RETRIES))
     monkeypatch.setattr(embed, "_pipeline_once",
                         lambda *args: Failure("step3", next(reasons), 0))
     t, H, phi = matching_pipeline_fixture(m=4, density=0.0)  # four components
     f = lemma_blowup(t, H, phi, None, LEMMA_PLAN, seed=0).failure
-    assert (f.stage, f.reason) == ("step3", f"Reason{LEMMA_PLAN.retries - 1}")
+    assert (f.stage, f.reason) == ("step3", f"Reason{embed.LEMMA_RETRIES - 1}")
 
 
 def _ladder(m):
@@ -2743,18 +2746,18 @@ def _field_names(plan):
     return {f.name for f in dataclasses.fields(plan)}
 
 
-def test_the_plans_share_only_the_retry_budget():
+def test_the_plans_share_no_field():
     # SplitPlan holds what the default path reads, LemmaPlan what Steps 0-5
-    # and their stage embedders read
+    # and their stage embedders read; their retry budgets are constants
     assert _field_names(SplitPlan) == {"eps", "ladder_base", "ladder_ratio", "retries"}
-    assert len(_field_names(LemmaPlan)) == 10
-    assert _field_names(SplitPlan) & _field_names(LemmaPlan) == {"retries"}
+    assert len(_field_names(LemmaPlan)) == 9
+    assert not _field_names(SplitPlan) & _field_names(LemmaPlan)
 
 
 @pytest.mark.parametrize("field", _COUNTS)
 @pytest.mark.parametrize("value", [2.5, 2.0, True, False, 0, -3, "2", None])
 def test_split_plan_refuses_a_retry_count_that_is_not_an_int_of_one_or_more(field, value):
-    # retries is a count of both plans; the other two only LemmaPlan's
+    # retries is SplitPlan's count, the other two LemmaPlan's
     for plan in (cls for cls in _PLANS if field in _field_names(cls)):
         with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
             plan(**{field: value})
@@ -2767,8 +2770,8 @@ def test_split_plan_refuses_an_exhaustive_cap_that_is_not_an_int_of_zero_or_more
 
 
 def test_split_plan_takes_the_least_counts():
-    plan = LemmaPlan(**dict.fromkeys(_COUNTS, 1), absorber_exhaustive_cap=0)
-    assert [getattr(plan, f) for f in _COUNTS] == [1] * 3 and plan.absorber_exhaustive_cap == 0
+    plan = LemmaPlan(blowup_restarts=1, approx_retries=1, absorber_exhaustive_cap=0)
+    assert (plan.blowup_restarts, plan.approx_retries, plan.absorber_exhaustive_cap) == (1, 1, 0)
     assert SplitPlan(retries=1).retries == 1
 
 
