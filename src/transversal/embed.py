@@ -2005,6 +2005,7 @@ class _QuasiSetup:
     r: int
     parts: list[list[int]]
     phi: list[int]
+    numbers: dict  # every template's d, eps and m, read once per call
     base_stats: dict
     sparse_H: PatternGraph
     order: list[int]
@@ -2012,11 +2013,13 @@ class _QuasiSetup:
     blowup: _BlowupSetup | None
 
 
-def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | Failure:
+def _quasi_setup(gc: GraphCollection, H: PatternGraph, plan: SplitPlan,
+                 seed: int) -> _QuasiSetup | Failure:
     """Colour H equitably into Delta+1 parts, split the pairs of parts by
     density against the delta ladder, and fix the sparse side: all of H when
     no pair is dense, else the vertices X of the sparse classes with their
-    neighbours Y and ``H_lt``, the edges at X.  Or the typed failure."""
+    neighbours Y and ``H_lt``, the edges at X; d is half the host's density
+    over its colours (at least 0.05).  Or the typed failure."""
     r = max(2, H.max_degree + 1)
     eq = equitable_colouring(H, r, seed=seed)
     if not eq.balanced:
@@ -2041,10 +2044,13 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
               densities=sorted(d_ij.values()))
     sparse_pairs = {key for key, x in d_ij.items() if x <= plan.delta_ladder(level)}
     dense_keys = sorted(set(d_ij) - sparse_pairs)
+    d = max(0.05, gc.total_edge_count() / max(1, gc.n_colours * math.comb(gc.n, 2)) / 2)
+    numbers = {"d": Fraction(str(round(d, 6))), "eps": plan.eps, "m": min(map(len, parts))}
     base_stats = {
         "ladder_level": level,
         "pair_densities": {str(k): v for k, v in d_ij.items()},
         "sparse_pairs": sorted(str(k) for k in sparse_pairs),
+        "template": {key: str(frac(x)) for key, x in numbers.items()},
     }
     X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
     active = set(range(H.n)).difference(X)
@@ -2056,7 +2062,7 @@ def _quasi_setup(H: PatternGraph, plan: SplitPlan, seed: int) -> _QuasiSetup | F
                               active)
     else:  # the run degenerates to one candidate-set pass over all of H
         Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
-    return _QuasiSetup(r, parts, phi, base_stats, sparse_H, order, Y, blowup)
+    return _QuasiSetup(r, parts, phi, numbers, base_stats, sparse_H, order, Y, blowup)
 
 
 def _quasi_draw(run: _Run) -> None:
@@ -2070,20 +2076,6 @@ def _quasi_draw(run: _Run) -> None:
         pos += len(part)
 
 
-def _quasi_numbers(run: _Run) -> None:
-    """The d, eps and m of the attempt's templates, which take the
-    caller's collection itself: d is half the least density of edges
-    between V_i and V_j over every colour, and at least 0.05."""
-    gc, V = run.gc, run.V
-    densities = []
-    for i, j in combinations(range(run.setup.r), 2):  # r >= 2 gives a pair
-        mj = mask_of(V[j])
-        cross = sum((row[u] & mj).bit_count() for row in gc.rows for u in V[i])
-        densities.append(cross / max(1, len(V[i]) * len(V[j]) * gc.n_colours))
-    run.numbers = {"d": Fraction(str(round(max(0.05, 0.5 * min(densities)), 6))),
-                   "eps": run.plan.eps, "m": min(len(v) for v in V)}
-
-
 def _quasi_sparse(run: _Run) -> Failure | None:
     """Embed the sparse side (if any) through candidate sets, on the
     template with every colour on every pair; those of Y are the dense
@@ -2092,7 +2084,7 @@ def _quasi_sparse(run: _Run) -> Failure | None:
     if not s.order:
         return None
     tmpl = make_template(run.V, dict.fromkeys(combinations(range(s.r), 2), range(run.gc.n_colours)),
-                         run.gc, **run.numbers)
+                         run.gc, **s.numbers)
     part = partial_embed(tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None, seed=run.seed)
     if isinstance(part, Failure):
         return part.with_stage("quasi-sparse")
@@ -2122,18 +2114,17 @@ def _quasi_dense(run: _Run) -> Failure | None:
     _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
     run.stats.update(colour_split_sizes={str(k): len(v) for k, v in split.items()},
                      e_sparse=len(run.sigma), colours_total=K)
-    tmpl = make_template(Vp, split, run.gc, **run.numbers)
+    tmpl = make_template(Vp, split, run.gc, **s.numbers)
     out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
                              active=s.blowup.active, setup=s.blowup)
     if not out.ok:
         return out.failure
     run.tau.update(out.embedding.tau)
     run.sigma.update(out.embedding.sigma)
-    run.stats.update(path=out.stats["path"], blowup=out.stats,
-                     template={"d": str(tmpl.d), "eps": str(tmpl.eps), "m": str(tmpl.m)})
+    run.stats.update(path=out.stats["path"], blowup=out.stats)
 
 
-_QUASI_STEPS = (_quasi_draw, _quasi_numbers, _quasi_sparse, _quasi_dense)
+_QUASI_STEPS = (_quasi_draw, _quasi_sparse, _quasi_dense)
 
 
 def quasi_embed(
@@ -2147,22 +2138,23 @@ def quasi_embed(
     After the precondition checks, the set-up that no draw changes is built
     once (``_quasi_setup``): an equitable colouring into Delta+1 independent
     parts, the pigeonhole on the pair densities against the delta ladder
-    that splits sparse pairs from dense ones, the sparse side and, when a
-    pair is dense, the blow-up's set-up.  Each attempt then runs
-    ``_QUASI_STEPS`` through ``_run_steps``: draw the balanced vertex
-    partition V_i, read the attempt's d, eps and m off the edges between the
-    V_i, embed the sparse side through candidate sets on a template with
-    every colour on every pair, and embed the dense side by the one-shot
-    passes of ``transversal_blowup`` (never Steps 0-5) with the candidate
-    sets as targets on a random colour split sized exactly to the dense
-    classes.  Both templates take ``gc`` itself as their collection: no
-    slice is sparsified or copied, and every step reads only edges between
-    two clusters, so the edges inside a V_i are never read.  A success's
+    that splits sparse pairs from dense ones, the templates' d, eps and m (d
+    from the colours' edge counts), the sparse side and, when a pair is
+    dense, the blow-up's set-up.  Each attempt then runs ``_QUASI_STEPS``
+    through ``_run_steps``: draw the balanced vertex partition V_i, embed
+    the sparse side through candidate sets on a template with every colour
+    on every pair, and embed the dense side by the one-shot passes of
+    ``transversal_blowup`` (never Steps 0-5) with the candidate sets as
+    targets on a random colour split sized exactly to the dense classes.
+    Both templates take ``gc`` itself as their collection: no slice is
+    sparsified or copied, and every step reads only edges between two
+    clusters, so the edges inside a V_i are never read.  A success's
     ``stats["path"]`` names its path: ``one-shot``, ``LadderDegenerate`` or
-    ``empty``.  A pattern with target sets (``H.targets``) fails
-    PreconditionViolated before any draw: no step honours them.  So does a
-    colour with no edge, which the diagnostics name: |C| = e(H), so the copy
-    uses every colour.
+    ``empty``; all but ``empty`` carry ``stats["template"]``, the d, eps and
+    m as exact-fraction strings.  A pattern with target sets (``H.targets``)
+    fails PreconditionViolated before any draw: no step honours them.  So
+    does a colour with no edge, which the diagnostics name: |C| = e(H), so
+    the copy uses every colour.
     """
     n, K = gc.n, gc.n_colours
     if K != H.e:
@@ -2180,7 +2172,7 @@ def quasi_embed(
     if bare is not None:
         return EmbedOutcome.fail("quasi", PRECONDITION, seed, colour=bare,
                                  detail="a colour has no edge")
-    setup = _quasi_setup(H, plan, seed)
+    setup = _quasi_setup(gc, H, plan, seed)
     if isinstance(setup, Failure):
         return EmbedOutcome(None, setup, None)
 

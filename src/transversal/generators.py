@@ -53,15 +53,20 @@ def _chunked_collection(n: int, k: int, kept_of) -> GraphCollection:
     slice ``cs`` keep the pairs u[i] < v[i] (row-major order) where
     ``kept_of(u, v, cs)[c, i]`` holds.  It is called on chunks of whole
     colours, of about ``_CHUNK_COINS`` incidences each, in colour order;
-    each chunk is scattered both ways into a bool table, packed with
-    ``np.packbits`` and turned into rows by ``masks_of_words``."""
+    each chunk is written both ways into a bool table, a vertex's row and
+    column each by one slice, packed with ``np.packbits`` and turned into
+    rows by ``masks_of_words``."""
     u, v = np.triu_indices(n, 1)
     step = max(1, _CHUNK_COINS // max(1, len(u)))  # colours per chunk
     masks = []
     for s in range(0, k, step):
         kept = kept_of(u, v, slice(s, min(s + step, k)))
         table = np.zeros((len(kept), n, (n + 63) & ~63), bool)  # rows of whole words
-        table[:, u, v] = table[:, v, u] = kept
+        start = 0
+        for a in range(n - 1):  # the pairs a < v are one run of kept's columns
+            stop = start + n - 1 - a
+            table[:, a, a + 1 : n] = table[:, a + 1 : n, a] = kept[:, start:stop]
+            start = stop
         masks += masks_of_words(np.packbits(table, axis=2, bitorder="little").view("<u8"))
     return GraphCollection.from_rows(n, [masks[c * n : c * n + n] for c in range(k)])
 

@@ -97,6 +97,9 @@ def test_embed_feasible_and_verify_round_trip(workdir):
     rep = json.loads((workdir / "rep.json").read_text())
     assert rep["verified"] is True
     assert rep["outcome"]["status"] == "success"
+    # the templates' numbers: half the complete host's density, the plan's
+    # eps and the least of the two parts' sizes
+    assert rep["stats"]["template"] == {"d": "1/2", "eps": "1/20", "m": "6"}
     # re-running verify on the report's embedding reproduces the stamp
     assert main([
         "verify", "--instance", "inst.json", "--pattern", "h.json",

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, groupby
 
 import pytest
@@ -2341,27 +2342,33 @@ def test_quasi_replays_the_main_path(seed, monkeypatch):
 # and re-recorded when the quasi templates took the host collection itself
 # in place of sparsified slices (d is read off the raw pair densities, and
 # the expansion succeeds on its first draw); rainbow, a declared flag when
-# recorded, is read off the colour clusters since, with the same values
+# recorded, is read off the colour clusters since, with the same values.
+# Re-recorded when d became half the host's density over its colours, read
+# once per call, in place of half the least density between two V_i of the
+# attempt: d went 99971/250000 -> 398853/1000000 (quasi-0, and its quarter
+# and /13 stages with it: 99971/1000000 -> 398853/4000000, 99971/3250000 ->
+# 30681/1000000), 393849/1000000 -> 403209/1000000 (quasi-9) and
+# 263889/1000000 -> 54321/200000 (expand-1); every eps, m and call stayed
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K4_12 = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
 TEMPLATE_PIN = {
     "quasi-0": [
-        (1, "transversal_blowup", 2, [(0, 1)], "99971/250000", "1/20", "12", True),
-        (1, "partial_embed", 2, [(0, 1)], "99971/250000", "1/20", "12", True),
-        (1, "approx_embed", 2, [(0, 1)], "99971/1000000", "1/5", "3", True),
-        (1, "embed_prescribed_colours", 2, [(0, 1)], "99971/1000000", "1/20", "12", True),
-        (1, "partial_embed", 2, [(0, 1)], "99971/1000000", "1/20", "12", True),
-        (1, "approx_embed", 2, [(0, 1)], "99971/3250000", "111803399/500000000", "1", True),
+        (1, "transversal_blowup", 2, [(0, 1)], "398853/1000000", "1/20", "12", True),
+        (1, "partial_embed", 2, [(0, 1)], "398853/1000000", "1/20", "12", True),
+        (1, "approx_embed", 2, [(0, 1)], "398853/4000000", "1/5", "3", True),
+        (1, "embed_prescribed_colours", 2, [(0, 1)], "398853/4000000", "1/20", "12", True),
+        (1, "partial_embed", 2, [(0, 1)], "398853/4000000", "1/20", "12", True),
+        (1, "approx_embed", 2, [(0, 1)], "30681/1000000", "111803399/500000000", "1", True),
     ],
     "quasi-9": [
-        (1, "partial_embed", 4, K4, "393849/1000000", "1/20", "6", False),
-        (1, "transversal_blowup", 4, K4_12, "393849/1000000", "1/20", "6", True),
-        (1, "partial_embed", 4, K4_12, "393849/1000000", "1/20", "6", True),
+        (1, "partial_embed", 4, K4, "403209/1000000", "1/20", "6", False),
+        (1, "transversal_blowup", 4, K4_12, "403209/1000000", "1/20", "6", True),
+        (1, "partial_embed", 4, K4_12, "403209/1000000", "1/20", "6", True),
     ],
     "expand-1": [
-        (1, "transversal_blowup", 3, K3, "263889/1000000", "1/20", "3", True),
-        (1, "partial_embed", 3, K3, "263889/1000000", "1/20", "3", True),
+        (1, "transversal_blowup", 3, K3, "54321/200000", "1/20", "3", True),
+        (1, "partial_embed", 3, K3, "54321/200000", "1/20", "3", True),
     ],
 }
 
@@ -2664,9 +2671,12 @@ def _outcome_record(out):
     "steps-failure-0.2"])
 def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one_shot):
     # every template of the run holds the caller's collection itself, and
-    # the edges inside a part are never read: an attempt whose templates
-    # hold only the edges between two of its parts V_i gives the same run,
-    # on host density 0.8 and on 0.2.  Seeds 0 and 20 settle on the one-shot
+    # no step of an attempt reads an edge inside a part: an attempt whose
+    # templates hold only the edges between two of its parts V_i, spliced in
+    # right after the draw, gives the same run, on host density 0.8 and on
+    # 0.2 (d is read once per call, before any draw, off the caller's colour
+    # edge counts; the stripped collection replaces the caller's before any
+    # embedding step).  Seeds 0 and 20 settle on the one-shot
     # path, and seed 97 fails every one-shot pass, so the "steps" ids embed
     # the dense side by lemma_blowup (lemma_dense_side): Steps 0-5 then
     # embed seeds 0 and 20, and fail on seed 90 at Step 1
@@ -2695,12 +2705,67 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one
             for rows in gc.rows])
         assert run.gc.total_edge_count() < gc.total_edge_count()
 
-    steps = embed._QUASI_STEPS
-    monkeypatch.setattr(embed, "_QUASI_STEPS", (*steps[:2], between_parts, *steps[2:]))
+    draw, *steps = embed._QUASI_STEPS
+    assert draw is embed._quasi_draw
+    monkeypatch.setattr(embed, "_QUASI_STEPS", (draw, between_parts, *steps))
     held.clear()
     stripped = quasi_embed(gc, H, plan, seed=seed)
     assert held and not any(g is gc for g in held)
     assert _outcome_record(stripped) == _outcome_record(out)
+
+
+def _half_host_density(gc):
+    """The templates' d: half the host's edges over |C| * C(n, 2), at least
+    0.05, rounded to 6 places, as an exact fraction."""
+    density = gc.total_edge_count() / (gc.n_colours * math.comb(gc.n, 2))
+    return Fraction(str(round(max(0.05, density / 2), 6)))
+
+
+def _record_templates(monkeypatch):
+    """The (d, eps, m) of every template ``make_template`` builds in embed."""
+    from transversal import embed
+
+    seen = []
+    real = embed.make_template
+
+    def recorded(*args, **kwargs):
+        t = real(*args, **kwargs)
+        seen.append((t.d, t.eps, t.m))
+        return t
+
+    monkeypatch.setattr(embed, "make_template", recorded)
+    return seen
+
+
+def test_every_failing_quasi_attempt_takes_the_same_template_numbers(monkeypatch):
+    # M5 at host density 0.1, seed 0, fails every attempt: each one's
+    # templates carry the call's d, eps and m, d read once off the host
+    seen = _record_templates(monkeypatch)
+    H = PatternGraph(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    gc = random_collection(GenSpec(n=H.n, n_colours=H.e, density=0.1, seed=0))
+    out = quasi_embed(gc, H, PLAN, seed=0)
+    assert not out.ok and out.failure.stage == "one-shot"
+    assert len(seen) >= PLAN.retries
+    assert set(seen) == {(_half_host_density(gc), Fraction(1, 20), Fraction(5))}
+
+
+def test_a_two_vertex_host_embeds_its_edge():
+    # one colour, one pair: the host's density is 1, so d is 1/2
+    gc = GraphCollection(2, 1, {0: [(0, 1)]})
+    out = quasi_embed(gc, PatternGraph(2, [(0, 1)]), PLAN, seed=0)
+    assert out.ok and out.verification.ok
+    assert out.stats["template"] == {"d": "1/2", "eps": "1/20", "m": "1"}
+
+
+@pytest.mark.parametrize("seed", [0, 2, 9])  # one-shot, ladder-degenerate, one-shot+sparse
+def test_every_quasi_success_reports_its_template_numbers(monkeypatch, seed):
+    seen = _record_templates(monkeypatch)
+    gc, H, plan = _quasi_instance(seed)
+    out = quasi_embed(gc, H, plan, seed=seed)
+    assert out.ok and _quasi_path(out) == QUASI_REPLAY[seed][0]
+    [(d, eps, m)] = set(seen)
+    assert d == _half_host_density(gc)
+    assert out.stats["template"] == {"d": str(d), "eps": str(eps), "m": str(m)}
 
 
 def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):

@@ -4,8 +4,8 @@ The frontier: ``quasi_embed`` with the default ``SplitPlan`` on
 ``random_collection(n = v(H), |C| = e(H))`` for four pattern families at
 v(H) = 60, host densities 0.4 and 0.8, seeds 1-3 (host and run seed alike).
 The oracle rows: the same call on five patterns of 8-10 vertices at host
-densities 0.2, 0.3 and 0.5, seeds 0-19, against ``exact_transversal_embed``'s
-verdict.  The spanning expansions: ``expand_embed_3graph`` of the 30-cycle
+densities 0.15, 0.2, 0.3 and 0.5, seeds 0-19, against
+``exact_transversal_embed``'s verdict.  The spanning expansions: ``expand_embed_3graph`` of the 30-cycle
 in random 3-graphs on 60 vertices at triple density 0.15, seeds 1-3, and
 on density-0.4 hosts with a few low-degree vertices.
 """
@@ -98,7 +98,9 @@ ORACLE_PATTERNS = {
 # Re-recorded when quasi_embed stopped sparsifying its slices: the row held
 # 42 successes, 43 buffer-vertices, 12 (x,1) and 3 precondition failures;
 # and when its fixed density floors went: those 3 refusals became 2
-# successes and a buffer-vertices failure.
+# successes and a buffer-vertices failure.  When the templates' d became
+# half the host's density over its colours, the counts held; 2C5 seeds 2
+# and 19 still succeed, with other embeddings.
 ORACLE_ROW_03 = {
     "success": 89,
     "one-shot:MatchingTooSmall:buffer-vertices": 8,
@@ -119,13 +121,36 @@ def test_oracle_gap_at_density_0_3():
     assert dict(outcomes) == ORACLE_ROW_03
 
 
-# (pattern, outcome) -> runs of the density-0.2 and 0.5 rows (20 runs per
-# pattern); the oracle finds every instance feasible.  Recorded when
-# quasi_embed took the host collection itself in place of sparsified
-# slices; with them the rows held 22 and 97 successes.  Re-recorded when
-# quasi_embed's fixed density floors went: at 0.2 their 38 refusals became
-# 5 successes, 27 buffer-vertices, 5 (x,1) and 1 (x,4.1) failures.
+# (pattern, outcome) -> runs of the density-0.15, 0.2 and 0.5 rows (20
+# runs per pattern); the oracle finds 95, 100 and 100 instances feasible
+# (ORACLE_FEASIBLE).  Recorded when quasi_embed took the host collection
+# itself in place of sparsified slices; with them the 0.2 and 0.5 rows held
+# 22 and 97 successes.  Re-recorded when quasi_embed's fixed density floors
+# went: at 0.2 their 38 refusals became 5 successes, 27 buffer-vertices,
+# 5 (x,1) and 1 (x,4.1) failures.  Re-recorded when the templates' d became
+# half the host's density over its colours, read once per call: at 0.2,
+# C8 seed 17 went (x,4.1) -> (x,1) (C8's (x,1) 5 -> 6).  The 0.15 row was
+# recorded before that change with the same 21 succeeding instances (C8
+# seed 9, P10 seed 16, M5 all seeds but 17); there C8's 2 (x,4.1) went to
+# (x,1) (4 -> 6), 2C5's 3 (x,4.1) to buffer-vertices (15 -> 18) and P10's
+# 1 (x,4.1) to buffer-vertices (16 -> 17).
+ORACLE_FEASIBLE = {0.15: 95, 0.2: 100, 0.5: 100}
 ORACLE_ROWS = {
+    0.15: {
+        ("2C5", "one-shot:CandidateExhausted:(x,1)"): 2,
+        ("2C5", "one-shot:MatchingTooSmall:buffer-vertices"): 18,
+        ("C10", "one-shot:CandidateExhausted:(x,1)"): 2,
+        ("C10", "one-shot:MatchingTooSmall:buffer-vertices"): 18,
+        ("C8", "success"): 1,
+        ("C8", "one-shot:CandidateExhausted:(x,1)"): 6,
+        ("C8", "one-shot:MatchingTooSmall:buffer-vertices"): 12,
+        ("C8", "quasi:PreconditionViolated:"): 1,
+        ("M5", "success"): 19,
+        ("M5", "one-shot:MatchingTooSmall:buffer-colours"): 1,
+        ("P10", "success"): 1,
+        ("P10", "one-shot:CandidateExhausted:(x,1)"): 2,
+        ("P10", "one-shot:MatchingTooSmall:buffer-vertices"): 17,
+    },
     0.2: {
         ("2C5", "success"): 4,
         ("2C5", "one-shot:CandidateExhausted:(x,1)"): 2,
@@ -134,8 +159,7 @@ ORACLE_ROWS = {
         ("C10", "one-shot:CandidateExhausted:(x,1)"): 1,
         ("C10", "one-shot:MatchingTooSmall:buffer-vertices"): 17,
         ("C8", "success"): 2,
-        ("C8", "one-shot:CandidateExhausted:(x,1)"): 5,
-        ("C8", "one-shot:CandidateExhausted:(x,4.1)"): 1,
+        ("C8", "one-shot:CandidateExhausted:(x,1)"): 6,
         ("C8", "one-shot:MatchingTooSmall:buffer-vertices"): 12,
         ("M5", "success"): 20,
         ("P10", "success"): 6,
@@ -156,7 +180,7 @@ def test_oracle_rows_by_pattern(density):
             out = quasi_embed(gc, H, PLAN, seed=seed)
             outcomes[name, "success" if out.ok else _path(out)] += 1
             assert not out.ok or _path(out) == "one-shot"  # every success takes the one-shot passes
-    assert feasible == 100
+    assert feasible == ORACLE_FEASIBLE[density]
     assert dict(outcomes) == ORACLE_ROWS[density]
 
 
