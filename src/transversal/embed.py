@@ -258,7 +258,6 @@ class EmbedOutcome:
 @dataclass
 class EquitableColouring:
     parts: tuple[tuple[int, ...], ...]
-    proper: bool
     balanced: bool
     rounds: int
 
@@ -303,9 +302,8 @@ def equitable_colouring(H: SimpleGraph, r: int, seed: int = 0, cap: int | None =
         colouring = tuple(tuple(bits_of(p)) for p in parts)
         sizes = [p.bit_count() for p in parts]
         if max(sizes) - min(sizes) <= 1:
-            return EquitableColouring(parts=colouring, proper=True, balanced=True, rounds=rounds)
-        best = best or EquitableColouring(parts=colouring, proper=True, balanced=False,
-                                          rounds=rounds)
+            return EquitableColouring(parts=colouring, balanced=True, rounds=rounds)
+        best = best or EquitableColouring(parts=colouring, balanced=False, rounds=rounds)
     return best
 
 
@@ -352,14 +350,11 @@ def _sub_template(t: Template, clusters, colour_clusters, **change) -> Template:
 
 
 def _filling_entry(stage: str, t: Template, H: SimpleGraph, phi, targets, seed: int, active):
-    """Shared entry checks of the rainbow stages: the normalised ``(active,
-    targets)``, or the typed failure when the template is not rainbow (two
-    colour clusters share a colour) or the active part of H does not fill
-    every cluster exactly."""
+    """Shared entry checks of the filling stages: the normalised ``(active,
+    targets)``, or the typed failure when the active part of H does not
+    fill every cluster exactly."""
     active = set(active) if active is not None else set(range(H.n))
     targets = {v: set(ts) for v, ts in (targets or {}).items() if v in active}
-    if not t.rainbow:
-        return EmbedOutcome.fail(stage, PRECONDITION, seed, detail="template must be rainbow")
     filled = dict.fromkeys(range(t.r), 0)
     for v in active:
         filled[phi[v]] += 1
@@ -1018,7 +1013,7 @@ def approx_embed(
 ) -> EmbedOutcome:
     """Transversal embedding of a spanning union of small components into a
     rainbow semi-super template with at least as many colours per class as
-    class edges.
+    class edges; a template that is not rainbow fails PreconditionViolated.
 
     The entry checks and the components draw nothing and run once.  Each
     attempt then runs ``_APPROX_STEPS`` through ``_run_steps``:
@@ -1032,6 +1027,8 @@ def approx_embed(
     leftover vertices on the buffer colours.  Chunk-size statistics are
     recorded.
     """
+    if not t.rainbow:
+        return EmbedOutcome.fail("approx", PRECONDITION, seed, detail="template must be rainbow")
     entry = _filling_entry("approx", t, H, phi, targets, seed, active)
     if isinstance(entry, EmbedOutcome):
         return entry
@@ -1492,7 +1489,8 @@ def transversal_blowup(
 ) -> EmbedOutcome:
     """Verified transversal embedding using every template colour exactly once.
 
-    Up to ``retries`` one-shot passes run (``"path": "one-shot"``, tag 89),
+    Classes may share colours (``_class_count_mismatch`` says how many they
+    need), since a pass retires each colour it uses in every class.  Up to ``retries`` one-shot passes run (``"path": "one-shot"``, tag 89),
     over a BFS order of the active vertices and, on odd retries, a shuffle
     of it: each holds back the buffer B of ``_buffer``, runs the
     candidate-set pass on the rest and finishes B with ``_finish_buffer``
@@ -1501,7 +1499,6 @@ def transversal_blowup(
     may pass in) and verification are ``_blowup``'s.  The paper's blow-up
     lemma, Steps 0-5, is ``lemma_blowup``: no call here runs it.
     """
-    # class sizes equal class edge counts, so one pass can use every colour
     return _blowup(t, H, phi, targets, seed, active, setup, lambda s, targets: _retry(
         seed, 89, plan.retries, Failure("one-shot", EMBEDDING_FAILED, seed),
         _one_shot(t, H, phi, targets, s.bfs)))
@@ -1541,13 +1538,15 @@ def _blowup(t: Template, H: PatternGraph, phi, targets, seed: int, active, setup
 
 
 def _class_count_mismatch(t: Template, class_e, seed: int) -> EmbedOutcome | None:
-    """The entry failure when a colour class's size differs from its class
-    edge count, or a pattern edge class lies outside R; else None."""
+    """The entry failure when a class has fewer colours than edges, a pattern
+    edge class lies outside R, or the template's distinct colours are not as
+    many as the edges (on a rainbow template: when a class's size is not its
+    edge count); else None."""
     for key, cs in t.colour_clusters.items():
-        if len(class_e.get(key, ())) != len(cs):
+        if len(class_e.get(key, ())) > len(cs):
             return EmbedOutcome.fail(
                 "pipeline", PRECONDITION, seed, edge_class=key,
-                detail=f"e(H class)={len(class_e.get(key, ()))} != |C_e|={len(cs)}",
+                detail=f"e(H class)={len(class_e.get(key, ()))} > |C_e|={len(cs)}",
             )
     for key in class_e:
         if key not in t.colour_clusters:
@@ -1555,6 +1554,9 @@ def _class_count_mismatch(t: Template, class_e, seed: int) -> EmbedOutcome | Non
                 "pipeline", PRECONDITION, seed, edge_class=key,
                 detail="pattern edge class outside R",
             )
+    if (e := sum(map(len, class_e.values()))) != (k := len(t.all_colours())):
+        return EmbedOutcome.fail("pipeline", PRECONDITION, seed,
+                                 detail=f"e(H)={e} != |C|={k}")
     return None
 
 
@@ -1637,9 +1639,12 @@ def lemma_blowup(
     prescribed-colour embedder (on the app stage's leftover colours) and the
     extra-colours embedder again on the flexible pool; Step 5 matches the
     absorber edges to A plus the leftover B-subset.  A broken count that the
-    split fixes raises ``UnverifiedOutput``.  When the component counts rule
-    out every split, the call fails PreconditionViolated at once, with no
-    draw; the rest is ``_blowup``'s."""
+    split fixes raises ``UnverifiedOutput``.  A template that is not rainbow
+    (two colour clusters share a colour) fails PreconditionViolated first;
+    when the component counts rule out every split, the call fails so at
+    once, with no draw; the rest is ``_blowup``'s."""
+    if not t.rainbow:
+        return EmbedOutcome.fail("pipeline", PRECONDITION, seed, detail="template must be rainbow")
 
     def attempts(base, targets):
         setup = _lemma_setup(base, phi, plan.mu)
@@ -2095,26 +2100,16 @@ def _quasi_sparse(run: _Run) -> Failure | None:
 
 def _quasi_dense(run: _Run) -> Failure | None:
     """Embed the dense side (if any) by the transversal blow-up on the
-    hosts left and a random colour split sized to the dense classes."""
+    hosts left, every dense pair taking the one pool of colours left."""
     s, K = run.setup, run.gc.n_colours
     if s.blowup is None:
         run.stats["path"] = LADDER_DEGENERATE
         return None
     used_cols, used_hosts = set(run.sigma.values()), set(run.tau.values())
-    rest_cols = [c for c in range(K) if c not in used_cols]
-    run.rng.shuffle(rest_cols)
+    pool = [c for c in range(K) if c not in used_cols]
     Vp = [tuple(v for v in part if v not in used_hosts) for part in run.V]
-    split: dict[tuple[int, int], tuple[int, ...]] = {}
-    pos = 0
-    for key in s.blowup.keys:
-        need = len(s.blowup.class_e.get(key, ()))
-        split[key] = tuple(sorted(rest_cols[pos : pos + need]))
-        pos += need
-    # every edge inside active lies in a dense pair
-    _identity(pos == len(rest_cols), "quasi", "colour split = dense class edges")
-    run.stats.update(colour_split_sizes={str(k): len(v) for k, v in split.items()},
-                     e_sparse=len(run.sigma), colours_total=K)
-    tmpl = make_template(Vp, split, run.gc, **s.numbers)
+    run.stats.update(e_sparse=len(run.sigma), colours_total=K)
+    tmpl = make_template(Vp, dict.fromkeys(s.blowup.keys, pool), run.gc, **s.numbers)
     out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
                              active=s.blowup.active, setup=s.blowup)
     if not out.ok:
@@ -2145,7 +2140,8 @@ def quasi_embed(
     the sparse side through candidate sets on a template with every colour
     on every pair, and embed the dense side by the one-shot passes of
     ``transversal_blowup`` (never Steps 0-5) with the candidate sets as
-    targets on a random colour split sized exactly to the dense classes.
+    targets, every dense pair taking the one pool of colours that the
+    sparse side left (no colour is split between the dense classes).
     Both templates take ``gc`` itself as their collection: no slice is
     sparsified or copied, and every step reads only edges between two
     clusters, so the edges inside a V_i are never read.  A success's

@@ -15,7 +15,7 @@ definite answer, never flip feasible/infeasible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     GraphCollection,
@@ -48,7 +48,6 @@ class OracleResult:
     status: str
     embedding: TransversalEmbedding | None = None
     nodes: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -148,7 +147,7 @@ def exact_transversal_embed(
     embedding is verified, and one the verifier rejects raises
     ``UnverifiedOutput``.  Intended for v(H) <= 12, |C| <= 14."""
     if H.e > gc.n_colours or H.n > gc.n:
-        return OracleResult(INFEASIBLE, meta={"reason": "pigeonhole"})
+        return OracleResult(INFEASIBLE)
     clock = _Clock(budget)
     emb = _search(gc, H, H.targets or {}, clock, True,
                   lambda tau, avail: TransversalEmbedding(dict(tau), _edge_colours(avail)))

@@ -62,13 +62,32 @@ def lemma_dense_side(mp):
     side of ``quasi_embed``, also inside an expansion) call ``lemma_blowup``
     on the same arguments and seed, with the default ``LemmaPlan``: Steps
     0-5 then run on the tag-83 sub-seeds of that seed, as they did when
-    they followed failed one-shot passes.  The way a test reaches Steps 0-5
-    through a quasi run (``mp`` is a MonkeyPatch)."""
+    they followed failed one-shot passes.  The lemma takes a rainbow
+    template, so the dense side's pool is split as quasi split it before it
+    pooled: shuffled by the attempt's generator just before the blow-up and
+    sliced to each dense class's edge count in key order.  The way a test
+    reaches Steps 0-5 through a quasi run (``mp`` is a MonkeyPatch)."""
     from transversal import embed
 
+    split = {}
+    real_dense = embed._quasi_dense
+
+    def dense(run):
+        if (s := run.setup.blowup) is not None:
+            used = set(run.sigma.values())
+            pool = [c for c in range(run.gc.n_colours) if c not in used]
+            run.rng.shuffle(pool)
+            for key in s.keys:
+                need = len(s.class_e.get(key, ()))
+                split[key], pool = pool[:need], pool[need:]
+        return real_dense(run)
+
     def lemma(t, H, phi, targets, plan, seed=0, active=None, setup=None):
+        t = make_template(t.clusters, split, t.gc, d=t.d, eps=t.eps, m=t.m)
         return embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, seed, active)
 
+    assert embed._QUASI_STEPS[-1] is real_dense
+    mp.setattr(embed, "_QUASI_STEPS", (*embed._QUASI_STEPS[:-1], dense))
     mp.setattr(embed, "transversal_blowup", lemma)
 
 
@@ -158,7 +177,7 @@ def test_equitable_balancing_moves(move):
     H = PatternGraph(1 + max(max(e) for e in edges), edges)
     r = H.max_degree + 1
     eq = equitable_colouring(H, r, seed=0)
-    assert eq.proper and eq.balanced and eq.rounds >= 1
+    assert eq.balanced and eq.rounds >= 1
     assert sorted(v for p in eq.parts for v in p) == list(range(H.n))
     assert max(map(len, eq.parts)) - min(map(len, eq.parts)) <= 1
     for p in eq.parts:
@@ -185,7 +204,7 @@ def test_equitable_restart_shuffles_the_order(edges, pinned):
     r = H.max_degree + 1
     assert equitable_colouring(H, r, seed=0).rounds >= 1  # the first pass needs a round
     assert equitable_colouring(H, r, seed=0, cap=0) == EquitableColouring(
-        parts=pinned, proper=True, balanced=True, rounds=0)
+        parts=pinned, balanced=True, rounds=0)
 
 
 def test_equitable_returns_the_first_colouring_when_no_restart_balances():
@@ -196,7 +215,7 @@ def test_equitable_returns_the_first_colouring_when_no_restart_balances():
     H = PatternGraph(12, edges)
     eq = equitable_colouring(H, H.max_degree + 1, seed=1, cap=0)
     assert eq == EquitableColouring(parts=((0, 1, 6, 7), (2, 8, 9), (3, 11), (4, 5, 10)),
-                                    proper=True, balanced=False, rounds=0)
+                                    balanced=False, rounds=0)
 
 
 def test_equitable_reports_the_rounds_of_the_colouring_it_returns(monkeypatch):
@@ -216,7 +235,7 @@ def test_equitable_reports_the_rounds_of_the_colouring_it_returns(monkeypatch):
     eq = equitable_colouring(H, H.max_degree + 1, seed=1, cap=5)
     assert len(calls) == 1 + 7 * 5
     assert eq == EquitableColouring(parts=((0, 1, 6, 7), (2, 8, 9), (3, 11), (4, 5, 10)),
-                                    proper=True, balanced=False, rounds=1)
+                                    balanced=False, rounds=1)
 
 
 def test_equitable_needs_enough_classes():
@@ -529,8 +548,10 @@ def test_targets_outside_the_host_range_are_ignored():
 
 
 def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
-    # the 30-cycle's template takes the one-shot pass, whose first pass
-    # fails; the captured call runs again on that template (its masks and
+    # the 30-cycle's template at host density 0.2, seed 15, takes the
+    # one-shot pass, whose first two passes fail (at density 0.4, seed 2,
+    # the first pass failed until the dense classes shared one colour
+    # pool); the captured call runs again on that template (its masks and
     # the collection's packed rows already built) and once on a template
     # over a fresh copy of the collection
     from transversal import embed
@@ -540,9 +561,9 @@ def test_one_shot_outcome_does_not_depend_on_cached_rows(monkeypatch):
     monkeypatch.setattr(embed, "transversal_blowup",
                         lambda *a, **k: calls.append((a, k)) or real(*a, **k))
     H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
-    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.4, seed=2))
-    first = quasi_embed(gc, H, PLAN, seed=2).stats["blowup"]
-    assert first == {"path": "one-shot", "finish": "matching", "attempts": 2}
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.2, seed=15))
+    first = quasi_embed(gc, H, PLAN, seed=15).stats["blowup"]
+    assert first == {"path": "one-shot", "finish": "matching", "attempts": 3}
     (t, *args), kwargs = calls[0]
     assert t.gc._row_cache
     fresh = dataclasses.replace(t, gc=collection_from_json(collection_to_json(t.gc)))
@@ -1676,7 +1697,6 @@ def test_approx_surplus_precondition():
 
 
 @pytest.mark.parametrize("entry, stage", [(approx_embed, "approx"),
-                                          (transversal_blowup, "pipeline"),
                                           (lemma_blowup, "pipeline")])
 def test_rainbow_stages_refuse_a_template_that_is_not_rainbow(entry, stage):
     # every pair of the three clusters takes the same two colours
@@ -1684,10 +1704,38 @@ def test_rainbow_stages_refuse_a_template_that_is_not_rainbow(entry, stage):
     assert not t.rainbow
     assert _kr_template(random.Random(0), 3, 2, 2, 1.0, "0.5", shared=False).rainbow
     H, phi = PatternGraph(6, [(0, 2), (3, 4), (5, 1)]), [0, 0, 1, 1, 2, 2]
-    out = entry(t, H, phi, None, PLAN if entry is transversal_blowup else LEMMA_PLAN, seed=2)
+    out = entry(t, H, phi, None, LEMMA_PLAN, seed=2)
     f = out.failure
     assert not out.ok and (f.stage, f.reason, f.seed) == (stage, PRECONDITION, 2)
     assert f.diagnostics == {"detail": "template must be rainbow"}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_transversal_blowup_takes_a_pooled_template(k):
+    # every pair of the three clusters takes the same k colours: a pool of
+    # the matching's three edges is embedded, verified, with each pool
+    # colour used once; a pool of another size is refused before any pass
+    t = _kr_template(random.Random(0), 3, 2, k, 1.0, "0.5", shared=True)
+    assert not t.rainbow
+    H, phi = PatternGraph(6, [(0, 2), (3, 4), (5, 1)]), [0, 0, 1, 1, 2, 2]
+    out = transversal_blowup(t, H, phi, None, PLAN, seed=2)
+    if k == 3:
+        assert out.ok and out.verification.ok and out.stats["path"] == "one-shot"
+        assert sorted(out.embedding.sigma.values()) == [0, 1, 2]
+    else:
+        f = out.failure
+        assert not out.ok and (f.stage, f.reason, f.seed) == ("pipeline", PRECONDITION, 2)
+        assert f.diagnostics == {"detail": f"e(H)=3 != |C|={k}"}
+
+
+def test_transversal_blowup_refuses_a_class_short_of_colours():
+    # a rainbow template with one colour per class, as many colours as H
+    # has edges, but two edges in the class (0, 1)
+    t = _kr_template(random.Random(0), 3, 2, 1, 1.0, "0.5", shared=False)
+    H, phi = PatternGraph(6, [(0, 2), (1, 3), (2, 5)]), [0, 0, 1, 1, 2, 2]
+    f = transversal_blowup(t, H, phi, None, PLAN, seed=2).failure
+    assert (f.stage, f.reason) == ("pipeline", PRECONDITION)
+    assert f.diagnostics == {"edge_class": (0, 1), "detail": "e(H class)=2 > |C_e|=1"}
 
 
 def test_approx_vertex_partition_sizes_are_an_identity(monkeypatch):
@@ -1912,7 +1960,15 @@ def test_quasi_perfect_matching_complete():
     assert exact_transversal_embed(gc, H).feasible
 
 
-def test_quasi_colour_split_sizing():
+def test_quasi_colour_split_sizing(monkeypatch):
+    # every dense class takes the one pool of colours that the sparse side
+    # left, |C| - e(H^<) of them, each used once
+    from transversal import embed
+
+    seen = []
+    real = embed.transversal_blowup
+    monkeypatch.setattr(embed, "transversal_blowup",
+                        lambda t, *a, **k: seen.append(t) or real(t, *a, **k))
     gc = random_collection(GenSpec(n=24, n_colours=24, density=0.85, seed=3))
     edges = []
     for k in range(6):
@@ -1920,12 +1976,10 @@ def test_quasi_colour_split_sizing():
         edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 3, b)]
     H = PatternGraph(24, edges)
     out = quasi_embed(gc, H, PLAN, seed=1)
-    assert out.ok
-    if "colour_split_sizes" in out.stats:
-        # sum over classes of the split sizes equals |C| minus the colours
-        # consumed by the sparse-pair phase (i.e. e(H) - e(H^<)), exactly
-        total = sum(out.stats["colour_split_sizes"].values())
-        assert total == out.stats["colours_total"] - out.stats["e_sparse"]
+    assert out.ok and out.verification.ok
+    (pool,) = {cs for t in seen for cs in t.colour_clusters.values()}
+    assert len(pool) == out.stats["colours_total"] - out.stats["e_sparse"]
+    assert len(seen[-1].colour_clusters) > 1 and not seen[-1].rainbow
 
 
 def test_quasi_precondition_failures_reported():
@@ -2137,26 +2191,34 @@ def _expand_instance(seed):
 # Seeds 6 and 16 were re-recorded when the buffer finish took each edge's
 # colour greedily: only their edge images moved.  Seeds 1, 2, 6, 16 and 18
 # were re-recorded when the finish first ran one greedy pass over hosts and
-# colours, the matchings only when it sticks
+# colours, the matchings only when it sticks.  When the dense classes came
+# to share one pool of colours in place of a random split, these moved,
+# old -> new: 0 5ca76cbd6c3b252f -> 424ca8a70f0ee3df (a success since), 1
+# bc9844ba541d3ad5 -> 34f1a966a4d7a6ff, 4 5a646517d02d473b ->
+# d853fda0c2260caf, 5 36a55aea6101782a -> afadccdb54df1b56, 8
+# 535378fbd89bc915 -> 99dc930989ead1f1, 9 274012f6a4e72565 ->
+# 9aa975d870fc631a, 12 10c5457c1322aa8a -> 66fff48265a1d543, 13
+# b8e2dad1972e3b58 -> 972e8ca2640e92da, 16 f2c82f2de7c04dd6 ->
+# 6b62237bf8789d7b, 17 14e40b77c9d6df7c -> b94cadf684f0b420
 EXPAND_REPLAY = {
-    0: "5ca76cbd6c3b252f",
-    1: "bc9844ba541d3ad5",
+    0: "424ca8a70f0ee3df",
+    1: "34f1a966a4d7a6ff",
     2: "cd32866d2d27be92",
     3: "a9f9b86aab809213",
-    4: "5a646517d02d473b",
-    5: "36a55aea6101782a",
+    4: "d853fda0c2260caf",
+    5: "afadccdb54df1b56",
     6: "29b3d7ee9c66897e",
     7: "b63483a80fa39128",
-    8: "535378fbd89bc915",
-    9: "274012f6a4e72565",
+    8: "99dc930989ead1f1",
+    9: "9aa975d870fc631a",
     10: "c8118f8706404dce",
     11: "f4df615b5f36e83f",
-    12: "10c5457c1322aa8a",
-    13: "b8e2dad1972e3b58",
+    12: "66fff48265a1d543",
+    13: "972e8ca2640e92da",
     14: "4f71470e46b5a224",
     15: "42dee28877efc26a",
-    16: "f2c82f2de7c04dd6",
-    17: "14e40b77c9d6df7c",
+    16: "6b62237bf8789d7b",
+    17: "b94cadf684f0b420",
     18: "f0423dce79afad9b",
     19: "83d95142fc1d69ce",
 }
@@ -2259,37 +2321,52 @@ def _quasi_path(out):
 # witness (``hall_set`` and ``neighbourhood``), and again (72033e755603cee6
 # -> 8d306a13151248d2) when Steps 0-5 left the default path: its
 # diagnostics lost ``"main": "split-decided"``, and nothing else moved.
+# When the dense classes came to share one pool of colours in place of a
+# random split, every entry with more than one dense class moved, old ->
+# new: 1 7b2d55561d3ccc27 -> 0c1b5902928d69fb, 3 8bbadfe81e3a36cd ->
+# 297c26058b7ea8f6, 7 ccebca82ca1b41fc -> 674861dff3b5abc8, 9
+# ecd6d717e02d95f0 -> 12e2c69140549b67, 11 eacae683de13f1c0 ->
+# 4f3845b41a6c1f69, 15 839a6071fa07611d -> 18b8a6a1a4848e17, 17
+# f9cb87d80ef99236 -> 2cd129cc7e180c73, 18 34c2158fd6e6b834 ->
+# 9f2db0b75543e527, 19 21aeb7e77bae4ced -> ac7fecf908ba74ce, 21
+# ceff394ec202c20a -> 61f748696fb467ff, 25 d9a1e106a6188b98 ->
+# 172ef2756aa311d0, 26 e24cd994ebe58c3b -> 307d20a44b480fb7, 27
+# c9c56a9d7ccf81a7 -> 89ad19d3d975602b, 90 3005ba851dcb7f50 ->
+# a36e73c9a7d1cf50; seed 97 (one-shot:MatchingTooSmall, 8d306a13151248d2)
+# succeeds since, and seed 230, whose sparse side fails, joined as the
+# table's failure (no density-0.2 seed below 400 fails on the dense side)
 QUASI_REPLAY = {
     0: ("one-shot", "15a733a9da16d6ab"),
-    1: ("one-shot", "7b2d55561d3ccc27"),
+    1: ("one-shot", "0c1b5902928d69fb"),
     2: ("ladder-degenerate", "b79ce2478c059c95"),
-    3: ("one-shot", "8bbadfe81e3a36cd"),
+    3: ("one-shot", "297c26058b7ea8f6"),
     4: ("one-shot", "69b8447c82090a93"),
     5: ("ladder-degenerate", "6e108d90a4e27fc8"),
     6: ("ladder-degenerate", "e539581acc2c85a9"),
-    7: ("one-shot", "ccebca82ca1b41fc"),
+    7: ("one-shot", "674861dff3b5abc8"),
     8: ("one-shot", "edd12f0bd77a7ef5"),
-    9: ("one-shot+sparse", "ecd6d717e02d95f0"),
+    9: ("one-shot+sparse", "12e2c69140549b67"),
     10: ("ladder-degenerate", "78e48c5df3d8244c"),
-    11: ("one-shot+sparse", "eacae683de13f1c0"),
+    11: ("one-shot+sparse", "4f3845b41a6c1f69"),
     12: ("one-shot", "91620117f3f23fa1"),
     13: ("ladder-degenerate", "68d969f0fe296146"),
     14: ("ladder-degenerate", "f4aac5e915ec04bd"),
-    15: ("one-shot", "839a6071fa07611d"),
+    15: ("one-shot", "18b8a6a1a4848e17"),
     16: ("one-shot", "a1ebb246e7a5aca9"),
-    17: ("one-shot", "f9cb87d80ef99236"),
-    18: ("one-shot", "34c2158fd6e6b834"),
-    19: ("one-shot", "21aeb7e77bae4ced"),
+    17: ("one-shot", "2cd129cc7e180c73"),
+    18: ("one-shot", "9f2db0b75543e527"),
+    19: ("one-shot", "ac7fecf908ba74ce"),
     20: ("one-shot", "4180e3fdeaae87be"),
-    21: ("one-shot+sparse", "ceff394ec202c20a"),
+    21: ("one-shot+sparse", "61f748696fb467ff"),
     22: ("ladder-degenerate", "1c3f1021affa5778"),
     23: ("one-shot", "5045754d149cd143"),
     24: ("one-shot", "e8468af3de31cb68"),
-    25: ("one-shot", "d9a1e106a6188b98"),
-    26: ("one-shot", "e24cd994ebe58c3b"),
-    27: ("one-shot+sparse", "c9c56a9d7ccf81a7"),
-    90: ("one-shot", "3005ba851dcb7f50"),
-    97: ("one-shot:MatchingTooSmall", "8d306a13151248d2"),
+    25: ("one-shot", "172ef2756aa311d0"),
+    26: ("one-shot", "307d20a44b480fb7"),
+    27: ("one-shot+sparse", "89ad19d3d975602b"),
+    90: ("one-shot", "a36e73c9a7d1cf50"),
+    97: ("one-shot+sparse", "2f5e953c76566417"),
+    230: ("quasi-sparse:CandidateExhausted", "b56b7bba0feed7b1"),
 }
 
 
@@ -2348,7 +2425,11 @@ def test_quasi_replays_the_main_path(seed, monkeypatch):
 # attempt: d went 99971/250000 -> 398853/1000000 (quasi-0, and its quarter
 # and /13 stages with it: 99971/1000000 -> 398853/4000000, 99971/3250000 ->
 # 30681/1000000), 393849/1000000 -> 403209/1000000 (quasi-9) and
-# 263889/1000000 -> 54321/200000 (expand-1); every eps, m and call stayed
+# 263889/1000000 -> 54321/200000 (expand-1); every eps, m and call stayed.
+# When the dense side's classes came to share one pool of colours in place
+# of a random split, the dense templates of quasi-9 and expand-1 (several
+# dense classes) stopped being rainbow (True -> False); quasi-0 has one
+# dense class, whose pool is its own
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K4_12 = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
@@ -2363,12 +2444,12 @@ TEMPLATE_PIN = {
     ],
     "quasi-9": [
         (1, "partial_embed", 4, K4, "403209/1000000", "1/20", "6", False),
-        (1, "transversal_blowup", 4, K4_12, "403209/1000000", "1/20", "6", True),
-        (1, "partial_embed", 4, K4_12, "403209/1000000", "1/20", "6", True),
+        (1, "transversal_blowup", 4, K4_12, "403209/1000000", "1/20", "6", False),
+        (1, "partial_embed", 4, K4_12, "403209/1000000", "1/20", "6", False),
     ],
     "expand-1": [
-        (1, "transversal_blowup", 3, K3, "54321/200000", "1/20", "3", True),
-        (1, "partial_embed", 3, K3, "54321/200000", "1/20", "3", True),
+        (1, "transversal_blowup", 3, K3, "54321/200000", "1/20", "3", False),
+        (1, "partial_embed", 3, K3, "54321/200000", "1/20", "3", False),
     ],
 }
 
@@ -2528,9 +2609,11 @@ def test_main_path_still_runs_the_pipeline(monkeypatch):
 
 
 def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
-    # each of seed 97's 20 attempts calls transversal_blowup; the set-up is
-    # built once for all, its pattern view at most once, and no separator
-    # certificate or split decision, which only Steps 0-5 read
+    # each of the 20 attempts of a perfect matching on 10 vertices at host
+    # density 0.1, seed 0, calls transversal_blowup and fails (_quasi_instance
+    # seed 97 did until the dense classes shared one colour pool); the
+    # set-up is built once for all, its pattern view at most once, and no
+    # separator certificate or split decision, which only Steps 0-5 read
     from transversal import embed
 
     counts = dict.fromkeys(("setup", "view", "certificate", "decided", "blowup"), 0)
@@ -2556,8 +2639,9 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     count("certificate", "separability_certificate")
     count("decided", "_split_decided")
     count("blowup", "transversal_blowup")
-    gc, H, plan = _quasi_instance(97)
-    out = quasi_embed(gc, H, plan, seed=97)
+    H = PatternGraph(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    gc = random_collection(GenSpec(n=10, n_colours=5, density=0.1, seed=0))
+    out = quasi_embed(gc, H, PLAN, seed=0)
     assert not out.ok and "main" not in out.failure.diagnostics
     assert counts["certificate"] == counts["decided"] == 0 and counts["view"] <= 1
     assert {k: counts[k] for k in ("setup", "blowup")} == {"setup": 1, "blowup": PLAN.retries}
@@ -2586,11 +2670,11 @@ def test_a_one_shot_success_over_all_of_H_builds_no_pattern_copy(monkeypatch):
     assert calls == {"_class_edges": 1}
 
 
-def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
+def test_quasi_refuses_a_pool_other_than_the_dense_edge_count(monkeypatch):
     # seed 21 embeds its sparse side first; with one of those edges left
-    # uncoloured, a colour is left over that no dense class takes
+    # uncoloured, the dense side's pool holds a colour more than its edges,
+    # and each attempt's blow-up refuses it before any pass
     from transversal import embed
-    from transversal.embed import UnverifiedOutput
 
     real = embed.partial_embed
 
@@ -2602,8 +2686,9 @@ def test_quasi_colour_split_sizing_is_an_identity(monkeypatch):
 
     monkeypatch.setattr(embed, "partial_embed", one_colour_short)
     gc, H, plan = _quasi_instance(21)
-    with pytest.raises(UnverifiedOutput, match="quasi: colour split"):
-        quasi_embed(gc, H, plan, seed=21)
+    f = quasi_embed(gc, H, plan, seed=21).failure
+    assert (f.stage, f.reason) == ("pipeline", PRECONDITION)
+    assert f.diagnostics == {"detail": "e(H)=9 != |C|=10"}  # 9 of its 15 edges are dense
 
 
 def test_quasi_mixed_path_reports_a_sparse_side_failure(monkeypatch):
@@ -2665,7 +2750,7 @@ def _outcome_record(out):
 
 @pytest.mark.parametrize("seed, skip_one_shot", [
     (0, False), (1, False), (2, False), (9, False), (20, False), (69, False), (6, False),
-    (27, False), (97, False), (0, True), (20, True), (90, True)], ids=[
+    (27, False), (230, False), (0, True), (20, True), (90, True)], ids=[
     "main", "one-shot", "ladder-degenerate", "mixed", "main-0.2", "one-shot-0.2",
     "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2", "steps", "steps-0.2",
     "steps-failure-0.2"])
@@ -2676,10 +2761,11 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one
     # right after the draw, gives the same run, on host density 0.8 and on
     # 0.2 (d is read once per call, before any draw, off the caller's colour
     # edge counts; the stripped collection replaces the caller's before any
-    # embedding step).  Seeds 0 and 20 settle on the one-shot
-    # path, and seed 97 fails every one-shot pass, so the "steps" ids embed
-    # the dense side by lemma_blowup (lemma_dense_side): Steps 0-5 then
-    # embed seeds 0 and 20, and fail on seed 90 at Step 1
+    # embedding step).  Seeds 0 and 20 settle on the one-shot path, and
+    # seed 230 fails every attempt on its sparse side (seed 97 failed every
+    # one-shot pass until the dense classes shared one colour pool), so the
+    # "steps" ids embed the dense side by lemma_blowup (lemma_dense_side):
+    # Steps 0-5 then embed seeds 0 and 20, and fail on seed 90 at Step 1
     from transversal import embed
 
     if skip_one_shot:
@@ -2773,7 +2859,7 @@ def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):
     from transversal.embed import UNBALANCEABLE, EquitableColouring
 
     monkeypatch.setattr(embed, "equitable_colouring",
-                        lambda H, r, seed=0: EquitableColouring(((),) * r, True, False, 0))
+                        lambda H, r, seed=0: EquitableColouring(((),) * r, False, 0))
     gc = random_collection(GenSpec(n=12, n_colours=6, density=1.0, seed=1))
     H = PatternGraph(12, [(2 * i, 2 * i + 1) for i in range(6)])
     f = quasi_embed(gc, H, PLAN, seed=4).failure
