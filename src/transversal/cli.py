@@ -41,7 +41,7 @@ from .core import (
     verify_expansion,
     verify_transversal_embedding,
 )
-from .embed import LADDER_DEGENERATE, SplitPlan, blowup_embed, expand_embed_3graph, quasi_embed
+from .embed import SplitPlan, blowup_embed, expand_embed_3graph, quasi_embed
 from .regularity import DensitySpec, partition_collection
 
 
@@ -262,7 +262,7 @@ def cmd_embed(args) -> int:
         "timings": {"wall_ms": round((time.monotonic() - t0) * 1000, 1)},
         "outcome": outcome,
         "verified": verified,
-        "stats": {k: v for k, v in stats.items() if k != "pair_densities"},
+        "stats": stats,
     }
     _dump(report, args.out)
     return 0 if outcome["status"] == "success" else 1
@@ -346,7 +346,6 @@ def _bench_one(run: dict, seed: int):
         ok, failure, st = out.ok, out.failure, out.stats
         attempts = st.get("attempts", "")
         path = st["path"] if ok else ""
-        path = "ladder-degenerate" if path == LADDER_DEGENERATE else path
     elif run["pipeline"] == "blowup":
         def bipartite(n=30, density=0.6):
             rng = random.Random(seed)

@@ -143,26 +143,15 @@ def _check_plan(plan, counts) -> None:
 @dataclass(frozen=True)
 class SplitPlan:
     """The concrete settings of the default path (``quasi_embed``,
-    ``expand_embed_3graph``, ``transversal_blowup``): the template's eps,
-    the delta ladder that splits pairs into sparse and dense ones and the
-    retry budget.  Every output is verified, so the numbers need no
+    ``expand_embed_3graph``, ``transversal_blowup``): the template's eps and
+    the retry budget.  Every output is verified, so the numbers need no
     asymptotic justification; one no pipeline can run raises ValueError."""
 
     eps: float = 0.05
-    ladder_base: float = 0.02
-    ladder_ratio: float = 3.0
     retries: int = 20
-
-    def delta_ladder(self, level: int) -> float:
-        try:
-            return self.ladder_base * self.ladder_ratio**level
-        except OverflowError:  # the power is past the largest float
-            return self.ladder_base * math.inf if self.ladder_base else 0.0
 
     def __post_init__(self):
         _check_plan(self, (("retries", 1),))
-        if self.ladder_ratio <= 1:
-            raise ValueError("the delta ladder must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -1997,36 +1986,31 @@ def _pipeline_once(t, H, phi, targets, plan, seed, setup):
 # Application 1: transversal embedding in a uniformly dense collection
 
 
+# no path reports this any more; perfbench/layers.py and workloads.py still import it
 LADDER_DEGENERATE = "LadderDegenerate"
 _NO_TARGETS = "target sets are not supported by this pipeline"
 
 
 @dataclass(frozen=True)
 class _QuasiSetup:
-    """What the attempts of ``quasi_embed`` share, none of it drawn.  The
-    blow-up's set-up (its keys the dense pairs, its active vertices those
-    outside the sparse classes) is None when no pair is dense."""
+    """What the attempts of ``quasi_embed`` share, none of it drawn: the
+    equitable parts and their colouring phi, every template's d, eps and m,
+    the stats of every success and the blow-up's set-up over all of H, its
+    keys every pair of parts that holds a class edge."""
 
-    r: int
     parts: list[list[int]]
     phi: list[int]
     numbers: dict  # every template's d, eps and m, read once per call
     base_stats: dict
-    sparse_H: PatternGraph
-    order: list[int]
-    Y: list[int]
-    blowup: _BlowupSetup | None
+    blowup: _BlowupSetup
 
 
 def _quasi_setup(gc: GraphCollection, H: PatternGraph, plan: SplitPlan,
                  seed: int) -> _QuasiSetup | Failure:
-    """Colour H equitably into Delta+1 parts, split the pairs of parts by
-    density against the delta ladder, and fix the sparse side: all of H when
-    no pair is dense, else the vertices X of the sparse classes with their
-    neighbours Y and ``H_lt``, the edges at X; d is half the host's density
-    over its colours (at least 0.05).  Or the typed failure."""
-    r = max(2, H.max_degree + 1)
-    eq = equitable_colouring(H, r, seed=seed)
+    """Colour H equitably into Delta+1 parts and build the blow-up's set-up
+    over all of H; d is half the host's density over its colours (at least
+    0.05).  Or the typed failure."""
+    eq = equitable_colouring(H, max(2, H.max_degree + 1), seed=seed)
     if not eq.balanced:
         return Failure("quasi", UNBALANCEABLE, seed)
     parts = [list(p) for p in eq.parts]
@@ -2034,45 +2018,16 @@ def _quasi_setup(gc: GraphCollection, H: PatternGraph, plan: SplitPlan,
     for i, part in enumerate(parts):
         for v in part:
             phi[v] = i
-    pairs = list(combinations(range(r), 2))
-    class_all = _class_edges(H, phi, range(H.n))
-    d_ij = {key: len(class_all.get(key, ())) / H.n for key in pairs}
-    # the len(d_ij) densities cannot meet all len(d_ij) + 1 disjoint gaps
-    # between consecutive rungs of a finite ladder: one level is free of them
-    level = next(
-        (ell for ell in range(1, len(d_ij) + 2)
-         if all(x <= plan.delta_ladder(ell) or x >= plan.delta_ladder(ell + 1)
-                for x in d_ij.values())),
-        None,
-    )
-    _identity(level is not None, "quasi", "a ladder level free of pair densities",
-              densities=sorted(d_ij.values()))
-    sparse_pairs = {key for key, x in d_ij.items() if x <= plan.delta_ladder(level)}
-    dense_keys = sorted(set(d_ij) - sparse_pairs)
+    class_e = _class_edges(H, phi, range(H.n))
     d = max(0.05, gc.total_edge_count() / max(1, gc.n_colours * math.comb(gc.n, 2)) / 2)
     numbers = {"d": Fraction(str(round(d, 6))), "eps": plan.eps, "m": min(map(len, parts))}
-    base_stats = {
-        "ladder_level": level,
-        "pair_densities": {str(k): v for k, v in d_ij.items()},
-        "sparse_pairs": sorted(str(k) for k in sparse_pairs),
-        "template": {key: str(frac(x)) for key, x in numbers.items()},
-    }
-    X = sorted({v for key in sparse_pairs for e in class_all.get(key, ()) for v in e})
-    active = set(range(H.n)).difference(X)
-    if dense_keys:
-        Y, sparse_H = _connecting_graph(H, X, range(H.n))
-        order = _bfs_order(H, X)
-        # with X empty, active is all of H and its class edges are class_all
-        blowup = _BlowupSetup(_class_edges(H, phi, active) if X else class_all, dense_keys, H,
-                              active)
-    else:  # the run degenerates to one candidate-set pass over all of H
-        Y, sparse_H, order, blowup = [], H, _bfs_order(H, range(H.n)), None
-    return _QuasiSetup(r, parts, phi, numbers, base_stats, sparse_H, order, Y, blowup)
+    base_stats = {"template": {key: str(frac(x)) for key, x in numbers.items()}}
+    blowup = _BlowupSetup(class_e, sorted(class_e), H, set(range(H.n)))
+    return _QuasiSetup(parts, phi, numbers, base_stats, blowup)
 
 
 def _quasi_draw(run: _Run) -> None:
     """Draw V_i: a random vertex partition of the hosts with |V_i| = |A_i|."""
-    run.tau, run.sigma, run.cand, run.stats = {}, {}, {}, dict(run.setup.base_stats)
     hosts = list(range(run.gc.n))
     run.rng.shuffle(hosts)
     run.V, pos = [], 0
@@ -2081,45 +2036,21 @@ def _quasi_draw(run: _Run) -> None:
         pos += len(part)
 
 
-def _quasi_sparse(run: _Run) -> Failure | None:
-    """Embed the sparse side (if any) through candidate sets, on the
-    template with every colour on every pair; those of Y are the dense
-    side's targets."""
+def _quasi_blowup(run: _Run) -> Failure | None:
+    """Embed H by the transversal blow-up on the V_i, every class taking
+    every colour."""
     s = run.setup
-    if not s.order:
-        return None
-    tmpl = make_template(run.V, dict.fromkeys(combinations(range(s.r), 2), range(run.gc.n_colours)),
-                         run.gc, **s.numbers)
-    part = partial_embed(tmpl, s.sparse_H, s.phi, X=s.order, Y=s.Y, targets=None, seed=run.seed)
-    if isinstance(part, Failure):
-        return part.with_stage("quasi-sparse")
-    run.tau.update(part.tau)
-    run.sigma.update(part.sigma)
-    run.cand = {y: set(part.candidates[y]) for y in part.candidates}
-
-
-def _quasi_dense(run: _Run) -> Failure | None:
-    """Embed the dense side (if any) by the transversal blow-up on the
-    hosts left, every dense pair taking the one pool of colours left."""
-    s, K = run.setup, run.gc.n_colours
-    if s.blowup is None:
-        run.stats["path"] = LADDER_DEGENERATE
-        return None
-    used_cols, used_hosts = set(run.sigma.values()), set(run.tau.values())
-    pool = [c for c in range(K) if c not in used_cols]
-    Vp = [tuple(v for v in part if v not in used_hosts) for part in run.V]
-    run.stats.update(e_sparse=len(run.sigma), colours_total=K)
-    tmpl = make_template(Vp, dict.fromkeys(s.blowup.keys, pool), run.gc, **s.numbers)
-    out = transversal_blowup(tmpl, run.H, s.phi, run.cand, run.plan, seed=_mix(run.seed, 7),
-                             active=s.blowup.active, setup=s.blowup)
+    tmpl = make_template(run.V, dict.fromkeys(s.blowup.keys, range(run.gc.n_colours)), run.gc,
+                         **s.numbers)
+    out = transversal_blowup(tmpl, run.H, s.phi, None, run.plan, seed=_mix(run.seed, 7),
+                             setup=s.blowup)
     if not out.ok:
         return out.failure
-    run.tau.update(out.embedding.tau)
-    run.sigma.update(out.embedding.sigma)
-    run.stats.update(path=out.stats["path"], blowup=out.stats)
+    run.tau, run.sigma = out.embedding.tau, out.embedding.sigma
+    run.stats = {**s.base_stats, "path": out.stats["path"], "blowup": out.stats}
 
 
-_QUASI_STEPS = (_quasi_draw, _quasi_sparse, _quasi_dense)
+_QUASI_STEPS = (_quasi_draw, _quasi_blowup)
 
 
 def quasi_embed(
@@ -2132,22 +2063,19 @@ def quasi_embed(
 
     After the precondition checks, the set-up that no draw changes is built
     once (``_quasi_setup``): an equitable colouring into Delta+1 independent
-    parts, the pigeonhole on the pair densities against the delta ladder
-    that splits sparse pairs from dense ones, the templates' d, eps and m (d
-    from the colours' edge counts), the sparse side and, when a pair is
-    dense, the blow-up's set-up.  Each attempt then runs ``_QUASI_STEPS``
-    through ``_run_steps``: draw the balanced vertex partition V_i, embed
-    the sparse side through candidate sets on a template with every colour
-    on every pair, and embed the dense side by the one-shot passes of
-    ``transversal_blowup`` (never Steps 0-5) with the candidate sets as
-    targets, every dense pair taking the one pool of colours that the
-    sparse side left (no colour is split between the dense classes).
-    Both templates take ``gc`` itself as their collection: no slice is
+    parts, the templates' d, eps and m (d from the colours' edge counts) and
+    the blow-up's set-up over all of H.  Each attempt then runs
+    ``_QUASI_STEPS`` through ``_run_steps``: draw the balanced vertex
+    partition V_i and embed H by the one-shot passes of
+    ``transversal_blowup`` (never Steps 0-5) on a template whose classes,
+    every pair of parts that holds a class edge, each take every colour.
+    The template takes ``gc`` itself as its collection: no slice is
     sparsified or copied, and every step reads only edges between two
     clusters, so the edges inside a V_i are never read.  A success's
-    ``stats["path"]`` names its path: ``one-shot``, ``LadderDegenerate`` or
-    ``empty``; all but ``empty`` carry ``stats["template"]``, the d, eps and
-    m as exact-fraction strings.  A pattern with target sets (``H.targets``)
+    ``stats["path"]`` names its path, ``one-shot`` or ``empty``; a
+    ``one-shot`` success also carries its blow-up's stats under
+    ``stats["blowup"]`` and ``stats["template"]``, the d, eps and m as
+    exact-fraction strings.  A pattern with target sets (``H.targets``)
     fails PreconditionViolated before any draw: no step honours them.  So
     does a colour with no edge, which the diagnostics name: |C| = e(H), so
     the copy uses every colour.

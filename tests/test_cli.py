@@ -98,8 +98,10 @@ def test_embed_feasible_and_verify_round_trip(workdir):
     assert rep["verified"] is True
     assert rep["outcome"]["status"] == "success"
     # the templates' numbers: half the complete host's density, the plan's
-    # eps and the least of the two parts' sizes
+    # eps and the least of the two parts' sizes; the report carries quasi's
+    # stats as they are
     assert rep["stats"]["template"] == {"d": "1/2", "eps": "1/20", "m": "6"}
+    assert sorted(rep["stats"]) == ["blowup", "path", "template"]
     # re-running verify on the report's embedding reproduces the stamp
     assert main([
         "verify", "--instance", "inst.json", "--pattern", "h.json",
@@ -256,8 +258,8 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
         {"name": "blowup-sparse", "construction": {"n": 6, "density": 0.1}, "pipeline": "blowup",
          "pattern": pattern_to_json(CYCLE_8), "phi": [0] * 4 + [1] * 4, "seeds": [0],
          "params": {"blowup_restarts": 3}},
-        # a 3-vertex path on 12 vertices (every pair of parts sparse) takes
-        # the ladder-degenerate pass
+        # a 3-vertex path on 12 vertices, which took the ladder-degenerate
+        # pass while quasi split its pairs of parts by a delta ladder
         {"name": "path", "construction": {"kind": "random", "n": 12, "n_colours": 2,
                                           "density": 0.8},
          "pipeline": "quasi", "pattern": pattern_to_json(PatternGraph(12, [(0, 1), (1, 2)])),
@@ -271,7 +273,7 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
         ("blowup-run-phi", "3", "1", "main"), ("blowup-sparse", "0", "0", ""),
         ("cyclic", "0", "1", "one-shot"),
         ("mantel", "0", "1", "one-shot"), ("mantel", "1", "1", "one-shot"),
-        ("path", "0", "1", "ladder-degenerate"),
+        ("path", "0", "1", "one-shot"),
     ]
     # a failed blow-up run reports its whole budget of attempts, no more
     assert [r["attempts"] for r in rows[:4]] == ["1", "1", "5", "3"]
@@ -487,8 +489,8 @@ def test_a_retry_count_in_params_that_is_not_a_count_is_a_usage_error(workdir, p
     assert "Traceback" not in proc.stderr and "must be an integer" in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("params", ['{"ladder_ratio": NaN}', '{"ladder_base": Infinity}'])
-def test_a_non_finite_ladder_in_params_is_a_usage_error(workdir, capsys, params):
+@pytest.mark.parametrize("params", ['{"eps": NaN}', '{"eps": Infinity}'])
+def test_a_non_finite_eps_in_params_is_a_usage_error(workdir, capsys, params):
     # json reads NaN and Infinity; the plan refuses them before any quasi run
     assert main([
         "generate", "--construction", "random", "--n", "6", "--colours", "3",
@@ -535,7 +537,7 @@ def test_embed_reports_a_pattern_with_target_sets_as_a_failure(workdir, pipeline
     ('{"eps": NaN}', "eps must be a finite number, not nan"),
     ('{"mu": Infinity}', "mu must be a finite number, not inf"),
     ('{"blowup_reserve": -Infinity}', "blowup_reserve must be a finite number, not -inf"),
-    ('{"ladder_base": "0.05"}', "ladder_base must be a finite number, not '0.05'"),
+    ('{"eps": "0.05"}', "eps must be a finite number, not '0.05'"),
     ('{"eps": true}', "eps must be a finite number, not True"),
     ('{"mu": 2.0}', r"mu must lie in \(0,1\]"),
     ('{"mu": 0.0}', r"mu must lie in \(0,1\]"),
@@ -608,7 +610,7 @@ def test_a_bench_run_builds_the_plan_of_its_pipeline(workdir, capsys, monkeypatc
     _blowup_suite(workdir, '{"mu": 0.5, "blowup_restarts": 2}')
     assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
     assert plans == [LemmaPlan(mu=0.5, blowup_restarts=2)]
-    _blowup_suite(workdir, '{"ladder_base": 0.05}')
+    _blowup_suite(workdir, '{"eps": 0.05}')
     capsys.readouterr()
     assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
     assert "bad LemmaPlan parameters" in capsys.readouterr().err
@@ -620,15 +622,18 @@ def test_a_bench_run_builds_the_plan_of_its_pipeline(workdir, capsys, monkeypatc
 
 
 def test_a_deleted_plan_field_is_a_usage_error(workdir, capsys):
-    # alpha, the fixed density floor of quasi_embed, is no SplitPlan field
+    # alpha, the fixed density floor of quasi_embed, and ladder_base and
+    # ladder_ratio, the delta ladder that split its pairs of parts, are no
+    # SplitPlan fields
     write_json(workdir / "inst.json",
                {"n": 4, "colours": [0, 1], "edges": {"0": [[0, 1]], "1": [[2, 3]]}})
     write_json(workdir / "h.json", pattern_to_json(PatternGraph(4, [(0, 1), (2, 3)])))
-    write_json(workdir / "p.json", {"alpha": 0.05})
-    capsys.readouterr()
-    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
-                 "--pattern", "h.json", "--params", "p.json"]) == 2
-    assert "unexpected keyword argument 'alpha'" in capsys.readouterr().err
+    for field in ("alpha", "ladder_base", "ladder_ratio"):
+        write_json(workdir / "p.json", {field: 0.05})
+        capsys.readouterr()
+        assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                     "--pattern", "h.json", "--params", "p.json"]) == 2
+        assert f"unexpected keyword argument '{field}'" in capsys.readouterr().err
 
 
 def test_failure_diagnostics_are_json_native(workdir):

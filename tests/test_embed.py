@@ -57,37 +57,36 @@ PLAN = SplitPlan()
 LEMMA_PLAN = LemmaPlan()
 
 
-def lemma_dense_side(mp):
-    """Make each ``transversal_blowup`` call of the default path (the dense
-    side of ``quasi_embed``, also inside an expansion) call ``lemma_blowup``
-    on the same arguments and seed, with the default ``LemmaPlan``: Steps
-    0-5 then run on the tag-83 sub-seeds of that seed, as they did when
-    they followed failed one-shot passes.  The lemma takes a rainbow
-    template, so the dense side's pool is split as quasi split it before it
-    pooled: shuffled by the attempt's generator just before the blow-up and
-    sliced to each dense class's edge count in key order.  The way a test
-    reaches Steps 0-5 through a quasi run (``mp`` is a MonkeyPatch)."""
+def lemma_quasi_blowup(mp):
+    """Make each ``transversal_blowup`` call of the default path (quasi's
+    blow-up, also inside an expansion) call ``lemma_blowup`` on the same
+    arguments and seed, with the default ``LemmaPlan``: Steps 0-5 then run
+    on the tag-83 sub-seeds of that seed, as they did when they followed
+    failed one-shot passes.  The lemma takes a rainbow template, so the
+    colours are split as quasi split them before its classes pooled them:
+    shuffled by the attempt's generator just before the blow-up and sliced
+    to each class's edge count in key order.  The way a test reaches Steps
+    0-5 through a quasi run (``mp`` is a MonkeyPatch)."""
     from transversal import embed
 
     split = {}
-    real_dense = embed._quasi_dense
+    real_blowup = embed._quasi_blowup
 
-    def dense(run):
-        if (s := run.setup.blowup) is not None:
-            used = set(run.sigma.values())
-            pool = [c for c in range(run.gc.n_colours) if c not in used]
-            run.rng.shuffle(pool)
-            for key in s.keys:
-                need = len(s.class_e.get(key, ()))
-                split[key], pool = pool[:need], pool[need:]
-        return real_dense(run)
+    def blowup(run):
+        s = run.setup.blowup
+        pool = list(range(run.gc.n_colours))
+        run.rng.shuffle(pool)
+        for key in s.keys:
+            need = len(s.class_e[key])
+            split[key], pool = pool[:need], pool[need:]
+        return real_blowup(run)
 
-    def lemma(t, H, phi, targets, plan, seed=0, active=None, setup=None):
+    def lemma(t, H, phi, targets, plan, seed=0, setup=None):
         t = make_template(t.clusters, split, t.gc, d=t.d, eps=t.eps, m=t.m)
-        return embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, seed, active)
+        return embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, seed)
 
-    assert embed._QUASI_STEPS[-1] is real_dense
-    mp.setattr(embed, "_QUASI_STEPS", (*embed._QUASI_STEPS[:-1], dense))
+    assert embed._QUASI_STEPS[-1] is real_blowup
+    mp.setattr(embed, "_QUASI_STEPS", (*embed._QUASI_STEPS[:-1], blowup))
     mp.setattr(embed, "transversal_blowup", lemma)
 
 
@@ -953,12 +952,18 @@ def test_buffer_finish_fails_typed(c0, c1, step, monkeypatch):
     assert "main" not in f.diagnostics  # no Steps 0-5 ran
 
 
-def test_buffer_keeps_the_sparse_sides_targets(monkeypatch):
-    # QUASI_REPLAY seed 9 (the finer ladder) embeds its sparse side first;
-    # the dense side's one-shot pass buffers vertices whose targets are the
-    # sparse side's candidate sets, and the finish keeps them inside
+@pytest.mark.parametrize("seed, finish", [(1, "matching"), (2, "greedy")])
+def test_the_buffer_finish_keeps_the_target_sets(monkeypatch, seed, finish):
+    # the blow-up of a quasi run on a 30-cycle, called again with a target
+    # set, half its cluster, on each odd vertex: the one-shot pass buffers
+    # vertices that have one, and both finishes keep them inside
     from transversal import embed
 
+    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
+    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.8, seed=seed))
+    _, ((t, H, phi, _, plan), kwargs) = _captured_blowup(monkeypatch, gc, H, seed)
+    rng = random.Random(seed)
+    targets = {v: {h for h in t.clusters[phi[v]] if rng.random() < 0.5} for v in range(1, 30, 2)}
     seen = []
     real = embed._finish_buffer
 
@@ -968,11 +973,9 @@ def test_buffer_keeps_the_sparse_sides_targets(monkeypatch):
         return out
 
     monkeypatch.setattr(embed, "_finish_buffer", recorded)
-    gc, H, plan = _quasi_instance(9)
-    assert plan is MIXED_PLAN
-    out = quasi_embed(gc, H, plan, seed=9)
-    assert out.ok and _quasi_path(out) == "one-shot+sparse"
-    B, targets, (tau, _, _) = seen[-1]
+    out = transversal_blowup(t, H, phi, targets, plan, **kwargs)
+    assert out.ok and out.stats["finish"] == finish
+    B, _, (tau, _, _) = seen[-1]
     held = [b for b in B if b in targets]
     assert held and all(tau[b] in targets[b] for b in held)
     assert all(out.embedding.tau[b] == tau[b] for b in B)
@@ -1961,8 +1964,7 @@ def test_quasi_perfect_matching_complete():
 
 
 def test_quasi_colour_split_sizing(monkeypatch):
-    # every dense class takes the one pool of colours that the sparse side
-    # left, |C| - e(H^<) of them, each used once
+    # every class takes the one pool of all |C| colours, each used once
     from transversal import embed
 
     seen = []
@@ -1978,7 +1980,7 @@ def test_quasi_colour_split_sizing(monkeypatch):
     out = quasi_embed(gc, H, PLAN, seed=1)
     assert out.ok and out.verification.ok
     (pool,) = {cs for t in seen for cs in t.colour_clusters.values()}
-    assert len(pool) == out.stats["colours_total"] - out.stats["e_sparse"]
+    assert pool == tuple(range(gc.n_colours))
     assert len(seen[-1].colour_clusters) > 1 and not seen[-1].rainbow
 
 
@@ -2199,34 +2201,39 @@ def _expand_instance(seed):
 # 535378fbd89bc915 -> 99dc930989ead1f1, 9 274012f6a4e72565 ->
 # 9aa975d870fc631a, 12 10c5457c1322aa8a -> 66fff48265a1d543, 13
 # b8e2dad1972e3b58 -> 972e8ca2640e92da, 16 f2c82f2de7c04dd6 ->
-# 6b62237bf8789d7b, 17 14e40b77c9d6df7c -> b94cadf684f0b420
+# 6b62237bf8789d7b, 17 14e40b77c9d6df7c -> b94cadf684f0b420.  When the
+# delta ladder went, the ladder-degenerate seeds (a matching of two edges)
+# moved to one-shot successes, old -> new: 3 a9f9b86aab809213 ->
+# 859e1509b3c047c4, 7 b63483a80fa39128 -> d91c512a819fe5d7, 11
+# f4df615b5f36e83f -> b40268aad07975d8, 15 42dee28877efc26a ->
+# be613b9af282d31a, 19 83d95142fc1d69ce -> f3602fdf4e82ebce
 EXPAND_REPLAY = {
     0: "424ca8a70f0ee3df",
     1: "34f1a966a4d7a6ff",
     2: "cd32866d2d27be92",
-    3: "a9f9b86aab809213",
+    3: "859e1509b3c047c4",
     4: "d853fda0c2260caf",
     5: "afadccdb54df1b56",
     6: "29b3d7ee9c66897e",
-    7: "b63483a80fa39128",
+    7: "d91c512a819fe5d7",
     8: "99dc930989ead1f1",
     9: "9aa975d870fc631a",
     10: "c8118f8706404dce",
-    11: "f4df615b5f36e83f",
+    11: "b40268aad07975d8",
     12: "66fff48265a1d543",
     13: "972e8ca2640e92da",
     14: "4f71470e46b5a224",
-    15: "42dee28877efc26a",
+    15: "be613b9af282d31a",
     16: "6b62237bf8789d7b",
     17: "b94cadf684f0b420",
     18: "f0423dce79afad9b",
-    19: "83d95142fc1d69ce",
+    19: "f3602fdf4e82ebce",
 }
 
 
 # the main-path expansions before the one-shot passes ran first, replayed
-# with the dense side embedded by lemma_blowup on the same seed
-# (lemma_dense_side): Steps 0-5 give the maps they gave then
+# with quasi's blow-up run by lemma_blowup on the same seed
+# (lemma_quasi_blowup): Steps 0-5 give the maps they gave then
 EXPAND_MAIN_REPLAY = {
     2: "432c6e4437a7cf62",
     6: "efaf4a8340e9d91c",
@@ -2253,18 +2260,14 @@ def test_expand_replays_the_triple_scans_outputs(seed):
 
 @pytest.mark.parametrize("seed", sorted(EXPAND_MAIN_REPLAY))
 def test_expand_replays_the_main_path(seed, monkeypatch):
-    lemma_dense_side(monkeypatch)
+    lemma_quasi_blowup(monkeypatch)
     assert _expand_digest(seed) == EXPAND_MAIN_REPLAY[seed]
-
-
-MIXED_PLAN = SplitPlan(ladder_base=0.03, ladder_ratio=1.5)
 
 
 def _quasi_instance(seed):
     """A seeded uniformly dense collection (density 0.2 for every seventh
     seed, so some runs fail, else 0.8) and a perfect matching (every fourth
-    seed) or a random pattern of maximum degree 2 or 3 on 12-24 vertices.
-    Odd seeds use the finer ladder that splits pairs into sparse and dense."""
+    seed) or a random pattern of maximum degree 2 or 3 on 12-24 vertices."""
     rng = random.Random(seed)
     n = rng.choice([12, 16, 20, 24])
     if seed % 4 == 0:
@@ -2284,21 +2287,25 @@ def _quasi_instance(seed):
         H = PatternGraph(n, sorted(edges))
     density = 0.2 if seed % 7 == 6 else 0.8
     gc = random_collection(GenSpec(n=n, n_colours=H.e, density=density, seed=seed))
-    return gc, H, (MIXED_PLAN if seed % 2 else PLAN)
+    return gc, H
+
+
+def _failing_matching():
+    """M5 on 10 hosts at host density 0.1, seed 0: every one-shot pass of
+    every quasi attempt on seed 0 fails."""
+    H = PatternGraph(10, [(2 * i, 2 * i + 1) for i in range(5)])
+    return random_collection(GenSpec(n=10, n_colours=5, density=0.1, seed=0)), H
 
 
 def _quasi_path(out):
     if not out.ok:
         return f"{out.failure.stage}:{out.failure.reason}"
-    path = out.stats["path"]
-    if path == "LadderDegenerate":
-        return "ladder-degenerate"
-    return path + ("+sparse" if out.stats["e_sparse"] else "")
+    return out.stats["path"]
 
 
 # (path, sha256 prefix of the embedding or of the failure and its
 # diagnostics) of quasi_embed on _quasi_instance(seed), recorded before the
-# embedders shared one induced-subgraph primitive; the table runs the
+# embedders shared one induced-subgraph primitive; the table ran the
 # ladder-degenerate pass, the mixed sparse/dense split and the one-shot
 # passes, so seeded replay of each path stays bit for bit.  The
 # one-shot entries (1, 3, 7, 9, 11, 15, 17, 18, 19, 21, 26, 27) were
@@ -2334,45 +2341,58 @@ def _quasi_path(out):
 # c9c56a9d7ccf81a7 -> 89ad19d3d975602b, 90 3005ba851dcb7f50 ->
 # a36e73c9a7d1cf50; seed 97 (one-shot:MatchingTooSmall, 8d306a13151248d2)
 # succeeds since, and seed 230, whose sparse side fails, joined as the
-# table's failure (no density-0.2 seed below 400 fails on the dense side)
+# table's failure (no density-0.2 seed below 400 fails on the dense side).
+# When the delta ladder and quasi's sparse side went, every ladder-degenerate
+# and sparse-and-dense entry moved to a one-shot success, old -> new: 2
+# b79ce2478c059c95 -> 12f208be61c09f1e, 5 6e108d90a4e27fc8 ->
+# e59b660d55016bac, 6 e539581acc2c85a9 -> cc6d738eaa4d4977, 9
+# 12e2c69140549b67 -> 4d8971f51aefab74, 10 78e48c5df3d8244c ->
+# b3e8ff97509c23db, 11 4f3845b41a6c1f69 -> a5fc5392f470c94d, 13
+# 68d969f0fe296146 -> 3c5dc11f68514ec5, 14 f4aac5e915ec04bd ->
+# a76b12b271c11dfa, 21 61f748696fb467ff -> 01abd7e9c5aab6e9, 22
+# 1c3f1021affa5778 -> 09823e6186fa956d, 27 89ad19d3d975602b ->
+# d2ec17c40eb77050, 97 2f5e953c76566417 -> 3bef6135b5f28d40 and 230
+# (quasi-sparse:CandidateExhausted) b56b7bba0feed7b1 -> 1df1bf16c1e6cad2;
+# every other entry held.  No density-0.2 seed below 3000 fails since, so
+# the table holds no failure (the tests take theirs from _failing_matching)
 QUASI_REPLAY = {
     0: ("one-shot", "15a733a9da16d6ab"),
     1: ("one-shot", "0c1b5902928d69fb"),
-    2: ("ladder-degenerate", "b79ce2478c059c95"),
+    2: ("one-shot", "12f208be61c09f1e"),
     3: ("one-shot", "297c26058b7ea8f6"),
     4: ("one-shot", "69b8447c82090a93"),
-    5: ("ladder-degenerate", "6e108d90a4e27fc8"),
-    6: ("ladder-degenerate", "e539581acc2c85a9"),
+    5: ("one-shot", "e59b660d55016bac"),
+    6: ("one-shot", "cc6d738eaa4d4977"),
     7: ("one-shot", "674861dff3b5abc8"),
     8: ("one-shot", "edd12f0bd77a7ef5"),
-    9: ("one-shot+sparse", "12e2c69140549b67"),
-    10: ("ladder-degenerate", "78e48c5df3d8244c"),
-    11: ("one-shot+sparse", "4f3845b41a6c1f69"),
+    9: ("one-shot", "4d8971f51aefab74"),
+    10: ("one-shot", "b3e8ff97509c23db"),
+    11: ("one-shot", "a5fc5392f470c94d"),
     12: ("one-shot", "91620117f3f23fa1"),
-    13: ("ladder-degenerate", "68d969f0fe296146"),
-    14: ("ladder-degenerate", "f4aac5e915ec04bd"),
+    13: ("one-shot", "3c5dc11f68514ec5"),
+    14: ("one-shot", "a76b12b271c11dfa"),
     15: ("one-shot", "18b8a6a1a4848e17"),
     16: ("one-shot", "a1ebb246e7a5aca9"),
     17: ("one-shot", "2cd129cc7e180c73"),
     18: ("one-shot", "9f2db0b75543e527"),
     19: ("one-shot", "ac7fecf908ba74ce"),
     20: ("one-shot", "4180e3fdeaae87be"),
-    21: ("one-shot+sparse", "61f748696fb467ff"),
-    22: ("ladder-degenerate", "1c3f1021affa5778"),
+    21: ("one-shot", "01abd7e9c5aab6e9"),
+    22: ("one-shot", "09823e6186fa956d"),
     23: ("one-shot", "5045754d149cd143"),
     24: ("one-shot", "e8468af3de31cb68"),
     25: ("one-shot", "172ef2756aa311d0"),
     26: ("one-shot", "307d20a44b480fb7"),
-    27: ("one-shot+sparse", "89ad19d3d975602b"),
+    27: ("one-shot", "d2ec17c40eb77050"),
     90: ("one-shot", "a36e73c9a7d1cf50"),
-    97: ("one-shot+sparse", "2f5e953c76566417"),
-    230: ("quasi-sparse:CandidateExhausted", "b56b7bba0feed7b1"),
+    97: ("one-shot", "3bef6135b5f28d40"),
+    230: ("one-shot", "1df1bf16c1e6cad2"),
 }
 
 
 # the main-path entries of QUASI_REPLAY before the one-shot passes ran
-# first, replayed with the dense side embedded by lemma_blowup on the same
-# seed (lemma_dense_side): Steps 0-5 give the embeddings they gave then
+# first, replayed with quasi's blow-up run by lemma_blowup on the same
+# seed (lemma_quasi_blowup): Steps 0-5 give the embeddings they gave then
 QUASI_MAIN_REPLAY = {
     0: ("main", "09b0b69a4f28bd56"),
     4: ("main", "ceaecced790ec9f1"),
@@ -2387,8 +2407,8 @@ QUASI_MAIN_REPLAY = {
 
 
 def _quasi_replay(seed):
-    gc, H, plan = _quasi_instance(seed)
-    out = quasi_embed(gc, H, plan, seed=seed)
+    gc, H = _quasi_instance(seed)
+    out = quasi_embed(gc, H, PLAN, seed=seed)
     if out.ok:
         record = {"tau": sorted(out.embedding.tau.items()),
                   "sigma": sorted([u, v, c] for (u, v), c in out.embedding.sigma.items())}
@@ -2406,15 +2426,15 @@ def test_quasi_replays_every_path(seed):
 
 @pytest.mark.parametrize("seed", sorted(QUASI_MAIN_REPLAY))
 def test_quasi_replays_the_main_path(seed, monkeypatch):
-    lemma_dense_side(monkeypatch)
+    lemma_quasi_blowup(monkeypatch)
     assert _quasi_replay(seed) == QUASI_MAIN_REPLAY[seed]
 
 
 # (calls in a row, embedder, r, sorted colour-cluster keys, d, eps, m,
 # rainbow) of the templates passed to partial_embed, approx_embed,
 # embed_prescribed_colours and transversal_blowup on a main-path quasi run
-# (its dense side embedded by lemma_blowup: lemma_dense_side), the mixed
-# sparse/dense quasi run and an expansion; recorded from the
+# (embedded by lemma_blowup: lemma_quasi_blowup), a one-shot quasi run on
+# six classes (seed 9) and an expansion; recorded from the
 # templates' parameter ledgers before a template held d, eps and m itself,
 # and re-recorded when the quasi templates took the host collection itself
 # in place of sparsified slices (d is read off the raw pair densities, and
@@ -2429,9 +2449,12 @@ def test_quasi_replays_the_main_path(seed, monkeypatch):
 # When the dense side's classes came to share one pool of colours in place
 # of a random split, the dense templates of quasi-9 and expand-1 (several
 # dense classes) stopped being rainbow (True -> False); quasi-0 has one
-# dense class, whose pool is its own
+# dense class, whose pool is its own.  When the delta ladder and quasi's
+# sparse side went, quasi-9 lost the sparse side's all-colour
+# partial_embed call ahead of its blow-up, and its blow-up and one-shot
+# pass took every class, K4, in place of the five dense ones, K4 less
+# (1, 2); every d, eps, m and rainbow flag held
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-K4_12 = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
 K3 = [(0, 1), (0, 2), (1, 2)]
 TEMPLATE_PIN = {
     "quasi-0": [
@@ -2443,9 +2466,8 @@ TEMPLATE_PIN = {
         (1, "approx_embed", 2, [(0, 1)], "30681/1000000", "111803399/500000000", "1", True),
     ],
     "quasi-9": [
+        (1, "transversal_blowup", 4, K4, "403209/1000000", "1/20", "6", False),
         (1, "partial_embed", 4, K4, "403209/1000000", "1/20", "6", False),
-        (1, "transversal_blowup", 4, K4_12, "403209/1000000", "1/20", "6", False),
-        (1, "partial_embed", 4, K4_12, "403209/1000000", "1/20", "6", False),
     ],
     "expand-1": [
         (1, "transversal_blowup", 3, K3, "54321/200000", "1/20", "3", False),
@@ -2470,14 +2492,14 @@ def test_each_embedder_reads_the_pinned_template_numbers(monkeypatch):
         mp.setattr(embed, name, recorded)
 
     runs = {
-        "quasi-0": lambda: quasi_embed(*_quasi_instance(0), seed=0),
-        "quasi-9": lambda: quasi_embed(*_quasi_instance(9), seed=9),
+        "quasi-0": lambda: quasi_embed(*_quasi_instance(0), PLAN, seed=0),
+        "quasi-9": lambda: quasi_embed(*_quasi_instance(9), PLAN, seed=9),
         "expand-1": lambda: expand_embed_3graph(*_expand_instance(1), PLAN, seed=1),
     }
     for label, run in runs.items():
         with pytest.MonkeyPatch.context() as mp:
             if label == "quasi-0":  # the main path: recorded as the blow-up call it replaces
-                lemma_dense_side(mp)
+                lemma_quasi_blowup(mp)
             for name in ("partial_embed", "approx_embed", "embed_prescribed_colours",
                          "transversal_blowup"):
                 record(mp, name)
@@ -2525,7 +2547,7 @@ def _count_pipeline_calls(monkeypatch):
 def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
     # no separator is certified for a 70-cycle at the default mu, so the
     # cycle stays one component and no abs/app/col split exists: with its
-    # dense side run by the lemma, every quasi attempt fails typed at once
+    # blow-up run by the lemma, every quasi attempt fails typed at once
     # and no Steps 0-5 attempt runs; the one-shot passes embed the cycle
     H = PatternGraph(70, [(i, (i + 1) % 70) for i in range(70)])
     gc = random_collection(GenSpec(n=70, n_colours=70, density=0.8, seed=1))
@@ -2533,7 +2555,7 @@ def test_split_decided_by_component_counts_is_not_retried(monkeypatch):
     assert out.ok and out.verification.ok
     assert out.stats["blowup"]["path"] == "one-shot"
     calls = _count_pipeline_calls(monkeypatch)
-    lemma_dense_side(monkeypatch)
+    lemma_quasi_blowup(monkeypatch)
     f = quasi_embed(gc, H, PLAN, seed=1).failure
     assert (f.stage, f.reason) == ("split", PRECONDITION) and len(calls) == 0
     assert f.diagnostics == {"separator": 0, "components": 1, "classes": 3,
@@ -2602,9 +2624,9 @@ def test_one_shot_backs_up_steps_0_to_5_at_any_pattern_size(H):
 
 def test_main_path_still_runs_the_pipeline(monkeypatch):
     calls = _count_pipeline_calls(monkeypatch)
-    lemma_dense_side(monkeypatch)
-    gc, H, plan = _quasi_instance(0)
-    assert _quasi_path(quasi_embed(gc, H, plan, seed=0)) == "main"
+    lemma_quasi_blowup(monkeypatch)
+    gc, H = _quasi_instance(0)
+    assert _quasi_path(quasi_embed(gc, H, PLAN, seed=0)) == "main"
     assert len(calls) >= 1
 
 
@@ -2639,8 +2661,7 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
     count("certificate", "separability_certificate")
     count("decided", "_split_decided")
     count("blowup", "transversal_blowup")
-    H = PatternGraph(10, [(2 * i, 2 * i + 1) for i in range(5)])
-    gc = random_collection(GenSpec(n=10, n_colours=5, density=0.1, seed=0))
+    gc, H = _failing_matching()
     out = quasi_embed(gc, H, PLAN, seed=0)
     assert not out.ok and "main" not in out.failure.diagnostics
     assert counts["certificate"] == counts["decided"] == 0 and counts["view"] <= 1
@@ -2654,9 +2675,9 @@ def test_a_quasi_call_builds_the_blowup_setup_once(monkeypatch):
 
 
 def test_a_one_shot_success_over_all_of_H_builds_no_pattern_copy(monkeypatch):
-    # seed 0 (a perfect matching, no sparse pair) succeeds on a one-shot
-    # pass over all of H: its class edges are built once, by _quasi_setup,
-    # and it is verified on H itself, with no pattern view
+    # seed 0 (a perfect matching) succeeds on a one-shot pass over all of
+    # H: its class edges are built once, by _quasi_setup, and it is
+    # verified on H itself, with no pattern view
     from transversal import embed
 
     calls = Counter()
@@ -2664,54 +2685,11 @@ def test_a_one_shot_success_over_all_of_H_builds_no_pattern_copy(monkeypatch):
         real = getattr(embed, name)
         monkeypatch.setattr(embed, name, lambda *a, real=real, name=name, **k:
                             calls.update([name]) or real(*a, **k))
-    gc, H, plan = _quasi_instance(0)
-    out = quasi_embed(gc, H, plan, seed=0)
-    assert out.ok and out.stats["path"] == "one-shot" and not out.stats["e_sparse"]
+    gc, H = _quasi_instance(0)
+    out = quasi_embed(gc, H, PLAN, seed=0)
+    assert out.ok and out.stats["path"] == "one-shot"
+    assert sorted(out.stats) == ["blowup", "path", "template"]
     assert calls == {"_class_edges": 1}
-
-
-def test_quasi_refuses_a_pool_other_than_the_dense_edge_count(monkeypatch):
-    # seed 21 embeds its sparse side first; with one of those edges left
-    # uncoloured, the dense side's pool holds a colour more than its edges,
-    # and each attempt's blow-up refuses it before any pass
-    from transversal import embed
-
-    real = embed.partial_embed
-
-    def one_colour_short(*args, **kwargs):
-        part = real(*args, **kwargs)
-        if isinstance(part, PartialEmbedding) and part.sigma:
-            del part.sigma[next(iter(part.sigma))]
-        return part
-
-    monkeypatch.setattr(embed, "partial_embed", one_colour_short)
-    gc, H, plan = _quasi_instance(21)
-    f = quasi_embed(gc, H, plan, seed=21).failure
-    assert (f.stage, f.reason) == ("pipeline", PRECONDITION)
-    assert f.diagnostics == {"detail": "e(H)=9 != |C|=10"}  # 9 of its 15 edges are dense
-
-
-def test_quasi_mixed_path_reports_a_sparse_side_failure(monkeypatch):
-    # seed 9 splits its pairs into sparse and dense ones; when the sparse
-    # side's candidate-set pass fails, the attempt ends before the blow-up
-    from transversal import embed
-
-    sparse_graphs, blowups = [], []
-
-    def stuck(t, graph, *args, **kwargs):
-        sparse_graphs.append(graph)
-        return Failure("partial", CANDIDATE_EXHAUSTED, 0, detail="stub")
-
-    monkeypatch.setattr(embed, "partial_embed", stuck)
-    monkeypatch.setattr(embed, "transversal_blowup", lambda *a, **kw: blowups.append(a))
-    gc, H, plan = _quasi_instance(9)
-    f = quasi_embed(gc, H, plan, seed=9).failure
-    assert (f.stage, f.reason, f.diagnostics) == ("quasi-sparse", CANDIDATE_EXHAUSTED,
-                                                  {"detail": "stub"})
-    # one pass per attempt, on the edges at the sparse side X, not on all of H
-    assert len(sparse_graphs) == plan.retries
-    assert all(0 < g.e < H.e for g in sparse_graphs)
-    assert blowups == []
 
 
 def test_blowup_checks_colour_conservation(monkeypatch):
@@ -2734,10 +2712,10 @@ def test_blowup_checks_colour_conservation(monkeypatch):
     monkeypatch.setattr(embed, "_pipeline_once", one_colour_twice)
     monkeypatch.setattr(embed, "verify_transversal_embedding",
                         lambda *args: VerificationReport(ok=True))
-    lemma_dense_side(monkeypatch)
-    gc, H, plan = _quasi_instance(0)  # the main path
+    lemma_quasi_blowup(monkeypatch)
+    gc, H = _quasi_instance(0)  # the main path
     with pytest.raises(UnverifiedOutput, match="colour conservation violated on the main path"):
-        quasi_embed(gc, H, plan, seed=0)
+        quasi_embed(gc, H, PLAN, seed=0)
 
 
 def _outcome_record(out):
@@ -2750,10 +2728,10 @@ def _outcome_record(out):
 
 @pytest.mark.parametrize("seed, skip_one_shot", [
     (0, False), (1, False), (2, False), (9, False), (20, False), (69, False), (6, False),
-    (27, False), (230, False), (0, True), (20, True), (90, True)], ids=[
+    (27, False), (230, False), (None, False), (0, True), (20, True), (90, True)], ids=[
     "main", "one-shot", "ladder-degenerate", "mixed", "main-0.2", "one-shot-0.2",
-    "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2", "steps", "steps-0.2",
-    "steps-failure-0.2"])
+    "ladder-degenerate-0.2", "mixed-0.2", "failure-0.2", "one-shot-failure", "steps",
+    "steps-0.2", "steps-failure-0.2"])
 def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one_shot):
     # every template of the run holds the caller's collection itself, and
     # no step of an attempt reads an edge inside a part: an attempt whose
@@ -2761,21 +2739,25 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one
     # right after the draw, gives the same run, on host density 0.8 and on
     # 0.2 (d is read once per call, before any draw, off the caller's colour
     # edge counts; the stripped collection replaces the caller's before any
-    # embedding step).  Seeds 0 and 20 settle on the one-shot path, and
-    # seed 230 fails every attempt on its sparse side (seed 97 failed every
-    # one-shot pass until the dense classes shared one colour pool), so the
-    # "steps" ids embed the dense side by lemma_blowup (lemma_dense_side):
-    # Steps 0-5 then embed seeds 0 and 20, and fail on seed 90 at Step 1
+    # embedding step).  The ids name the path each seed took when it was
+    # chosen, while a delta ladder split quasi's pairs into sparse and dense
+    # ones; every seed takes the one-shot passes since, seed 230 (whose
+    # sparse side failed) too, and _failing_matching fails each of them.
+    # The "steps" ids embed H by lemma_blowup (lemma_quasi_blowup): Steps
+    # 0-5 then embed seeds 0 and 20, and fail on seed 90 at Step 1
     from transversal import embed
 
     if skip_one_shot:
-        lemma_dense_side(monkeypatch)
-    gc, H, plan = _quasi_instance(seed)
+        lemma_quasi_blowup(monkeypatch)
+    if seed is None:  # the failing matching, on run seed 0
+        (gc, H), seed = _failing_matching(), 0
+    else:
+        gc, H = _quasi_instance(seed)
     held = []
     real_template = embed.make_template
     monkeypatch.setattr(embed, "make_template",
                         lambda V, cc, g, *a, **k: held.append(g) or real_template(V, cc, g, *a, **k))
-    out = quasi_embed(gc, H, plan, seed=seed)
+    out = quasi_embed(gc, H, PLAN, seed=seed)
     assert held and all(g is gc for g in held)
     if skip_one_shot:  # Steps 0-5 ran
         f = out.failure
@@ -2795,7 +2777,7 @@ def test_quasi_templates_take_the_callers_collection(monkeypatch, seed, skip_one
     assert draw is embed._quasi_draw
     monkeypatch.setattr(embed, "_QUASI_STEPS", (draw, between_parts, *steps))
     held.clear()
-    stripped = quasi_embed(gc, H, plan, seed=seed)
+    stripped = quasi_embed(gc, H, PLAN, seed=seed)
     assert held and not any(g is gc for g in held)
     assert _outcome_record(stripped) == _outcome_record(out)
 
@@ -2827,8 +2809,7 @@ def test_every_failing_quasi_attempt_takes_the_same_template_numbers(monkeypatch
     # M5 at host density 0.1, seed 0, fails every attempt: each one's
     # templates carry the call's d, eps and m, d read once off the host
     seen = _record_templates(monkeypatch)
-    H = PatternGraph(10, [(2 * i, 2 * i + 1) for i in range(5)])
-    gc = random_collection(GenSpec(n=H.n, n_colours=H.e, density=0.1, seed=0))
+    gc, H = _failing_matching()
     out = quasi_embed(gc, H, PLAN, seed=0)
     assert not out.ok and out.failure.stage == "one-shot"
     assert len(seen) >= PLAN.retries
@@ -2843,11 +2824,13 @@ def test_a_two_vertex_host_embeds_its_edge():
     assert out.stats["template"] == {"d": "1/2", "eps": "1/20", "m": "1"}
 
 
-@pytest.mark.parametrize("seed", [0, 2, 9])  # one-shot, ladder-degenerate, one-shot+sparse
+# a perfect matching and two random patterns (seeds 2 and 9 took the
+# ladder-degenerate and the sparse-and-dense paths while quasi had them)
+@pytest.mark.parametrize("seed", [0, 2, 9])
 def test_every_quasi_success_reports_its_template_numbers(monkeypatch, seed):
     seen = _record_templates(monkeypatch)
-    gc, H, plan = _quasi_instance(seed)
-    out = quasi_embed(gc, H, plan, seed=seed)
+    gc, H = _quasi_instance(seed)
+    out = quasi_embed(gc, H, PLAN, seed=seed)
     assert out.ok and _quasi_path(out) == QUASI_REPLAY[seed][0]
     [(d, eps, m)] = set(seen)
     assert d == _half_host_density(gc)
@@ -2870,7 +2853,9 @@ def test_quasi_unbalanceable_colouring_is_reported(monkeypatch):
                                     {"ladder_base": 0, "ladder_ratio": math.inf},
                                     {"ladder_base": -math.inf}])
 def test_split_plan_rejects_a_non_finite_ladder(ladder):
-    with pytest.raises(ValueError, match="finite"):
+    # the delta ladder is no SplitPlan field since quasi stopped splitting
+    # its pairs of parts: a value for one, finite or not, is refused by name
+    with pytest.raises(TypeError, match="unexpected keyword argument 'ladder_(base|ratio)'"):
         SplitPlan(**ladder)
 
 
@@ -2879,14 +2864,11 @@ def test_split_plan_rejects_a_non_finite_ladder(ladder):
     ({"p_col": 1.0}, r"split probabilities must lie in \(0,1\)"),
     ({"p_abs": 0.5, "p_col": 0.35}, "p_app must stay positive"),  # p_app = 0
     ({"p_abs": 0.5, "p_col": 0.4}, "p_app must stay positive"),
-    ({"ladder_ratio": 1.0}, "the delta ladder must be strictly increasing"),
-    ({"ladder_ratio": 0.5}, "the delta ladder must be strictly increasing"),
-], ids=["p_abs=0", "p_col=1", "p_app=0", "p_app<0", "ratio=1", "ratio<1"])
+], ids=["p_abs=0", "p_col=1", "p_app=0", "p_app<0"])
 def test_split_plan_refuses_a_field_out_of_range(fields, message):
-    # the split shares are LemmaPlan fields, the ladder SplitPlan's
-    (plan,) = {cls for cls in _PLANS for name in fields if name in _field_names(cls)}
+    # the split shares are LemmaPlan fields
     with pytest.raises(ValueError, match=f"^{message}$"):
-        plan(**fields)
+        LemmaPlan(**fields)
 
 
 _PLANS = (SplitPlan, LemmaPlan)
@@ -2900,7 +2882,7 @@ def _field_names(plan):
 def test_the_plans_share_no_field():
     # SplitPlan holds what the default path reads, LemmaPlan what Steps 0-5
     # and their stage embedders read; their retry budgets are constants
-    assert _field_names(SplitPlan) == {"eps", "ladder_base", "ladder_ratio", "retries"}
+    assert _field_names(SplitPlan) == {"eps", "retries"}
     assert len(_field_names(LemmaPlan)) == 9
     assert not _field_names(SplitPlan) & _field_names(LemmaPlan)
 
@@ -2924,18 +2906,6 @@ def test_split_plan_takes_the_least_counts():
     plan = LemmaPlan(blowup_restarts=1, approx_retries=1, absorber_exhaustive_cap=0)
     assert (plan.blowup_restarts, plan.approx_retries, plan.absorber_exhaustive_cap) == (1, 1, 0)
     assert SplitPlan(retries=1).retries == 1
-
-
-def test_a_ladder_past_the_largest_float_still_gives_a_level():
-    # 1e155**2 overflows, so rungs 2 on are infinite: the densities lie in
-    # level 1's gap, and level 2's gap is empty
-    plan = SplitPlan(ladder_base=1e-300, ladder_ratio=1e155)
-    assert plan.delta_ladder(1) < 1e-144 and plan.delta_ladder(2) == math.inf
-    assert SplitPlan(ladder_base=0.0, ladder_ratio=1e155).delta_ladder(3) == 0.0
-    gc = random_collection(GenSpec(n=30, n_colours=30, density=0.8, seed=1))
-    H = PatternGraph(30, [(i, (i + 1) % 30) for i in range(30)])
-    out = quasi_embed(gc, H, plan, seed=1)
-    assert out.ok and out.stats["ladder_level"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from transversal.embed import (
 )
 from transversal.generators import GenSpec, random_collection
 
-from test_embed import lemma_dense_side
+from test_embed import lemma_quasi_blowup
 
 PLAN = SplitPlan()
 LEMMA_PLAN = LemmaPlan()
@@ -35,11 +35,10 @@ CYCLE = PatternGraph(120, [(i, (i + 1) % 120) for i in range(120)])
 
 
 def _cycle_run(seed):
-    """The 120-cycle run of ``seed``, its dense side embedded by
-    ``lemma_blowup``."""
+    """The 120-cycle run of ``seed``, its blow-up run by ``lemma_blowup``."""
     gc = random_collection(GenSpec(n=120, n_colours=120, density=0.8, seed=seed))
     with pytest.MonkeyPatch.context() as mp:
-        lemma_dense_side(mp)
+        lemma_quasi_blowup(mp)
         return quasi_embed(gc, CYCLE, PLAN, seed=seed)
 
 

@@ -40,20 +40,18 @@ def test_the_tracer_counts_every_layer_of_the_application_paths(layers):
     # the code looks each name up where the tracer patches it, so a layer
     # that a refactor binds elsewhere (an import at module level, say)
     # would read zero calls here
-    from test_embed import MIXED_PLAN, PLAN, _expand_instance, _quasi_instance
+    from test_embed import PLAN, _expand_instance, _quasi_instance
 
     from transversal import embed
 
     tracer = layers.Tracer()
     tracer.install()
     try:
-        gc, H, plan = _quasi_instance(9)  # sparse and dense pairs
-        assert plan is MIXED_PLAN
-        quasi = embed.quasi_embed(gc, H, plan, seed=9)
+        quasi = embed.quasi_embed(*_quasi_instance(9), PLAN, seed=9)
         expand = embed.expand_embed_3graph(*_expand_instance(1), PLAN, seed=1)
     finally:
         tracer.uninstall()
-    assert quasi.ok and quasi.stats["e_sparse"] and expand.ok
+    assert quasi.ok and expand.ok
     for layer in ("templates.make_template", "embed.partial", "embed.blowup_pipeline",
                   "embed.equitable", "embed.quasi", "embed.expand", "core.verify"):
         assert tracer.layers[layer].calls >= 1, layer
@@ -66,12 +64,12 @@ def test_the_tracer_counts_every_layer_of_the_application_paths(layers):
 
 
 def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers):
-    # Steps 0-5, called directly (lemma_blowup) on the dense side of the
+    # Steps 0-5, called directly (lemma_blowup) on the blow-up of the
     # first attempt of quasi seed 12, certify the separator and call the
     # blow-up embedder (Step 1 and every round of the extra-colours
     # embedder), the absorber and the extra-colours embedder; the tracer
     # adds up each blow-up call's BlowupResult.restarts
-    from test_embed import LEMMA_PLAN, _quasi_instance
+    from test_embed import LEMMA_PLAN, PLAN, _quasi_instance
 
     from transversal import embed
 
@@ -79,12 +77,12 @@ def test_the_tracer_counts_the_stage_embedders_of_the_main_path(layers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(embed, "transversal_blowup",
                    lambda *a, **k: calls.append((a, k)) or real(*a, **k))
-        embed.quasi_embed(*_quasi_instance(12), seed=12)
+        embed.quasi_embed(*_quasi_instance(12), PLAN, seed=12)
     (t, H, phi, targets, _), kwargs = calls[0]
     tracer = layers.Tracer()
     tracer.install()
     try:  # one blow-up call fails after its full budget
-        out = embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, kwargs["seed"], kwargs["active"])
+        out = embed.lemma_blowup(t, H, phi, targets, LEMMA_PLAN, kwargs["seed"])
     finally:
         tracer.uninstall()
     assert out.ok and out.stats["path"] == "main"
