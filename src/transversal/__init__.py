@@ -49,12 +49,9 @@ from .oracle import (
 from .regularity import (
     DensitySpec,
     IrregularityWitness,
-    ParameterLedger,
     RegularityPartition,
     density,
     irregularity_witness,
-    ledger_slice,
-    make_ledger,
     partition_collection,
     sparsify_to_superregular,
     typical_elements,

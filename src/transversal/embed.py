@@ -59,7 +59,13 @@ UNBALANCEABLE = "Unbalanceable"
 # constants of the stages that a plan does not override
 NU_PRIME = 0.1  # partial_embed: each final candidate set keeps >= nu'*m hosts
 ZETA = 0.1  # approx_embed: the final round's buffer share of each class's colours
+EPS = 0.05  # quasi's templates: their eps, which partial_embed's (x,1) screen reads
 P_VX = 0.15  # Steps 0-5: the vx stage's share of the component split
+P_ABS = 0.05  # Steps 0-5: the abs stage's share, and Step 3's prescribed share
+P_COL = 0.08  # Steps 0-5: the col stage's share of the component split
+P_APP = 1.0 - (P_VX + P_ABS + P_COL)  # Steps 0-5: the app stage's share, the rest
+LAMBDA1 = 0.1  # Step 1: the absorber keeps l = lambda1 * |abs edges| of each class
+LAMBDA3 = 0.2  # Step 1: the thick-graph threshold, and build_absorber's flexibility floor
 GAMMA = 0.1  # approx_embed: a round wants gamma*m vertices of each cluster
 MU_PRIME = 0.05  # approx_embed: B_0 keeps mu'*m vertices of each cluster
 LAMBDA_THICK = 0.05  # approx_embed: the thick-graph threshold of each round
@@ -143,11 +149,10 @@ def _check_plan(plan, counts) -> None:
 @dataclass(frozen=True)
 class SplitPlan:
     """The concrete settings of the default path (``quasi_embed``,
-    ``expand_embed_3graph``, ``transversal_blowup``): the template's eps and
-    the retry budget.  Every output is verified, so the numbers need no
-    asymptotic justification; one no pipeline can run raises ValueError."""
+    ``expand_embed_3graph``, ``transversal_blowup``): the retry budget.
+    Every output is verified, so the number needs no asymptotic
+    justification; one no pipeline can run raises ValueError."""
 
-    eps: float = 0.05
     retries: int = 20
 
     def __post_init__(self):
@@ -161,29 +166,16 @@ class LemmaPlan:
     run raises ValueError."""
 
     mu: float = 0.1
-    lambda1: float = 0.1
-    lambda3: float = 0.2
-    p_abs: float = 0.05
-    p_col: float = 0.08
     blowup_restarts: int = 30
     blowup_reserve: float = 0.25
     approx_retries: int = 10
     absorber_exhaustive_cap: int = 100_000
-
-    @property
-    def p_app(self) -> float:
-        return 1.0 - (P_VX + self.p_abs + self.p_col)
 
     def __post_init__(self):
         _check_plan(self, (("blowup_restarts", 1), ("approx_retries", 1),
                            ("absorber_exhaustive_cap", 0)))
         if not 0 < self.mu <= 1:
             raise ValueError("mu must lie in (0,1]")
-        for p in (self.p_abs, self.p_col):
-            if not 0 < p < 1:
-                raise ValueError("split probabilities must lie in (0,1)")
-        if self.p_app <= 0:
-            raise ValueError("p_app must stay positive")
 
 
 class Failure:
@@ -1283,7 +1275,7 @@ def _absorber_edge(gc, key, Z, pool, l, bsize, plan, seed) -> AbsorberEdge | Fai
             B = sorted(sorted(pool, key=lambda c: -sum(1 for zm in zmasks if zm >> c & 1))[:bsize])
         bmask = mask_of(B)
         flex_ok = [i for i, zm in enumerate(zmasks)
-                   if (zm & bmask).bit_count() >= plan.lambda3 * len(B) / 2]
+                   if (zm & bmask).bit_count() >= LAMBDA3 * len(B) / 2]
         if len(flex_ok) < l:
             continue
         flex = set(rng.sample(flex_ok, l))
@@ -1297,7 +1289,7 @@ def _absorber_edge(gc, key, Z, pool, l, bsize, plan, seed) -> AbsorberEdge | Fai
         if ok:
             return AbsorberEdge(Z=tuple(Z), A=tuple(A), B=tuple(B), l=l,
                                 verified=mode, subsets_checked=count)
-    weak = sum(1 for zm in zmasks if zm.bit_count() < plan.lambda3 * len(pool))
+    weak = sum(1 for zm in zmasks if zm.bit_count() < LAMBDA3 * len(pool))
     return Failure("absorber", ABSORBER_UNVERIFIABLE, seed, edge_class=key,
                    weak_edges=weak, retries=ABSORBER_RETRIES)
 
@@ -1473,22 +1465,22 @@ def transversal_blowup(
     targets: dict[int, set[int]] | None,
     plan: SplitPlan,
     seed: int = 0,
-    active: set[int] | None = None,
     setup: _BlowupSetup | None = None,
 ) -> EmbedOutcome:
     """Verified transversal embedding using every template colour exactly once.
 
     Classes may share colours (``_class_count_mismatch`` says how many they
-    need), since a pass retires each colour it uses in every class.  Up to ``retries`` one-shot passes run (``"path": "one-shot"``, tag 89),
-    over a BFS order of the active vertices and, on odd retries, a shuffle
-    of it: each holds back the buffer B of ``_buffer``, runs the
-    candidate-set pass on the rest and finishes B with ``_finish_buffer``
-    (one greedy pass over B's hosts and colours, the matchings only when it
-    sticks; ``"finish"`` names which).  Entry checks, set-up (which a caller
-    may pass in) and verification are ``_blowup``'s.  The paper's blow-up
-    lemma, Steps 0-5, is ``lemma_blowup``: no call here runs it.
+    need), since a pass retires each colour it uses in every class.  Up to
+    ``retries`` one-shot passes run (``"path": "one-shot"``, tag 89), over a
+    BFS order of H's vertices and, on odd retries, a shuffle of it: each
+    holds back the buffer B of ``_buffer``, runs the candidate-set pass on
+    the rest and finishes B with ``_finish_buffer`` (one greedy pass over
+    B's hosts and colours, the matchings only when it sticks; ``"finish"``
+    names which).  Entry checks, set-up (which a caller may pass in) and
+    verification are ``_blowup``'s.  The paper's blow-up lemma, Steps 0-5,
+    is ``lemma_blowup``: no call here runs it.
     """
-    return _blowup(t, H, phi, targets, seed, active, setup, lambda s, targets: _retry(
+    return _blowup(t, H, phi, targets, seed, None, setup, lambda s, targets: _retry(
         seed, 89, plan.retries, Failure("one-shot", EMBEDDING_FAILED, seed),
         _one_shot(t, H, phi, targets, s.bfs)))
 
@@ -1669,10 +1661,10 @@ def _stage_class_counts(assign, class_of_comp, keys, stage) -> dict[tuple[int, i
     return out
 
 
-def _split_components(comps, class_of_comp, plan, rng, keys):
+def _split_components(comps, class_of_comp, rng, keys):
     """Random abs/app/col/vx split of components with post-adjustment so every
     colour class keeps at least one absorber edge and one col edge."""
-    probs = [plan.p_abs, plan.p_app, plan.p_col, P_VX]
+    probs = [P_ABS, P_APP, P_COL, P_VX]
     assign: dict[int, str] = {}
     for h in range(len(comps)):
         x = rng.random()
@@ -1719,7 +1711,7 @@ def _split(run: _Run) -> Failure | None:
     X) and its vertex count per cluster."""
     s = run.setup
     run.keys = keys = s.base.keys
-    assign = _split_components(s.comps, s.class_of_comp, run.plan, run.rng, keys)
+    assign = _split_components(s.comps, s.class_of_comp, run.rng, keys)
     if assign is None:
         return Failure("split", CHERNOFF_RETRY_EXHAUSTED, run.seed,
                        detail="no component split meets the per-class minima")
@@ -1781,7 +1773,7 @@ def _prescription_caps(run: _Run) -> dict[tuple[int, int], int]:
     comp_total = len(col)
     _identity(comp_total >= len(keys), "step1", "a col component per class", col=comp_total)
     p_cap = {
-        key: min(max(1, round(run.plan.p_abs * len(run.Cp[key]))),
+        key: min(max(1, round(P_ABS * len(run.Cp[key]))),
                  run.h_counts["col"][key], max(1, comp_col[key]))
         for key in keys
     }
@@ -1800,7 +1792,7 @@ def _step1(run: _Run) -> Failure | None:
         pool = list(run.Vp[i])
         run.rng.shuffle(pool)
         v_abs.append(sorted(pool[: run.n_stage["abs"][i]]))
-    thick = thick_host_graph(t.gc, v_abs, run.Cp, plan.lambda3)
+    thick = thick_host_graph(t.gc, v_abs, run.Cp, LAMBDA3)
     abs_set = run.stage_sets["abs"]
     abs_targets = {v: run.T1[v] & set(v_abs[phi[v]]) for v in abs_set if v in run.T1}
     if any(not ts for ts in abs_targets.values()):
@@ -1822,7 +1814,7 @@ def _step1(run: _Run) -> Failure | None:
     run.l_sizes, b_sizes = {}, {}
     for key in keys:
         habs, hcol, hvx = (run.h_counts[st][key] for st in ("abs", "col", "vx"))
-        l_e = min(habs, max(1, round(plan.lambda1 * habs)))
+        l_e = min(habs, max(1, round(LAMBDA1 * habs)))
         b_e = hvx + hcol - run.p_cap[key] + l_e
         _identity(l_e <= b_e <= len(run.Cp[key]) - (habs - l_e),
                   "step1", "absorber size ledger", edge_class=key)
@@ -2005,8 +1997,7 @@ class _QuasiSetup:
     blowup: _BlowupSetup
 
 
-def _quasi_setup(gc: GraphCollection, H: PatternGraph, plan: SplitPlan,
-                 seed: int) -> _QuasiSetup | Failure:
+def _quasi_setup(gc: GraphCollection, H: PatternGraph, seed: int) -> _QuasiSetup | Failure:
     """Colour H equitably into Delta+1 parts and build the blow-up's set-up
     over all of H; d is half the host's density over its colours (at least
     0.05).  Or the typed failure."""
@@ -2020,7 +2011,7 @@ def _quasi_setup(gc: GraphCollection, H: PatternGraph, plan: SplitPlan,
             phi[v] = i
     class_e = _class_edges(H, phi, range(H.n))
     d = max(0.05, gc.total_edge_count() / max(1, gc.n_colours * math.comb(gc.n, 2)) / 2)
-    numbers = {"d": Fraction(str(round(d, 6))), "eps": plan.eps, "m": min(map(len, parts))}
+    numbers = {"d": Fraction(str(round(d, 6))), "eps": EPS, "m": min(map(len, parts))}
     base_stats = {"template": {key: str(frac(x)) for key, x in numbers.items()}}
     blowup = _BlowupSetup(class_e, sorted(class_e), H, set(range(H.n)))
     return _QuasiSetup(parts, phi, numbers, base_stats, blowup)
@@ -2073,12 +2064,12 @@ def quasi_embed(
     sparsified or copied, and every step reads only edges between two
     clusters, so the edges inside a V_i are never read.  A success's
     ``stats["path"]`` names its path, ``one-shot`` or ``empty``; a
-    ``one-shot`` success also carries its blow-up's stats under
-    ``stats["blowup"]`` and ``stats["template"]``, the d, eps and m as
-    exact-fraction strings.  A pattern with target sets (``H.targets``)
-    fails PreconditionViolated before any draw: no step honours them.  So
-    does a colour with no edge, which the diagnostics name: |C| = e(H), so
-    the copy uses every colour.
+    ``one-shot`` success also carries ``stats["attempts"]``, the V_i draws
+    made, its blow-up's stats under ``stats["blowup"]`` and
+    ``stats["template"]``, the d, eps and m as exact-fraction strings.  A
+    pattern with target sets (``H.targets``) fails PreconditionViolated
+    before any draw: no step honours them.  So does a colour with no edge,
+    which the diagnostics name: |C| = e(H), so the copy uses every colour.
     """
     n, K = gc.n, gc.n_colours
     if K != H.e:
@@ -2096,15 +2087,16 @@ def quasi_embed(
     if bare is not None:
         return EmbedOutcome.fail("quasi", PRECONDITION, seed, colour=bare,
                                  detail="a colour has no edge")
-    setup = _quasi_setup(gc, H, plan, seed)
+    setup = _quasi_setup(gc, H, seed)
     if isinstance(setup, Failure):
         return EmbedOutcome(None, setup, None)
 
-    run, _ = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed),
-                    _steps(_QUASI_STEPS, setup=setup, gc=gc, H=H, plan=plan))
+    run, attempts = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed),
+                           _steps(_QUASI_STEPS, setup=setup, gc=gc, H=H, plan=plan))
     if isinstance(run, Failure):
         return EmbedOutcome(None, run, None)
-    return EmbedOutcome.success(gc, H, run.tau, run.sigma, stats=run.stats)
+    return EmbedOutcome.success(gc, H, run.tau, run.sigma,
+                                stats={**run.stats, "attempts": attempts})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ Every generator is deterministic given its spec and seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -24,12 +23,6 @@ from .core import (
     masks_of_words,
     separability_certificate,
 )
-
-#: Rainbow-triangle size threshold constant of Aharoni, DeVos, de la Maza,
-#: Montejano and Samal: collections with e(G_c) > a*n^2 for all three colours
-#: contain a rainbow triangle, and a cannot be decreased.  Shipped for
-#: threshold experiments; the extremal construction itself is out of scope.
-AHARONI_TRIANGLE_CONSTANT = (26 - 2 * math.sqrt(7)) / 81
 
 _CHUNK_COINS = 1 << 20  # about this many coins, in whole colours, per chunk of random_collection
 

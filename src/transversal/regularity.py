@@ -10,9 +10,6 @@ sparsest colour subset of a given size consists of the top or bottom colours
 by edge count), so "exhaustive" results are proofs.  Beyond the enumeration
 limits a sampled mode draws subset tuples of size exactly ceil(eps*|V_i|); a
 sampled witness is always genuine, while NoneFound is only evidence.
-
-Parameter bookkeeping is exact rational arithmetic via a ledger that records
-the lineage of rules applied.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ from .core import GraphCollection, SimpleGraph, _coins, bits_of, mask_of, masks_
 
 class EmptyPart(ValueError):
     """A density computation received an empty part."""
-
-
-class RuleInapplicable(ValueError):
-    """A ledger rule's mode prerequisites are not met."""
 
 
 class PromiseViolated(RuntimeError):
@@ -315,104 +308,6 @@ def typical_elements(
         vertex_threshold=v_need,
         colour_threshold=c_need,
         regularity_spot_check=spot,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Parameter ledger
-
-
-@dataclass(frozen=True)
-class LineageEntry:
-    rule: str
-    args: tuple
-    params: tuple  # (m, eps, d, delta) after the step
-    mode: str | None
-
-
-@dataclass(frozen=True)
-class ParameterLedger:
-    """Exact (m, eps, d, delta) with the lineage of transformations applied."""
-
-    m: Fraction
-    eps: Fraction
-    d: Fraction
-    delta: Fraction
-    mode: str | None = None
-    initial: tuple = ()
-    lineage: tuple[LineageEntry, ...] = ()
-
-    @property
-    def params(self) -> tuple:
-        return (self.m, self.eps, self.d, self.delta)
-
-
-def make_ledger(m, eps, d, delta, mode: str | None = None) -> ParameterLedger:
-    m, eps, d, delta = frac(m), frac(eps), frac(d), frac(delta)
-    return ParameterLedger(m, eps, d, delta, mode, initial=(m, eps, d, delta, mode))
-
-
-def _apply_rule(
-    m: Fraction, eps: Fraction, d: Fraction, delta: Fraction, mode, rule: str, args: dict
-):
-    alpha = frac(args["alpha"]) if args.get("alpha") is not None else None
-    k = frac(args.get("k", 1))
-    eps_prime = frac(args["eps_prime"]) if args.get("eps_prime") is not None else None
-    if rule == "proportional-slice":
-        return (m, eps / alpha, d / 2, delta), "regular"
-    if rule == "near-spanning-slice":
-        if mode != "super":
-            raise RuleInapplicable("near-spanning-slice preserves super; input must be super")
-        return (m, 2 * eps, d / 2, delta), "super"
-    if rule == "random-slice":
-        if mode != "super":
-            raise RuleInapplicable("random-slice requires a super input")
-        return (m, eps / alpha, d * d / 16, delta), "super"
-    if rule == "sparsify":
-        if mode != "half-super":
-            raise RuleInapplicable("sparsify turns half-super into super")
-        return (m, eps_prime, d * d / 2, delta), "super"
-    if rule == "template-i":
-        return (alpha * m, eps / alpha, d / 2, delta / k), "regular"
-    if rule == "template-ii":
-        return (m / 2, 2 * eps, d / 2, delta / 2), mode
-    if rule == "template-iii":
-        if mode != "super":
-            raise RuleInapplicable("random template slicing requires a super template")
-        return (alpha * m, eps / alpha, d * d / 16, delta / k), "super"
-    if rule == "template-iv":
-        if mode != "half-super":
-            raise RuleInapplicable("template sparsification requires a half-super template")
-        return (m, eps_prime, d * d / 2, delta), "super"
-    raise RuleInapplicable(f"unknown rule {rule!r}")
-
-
-def ledger_slice(
-    ledger: ParameterLedger,
-    rule: str,
-    alpha=None,
-    k=1,
-    eps_prime=None,
-) -> ParameterLedger:
-    """Apply one closed-form transformation and append it to the lineage.
-
-    Rules: proportional-slice(alpha) -> (eps/alpha, d/2); near-spanning-slice
-    -> (2*eps, d/2) super-preserving; random-slice(alpha) -> (eps/alpha,
-    d^2/16) super-preserving; sparsify(eps') -> (eps', d^2/2); and the four
-    template cases 'template-i'..'template-iv'.
-    """
-    args = {"alpha": alpha, "k": k, "eps_prime": eps_prime}
-    (m, eps, d, delta), mode = _apply_rule(
-        ledger.m, ledger.eps, ledger.d, ledger.delta, ledger.mode, rule, args
-    )
-    norm = (
-        frac(alpha) if alpha is not None else None,
-        frac(k),
-        frac(eps_prime) if eps_prime is not None else None,
-    )
-    entry = LineageEntry(rule, norm, (m, eps, d, delta), mode)
-    return ParameterLedger(
-        m, eps, d, delta, mode, initial=ledger.initial, lineage=ledger.lineage + (entry,)
     )
 
 

@@ -44,8 +44,6 @@ from transversal.regularity import (
     DensitySpec,
     density,
     irregularity_witness,
-    ledger_slice,
-    make_ledger,
     partition_collection,
     typical_elements,
 )
@@ -268,31 +266,6 @@ def test_criterion_05_mantel_boundary():
         ok = ok and edges_ok and tri_free and base_infeasible and all_flip
         detail.append(f"n={n}: {len(missing)} flips")
     _report(5, "Mantel boundary exact at n=6,7", ok, "; ".join(detail))
-
-
-def test_criterion_06_ledger_arithmetic():
-    led = make_ledger(10, "0.01", "0.4", "0.5", mode="super")
-    led_h = make_ledger(10, "0.01", "0.4", "0.5", mode="half-super")
-    checks = [
-        ledger_slice(led, "proportional-slice", alpha="0.5").params[1:3]
-        == (Fraction(1, 50), Fraction(1, 5)),
-        ledger_slice(led, "near-spanning-slice", alpha="0.1").params[1:3]
-        == (Fraction(1, 50), Fraction(1, 5)),
-        ledger_slice(led, "random-slice", alpha="0.5").params[1:3]
-        == (Fraction(1, 50), Fraction(1, 100)),
-        ledger_slice(led_h, "sparsify", eps_prime="0.05").params[1:3]
-        == (Fraction(1, 20), Fraction(2, 25)),
-        ledger_slice(led, "template-i", alpha="0.5", k=2).params
-        == (Fraction(5), Fraction(1, 50), Fraction(1, 5), Fraction(1, 4)),
-        ledger_slice(led, "template-ii").params
-        == (Fraction(5), Fraction(1, 50), Fraction(1, 5), Fraction(1, 4)),
-        ledger_slice(led, "template-iii", alpha="0.5", k=1).params
-        == (Fraction(5), Fraction(1, 50), Fraction(1, 100), Fraction(1, 2)),
-        ledger_slice(led_h, "template-iv", eps_prime="0.1").params
-        == (Fraction(10), Fraction(1, 10), Fraction(2, 25), Fraction(1, 2)),
-    ]
-    _report(6, "ledger closed forms exact as rational arithmetic", all(checks),
-            f"{sum(checks)}/8 forms")
 
 
 def test_criterion_07_typical_elements():

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transversal
+from transversal import embed
 from transversal.cli import _load_instance, instance_digest, main
 from transversal.core import (
     GraphCollection,
@@ -97,11 +98,11 @@ def test_embed_feasible_and_verify_round_trip(workdir):
     rep = json.loads((workdir / "rep.json").read_text())
     assert rep["verified"] is True
     assert rep["outcome"]["status"] == "success"
-    # the templates' numbers: half the complete host's density, the plan's
-    # eps and the least of the two parts' sizes; the report carries quasi's
-    # stats as they are
+    # the templates' numbers: half the complete host's density, quasi's eps
+    # (embed.EPS) and the least of the two parts' sizes; the report carries
+    # quasi's stats as they are
     assert rep["stats"]["template"] == {"d": "1/2", "eps": "1/20", "m": "6"}
-    assert sorted(rep["stats"]) == ["blowup", "path", "template"]
+    assert sorted(rep["stats"]) == ["attempts", "blowup", "path", "template"]
     # re-running verify on the report's embedding reproduces the stamp
     assert main([
         "verify", "--instance", "inst.json", "--pattern", "h.json",
@@ -278,6 +279,19 @@ def test_bench_runs_every_construction_and_pipeline(workdir):
     # a failed blow-up run reports its whole budget of attempts, no more
     assert [r["attempts"] for r in rows[:4]] == ["1", "1", "5", "3"]
     assert (rows[3]["stage"], rows[3]["reason"]) == ("blowup", "EmbeddingFailed")
+
+
+def test_bench_quasi_rows_report_the_draws_made(workdir):
+    # a quasi row's attempts column is the number of V_i draws that
+    # quasi_embed made (its stats["attempts"]); seed 0's one draw took 13
+    # one-shot passes, which the column does not count
+    spec = {"kind": "random", "n": 12, "n_colours": 6, "density": 0.15}
+    write_json(workdir / "suite.json", {"runs": [
+        {"construction": spec, "pipeline": "quasi", "pattern": MATCHING_12, "seeds": [0, 3, 8]}]})
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
+    rows = list(csv.DictReader(open(workdir / "b.csv")))
+    assert [(r["seed"], r["success"], r["attempts"], r["path"]) for r in rows] == [
+        ("0", "1", "1", "one-shot"), ("3", "1", "5", "one-shot"), ("8", "1", "3", "one-shot")]
 
 
 def test_bench_blowup_honours_the_pattern_target_sets(workdir):
@@ -489,18 +503,13 @@ def test_a_retry_count_in_params_that_is_not_a_count_is_a_usage_error(workdir, p
     assert "Traceback" not in proc.stderr and "must be an integer" in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("params", ['{"eps": NaN}', '{"eps": Infinity}'])
-def test_a_non_finite_eps_in_params_is_a_usage_error(workdir, capsys, params):
-    # json reads NaN and Infinity; the plan refuses them before any quasi run
-    assert main([
-        "generate", "--construction", "random", "--n", "6", "--colours", "3",
-        "--density", "1.0", "--seed", "1", "--out", "inst.json",
-    ]) == 0
-    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
-    (workdir / "p.json").write_text(params)
+@pytest.mark.parametrize("params", ['{"mu": NaN}', '{"blowup_reserve": Infinity}'])
+def test_a_non_finite_float_in_params_is_a_usage_error(workdir, capsys, params):
+    # json reads NaN and Infinity; LemmaPlan, whose float fields these are,
+    # refuses them before a bench blowup run starts
+    _blowup_suite(workdir, params)
     capsys.readouterr()
-    assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
-                 "--pattern", "h.json", "--params", "p.json"]) == 2
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
     assert "finite" in capsys.readouterr().err
 
 
@@ -533,37 +542,26 @@ def test_embed_reports_a_pattern_with_target_sets_as_a_failure(workdir, pipeline
 
 
 @pytest.mark.parametrize("params, message", [
-    ('{"lambda1": NaN}', "lambda1 must be a finite number, not nan"),
-    ('{"eps": NaN}', "eps must be a finite number, not nan"),
+    ('{"blowup_reserve": NaN}', "blowup_reserve must be a finite number, not nan"),
+    ('{"mu": NaN}', "mu must be a finite number, not nan"),
     ('{"mu": Infinity}', "mu must be a finite number, not inf"),
     ('{"blowup_reserve": -Infinity}', "blowup_reserve must be a finite number, not -inf"),
-    ('{"eps": "0.05"}', "eps must be a finite number, not '0.05'"),
-    ('{"eps": true}', "eps must be a finite number, not True"),
+    ('{"mu": "0.1"}', "mu must be a finite number, not '0.1'"),
+    ('{"blowup_reserve": true}', "blowup_reserve must be a finite number, not True"),
     ('{"mu": 2.0}', r"mu must lie in \(0,1\]"),
     ('{"mu": 0.0}', r"mu must lie in \(0,1\]"),
 ])
 def test_a_plan_value_no_pipeline_can_run_is_refused(workdir, capsys, params, message):
     # a nan fails every comparison, so it would switch off any check that
-    # reads it: eps = nan used to raise inside the first attempt, a string
-    # to raise TypeError from the first arithmetic on it, mu = 2 to raise
-    # from the separator search and mu = 0 to be replaced by 1.  A LemmaPlan
-    # value is refused by a bench blowup run, which takes that plan
-    lemma = _lemma_only(params)
+    # reads it, a string would raise TypeError from the first arithmetic on
+    # it, mu = 2 would raise from the separator search and mu = 0 would be
+    # replaced by 1.  The plan refuses each, and so does a bench blowup run,
+    # which builds it
     with pytest.raises(ValueError, match=f"^{message}$"):
-        (LemmaPlan if lemma else SplitPlan)(**json.loads(params))
-    assert main([
-        "generate", "--construction", "random", "--n", "6", "--colours", "3",
-        "--density", "1.0", "--seed", "1", "--out", "inst.json",
-    ]) == 0
-    write_json(workdir / "h.json", pattern_to_json(PatternGraph(6, [(0, 1), (2, 3), (4, 5)])))
-    (workdir / "p.json").write_text(params)
+        LemmaPlan(**json.loads(params))
+    _blowup_suite(workdir, params)
     capsys.readouterr()
-    if lemma:
-        _blowup_suite(workdir, params)
-        assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
-    else:
-        assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
-                     "--pattern", "h.json", "--params", "p.json"]) == 2
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
     assert message.replace("\\", "") in capsys.readouterr().err
 
 
@@ -610,7 +608,7 @@ def test_a_bench_run_builds_the_plan_of_its_pipeline(workdir, capsys, monkeypatc
     _blowup_suite(workdir, '{"mu": 0.5, "blowup_restarts": 2}')
     assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
     assert plans == [LemmaPlan(mu=0.5, blowup_restarts=2)]
-    _blowup_suite(workdir, '{"eps": 0.05}')
+    _blowup_suite(workdir, '{"retries": 3}')
     capsys.readouterr()
     assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 2
     assert "bad LemmaPlan parameters" in capsys.readouterr().err
@@ -633,6 +631,29 @@ def test_a_deleted_plan_field_is_a_usage_error(workdir, capsys):
         capsys.readouterr()
         assert main(["embed", "--pipeline", "quasi", "--instance", "inst.json",
                      "--pattern", "h.json", "--params", "p.json"]) == 2
+        assert f"unexpected keyword argument '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["eps", "lambda1", "lambda3", "p_abs", "p_col"])
+def test_a_plan_field_made_a_constant_is_refused_by_name(workdir, capsys, field):
+    # quasi's eps, the absorber's lambda1 and lambda3 and the split shares
+    # p_abs and p_col are module constants of embed (EPS, LAMBDA1, ...):
+    # neither plan takes them, even at the constant's own value, and embed
+    # and a bench blowup run refuse them as an unknown field
+    params = {field: getattr(embed, field.upper())}
+    for plan in (SplitPlan, LemmaPlan):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            plan(**params)
+    write_json(workdir / "inst.json",
+               {"n": 4, "colours": [0, 1], "edges": {"0": [[0, 1]], "1": [[2, 3]]}})
+    write_json(workdir / "h.json", pattern_to_json(PatternGraph(4, [(0, 1), (2, 3)])))
+    write_json(workdir / "p.json", params)
+    _blowup_suite(workdir, json.dumps(params))
+    for argv in (["embed", "--pipeline", "quasi", "--instance", "inst.json",
+                  "--pattern", "h.json", "--params", "p.json"],
+                 ["bench", "--suite", "suite.json", "--out", "b.csv"]):
+        capsys.readouterr()
+        assert main(argv) == 2
         assert f"unexpected keyword argument '{field}'" in capsys.readouterr().err
 
 

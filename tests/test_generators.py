@@ -8,7 +8,6 @@ import pytest
 from transversal import generators
 from transversal.core import GraphCollection, SeparabilityCertificate, SimpleGraph
 from transversal.generators import (
-    AHARONI_TRIANGLE_CONSTANT,
     GenSpec,
     cyclic_triangle_collection,
     mantel_extremal,
@@ -305,8 +304,3 @@ def test_mantel_extremal_counts():
         gc = mantel_extremal(n)
         assert gc.edge_count(0) == n * n // 4
         assert monochromatic_triangle_count(gc) == 0
-
-
-def test_aharoni_constant_value():
-    assert abs(AHARONI_TRIANGLE_CONSTANT - 0.2557) < 5e-4
-    assert AHARONI_TRIANGLE_CONSTANT > 0.25

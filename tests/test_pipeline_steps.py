@@ -19,7 +19,6 @@ from transversal.core import PatternGraph
 from transversal.embed import (
     ABSORBER_UNVERIFIABLE,
     CANDIDATE_EXHAUSTED,
-    LemmaPlan,
     SplitPlan,
     UnverifiedOutput,
     lemma_blowup,
@@ -30,7 +29,6 @@ from transversal.generators import GenSpec, random_collection
 from test_embed import lemma_quasi_blowup
 
 PLAN = SplitPlan()
-LEMMA_PLAN = LemmaPlan()
 CYCLE = PatternGraph(120, [(i, (i + 1) % 120) for i in range(120)])
 
 
@@ -135,7 +133,7 @@ def test_split_fails_when_col_cannot_get_a_component_per_class():
     class_of_comp = [dict.fromkeys(keys, 1) for _ in range(4)]
     assert not embed._split_decided(range(4), class_of_comp, keys)
     rng = _Draws([0.0, 0.0, 0.0, 0.99])
-    assert embed._split_components(range(4), class_of_comp, LEMMA_PLAN, rng, keys) is None
+    assert embed._split_components(range(4), class_of_comp, rng, keys) is None
 
 
 def test_step0_fails_typed_when_a_separator_vertex_has_no_target(attempt_args):

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from transversal.core import (
     _COINS_NUMPY_MIN,
@@ -21,11 +19,8 @@ from transversal.regularity import (
     DensitySpec,
     EmptyPart,
     PromiseViolated,
-    RuleInapplicable,
     density,
     irregularity_witness,
-    ledger_slice,
-    make_ledger,
     partition_collection,
     sparsify_to_superregular,
     typical_elements,
@@ -272,76 +267,6 @@ def test_typical_elements_complete_and_planted():
     gc2 = GraphCollection(10, 4, {c: edges2 for c in range(4)})
     te2 = typical_elements(gc2, range(5), range(5, 10), DensitySpec(d=0.5, epsilon=0.2))
     assert 0 in te2.atypical_vertices[0]
-
-
-# ---------------------------------------------------------------------------
-# ledger
-
-
-def test_ledger_closed_forms_exact():
-    led = make_ledger(10, "0.01", "0.4", "0.5", mode="super")
-    assert ledger_slice(led, "proportional-slice", alpha="0.5").params[1:3] == (
-        Fraction(1, 50),
-        Fraction(1, 5),
-    )
-    l2 = ledger_slice(led, "near-spanning-slice", alpha="0.1")
-    assert (l2.eps, l2.d, l2.mode) == (Fraction(1, 50), Fraction(1, 5), "super")
-    l3 = ledger_slice(led, "random-slice", alpha="0.5")
-    assert (l3.eps, l3.d) == (Fraction(1, 50), Fraction(1, 100))
-    lh = make_ledger(10, "0.01", "0.4", "0.5", mode="half-super")
-    l4 = ledger_slice(lh, "sparsify", eps_prime="0.05")
-    assert (l4.eps, l4.d, l4.mode) == (Fraction(1, 20), Fraction(2, 25), "super")
-
-
-def test_ledger_template_cases_exact():
-    led = make_ledger(8, "0.02", "0.4", "0.5", mode="super")
-    t1 = ledger_slice(led, "template-i", alpha="0.5", k=1)
-    assert t1.params == (Fraction(4), Fraction(1, 25), Fraction(1, 5), Fraction(1, 2))
-    t2 = ledger_slice(led, "template-ii")
-    assert t2.params == (Fraction(4), Fraction(1, 25), Fraction(1, 5), Fraction(1, 4))
-    assert t2.mode == "super"
-    t3 = ledger_slice(led, "template-iii", alpha="0.5", k=2)
-    assert t3.params == (Fraction(4), Fraction(1, 25), Fraction(1, 100), Fraction(1, 4))
-    lh = make_ledger(8, "0.02", "0.4", "0.5", mode="half-super")
-    t4 = ledger_slice(lh, "template-iv", eps_prime="0.1")
-    assert t4.params == (Fraction(8), Fraction(1, 10), Fraction(2, 25), Fraction(1, 2))
-
-
-def test_ledger_mode_guards():
-    led = make_ledger(10, "0.01", "0.4", "0.5", mode="regular")
-    for rule in ("near-spanning-slice", "random-slice", "sparsify", "template-iii", "template-iv"):
-        with pytest.raises(RuleInapplicable):
-            ledger_slice(led, rule, alpha="0.5", eps_prime="0.1")
-
-
-def test_ledger_refuses_an_unknown_rule():
-    led = make_ledger(10, "0.01", "0.4", "0.5", mode="super")
-    with pytest.raises(RuleInapplicable, match="unknown rule 'template-v'"):
-        ledger_slice(led, "template-v", alpha="0.5")
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    steps=st.lists(
-        st.sampled_from(["proportional-slice", "near-spanning-slice", "template-ii", "template-i"]),
-        max_size=5,
-    ),
-)
-def test_ledger_replay_matches(steps):
-    led = make_ledger(16, "0.01", "0.5", "0.5", mode="super")
-    for rule in steps:
-        try:
-            led = ledger_slice(led, rule, alpha="0.5", k=2)
-        except RuleInapplicable:
-            pass
-    # the lineage records enough to rebuild the ledger from its initial values
-    m, eps, d, delta, mode = led.initial
-    replay = make_ledger(m, eps, d, delta, mode=mode)
-    for entry in led.lineage:
-        alpha, k, eps_prime = entry.args
-        replay = ledger_slice(replay, entry.rule, alpha=alpha, k=k, eps_prime=eps_prime)
-        assert replay.params == entry.params and replay.mode == entry.mode
-    assert replay == led
 
 
 # ---------------------------------------------------------------------------
