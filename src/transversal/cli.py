@@ -29,6 +29,7 @@ from .core import (
     GraphCollection,
     SimpleGraph,
     ThreeGraph,
+    TransversalEmbedding,
     collection_from_json,
     collection_to_json,
     embedding_from_json,
@@ -46,20 +47,19 @@ from .regularity import DensitySpec, partition_collection
 
 
 def _digest(obj) -> str:
-    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)  # a str is its own text
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def instance_digest(inst: GraphCollection | ThreeGraph) -> str:
     """Digest of the validated instance, not of its file: equal instances get
     equal digests whatever the order, repeats and vertex order of the rows.
-    A 3-graph's masks go in hex (linear time, and no digit limit on hosts of
-    tens of thousands of vertices) into the JSON text of ``[n, parts, keys,
-    masks]``, joined by hand: an int list prints as its JSON."""
+    A 3-graph's hashes its table (``ThreeGraph.table``) as it is stored: the
+    JSON text of ``[n, parts, pairs, words per pair]``, then the pair keys
+    as little-endian int64 and the rows' words as little-endian uint64."""
     if isinstance(inst, ThreeGraph):
-        table = inst.pair_masks().mapping
-        masks = '["' + '", "'.join(map(hex, table.values())) + '"]' if table else "[]"
-        return _digest(f"[{inst.n}, {json.dumps(inst.parts)}, {list(table)}, {masks}]")
+        keys, words = inst.table
+        head = json.dumps([inst.n, inst.parts, *words.shape]).encode()
+        return hashlib.sha256(head + keys.tobytes() + words.tobytes()).hexdigest()[:16]
     return _digest(collection_to_json(inst))
 
 
@@ -234,7 +234,6 @@ def cmd_embed(args) -> int:
             if out.ok
             else _failure_outcome(out.failure)
         )
-        stats = out.stats
     else:  # "expand", the last of the parser's choices
         if not isinstance(inst, ThreeGraph):
             print("expand needs a 3-graph instance", file=sys.stderr)
@@ -242,16 +241,12 @@ def cmd_embed(args) -> int:
         out = expand_embed_3graph(inst, pattern, plan, seed=args.seed)
         verified = bool(out.ok and verify_expansion(
             inst, pattern, out.vertex_images, out.edge_images).ok)
-        outcome = (
-            {
-                "status": "success",
-                "vertex_images": {str(k): v for k, v in out.vertex_images.items()},
-                "edge_images": {f"{u},{v}": c for (u, v), c in out.edge_images.items()},
-            }
-            if out.ok
-            else _failure_outcome(out.failure)
-        )
-        stats = out.stats
+        if out.ok:  # the images in the JSON shape of tau and sigma, as verify reads them
+            images = embedding_to_json(TransversalEmbedding(out.vertex_images, out.edge_images))
+            outcome = {"status": "success", "vertex_images": images["tau"],
+                       "edge_images": images["sigma"]}
+        else:
+            outcome = _failure_outcome(out.failure)
     report = {
         "command": "embed",
         "pipeline": args.pipeline,
@@ -262,7 +257,7 @@ def cmd_embed(args) -> int:
         "timings": {"wall_ms": round((time.monotonic() - t0) * 1000, 1)},
         "outcome": outcome,
         "verified": verified,
-        "stats": stats,
+        "stats": out.stats,
     }
     _dump(report, args.out)
     return 0 if outcome["status"] == "success" else 1
@@ -300,18 +295,27 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    if not isinstance(inst, GraphCollection):
-        print("verify needs a collection instance", file=sys.stderr)
-        return 2
     pattern = pattern_from_json(_load(args.pattern))
-    emb_doc = _load(args.embedding)
-    if isinstance(outcome := emb_doc.get("outcome"), dict):  # a full embed report
-        if "embedding" not in outcome:
-            raise ValueError(f"{args.embedding}: the report holds no embedding "
+    doc = _load(args.embedding)
+    outcome = doc.get("outcome")  # a dict in a full report
+    expand = isinstance(inst, ThreeGraph)  # which takes an embed --pipeline expand report
+    if expand and not isinstance(outcome, dict):
+        print("verify needs a collection instance, or a 3-graph instance and an "
+              "embed --pipeline expand report", file=sys.stderr)
+        return 2
+    if isinstance(outcome, dict):
+        if ("vertex_images" if expand else "embedding") not in outcome:
+            raise ValueError(f"{args.embedding}: the report holds no "
+                             f"{'expansion' if expand else 'embedding'} "
                              f"(status {outcome.get('status')!r})")
-        emb_doc = outcome["embedding"]
-    emb = embedding_from_json(emb_doc)
-    rep = verify_transversal_embedding(inst, pattern, emb)
+        # an expansion's images have the JSON shape of tau and sigma
+        doc = ({"tau": outcome["vertex_images"], "sigma": outcome["edge_images"]}
+               if expand else outcome["embedding"])
+    emb = embedding_from_json(doc)
+    if expand:
+        rep = verify_expansion(inst, pattern, emb.tau, emb.sigma)
+    else:
+        rep = verify_transversal_embedding(inst, pattern, emb)
     report = {
         "command": "verify",
         "instance_digest": instance_digest(inst),
@@ -444,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--out")
     o.set_defaults(fn=cmd_oracle)
 
-    v = sub.add_parser("verify", help="verify an embedding against an instance")
+    v = sub.add_parser("verify", help="verify an embedding or an expand report against an instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--pattern", required=True)
     v.add_argument("--embedding", required=True)

@@ -22,7 +22,7 @@ import random
 import threading
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -404,22 +404,23 @@ class GraphCollection:
 class ThreeGraph:
     """3-uniform hypergraph on dense vertices, optionally k-partitioned.
 
-    Stored as a pair-mask table: for each pair u < v that lies in an edge,
-    ``_pairs[u * n + v]`` is the bitmask of the third vertices w with uvw an
-    edge.  The footprint is O(e), and the link graph of a vertex on a vertex
-    set is one mask per vertex (:meth:`link_collection`).  ``edges``, the
-    frozenset of sorted triples, is built from the table on first use.
+    Stored as one read-only packed pair table, ``table = (keys, words)``:
+    the sorted int64 keys ``u * n + v`` of the pairs u < v in some edge, and
+    per pair a row of little-endian uint64 words, bit w set when uvw is an
+    edge, as wide as the largest vertex of an edge needs (so equal edge sets
+    give equal tables).  Every view reads it; nothing else is stored.
 
-    The rows (an iterable, or an integer ``k x 3`` array) are checked with
-    numpy in chunks of ``_CHUNK_ROWS``; a bad row raises ``ValueError``
-    naming the first bad row in input order.  With ``n**3`` below
-    ``_TABLE_CELLS`` and at least ``n**3 / _TABLE_FILL`` rows (or rows of
-    unknown count), the chunks' incidences are scattered into one bool
-    table that is packed into the masks at the end; otherwise each chunk's
-    are sorted and grouped into mask words, in O(e) memory.
+    The rows (an iterable, an integer ``k x 3`` array or a file's
+    ``_ParsedRows``) are checked with numpy in chunks of ``_CHUNK_ROWS``; a
+    bad row raises ``ValueError`` naming the first bad row in input order,
+    a pair key past int64 (only above 3 * 10**9 vertices) included.  With
+    ``n**3`` below ``_TABLE_CELLS`` and at least ``n**3 / _TABLE_FILL`` rows
+    (or rows of unknown count), the incidences are scattered into one bool
+    table packed into the words at the end; otherwise they are kept and
+    ORed into the words at the end.
     """
 
-    __slots__ = ("n", "e", "parts", "_pairs", "_edges")
+    __slots__ = ("n", "e", "parts", "table")
 
     def __init__(
         self,
@@ -427,15 +428,17 @@ class ThreeGraph:
         edges: Iterable[Sequence[int]],
         parts: Sequence[Iterable[int]] | None = None,
     ):
-        pairs: dict[int, int] = {}
-        get = pairs.get
-        width = (n + 63) & ~63  # the table's rows pack into whole words
+        width = (n + 63) & ~63  # the bool table's rows pack into whole words
         # an iterator's row count is unknown, so it is not taken for sparse
         sparse = hasattr(edges, "__len__") and len(edges) * _TABLE_FILL < n**3
         table = np.zeros(n * n * width, bool) if 0 < n**3 < _TABLE_CELLS and not sparse else None
-        # bounded chunks keep the numpy temporaries small; rebuilding a mask
-        # bit is idempotent, so chunks need no dedup between them
-        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (3,):
+        pairs, thirds = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # the sort route's
+        top = -1  # the largest vertex of an edge
+        # bounded chunks keep the numpy temporaries small; setting a bit
+        # twice is idempotent, so chunks need no dedup between them
+        if isinstance(edges, _ParsedRows):
+            chunks = iter(edges)
+        elif isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (3,):
             chunks = (edges[s : s + _CHUNK_ROWS] for s in range(0, len(edges), _CHUNK_ROWS))
         else:  # any other array is read as its rows of Python scalars, like a list
             rows = iter(edges.tolist() if isinstance(edges, np.ndarray) else edges)
@@ -450,99 +453,117 @@ class ThreeGraph:
             x, y, z = t.T
             lo, hi = np.minimum(x, y), np.maximum(x, y)
             a, b, c = np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
-            if not ((0 <= a) & (a < b) & (b < c) & (c < n)).all():
+            top = max(top, int(c.max()))
+            # in range, no two equal and no pair key (b * n + c the largest) past int64
+            if not (a.min() >= 0 and top < n and ((a < b) & (b < c)).all() and (
+                    n * n <= _KEY_MAX or (b <= (_KEY_MAX - c) // min(n, _KEY_MAX)).all())):
                 # as Python ints, the rows read as they did in the file
                 raise _first_bad_row((chunk if arr else t).tolist(), n)
             if table is None:
-                for key, word, bits in zip(*_pair_words(a, b, c, n)):
-                    pairs[key] = get(key, 0) | bits << (word << 6)
+                for kept, new in zip((pairs, thirds), _chunk_incidences(a, b, c, n)):
+                    kept.append(new)
             else:  # cell (pair uv, third w) of each of the edge's three incidences
                 for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
                     table[(u * n + v) * width + w] = True
         self.n = n
-        if table is None:
-            # each edge abc is counted once, in the mask of ab, as the bit c above b
-            self.e = sum((m >> key % n >> 1).bit_count() for key, m in pairs.items())
-            pairs = dict(sorted(pairs.items()))  # in key order, as the table route's
+        if table is None:  # OR each incidence's bit into its pair's row
+            keys, row = np.unique(np.concatenate(pairs), return_inverse=True)
+            thirds = np.concatenate(thirds)
+            words = np.zeros((len(keys), (top >> 6) + 1), "<u8")
+            np.bitwise_or.at(words, (row.ravel(), thirds >> 6),
+                             np.left_shift(np.uint64(1), (thirds & 63).astype(np.uint64)))
+            self.e = int(_word_bits(words)[2].sum()) // 3
         else:
             self.e = int(np.count_nonzero(table)) // 3
-            rows = np.packbits(table.reshape(n * n, width), axis=1, bitorder="little").view("<u8")
-            del table  # freed before the masks are built
-            keys = np.flatnonzero(rows.any(axis=1))
-            pairs = dict(zip(keys.tolist(), masks_of_words(rows[keys])))
-        self._pairs = pairs
-        self._edges = None
-        if parts is not None:
-            pt = tuple(tuple(sorted(p)) for p in parts)
-            labels = [x for p in pt for x in p]
-            if len(set(labels)) != len(labels):
-                raise ValueError("parts must be pairwise disjoint")
-            if set(labels) != set(range(n)):
-                raise ValueError("partition labels must cover all vertices exactly")
-            self.parts = pt
-        else:
-            self.parts = None
+            words = np.packbits(table.reshape(n * n, width), axis=1, bitorder="little").view("<u8")
+            del table  # freed before the rows are gathered
+            # row u * n + v is pair uv's; ORing the columns beats words.any(axis=1)
+            keys = np.flatnonzero(functools.reduce(np.bitwise_or, words.T))
+            words = np.ascontiguousarray(words.take(keys, axis=0)[:, : (top >> 6) + 1])
+        self.table = keys, words = keys.astype("<i8", copy=False), words
+        keys.flags.writeable = words.flags.writeable = False
+        self.parts = None if parts is None else tuple(tuple(sorted(p)) for p in parts)
+        labels = [x for p in self.parts or () for x in p]
+        if len(set(labels)) != len(labels):
+            raise ValueError("parts must be pairwise disjoint")
+        if self.parts is not None and set(labels) != set(range(n)):
+            raise ValueError("partition labels must cover all vertices exactly")
 
     @property
     def edges(self) -> frozenset[tuple[int, int, int]]:
-        """The 3-edges as sorted triples."""
-        if self._edges is None:
-            triples = []
-            for key, m in self._pairs.items():
-                a, b = divmod(key, self.n)
-                # the third vertices above b, so each triple comes once
-                triples.extend((a, b, c) for c in bits_of(m >> b << b))
-            self._edges = frozenset(triples)
-        return self._edges
+        """The 3-edges as sorted triples, built from the table on each use."""
+        keys, words = self.table
+        r, j, bits = _word_bits(words)
+        i, b = np.nonzero(bits)
+        u, v = np.divmod(keys[r[i]], self.n)
+        w = 64 * j[i] + b
+        above = w > v  # the third vertex above the pair, so each triple comes once
+        return frozenset(zip(u[above].tolist(), v[above].tolist(), w[above].tolist()))
 
-    def pair_masks(self) -> ItemsView[int, int]:
-        """The table's ``(u * n + v, mask)`` items in key order (both build
-        routes keep it), a canonical form of the edge set: a read-only view,
-        whose ``mapping`` reads the keys and masks without pairing them."""
-        return self._pairs.items()
+    def pair_masks(self) -> list[tuple[int, int]]:
+        """The table as ``(u * n + v, mask)`` pairs of Python ints in key
+        order, the mask's bit w set when uvw is an edge."""
+        keys, words = self.table
+        return [(key, int.from_bytes(row, "little")) for key, row in zip(keys.tolist(), words)]
 
     def degrees(self) -> list[int]:
-        """Every vertex's degree, in one pass over the pair masks."""
-        twice = [0] * self.n
-        for key, m in self._pairs.items():
-            u, v = divmod(key, self.n)
-            # each edge uvw is seen twice at v, in the masks of uv and of vw
-            twice[u] += m.bit_count()
-            twice[v] += m.bit_count()
-        return [d // 2 for d in twice]
+        """Every vertex's degree, from the popcounts of the table's rows."""
+        keys, words = self.table
+        r, _, bits = _word_bits(words)
+        counts = np.bincount(r, bits.sum(axis=1), len(keys))
+        # each edge is seen twice at each of its vertices, in two of its three pairs
+        twice = np.bincount(np.concatenate(np.divmod(keys, self.n)), np.tile(counts, 2), self.n)
+        return (twice.astype(np.int64) // 2).tolist()
 
     def has(self, a: int, b: int, c: int) -> bool:
         """True when abc is a 3-edge; False for repeated or out-of-range vertices."""
         a, b, c = sorted((a, b, c))
-        return 0 <= a and c < self.n and bool(self._pairs.get(a * self.n + b, 0) >> c & 1)
+        if not 0 <= a < b < c < self.n or (key := a * self.n + b) > _KEY_MAX:
+            return False
+        keys, words = self.table
+        i = int(keys.searchsorted(key))
+        return (i < len(keys) and keys.item(i) == key and c >> 6 < words.shape[1]
+                and bool(words.item(i, c >> 6) >> (c & 63) & 1))
 
     def link_collection(self, v_side: Sequence[int], c_side: Sequence[int]) -> GraphCollection:
         """Collection whose colour j is the link graph of vertex ``c_side[j]``
         restricted to ``v_side``, reindexed: ij is an edge of colour j iff
         ``{v_side[i], v_side[j'], c_side[j]}`` is a 3-edge.  The sides are
         disjoint lists of distinct vertices of this 3-graph."""
-        n, get, k = self.n, self._pairs.get, len(v_side)
-        nb, kb = (n + 7) // 8, (k + 7) // 8
-        kw = (k + 63) // 64  # words per link row
-        keys = [u * n + c if u < c else c * n + u for c in c_side for u in v_side]
-        cols = np.array(v_side, dtype=np.intp)
-        flat = []  # the rows of every colour, end to end
-        # each pair mask unpacks to n bytes, so a chunk holds _CHUNK_BYTES / n masks
-        step = max(1, _CHUNK_BYTES // (8 * nb))
-        for s in range(0, len(keys), step):
-            raw = b"".join(get(key, 0).to_bytes(nb, "little") for key in keys[s : s + step])
-            masks = np.frombuffer(raw, np.uint8).reshape(-1, nb)
-            bits = np.unpackbits(masks, axis=1, bitorder="little")
-            words = np.zeros((len(masks), 8 * kw), np.uint8)
-            words[:, :kb] = np.packbits(bits[:, cols], axis=1, bitorder="little")
-            flat += masks_of_words(words.view("<u8"))
+        (keys, words), n, k = self.table, self.n, len(v_side)
+        if not (len(keys) and k and len(c_side)):
+            return GraphCollection.from_rows(k, [[0] * k for _ in c_side])
+        vs = np.array(v_side, np.int64)
+        cs = np.array(c_side, np.int64).reshape(-1, 1)
+        # link row j * k + i is the table row of the pair of c_side[j] and v_side[i]
+        lo, hi = np.minimum(cs, vs).ravel(), np.maximum(cs, vs).ravel()
+        query = lo * n + hi
+        if n * n > _KEY_MAX:  # a key past int64 (which would wrap) is no pair's
+            query[lo > (_KEY_MAX - hi) // n] = -1
+        at = np.minimum(keys.searchsorted(query), len(keys) - 1)
+        absent = keys[at] != query
+        # each vertex-side vertex's word and bit; none above the rows' last word is in an edge
+        width = words.shape[1]
+        col = np.minimum(vs >> 6, width - 1)
+        bit = np.where(vs < 64 * width, np.left_shift(np.uint64(1), (vs & 63).astype(np.uint64)), 0)
+        place = np.left_shift(np.uint64(1), (np.arange(k) & 63).astype(np.uint64))  # in link words
+        blocks = []
+        step = max(1, _CHUNK_BYTES // (8 * (width + k)))  # a chunk's gathered rows and bits
+        for s in range(0, len(query), step):
+            rows = words[at[s : s + step]]
+            rows[absent[s : s + step]] = 0
+            picked = (rows[:, col] & bit) != 0
+            # each 64 vertex-side columns make one word of the link rows
+            blocks.append(np.stack([picked[:, j : j + 64] @ place[j : j + 64]
+                                    for j in range(0, k, 64)], axis=1))
+        flat = masks_of_words(np.concatenate(blocks))  # the link rows of every colour, end to end
         return GraphCollection.from_rows(k, [flat[j * k : j * k + k] for j in range(len(c_side))])
 
     def __eq__(self, other):
         return (
             isinstance(other, ThreeGraph)
             and self.n == other.n
-            and self._pairs == other._pairs
+            and all(map(np.array_equal, self.table, other.table))
         )
 
     def __repr__(self):
@@ -552,7 +573,8 @@ class ThreeGraph:
 _CHUNK_ROWS = 1 << 14  # rows per chunk of the ThreeGraph build
 _TABLE_CELLS = 1 << 22  # a ThreeGraph with n**3 below this is built in a bool table (n <= 161)
 _TABLE_FILL = 1 << 10  # ... unless it has fewer than n**3 / _TABLE_FILL rows, which sort faster
-_CHUNK_BYTES = 1 << 20  # unpacked pair-mask bytes per chunk of a link collection
+_CHUNK_BYTES = 1 << 20  # gathered words per chunk of a link collection
+_KEY_MAX = (1 << 63) - 1  # the largest pair key u * n + v a table holds
 
 
 def _int_rows(chunk: list) -> np.ndarray | None:
@@ -587,43 +609,24 @@ def _triple_error(t: tuple, n: int) -> str | None:
         return f"3-edge {t} has repeated vertices"
     if not all(0 <= x < n for x in t):
         return f"3-edge {t} out of range for n={n}"
+    _, b, c = sorted(t)
+    if c <= _KEY_MAX < b * n + c:  # a vertex past int64 gets the message below
+        return f"3-edge {t} has a pair key {b} * n + {c} past 2**63 - 1 for n={n}"
     return None
 
 
-def _pair_words(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
-    """The pair-mask bits of the sorted triples ``a < b < c``, grouped by
-    (pair, 64-bit word of the third vertex): the lists of pair keys
-    ``u * n + v``, word indices and ORed words, one entry per group.
+def _chunk_incidences(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
+    """The pair keys and third vertices of the three incidences (pair ab
+    and third c, ac and b, bc and a) of each sorted triple a < b < c."""
+    return np.concatenate((a * n + b, a * n + c, b * n + c)), np.concatenate((c, b, a))
 
-    Each triple gives its three (pair uv, third w) incidences the sort key
-    ``(u * base + v) * width + w``, with ``width`` a multiple of 64 so that
-    ``key >> 6`` names the group.  Where that overflows int64 (n above about
-    2**21), u and v stand for their ranks among the chunk's vertices and the
-    word of w for its rank among the chunk's words."""
-    width = (n + 63) & ~63
-    if n * n * width < 1 << 63:
-        ends = words = None
-        base, ra, rb, rc, ta, tb, tc = n, a, b, c, a, b, c
-    else:
-        ends = np.unique(np.concatenate((a, b, c)))
-        words = np.unique(ends >> 6)
-        base, width = len(ends), 64 * len(words)
-        ra, rb, rc = (np.searchsorted(ends, v) for v in (a, b, c))
-        ta, tb, tc = (np.searchsorted(words, v >> 6) << 6 | v & 63 for v in (a, b, c))
-    key = np.concatenate(((ra * base + rb) * width + tc,
-                          (ra * base + rc) * width + tb,
-                          (rb * base + rc) * width + ta))
-    key.sort()
-    group = key >> 6
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    bits = np.left_shift(np.uint64(1), (key & 63).astype(np.uint64))
-    pair, word = np.divmod(group[starts], width >> 6)
-    ored = np.bitwise_or.reduceat(bits, starts).tolist()
-    if ends is None:
-        return pair.tolist(), word.tolist(), ored
-    u, v = np.divmod(pair, base)
-    keys = [x * n + y for x, y in zip(ends[u].tolist(), ends[v].tolist())]
-    return keys, words[word].tolist(), ored
+
+def _word_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row and word indices of the non-zero words of a table of uint64
+    words, and those words' 64 bits each, low bit first: a sparse table
+    unpacks in O(e) bytes, not O(pairs * n)."""
+    r, j = np.nonzero(words)
+    return r, j, np.unpackbits(words[r, j].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -1037,11 +1040,12 @@ def threegraph_from_bytes(raw: bytes) -> ThreeGraph | None:
     """The 3-graph of a file holding ``{"n": N, "edges": [[a, b, c], ...]}``
     and nothing else (either key order, any JSON whitespace, every number a
     non-negative integer of at most ``_MAX_DIGITS`` digits without a leading
-    zero), read into int64 rows in chunks of about ``_CHUNK_ROWS`` rows with
-    no Python lists; None for any other file, which is left to
-    :func:`threegraph_from_json`.  A bad row raises the same ``ValueError``."""
+    zero), its rows parsed chunk by chunk as the build reads them, with no
+    Python lists; None for any other file, which is left to
+    :func:`threegraph_from_json`.  A bad row raises the same ``ValueError``
+    once the rest of the file is known to be one this route takes."""
     digit = (np.frombuffer(raw, np.uint8) - 48) < 10  # other bytes wrap round to 10 or more
-    runs = np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum()
+    runs = int(np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum())
     del digit
     s = raw.translate(None, b" \t\n\r")  # JSON's whitespace
     if s.startswith(b'{"n":'):
@@ -1057,18 +1061,48 @@ def threegraph_from_bytes(raw: bytes) -> ThreeGraph | None:
             and len(num) <= _MAX_DIGITS and (len(num) == 1 or num[0] != 48)
             and not s.endswith(b",", lo, end)):
         return None
-    out = np.empty(((runs - 1) // 3, 3), np.int64)  # a row for each 3 digit runs after n's
-    r = 0
-    while lo < end:  # rows s[lo:end], each "[a,b,c]", then the "]" of "edges"
-        hi = s.find(b"],", lo + 8 * _CHUNK_ROWS, end)  # a row takes at least 8 bytes
-        hi = end + 1 if hi < 0 else hi + 2
-        t = _digit_rows(np.frombuffer(s, np.uint8, hi - lo, lo))
-        if t is None or r + len(t) > len(out):
-            return None
-        out[r : r + len(t)], r, lo = t, r + len(t), hi
-    del s  # the parse's buffers are freed before the build
-    # as many digit runs in the file as numbers read: whitespace joined none
-    return ThreeGraph(int(num), out) if runs == 3 * r + 1 else None
+    rows = _ParsedRows(s, lo, end, runs)
+    try:
+        try:
+            return ThreeGraph(int(num), rows)
+        except ValueError:  # a bad row; a file refused further on is still not ours
+            for _ in rows:  # the whole file again: refused, or the error stands
+                pass
+            raise
+    except _Refused:
+        return None
+
+
+class _Refused(Exception):
+    """The file is not one :func:`threegraph_from_bytes` takes."""
+
+
+class _ParsedRows:
+    """The rows ``s[lo:end]`` of a host file, each ``[a,b,c]``, then the
+    ``]`` of ``edges``: its length is the row count, one row for each 3 of
+    the file's ``runs`` digit runs after n's, and each iteration parses them
+    into int64 arrays of about ``_CHUNK_ROWS`` rows as it goes; it raises
+    ``_Refused`` at the first chunk that is not such rows, or after the last
+    when a digit run was more than one number: whitespace joined two."""
+
+    def __init__(self, s: bytes, lo: int, end: int, runs: int):
+        self.s, self.lo, self.end, self.runs = s, lo, end, runs
+
+    def __len__(self):
+        return (self.runs - 1) // 3
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        s, lo, read = self.s, self.lo, 1  # numbers read, n's first
+        while lo < self.end:
+            hi = s.find(b"],", lo + 8 * _CHUNK_ROWS, self.end)  # a row takes at least 8 bytes
+            hi = self.end + 1 if hi < 0 else hi + 2
+            t = _digit_rows(np.frombuffer(s, np.uint8, hi - lo, lo))
+            if t is None:
+                raise _Refused
+            read, lo = read + t.size, hi
+            yield t
+        if read != self.runs:
+            raise _Refused
 
 
 def _digit_rows(buf: np.ndarray) -> np.ndarray | None:

@@ -2066,7 +2066,8 @@ def quasi_embed(
     ``stats["path"]`` names its path, ``one-shot`` or ``empty``; a
     ``one-shot`` success also carries ``stats["attempts"]``, the V_i draws
     made, its blow-up's stats under ``stats["blowup"]`` and
-    ``stats["template"]``, the d, eps and m as exact-fraction strings.  A
+    ``stats["template"]``, the d, eps and m as exact-fraction strings; a
+    failure after the draws carries ``stats["attempts"]``, the budget.  A
     pattern with target sets (``H.targets``) fails PreconditionViolated
     before any draw: no step honours them.  So does a colour with no edge,
     which the diagnostics name: |C| = e(H), so the copy uses every colour.
@@ -2094,7 +2095,7 @@ def quasi_embed(
     run, attempts = _retry(seed, 97, plan.retries, Failure("quasi", EMBEDDING_FAILED, seed),
                            _steps(_QUASI_STEPS, setup=setup, gc=gc, H=H, plan=plan))
     if isinstance(run, Failure):
-        return EmbedOutcome(None, run, None)
+        return EmbedOutcome(None, run, None, {"attempts": attempts})
     return EmbedOutcome.success(gc, H, run.tau, run.sigma,
                                 stats={**run.stats, "attempts": attempts})
 

@@ -294,6 +294,20 @@ def test_bench_quasi_rows_report_the_draws_made(workdir):
         ("0", "1", "1", "one-shot"), ("3", "1", "5", "one-shot"), ("8", "1", "3", "one-shot")]
 
 
+def test_bench_failed_quasi_rows_report_the_whole_budget(workdir):
+    # at density 0.05 every V_i draw fails; a failed row reads the draws
+    # made, the plan's whole budget, as a failed blowup row reads its own
+    spec = {"kind": "random", "n": 12, "n_colours": 6, "density": 0.05}
+    write_json(workdir / "suite.json", {"runs": [
+        {"construction": spec, "pipeline": "quasi", "pattern": MATCHING_12,
+         "seeds": [0, 1, 2, 3]}]})
+    assert main(["bench", "--suite", "suite.json", "--out", "b.csv"]) == 0
+    rows = list(csv.DictReader(open(workdir / "b.csv")))
+    budget = str(SplitPlan().retries)
+    assert [(r["success"], r["stage"], r["reason"], r["attempts"], r["path"]) for r in rows] == [
+        ("0", "one-shot", "MatchingTooSmall", budget, "")] * 4
+
+
 def test_bench_blowup_honours_the_pattern_target_sets(workdir):
     # vertex 0 lies in cluster 0 (hosts 0-5) and may only go to host 11
     targets = {"free": None, "outside-its-cluster": {0: [11]}}
@@ -721,6 +735,94 @@ def test_expand_report_rechecks_the_triples(workdir, monkeypatch):
 
 
 
+def _expand_hosts():
+    """Seeded random 3-graph hosts and patterns for the expand round trip:
+    a cycle, a path with isolated vertices (padding and left-over isolates)
+    and an edgeless pattern."""
+    for n, density, pattern in (
+            (12, 0.7, PatternGraph(3, [(0, 1), (1, 2), (0, 2)])),
+            (20, 0.6, PatternGraph(6, [(i, (i + 1) % 6) for i in range(6)])),
+            (30, 0.6, PatternGraph(9, [(0, 1), (1, 2), (2, 3)])),
+            (16, 0.5, PatternGraph(3, []))):
+        rng = random.Random(n)
+        yield ({"n": n, "edges": [list(t) for t in combinations(range(n), 3)
+                                  if rng.random() < density]}, pattern)
+
+
+def test_verify_checks_every_expand_success(workdir):
+    verify = ["verify", "--instance", "g.json", "--pattern", "h.json", "--embedding", "rep.json",
+              "--out", "v.json"]
+    successes = broken = 0
+    for host, pattern in _expand_hosts():
+        write_json(workdir / "g.json", host)
+        write_json(workdir / "h.json", pattern_to_json(pattern))
+        for seed in range(5):
+            if main(["embed", "--pipeline", "expand", "--instance", "g.json", "--pattern",
+                     "h.json", "--seed", str(seed), "--out", "rep.json"]) != 0:
+                continue
+            successes += 1
+            report = json.loads((workdir / "rep.json").read_text())
+            assert main(verify) == 0
+            checked = json.loads((workdir / "v.json").read_text())
+            assert (checked["ok"], checked["violations"]) == (True, [])
+            assert checked["instance_digest"] == report["instance_digest"]
+            edges = report["outcome"]["edge_images"]
+            if not edges:
+                continue
+            # one edge image moved onto a vertex image: the map is not injective
+            edges[min(edges)] = report["outcome"]["vertex_images"]["0"]
+            write_json(workdir / "rep.json", report)
+            assert main(verify) == 1
+            assert json.loads((workdir / "v.json").read_text())["ok"] is False
+            broken += 1
+    assert successes >= 10 and broken >= 8, (successes, broken)
+
+
+def test_verify_pairs_each_instance_type_with_its_report(workdir, capsys):
+    # an expand report against a collection, and a quasi report, a bare
+    # embedding or an expand failure against a 3-graph, are usage errors
+    host, pattern = next(_expand_hosts())
+    write_json(workdir / "g.json", host)
+    write_json(workdir / "h.json", pattern_to_json(pattern))
+    assert main(["embed", "--pipeline", "expand", "--instance", "g.json", "--pattern", "h.json",
+                 "--out", "expand.json"]) == 0
+    write_json(workdir / "gc.json", collection_to_json(
+        GraphCollection(3, 3, {0: [(0, 1)], 1: [(1, 2)], 2: [(0, 2)]})))
+    assert main(["embed", "--pipeline", "quasi", "--instance", "gc.json", "--pattern", "h.json",
+                 "--out", "quasi.json"]) == 0
+    write_json(workdir / "bare.json", json.loads((workdir / "quasi.json").read_text())
+               ["outcome"]["embedding"])
+    write_json(workdir / "failed.json", {"outcome": {"status": "failure"}})
+    for instance, report, message in (
+            ("gc.json", "expand.json", "the report holds no embedding (status 'success')"),
+            ("g.json", "quasi.json", "the report holds no expansion (status 'success')"),
+            ("g.json", "bare.json", "verify needs a collection instance"),
+            ("g.json", "failed.json", "the report holds no expansion (status 'failure')")):
+        capsys.readouterr()
+        assert main(["verify", "--instance", instance, "--pattern", "h.json",
+                     "--embedding", report]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["verify", "--instance", "gc.json", "--pattern", "h.json",
+                 "--embedding", "quasi.json"]) == 0
+
+
+def test_expand_builds_no_python_int_per_host_pair(workdir, monkeypatch):
+    # the CLI expand path reads the host's packed table alone: neither the
+    # per-pair masks nor the edge frozenset is built
+    def refuse(*_):
+        raise AssertionError("a per-pair Python view of the host was built")
+
+    monkeypatch.setattr(ThreeGraph, "pair_masks", refuse)
+    monkeypatch.setattr(ThreeGraph, "edges", property(refuse))
+    rng = random.Random(60)
+    write_json(workdir / "g.json", {"n": 60, "edges": [
+        list(t) for t in combinations(range(60), 3) if rng.random() < 0.6]})
+    write_json(workdir / "h.json", {"n": 20, "edges": [[i, (i + 1) % 20] for i in range(20)]})
+    assert main(["embed", "--pipeline", "expand", "--instance", "g.json", "--pattern", "h.json",
+                 "--seed", "1", "--out", "rep.json"]) == 0
+    assert json.loads((workdir / "rep.json").read_text())["verified"] is True
+
+
 def _digest_of(argv, out):
     assert main([*argv, "--out", out]) in (0, 1)
     return json.loads(pathlib.Path(out).read_text())["instance_digest"]
@@ -749,11 +851,15 @@ def test_instance_digest_hashes_the_instance_not_the_file(workdir):
 
 
 _PINNED_EDGES = [[0, 1, 2], [3, 2, 1], [2, 5, 6], [6, 4, 0], [1, 3, 5]]
-# literal digests: any change to the text that instance_digest hashes moves them
+# literal digests: any change to the bytes that instance_digest hashes moves
+# them.  The 3-graph pins moved when the digest went from the JSON text of
+# the hex pair masks to the packed table's bytes: 961a165b3e13e9d1 ->
+# 2a52d61c821a798a, f67c26fe3fd0a2be -> 12b756e838bfd398, 35cf9aac0a64b365
+# -> 5f29180167a00103; the collection's is the JSON text still
 PINNED_DIGESTS = [
-    ({"n": 7, "edges": _PINNED_EDGES}, "961a165b3e13e9d1"),
-    ({"n": 7, "edges": _PINNED_EDGES, "parts": [[0, 1, 2], [3, 4], [5, 6]]}, "f67c26fe3fd0a2be"),
-    ({"n": 5, "edges": []}, "35cf9aac0a64b365"),
+    ({"n": 7, "edges": _PINNED_EDGES}, "2a52d61c821a798a"),
+    ({"n": 7, "edges": _PINNED_EDGES, "parts": [[0, 1, 2], [3, 4], [5, 6]]}, "12b756e838bfd398"),
+    ({"n": 5, "edges": []}, "5f29180167a00103"),
     ({"n": 4, "colours": ["a", "b"], "edges": {"0": [[0, 1], [1, 2]], "1": [[3, 2]]}},
      "1b765d1f867a755b"),
 ]
@@ -767,15 +873,26 @@ def test_instance_digest_is_pinned(workdir, doc, digest):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 70), density=st.sampled_from([0.0, 0.02, 0.3]), parted=st.booleans(),
+@given(n=st.integers(0, 140), density=st.sampled_from([0.0, 0.02, 0.3]), parted=st.booleans(),
        seed=st.integers(0, 99))
-def test_threegraph_digest_hashes_the_json_text_of_its_masks(n, density, parted, seed):
+def test_threegraph_digest_hashes_the_bytes_of_its_table(n, density, parted, seed):
+    # the layout, rebuilt from the triples alone: the JSON text of [n, parts,
+    # pairs, words per pair], the sorted pair keys u * n + v as little-endian
+    # int64, then each pair's mask of third vertices in that many
+    # little-endian 64-bit words, as few as the largest vertex of an edge needs
     rng = random.Random(seed)
-    g = ThreeGraph(n, [t for t in combinations(range(n), 3) if rng.random() < density],
-                   parts=[range(0, n, 2), range(1, n, 2)] if parted else None)
-    items = g.pair_masks()
-    text = json.dumps([n, g.parts, [k for k, _ in items], [hex(m) for _, m in items]], sort_keys=True)
-    assert instance_digest(g) == hashlib.sha256(text.encode()).hexdigest()[:16]
+    triples = [t for t in combinations(range(n), 3) if rng.random() < density]
+    parts = [range(0, n, 2), range(1, n, 2)] if parted else None
+    g = ThreeGraph(n, triples, parts=parts)
+    masks = {}
+    for a, b, c in triples:
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+            masks[u * n + v] = masks.get(u * n + v, 0) | 1 << w
+    words = max((c for _, _, c in triples), default=-1) // 64 + 1
+    head = json.dumps([n, parts and [list(p) for p in parts], len(masks), words])
+    body = b"".join(k.to_bytes(8, "little") for k in sorted(masks))
+    body += b"".join(masks[k].to_bytes(8 * words, "little") for k in sorted(masks))
+    assert instance_digest(g) == hashlib.sha256(head.encode() + body).hexdigest()[:16]
 
 
 def test_digest_of_a_large_sparse_host(workdir):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transversal import core
+from transversal.cli import instance_digest
 from transversal.core import (
     EdgeStraddlesSides,
     GraphCollection,
@@ -27,6 +29,7 @@ from transversal.core import (
     pattern_from_json,
     pattern_to_json,
     separability_certificate,
+    threegraph_from_bytes,
     threegraph_from_json,
     verify_expansion,
     verify_transversal_embedding,
@@ -397,10 +400,10 @@ def test_masks_of_words_matches_from_bytes(n):
 
 
 def _sort_calls(monkeypatch) -> list:
-    """The list of the sort route's ``_pair_words`` calls (one per chunk)."""
+    """The list of the sort route's ``_chunk_incidences`` calls (one per chunk)."""
     calls = []
-    sort = core._pair_words
-    monkeypatch.setattr(core, "_pair_words", lambda *a: calls.append(a) or sort(*a))
+    sort = core._chunk_incidences
+    monkeypatch.setattr(core, "_chunk_incidences", lambda *a: calls.append(a) or sort(*a))
     return calls
 
 
@@ -430,8 +433,8 @@ def test_bulk_build_matches_the_per_triple_loop(n, chunk, monkeypatch):
             calls.clear()
             g = ThreeGraph(n, rows)
             assert bool(calls) == (route == "sort" and m > 0)
-            assert (g._pairs, g.e) == _per_triple_build(n, rows)
-            assert list(g.pair_masks()) == sorted(g._pairs.items())  # key order on both routes
+            assert (dict(g.pair_masks()), g.e) == _per_triple_build(n, rows)
+            assert list(g.pair_masks()) == sorted(g.pair_masks())  # key order on both routes
             assert g == ThreeGraph(n, iter(rows[::-1]))
             assert g == ThreeGraph(n, np.array(rows, np.int64).reshape(-1, 3))
 
@@ -441,7 +444,7 @@ def test_build_below_three_vertices(n, monkeypatch):
     for _ in _on_each_route(monkeypatch):
         for rows in ([], np.zeros((0, 3), np.int64)):
             g = ThreeGraph(n, rows)
-            assert (g._pairs, g.e, g.edges, g.degrees()) == ({}, 0, frozenset(), [0] * n)
+            assert (dict(g.pair_masks()), g.e, g.edges, g.degrees()) == ({}, 0, frozenset(), [0] * n)
         with pytest.raises(ValueError) as ref:
             _per_triple_build(n, [(0, 1, 2)])
         with pytest.raises(ValueError) as new:
@@ -455,7 +458,7 @@ def test_build_from_any_integer_array(dtype, monkeypatch):
     rows = [(0, 1, 2), (4, 3, 1), (2, 1, 0), (5, 6, 0)]
     for _ in _on_each_route(monkeypatch):
         g = ThreeGraph(7, np.array(rows, dtype))
-        assert (g._pairs, g.e) == _per_triple_build(7, rows)
+        assert (dict(g.pair_masks()), g.e) == _per_triple_build(7, rows)
         bad = rows + [(1, 2, 9)]
         with pytest.raises(ValueError, match=r"^3-edge \(1, 2, 9\) out of range for n=7$"):
             ThreeGraph(7, np.array(bad, dtype))
@@ -492,7 +495,7 @@ def test_bulk_build_over_several_chunks(monkeypatch):
     for route, calls in _on_each_route(monkeypatch):
         g = ThreeGraph(200, rows)
         assert len(calls) == (chunks if route == "sort" else 0)
-        assert (g._pairs, g.e) == _per_triple_build(200, rows)
+        assert (dict(g.pair_masks()), g.e) == _per_triple_build(200, rows)
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -508,8 +511,66 @@ def test_bulk_build_past_the_int64_sort_key(n, low, chunk, monkeypatch):
     rows += [(0, 1, top), (top, 5, 0), (top - 64, top, 1)]
     rows = _mixed_rows(rng, rows)
     g = ThreeGraph(n, rows)
-    assert (g._pairs, g.e) == _per_triple_build(n, rows)
+    assert (dict(g.pair_masks()), g.e) == _per_triple_build(n, rows)
     assert g.has(1, top, 0) and not g.has(1, top, 2)
+
+
+def _route_graphs(n, rows, parts, monkeypatch):
+    """The ThreeGraph of ``rows`` (and ``parts``) by every build route, by
+    name: the list, a permutation of it and the JSON document, each on the
+    bool-table route and on the sort route, and the file's bytes (none with
+    parts: the byte route leaves such a file to the JSON route)."""
+    doc = {"n": n, "edges": [list(t) for t in rows]}
+    if parts is not None:
+        doc["parts"] = [list(p) for p in parts]
+    shuffled = random.Random(len(rows)).sample(rows, len(rows))
+    graphs = {}
+    for route, _ in _on_each_route(monkeypatch):
+        graphs[f"{route}/list"] = ThreeGraph(n, rows, parts=parts)
+        graphs[f"{route}/shuffled"] = ThreeGraph(n, shuffled, parts=parts)
+        graphs[f"{route}/json"] = threegraph_from_json(doc)
+        byte = threegraph_from_bytes(json.dumps(doc).encode())
+        assert (byte is None) == (parts is not None)
+        if byte is not None:
+            graphs[f"{route}/bytes"] = byte
+    return graphs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 63, 64, 65, 100, 161, 200])
+def test_every_build_route_gives_the_same_table(n, monkeypatch):
+    # chunks of 1-3 rows, so that the rows cross chunk boundaries
+    monkeypatch.setattr(core, "_CHUNK_ROWS", 1 + n % 3)
+    rng = random.Random(f"routes/{n}")
+    # random vertex order within rows, about one row in five repeated
+    rows = _mixed_rows(rng, _random_triples(rng, n, rng.randint(1, 3 * n)) if n >= 3 else [])
+    ref = _frozenset_reference(n, rows)
+    for parts in (None, [range(0, n, 2), range(1, n, 2)]):
+        graphs = _route_graphs(n, rows, parts, monkeypatch)
+        g = graphs["table/list"]
+        keys, words = g.table
+        assert (keys.dtype.str, words.dtype.str) == ("<i8", "<u8")
+        assert words.shape == (len(keys), (max(map(max, ref), default=-1) >> 6) + 1)
+        assert dict(g.pair_masks()) == _per_triple_build(n, rows)[0]
+        assert (g.edges, g.e) == (ref, len(ref))
+        assert g.degrees() == [sum(v in t for t in ref) for v in range(n)]
+        # every argument triple in -1..n up to n = 65; above, every triple of
+        # a sample of vertices that takes in both ends and the word edges
+        span = range(-1, n + 1) if n <= 65 else sorted(
+            {-1, 0, 1, 63, 64, n - 1, n, *rng.sample(range(n), 8), *rng.choice(sorted(ref))})
+        want = [tuple(sorted(t)) in ref for t in itertools.product(span, repeat=3)]
+        assert [g.has(*t) for t in itertools.product(span, repeat=3)] == want
+        draw = rng.sample(range(n), n)
+        sides = (draw[: n // 2], draw[n // 2 :])
+        links = g.link_collection(*sides)
+        assert links == _scan_link_collection(g, *sides)
+        for route, other in graphs.items():
+            assert np.array_equal(other.table[0], keys), route
+            assert np.array_equal(other.table[1], words), route
+            assert (other.e, other.degrees(), other.edges, other.parts) == \
+                (g.e, g.degrees(), g.edges, g.parts), route
+            assert other.link_collection(*sides).rows == links.rows, route
+            assert instance_digest(other) == instance_digest(g), route
+            assert other == g
 
 
 _BAD_ROWS = [(0, 1, 99), (0.5, 1, 2), (3, 3, 4), (0, 1), (True, 1, 2), (1, 2, 2**70),
