@@ -416,8 +416,8 @@ class ThreeGraph:
     a pair key past int64 (only above 3 * 10**9 vertices) included.  With
     ``n**3`` below ``_TABLE_CELLS`` and at least ``n**3 / _TABLE_FILL`` rows
     (or rows of unknown count), the incidences are scattered into one bool
-    table packed into the words at the end; otherwise they are kept and
-    ORed into the words at the end.
+    table packed into the words at the end; otherwise each chunk's are ORed
+    into the table as the chunk comes.
     """
 
     __slots__ = ("n", "e", "parts", "table")
@@ -432,7 +432,7 @@ class ThreeGraph:
         # an iterator's row count is unknown, so it is not taken for sparse
         sparse = hasattr(edges, "__len__") and len(edges) * _TABLE_FILL < n**3
         table = np.zeros(n * n * width, bool) if 0 < n**3 < _TABLE_CELLS and not sparse else None
-        pairs, thirds = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # the sort route's
+        keys, words = np.empty(0, np.int64), np.zeros((0, 0), "<u8")  # the sort route's table
         top = -1  # the largest vertex of an edge
         # bounded chunks keep the numpy temporaries small; setting a bit
         # twice is idempotent, so chunks need no dedup between them
@@ -460,18 +460,12 @@ class ThreeGraph:
                 # as Python ints, the rows read as they did in the file
                 raise _first_bad_row((chunk if arr else t).tolist(), n)
             if table is None:
-                for kept, new in zip((pairs, thirds), _chunk_incidences(a, b, c, n)):
-                    kept.append(new)
+                keys, words = _merged(keys, words, *_chunk_incidences(a, b, c, n), top)
             else:  # cell (pair uv, third w) of each of the edge's three incidences
                 for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
                     table[(u * n + v) * width + w] = True
         self.n = n
-        if table is None:  # OR each incidence's bit into its pair's row
-            keys, row = np.unique(np.concatenate(pairs), return_inverse=True)
-            thirds = np.concatenate(thirds)
-            words = np.zeros((len(keys), (top >> 6) + 1), "<u8")
-            np.bitwise_or.at(words, (row.ravel(), thirds >> 6),
-                             np.left_shift(np.uint64(1), (thirds & 63).astype(np.uint64)))
+        if table is None:
             self.e = int(_word_bits(words)[2].sum()) // 3
         else:
             self.e = int(np.count_nonzero(table)) // 3
@@ -619,6 +613,18 @@ def _chunk_incidences(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
     """The pair keys and third vertices of the three incidences (pair ab
     and third c, ac and b, bc and a) of each sorted triple a < b < c."""
     return np.concatenate((a * n + b, a * n + c, b * n + c)), np.concatenate((c, b, a))
+
+
+def _merged(keys: np.ndarray, words: np.ndarray, pairs: np.ndarray, thirds: np.ndarray, top: int):
+    """The table ``(keys, words)`` with the bit of each incidence ``(pairs[i],
+    thirds[i])`` ORed in, its rows widened to vertex ``top``: a chunk at a
+    time, so the sort route holds no more than the table and one chunk."""
+    union = np.union1d(keys, pairs)
+    out = np.zeros((len(union), (top >> 6) + 1), "<u8")
+    out[np.searchsorted(union, keys), : words.shape[1]] = words
+    bits = np.left_shift(np.uint64(1), (thirds & 63).astype(np.uint64))
+    np.bitwise_or.at(out, (np.searchsorted(union, pairs), thirds >> 6), bits)
+    return union, out
 
 
 def _word_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
