@@ -604,6 +604,14 @@ def test_rows_the_int64_build_cannot_take_are_value_errors():
         ThreeGraph(2**70, [(0, 1, 2**65)])
     with pytest.raises(ValueError, match="sized sequences"):
         ThreeGraph(5, [iter((0, 1, 2))])
+    # a pair key b * n + c past int64, which only a host of over 3 * 10**9
+    # vertices can have; the readers take such vertices and find no edge
+    with pytest.raises(ValueError, match=r"^3-edge \(0, 10000001, 10000000\) has a pair key"):
+        ThreeGraph(10**12, [(0, 1, 2), (0, 10**7 + 1, 10**7)])
+    g = ThreeGraph(10**12, [(0, 1, 2), (0, 1, 10**6)])
+    assert g.has(2, 1, 0) and not g.has(10**7, 10**7 + 1, 10**7 + 2)
+    links = g.link_collection([0, 1, 10**7], [2, 10**7 + 1])
+    assert links.rows == ((2, 1, 0), (0, 0, 0))
 
 
 def test_dense_build_peak_is_bounded_by_the_chunk(monkeypatch):
